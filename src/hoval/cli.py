@@ -24,7 +24,7 @@ from .errors import EnumerationTooLarge, HovalError, ParseError
 from .gf2 import tower_create
 from .hyperoval import DirectionSet, HyperovalSpec, build_hyperoval, directions
 from .linearsets import spectrum, spectrum_conforms
-from .pipeline import run_verify_all
+from .pipeline import STAGE_ORDER, run_verify_all
 from .projective import DEFAULT_BUDGET
 from .pseudoregulus import detect_pseudoregulus, find_long_secants
 from .reduction import maps_for
@@ -46,8 +46,16 @@ def _budget(args) -> int | None:
     return None if args.budget <= 0 else args.budget
 
 
+def _checked_spec(h, k, i, strict: bool) -> HyperovalSpec:
+    """HyperovalSpec with out-of-range parameters turned into usage errors."""
+    try:
+        return HyperovalSpec(h, k, i, strict=strict)
+    except ValueError as exc:
+        raise ParseError(f"bad parameters (h={h}, k={k}, i={i}): {exc}") from exc
+
+
 def _spec(args) -> HyperovalSpec:
-    return HyperovalSpec(args.h, args.k, args.i, strict=not args.allow_nonstrict)
+    return _checked_spec(args.h, args.k, args.i, not args.allow_nonstrict)
 
 
 def _emit(args, doc: dict) -> None:
@@ -77,7 +85,7 @@ def _dirs_from_file(path: str):
     if doc.kind != "directions":
         raise ParseError(f"expected a directions file, got kind {doc.kind!r}")
     p = doc.params
-    spec = HyperovalSpec(p["h"], p["k"], p["i"], strict=bool(p.get("strict", True)))
+    spec = _checked_spec(p["h"], p["k"], p["i"], bool(p.get("strict", True)))
     maps = maps_for(tower_create(spec.h, spec.k))
     hinf = maps.hinf
     limit = 1 << (hinf.width * hinf.field.m)
@@ -205,9 +213,13 @@ def _cmd_bj_axioms(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    _spec(args)  # reject bad parameters as usage errors before the run
     stages = None
     if args.stages:
         stages = tuple(s.strip() for s in args.stages.split(",") if s.strip())
+        for name in stages:
+            if name not in STAGE_ORDER:
+                raise ParseError(f"unknown stage {name!r}, pick from {STAGE_ORDER}")
     rep = run_verify_all(
         args.h,
         args.k,

@@ -50,14 +50,20 @@ class HyperovalSpec:
 
 
 class AffinePointSet:
-    """A set of normalized affine points of one projective space."""
+    """A set of normalized affine points of one projective space.
 
-    __slots__ = ("points", "ordered", "space")
+    The result of translation_closure_check is memoized on the set, so the
+    symmetry shortcuts that depend on it (directions, axiom A4) verify it at
+    most once per set.
+    """
+
+    __slots__ = ("points", "ordered", "space", "_closure")
 
     def __init__(self, points, space: ProjSpace):
         self.points = frozenset(points)
         self.ordered = tuple(sorted(self.points))
         self.space = space
+        self._closure = None
         for p in self.ordered:
             if space.chunk(p, 0) != 1:
                 raise ValueError(f"0x{p:x} is not normalized affine")
@@ -148,12 +154,19 @@ def is_arc(points: Sequence[int], space: ProjSpace):
 
 
 def directions(q_points: AffinePointSet, maps: CorrespondenceMaps) -> DirectionSet:
-    """Normalized H_inf points spanned by differences of affine points."""
+    """Normalized H_inf points spanned by differences of affine points.
+
+    For a set whose translation closure is verified the differences a ^ b
+    are exactly the differences base ^ x against one base point, so n - 1 of
+    them give the whole set; any other set pays for all C(n, 2) pairs.
+    """
     h = maps.tower.h
     normalize = maps.hinf.normalize
-    out = set()
-    for a, b in combinations(q_points.ordered, 2):
-        out.add(normalize((a ^ b) >> h))
+    if q_points.ordered and translation_closure_check(q_points)[0]:
+        base = q_points.ordered[0]
+        out = {normalize((base ^ x) >> h) for x in q_points.ordered[1:]}
+    else:
+        out = {normalize((a ^ b) >> h) for a, b in combinations(q_points.ordered, 2)}
     return DirectionSet(out, maps.hinf)
 
 
@@ -173,8 +186,15 @@ def translation_closure_check(q_points: AffinePointSet):
 
     The affine set is closed under this ternary operation iff it is a coset
     of an additive group of vectors, which is what makes every secant
-    direction a full translation direction.  Returns (ok, witness).
+    direction a full translation direction.  Returns (ok, witness); the
+    result is computed once per set and memoized on it.
     """
+    if q_points._closure is None:
+        q_points._closure = _closure_scan(q_points)
+    return q_points._closure
+
+
+def _closure_scan(q_points: AffinePointSet):
     base = q_points.ordered[0]
     pts = q_points.points
     for a, b in combinations(q_points.ordered, 2):

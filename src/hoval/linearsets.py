@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .errors import EnumerationTooLarge, NotF2Linear, TooFewPoints
@@ -22,12 +22,18 @@ from .reduction import CorrespondenceMaps, Spread
 
 @dataclass(frozen=True)
 class SpectrumHistogram:
-    """counts[j] = number of lines meeting the point set in exactly j points."""
+    """counts[j] = number of lines meeting the point set in exactly j points.
+
+    In pairs mode `multiplicities` keeps the scanned map from each line
+    through two or more points to its pair count, so later consumers
+    (find_long_secants) need not scan the pairs again.
+    """
 
     counts: dict
     mode: str
     nlines: int
     npoints: int
+    multiplicities: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def support(self) -> tuple:
@@ -59,10 +65,15 @@ def spectrum_conforms(hist: SpectrumHistogram, q: int):
 
 # -- pairs mode ---------------------------------------------------------------
 
-def _pair_multiplicities(pts, space: ProjSpace, budget):
-    npairs = len(pts) * (len(pts) - 1) // 2
+def check_pair_budget(npoints: int, budget) -> None:
+    """Refuse a scan of the C(npoints, 2) pairs that exceeds the budget."""
+    npairs = npoints * (npoints - 1) // 2
     if budget is not None and npairs > budget:
         raise EnumerationTooLarge(npairs, budget, "secant pair scan")
+
+
+def _pair_multiplicities(pts, space: ProjSpace, budget):
+    check_pair_budget(len(pts), budget)
     key = space.pair_line_key
     mult: dict = {}
     for a, b in combinations(pts, 2):
@@ -210,9 +221,7 @@ def spectrum(
 
     if mode == "pairs":
         if processes > 1 and len(pts) >= 64:
-            npairs = len(pts) * (len(pts) - 1) // 2
-            if budget is not None and npairs > budget:
-                raise EnumerationTooLarge(npairs, budget, "secant pair scan")
+            check_pair_budget(len(pts), budget)
             step = max(1, len(pts) // (4 * processes))
             bounds = [
                 (lo, min(lo + step, len(pts)))
@@ -227,7 +236,7 @@ def spectrum(
         else:
             mult = _pair_multiplicities(pts, space, budget)
         counts = _hist_from_multiplicities(mult, len(pts), space)
-        return SpectrumHistogram(counts, "pairs", space.nlines(), len(pts))
+        return SpectrumHistogram(counts, "pairs", space.nlines(), len(pts), mult)
 
     est = space.nlines() * (space.q + 1)
     if budget is not None and est > budget:
@@ -314,20 +323,33 @@ class ScatterednessReport:
     meet_histogram: dict
 
 
-def scattered_check(witness: F2Witness, spread_prime: Spread) -> ScatterednessReport:
-    """Does every element of the (h-1)-spread meet K in at most one point?"""
+def scattered_check(witness: F2Witness, fibres) -> ScatterednessReport:
+    """Does every element of the (h-1)-spread meet K in at most one point?
+
+    `fibres` is H_inf itself: the spread element holding a GF(2) vector w is
+    the fibre of its H_inf point normalize(w), so counting normalize over K
+    needs no spread, and the offending element is reported as the smallest
+    over-met H_inf point.  A built spread (CorrespondenceMaps.s_prime) is
+    accepted too and checked element by element, offending element given
+    as its index; the tests keep it as the oracle for the fibre count.
+    """
+    if isinstance(fibres, Spread):
+        element_of, nelements, space = fibres.element_of, len(fibres), fibres.space
+    else:
+        element_of, nelements, space = fibres.normalize, fibres.npoints(), fibres
     meets: dict = {}
     for p in witness.k_points:
-        idx = spread_prime.element_of(p)
+        idx = element_of(p)
         meets[idx] = meets.get(idx, 0) + 1
     max_meet = max(meets.values(), default=0)
     offender = None
     if max_meet > 1:
-        offender = min(i for i, c in meets.items() if c == max_meet)
-    hist: dict = {0: len(spread_prime) - len(meets)}
+        offender = min(i for i, c in meets.items() if c > 1)
+    hist: dict = {0: nelements - len(meets)}
     for c in meets.values():
         hist[c] = hist.get(c, 0) + 1
-    max_rank = (spread_prime.space.n + 1) // 2
+    # K lives in PG(2hk-1, 2); either description has 2hk bits per vector
+    max_rank = space.width * space.field.m // 2
     scattered = max_meet <= 1
     return ScatterednessReport(
         scattered=scattered,

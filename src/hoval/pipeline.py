@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import comb
 
 from .bruckbose import build_plane, hyperoval_in_plane, plane_axioms_check
 from .cplanes import build_c_planes, check_axioms
@@ -52,7 +51,8 @@ STAGE_ORDER = (
     "cplanes",
 )
 
-# cap on the A4 triple scan inside the pipeline; larger cases note the skip
+# cap on the A4 scan inside the pipeline (pairs through a base point for
+# translation sets, all triples otherwise); larger cases note the skip
 A4_TRIPLE_CAP = 4_000_000
 
 
@@ -120,6 +120,7 @@ class _Run:
         self.seed = seed
         self.hov = None
         self.dirs = None
+        self.pair_mult = None  # pairs-mode secant multiplicities of dirs
         self.structure = None
         self.transversals = None
         self.fit = None
@@ -161,6 +162,7 @@ def _stage_spectrum(run: _Run) -> tuple[bool, dict]:
     hist = spectrum(
         run.dirs, mode=run.mode, budget=run.budget, processes=run.processes
     )
+    run.pair_mult = hist.multiplicities
     q = 1 << spec.h
     conforms, offender = spectrum_conforms(hist, q)
     ndirs = len(run.dirs.points)
@@ -179,7 +181,7 @@ def _stage_spectrum(run: _Run) -> tuple[bool, dict]:
 def _stage_linearity(run: _Run) -> tuple[bool, dict]:
     maps = run.hov.maps
     wit = f2_witness(run.hov.affine, run.dirs, maps)
-    rep = scattered_check(wit, maps.s_prime)
+    rep = scattered_check(wit, maps.hinf)
     data = {
         "rank": rep.rank,
         "max_rank": rep.max_rank,
@@ -196,7 +198,9 @@ def _stage_linearity(run: _Run) -> tuple[bool, dict]:
 def _stage_pseudoregulus(run: _Run) -> tuple[bool, dict]:
     spec = run.spec
     maps = run.hov.maps
-    run.structure = find_long_secants(run.dirs, run.budget)
+    run.structure = find_long_secants(
+        run.dirs, run.budget, multiplicities=run.pair_mult
+    )
     run.transversals = extract_transversals(run.structure, run.dirs.space)
     fmap = transversal_map(run.transversals)
     run.fit = fit_semilinear(run.dirs, run.transversals, fmap, maps)
@@ -280,10 +284,8 @@ def _stage_cplanes(run: _Run) -> tuple[bool, dict]:
                 family, run.hov.affine, maps, axioms=("A4",), budget=a4_budget
             )
         )
-    except EnumerationTooLarge:
-        a4_skipped = (
-            f"triple scan size {comb(n, 3)} exceeds cap {a4_budget}"
-        )
+    except EnumerationTooLarge as exc:
+        a4_skipped = f"{exc.what} size {exc.estimate} exceeds cap {a4_budget}"
     data = {
         "planes": len(family),
         "expected_planes": n * family.m // q,

@@ -23,7 +23,7 @@ from .errors import (
     TransversalExtractionFailed,
 )
 from .hyperoval import DirectionSet
-from .linearsets import _pair_multiplicities
+from .linearsets import _pair_multiplicities, check_pair_budget
 from .projective import (
     DEFAULT_BUDGET,
     Line,
@@ -46,10 +46,15 @@ class SecantStructure:
 
 
 def find_long_secants(
-    dirs: DirectionSet, budget: int | None = DEFAULT_BUDGET
+    dirs: DirectionSet,
+    budget: int | None = DEFAULT_BUDGET,
+    multiplicities: dict | None = None,
 ) -> SecantStructure:
     """Locate the (q-1)-secants and check they partition D.
 
+    `multiplicities` is the pair map a pairs-mode spectrum of the same D
+    already scanned (SpectrumHistogram.multiplicities); without it the
+    pairs are scanned here.  The budget applies either way.
     Raises NotPseudoregulusCandidate when the counts or the cover are off.
     """
     space = dirs.space
@@ -61,7 +66,11 @@ def find_long_secants(
         )
     m = len(pts) // (q - 1)
     target = (q - 1) * (q - 2) // 2
-    mult = _pair_multiplicities(pts, space, budget)
+    if multiplicities is None:
+        mult = _pair_multiplicities(pts, space, budget)
+    else:
+        check_pair_budget(len(pts), budget)
+        mult = multiplicities
     keys = sorted(k for k, c in mult.items() if c == target)
     if len(keys) != m:
         raise NotPseudoregulusCandidate(

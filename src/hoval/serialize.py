@@ -121,8 +121,12 @@ def loads_json(text: str) -> dict:
 
 
 def load_json(path: str) -> dict:
-    with open(path, "r", encoding="ascii") as f:
-        return loads_json(f.read())
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return loads_json(text)
 
 
 def parse_point_set(d: dict) -> PointSetFile:

@@ -112,10 +112,13 @@ def test_criterion_03_linearity_and_scatteredness():
         hk = h * k
         size_ok = len(d.points) == (1 << hk) - 1
         wit = f2_witness(hov.affine, d, hov.maps)
-        rep = scattered_check(wit, hov.maps.s_prime)
+        rep = scattered_check(wit, hov.maps.hinf)
         case_ok = (
             size_ok and wit.rank == hk and rep.scattered and rep.is_maximum
         )
+        if hk <= 8:
+            # the enumerated (h-1)-spread is the oracle for the fibre count
+            case_ok = case_ok and scattered_check(wit, hov.maps.s_prime) == rep
         notes.append(f"({h},{k},{i}) |D|={len(d.points)} rank={wit.rank}")
         ok = ok and case_ok
     _verdict(3, ok, "; ".join(notes))

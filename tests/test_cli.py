@@ -175,3 +175,31 @@ def test_parallel_env_garbage_falls_back(monkeypatch, capsys):
     monkeypatch.setenv("HOVAL_PARALLEL", "lots")
     code, out = _run(capsys, "spectrum", "--h", "3", "--k", "2", "--i", "1")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--h", "0", "--k", "2", "--i", "1"),
+    ("verify-all", "--h", "3", "--k", "2", "--i", "7"),
+])
+def test_bad_parameters_exit_2(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: bad parameters")
+    assert captured.out == ""
+
+
+def test_unknown_stage_exit_2(capsys):
+    code = main(["verify-all", "--h", "3", "--k", "2", "--i", "1",
+                 "--stages", "construct,nonsense"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "unknown stage 'nonsense'" in captured.err
+    assert captured.out == ""
+
+
+def test_missing_input_file_exit_2(tmp_path, capsys):
+    code = main(["spectrum", "--in", str(tmp_path / "absent.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: cannot read")

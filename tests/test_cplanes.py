@@ -1,12 +1,28 @@
 """C-plane family construction and the four incidence axioms."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hoval.cplanes import build_c_planes, check_axioms
+from hoval.cplanes import (
+    CPlane,
+    CPlaneFamily,
+    _a4_base_point,
+    _a4_triple_scan,
+    build_c_planes,
+    check_axioms,
+)
 from hoval.errors import CPlaneConstructionFailed, EnumerationTooLarge
-from hoval.hyperoval import AffinePointSet, HyperovalSpec, build_hyperoval, directions
+from hoval.hyperoval import (
+    AffinePointSet,
+    HyperovalSpec,
+    build_hyperoval,
+    directions,
+    translation_closure_check,
+)
 from hoval.pseudoregulus import find_long_secants
 
 
@@ -133,3 +149,140 @@ def test_damaged_family_fails_a2(case321, family321):
     rep = check_axioms(fam, hov.affine, hov.maps, axioms=("A2",))["A2"]
     assert not rep.ok
     assert rep.witness is not None
+
+
+# -- A4: base-point scan against the full triple scan -------------------------
+
+def _a4_both(family, c_points, maps):
+    """(public A4 report, full triple-scan report) for one input."""
+    fast = check_axioms(family, c_points, maps, axioms=("A4",), budget=None)["A4"]
+    vecs = [p >> maps.tower.h for p in c_points.ordered]
+    full = _a4_triple_scan(family, c_points, vecs, maps.hinf, None)
+    return fast, full
+
+
+_TOTALS = ("triples", "family_planes", "four_point_planes")
+
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
+def test_a4_base_point_matches_triple_scan(hki):
+    hov, d, s = _setup(*hki)
+    fam = build_c_planes(hov.affine, s, hov.maps)
+    fast, full = _a4_both(fam, hov.affine, hov.maps)
+    assert fast.detail["mode"] == "base-point"
+    assert full.detail["mode"] == "triple-scan"
+    assert fast.ok and full.ok, (fast.witness, full.witness)
+    assert {k: fast.detail[k] for k in _TOTALS} == {k: full.detail[k] for k in _TOTALS}
+    n = len(hov.affine)
+    assert fast.checked == fast.detail["pairs"] == comb(n - 1, 2)
+    assert full.checked == comb(n, 3)
+
+
+def test_a4_base_point_budget_counts_pairs(case321, family321):
+    hov, d, s = case321
+    # 1953 pairs through the base point fit, the 41664 triples would not
+    rep = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",),
+                       budget=comb(63, 2))["A4"]
+    assert rep.ok and rep.detail["mode"] == "base-point"
+    with pytest.raises(EnumerationTooLarge) as exc:
+        check_axioms(family321, hov.affine, hov.maps, axioms=("A4",),
+                     budget=comb(63, 2) - 1)
+    assert exc.value.estimate == comb(63, 2)
+
+
+def test_a4_damaged_set_takes_triple_scan(case321, family321):
+    hov, d, s = case321
+    pts = sorted(hov.affine.points)
+    h = hov.maps.tower.h
+    outside = next(1 | (v << h) for v in range(1, 1 << 12)
+                   if (1 | (v << h)) not in hov.affine.points)
+    damaged = AffinePointSet(pts[1:] + [outside], hov.maps.ambient)
+    assert not translation_closure_check(damaged)[0]
+    rep = check_axioms(family321, damaged, hov.maps, axioms=("A4",))["A4"]
+    assert rep.detail["mode"] == "triple-scan"
+    assert not rep.ok
+
+
+def test_a4_forged_family_takes_triple_scan(case321, family321):
+    hov, d, s = case321
+    import dataclasses
+
+    maps = hov.maps
+    space = maps.hinf
+    vecs = [p >> maps.tower.h for p in hov.affine.ordered]
+    # swap a plane that misses the base point for a plane that misses C:
+    # every bin through the base point still looks right, but the family is
+    # no longer carried onto itself by the translations of C
+    keys = family321.vector_keys
+    rows, coset = min(
+        (r, c) for r, c in keys if space.reduce(vecs[0], r) != c
+    )
+    fake = next(
+        space.reduce(v, rows) for v in range(1, 1 << space.bits)
+        if (rows, space.reduce(v, rows)) not in keys
+    )
+    forged = dataclasses.replace(
+        family321, vector_keys=(keys - {(rows, coset)}) | {(rows, fake)}
+    )
+    assert _a4_base_point(forged, hov.affine, vecs, space).ok
+    fast, full = _a4_both(forged, hov.affine, maps)
+    assert fast.detail["mode"] == "triple-scan"
+    assert not fast.ok and not full.ok
+
+
+def _family_of_coset(c_points, maps):
+    """Planes meeting C in exactly q points, over every spanned direction."""
+    space, h, q = maps.hinf, maps.tower.h, maps.hinf.q
+    vecs = [p >> h for p in c_points.ordered]
+    dirs = sorted({space.normalize(vecs[0] ^ v) for v in vecs[1:]})
+    groups: dict = {}
+    for rows in {space.pair_line_key(u, w) for u, w in combinations(dirs, 2)}:
+        for p, v in zip(c_points.ordered, vecs):
+            groups.setdefault((rows, space.reduce(v, rows)), []).append(p)
+    keys = sorted(key for key, pts in groups.items() if len(pts) == q)
+    planes = tuple(
+        CPlane(secant_index=0, base=coset << h,
+               rows=(coset << h,) + tuple(r << h for r in rows),
+               points=tuple(groups[(rows, coset)]))
+        for rows, coset in keys
+    )
+    return CPlaneFamily(planes=planes, m=len({rows for rows, _ in keys}), q=q,
+                        vector_keys=frozenset(keys))
+
+
+def _random_coset(h, data):
+    """An additive coset of AG(4, q), q = 2^h, of GF(2)-dimension 2 to 6.
+
+    Half the draws take their generators from the differences of the
+    (h, 2, 1) translation hyperoval, so that q-point planes turn up.
+    """
+    hov = build_hyperoval(HyperovalSpec(h, 2, 1))
+    maps = hov.maps
+    bits = 4 * h
+    if data.draw(st.booleans()):
+        base = hov.affine.ordered[0]
+        pool = st.sampled_from([(p ^ base) >> h for p in hov.affine.ordered[1:]])
+    else:
+        pool = st.integers(1, (1 << bits) - 1)
+    gens = data.draw(st.lists(pool, min_size=2, max_size=6))
+    offset = data.draw(st.integers(0, (1 << bits) - 1))
+    span = {0}
+    for g in gens:
+        span |= {x ^ g for x in span}
+    return maps, AffinePointSet((1 | ((offset ^ x) << h) for x in span), maps.ambient)
+
+
+@pytest.mark.parametrize("h", [3, 4])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a4_paths_agree_on_random_cosets(h, data):
+    # PG(4, 8) and PG(4, 16)
+    maps, c_points = _random_coset(h, data)
+    if len(c_points) < 3:
+        return
+    family = _family_of_coset(c_points, maps)
+    fast, full = _a4_both(family, c_points, maps)
+    assert fast.detail["mode"] == "base-point"
+    assert fast.ok == full.ok, (fast.witness, full.witness)
+    if fast.ok:
+        assert {k: fast.detail[k] for k in _TOTALS} == {k: full.detail[k] for k in _TOTALS}

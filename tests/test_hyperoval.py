@@ -101,6 +101,38 @@ def test_directions_collapse_for_gcd2_control():
     assert len(d) == 85
 
 
+@pytest.mark.parametrize("h,k,i,strict", [
+    (3, 2, 1, True), (4, 2, 1, True), (3, 3, 1, True), (4, 2, 2, False),
+])
+def test_directions_base_point_path_matches_all_pairs(h, k, i, strict):
+    # a verified translation set takes the n - 1 differences from one base
+    # point; direction_pair_counts still walks all C(n, 2) pairs
+    hov = build_hyperoval(HyperovalSpec(h, k, i, strict=strict))
+    assert translation_closure_check(hov.affine)[0]
+    d = directions(hov.affine, hov.maps)
+    assert d.points == set(direction_pair_counts(hov.affine, hov.maps))
+
+
+def test_directions_of_damaged_set_use_all_pairs(hov321):
+    pts = list(hov321.affine.ordered)
+    h = hov321.maps.tower.h
+    outside = next(1 | (v << h) for v in range(1, 1 << 12)
+                   if (1 | (v << h)) not in hov321.affine.points)
+    damaged = AffinePointSet(pts[1:] + [outside], hov321.maps.ambient)
+    assert not translation_closure_check(damaged)[0]
+    d = directions(damaged, hov321.maps)
+    assert d.points == set(direction_pair_counts(damaged, hov321.maps))
+    # the base-point differences alone would miss some directions
+    base = damaged.ordered[0]
+    assert {hov321.maps.hinf.normalize((base ^ x) >> h)
+            for x in damaged.ordered[1:]} < d.points
+
+
+def test_closure_is_memoized_on_the_set(hov321):
+    first = translation_closure_check(hov321.affine)
+    assert translation_closure_check(hov321.affine) is first
+
+
 def test_translation_closure(hov321):
     ok, witness = translation_closure_check(hov321.affine)
     assert ok and witness is None

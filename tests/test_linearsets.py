@@ -186,3 +186,30 @@ def test_scattered_421(case421):
     rep = scattered_check(w, hov.maps.s_prime)
     assert rep.scattered and rep.is_maximum and rep.rank == 8
     assert rep.meet_histogram == {0: 4369 - 255, 1: 255}
+
+
+@pytest.mark.parametrize("h,k,i,strict", [
+    (3, 2, 1, True), (4, 2, 1, True), (4, 2, 3, True), (2, 3, 1, True),
+    (4, 2, 2, False),
+])
+def test_fibre_scatteredness_matches_s_prime(h, k, i, strict):
+    # the normalize fibres of H_inf are the elements of s_prime, so counting
+    # normalize over K must give the report the built spread gives
+    hov = build_hyperoval(HyperovalSpec(h, k, i, strict=strict))
+    maps = hov.maps
+    w = f2_witness(hov.affine, directions(hov.affine, maps), maps)
+    fibres = scattered_check(w, maps.hinf)
+    spread = scattered_check(w, maps.s_prime)
+    same = ("scattered", "rank", "max_rank", "is_maximum", "max_meet", "meet_histogram")
+    assert {f: getattr(fibres, f) for f in same} == {f: getattr(spread, f) for f in same}
+    assert fibres.max_rank == h * k
+    if fibres.scattered:
+        assert fibres.offending_element is spread.offending_element is None
+    else:
+        # the fibre offender is an H_inf point whose s_prime element is over-met
+        over = fibres.offending_element
+        assert maps.hinf.normalize(over) == over
+        idx = {maps.s_prime.element_of(p) for p in w.k_points
+               if maps.hinf.normalize(p) == over}
+        assert len(idx) == 1
+        assert sum(maps.s_prime.element_of(p) in idx for p in w.k_points) > 1

@@ -2,7 +2,9 @@
 
 import pytest
 
+from hoval import linearsets, pseudoregulus
 from hoval.pipeline import STAGE_ORDER, run_verify_all
+from hoval.reduction import CorrespondenceMaps
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +99,49 @@ def test_reports_are_deterministic():
     assert a.to_json_dict(include_timings=False) == b.to_json_dict(
         include_timings=False
     )
+
+
+def test_one_pair_scan_per_run(monkeypatch):
+    calls = []
+    real = linearsets._pair_multiplicities
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linearsets, "_pair_multiplicities", counted)
+    monkeypatch.setattr(pseudoregulus, "_pair_multiplicities", counted)
+    rep = run_verify_all(3, 2, 1, stages=("spectrum", "pseudoregulus"))
+    assert rep.verdict == "pass"
+    assert len(calls) == 1
+
+
+def test_linearity_does_not_build_s_prime(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the pipeline must not enumerate s_prime")
+
+    monkeypatch.setattr(CorrespondenceMaps, "s_prime", property(refuse))
+    rep = run_verify_all(3, 2, 1, stages=("linearity",))
+    lin = rep.stage("linearity")
+    assert lin.ok
+    assert lin.data["meet_histogram"] == {"0": 522, "1": 63}
+    assert lin.data["max_rank"] == 6
+
+
+def test_cplanes_reports_a4_mode(full321):
+    a4 = full321.stage("cplanes").data["axioms"]["A4"]
+    assert a4["detail"]["mode"] == "base-point"
+    assert a4["checked"] == a4["detail"]["pairs"] == 63 * 62 // 2
+    assert a4["detail"]["triples"] == 41664
+
+
+def test_a4_runs_at_331():
+    # 130,305 pairs through the base point fit under the pipeline cap that
+    # the 22,238,720 triples of the full scan exceed
+    rep = run_verify_all(3, 3, 1, stages=("cplanes",))
+    cp = rep.stage("cplanes")
+    assert rep.verdict == "pass"
+    assert "a4_skipped" not in cp.data
+    a4 = cp.data["axioms"]["A4"]
+    assert a4["ok"] and a4["detail"]["mode"] == "base-point"
+    assert a4["detail"]["family_planes"] == cp.data["planes"] == 4672

@@ -3,10 +3,12 @@
 import pytest
 
 from hoval.errors import (
+    EnumerationTooLarge,
     NotPseudoregulusCandidate,
     TransversalExtractionFailed,
 )
 from hoval.hyperoval import DirectionSet, HyperovalSpec, build_hyperoval, directions
+from hoval.linearsets import spectrum
 from hoval.projective import mat_vec_packed
 from hoval.pseudoregulus import (
     build_spread,
@@ -50,6 +52,18 @@ def test_long_secant_structure_321(case321):
         pts = set(line.points())
         assert not (pts & seen)
         seen |= pts
+
+
+def test_long_secants_from_spectrum_map(case321):
+    # the pipeline hands the spectrum's pair map over instead of rescanning;
+    # the structure is the same and the budget is still enforced
+    hov, d = case321
+    hist = spectrum(d, mode="pairs")
+    assert hist.multiplicities is not None
+    assert spectrum(d, mode="exhaustive").multiplicities is None
+    assert find_long_secants(d, multiplicities=hist.multiplicities) == find_long_secants(d)
+    with pytest.raises(EnumerationTooLarge):
+        find_long_secants(d, budget=100, multiplicities=hist.multiplicities)
 
 
 def test_transversals_321(case321):
