@@ -13,20 +13,22 @@ coordinates, the point of element idx is -1 - idx.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations
 
 from .errors import DimensionMismatch, EnumerationTooLarge, InvalidSpread
 from .hyperoval import AffinePointSet, translation_closure_check
 from .projective import DEFAULT_BUDGET
 from .reduction import CorrespondenceMaps, Spread
 
-_EXHAUSTIVE_POINT_LIMIT = 8192  # pair coverage needs a points^2 byte table
+# pair coverage keeps an n-bit int per point, n^2 / 8 bytes for n points
+_EXHAUSTIVE_POINT_LIMIT = 8192
 
 
 class BruckBosePlane:
     __slots__ = (
-        "maps", "spread", "lifted", "spans", "bases", "order",
+        "maps", "spread", "tabs", "mask", "spans", "bases", "order",
         "n_points", "n_lines",
     )
 
@@ -38,37 +40,51 @@ class BruckBosePlane:
         q = amb.q
         rank = len(spread.elements[0].rows)
         self.order = q**rank
-        lifted = []
+        self.mask = amb.chunk_mask
+        tabs = []
         spans = []
         bases = []
+        cosets_by_free: dict = {}
         width = amb.width
         for el in spread.elements:
             rows = tuple(r << h for r in el.rows)
-            lifted.append(rows)
+            # per row: (pivot shift, the q multiples of the row)
+            tab = tuple(
+                (amb.pivot(r) * h, tuple(amb.smul(c, r) for c in range(q)))
+                for r in rows
+            )
+            tabs.append(tab)
             vecs = [0]
-            for row in rows:
-                vecs = [v ^ amb.smul(c, row) for v in vecs for c in range(q)]
+            for _, multiples in tab:
+                vecs = [v ^ m for v in vecs for m in multiples]
             spans.append(tuple(sorted(vecs)))
             pivots = {amb.pivot(r) for r in rows}
-            free = [c for c in range(1, width) if c not in pivots]
+            free = tuple(c for c in range(1, width) if c not in pivots)
             if len(free) != width - 1 - rank:
                 raise InvalidSpread("element pivots collide with the affine chunk")
-            cosets = []
-            for vals in product(range(q), repeat=len(free)):
-                v = 1
-                for c, val in zip(free, vals):
-                    v |= val << (c * h)
-                cosets.append(v)
-            bases.append(tuple(sorted(cosets)))
-        self.lifted = tuple(lifted)
+            cosets = cosets_by_free.get(free)
+            if cosets is None:
+                vecs = [1]
+                for c in free:
+                    vecs = [v | (val << (c * h)) for v in vecs for val in range(q)]
+                cosets = cosets_by_free[free] = tuple(sorted(vecs))
+            bases.append(cosets)
+        self.tabs = tuple(tabs)
         self.spans = tuple(spans)
         self.bases = tuple(bases)
         self.n_points = self.order**2 + len(spread.elements)
         self.n_lines = self.order * len(spread.elements) + 1
 
     def base_of(self, eidx: int, p: int) -> int:
-        """Coset representative of affine point p along element eidx."""
-        return self.maps.ambient.reduce(p, self.lifted[eidx])
+        """Coset representative of affine point p along element eidx.
+
+        Clears the pivot chunks of the element's lifted rows in turn, as
+        ProjSpace.reduce does, reading each row multiple from its table.
+        """
+        mask = self.mask
+        for shift, multiples in self.tabs[eidx]:
+            p ^= multiples[(p >> shift) & mask]
+        return p
 
     def line_points(self, eidx: int, base: int) -> list:
         return [base ^ s for s in self.spans[eidx]]
@@ -127,6 +143,30 @@ def _common_points(plane: BruckBosePlane, l1, l2) -> int:
     return count  # element points differ, so only affine meetings count
 
 
+def _cover_line(cover: list, ids) -> tuple[int, int, tuple | None]:
+    """Mark the point pairs of one line in the per-point coverage bitsets.
+
+    `ids` are the line's point ids in ascending order; bit b of cover[a]
+    is set once the pair a < b lies on a scanned line.  Returns the number
+    of pairs, how many of them an earlier line already covered, and the
+    first such pair (smallest a, then smallest b) or None.
+    """
+    later = 0
+    for a in ids:
+        later |= 1 << a
+    collisions = 0
+    first = None
+    for a in ids:
+        later ^= 1 << a
+        seen = cover[a] & later
+        if seen:
+            collisions += seen.bit_count()
+            if first is None:
+                first = (a, (seen & -seen).bit_length() - 1)
+        cover[a] |= later
+    return len(ids) * (len(ids) - 1) // 2, collisions, first
+
+
 def _quadrangle_ok(plane: BruckBosePlane) -> bool:
     h = plane.maps.tower.h
     k = plane.maps.tower.k
@@ -149,12 +189,13 @@ def plane_axioms_check(
 ) -> PlaneAxiomsReport:
     """Projective plane axioms for the incidence structure.
 
-    Exhaustive mode marks every point pair once in a coverage table; any
-    second line through a pair collides, and the final pair count matching
-    C(points, 2) certifies every pair is covered.  Together with the
-    uniform line size and point degree this forces two lines to meet in
-    exactly one point, which sampled line pairs double-check.  Sampled
-    mode spot checks point pairs and line pairs with a seeded generator.
+    Exhaustive mode keeps one int bitset per point id and ORs in, line by
+    line, the ids that follow it on the line; a pair already set collides,
+    and the final pair count matching C(points, 2) certifies every pair is
+    covered.  Together with the uniform line size and point degree this
+    forces two lines to meet in exactly one point, which sampled line pairs
+    double-check.  Sampled mode spot checks point pairs and line pairs with
+    a seeded generator.
     """
     n = plane.n_points
     order = plane.order
@@ -179,33 +220,24 @@ def plane_axioms_check(
         affine_ids = {p: i for i, p in enumerate(all_affine)}
         if len(affine_ids) != order * order:
             raise InvalidSpread("element 0 cosets do not tile the affine points")
-        buf = bytearray(n * n)
+        # ids of each line in ascending order, the line at infinity last
+        point_lines = chain(
+            (
+                sorted(affine_ids[p] for p in plane.line_points(eidx, base))
+                + [order * order + eidx]
+                for eidx, base in plane.lines()
+            ),
+            [range(order * order, n)],
+        )
+        cover = [0] * n
         pairs = 0
         collisions = 0
-        for eidx, base in plane.lines():
-            ids = sorted(affine_ids[p] for p in plane.line_points(eidx, base))
-            ids.append(order * order + eidx)
-            for ii, a in enumerate(ids):
-                row = a * n
-                for b in ids[ii + 1:]:
-                    if buf[row + b]:
-                        collisions += 1
-                        if witness is None:
-                            witness = ("pair on two lines", a, b)
-                    else:
-                        buf[row + b] = 1
-                    pairs += 1
-        inf_ids = list(range(order * order, n))
-        for ii, a in enumerate(inf_ids):
-            row = a * n
-            for b in inf_ids[ii + 1:]:
-                if buf[row + b]:
-                    collisions += 1
-                    if witness is None:
-                        witness = ("pair on two lines", a, b)
-                else:
-                    buf[row + b] = 1
-                pairs += 1
+        for ids in point_lines:
+            line_pairs, line_collisions, first = _cover_line(cover, ids)
+            pairs += line_pairs
+            collisions += line_collisions
+            if witness is None and first is not None:
+                witness = ("pair on two lines", *first)
         covered_ok = pairs == n * (n - 1) // 2
         if not covered_ok and witness is None:
             witness = ("pair count", pairs, n * (n - 1) // 2)
@@ -247,10 +279,10 @@ def plane_axioms_check(
             r = 1 | (rng.randrange(1 << width_bits) << h)
             if p == r:
                 continue
+            # reduce is GF(q)-linear: p, r share a coset iff p ^ r reduces to 0
+            d = p ^ r
             hits = [
-                eidx
-                for eidx in range(n_elements)
-                if plane.base_of(eidx, p) == plane.base_of(eidx, r)
+                eidx for eidx in range(n_elements) if plane.base_of(eidx, d) == 0
             ]
             if len(hits) != 1:
                 bad += 1
@@ -326,18 +358,15 @@ def hyperoval_in_plane(
     size_ok = len(q_points) == order
     closure_ok, closure_witness = translation_closure_check(q_points)
 
-    counts: dict = {}
-    for p in q_points.ordered:
-        for eidx in range(len(plane.spread.elements)):
-            key = (eidx, plane.base_of(eidx, p))
-            counts[key] = counts.get(key, 0) + 1
     histogram: dict = {}
     witness = None
     extra = {e0, einf}
+    base_of = plane.base_of
     for eidx, bases in enumerate(plane.bases):
+        counts = Counter(base_of(eidx, p) for p in q_points.ordered)
         bonus = 1 if eidx in extra else 0
         for base in bases:
-            c = counts.get((eidx, base), 0) + bonus
+            c = counts.get(base, 0) + bonus
             histogram[c] = histogram.get(c, 0) + 1
             if c not in (0, 2) and witness is None:
                 on_line = [p for p in q_points.ordered

@@ -5,7 +5,8 @@ Every subcommand prints one JSON document to stdout (or writes it with
 
     0  checks passed
     1  a property check failed, or construction was refused
-    2  usage error or unreadable input file
+    2  usage error, unreadable input file, or h = 1 for a subcommand
+       that needs long secants
     3  an enumeration exceeded the budget
 
 Set HOVAL_PARALLEL to change the default worker count of --parallel.
@@ -20,13 +21,24 @@ import sys
 from . import serialize
 from .bruckbose import build_plane, hyperoval_in_plane, plane_axioms_check
 from .cplanes import build_c_planes, check_axioms
-from .errors import EnumerationTooLarge, HovalError, ParseError
+from .errors import (
+    EnumerationTooLarge,
+    HovalError,
+    IrreducibleCheckFailed,
+    NoLongSecants,
+    ParseError,
+    UnsupportedDegree,
+)
 from .gf2 import tower_create
 from .hyperoval import DirectionSet, HyperovalSpec, build_hyperoval, directions
 from .linearsets import spectrum, spectrum_conforms
 from .pipeline import STAGE_ORDER, run_verify_all
 from .projective import DEFAULT_BUDGET
-from .pseudoregulus import detect_pseudoregulus, find_long_secants
+from .pseudoregulus import (
+    detect_pseudoregulus,
+    find_long_secants,
+    require_long_secants,
+)
 from .reduction import maps_for
 
 _AXIOM_NAMES = ("A1", "A2", "A3", "A4")
@@ -58,6 +70,13 @@ def _spec(args) -> HyperovalSpec:
     return _checked_spec(args.h, args.k, args.i, not args.allow_nonstrict)
 
 
+def _secant_spec(args) -> HyperovalSpec:
+    """_spec for the subcommands that start from the long secants."""
+    spec = _spec(args)
+    require_long_secants(spec.h)
+    return spec
+
+
 def _emit(args, doc: dict) -> None:
     text = serialize.dumps(doc)
     if getattr(args, "out", None):
@@ -86,7 +105,11 @@ def _dirs_from_file(path: str):
         raise ParseError(f"expected a directions file, got kind {doc.kind!r}")
     p = doc.params
     spec = _checked_spec(p["h"], p["k"], p["i"], bool(p.get("strict", True)))
-    maps = maps_for(tower_create(spec.h, spec.k))
+    try:
+        tower = tower_create(spec.h, spec.k, *doc.moduli)
+    except (IrreducibleCheckFailed, UnsupportedDegree) as exc:
+        raise ParseError(f"bad field in {path}: {exc}") from exc
+    maps = maps_for(tower)
     hinf = maps.hinf
     limit = 1 << (hinf.width * hinf.field.m)
     for pt in doc.points:
@@ -115,7 +138,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    hov = build_hyperoval(_spec(args))
+    hov = build_hyperoval(_secant_spec(args))
     d = directions(hov.affine, hov.maps)
     rep = detect_pseudoregulus(d, hov.maps, budget=_budget(args))
     ok = rep.spread_result.matches_canonical and rep.one_point_ok
@@ -137,7 +160,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_build_spread(args) -> int:
-    hov = build_hyperoval(_spec(args))
+    hov = build_hyperoval(_secant_spec(args))
     d = directions(hov.affine, hov.maps)
     rep = detect_pseudoregulus(d, hov.maps, budget=_budget(args))
     doc = serialize.spread_dict(rep.spread_result.spread, hov.spec, hov.maps)
@@ -148,7 +171,7 @@ def _cmd_build_spread(args) -> int:
 
 
 def _cmd_bruck_bose(args) -> int:
-    hov = build_hyperoval(_spec(args))
+    hov = build_hyperoval(_secant_spec(args))
     d = directions(hov.affine, hov.maps)
     rep = detect_pseudoregulus(d, hov.maps, budget=_budget(args))
     res = rep.spread_result
@@ -186,7 +209,7 @@ def _cmd_bj_axioms(args) -> int:
     for name in names:
         if name not in _AXIOM_NAMES:
             raise ParseError(f"unknown axiom {name!r}, pick from {_AXIOM_NAMES}")
-    hov = build_hyperoval(_spec(args))
+    hov = build_hyperoval(_secant_spec(args))
     d = directions(hov.affine, hov.maps)
     structure = find_long_secants(d, budget=_budget(args))
     family = build_c_planes(hov.affine, structure, hov.maps)
@@ -324,7 +347,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, NoLongSecants) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EnumerationTooLarge as exc:

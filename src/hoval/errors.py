@@ -83,6 +83,10 @@ class NotPseudoregulusCandidate(HovalError):
     """Direction set lacks the long-secant structure of a pseudoregulus."""
 
 
+class NoLongSecants(HovalError):
+    """q = 2: a long secant would carry a single direction, so none is found."""
+
+
 class TransversalExtractionFailed(HovalError):
     """Zero points do not split into two transversal subspaces."""
 

@@ -38,6 +38,7 @@ from .pseudoregulus import (
     find_long_secants,
     fit_semilinear,
     one_point_property,
+    require_long_secants,
     transversal_map,
 )
 
@@ -345,6 +346,8 @@ def run_verify_all(
 
     `stages` restricts which stage results are reported; prerequisites of a
     requested stage still execute (unreported) to build their artifacts.
+    Raises NoLongSecants before any stage runs when h = 1 and a stage needs
+    the long secants.
     """
     spec = HyperovalSpec(h, k, i, strict=strict)
     requested = tuple(STAGE_ORDER) if stages is None else tuple(stages)
@@ -355,6 +358,8 @@ def run_verify_all(
     needed = set(requested)
     for name in requested:
         needed.update(_PREREQS[name])
+    if "pseudoregulus" in needed:  # every stage from it on reads the secants
+        require_long_secants(h)
     run = _Run(spec, mode, budget, processes, plane_mode, seed)
     results = []
     failed = False

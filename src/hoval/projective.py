@@ -122,10 +122,6 @@ class ProjSpace:
             shift += h
         return out
 
-    def smul_table(self, s: int) -> list[int] | None:
-        self._ensure_tables()
-        return None if self._smul_tabs is None else self._smul_tabs[s]
-
     def normalize(self, v: int) -> int:
         """Canonical scaling: leftmost nonzero coordinate becomes 1."""
         if v == 0:

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    NoLongSecants,
     NotPseudoregulusCandidate,
     SemilinearFitFailed,
     SingularMatrix,
@@ -43,6 +44,19 @@ class SecantStructure:
     d_on: dict  # D point -> index of its unique long secant
     zero_points: tuple  # sorted points of the secants that avoid D
     zero_pairs: tuple  # per secant, its two off-D points (sorted)
+
+
+def require_long_secants(h: int) -> None:
+    """Refuse h = 1 before any work is done.
+
+    A long secant carries q - 1 points of D, so over q = 2 it meets D once
+    and no pair of directions marks it.
+    """
+    if h < 2:
+        raise NoLongSecants(
+            f"h = {h} gives q = 2, where a long secant carries q - 1 = 1 "
+            "direction: there is no pseudoregulus to detect, use h >= 2"
+        )
 
 
 def find_long_secants(

@@ -104,6 +104,7 @@ class PointSetFile:
     kind: str
     params: dict
     points: tuple
+    moduli: tuple  # (small, big) field moduli, None where the file has none
 
 
 def loads_json(text: str) -> dict:
@@ -143,7 +144,11 @@ def parse_point_set(d: dict) -> PointSetFile:
     for key in ("h", "k", "i"):
         if not isinstance(params.get(key), int):
             raise ParseError(f"params.{key} missing or not an int")
-    return PointSetFile(kind=d["kind"], params=params, points=pts)
+    moduli = tuple(
+        None if params.get(key) is None else _parse_int(params[key], f"params.{key}")
+        for key in ("modulus_small", "modulus_big")
+    )
+    return PointSetFile(kind=d["kind"], params=params, points=pts, moduli=moduli)
 
 
 def load_point_set(path: str) -> PointSetFile:

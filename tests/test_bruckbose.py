@@ -5,13 +5,18 @@ import random
 import pytest
 
 from hoval.errors import InvalidSpread
+from hoval.gf2 import tower_create
 from hoval.hyperoval import AffinePointSet, HyperovalSpec, build_hyperoval, directions
 from hoval.bruckbose import (
+    PlaneAxiomsReport,
+    _common_points,
+    _quadrangle_ok,
     build_plane,
     hyperoval_in_plane,
     plane_axioms_check,
 )
 from hoval.pseudoregulus import detect_pseudoregulus
+from hoval.reduction import Spread, maps_for
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +144,157 @@ def test_wrong_transversal_rows_rejected(setup321):
     hov, d, rep, plane = setup321
     with pytest.raises(InvalidSpread):
         hyperoval_in_plane(hov.affine, (1, 2), (3, 4), plane)
+
+
+# -- table-driven kernels against their oracles -------------------------------
+
+def _lifted(plane, eidx):
+    """Rows of spread element eidx moved into the ambient space."""
+    h = plane.maps.tower.h
+    return tuple(r << h for r in plane.spread.elements[eidx].rows)
+
+
+def _random_affine(plane, rng):
+    h = plane.maps.tower.h
+    bits = plane.maps.ambient.bits - h
+    return 1 | (rng.getrandbits(bits) << h)
+
+
+@pytest.mark.parametrize("hk", [(3, 2), (3, 3)])
+def test_base_of_matches_reduce(hk):
+    plane = build_plane(maps_for(tower_create(*hk)))
+    amb = plane.maps.ambient
+    rng = random.Random(17)
+    n_el = len(plane.spread.elements)
+    for _ in range(3000):
+        eidx = rng.randrange(n_el)
+        p = _random_affine(plane, rng)
+        assert plane.base_of(eidx, p) == amb.reduce(p, _lifted(plane, eidx))
+
+
+def test_spans_and_bases_match_smul_construction(setup321):
+    _, _, _, plane = setup321
+    amb = plane.maps.ambient
+    q = amb.q
+    for eidx in range(len(plane.spread.elements)):
+        rows = _lifted(plane, eidx)
+        vecs = {0}
+        for row in rows:
+            vecs = {v ^ amb.smul(c, row) for v in vecs for c in range(q)}
+        assert plane.spans[eidx] == tuple(sorted(vecs))
+        # coset representatives: chunk 0 is 1, every row pivot chunk is 0
+        bases = plane.bases[eidx]
+        assert len(bases) == plane.order and list(bases) == sorted(set(bases))
+        for b in bases:
+            assert b & amb.chunk_mask == 1
+            assert all(amb.chunk(b, amb.pivot(r)) == 0 for r in rows)
+
+
+def _bytearray_axioms_oracle(plane, seed=0, samples=2000):
+    """The exhaustive plane check with an n^2 byte coverage table."""
+    n = plane.n_points
+    order = plane.order
+    quadrangle = _quadrangle_ok(plane)
+    rng = random.Random(seed)
+    witness = None
+    all_affine = sorted(p for b in plane.bases[0] for p in plane.line_points(0, b))
+    affine_ids = {p: i for i, p in enumerate(all_affine)}
+    buf = bytearray(n * n)
+    pairs = 0
+    collisions = 0
+    lines = [
+        sorted(affine_ids[p] for p in plane.line_points(eidx, base))
+        + [order * order + eidx]
+        for eidx, base in plane.lines()
+    ]
+    lines.append(list(range(order * order, n)))
+    for ids in lines:
+        for ii, a in enumerate(ids):
+            row = a * n
+            for b in ids[ii + 1:]:
+                if buf[row + b]:
+                    collisions += 1
+                    if witness is None:
+                        witness = ("pair on two lines", a, b)
+                else:
+                    buf[row + b] = 1
+                pairs += 1
+    covered_ok = pairs == n * (n - 1) // 2
+    if not covered_ok and witness is None:
+        witness = ("pair count", pairs, n * (n - 1) // 2)
+    line_pairs = 0
+    all_lines = list(plane.lines()) + ["inf"]
+    for _ in range(min(samples, 2000)):
+        l1, l2 = rng.sample(all_lines, 2)
+        c = _common_points(plane, l1, l2)
+        line_pairs += 1
+        if c != 1:
+            collisions += 1
+            if witness is None:
+                witness = ("line pair meets", l1, l2, c)
+    return PlaneAxiomsReport(
+        ok=collisions == 0 and covered_ok and quadrangle,
+        mode="exhaustive",
+        points=n,
+        lines=plane.n_lines,
+        points_per_line=order + 1,
+        lines_per_point=order + 1,
+        pairs_checked=pairs,
+        collisions=collisions,
+        line_pairs_checked=line_pairs,
+        quadrangle_ok=quadrangle,
+        witness=witness,
+    )
+
+
+@pytest.fixture(scope="module")
+def forged321(setup321):
+    """The (3,2,1) plane over a non-partition: element 1 copies element 0."""
+    _, _, _, plane = setup321
+    good = plane.spread
+    elements = list(good.elements)
+    elements[1] = elements[0]
+    forged = object.__new__(Spread)  # Spread() itself refuses overlaps
+    forged.elements = tuple(elements)
+    forged.space = good.space
+    forged.sources = forged.source_space = forged.source_index = None
+    forged.index = {p: idx for idx, el in enumerate(elements) for p in el.points()}
+    return build_plane(plane.maps, forged)
+
+
+def test_bitset_coverage_matches_oracle(setup321):
+    _, _, _, plane = setup321
+    rep = plane_axioms_check(plane, mode="exhaustive", seed=3, samples=300)
+    assert rep == _bytearray_axioms_oracle(plane, seed=3, samples=300)
+    assert rep.ok and rep.collisions == 0
+
+
+def test_bitset_coverage_matches_oracle_on_forged_plane(forged321):
+    rep = plane_axioms_check(forged321, mode="exhaustive", seed=3, samples=300)
+    oracle = _bytearray_axioms_oracle(forged321, seed=3, samples=300)
+    assert rep == oracle
+    assert not rep.ok
+    assert rep.collisions > 0
+    assert rep.witness[0] == "pair on two lines"
+    # every pair on an element-0 line is covered twice, element 1 adds none
+    assert rep.pairs_checked == 4161 * 4160 // 2
+
+
+def test_sampled_mode_catches_forged_plane(forged321):
+    rep = plane_axioms_check(forged321, mode="sampled", seed=5, samples=600)
+    assert not rep.ok
+    assert rep.collisions > 0
+    assert rep.witness is not None
+
+
+@pytest.mark.parametrize("which", ["valid", "forged"])
+def test_one_reduce_per_affine_pair(setup321, forged321, which):
+    plane = setup321[3] if which == "valid" else forged321
+    rng = random.Random(23)
+    n_el = len(plane.spread.elements)
+    for _ in range(200):
+        p = _random_affine(plane, rng)
+        r = _random_affine(plane, rng)
+        two = [e for e in range(n_el) if plane.base_of(e, p) == plane.base_of(e, r)]
+        one = [e for e in range(n_el) if plane.base_of(e, p ^ r) == 0]
+        assert one == two

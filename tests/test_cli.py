@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from hoval import serialize
 from hoval.cli import main
+from hoval.gf2 import tower_create
+from hoval.hyperoval import HyperovalSpec, build_hyperoval, directions
+from hoval.reduction import maps_for
 
 
 def _run(capsys, *argv):
@@ -203,3 +207,55 @@ def test_missing_input_file_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: cannot read")
+
+
+def test_h1_refused_before_any_stage(capsys):
+    code = main(["verify-all", "--h", "1", "--k", "3", "--i", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: h = 1 gives q = 2")
+    assert captured.out == ""
+
+
+def _directions_file(tmp_path, small, big):
+    """A (3,2,1) directions file written over the given field moduli."""
+    maps = maps_for(tower_create(3, 2, small, big))
+    spec = HyperovalSpec(3, 2, 1)
+    hov = build_hyperoval(spec, maps)
+    d = directions(hov.affine, maps)
+    path = tmp_path / "dirs.json"
+    serialize.save(
+        str(path), serialize.point_set_dict("directions", d.points, spec, maps)
+    )
+    return path
+
+
+# x^3+x^2+1 and x^6+x^5+1 instead of the default x^3+x+1 and x^6+x+1
+@pytest.mark.parametrize("small, big", [(0xD, None), (None, 0x61), (0xD, 0x61)])
+def test_spectrum_from_file_reads_the_files_field(tmp_path, capsys, small, big):
+    path = _directions_file(tmp_path, small, big)
+    written = json.loads(path.read_text())["params"]
+    code, out = _run(capsys, "spectrum", "--in", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["conforms"] is True
+    assert doc["counts"] == {"0": 1376, "1": 2772, "3": 588, "7": 9}
+    assert doc["params"]["modulus_small"] == written["modulus_small"]
+    assert doc["params"]["modulus_big"] == written["modulus_big"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("modulus_small", "0x9"),   # x^3+1 is reducible
+    ("modulus_big", "0x41"),    # x^6+1 is reducible
+    ("modulus_big", "x^6+x+1"),
+])
+def test_bad_modulus_in_file_exit_2(tmp_path, capsys, key, value):
+    path = _directions_file(tmp_path, None, None)
+    doc = json.loads(path.read_text())
+    doc["params"][key] = value
+    path.write_text(serialize.dumps(doc))
+    code = main(["spectrum", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""

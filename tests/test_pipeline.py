@@ -3,6 +3,7 @@
 import pytest
 
 from hoval import linearsets, pseudoregulus
+from hoval.errors import NoLongSecants
 from hoval.pipeline import STAGE_ORDER, run_verify_all
 from hoval.reduction import CorrespondenceMaps
 
@@ -145,3 +146,12 @@ def test_a4_runs_at_331():
     a4 = cp.data["axioms"]["A4"]
     assert a4["ok"] and a4["detail"]["mode"] == "base-point"
     assert a4["detail"]["family_planes"] == cp.data["planes"] == 4672
+
+
+def test_h1_refused_only_when_long_secants_are_needed():
+    with pytest.raises(NoLongSecants):
+        run_verify_all(1, 3, 1)
+    with pytest.raises(NoLongSecants):
+        run_verify_all(1, 3, 1, stages=("cplanes",))
+    rep = run_verify_all(1, 3, 1, stages=("construct", "spectrum", "linearity"))
+    assert rep.verdict == "pass"
