@@ -28,7 +28,7 @@ _EXHAUSTIVE_POINT_LIMIT = 8192
 
 class BruckBosePlane:
     __slots__ = (
-        "maps", "spread", "tabs", "mask", "spans", "bases", "order",
+        "maps", "spread", "tabs", "mask", "bases", "order",
         "n_points", "n_lines",
     )
 
@@ -42,7 +42,6 @@ class BruckBosePlane:
         self.order = q**rank
         self.mask = amb.chunk_mask
         tabs = []
-        spans = []
         bases = []
         cosets_by_free: dict = {}
         width = amb.width
@@ -54,10 +53,6 @@ class BruckBosePlane:
                 for r in rows
             )
             tabs.append(tab)
-            vecs = [0]
-            for _, multiples in tab:
-                vecs = [v ^ m for v in vecs for m in multiples]
-            spans.append(tuple(sorted(vecs)))
             pivots = {amb.pivot(r) for r in rows}
             free = tuple(c for c in range(1, width) if c not in pivots)
             if len(free) != width - 1 - rank:
@@ -70,7 +65,6 @@ class BruckBosePlane:
                 cosets = cosets_by_free[free] = tuple(sorted(vecs))
             bases.append(cosets)
         self.tabs = tuple(tabs)
-        self.spans = tuple(spans)
         self.bases = tuple(bases)
         self.n_points = self.order**2 + len(spread.elements)
         self.n_lines = self.order * len(spread.elements) + 1
@@ -87,7 +81,14 @@ class BruckBosePlane:
         return p
 
     def line_points(self, eidx: int, base: int) -> list:
-        return [base ^ s for s in self.spans[eidx]]
+        """The q^k affine points base + <E> of element eidx, unsorted.
+
+        Built from the element's row multiples on each call.
+        """
+        pts = [base]
+        for _, multiples in self.tabs[eidx]:
+            pts = [p ^ m for p in pts for m in multiples]
+        return pts
 
     def line_through(self, p: int, r: int):
         """Line id (eidx, base) through two distinct affine points."""
@@ -220,12 +221,15 @@ def plane_axioms_check(
         affine_ids = {p: i for i, p in enumerate(all_affine)}
         if len(affine_ids) != order * order:
             raise InvalidSpread("element 0 cosets do not tile the affine points")
-        # ids of each line in ascending order, the line at infinity last
+        # ids of each line in ascending order, the line at infinity last;
+        # each element's span is built once for all of its lines
+        spans = (plane.line_points(eidx, 0) for eidx in range(n_elements))
         point_lines = chain(
             (
-                sorted(affine_ids[p] for p in plane.line_points(eidx, base))
+                sorted(affine_ids[base ^ s] for s in span)
                 + [order * order + eidx]
-                for eidx, base in plane.lines()
+                for eidx, span in enumerate(spans)
+                for base in plane.bases[eidx]
             ),
             [range(order * order, n)],
         )

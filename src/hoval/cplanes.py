@@ -4,19 +4,19 @@ For each affine point P of the translation set C and each long secant s of
 its direction set, the span <P, s> is a plane of PG(2k, q).  These C-planes
 tile the affine points off C, slice C itself into q-arcs, and every triple
 of C points generates either one of them or a plane holding exactly four
-points of C.  The axiom checks here are exhaustive; A4 reduces its triple
-scan to the triples through one point only after the translation symmetry
-that justifies it has been verified on the input.
+points of C.  The axiom checks here are exhaustive; A1 and A4 reduce their
+scans to the planes and triples through one point only after the
+translation symmetry that justifies it has been verified on the input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
 from .errors import CPlaneConstructionFailed, DegenerateSpan, EnumerationTooLarge
-from .hyperoval import AffinePointSet, is_arc, translation_closure_check
+from .hyperoval import AffinePointSet, DirectionSet, is_arc, translation_closure_check
 from .projective import DEFAULT_BUDGET
 from .pseudoregulus import SecantStructure
 from .reduction import CorrespondenceMaps
@@ -36,6 +36,10 @@ class CPlaneFamily:
     m: int  # number of long secants
     q: int
     vector_keys: frozenset  # (secant rows, reduced base vector) per plane
+    # point set -> translation-symmetry verdict, filled by _symmetric
+    _symmetry: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __len__(self) -> int:
         return len(self.planes)
@@ -98,18 +102,50 @@ class AxiomReport:
     detail: dict
 
 
-def _check_a1(family: CPlaneFamily, maps: CorrespondenceMaps) -> AxiomReport:
-    """Each plane meets C in a q-arc."""
+def _check_a1(
+    family: CPlaneFamily, c_points: AffinePointSet, maps: CorrespondenceMaps
+) -> AxiomReport:
+    """Each plane meets C in a q-arc.
+
+    Under the translation symmetry of _symmetric every plane's meet is the
+    translate of a meet through the base point ordered[0], and a
+    translation keeps collinearity, so only those meets are tested: each
+    plane's meet is translated onto the base point and the distinct results
+    checked, m of them for a symmetric family.  Any other input, and any
+    failure, takes the all-planes scan, which picks the reported plane.
+    """
     amb = maps.ambient
+    planes = family.planes
+    if _symmetric(family, c_points, maps):
+        base = c_points.ordered[0]
+        meets = {
+            tuple(sorted(p ^ pl.points[0] ^ base for p in pl.points))
+            for pl in planes
+        }
+        if all(is_arc(pts, amb)[0] for pts in meets):
+            checked = sum(comb(len(pl.points), 2) for pl in planes)
+            return AxiomReport(
+                "A1", True, checked, None,
+                {"mode": "base-point", "planes": len(planes)},
+            )
+    return _a1_all_planes(family, amb)
+
+
+def _a1_all_planes(family: CPlaneFamily, amb) -> AxiomReport:
+    """A1 by testing every plane's meet with C, stopping at the first failure."""
     checked = 0
     for idx, pl in enumerate(family.planes):
         ok, witness = is_arc(pl.points, amb)
         checked += len(pl.points) * (len(pl.points) - 1) // 2
         if not ok:
             return AxiomReport(
-                "A1", False, checked, ("plane", idx) + witness, {}
+                "A1", False, checked, ("plane", idx) + witness,
+                {"mode": "all-planes"},
             )
-    return AxiomReport("A1", True, checked, None, {"planes": len(family.planes)})
+    return AxiomReport(
+        "A1", True, checked, None,
+        {"mode": "all-planes", "planes": len(family.planes)},
+    )
 
 
 def _check_a2(family: CPlaneFamily, c_points: AffinePointSet) -> AxiomReport:
@@ -169,15 +205,16 @@ def _check_a4(
     c_points: AffinePointSet,
     maps: CorrespondenceMaps,
     budget: int | None,
+    secants: tuple | None = None,
 ) -> AxiomReport:
     """Triples of C points span family planes or 4-point planes only.
 
     Points are handled as difference vectors in the H_inf coordinate space.
-    When C is a verified translation set and the family is carried onto
-    itself by the translations of C, those translations act transitively on
-    C while preserving the family and every plane's meet with C, so each
-    triple is the translate of a triple through one base point and the
-    base-point scan suffices.  Every other input takes the full triple scan.
+    Under the translation symmetry of _symmetric those translations act
+    transitively on C while preserving the family and every plane's meet
+    with C, so each triple is the translate of a triple through one base
+    point and the base-point scan suffices.  Every other input takes the
+    full triple scan.  `secants` is passed on to the base-point scan.
     """
     space = maps.hinf
     h = maps.tower.h
@@ -187,9 +224,25 @@ def _check_a4(
         pairs = (n - 1) * (n - 2) // 2
         if budget is not None and pairs > budget:
             raise EnumerationTooLarge(pairs, budget, "base-point pair span scan")
-        if _translation_invariant(family, vecs, maps):
-            return _a4_base_point(family, c_points, vecs, space)
+        if _symmetric(family, c_points, maps):
+            return _a4_base_point(family, c_points, vecs, space, secants)
     return _a4_triple_scan(family, c_points, vecs, space, budget)
+
+
+def _symmetric(family: CPlaneFamily, c_points: AffinePointSet, maps) -> bool:
+    """Is C a verified translation set whose translations keep the family?
+
+    Closure is memoized on the point set and the verdict per point set on
+    the family, so A1 and A4 share one check.
+    """
+    memo = family._symmetry
+    if c_points not in memo:
+        vecs = [p >> maps.tower.h for p in c_points.ordered]
+        memo[c_points] = bool(vecs) and (
+            translation_closure_check(c_points)[0]
+            and _translation_invariant(family, vecs, maps)
+        )
+    return memo[c_points]
 
 
 def _translation_invariant(family: CPlaneFamily, vecs, maps) -> bool:
@@ -205,7 +258,7 @@ def _translation_invariant(family: CPlaneFamily, vecs, maps) -> bool:
     return all((rows, coset ^ d) in keys for rows, coset in keys for d in moves[rows])
 
 
-def _a4_base_point(family, c_points, vecs, space) -> AxiomReport:
+def _a4_base_point(family, c_points, vecs, space, secants=None) -> AxiomReport:
     """A4 from the C(n-1, 2) pairs {b, c} through the base point a.
 
     A plane through a is fixed by its direction 2-space alone.  A family
@@ -213,28 +266,37 @@ def _a4_base_point(family, c_points, vecs, space) -> AxiomReport:
     and exactly m family planes pass through a.  The full-set totals follow
     from transitivity: n/q times the family planes through a, n/4 times the
     four-point planes through a.
+
+    `secants` is a direction set D with the pairs-mode multiplicity map a
+    spectrum of D scanned (SpectrumHistogram.multiplicities).  When the n-1
+    directions a ^ b are pairwise distinct and are exactly D, that map bins
+    the same pairs under the same keys, and it is read instead of scanning;
+    a failing verdict from it is recomputed by the scan, which picks the
+    reported bin.
     """
-    q = family.q
     n = len(vecs)
-    total = (n - 1) * (n - 2) // 2
     space.ensure_tables()
     normalize = space.normalize
-    pair_key = space.pair_line_key
     reduce = space.reduce
     a = vecs[0]
     through = {
         rows for rows in {rows for rows, _ in family.vector_keys}
         if (rows, reduce(a, rows)) in family.vector_keys
     }
-    shift = space.width * space.field.m
-    fam_packed = {(r0 << shift) | r1 for r0, r1 in through}
     dirs = [normalize(a ^ v) for v in vecs[1:]]
+    if secants is not None and secants[1] is not None:
+        distinct = set(dirs)
+        if len(distinct) == n - 1 and distinct == secants[0].points:
+            rep = _a4_bins(family, secants[1], through, a, n, space)
+            if rep.ok:
+                return rep
+    pair_key = space.pair_line_key
     counts: dict = {}
     for ib in range(n - 2):
         u = dirs[ib]
         for ic in range(ib + 1, n - 1):
             try:
-                r0, r1 = pair_key(u, dirs[ic])
+                rows = pair_key(u, dirs[ic])
             except DegenerateSpan:
                 return AxiomReport(
                     "A4", False, 0,
@@ -242,23 +304,27 @@ def _a4_base_point(family, c_points, vecs, space) -> AxiomReport:
                      c_points.ordered[ib + 1], c_points.ordered[ic + 1]),
                     {"mode": "base-point"},
                 )
-            kk = (r0 << shift) | r1
-            counts[kk] = counts.get(kk, 0) + 1
+            counts[rows] = counts.get(rows, 0) + 1
+    return _a4_bins(family, counts, through, a, n, space)
+
+
+def _a4_bins(family, counts, through, a, n, space) -> AxiomReport:
+    """The base-point A4 verdict from the pair count of each plane through a."""
+    q = family.q
+    total = (n - 1) * (n - 2) // 2
     family_mult = comb(q - 1, 2)
     seen = 0
     quads = 0
-    mask = (1 << shift) - 1
-    for kk, cnt in counts.items():
-        in_family = kk in fam_packed
+    for rows, cnt in counts.items():
+        in_family = rows in through
         if in_family and cnt == family_mult:
             seen += 1
         elif cnt == 3 and not in_family:
             quads += 1
         else:
-            rows = (kk >> shift, kk & mask)
             return AxiomReport(
                 "A4", False, total,
-                ("plane", rows, reduce(a, rows), cnt,
+                ("plane", rows, space.reduce(a, rows), cnt,
                  "family" if in_family else "outside"),
                 {"mode": "base-point"},
             )
@@ -346,18 +412,23 @@ def check_axioms(
     maps: CorrespondenceMaps,
     axioms=("A1", "A2", "A3", "A4"),
     budget: int | None = DEFAULT_BUDGET,
+    secants: tuple[DirectionSet, dict | None] | None = None,
 ) -> dict:
-    """Run the requested axiom checks; returns {name: AxiomReport}."""
+    """Run the requested axiom checks; returns {name: AxiomReport}.
+
+    `secants` optionally pairs the direction set of C with the pair map a
+    pairs-mode spectrum of it scanned, for A4 to reuse (see _a4_base_point).
+    """
     out: dict = {}
     for name in axioms:
         if name == "A1":
-            out[name] = _check_a1(family, maps)
+            out[name] = _check_a1(family, c_points, maps)
         elif name == "A2":
             out[name] = _check_a2(family, c_points)
         elif name == "A3":
             out[name] = _check_a3(family, c_points, maps)
         elif name == "A4":
-            out[name] = _check_a4(family, c_points, maps, budget)
+            out[name] = _check_a4(family, c_points, maps, budget, secants)
         else:
             raise ValueError(f"unknown axiom {name!r}")
     return out

@@ -53,8 +53,8 @@ class AffinePointSet:
     """A set of normalized affine points of one projective space.
 
     The result of translation_closure_check is memoized on the set, so the
-    symmetry shortcuts that depend on it (directions, axiom A4) verify it at
-    most once per set.
+    symmetry shortcuts that depend on it (directions, axioms A1 and A4)
+    verify it at most once per set.
     """
 
     __slots__ = ("points", "ordered", "space", "_closure")
@@ -136,12 +136,31 @@ def is_arc(points: Sequence[int], space: ProjSpace):
 
     Returns (True, None) or (False, (p1, p2, p3)) with a collinear triple.
     Points must be normalized; duplicates are rejected up front.
+
+    When the affine points (first coordinate 1) form a coset of an additive
+    group and at most two points lie at infinity, the translations of that
+    coset fix the points at infinity and carry any collinear triple onto
+    one through the smallest affine point, so only the lines from that
+    point are tested.  A collision there, or any other input, runs the full
+    pair scan, which also picks the reported triple.
     """
     pts = sorted(set(points))
     if len(pts) != len(points):
         raise ValueError("duplicate points")
     if len(pts) < 3:
         raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
+    mask = space.chunk_mask
+    affine = [p for p in pts if p & mask == 1]
+    if len(pts) - len(affine) <= 2 and _closure_scan(affine, set(affine))[0]:
+        base = affine[0]
+        key = space.pair_line_key
+        if len({key(base, p) for p in pts if p != base}) == len(pts) - 1:
+            return True, None
+    return _arc_scan(pts, space)
+
+
+def _arc_scan(pts, space: ProjSpace):
+    """is_arc over all C(n, 2) pairs of the sorted points."""
     first_pair: dict = {}
     for a, b in combinations(pts, 2):
         key = space.pair_line_key(a, b)
@@ -170,17 +189,6 @@ def directions(q_points: AffinePointSet, maps: CorrespondenceMaps) -> DirectionS
     return DirectionSet(out, maps.hinf)
 
 
-def direction_pair_counts(q_points: AffinePointSet, maps: CorrespondenceMaps) -> dict:
-    """How many point pairs determine each direction."""
-    h = maps.tower.h
-    normalize = maps.hinf.normalize
-    out: dict[int, int] = {}
-    for a, b in combinations(q_points.ordered, 2):
-        d = normalize((a ^ b) >> h)
-        out[d] = out.get(d, 0) + 1
-    return out
-
-
 def translation_closure_check(q_points: AffinePointSet):
     """P1 + P2 + P0 stays in the set for a fixed base point P0.
 
@@ -190,15 +198,15 @@ def translation_closure_check(q_points: AffinePointSet):
     result is computed once per set and memoized on it.
     """
     if q_points._closure is None:
-        q_points._closure = _closure_scan(q_points)
+        q_points._closure = _closure_scan(q_points.ordered, q_points.points)
     return q_points._closure
 
 
-def _closure_scan(q_points: AffinePointSet):
-    base = q_points.ordered[0]
-    pts = q_points.points
-    for a, b in combinations(q_points.ordered, 2):
+def _closure_scan(ordered, points):
+    """(ok, witness) of a ^ b ^ ordered[0] in points for all pairs a, b."""
+    base = ordered[0]
+    for a, b in combinations(ordered, 2):
         v = a ^ b ^ base
-        if v not in pts:
+        if v not in points:
             return False, (a, b, base, v)
     return True, None

@@ -282,7 +282,8 @@ def _stage_cplanes(run: _Run) -> tuple[bool, dict]:
     try:
         reports.update(
             check_axioms(
-                family, run.hov.affine, maps, axioms=("A4",), budget=a4_budget
+                family, run.hov.affine, maps, axioms=("A4",), budget=a4_budget,
+                secants=(run.dirs, run.pair_mult),
             )
         )
     except EnumerationTooLarge as exc:

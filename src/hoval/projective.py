@@ -411,8 +411,3 @@ def mat_inv(m: Sequence[Sequence[int]], field: Field) -> list[list[int]]:
                 inv[r] = [x ^ field.mul(f, y) for x, y in zip(inv[r], inv[col])]
     return inv
 
-
-def apply_projectivity(m: Sequence[Sequence[int]], v: int, space: ProjSpace) -> int:
-    """Image of a point under an invertible matrix, normalized."""
-    mat_inv(m, space.field)  # validates invertibility
-    return space.normalize(mat_vec_packed(m, v, space))

@@ -181,7 +181,7 @@ def test_spans_and_bases_match_smul_construction(setup321):
         vecs = {0}
         for row in rows:
             vecs = {v ^ amb.smul(c, row) for v in vecs for c in range(q)}
-        assert plane.spans[eidx] == tuple(sorted(vecs))
+        assert sorted(plane.line_points(eidx, 0)) == sorted(vecs)
         # coset representatives: chunk 0 is 1, every row pivot chunk is 0
         bases = plane.bases[eidx]
         assert len(bases) == plane.order and list(bases) == sorted(set(bases))

@@ -1,5 +1,6 @@
 """C-plane family construction and the four incidence axioms."""
 
+import dataclasses
 from itertools import combinations
 from math import comb
 
@@ -7,22 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hoval import cplanes
 from hoval.cplanes import (
     CPlane,
     CPlaneFamily,
+    _a1_all_planes,
     _a4_base_point,
     _a4_triple_scan,
+    _symmetric,
     build_c_planes,
     check_axioms,
 )
 from hoval.errors import CPlaneConstructionFailed, EnumerationTooLarge
 from hoval.hyperoval import (
     AffinePointSet,
+    DirectionSet,
     HyperovalSpec,
     build_hyperoval,
     directions,
     translation_closure_check,
 )
+from hoval.linearsets import spectrum
 from hoval.pseudoregulus import find_long_secants
 
 
@@ -190,13 +196,37 @@ def test_a4_base_point_budget_counts_pairs(case321, family321):
     assert exc.value.estimate == comb(63, 2)
 
 
-def test_a4_damaged_set_takes_triple_scan(case321, family321):
-    hov, d, s = case321
+def _damaged(hov):
+    """C with its smallest point swapped for an affine point outside C."""
     pts = sorted(hov.affine.points)
     h = hov.maps.tower.h
     outside = next(1 | (v << h) for v in range(1, 1 << 12)
                    if (1 | (v << h)) not in hov.affine.points)
-    damaged = AffinePointSet(pts[1:] + [outside], hov.maps.ambient)
+    return AffinePointSet(pts[1:] + [outside], hov.maps.ambient)
+
+
+def _forged(family, hov):
+    """The family with a plane that misses the base point swapped for a plane
+    that misses C: every bin through the base point still looks right, but
+    the family is no longer carried onto itself by the translations of C."""
+    space = hov.maps.hinf
+    base = hov.affine.ordered[0] >> hov.maps.tower.h
+    keys = family.vector_keys
+    rows, coset = min(
+        (r, c) for r, c in keys if space.reduce(base, r) != c
+    )
+    fake = next(
+        space.reduce(v, rows) for v in range(1, 1 << space.bits)
+        if (rows, space.reduce(v, rows)) not in keys
+    )
+    return dataclasses.replace(
+        family, vector_keys=(keys - {(rows, coset)}) | {(rows, fake)}
+    )
+
+
+def test_a4_damaged_set_takes_triple_scan(case321, family321):
+    hov, d, s = case321
+    damaged = _damaged(hov)
     assert not translation_closure_check(damaged)[0]
     rep = check_axioms(family321, damaged, hov.maps, axioms=("A4",))["A4"]
     assert rep.detail["mode"] == "triple-scan"
@@ -205,29 +235,149 @@ def test_a4_damaged_set_takes_triple_scan(case321, family321):
 
 def test_a4_forged_family_takes_triple_scan(case321, family321):
     hov, d, s = case321
-    import dataclasses
-
     maps = hov.maps
-    space = maps.hinf
     vecs = [p >> maps.tower.h for p in hov.affine.ordered]
-    # swap a plane that misses the base point for a plane that misses C:
-    # every bin through the base point still looks right, but the family is
-    # no longer carried onto itself by the translations of C
-    keys = family321.vector_keys
-    rows, coset = min(
-        (r, c) for r, c in keys if space.reduce(vecs[0], r) != c
-    )
-    fake = next(
-        space.reduce(v, rows) for v in range(1, 1 << space.bits)
-        if (rows, space.reduce(v, rows)) not in keys
-    )
-    forged = dataclasses.replace(
-        family321, vector_keys=(keys - {(rows, coset)}) | {(rows, fake)}
-    )
-    assert _a4_base_point(forged, hov.affine, vecs, space).ok
+    forged = _forged(family321, hov)
+    assert _a4_base_point(forged, hov.affine, vecs, maps.hinf).ok
     fast, full = _a4_both(forged, hov.affine, maps)
     assert fast.detail["mode"] == "triple-scan"
     assert not fast.ok and not full.ok
+
+
+# -- A4: reading the spectrum's pair map instead of scanning ------------------
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
+def test_a4_from_pair_map_matches_scan(hki, line_key_calls):
+    hov, d, s = _setup(*hki)
+    fam = build_c_planes(hov.affine, s, hov.maps)
+    mult = spectrum(d).multiplicities
+    line_key_calls.clear()
+    from_map = check_axioms(fam, hov.affine, hov.maps, axioms=("A4",),
+                            secants=(d, mult))["A4"]
+    assert not line_key_calls
+    scanned = check_axioms(fam, hov.affine, hov.maps, axioms=("A4",))["A4"]
+    n = len(hov.affine)
+    assert len(line_key_calls) == comb(n - 1, 2)
+    assert from_map == scanned and from_map.ok
+    assert from_map.detail["mode"] == "base-point"
+
+
+def test_a4_ignores_pair_map_of_another_set(case321, family321, line_key_calls):
+    hov, d, s = case321
+    n = len(hov.affine)
+    scanned = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",))["A4"]
+    # a direction set other than the n - 1 base-point directions is refused
+    # before its map is read, even when the map itself would pass
+    other = DirectionSet(d.ordered[1:], d.space)
+    mult = spectrum(d).multiplicities
+    secants = [(other, spectrum(other).multiplicities), (other, mult), (d, None)]
+    for pair in secants:
+        line_key_calls.clear()
+        rep = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",),
+                           secants=pair)["A4"]
+        assert len(line_key_calls) == comb(n - 1, 2)
+        assert rep == scanned
+
+
+def test_a4_failure_from_pair_map_is_rescanned(case321, family321):
+    # a map whose long secant lost a pair fails a family bin; the verdict is
+    # then recomputed by the scan, which also picks any reported bin
+    hov, d, s = case321
+    maps = hov.maps
+    vecs = [p >> maps.tower.h for p in hov.affine.ordered]
+    mult = dict(spectrum(d).multiplicities)
+    long_line = next(k for k, c in mult.items() if c == comb(7, 2))
+    mult[long_line] -= 1
+    rep = _a4_base_point(family321, hov.affine, vecs, maps.hinf, (d, mult))
+    assert rep == _a4_base_point(family321, hov.affine, vecs, maps.hinf)
+    assert rep.ok
+
+
+# -- A1: planes through the base point against every plane --------------------
+
+def _counting_arcs(monkeypatch):
+    """Count the is_arc calls A1 makes from here on."""
+    calls = []
+    real = cplanes.is_arc
+
+    def counted(pts, space):
+        calls.append(len(pts))
+        return real(pts, space)
+
+    monkeypatch.setattr(cplanes, "is_arc", counted)
+    return calls
+
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
+def test_a1_base_point_matches_all_planes(hki, monkeypatch):
+    hov, d, s = _setup(*hki)
+    fam = build_c_planes(hov.affine, s, hov.maps)
+    full = _a1_all_planes(fam, hov.maps.ambient)
+    calls = _counting_arcs(monkeypatch)
+    fast = check_axioms(fam, hov.affine, hov.maps, axioms=("A1",))["A1"]
+    assert len(calls) == fam.m
+    assert fast.detail == {**full.detail, "mode": "base-point"}
+    assert full.detail["mode"] == "all-planes"
+    assert (fast.ok, fast.checked, fast.witness) == (full.ok, full.checked, full.witness)
+    assert fast.ok and fast.checked == len(fam) * comb(fam.q, 2)
+
+
+def test_a1_without_symmetry_scans_all_planes(case321, family321, monkeypatch):
+    hov, d, s = case321
+    damaged = _damaged(hov)
+    forged = _forged(family321, hov)
+    full = _a1_all_planes(family321, hov.maps.ambient)
+    calls = _counting_arcs(monkeypatch)
+    for family, c_points in ((forged, hov.affine), (family321, damaged)):
+        calls.clear()
+        assert not _symmetric(family, c_points, hov.maps)
+        rep = check_axioms(family, c_points, hov.maps, axioms=("A1",))["A1"]
+        assert len(calls) == len(family321)
+        assert rep == full and rep.detail["mode"] == "all-planes"
+
+
+def _collinear_coset():
+    """An additive coset of AG(4, 8) spanning one GF(8)-plane, with 0, g and
+    2g collinear, and the family of its q-point planes: that one plane."""
+    maps = build_hyperoval(HyperovalSpec(3, 2, 1)).maps
+    space, h = maps.hinf, maps.tower.h
+    g1 = space.pack((1, 2, 0, 0))
+    gens = (g1, space.smul(2, g1), space.pack((0, 0, 1, 0)))
+    span = {0}
+    for g in gens:
+        span |= {x ^ g for x in span}
+    c_points = AffinePointSet((1 | (x << h) for x in span), maps.ambient)
+    return maps, c_points, _family_of_coset(c_points, maps)
+
+
+def test_a4_pair_map_needs_distinct_directions(monkeypatch):
+    # repeated directions from the base point: the map of D has no pair for
+    # the collinear triple, so it must not be read
+    maps, c_points, family = _collinear_coset()
+    d = directions(c_points, maps)
+    mult = spectrum(d).multiplicities
+    assert len(d) < len(c_points) - 1
+    binned = []
+    real = cplanes._a4_bins
+
+    def spy(family, counts, *args):
+        binned.append(counts)
+        return real(family, counts, *args)
+
+    monkeypatch.setattr(cplanes, "_a4_bins", spy)
+    rep = check_axioms(family, c_points, maps, axioms=("A4",),
+                       secants=(d, mult))["A4"]
+    assert all(counts is not mult for counts in binned)
+    assert not rep.ok and rep.witness[0] == "collinear"
+
+
+def test_a1_failure_under_symmetry_reports_all_planes_witness():
+    # the family is one symmetric plane whose meet holds 0, g and 2g
+    maps, c_points, family = _collinear_coset()
+    assert len(family) == 1 and _symmetric(family, c_points, maps)
+    rep = check_axioms(family, c_points, maps, axioms=("A1",))["A1"]
+    full = _a1_all_planes(family, maps.ambient)
+    assert not rep.ok and rep == full
 
 
 def _family_of_coset(c_points, maps):
@@ -276,7 +426,8 @@ def _random_coset(h, data):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_a4_paths_agree_on_random_cosets(h, data):
-    # PG(4, 8) and PG(4, 16)
+    # PG(4, 8) and PG(4, 16); A1 and A4 from the pair map are held to the
+    # full scans on the same inputs
     maps, c_points = _random_coset(h, data)
     if len(c_points) < 3:
         return
@@ -286,3 +437,11 @@ def test_a4_paths_agree_on_random_cosets(h, data):
     assert fast.ok == full.ok, (fast.witness, full.witness)
     if fast.ok:
         assert {k: fast.detail[k] for k in _TOTALS} == {k: full.detail[k] for k in _TOTALS}
+    d = directions(c_points, maps)
+    from_map = check_axioms(family, c_points, maps, axioms=("A4",), budget=None,
+                            secants=(d, spectrum(d).multiplicities))["A4"]
+    assert from_map == fast
+    a1 = check_axioms(family, c_points, maps, axioms=("A1",))["A1"]
+    a1_full = _a1_all_planes(family, maps.ambient)
+    assert (a1.ok, a1.checked, a1.witness) == (a1_full.ok, a1_full.checked, a1_full.witness)
+    assert a1.detail["mode"] == ("base-point" if a1.ok else "all-planes")

@@ -10,13 +10,24 @@ from hoval.gf2 import tower_create
 from hoval.hyperoval import (
     AffinePointSet,
     HyperovalSpec,
+    _arc_scan,
     build_hyperoval,
-    direction_pair_counts,
     directions,
     is_arc,
     translation_closure_check,
 )
 from hoval.reduction import maps_for
+
+
+def direction_pair_counts(q_points, maps) -> dict:
+    """How many point pairs determine each direction, over all C(n, 2) pairs."""
+    h = maps.tower.h
+    normalize = maps.hinf.normalize
+    out: dict = {}
+    for a, b in combinations(q_points.ordered, 2):
+        d = normalize((a ^ b) >> h)
+        out[d] = out.get(d, 0) + 1
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +87,59 @@ def test_is_arc_guards():
         is_arc([1, 2], maps.plane_big)
     with pytest.raises(ValueError):
         is_arc([1, 1, 2], maps.plane_big)
+
+
+@pytest.mark.parametrize("h,k,i,strict", [
+    (3, 2, 1, True), (3, 2, 5, True), (4, 2, 1, True), (2, 3, 1, True),
+    (4, 2, 2, False),
+])
+def test_fast_arc_matches_full_scan(h, k, i, strict, line_key_calls):
+    # the affine plane points are closed and two points lie at infinity, so
+    # a hyperoval needs only the n - 1 lines from the smallest affine point;
+    # the (4, 2, 2) control falls back to the full scan and its witness
+    hov = build_hyperoval(HyperovalSpec(h, k, i, strict=strict))
+    space = hov.maps.plane_big
+    n = len(hov.plane_points)
+    full = _arc_scan(sorted(hov.plane_points), space)
+    line_key_calls.clear()
+    assert is_arc(hov.plane_points, space) == full
+    assert full[0] == strict
+    if strict:
+        assert len(line_key_calls) == n - 1
+    else:
+        assert len(line_key_calls) > n - 1
+
+
+def test_fast_arc_fallback_on_non_closed_set(hov321):
+    # seven hyperoval points plus a point collinear with two of them, away
+    # from the smallest: the lines from the smallest point miss the triple,
+    # and the set is not closed, so the full scan runs and finds it
+    space = hov321.maps.plane_big
+    key = space.pair_line_key
+    affine = [p for p in sorted(hov321.plane_points) if p & space.chunk_mask == 1]
+    pts = affine[1:8]
+    base = pts[0]
+    third = next(
+        p for p in space.line_points(*key(pts[3], pts[5]))
+        if p & space.chunk_mask == 1 and p > base and p not in pts
+        and len({key(base, x) for x in pts[1:] + [p]}) == len(pts)
+    )
+    damaged = pts + [third]
+    ok, witness = is_arc(damaged, space)
+    assert (ok, witness) == _arc_scan(sorted(damaged), space)
+    assert not ok and key(*witness[:2]) == key(*witness[1:])
+
+
+def test_fast_arc_refused_with_three_points_at_infinity():
+    # one affine point is trivially closed, but the three points at
+    # infinity are collinear on a line the affine point does not meet
+    space = maps_for(tower_create(3, 2)).plane_big
+    pts = [space.pack(c) for c in ((1, 5, 7), (0, 1, 0), (0, 0, 1), (0, 1, 1))]
+    base = pts[0]
+    assert len({space.pair_line_key(base, p) for p in pts[1:]}) == 3
+    ok, witness = is_arc(pts, space)
+    assert (ok, witness) == _arc_scan(sorted(pts), space)
+    assert not ok and base not in witness
 
 
 def test_direction_count_and_pair_uniformity(hov321):

@@ -129,7 +129,18 @@ def test_linearity_does_not_build_s_prime(monkeypatch):
     assert lin.data["max_rank"] == 6
 
 
+def test_line_key_calls_per_run(line_key_calls):
+    # the secant pair scan (C(255, 2) = 32,385 keys) is the only all-pairs
+    # pass left at (4,2,1); an all-pairs arc test, A1 over every plane with
+    # a full pair scan, or a second A4 pair scan would each add ~32,000
+    rep = run_verify_all(4, 2, 1)
+    assert rep.verdict == "pass"
+    assert 32_385 <= len(line_key_calls) < 40_000
+
+
 def test_cplanes_reports_a4_mode(full321):
+    a1 = full321.stage("cplanes").data["axioms"]["A1"]
+    assert a1["detail"] == {"mode": "base-point", "planes": 72}
     a4 = full321.stage("cplanes").data["axioms"]["A4"]
     assert a4["detail"]["mode"] == "base-point"
     assert a4["checked"] == a4["detail"]["pairs"] == 63 * 62 // 2

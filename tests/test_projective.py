@@ -14,7 +14,6 @@ from hoval.projective import (
     Line,
     ProjSpace,
     Subspace,
-    apply_projectivity,
     gaussian_lines,
     line_through,
     mat_inv,
@@ -22,6 +21,12 @@ from hoval.projective import (
     mat_vec_packed,
     projective_points_count,
 )
+
+
+def apply_projectivity(m, v, s):
+    """Image of a point under an invertible matrix, normalized."""
+    mat_inv(m, s.field)  # validates invertibility
+    return s.normalize(mat_vec_packed(m, v, s))
 
 
 def space(n, m):
