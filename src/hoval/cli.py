@@ -9,6 +9,10 @@ Every subcommand prints one JSON document to stdout (or writes it with
        that needs long secants
     3  an enumeration exceeded the budget
 
+detect-pseudoregulus, build-spread, bruck-bose-verify and bj-axioms are
+views: each runs its stages through run_verify_all and projects the stage
+data, so a view checks exactly what verify-all checks.
+
 Set HOVAL_PARALLEL to change the default worker count of --parallel.
 """
 
@@ -19,8 +23,6 @@ import os
 import sys
 
 from . import serialize
-from .bruckbose import build_plane, hyperoval_in_plane, plane_axioms_check
-from .cplanes import build_c_planes, check_axioms
 from .errors import (
     EnumerationTooLarge,
     HovalError,
@@ -34,11 +36,6 @@ from .hyperoval import DirectionSet, HyperovalSpec, build_hyperoval, directions
 from .linearsets import spectrum, spectrum_conforms
 from .pipeline import STAGE_ORDER, run_verify_all
 from .projective import DEFAULT_BUDGET
-from .pseudoregulus import (
-    detect_pseudoregulus,
-    find_long_secants,
-    require_long_secants,
-)
 from .reduction import maps_for
 
 _AXIOM_NAMES = ("A1", "A2", "A3", "A4")
@@ -68,13 +65,6 @@ def _checked_spec(h, k, i, strict: bool) -> HyperovalSpec:
 
 def _spec(args) -> HyperovalSpec:
     return _checked_spec(args.h, args.k, args.i, not args.allow_nonstrict)
-
-
-def _secant_spec(args) -> HyperovalSpec:
-    """_spec for the subcommands that start from the long secants."""
-    spec = _spec(args)
-    require_long_secants(spec.h)
-    return spec
 
 
 def _emit(args, doc: dict) -> None:
@@ -137,71 +127,102 @@ def _cmd_spectrum(args) -> int:
     return 0 if conforms else 1
 
 
-def _cmd_detect(args) -> int:
-    hov = build_hyperoval(_secant_spec(args))
-    d = directions(hov.affine, hov.maps)
-    rep = detect_pseudoregulus(d, hov.maps, budget=_budget(args))
-    ok = rep.spread_result.matches_canonical and rep.one_point_ok
-    doc = {
-        "schema": serialize.SCHEMA_VERSION,
-        "kind": "pseudoregulus_report",
-        "params": serialize.params_header(hov.spec, hov.maps),
-        "long_secants": rep.structure.count,
-        "exponents": sorted(set(rep.fit.exponents)),
-        "labeling": rep.fit.labeling,
-        "chosen_exponent": rep.fit.exponent,
-        "spread_elements": len(rep.spread_result.spread.elements),
-        "matches_canonical": rep.spread_result.matches_canonical,
-        "one_point": rep.one_point_ok,
-        "ok": ok,
-    }
+def _pipeline(args, stages, **options):
+    """run_verify_all over the parameters and common flags of `args`."""
+    _spec(args)  # reject bad parameters as usage errors before the run
+    return run_verify_all(
+        args.h,
+        args.k,
+        args.i,
+        strict=not args.allow_nonstrict,
+        budget=_budget(args),
+        processes=args.parallel,
+        stages=stages,
+        **options,
+    )
+
+
+def _exit_code(rep) -> int:
+    """0 when the run passed, 3 when a stage ran out of budget, else 1."""
+    if rep.verdict == "pass":
+        return 0
+    for s in rep.stages:
+        if s.error and s.error.startswith(EnumerationTooLarge.__name__ + ":"):
+            return 3
+    return 1
+
+
+def _view(args, stages, project, **options) -> int:
+    """Run `stages` of the pipeline and print the document `project` makes.
+
+    `project(rep)` returns the document and whether its checks passed.  If a
+    requested stage raised or was skipped, there is nothing to project: the
+    stage that went wrong is named on stderr instead.
+    """
+    rep = _pipeline(args, stages, **options)
+    missed = [s.name for s in rep.stages
+              if s.name in stages and s.status in ("error", "skipped")]
+    if missed:
+        bad = next(s for s in rep.stages if not s.ok)
+        reason = bad.error or f"check failed, so {', '.join(missed)} did not run"
+        print(f"error: {bad.name} {bad.status}: {reason}", file=sys.stderr)
+        return _exit_code(rep)
+    doc, ok = project(rep)
     _emit(args, doc)
     return 0 if ok else 1
+
+
+def _report_head(kind: str, rep) -> dict:
+    hov = rep.run.hov
+    return {
+        "schema": serialize.SCHEMA_VERSION,
+        "kind": kind,
+        "params": serialize.params_header(hov.spec, hov.maps),
+    }
+
+
+def _cmd_detect(args) -> int:
+    def project(rep):
+        ps = rep.stage("pseudoregulus").data
+        sp = rep.stage("spread").data
+        ok = rep.verdict == "pass"
+        doc = _report_head("pseudoregulus_report", rep)
+        doc.update(
+            long_secants=ps["long_secants"],
+            exponents=ps["exponents"],
+            labeling=ps["labeling"],
+            chosen_exponent=ps["chosen_exponent"],
+            spread_elements=sp["elements"],
+            matches_canonical=sp["matches_canonical"],
+            one_point=sp["one_point"],
+            ok=ok,
+        )
+        return doc, ok
+
+    return _view(args, ("pseudoregulus", "spread"), project)
 
 
 def _cmd_build_spread(args) -> int:
-    hov = build_hyperoval(_secant_spec(args))
-    d = directions(hov.affine, hov.maps)
-    rep = detect_pseudoregulus(d, hov.maps, budget=_budget(args))
-    doc = serialize.spread_dict(rep.spread_result.spread, hov.spec, hov.maps)
-    doc["exponent"] = rep.spread_result.exponent
-    doc["matches_canonical"] = rep.spread_result.matches_canonical
-    _emit(args, doc)
-    return 0 if rep.spread_result.matches_canonical else 1
+    def project(rep):
+        sp = rep.stage("spread").data
+        hov = rep.run.hov
+        doc = serialize.spread_dict(rep.run.spread_result.spread, hov.spec, hov.maps)
+        doc["exponent"] = sp["exponent"]
+        doc["matches_canonical"] = sp["matches_canonical"]
+        return doc, rep.verdict == "pass"
+
+    return _view(args, ("spread",), project)
 
 
 def _cmd_bruck_bose(args) -> int:
-    hov = build_hyperoval(_secant_spec(args))
-    d = directions(hov.affine, hov.maps)
-    rep = detect_pseudoregulus(d, hov.maps, budget=_budget(args))
-    res = rep.spread_result
-    plane = build_plane(hov.maps, res.spread)
-    axioms = plane_axioms_check(
-        plane, mode=args.plane_mode, seed=args.seed, budget=_budget(args)
-    )
-    t0 = res.spread.elements[res.t0_index].rows
-    tinf = res.spread.elements[res.tinf_index].rows
-    hrep = hyperoval_in_plane(hov.affine, t0, tinf, plane)
-    ok = axioms.ok and hrep.ok
-    doc = {
-        "schema": serialize.SCHEMA_VERSION,
-        "kind": "bruck_bose_report",
-        "params": serialize.params_header(hov.spec, hov.maps),
-        "order": plane.order,
-        "points": plane.n_points,
-        "lines": plane.n_lines,
-        "axioms_mode": axioms.mode,
-        "axioms_ok": axioms.ok,
-        "pairs_checked": axioms.pairs_checked,
-        "hyperoval_ok": hrep.ok,
-        "hyperoval_histogram": {
-            str(k): v for k, v in sorted(hrep.histogram.items())
-        },
-        "incidence_equivalents": hrep.incidence_equivalents,
-        "ok": ok,
-    }
-    _emit(args, doc)
-    return 0 if ok else 1
+    def project(rep):
+        plane = rep.stage("plane")
+        doc = _report_head("bruck_bose_report", rep)
+        doc.update(plane.data, ok=plane.ok)
+        return doc, plane.ok
+
+    return _view(args, ("plane",), project,
+                 plane_mode=args.plane_mode, seed=args.seed)
 
 
 def _cmd_bj_axioms(args) -> int:
@@ -209,54 +230,34 @@ def _cmd_bj_axioms(args) -> int:
     for name in names:
         if name not in _AXIOM_NAMES:
             raise ParseError(f"unknown axiom {name!r}, pick from {_AXIOM_NAMES}")
-    hov = build_hyperoval(_secant_spec(args))
-    d = directions(hov.affine, hov.maps)
-    structure = find_long_secants(d, budget=_budget(args))
-    family = build_c_planes(hov.affine, structure, hov.maps)
-    reports = check_axioms(family, hov.affine, hov.maps, axioms=names,
-                           budget=_budget(args))
-    ok = all(r.ok for r in reports.values())
-    doc = {
-        "schema": serialize.SCHEMA_VERSION,
-        "kind": "cplane_report",
-        "params": serialize.params_header(hov.spec, hov.maps),
-        "planes": len(family),
-        "long_secants": structure.count,
-        "axioms": {
-            name: {"ok": rep.ok, "checked": rep.checked, "detail": rep.detail}
-            for name, rep in sorted(reports.items())
-        },
-        "ok": ok,
-    }
-    for name, rep in reports.items():
-        if rep.witness is not None:
-            doc["axioms"][name]["witness"] = repr(rep.witness)
-    _emit(args, doc)
-    return 0 if ok else 1
+
+    def project(rep):
+        cp = rep.stage("cplanes").data
+        axioms = {name: cp["axioms"][name] for name in names}
+        ok = all(a["ok"] for a in axioms.values())
+        doc = _report_head("cplane_report", rep)
+        doc.update(
+            planes=cp["planes"],
+            long_secants=rep.stage("pseudoregulus").data["long_secants"],
+            axioms=axioms,
+            ok=ok,
+        )
+        return doc, ok
+
+    return _view(args, ("pseudoregulus", "cplanes"), project)
 
 
 def _cmd_verify_all(args) -> int:
-    _spec(args)  # reject bad parameters as usage errors before the run
     stages = None
     if args.stages:
         stages = tuple(s.strip() for s in args.stages.split(",") if s.strip())
         for name in stages:
             if name not in STAGE_ORDER:
                 raise ParseError(f"unknown stage {name!r}, pick from {STAGE_ORDER}")
-    rep = run_verify_all(
-        args.h,
-        args.k,
-        args.i,
-        strict=not args.allow_nonstrict,
-        mode=args.mode,
-        budget=_budget(args),
-        processes=args.parallel,
-        stages=stages,
-        plane_mode=args.plane_mode,
-        seed=args.seed,
-    )
+    rep = _pipeline(args, stages, mode=args.mode,
+                    plane_mode=args.plane_mode, seed=args.seed)
     _emit(args, rep.to_json_dict())
-    return 0 if rep.verdict == "pass" else 1
+    return _exit_code(rep)
 
 
 def _add_params(p, required=True):

@@ -252,13 +252,6 @@ class ProjSpace:
     def contains(self, rows: Sequence[int], v: int) -> bool:
         return self.reduce(v, rows) == 0
 
-    def span_key(self, vectors: Iterable[int], expect_dim: int | None = None
-                 ) -> tuple[int, ...]:
-        rows = self.rref(vectors)
-        if expect_dim is not None and len(rows) != expect_dim:
-            raise DegenerateSpan(f"span has rank {len(rows)}, expected {expect_dim}")
-        return rows
-
     def subspace_points(self, rows: Sequence[int]) -> list[int]:
         """Normalized points of the span of echelon rows (all of them)."""
         r = len(rows)

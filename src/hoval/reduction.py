@@ -226,17 +226,6 @@ class CorrespondenceMaps:
             self._s_tilde = Spread(els, self.hinf2, base.sources, base.source_space)
         return self._s_tilde
 
-    # -- lifting between H_inf and the ambient --------------------------------
-
-    def lift_to_ambient(self, v: int) -> int:
-        """H_inf vector -> ambient vector with zero first coordinate."""
-        return v << self.tower.h
-
-    def drop_to_hinf(self, v: int) -> int:
-        if self.ambient.chunk(v, 0) != 0:
-            raise NotAtInfinity(f"0x{v:x} has nonzero first coordinate")
-        return v >> self.tower.h
-
 
 _MAPS_CACHE: dict[tuple[int, int, int, int], CorrespondenceMaps] = {}
 

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from hoval import serialize
+from hoval import cli, serialize
 from hoval.cli import main
 from hoval.gf2 import tower_create
 from hoval.hyperoval import HyperovalSpec, build_hyperoval, directions
+from hoval.pipeline import run_verify_all
 from hoval.reduction import maps_for
 
 
@@ -259,3 +260,89 @@ def test_bad_modulus_in_file_exit_2(tmp_path, capsys, key, value):
     assert code == 2
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+# --- the stage subcommands are views over verify-all ---------------------------
+
+_VIEWS = ("detect-pseudoregulus", "build-spread", "bruck-bose-verify", "bj-axioms")
+
+
+def test_cli_holds_no_stage_logic():
+    for name in ("build_plane", "plane_axioms_check", "hyperoval_in_plane",
+                 "build_c_planes", "check_axioms", "detect_pseudoregulus",
+                 "find_long_secants"):
+        assert not hasattr(cli, name), name
+
+
+@pytest.mark.parametrize("command", _VIEWS)
+@pytest.mark.parametrize("params, code", [
+    (("--h", "4", "--k", "2", "--i", "2", "--allow-nonstrict"), 1),
+    (("--h", "3", "--k", "2", "--i", "1", "--budget", "10"), 3),
+    (("--h", "1", "--k", "3", "--i", "1"), 2),
+])
+def test_view_without_its_stages_prints_no_document(capsys, command, params, code):
+    assert main([command, *params]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def full321():
+    return run_verify_all(3, 2, 1)
+
+
+def _doc(capsys, *argv):
+    code, out = _run(capsys, *argv, "--h", "3", "--k", "2", "--i", "1")
+    assert code == 0
+    return json.loads(out)
+
+
+def test_views_repeat_the_stage_data(capsys, full321):
+    ps = full321.stage("pseudoregulus").data
+    sp = full321.stage("spread").data
+    doc = _doc(capsys, "detect-pseudoregulus")
+    assert doc["kind"] == "pseudoregulus_report" and doc["ok"] is True
+    for key in ("long_secants", "exponents", "labeling", "chosen_exponent"):
+        assert doc[key] == ps[key], key
+    assert doc["spread_elements"] == sp["elements"]
+    assert doc["matches_canonical"] == sp["matches_canonical"]
+    assert doc["one_point"] == sp["one_point"]
+
+    doc = _doc(capsys, "build-spread")
+    assert doc["count"] == len(doc["elements"]) == sp["elements"]
+    assert doc["exponent"] == sp["exponent"]
+    assert doc["matches_canonical"] == sp["matches_canonical"]
+
+    doc = _doc(capsys, "bruck-bose-verify")
+    assert doc["kind"] == "bruck_bose_report" and doc["ok"] is True
+    for key, value in full321.stage("plane").data.items():
+        assert doc[key] == value, key
+
+    cp = full321.stage("cplanes").data
+    doc = _doc(capsys, "bj-axioms")
+    assert doc["kind"] == "cplane_report" and doc["ok"] is True
+    assert doc["planes"] == cp["planes"]
+    assert doc["long_secants"] == ps["long_secants"]
+    assert doc["axioms"] == cp["axioms"]
+
+
+def test_bj_axioms_scans_the_secant_pairs_once(capsys, line_key_calls):
+    # C(255, 2) = 32,385 keys for the spectrum's pair scan, which the long
+    # secants and A4 read; a second scan for A4 would double it
+    code, out = _run(capsys, "bj-axioms", "--h", "4", "--k", "2", "--i", "1")
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert len(line_key_calls) < 40_000
+
+
+def test_verify_all_budget_exit_3(capsys):
+    code, out = _run(
+        capsys, "verify-all", "--h", "3", "--k", "2", "--i", "1",
+        "--budget", "10",
+    )
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["verdict"] == "fail"
+    spectrum = next(s for s in doc["stages"] if s["name"] == "spectrum")
+    assert spectrum["status"] == "error"
+    assert spectrum["error"].startswith("EnumerationTooLarge")

@@ -1,5 +1,7 @@
 """Stage sequencing and report shape of the verification pipeline."""
 
+import dataclasses
+
 import pytest
 
 from hoval import linearsets, pseudoregulus
@@ -148,8 +150,8 @@ def test_cplanes_reports_a4_mode(full321):
 
 
 def test_a4_runs_at_331():
-    # 130,305 pairs through the base point fit under the pipeline cap that
-    # the 22,238,720 triples of the full scan exceed
+    # 130,305 pairs through the base point instead of the 22,238,720 triples
+    # of the full scan
     rep = run_verify_all(3, 3, 1, stages=("cplanes",))
     cp = rep.stage("cplanes")
     assert rep.verdict == "pass"
@@ -166,3 +168,26 @@ def test_h1_refused_only_when_long_secants_are_needed():
         run_verify_all(1, 3, 1, stages=("cplanes",))
     rep = run_verify_all(1, 3, 1, stages=("construct", "spectrum", "linearity"))
     assert rep.verdict == "pass"
+
+
+@pytest.mark.parametrize("budget, ran", [(130_305, True), (130_304, False)])
+def test_a4_obeys_the_run_budget(budget, ran):
+    # A4's base-point estimate C(n-1, 2) is the C(|D|, 2) = 130,305 pairs the
+    # spectrum stage scans first under the same budget
+    rep = run_verify_all(3, 3, 1, stages=("cplanes",), budget=budget)
+    if ran:
+        a4 = rep.stage("cplanes").data["axioms"]["A4"]
+        assert a4["ok"] and a4["detail"]["mode"] == "base-point"
+        assert rep.verdict == "pass"
+    else:
+        spectrum = rep.stage("spectrum")
+        assert spectrum.status == "error"
+        assert spectrum.error.startswith("EnumerationTooLarge")
+        assert rep.stage("cplanes").status == "skipped"
+
+
+def test_run_artifacts_stay_out_of_the_report(full321):
+    assert full321.run.spread_result.matches_canonical
+    assert "run" not in repr(full321)
+    assert "run" not in full321.to_json_dict()
+    assert full321 == dataclasses.replace(full321, run=None)

@@ -215,12 +215,6 @@ def test_subspace_points_plane_in_pg38():
         assert sub.contains(p)
 
 
-def test_span_key_expected_dim():
-    s = space(2, 2)
-    with pytest.raises(DegenerateSpan):
-        s.span_key([s.pack((1, 0, 0)), s.pack((1, 0, 0))], expect_dim=2)
-
-
 # --- budget ----------------------------------------------------------------------------
 
 def test_enumeration_budget():

@@ -144,13 +144,6 @@ def test_s_tilde_is_refined_by_s_prime(maps32):
         assert all(c == 7 for c in fibers.values())
 
 
-def test_lift_and_drop(maps32):
-    v = maps32.hinf.pack((1, 3, 0, 5))
-    assert maps32.drop_to_hinf(maps32.lift_to_ambient(v)) == v
-    with pytest.raises(NotAtInfinity):
-        maps32.drop_to_hinf(1)
-
-
 def test_tower_33_spread_sizes():
     t = tower_create(3, 3)
     m = maps_for(t)
