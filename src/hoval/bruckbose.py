@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .errors import DimensionMismatch, EnumerationTooLarge, InvalidSpread
-from .hyperoval import AffinePointSet, translation_closure_check
+from .hyperoval import (
+    AffinePointSet,
+    f2_echelon,
+    f2_reduce,
+    translation_basis,
+    translation_closure_check,
+)
 from .projective import DEFAULT_BUDGET
 from .reduction import CorrespondenceMaps, Spread
 
@@ -338,6 +344,7 @@ class HyperovalPlaneReport:
     lines_checked: int
     incidence_equivalents: int
     witness: tuple | None
+    mode: str  # "translation-group" | "line-scan"
 
 
 def hyperoval_in_plane(
@@ -348,23 +355,77 @@ def hyperoval_in_plane(
 ) -> HyperovalPlaneReport:
     """Q plus the two transversal points is a hyperoval of the plane.
 
-    Scans every line of the plane: the meet histogram must be supported on
-    {0, 2} (hyperovals have no tangents).  The per-line meet count settles
-    membership for all its points, so the work is equivalent to
-    n_lines * (order + 1) point-line incidence checks.
+    The meet histogram over every line of the plane must be supported on
+    {0, 2} (hyperovals have no tangents).  When Q is a verified coset
+    c0 + W, the translations by W fix every parallel class, so a line
+    base + E meets Q in 0 or |W ∩ E| points, and the histogram follows from
+    one GF(2) rank per spread element.  Otherwise, or when that histogram
+    fails, every line is scanned, which also picks the witness.  Either way
+    the per-line meet count settles membership for all its points, so the
+    work is equivalent to n_lines * (order + 1) point-line incidence checks.
     """
     keyed = {el.rows: idx for idx, el in enumerate(plane.spread.elements)}
     if t0_rows not in keyed or tinf_rows not in keyed:
         raise InvalidSpread("transversal rows are not spread elements")
-    e0 = keyed[t0_rows]
-    einf = keyed[tinf_rows]
+    extra = {keyed[t0_rows], keyed[tinf_rows]}
     order = plane.order
     size_ok = len(q_points) == order
     closure_ok, closure_witness = translation_closure_check(q_points)
 
+    histogram = _histogram_by_basis(q_points, plane, extra) if closure_ok else None
+    if histogram is not None and set(histogram) <= {0, 2}:
+        mode, witness = "translation-group", None
+    else:
+        mode = "line-scan"
+        histogram, witness = _histogram_by_scan(q_points, plane, extra)
+    # the infinite line carries exactly the two transversal points
+    histogram[2] = histogram.get(2, 0) + 1
+    lines_checked = plane.n_lines
+    ok = size_ok and closure_ok and set(histogram) <= {0, 2}
+    if witness is None and not closure_ok:
+        witness = ("closure", closure_witness)
+    return HyperovalPlaneReport(
+        ok=ok,
+        size_ok=size_ok,
+        closure_ok=closure_ok,
+        histogram={j: histogram[j] for j in sorted(histogram)},
+        lines_checked=lines_checked,
+        incidence_equivalents=lines_checked * (order + 1),
+        witness=witness,
+        mode=mode,
+    )
+
+
+def _histogram_by_basis(q_points: AffinePointSet, plane: BruckBosePlane, extra) -> dict:
+    """The affine lines' meet histogram of a coset Q = c0 + W.
+
+    Each line of element E through a point of Q meets Q in that point plus
+    W ∩ E, so n / |W ∩ E| lines of the class meet Q in |W ∩ E| points and
+    the rest miss it; the elements in `extra` add their point to every line
+    of their class.
+    """
+    hinf = plane.maps.hinf
+    h = plane.maps.tower.h
+    basis = translation_basis(q_points)
+    n = len(q_points)
+    histogram: dict = {}
+    for eidx, el in enumerate(plane.spread.elements):
+        gens = (f2_reduce(hinf.smul(1 << b, r), basis)
+                for r in el.rows for b in range(h))
+        meet = 1 << (h * len(el.rows) - len(f2_echelon(gens)))
+        bonus = 1 if eidx in extra else 0
+        hit = n // meet
+        for count, lines in ((meet + bonus, hit),
+                             (bonus, len(plane.bases[eidx]) - hit)):
+            if lines:
+                histogram[count] = histogram.get(count, 0) + lines
+    return histogram
+
+
+def _histogram_by_scan(q_points: AffinePointSet, plane: BruckBosePlane, extra):
+    """(histogram, witness) of the affine lines' meets, line by line."""
     histogram: dict = {}
     witness = None
-    extra = {e0, einf}
     base_of = plane.base_of
     for eidx, bases in enumerate(plane.bases):
         counts = Counter(base_of(eidx, p) for p in q_points.ordered)
@@ -376,22 +437,4 @@ def hyperoval_in_plane(
                 on_line = [p for p in q_points.ordered
                            if plane.base_of(eidx, p) == base]
                 witness = ("line", eidx, base, c, tuple(on_line[:3]))
-    # the infinite line carries exactly the two transversal points
-    histogram[2] = histogram.get(2, 0) + 1
-    lines_checked = plane.n_lines
-    ok = (
-        size_ok
-        and closure_ok
-        and set(j for j, c in histogram.items() if c) <= {0, 2}
-    )
-    if witness is None and not closure_ok:
-        witness = ("closure", closure_witness)
-    return HyperovalPlaneReport(
-        ok=ok,
-        size_ok=size_ok,
-        closure_ok=closure_ok,
-        histogram={j: histogram[j] for j in sorted(histogram)},
-        lines_checked=lines_checked,
-        incidence_equivalents=lines_checked * (order + 1),
-        witness=witness,
-    )
+    return histogram, witness

@@ -227,6 +227,8 @@ def _cmd_bruck_bose(args) -> int:
 
 def _cmd_bj_axioms(args) -> int:
     names = tuple(s.strip().upper() for s in args.axioms.split(",") if s.strip())
+    if not names:
+        raise ParseError(f"--axioms names no axiom, pick from {_AXIOM_NAMES}")
     for name in names:
         if name not in _AXIOM_NAMES:
             raise ParseError(f"unknown axiom {name!r}, pick from {_AXIOM_NAMES}")

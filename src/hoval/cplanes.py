@@ -4,9 +4,17 @@ For each affine point P of the translation set C and each long secant s of
 its direction set, the span <P, s> is a plane of PG(2k, q).  These C-planes
 tile the affine points off C, slice C itself into q-arcs, and every triple
 of C points generates either one of them or a plane holding exactly four
-points of C.  The axiom checks here are exhaustive; A1 and A4 reduce their
-scans to the planes and triples through one point only after the
-translation symmetry that justifies it has been verified on the input.
+points of C.
+
+Every axiom verdict covers the whole family, but only an input whose
+symmetry has been verified gets a shortcut.  When C is a verified coset
+c0 + W, the family is built from the meets W ∩ L_s of W with the lifted
+secant spaces, and A2 and A3 become partition statements about those
+meets and about the images of the L_s in V/W, checked by GF(2) linear
+algebra.  A1 and A4 reduce their scans to the planes and triples through
+one point once the translations of C are verified to carry the family onto
+itself.  Any other input, and any failing shortcut, takes the explicit
+scan, which also picks the reported witness.
 """
 
 from __future__ import annotations
@@ -16,7 +24,15 @@ from itertools import combinations
 from math import comb
 
 from .errors import CPlaneConstructionFailed, DegenerateSpan, EnumerationTooLarge
-from .hyperoval import AffinePointSet, DirectionSet, is_arc, translation_closure_check
+from .hyperoval import (
+    AffinePointSet,
+    DirectionSet,
+    f2_echelon,
+    f2_reduce,
+    is_arc,
+    translation_basis,
+    translation_closure_check,
+)
 from .projective import DEFAULT_BUDGET
 from .pseudoregulus import SecantStructure
 from .reduction import CorrespondenceMaps
@@ -40,6 +56,11 @@ class CPlaneFamily:
     _symmetry: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    # (C, W, per secant its rows and the vectors of W ∩ L_s), set by
+    # build_c_planes when it built the family from C's translation basis
+    _translation: tuple | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __len__(self) -> int:
         return len(self.planes)
@@ -53,12 +74,98 @@ def build_c_planes(
     """Group C by coset against each lifted long secant.
 
     Every (point, secant) pair must land in a class of exactly q points of
-    C; the family size comes out to |C| * m / q.
+    C; the family size comes out to |C| * m / q.  For a verified coset
+    C = c0 + W the classes of secant s are the cosets c + (W ∩ L_s), read
+    off the q^2 vectors of L_s; otherwise, or when some |W ∩ L_s| is not q,
+    each point is reduced against each secant.
     """
     amb = maps.ambient
     h = maps.tower.h
     q = amb.q
     lifted = [tuple(r << h for r in s.rows) for s in structure.secants]
+    meets = None
+    if translation_closure_check(c_points)[0]:
+        meets = _secant_meets(c_points, structure, maps)
+    if meets is not None:
+        planes = _planes_from_meets(c_points, meets, lifted, maps)
+    else:
+        planes = _planes_by_reduce(c_points, lifted, maps)
+    expected = len(c_points) * structure.count // q
+    if len(planes) != expected:
+        raise CPlaneConstructionFailed(
+            f"{len(planes)} planes formed, expected {expected}"
+        )
+    hinf = maps.hinf
+    vkeys = frozenset(
+        (structure.secants[pl.secant_index].rows,
+         hinf.reduce(pl.base >> h, structure.secants[pl.secant_index].rows))
+        for pl in planes
+    )
+    if len(vkeys) != len(planes):
+        raise CPlaneConstructionFailed("two planes share a vector key")
+    family = CPlaneFamily(
+        planes=tuple(planes), m=structure.count, q=q, vector_keys=vkeys
+    )
+    if meets is not None:
+        record = tuple(zip((s.rows for s in structure.secants), meets))
+        object.__setattr__(
+            family, "_translation",
+            (c_points, translation_basis(c_points), record),
+        )
+    return family
+
+
+def _secant_meets(c_points: AffinePointSet, structure, maps):
+    """Per secant s, the vectors x of L_s with c0 ^ (x << h) in C, sorted.
+
+    For a closed C these are W ∩ L_s.  None when one of them does not hold
+    exactly q vectors.
+    """
+    hinf = maps.hinf
+    h = maps.tower.h
+    q = hinf.q
+    c0 = c_points.ordered[0]
+    points = c_points.points
+    meets = []
+    for s in structure.secants:
+        m0, m1 = ([hinf.smul(c, r) for c in range(q)] for r in s.rows)
+        meet = sorted(
+            x for x in (a ^ b for a in m0 for b in m1)
+            if c0 ^ (x << h) in points
+        )
+        if len(meet) != q:
+            return None
+        meets.append(meet)
+    return meets
+
+
+def _planes_from_meets(c_points, meets, lifted, maps) -> list:
+    """The cosets c + (W ∩ L_s) of C, one ambient reduce per plane."""
+    reduce = maps.ambient.reduce
+    h = maps.tower.h
+    planes = []
+    for sidx, (meet, rows) in enumerate(zip(meets, lifted)):
+        shifts = [x << h for x in meet]
+        done: set = set()
+        found = []
+        for p in c_points.ordered:
+            if p in done:
+                continue
+            pts = sorted(p ^ x for x in shifts)
+            done.update(pts)
+            found.append((reduce(p, rows), tuple(pts)))
+        found.sort()
+        planes.extend(
+            CPlane(secant_index=sidx, base=base, rows=(base,) + rows, points=pts)
+            for base, pts in found
+        )
+    return planes
+
+
+def _planes_by_reduce(c_points, lifted, maps) -> list:
+    """Group every point of C by its reduction against every secant."""
+    amb = maps.ambient
+    q = amb.q
     groups: dict = {}
     for p in c_points.ordered:
         for sidx, rows in enumerate(lifted):
@@ -75,22 +182,7 @@ def build_c_planes(
         planes.append(
             CPlane(secant_index=sidx, base=base, rows=rows, points=tuple(pts))
         )
-    expected = len(c_points) * structure.count // q
-    if len(planes) != expected:
-        raise CPlaneConstructionFailed(
-            f"{len(planes)} planes formed, expected {expected}"
-        )
-    hinf = maps.hinf
-    vkeys = frozenset(
-        (structure.secants[pl.secant_index].rows,
-         hinf.reduce(pl.base >> h, structure.secants[pl.secant_index].rows))
-        for pl in planes
-    )
-    if len(vkeys) != len(planes):
-        raise CPlaneConstructionFailed("two planes share a vector key")
-    return CPlaneFamily(
-        planes=tuple(planes), m=structure.count, q=q, vector_keys=vkeys
-    )
+    return planes
 
 
 @dataclass(frozen=True)
@@ -148,28 +240,114 @@ def _a1_all_planes(family: CPlaneFamily, amb) -> AxiomReport:
     )
 
 
+def _translation(family: CPlaneFamily, c_points: AffinePointSet):
+    """(W, per secant (rows, W ∩ L_s)) when the family was built from the
+    translation basis of this very point set, else None."""
+    rec = family._translation
+    if rec is None or rec[0] is not c_points:
+        return None
+    return rec[1], rec[2]
+
+
 def _check_a2(family: CPlaneFamily, c_points: AffinePointSet) -> AxiomReport:
-    """Every pair of C points lies on exactly one plane of the family."""
+    """Every pair of C points lies on exactly one plane of the family.
+
+    For a family built from C = c0 + W, the pair {a, b} lies on one plane
+    per secant s with a ^ b in W ∩ L_s (_meets_partition_w).  Any other
+    family, and a failure, takes the all-pairs scan.
+    """
+    record = _translation(family, c_points)
+    if record is not None and _meets_partition_w(record[1], len(c_points)):
+        n = len(c_points)
+        pairs = n * (n - 1) // 2
+        return AxiomReport(
+            "A2", True, pairs, None,
+            {"mode": "translation-group", "pairs": pairs},
+        )
+    return _a2_all_pairs(family, c_points)
+
+
+def _meets_partition_w(secants, n: int) -> bool:
+    """Do the sets (W ∩ L_s) minus 0 partition W minus 0, for |W| = n?
+
+    `secants` pairs each secant's rows with the vectors of W ∩ L_s.
+    """
+    covered: set = set()
+    total = 0
+    for _, meet in secants:
+        covered.update(meet)
+        total += len(meet) - 1
+    covered.discard(0)
+    return total == len(covered) == n - 1
+
+
+def _a2_all_pairs(family: CPlaneFamily, c_points: AffinePointSet) -> AxiomReport:
+    """A2 by recording the plane of every pair of every plane's meet."""
     seen: dict = {}
     for idx, pl in enumerate(family.planes):
         for a, b in combinations(pl.points, 2):
             prev = seen.get((a, b))
             if prev is not None:
                 return AxiomReport(
-                    "A2", False, len(seen), ("pair", a, b, prev, idx), {}
+                    "A2", False, len(seen), ("pair", a, b, prev, idx),
+                    {"mode": "explicit"},
                 )
             seen[(a, b)] = idx
     n = len(c_points)
     total = n * (n - 1) // 2
     ok = len(seen) == total
     witness = None if ok else ("covered", len(seen), total)
-    return AxiomReport("A2", ok, len(seen), witness, {"pairs": total})
+    return AxiomReport(
+        "A2", ok, len(seen), witness, {"mode": "explicit", "pairs": total}
+    )
 
 
 def _check_a3(
     family: CPlaneFamily, c_points: AffinePointSet, maps: CorrespondenceMaps
 ) -> AxiomReport:
-    """Affine points off C lie on exactly one plane; C points on exactly m."""
+    """Affine points off C lie on exactly one plane; C points on exactly m.
+
+    For a family built from C = c0 + W, an affine point p lies on one plane
+    per secant s whose image in V/W holds p ^ c0, so C points lie on m
+    planes (_images_partition_quotient).  Any other family, and a failure,
+    takes the cover scan.
+    """
+    record = _translation(family, c_points)
+    if record is not None and _images_partition_quotient(*record, maps):
+        total_affine = 1 << maps.hinf.bits
+        return AxiomReport(
+            "A3", True, total_affine, None,
+            {"mode": "translation-group", "affine_points": total_affine,
+             "off_set_planes": 1, "on_set_planes": family.m},
+        )
+    return _a3_cover(family, c_points, maps)
+
+
+def _images_partition_quotient(basis, secants, maps) -> bool:
+    """Do the images of the L_s in V/W partition V/W minus 0?
+
+    V is the space of H_inf vectors and W has the echelon `basis`; a vector
+    reduced against it stands for its class.  Each image is spanned by the
+    reduced GF(2) generators of L_s, the GF(q) rows times 1, 2, ..., 2^(h-1).
+    """
+    hinf = maps.hinf
+    h = maps.tower.h
+    seen = {0}
+    total = 0
+    for rows, _ in secants:
+        image = {0}
+        for g in f2_echelon(f2_reduce(hinf.smul(1 << b, r), basis)
+                            for r in rows for b in range(h)):
+            image |= {x ^ g for x in image}
+        seen |= image
+        total += len(image) - 1
+    return total == len(seen) - 1 == (1 << (hinf.bits - len(basis))) - 1
+
+
+def _a3_cover(
+    family: CPlaneFamily, c_points: AffinePointSet, maps: CorrespondenceMaps
+) -> AxiomReport:
+    """A3 by counting, for every affine point, the planes that hold it."""
     amb = maps.ambient
     q = family.q
     cover: dict = {}
@@ -188,7 +366,8 @@ def _check_a3(
         want = family.m if p in cset else 1
         if cnt != want:
             return AxiomReport(
-                "A3", False, checked, ("point", p, cnt, want), {}
+                "A3", False, checked, ("point", p, cnt, want),
+                {"mode": "explicit"},
             )
         checked += 1
     total_affine = amb.q ** (amb.width - 1)
@@ -196,7 +375,8 @@ def _check_a3(
     witness = None if ok else ("coverage", len(cover), total_affine)
     return AxiomReport(
         "A3", ok, checked, witness,
-        {"affine_points": total_affine, "off_set_planes": 1, "on_set_planes": family.m},
+        {"mode": "explicit", "affine_points": total_affine,
+         "off_set_planes": 1, "on_set_planes": family.m},
     )
 
 
@@ -237,22 +417,20 @@ def _symmetric(family: CPlaneFamily, c_points: AffinePointSet, maps) -> bool:
     """
     memo = family._symmetry
     if c_points not in memo:
-        vecs = [p >> maps.tower.h for p in c_points.ordered]
-        memo[c_points] = bool(vecs) and (
+        memo[c_points] = bool(c_points.ordered) and (
             translation_closure_check(c_points)[0]
-            and _translation_invariant(family, vecs, maps)
+            and _translation_invariant(family, translation_basis(c_points), maps)
         )
     return memo[c_points]
 
 
-def _translation_invariant(family: CPlaneFamily, vecs, maps) -> bool:
+def _translation_invariant(family: CPlaneFamily, gens, maps) -> bool:
     """Do the translations of the coset C carry the family onto itself?
 
     Translating by v sends the plane (rows, coset) to (rows, coset ^
-    reduce(v, rows)), so the GF(2) generators of the group suffice.
+    reduce(v, rows)), so the GF(2) generators `gens` of the group suffice.
     """
     reduce = maps.hinf.reduce
-    gens = maps.hinf2.rref(v ^ vecs[0] for v in vecs[1:])
     keys = family.vector_keys
     moves = {rows: [reduce(g, rows) for g in gens] for rows in {r for r, _ in keys}}
     return all((rows, coset ^ d) in keys for rows, coset in keys for d in moves[rows])
@@ -275,7 +453,6 @@ def _a4_base_point(family, c_points, vecs, space, secants=None) -> AxiomReport:
     reported bin.
     """
     n = len(vecs)
-    space.ensure_tables()
     normalize = space.normalize
     reduce = space.reduce
     a = vecs[0]
@@ -290,6 +467,7 @@ def _a4_base_point(family, c_points, vecs, space, secants=None) -> AxiomReport:
             rep = _a4_bins(family, secants[1], through, a, n, space)
             if rep.ok:
                 return rep
+    space.ensure_tables()
     pair_key = space.pair_line_key
     counts: dict = {}
     for ib in range(n - 2):

@@ -52,18 +52,20 @@ class HyperovalSpec:
 class AffinePointSet:
     """A set of normalized affine points of one projective space.
 
-    The result of translation_closure_check is memoized on the set, so the
-    symmetry shortcuts that depend on it (directions, axioms A1 and A4)
-    verify it at most once per set.
+    The translation basis W and the result of translation_closure_check are
+    memoized on the set, so the symmetry shortcuts that depend on them
+    (directions, the C-planes, the axioms, the hyperoval line scan) compute
+    them at most once per set.
     """
 
-    __slots__ = ("points", "ordered", "space", "_closure")
+    __slots__ = ("points", "ordered", "space", "_closure", "_basis")
 
     def __init__(self, points, space: ProjSpace):
         self.points = frozenset(points)
         self.ordered = tuple(sorted(self.points))
         self.space = space
         self._closure = None
+        self._basis = None
         for p in self.ordered:
             if space.chunk(p, 0) != 1:
                 raise ValueError(f"0x{p:x} is not normalized affine")
@@ -151,7 +153,7 @@ def is_arc(points: Sequence[int], space: ProjSpace):
         raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
     mask = space.chunk_mask
     affine = [p for p in pts if p & mask == 1]
-    if len(pts) - len(affine) <= 2 and _closure_scan(affine, set(affine))[0]:
+    if len(pts) - len(affine) <= 2 and _is_coset(affine):
         base = affine[0]
         key = space.pair_line_key
         if len({key(base, p) for p in pts if p != base}) == len(pts) - 1:
@@ -194,12 +196,61 @@ def translation_closure_check(q_points: AffinePointSet):
 
     The affine set is closed under this ternary operation iff it is a coset
     of an additive group of vectors, which is what makes every secant
-    direction a full translation direction.  Returns (ok, witness); the
-    result is computed once per set and memoized on it.
+    direction a full translation direction.  That holds iff the n points
+    fill the span of their differences, n = 2^rank W (translation_basis);
+    only a set that fails this test is scanned pair by pair, for the
+    witness.  Returns (ok, witness); the result is computed once per set
+    and memoized on it.
     """
     if q_points._closure is None:
-        q_points._closure = _closure_scan(q_points.ordered, q_points.points)
+        if len(q_points) == 1 << len(translation_basis(q_points)):
+            q_points._closure = (True, None)
+        else:
+            q_points._closure = _closure_scan(q_points.ordered, q_points.points)
     return q_points._closure
+
+
+def translation_basis(q_points: AffinePointSet) -> tuple:
+    """The GF(2) echelon basis of W = span{(p ^ c0) >> h}, c0 = ordered[0].
+
+    Vectors are in the H_inf layout, where the packed GF(q) coordinates are
+    read as 2hk bits; the rows are those CorrespondenceMaps.hinf2.rref
+    returns.  For a closed set C = c0 + W.  Memoized on the set.
+    """
+    if q_points._basis is None:
+        ordered = q_points.ordered
+        h = q_points.space.h
+        q_points._basis = f2_echelon((p ^ ordered[0]) >> h for p in ordered[1:])
+    return q_points._basis
+
+
+def f2_reduce(v: int, rows) -> int:
+    """v with the pivot bits of GF(2) echelon rows cleared."""
+    for r in rows:
+        if v & r & -r:
+            v ^= r
+    return v
+
+
+def f2_echelon(vectors) -> tuple:
+    """Reduced echelon basis over GF(2) of packed bit vectors.
+
+    A row's pivot is its lowest set bit, clear in every other row; rows are
+    sorted by pivot, so the basis of a subspace is unique.
+    """
+    rows: list = []
+    for v in vectors:
+        v = f2_reduce(v, rows)
+        if v:
+            low = v & -v
+            rows = [r ^ v if r & low else r for r in rows]
+            rows.append(v)
+    return tuple(sorted(rows, key=lambda r: r & -r))
+
+
+def _is_coset(ordered) -> bool:
+    """Do the points fill the span of their differences from ordered[0]?"""
+    return len(ordered) == 1 << len(f2_echelon(p ^ ordered[0] for p in ordered))
 
 
 def _closure_scan(ordered, points):

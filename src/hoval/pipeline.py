@@ -256,6 +256,7 @@ def _stage_plane(run: _Run) -> tuple[bool, dict]:
         "axioms_ok": axioms.ok,
         "pairs_checked": axioms.pairs_checked,
         "hyperoval_ok": hrep.ok,
+        "hyperoval_mode": hrep.mode,
         "hyperoval_histogram": {str(k): v for k, v in sorted(hrep.histogram.items())},
         "incidence_equivalents": hrep.incidence_equivalents,
     }

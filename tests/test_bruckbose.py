@@ -8,6 +8,7 @@ from hoval.errors import InvalidSpread
 from hoval.gf2 import tower_create
 from hoval.hyperoval import AffinePointSet, HyperovalSpec, build_hyperoval, directions
 from hoval.bruckbose import (
+    _histogram_by_scan,
     PlaneAxiomsReport,
     _common_points,
     _quadrangle_ok,
@@ -138,6 +139,56 @@ def test_mutated_set_caught_by_line_scan(setup321):
     assert hrep.witness is not None
     bad = [j for j in hrep.histogram if j not in (0, 2) and hrep.histogram[j]]
     assert bad
+
+
+def _plane_case(hki):
+    hov = build_hyperoval(HyperovalSpec(*hki))
+    d = directions(hov.affine, hov.maps)
+    rep = detect_pseudoregulus(d, hov.maps)
+    plane = build_plane(hov.maps, rep.spread_result.spread)
+    t = rep.transversals
+    return hov, plane, (t.t0.rows, t.t_inf.rows)
+
+
+def _scanned(q_points, plane, transversals):
+    """(histogram with the line at infinity, witness) of the full line scan."""
+    elements = [el.rows for el in plane.spread.elements]
+    extra = {elements.index(rows) for rows in transversals}
+    hist, witness = _histogram_by_scan(q_points, plane, extra)
+    hist[2] = hist.get(2, 0) + 1
+    return {j: hist[j] for j in sorted(hist)}, witness
+
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1), (4, 2, 3), (3, 3, 1)])
+def test_hyperoval_in_plane_by_basis_matches_scan(hki):
+    hov, plane, trans = _plane_case(hki)
+    hrep = hyperoval_in_plane(hov.affine, *trans, plane)
+    assert hrep.mode == "translation-group" and hrep.ok
+    assert (hrep.histogram, hrep.witness) == _scanned(hov.affine, plane, trans)
+
+
+def test_hyperoval_in_plane_scans_without_closure(setup321):
+    hov, d, rep, plane = setup321
+    trans = (rep.transversals.t0.rows, rep.transversals.t_inf.rows)
+    pts = list(hov.affine.ordered)
+    h = hov.maps.tower.h
+    outside = next(1 | (v << h) for v in range(1, 1 << 12)
+                   if (1 | (v << h)) not in hov.affine.points)
+    damaged = AffinePointSet(pts[1:] + [outside], hov.maps.ambient)
+    hrep = hyperoval_in_plane(damaged, *trans, plane)
+    assert hrep.mode == "line-scan" and not hrep.closure_ok
+    assert (hrep.histogram, hrep.witness) == _scanned(damaged, plane, trans)
+
+
+def test_failing_histogram_is_rescanned_for_its_witness():
+    # the (4,2,2) set is a closed coset but no arc: the histogram from W
+    # fails, and the scan reports the same histogram with a line witness
+    hov, plane, trans = _plane_case((4, 2, 1))
+    bad = build_hyperoval(HyperovalSpec(4, 2, 2, strict=False)).affine
+    hrep = hyperoval_in_plane(bad, *trans, plane)
+    assert hrep.closure_ok and not hrep.ok and hrep.mode == "line-scan"
+    assert (hrep.histogram, hrep.witness) == _scanned(bad, plane, trans)
+    assert hrep.witness[0] == "line"
 
 
 def test_wrong_transversal_rows_rejected(setup321):

@@ -148,6 +148,16 @@ def test_bj_axioms_bad_name_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("axioms", [",", " , ", ""])
+def test_bj_axioms_empty_list_exit_2(capsys, axioms):
+    code = main(["bj-axioms", "--h", "3", "--k", "2", "--i", "1",
+                 "--axioms", axioms])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "axiom" in captured.err
+
+
 def test_verify_all_stage_subset(capsys):
     code, out = _run(
         capsys, "verify-all", "--h", "3", "--k", "2", "--i", "1",

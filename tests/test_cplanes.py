@@ -1,6 +1,8 @@
 """C-plane family construction and the four incidence axioms."""
 
 import dataclasses
+import tracemalloc
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -13,8 +15,13 @@ from hoval.cplanes import (
     CPlane,
     CPlaneFamily,
     _a1_all_planes,
+    _a2_all_pairs,
+    _a3_cover,
     _a4_base_point,
     _a4_triple_scan,
+    _images_partition_quotient,
+    _meets_partition_w,
+    _planes_by_reduce,
     _symmetric,
     build_c_planes,
     check_axioms,
@@ -29,7 +36,8 @@ from hoval.hyperoval import (
     translation_closure_check,
 )
 from hoval.linearsets import spectrum
-from hoval.pseudoregulus import find_long_secants
+from hoval.projective import Line
+from hoval.pseudoregulus import SecantStructure, find_long_secants
 
 
 def _setup(h, k, i):
@@ -445,3 +453,169 @@ def test_a4_paths_agree_on_random_cosets(h, data):
     a1_full = _a1_all_planes(family, maps.ambient)
     assert (a1.ok, a1.checked, a1.witness) == (a1_full.ok, a1_full.checked, a1_full.witness)
     assert a1.detail["mode"] == ("base-point" if a1.ok else "all-planes")
+
+
+# -- the family, A2 and A3 from the translation basis W -----------------------
+
+@pytest.fixture(scope="module")
+def case331():
+    return _setup(3, 3, 1)
+
+
+def _lifted(structure, maps):
+    return [tuple(r << maps.tower.h for r in s.rows) for s in structure.secants]
+
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1), (3, 3, 2)])
+def test_planes_from_w_match_reduce(hki):
+    hov, d, s = _setup(*hki)
+    fam = build_c_planes(hov.affine, s, hov.maps)
+    assert fam._translation is not None and fam._translation[0] is hov.affine
+    assert fam.planes == tuple(_planes_by_reduce(hov.affine, _lifted(s, hov.maps), hov.maps))
+
+
+def test_planes_from_w_match_reduce_331(case331):
+    hov, d, s = case331
+    fam = build_c_planes(hov.affine, s, hov.maps)
+    assert fam.planes == tuple(_planes_by_reduce(hov.affine, _lifted(s, hov.maps), hov.maps))
+
+
+def _three_secant_structure(keys, maps):
+    """A hand-made SecantStructure over the given lines of H_inf."""
+    return SecantStructure(
+        secants=tuple(Line(r0, r1, maps.hinf) for r0, r1 in sorted(keys)),
+        count=len(keys), d_on={}, zero_points=(), zero_pairs=(),
+    )
+
+
+def test_short_meet_falls_back_to_the_reduce_error(case321):
+    # a 3-secant meets W in 4 vectors, not q = 8: the family is grouped by
+    # reduce, which fails on the same coset with the same message
+    hov, d, s = case321
+    maps = hov.maps
+    three = sorted(k for k, c in spectrum(d).multiplicities.items() if c == 3)
+    keys = [sec.rows for sec in s.secants[1:]] + [three[0]]
+    structure = _three_secant_structure(keys, maps)
+    with pytest.raises(CPlaneConstructionFailed) as want:
+        _planes_by_reduce(hov.affine, _lifted(structure, maps), maps)
+    with pytest.raises(CPlaneConstructionFailed) as got:
+        build_c_planes(hov.affine, structure, maps)
+    assert str(got.value) == str(want.value)
+
+
+def _without_mode(rep):
+    return dataclasses.replace(
+        rep, detail={k: v for k, v in rep.detail.items() if k != "mode"}
+    )
+
+
+def _assert_w_matches_explicit(family, c_points, maps):
+    """A2 and A3 from W agree with the explicit scans on a family built
+    from W, both the partition verdicts and the reports apart from mode."""
+    _, basis, secants = family._translation
+    a2 = _a2_all_pairs(family, c_points)
+    a3 = _a3_cover(family, c_points, maps)
+    assert _meets_partition_w(secants, len(c_points)) == a2.ok
+    assert _images_partition_quotient(basis, secants, maps) == a3.ok
+    reps = check_axioms(family, c_points, maps, axioms=("A2", "A3"))
+    assert _without_mode(reps["A2"]) == _without_mode(a2)
+    assert _without_mode(reps["A3"]) == _without_mode(a3)
+    for name, rep in reps.items():
+        assert rep.detail["mode"] == ("translation-group" if rep.ok else "explicit"), name
+    return reps
+
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
+def test_w_axioms_match_explicit_on_the_true_family(hki):
+    hov, d, s = _setup(*hki)
+    fam = build_c_planes(hov.affine, s, hov.maps)
+    reps = _assert_w_matches_explicit(fam, hov.affine, hov.maps)
+    assert reps["A2"].ok and reps["A3"].ok
+
+
+def test_w_axioms_match_explicit_on_the_true_family_331(case331):
+    hov, d, s = case331
+    fam = build_c_planes(hov.affine, s, hov.maps)
+    reps = _assert_w_matches_explicit(fam, hov.affine, hov.maps)
+    assert reps["A2"].ok and reps["A3"].ok
+
+
+@lru_cache(maxsize=None)
+def _h2_case(k):
+    """The (2, k, 1) set and the 3-secants of its direction set, from the
+    spectrum's pair map: at q = 4 they look like long secants by count."""
+    hov = build_hyperoval(HyperovalSpec(2, k, 1))
+    d = directions(hov.affine, hov.maps)
+    three = sorted(key for key, c in spectrum(d).multiplicities.items() if c == 3)
+    return hov, d, three
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_w_axioms_match_explicit_on_random_secant_choices(k, data):
+    # m of the 3-secants at random: each meets W in q = 4 vectors, so the
+    # family is built from W, but the choice seldom partitions D
+    hov, d, three = _h2_case(k)
+    m = (4 ** k - 1) // 3
+    picks = data.draw(st.lists(st.sampled_from(three), min_size=m, max_size=m,
+                               unique=True))
+    structure = _three_secant_structure(picks, hov.maps)
+    fam = build_c_planes(hov.affine, structure, hov.maps)
+    assert fam._translation is not None
+    _assert_w_matches_explicit(fam, hov.affine, hov.maps)
+
+
+def test_w_axioms_match_explicit_on_every_partition_221():
+    # the choices of m = 5 3-secants that do partition D, found by exact
+    # cover: every one passes A2 by W and is held to both explicit scans
+    hov, d, three = _h2_case(2)
+    on = {key: frozenset(p for p in d.points if d.space.contains(key, p))
+          for key in three}
+    partitions = []
+
+    def cover(chosen, covered):
+        if len(covered) == len(d):
+            partitions.append(chosen)
+            return
+        first = min(d.points - covered)
+        for key in three:
+            if first in on[key] and not on[key] & covered:
+                cover(chosen + [key], covered | on[key])
+
+    cover([], frozenset())
+    assert partitions
+    for picks in partitions:
+        structure = _three_secant_structure(picks, hov.maps)
+        fam = build_c_planes(hov.affine, structure, hov.maps)
+        assert _assert_w_matches_explicit(fam, hov.affine, hov.maps)["A2"].ok
+
+
+def test_w_axioms_need_the_family_built_from_this_set(case321, family321):
+    # a copied family, a family checked against an equal but distinct point
+    # set, and a damaged set all take the explicit scans
+    hov, d, s = case321
+    maps = hov.maps
+    twin = AffinePointSet(hov.affine.points, maps.ambient)
+    copied = dataclasses.replace(family321)
+    assert copied._translation is None
+    for family, c_points in ((copied, hov.affine), (family321, twin),
+                             (family321, _damaged(hov))):
+        reps = check_axioms(family, c_points, maps, axioms=("A2", "A3"))
+        assert reps["A2"] == _a2_all_pairs(family, c_points)
+        assert reps["A3"] == _a3_cover(family, c_points, maps)
+        assert reps["A2"].detail["mode"] == reps["A3"].detail["mode"] == "explicit"
+
+
+def test_a123_memory_at_331(case331):
+    # no dict over the 130,816 pairs or the 262,144 affine points
+    hov, d, s = case331
+    fam = build_c_planes(hov.affine, s, hov.maps)
+    tracemalloc.start()
+    try:
+        reps = check_axioms(fam, hov.affine, hov.maps, axioms=("A1", "A2", "A3"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(rep.ok for rep in reps.values())
+    assert peak < 5 * 2**20

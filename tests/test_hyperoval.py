@@ -4,6 +4,8 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoval.errors import GcdHypothesisViolated, TooFewPoints
 from hoval.gf2 import tower_create
@@ -11,9 +13,12 @@ from hoval.hyperoval import (
     AffinePointSet,
     HyperovalSpec,
     _arc_scan,
+    _closure_scan,
+    _is_coset,
     build_hyperoval,
     directions,
     is_arc,
+    translation_basis,
     translation_closure_check,
 )
 from hoval.reduction import maps_for
@@ -242,3 +247,37 @@ def test_exponent_family_sizes():
         ok, _ = is_arc(hov.plane_points, hov.maps.plane_big)
         assert ok, i
         assert math.gcd(i, 6) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_closure_by_rank_matches_scan(data):
+    # random subsets of AG(4, 8), and additive cosets with or without one
+    # point removed: closure by rank, witness included, is the pair scan's
+    maps = maps_for(tower_create(3, 2))
+    h = maps.tower.h
+    if data.draw(st.booleans()):
+        gens = data.draw(st.lists(st.integers(1, 4095), max_size=5))
+        span = {0}
+        for g in gens:
+            span |= {x ^ g for x in span}
+        offset = data.draw(st.integers(0, 4095))
+        vecs = {offset ^ x for x in span}
+        if len(vecs) > 1 and data.draw(st.booleans()):
+            vecs.discard(data.draw(st.sampled_from(sorted(vecs))))
+    else:
+        vecs = set(data.draw(st.lists(st.integers(0, 4095), min_size=1, max_size=40)))
+    pts = AffinePointSet((1 | (v << h) for v in vecs), maps.ambient)
+    scanned = _closure_scan(pts.ordered, pts.points)
+    assert translation_closure_check(pts) == scanned
+    assert _is_coset(pts.ordered) == scanned[0]
+    base = pts.ordered[0]
+    assert translation_basis(pts) == maps.hinf2.rref(
+        (p ^ base) >> h for p in pts.ordered[1:]
+    )
+
+
+def test_translation_basis_is_memoized(hov321):
+    basis = translation_basis(hov321.affine)
+    assert len(basis) == 6
+    assert translation_basis(hov321.affine) is basis

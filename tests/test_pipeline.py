@@ -7,6 +7,7 @@ import pytest
 from hoval import linearsets, pseudoregulus
 from hoval.errors import NoLongSecants
 from hoval.pipeline import STAGE_ORDER, run_verify_all
+from hoval.projective import ProjSpace
 from hoval.reduction import CorrespondenceMaps
 
 
@@ -191,3 +192,27 @@ def test_run_artifacts_stay_out_of_the_report(full321):
     assert "run" not in repr(full321)
     assert "run" not in full321.to_json_dict()
     assert full321 == dataclasses.replace(full321, run=None)
+
+
+def test_reports_name_their_paths(full321):
+    axioms = full321.stage("cplanes").data["axioms"]
+    assert axioms["A2"]["detail"] == {"mode": "translation-group", "pairs": 2016}
+    assert axioms["A3"]["detail"]["mode"] == "translation-group"
+    assert full321.stage("plane").data["hyperoval_mode"] == "translation-group"
+
+
+def test_a4_builds_no_scalar_tables_from_the_pair_map(monkeypatch):
+    # A4 reads the spectrum's pair map at (4,2,1); the PG(3,16) scalar
+    # tables (+38 MiB) are only for a scan
+    calls = []
+    real = ProjSpace.ensure_tables
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ProjSpace, "ensure_tables", counted)
+    rep = run_verify_all(4, 2, 1)
+    assert rep.verdict == "pass"
+    assert rep.stage("cplanes").data["axioms"]["A4"]["detail"]["mode"] == "base-point"
+    assert not calls
