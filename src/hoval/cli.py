@@ -251,8 +251,10 @@ def _cmd_bj_axioms(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     stages = None
-    if args.stages:
+    if args.stages is not None:
         stages = tuple(s.strip() for s in args.stages.split(",") if s.strip())
+        if not stages:
+            raise ParseError(f"--stages names no stage, pick from {STAGE_ORDER}")
         for name in stages:
             if name not in STAGE_ORDER:
                 raise ParseError(f"unknown stage {name!r}, pick from {STAGE_ORDER}")

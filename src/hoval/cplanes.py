@@ -33,6 +33,7 @@ from .hyperoval import (
     translation_basis,
     translation_closure_check,
 )
+from .linearsets import CyclicSymmetry
 from .projective import DEFAULT_BUDGET
 from .pseudoregulus import SecantStructure
 from .reduction import CorrespondenceMaps
@@ -192,6 +193,10 @@ class AxiomReport:
     checked: int
     witness: tuple | None
     detail: dict
+    # where A4 took its plane bins from: "cyclic-group", "pair-map",
+    # "pair-scan" or "triple-scan"; provenance only, so reports that agree
+    # on everything else compare equal whatever their source
+    bins: str | None = field(default=None, compare=False)
 
 
 def _check_a1(
@@ -445,12 +450,14 @@ def _a4_base_point(family, c_points, vecs, space, secants=None) -> AxiomReport:
     from transitivity: n/q times the family planes through a, n/4 times the
     four-point planes through a.
 
-    `secants` is a direction set D with the pairs-mode multiplicity map a
-    spectrum of D scanned (SpectrumHistogram.multiplicities).  When the n-1
-    directions a ^ b are pairwise distinct and are exactly D, that map bins
-    the same pairs under the same keys, and it is read instead of scanning;
-    a failing verdict from it is recomputed by the scan, which picks the
-    reported bin.
+    `secants` pairs a direction set D with what a pairs-mode spectrum of D
+    found: the pair map it scanned (SpectrumHistogram.multiplicities) or the
+    cyclic group it verified (SpectrumHistogram.symmetry).  When the n-1
+    directions a ^ b are pairwise distinct and are exactly D, the bins are
+    the lines with two or more points of D, keyed as the map keys them, and
+    the verdict is read from the map or from the group (_a4_from_symmetry)
+    instead of scanning; a failing verdict from either is recomputed by the
+    scan, which picks the reported bin.
     """
     n = len(vecs)
     normalize = space.normalize
@@ -462,10 +469,14 @@ def _a4_base_point(family, c_points, vecs, space, secants=None) -> AxiomReport:
     }
     dirs = [normalize(a ^ v) for v in vecs[1:]]
     if secants is not None and secants[1] is not None:
+        d, lines = secants
         distinct = set(dirs)
-        if len(distinct) == n - 1 and distinct == secants[0].points:
-            rep = _a4_bins(family, secants[1], through, a, n, space)
-            if rep.ok:
+        if len(distinct) == n - 1 and distinct == d.points:
+            if isinstance(lines, CyclicSymmetry):
+                rep = _a4_from_symmetry(family, lines, d, through, n, space)
+            else:
+                rep = _a4_bins(family, lines, through, a, n, space, "pair-map")
+            if rep is not None and rep.ok:
                 return rep
     space.ensure_tables()
     pair_key = space.pair_line_key
@@ -480,13 +491,13 @@ def _a4_base_point(family, c_points, vecs, space, secants=None) -> AxiomReport:
                     "A4", False, 0,
                     ("collinear", c_points.ordered[0],
                      c_points.ordered[ib + 1], c_points.ordered[ic + 1]),
-                    {"mode": "base-point"},
+                    {"mode": "base-point"}, "pair-scan",
                 )
             counts[rows] = counts.get(rows, 0) + 1
-    return _a4_bins(family, counts, through, a, n, space)
+    return _a4_bins(family, counts, through, a, n, space, "pair-scan")
 
 
-def _a4_bins(family, counts, through, a, n, space) -> AxiomReport:
+def _a4_bins(family, counts, through, a, n, space, bins) -> AxiomReport:
     """The base-point A4 verdict from the pair count of each plane through a."""
     q = family.q
     total = (n - 1) * (n - 2) // 2
@@ -504,18 +515,60 @@ def _a4_bins(family, counts, through, a, n, space) -> AxiomReport:
                 "A4", False, total,
                 ("plane", rows, space.reduce(a, rows), cnt,
                  "family" if in_family else "outside"),
-                {"mode": "base-point"},
+                {"mode": "base-point"}, bins,
             )
+    return _a4_totals(family, len(through), seen, quads, n, bins)
+
+
+def _a4_from_symmetry(family, symmetry, d, through, n, space):
+    """What _a4_bins gives on the pair map of D, from a verified group.
+
+    The bins are the lines with j >= 2 points of D, each with C(j, 2)
+    pairs.  A bin in `through` passes iff j = q - 1 and any other iff j = 3,
+    so N_j (symmetry.lines) and |L ∩ D| for the m lines L of `through`
+    decide every bin.  None when some bin fails, for the scan to report it.
+    """
+    if symmetry.dirs.points != d.points:
+        return None
+    q = family.q
+    others = dict(symmetry.lines)
+    seen = 0
+    for rows in through:
+        j = sum(p in d.points for p in space.line_points(*rows))
+        if j < 2:
+            continue
+        if j != q - 1:
+            return None
+        seen += 1
+        others[j] -= 1
+    if any(c for j, c in others.items() if j != 3):
+        return None
+    return _a4_totals(
+        family, len(through), seen, others.get(3, 0), n, "cyclic-group"
+    )
+
+
+def _a4_totals(family, nthrough, seen, quads, n, bins) -> AxiomReport:
+    """The base-point A4 report once every bin passed: `seen` family and
+    `quads` four-point planes through the base point, of `nthrough` family
+    planes there.  The bins must hold all C(n-1, 2) pairs, which a scan
+    always does and a map or a group must show."""
+    q = family.q
+    total = (n - 1) * (n - 2) // 2
     family_planes = seen * n // q
+    binned = seen * comb(q - 1, 2) + quads * 3
     witness = None
-    if seen != len(through) or seen != family.m:
+    if seen != nthrough or seen != family.m:
         witness = ("family planes through base point", seen, family.m)
     elif seen * n != q * len(family.planes):
         witness = ("family planes seen", family_planes, len(family.planes))
+    elif binned != total:
+        witness = ("pairs binned", binned, total)
     return AxiomReport(
         "A4", witness is None, total, witness,
         {"mode": "base-point", "pairs": total, "triples": comb(n, 3),
          "family_planes": family_planes, "four_point_planes": quads * n // 4},
+        bins,
     )
 
 
@@ -554,7 +607,7 @@ def _a4_triple_scan(family, c_points, vecs, space, budget) -> AxiomReport:
                         "A4", False, 0,
                         ("collinear", c_points.ordered[ia],
                          c_points.ordered[ib], c_points.ordered[ic]),
-                        {"mode": "triple-scan"},
+                        {"mode": "triple-scan"}, "triple-scan",
                     )
                 kk = (r0 << 2 * shift) | (r1 << shift) | reduce(a, (r0, r1))
                 counts[kk] = counts.get(kk, 0) + 1
@@ -573,7 +626,7 @@ def _a4_triple_scan(family, c_points, vecs, space, budget) -> AxiomReport:
                 "A4", False, total,
                 ("plane", (kk >> 2 * shift, (kk >> shift) & mask), kk & mask,
                  cnt, "family" if in_family else "outside"),
-                {"mode": "triple-scan"},
+                {"mode": "triple-scan"}, "triple-scan",
             )
     ok = family_seen == len(family.planes)
     witness = None if ok else ("family planes seen", family_seen, len(family.planes))
@@ -581,6 +634,7 @@ def _a4_triple_scan(family, c_points, vecs, space, budget) -> AxiomReport:
         "A4", ok, total, witness,
         {"mode": "triple-scan", "triples": total, "family_planes": family_seen,
          "four_point_planes": quads},
+        "triple-scan",
     )
 
 
@@ -590,12 +644,13 @@ def check_axioms(
     maps: CorrespondenceMaps,
     axioms=("A1", "A2", "A3", "A4"),
     budget: int | None = DEFAULT_BUDGET,
-    secants: tuple[DirectionSet, dict | None] | None = None,
+    secants: tuple[DirectionSet, dict | CyclicSymmetry | None] | None = None,
 ) -> dict:
     """Run the requested axiom checks; returns {name: AxiomReport}.
 
     `secants` optionally pairs the direction set of C with the pair map a
-    pairs-mode spectrum of it scanned, for A4 to reuse (see _a4_base_point).
+    pairs-mode spectrum of it scanned or the cyclic group it verified, for
+    A4 to reuse (see _a4_base_point).
     """
     out: dict = {}
     for name in axioms:

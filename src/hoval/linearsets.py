@@ -4,6 +4,18 @@ The direction set D of a translation hyperoval lives in H_inf = PG(2k-1, q).
 Its line spectrum says how many lines meet D in j points; the target shape
 is support {0, 1, 3, q-1}.  D is also the GF(q)-projection of a GF(2)-linear
 point set K of rank hk, scattered with respect to the (h-1)-spread.
+
+The spectrum has three paths.  The line scan walks every line of H_inf and
+is the independent cross-check.  The pair scan bins the C(|D|, 2) pairs of
+D by the line they span.  The cyclic-group path needs a candidate
+collineation M (cyclic_candidate builds M(x, y) = (g x, g^(2^i) y) for g
+primitive in GF(q^k)) and first verifies on the data that M is a GF(q)-linear
+bijection whose powers carry d0 = min D through all of D and back.  Then
+every point of D lies on the same number c_j of j-secants, so the spectrum
+N_j = |D| c_j / j is read off the |D| - 1 lines through d0.  The verified
+CyclicSymmetry also gives the long secants (pseudoregulus) and the A4 bins
+(cplanes) without a pair scan.  A set that fails the check takes the pair
+scan, and a call without a candidate always does.
 """
 
 from __future__ import annotations
@@ -15,18 +27,33 @@ from itertools import combinations, product
 
 from .errors import EnumerationTooLarge, NotF2Linear, TooFewPoints
 from .gf2 import field_create
-from .hyperoval import AffinePointSet, DirectionSet
+from .hyperoval import AffinePointSet, DirectionSet, f2_echelon
 from .projective import DEFAULT_BUDGET, ProjSpace, projective_points_count
 from .reduction import CorrespondenceMaps, Spread
+
+
+@dataclass(frozen=True)
+class CyclicSymmetry:
+    """A collineation of H_inf verified to act transitively on a direction set.
+
+    `orbit[t]` is M^t(d0) for d0 = min D, so the orbit lists every point of D
+    once.  `lines[j]` is the number N_j of lines meeting D in exactly j >= 2
+    points, read off the lines through d0.
+    """
+
+    dirs: DirectionSet
+    orbit: tuple
+    lines: dict
 
 
 @dataclass(frozen=True)
 class SpectrumHistogram:
     """counts[j] = number of lines meeting the point set in exactly j points.
 
-    In pairs mode `multiplicities` keeps the scanned map from each line
-    through two or more points to its pair count, so later consumers
-    (find_long_secants) need not scan the pairs again.
+    When the pair scan ran, `multiplicities` keeps its map from each line
+    through two or more points to its pair count; when the cyclic-group path
+    ran, `symmetry` keeps the verified group.  Either lets later consumers
+    (find_long_secants, A4) skip a second pass over the pairs.
     """
 
     counts: dict
@@ -34,10 +61,18 @@ class SpectrumHistogram:
     nlines: int
     npoints: int
     multiplicities: dict | None = field(default=None, compare=False, repr=False)
+    symmetry: CyclicSymmetry | None = field(default=None, compare=False, repr=False)
 
     @property
     def support(self) -> tuple:
         return tuple(sorted(j for j, c in self.counts.items() if c))
+
+    @property
+    def path(self) -> str:
+        """"line-scan", "cyclic-group" or "pair-scan": how counts were found."""
+        if self.mode == "exhaustive":
+            return "line-scan"
+        return "pair-scan" if self.symmetry is None else "cyclic-group"
 
     def count(self, j: int) -> int:
         return self.counts.get(j, 0)
@@ -90,16 +125,22 @@ def _merge_counts(dicts):
     return out
 
 
-def _hist_from_multiplicities(mult, ndirs: int, space: ProjSpace) -> dict:
+def _lines_from_multiplicities(mult) -> dict:
+    """{j: number of lines with j >= 2 points} from a pair-count map."""
     counts: dict = {}
-    incident = 0
     for c in mult.values():
         # invert c = j(j-1)/2
         j = (1 + math.isqrt(1 + 8 * c)) // 2
         if j * (j - 1) // 2 != c:
             raise AssertionError(f"pair multiplicity {c} is not triangular")
         counts[j] = counts.get(j, 0) + 1
-        incident += j
+    return counts
+
+
+def _complete_counts(lines: dict, ndirs: int, space: ProjSpace) -> dict:
+    """The full histogram from the counts of lines with two or more points."""
+    counts = dict(lines)
+    incident = sum(j * c for j, c in lines.items())
     # every point lies on (q^n - 1)/(q - 1) lines; what is not accounted for
     # by multi-point lines must be 1-point lines
     through = projective_points_count(space.n, space.q)
@@ -110,6 +151,88 @@ def _hist_from_multiplicities(mult, ndirs: int, space: ProjSpace) -> dict:
     if zeros:
         counts[0] = zeros
     return {j: counts[j] for j in sorted(counts)}
+
+
+# -- cyclic-group path ---------------------------------------------------------
+
+def cyclic_candidate(maps: CorrespondenceMaps, i: int) -> tuple:
+    """M(x, y) = (g x, g^(2^i) y) on H_inf, for g the generator of GF(q^k).
+
+    M is given by the images of the 2hk GF(2) unit vectors of the H_inf
+    layout, where a vector packs vec(x) below vec(y).  For gcd(i, hk) = 1
+    its powers act regularly on D = {<(t, t^(2^i))>}, but it is only a
+    candidate: cyclic_symmetry checks it on the data before any use.
+    """
+    tower = maps.tower
+    big = tower.big
+    g = big.generator
+    gi = big.frob(g, i)
+    shift = tower.hk
+    mask = (1 << shift) - 1
+    vec, unvec = tower.vec_packed, tower.unvec_packed
+    columns = []
+    for b in range(2 * shift):
+        x, y = unvec((1 << b) & mask), unvec((1 << b) >> shift)
+        columns.append(vec(big.mul(g, x)) | (vec(big.mul(gi, y)) << shift))
+    return tuple(columns)
+
+
+def _apply(columns, v: int) -> int:
+    """The GF(2)-linear map with these unit-vector images, applied to v."""
+    out = 0
+    for col in columns:
+        if not v:
+            break
+        if v & 1:
+            out ^= col
+        v >>= 1
+    return out
+
+
+def cyclic_symmetry(dirs: DirectionSet, columns) -> CyclicSymmetry | None:
+    """Verify a candidate collineation on D; None when any check fails.
+
+    The candidate must be a GF(q)-linear bijection of the H_inf vectors: its
+    GF(2) columns have full rank and it commutes with the GF(q) generator on
+    every unit vector.  The orbit of d0 = min D must be D: |D| - 1 steps of
+    apply-and-normalize that stay in D and visit no point twice, then back
+    to d0.  <M> is then a group of collineations acting transitively on D,
+    so every point of D lies on the same number c_j of j-secants, and the
+    |D| - 1 lines from d0 give N_j = |D| c_j / j.
+    """
+    space = dirs.space
+    pts = dirs.points
+    if len(columns) != space.bits or len(f2_echelon(columns)) != space.bits:
+        return None
+    w = 2 if space.q > 2 else 1  # x generates GF(q) over GF(2)
+    for b, col in enumerate(columns):
+        if _apply(columns, space.smul(w, 1 << b)) != space.smul(w, col):
+            return None
+    normalize = space.normalize
+    d0 = dirs.ordered[0]
+    orbit = [d0]
+    p = d0
+    for _ in range(len(pts) - 1):
+        p = normalize(_apply(columns, p))
+        if p not in pts:
+            return None
+        orbit.append(p)
+    if len(set(orbit)) != len(pts) or normalize(_apply(columns, p)) != d0:
+        return None
+    key = space.pair_line_key
+    others: dict = {}  # line through d0 -> the other points of D on it
+    for p in orbit[1:]:
+        k = key(d0, p)
+        others[k] = others.get(k, 0) + 1
+    c: dict = {}
+    for n in others.values():
+        c[n + 1] = c.get(n + 1, 0) + 1
+    lines = {}
+    for j in sorted(c):
+        lines[j], rest = divmod(len(pts) * c[j], j)
+        if rest:
+            raise AssertionError(f"{len(pts)} * {c[j]} is not a multiple of {j}")
+    return CyclicSymmetry(dirs, tuple(orbit), lines)
 
 
 # -- exhaustive mode ----------------------------------------------------------
@@ -198,14 +321,20 @@ def spectrum(
     mode: str = "pairs",
     budget: int | None = DEFAULT_BUDGET,
     processes: int = 1,
+    candidate: tuple | None = None,
 ) -> SpectrumHistogram:
     """Line spectrum of a point set.
 
-    mode "pairs" scans the C(|D|, 2) point pairs and derives the 1- and
-    0-line counts from incidence identities; mode "exhaustive" walks every
-    line of the space and counts memberships directly.  Both give the same
-    histogram; exhaustive is the independent cross-check but costs
+    mode "pairs" finds the lines through two or more points and derives the
+    1- and 0-line counts from incidence identities; mode "exhaustive" walks
+    every line of the space and counts memberships directly.  Both give the
+    same histogram; exhaustive is the independent cross-check but costs
     nlines * (q + 1) operations.
+
+    In pairs mode a `candidate` collineation (cyclic_candidate) that
+    cyclic_symmetry verifies on the set gives the multi-point lines from
+    the lines through one point; otherwise the C(|D|, 2) pairs are scanned.
+    The budget refuses C(|D|, 2) > budget on either path.
     """
     if isinstance(dirs, DirectionSet):
         pts = dirs.ordered
@@ -220,8 +349,16 @@ def spectrum(
         raise ValueError(f"unknown mode {mode!r}")
 
     if mode == "pairs":
+        check_pair_budget(len(pts), budget)
+        if candidate is not None:
+            d = dirs if isinstance(dirs, DirectionSet) else DirectionSet(pts, space)
+            symmetry = cyclic_symmetry(d, candidate)
+            if symmetry is not None:
+                counts = _complete_counts(symmetry.lines, len(pts), space)
+                return SpectrumHistogram(
+                    counts, "pairs", space.nlines(), len(pts), symmetry=symmetry
+                )
         if processes > 1 and len(pts) >= 64:
-            check_pair_budget(len(pts), budget)
             step = max(1, len(pts) // (4 * processes))
             bounds = [
                 (lo, min(lo + step, len(pts)))
@@ -235,7 +372,9 @@ def spectrum(
                 mult = _merge_counts(pool.map(_worker_pairs, bounds))
         else:
             mult = _pair_multiplicities(pts, space, budget)
-        counts = _hist_from_multiplicities(mult, len(pts), space)
+        counts = _complete_counts(
+            _lines_from_multiplicities(mult), len(pts), space
+        )
         return SpectrumHistogram(counts, "pairs", space.nlines(), len(pts), mult)
 
     est = space.nlines() * (space.q + 1)

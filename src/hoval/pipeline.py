@@ -3,7 +3,8 @@
 The pipeline runs a fixed sequence of stages, each wrapping one module:
 
     construct      build the point set, count it, check translation closure
-    spectrum       direction counts of affine lines against {0, 1, 3, q-1}
+    spectrum       direction counts of affine lines against {0, 1, 3, q-1},
+                   from a verified cyclic symmetry of D when one is found
     linearity      binary-linearity witness and scatteredness of the
                    direction set against the canonical subline spread
     pseudoregulus  long secants, transversals, semilinear exponent fit
@@ -30,7 +31,13 @@ from .hyperoval import (
     is_arc,
     translation_closure_check,
 )
-from .linearsets import f2_witness, scattered_check, spectrum, spectrum_conforms
+from .linearsets import (
+    cyclic_candidate,
+    f2_witness,
+    scattered_check,
+    spectrum,
+    spectrum_conforms,
+)
 from .projective import DEFAULT_BUDGET
 from .pseudoregulus import (
     build_spread,
@@ -121,6 +128,7 @@ class _Run:
         self.hov = None
         self.dirs = None
         self.pair_mult = None  # pairs-mode secant multiplicities of dirs
+        self.symmetry = None  # the cyclic symmetry of dirs the spectrum verified
         self.structure = None
         self.transversals = None
         self.fit = None
@@ -159,10 +167,17 @@ def _stage_construct(run: _Run) -> tuple[bool, dict]:
 def _stage_spectrum(run: _Run) -> tuple[bool, dict]:
     spec = run.spec
     run.dirs = directions(run.hov.affine, run.hov.maps)
+    # M(x, y) = (g x, g^(2^i) y) acts regularly on D when gcd(i, hk) = 1;
+    # the spectrum checks it on D before reading anything off it
+    candidate = None
+    if run.mode == "pairs" and spec.is_strict_case:
+        candidate = cyclic_candidate(run.hov.maps, spec.i)
     hist = spectrum(
-        run.dirs, mode=run.mode, budget=run.budget, processes=run.processes
+        run.dirs, mode=run.mode, budget=run.budget, processes=run.processes,
+        candidate=candidate,
     )
     run.pair_mult = hist.multiplicities
+    run.symmetry = hist.symmetry
     q = 1 << spec.h
     conforms, offender = spectrum_conforms(hist, q)
     ndirs = len(run.dirs.points)
@@ -172,6 +187,7 @@ def _stage_spectrum(run: _Run) -> tuple[bool, dict]:
         "expected_directions": expected,
         "conforms": conforms,
         "histogram": hist.to_json_dict(),
+        "path": hist.path,
     }
     if offender is not None:
         data["offending_count"] = offender
@@ -199,7 +215,7 @@ def _stage_pseudoregulus(run: _Run) -> tuple[bool, dict]:
     spec = run.spec
     maps = run.hov.maps
     run.structure = find_long_secants(
-        run.dirs, run.budget, multiplicities=run.pair_mult
+        run.dirs, run.budget, multiplicities=run.pair_mult, symmetry=run.symmetry
     )
     run.transversals = extract_transversals(run.structure, run.dirs.space)
     fmap = transversal_map(run.transversals)
@@ -278,12 +294,13 @@ def _stage_cplanes(run: _Run) -> tuple[bool, dict]:
     )
     # A4 gets a call of its own so a trace (bench/spans.py) times it apart
     # from A1-A3.  It needs no cap of its own: in a passing run its
-    # base-point estimate C(n-1, 2) is the C(|D|, 2) pair scan the spectrum
-    # stage already ran under this budget.
+    # base-point estimate C(n-1, 2) is the C(|D|, 2) the spectrum stage
+    # already passed under this budget.
+    lines = run.pair_mult if run.symmetry is None else run.symmetry
     reports.update(
         check_axioms(
             family, run.hov.affine, maps, axioms=("A4",), budget=run.budget,
-            secants=(run.dirs, run.pair_mult),
+            secants=(run.dirs, lines),
         )
     )
     data = {
@@ -293,7 +310,8 @@ def _stage_cplanes(run: _Run) -> tuple[bool, dict]:
             name: {
                 "ok": rep.ok,
                 "checked": rep.checked,
-                "detail": rep.detail,
+                "detail": rep.detail if rep.bins is None
+                else {**rep.detail, "bins": rep.bins},
             }
             for name, rep in sorted(reports.items())
         },
@@ -348,6 +366,8 @@ def run_verify_all(
     """
     spec = HyperovalSpec(h, k, i, strict=strict)
     requested = tuple(STAGE_ORDER) if stages is None else tuple(stages)
+    if not requested:
+        raise ValueError("stages names no stage")
     for name in requested:
         if name not in _STAGE_FUNCS:
             raise ValueError(f"unknown stage {name!r}")

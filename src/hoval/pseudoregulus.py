@@ -24,7 +24,7 @@ from .errors import (
     TransversalExtractionFailed,
 )
 from .hyperoval import DirectionSet
-from .linearsets import _pair_multiplicities, check_pair_budget
+from .linearsets import CyclicSymmetry, _pair_multiplicities, check_pair_budget
 from .projective import (
     DEFAULT_BUDGET,
     Line,
@@ -63,13 +63,21 @@ def find_long_secants(
     dirs: DirectionSet,
     budget: int | None = DEFAULT_BUDGET,
     multiplicities: dict | None = None,
+    symmetry: CyclicSymmetry | None = None,
 ) -> SecantStructure:
     """Locate the (q-1)-secants and check they partition D.
 
-    `multiplicities` is the pair map a pairs-mode spectrum of the same D
-    already scanned (SpectrumHistogram.multiplicities); without it the
-    pairs are scanned here.  The budget applies either way.
-    Raises NotPseudoregulusCandidate when the counts or the cover are off.
+    `symmetry` is the cyclic group a pairs-mode spectrum of the same D
+    verified (SpectrumHistogram.symmetry); the secants are then the orbit
+    of the one through min D (_orbit_secants).  Otherwise `multiplicities`
+    is the pair map a pairs-mode spectrum of D scanned
+    (SpectrumHistogram.multiplicities), and without either the pairs are
+    scanned here.  The budget applies on every path.
+
+    At q = 4 a long secant and a 3-secant both carry 3 points of D, so only
+    the group can tell them apart: without a verified group h = 2 is
+    refused.  Raises NotPseudoregulusCandidate when the counts or the cover
+    are off.
     """
     space = dirs.space
     q = space.q
@@ -79,17 +87,29 @@ def find_long_secants(
             f"|D| = {len(pts)} is not a multiple of q - 1 = {q - 1}"
         )
     m = len(pts) // (q - 1)
-    target = (q - 1) * (q - 2) // 2
-    if multiplicities is None:
-        mult = _pair_multiplicities(pts, space, budget)
-    else:
-        check_pair_budget(len(pts), budget)
-        mult = multiplicities
-    keys = sorted(k for k, c in mult.items() if c == target)
-    if len(keys) != m:
+    check_pair_budget(len(pts), budget)
+    grouped = symmetry is not None and symmetry.dirs.points == dirs.points
+    if grouped:
+        # at q = 4 the 3-secants outnumber the long secants; the orbit decides
+        found = m if q == 4 else symmetry.lines.get(q - 1, 0)
+    elif q == 4:
         raise NotPseudoregulusCandidate(
-            f"found {len(keys)} long secants, expected {m}"
+            "at q = 4 long secants and 3-secants both carry 3 directions; "
+            "without a verified cyclic symmetry of D they cannot be told apart"
         )
+    else:
+        mult = multiplicities
+        if mult is None:
+            mult = _pair_multiplicities(pts, space, budget)
+        target = (q - 1) * (q - 2) // 2
+        keys = sorted(k for k, c in mult.items() if c == target)
+        found = len(keys)
+    if found != m:
+        raise NotPseudoregulusCandidate(
+            f"found {found} long secants, expected {m}"
+        )
+    if grouped:
+        keys = _orbit_secants(symmetry, m)
     dset = dirs.points
     d_on: dict = {}
     zero_pairs = []
@@ -125,6 +145,29 @@ def find_long_secants(
         zero_points=tuple(sorted(zero_all)),
         zero_pairs=tuple(zero_pairs),
     )
+
+
+def _orbit_secants(symmetry: CyclicSymmetry, m: int) -> list:
+    """The <M>-orbit of m lines with q - 1 points of D each, sorted.
+
+    A line whose orbit has m members is fixed by the order-(q - 1) subgroup
+    <M^m>, so its q - 1 points of D form one <M^m>-orbit.  Through d0 that
+    leaves one candidate, the line L through orbit[0], orbit[m], orbit[2m],
+    ...; its images are the lines through orbit[t], orbit[t + m], ... for
+    t < m.  So there is at most one such orbit, and it partitions D.
+    Raises NotPseudoregulusCandidate when L carries any other point of D.
+    """
+    orbit = symmetry.orbit
+    space = symmetry.dirs.space
+    key = space.pair_line_key(orbit[0], orbit[m])
+    on = {p for p in space.line_points(*key) if p in symmetry.dirs.points}
+    if on != set(orbit[::m]):
+        raise NotPseudoregulusCandidate(
+            f"no orbit of {m} lines partitions D under the verified cyclic "
+            f"symmetry: the line through 0x{orbit[0]:x} and 0x{orbit[m]:x} "
+            f"carries {len(on)} points of D"
+        )
+    return sorted(space.pair_line_key(orbit[t], orbit[t + m]) for t in range(m))
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,16 @@ def test_bj_axioms_empty_list_exit_2(capsys, axioms):
     assert captured.err.startswith("error: ") and "axiom" in captured.err
 
 
+@pytest.mark.parametrize("stages", [",", " , ", ""])
+def test_verify_all_empty_stage_list_exit_2(capsys, stages):
+    code = main(["verify-all", "--h", "3", "--k", "2", "--i", "1",
+                 "--stages", stages])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --stages names no stage")
+
+
 def test_verify_all_stage_subset(capsys):
     code, out = _run(
         capsys, "verify-all", "--h", "3", "--k", "2", "--i", "1",

@@ -18,6 +18,8 @@ from hoval.cplanes import (
     _a2_all_pairs,
     _a3_cover,
     _a4_base_point,
+    _a4_bins,
+    _a4_from_symmetry,
     _a4_triple_scan,
     _images_partition_quotient,
     _meets_partition_w,
@@ -35,7 +37,7 @@ from hoval.hyperoval import (
     directions,
     translation_closure_check,
 )
-from hoval.linearsets import spectrum
+from hoval.linearsets import cyclic_candidate, spectrum
 from hoval.projective import Line
 from hoval.pseudoregulus import SecantStructure, find_long_secants
 
@@ -619,3 +621,76 @@ def test_a123_memory_at_331(case331):
         tracemalloc.stop()
     assert all(rep.ok for rep in reps.values())
     assert peak < 5 * 2**20
+
+
+# -- A4 from the verified cyclic group of D ----------------------------------
+
+def _group(hov, d):
+    return spectrum(d, candidate=cyclic_candidate(hov.maps, hov.spec.i)).symmetry
+
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
+def test_a4_from_the_group_matches_scan(hki, line_key_calls):
+    hov, d, s = _setup(*hki)
+    fam = build_c_planes(hov.affine, s, hov.maps)
+    sym = _group(hov, d)
+    line_key_calls.clear()
+    grouped = check_axioms(fam, hov.affine, hov.maps, axioms=("A4",),
+                           secants=(d, sym))["A4"]
+    assert not line_key_calls
+    scanned = check_axioms(fam, hov.affine, hov.maps, axioms=("A4",))["A4"]
+    assert grouped == scanned and grouped.ok
+    assert (grouped.bins, scanned.bins) == ("cyclic-group", "pair-scan")
+
+
+def test_a4_group_verdict_agrees_with_the_map_on_altered_bins(case321, family321):
+    # the family lines through the base point are swapped, dropped or added
+    # to; the verdict from N_j must be the map's whenever the map passes,
+    # and must never pass when the map fails
+    hov, d, s = case321
+    space = hov.maps.hinf
+    n = len(hov.affine)
+    a = hov.affine.ordered[0] >> hov.maps.tower.h
+    sym = _group(hov, d)
+    mult = spectrum(d).multiplicities
+    longs = [sec.rows for sec in s.secants]
+    three = min(k for k, c in mult.items() if c == 3)
+    empty = next(line for line in space.lines() if line not in mult)
+    variants = {
+        "true": set(longs),
+        "swapped": set(longs[1:]) | {three},
+        "fewer": set(longs[1:]),
+        "extra": set(longs) | {three},
+        "empty": set(longs[1:]) | {empty},
+    }
+    for name, through in variants.items():
+        by_map = _a4_bins(family321, mult, through, a, n, space, "pair-map")
+        by_group = _a4_from_symmetry(family321, sym, d, through, n, space)
+        assert by_map.ok == (name == "true"), name
+        if by_map.ok:
+            assert by_group == by_map, name
+        else:
+            assert by_group is None or not by_group.ok, name
+    # counts forged to fit the swapped set in every total: its 3-secant
+    # through the base point is still a failing family bin
+    fitted = dataclasses.replace(sym, lines={3: 589, 7: 8})
+    assert _a4_from_symmetry(family321, fitted, d, variants["swapped"], n, space) is None
+
+
+def test_a4_group_of_another_set_or_failing_is_rescanned(case321, family321,
+                                                         line_key_calls):
+    hov, d, s = case321
+    n = len(hov.affine)
+    sym = _group(hov, d)
+    other = DirectionSet(d.ordered[1:], d.space)
+    scanned = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",))["A4"]
+    # a group whose counts lose one 3-secant, or gain a 5-secant
+    short = dataclasses.replace(sym, lines={**sym.lines, 3: sym.lines[3] - 1})
+    five = dataclasses.replace(sym, lines={**sym.lines, 5: 1})
+    for secants in ((other, sym), (d, dataclasses.replace(sym, dirs=other)),
+                    (d, short), (d, five)):
+        line_key_calls.clear()
+        rep = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",),
+                           secants=secants)["A4"]
+        assert len(line_key_calls) == comb(n - 1, 2)
+        assert rep == scanned and rep.bins == "pair-scan"

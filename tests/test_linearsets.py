@@ -1,20 +1,33 @@
 """Spectrum histograms against frozen counts, mode cross-checks, F2 structure."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hoval.cplanes import build_c_planes, check_axioms
 from hoval.errors import EnumerationTooLarge, NotF2Linear
 from hoval.gf2 import field_create, tower_create
-from hoval.hyperoval import AffinePointSet, HyperovalSpec, build_hyperoval, directions
+from hoval.hyperoval import (
+    AffinePointSet,
+    DirectionSet,
+    HyperovalSpec,
+    build_hyperoval,
+    directions,
+)
 from hoval.linearsets import (
     F2Witness,
+    _apply,
+    cyclic_candidate,
+    cyclic_symmetry,
     f2_witness,
     scattered_check,
     spectrum,
     spectrum_conforms,
 )
 from hoval.projective import ProjSpace
+from hoval.pseudoregulus import find_long_secants
 from hoval.reduction import maps_for
 
 
@@ -213,3 +226,157 @@ def test_fibre_scatteredness_matches_s_prime(h, k, i, strict):
                if maps.hinf.normalize(p) == over}
         assert len(idx) == 1
         assert sum(maps.s_prime.element_of(p) in idx for p in w.k_points) > 1
+
+
+# -- the cyclic-group path ------------------------------------------------------
+
+def _cyclic_case(h, k, i, strict=True):
+    hov = build_hyperoval(HyperovalSpec(h, k, i, strict=strict))
+    d = directions(hov.affine, hov.maps)
+    return hov, d, cyclic_candidate(hov.maps, i)
+
+
+def _swapped(d):
+    """D with its largest point swapped for the smallest point off D."""
+    outside = next(p for p in d.space.points() if p not in d.points)
+    return DirectionSet(d.ordered[:-1] + (outside,), d.space)
+
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 3), (2, 3, 1), (1, 3, 1)])
+def test_cyclic_group_spectrum_equals_pair_scan(hki):
+    hov, d, cand = _cyclic_case(*hki)
+    fast = spectrum(d, candidate=cand)
+    scan = spectrum(d)
+    assert fast.path == "cyclic-group" and scan.path == "pair-scan"
+    assert fast == scan and fast.counts == scan.counts
+    assert fast.multiplicities is None and fast.symmetry.dirs is d
+    sym = fast.symmetry
+    assert sym.orbit[0] == d.ordered[0] and set(sym.orbit) == d.points
+    assert len(sym.orbit) == len(d)
+    assert sym.lines == {j: c for j, c in scan.counts.items() if j >= 2}
+
+
+@pytest.mark.parametrize("which", ["swapped", "wrong exponent", "exhaustive"])
+def test_unverified_or_exhaustive_spectrum_takes_its_scan(which, case321):
+    hov, d = case321
+    cand = cyclic_candidate(hov.maps, 1)
+    if which == "swapped":
+        d = _swapped(d)
+    elif which == "wrong exponent":
+        cand = cyclic_candidate(hov.maps, 2)
+    mode = "exhaustive" if which == "exhaustive" else "pairs"
+    hist = spectrum(d, mode=mode, candidate=cand)
+    assert hist.path == ("line-scan" if mode == "exhaustive" else "pair-scan")
+    assert hist.symmetry is None
+    assert hist.counts == spectrum(d, mode=mode).counts
+    if which != "swapped":
+        assert hist.counts == SPEC_321
+
+
+def test_cyclic_symmetry_refuses_non_collineations():
+    # each map fixes the point (1, 0, 0, 0), a one-point orbit, so only the
+    # rank and GF(q)-linearity checks can refuse it
+    space = build_hyperoval(HyperovalSpec(3, 2, 1)).maps.hinf
+    d = DirectionSet([1], space)
+    identity = tuple(1 << b for b in range(space.bits))
+    assert cyclic_symmetry(d, identity) is not None
+    # the projection onto coordinate 0: GF(q)-linear, singular
+    projection = tuple(1 << b if b < space.h else 0 for b in range(space.bits))
+    # squaring every coordinate: a GF(2)-linear bijection, not GF(q)-linear
+    f = space.field
+    square = tuple(
+        f.mul(c, c) << (b // space.h * space.h)
+        for b in range(space.bits)
+        for c in (1 << (b % space.h),)
+    )
+    assert cyclic_symmetry(d, projection) is None
+    assert cyclic_symmetry(d, square) is None
+    assert cyclic_symmetry(d, identity[:-1]) is None
+
+
+def test_cyclic_symmetry_needs_a_transitive_orbit(case321):
+    # M^3 keeps D but its orbits have 21 of the 63 points; its 63rd power
+    # still returns to d0, so only the count of distinct points refuses it
+    hov, d = case321
+    m = cyclic_candidate(hov.maps, 1)
+    cube = tuple(_apply(m, _apply(m, col)) for col in m)
+    orbit = cyclic_symmetry(d, m).orbit
+    assert cyclic_symmetry(d, cube) is None
+    assert spectrum(d, candidate=cube).path == "pair-scan"
+    # ten consecutive orbit points from their smallest: the walk stays in
+    # the set and visits each once, but M does not carry the set onto itself
+    s = next(s for s in range(63) if orbit[s] == min(orbit[s:s + 10]))
+    segment = DirectionSet(orbit[s:s + 10], d.space)
+    assert cyclic_symmetry(segment, m) is None
+
+
+def test_cyclic_spectrum_obeys_the_pair_budget(case321):
+    hov, d = case321
+    with pytest.raises(EnumerationTooLarge):
+        spectrum(d, budget=100, candidate=cyclic_candidate(hov.maps, 1))
+
+
+_STRICT = [
+    (h, k, i)
+    for h in (2, 3, 4)
+    for k in (2, 3, 4)
+    if h * k <= 9
+    for i in range(1, h * k)
+    if math.gcd(i, h * k) == 1
+]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(_STRICT))
+def test_cyclic_group_equals_the_pair_scan_oracle(hki):
+    # the spectrum, the long secants and A4 from the verified group equal
+    # the pair scan and what its pair map gives
+    h, k, i = hki
+    hov, d, cand = _cyclic_case(h, k, i)
+    fast = spectrum(d, candidate=cand)
+    scan = spectrum(d)
+    assert fast.path == "cyclic-group" and fast.counts == scan.counts
+    q, m = 1 << h, len(d) // ((1 << h) - 1)
+    grouped = find_long_secants(d, symmetry=fast.symmetry)
+    if h > 2:
+        assert grouped == find_long_secants(d, multiplicities=scan.multiplicities)
+    else:
+        # the oracle at q = 4: the 3-secants through d0 whose orbit under M,
+        # walked line by line, has m members partitioning D
+        assert [line.rows for line in grouped.secants] == _h2_orbit_oracle(d, cand, m)
+    assert grouped.count == m
+    family = build_c_planes(hov.affine, grouped, hov.maps)
+    a4 = {}
+    for name, lines in (("group", fast.symmetry), ("map", scan.multiplicities)):
+        a4[name] = check_axioms(family, hov.affine, hov.maps, axioms=("A4",),
+                                secants=(d, lines))["A4"]
+    assert a4["group"] == a4["map"] and a4["group"].ok
+    assert (a4["group"].bins, a4["map"].bins) == ("cyclic-group", "pair-map")
+    assert a4["group"].detail["family_planes"] == len(family) == q ** k * m // q
+
+
+def _h2_orbit_oracle(d, columns, m):
+    """Orbits of 3-secants through d0 under M, walked line by line, that
+    have m members and partition D; exactly one is expected."""
+    space = d.space
+    key, normalize = space.pair_line_key, space.normalize
+
+    def image(line):
+        r0, r1 = (normalize(_apply(columns, r)) for r in line)
+        return key(r0, r1)
+
+    d0 = d.ordered[0]
+    star = {key(d0, p) for p in d.ordered[1:]}
+    found = set()
+    for line in star:
+        on = [p for p in space.line_points(*line) if p in d.points]
+        if len(on) != 3:
+            continue
+        orbit = [line]
+        while len(orbit) <= m and image(orbit[-1]) != line:
+            orbit.append(image(orbit[-1]))
+        covered = [p for ln in orbit for p in space.line_points(*ln) if p in d.points]
+        if len(orbit) == m and sorted(covered) == list(d.ordered):
+            found.add(tuple(sorted(orbit)))
+    assert len(found) == 1, len(found)
+    return list(found.pop())

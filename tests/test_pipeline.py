@@ -1,10 +1,11 @@
 """Stage sequencing and report shape of the verification pipeline."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
-from hoval import linearsets, pseudoregulus
+from hoval import linearsets, pipeline, pseudoregulus
 from hoval.errors import NoLongSecants
 from hoval.pipeline import STAGE_ORDER, run_verify_all
 from hoval.projective import ProjSpace
@@ -117,6 +118,16 @@ def test_one_pair_scan_per_run(monkeypatch):
     monkeypatch.setattr(pseudoregulus, "_pair_multiplicities", counted)
     rep = run_verify_all(3, 2, 1, stages=("spectrum", "pseudoregulus"))
     assert rep.verdict == "pass"
+    assert rep.stage("spectrum").data["path"] == "cyclic-group"
+    assert len(calls) == 0
+    # a candidate built from the wrong exponent fails its check on D: the
+    # pairs are scanned once and that map serves the long secants
+    candidate = pipeline.cyclic_candidate
+    monkeypatch.setattr(pipeline, "cyclic_candidate",
+                        lambda maps, i: candidate(maps, i + 1))
+    rep = run_verify_all(3, 2, 1, stages=("spectrum", "pseudoregulus"))
+    assert rep.verdict == "pass"
+    assert rep.stage("spectrum").data["path"] == "pair-scan"
     assert len(calls) == 1
 
 
@@ -133,12 +144,13 @@ def test_linearity_does_not_build_s_prime(monkeypatch):
 
 
 def test_line_key_calls_per_run(line_key_calls):
-    # the secant pair scan (C(255, 2) = 32,385 keys) is the only all-pairs
-    # pass left at (4,2,1); an all-pairs arc test, A1 over every plane with
-    # a full pair scan, or a second A4 pair scan would each add ~32,000
+    # no all-pairs pass is left at (4,2,1): the spectrum reads the 254 lines
+    # through one direction (816 keys in the whole run); a secant pair scan,
+    # an all-pairs arc test, A1 over every plane with a full pair scan, or
+    # an A4 pair scan would each add ~32,000
     rep = run_verify_all(4, 2, 1)
     assert rep.verdict == "pass"
-    assert 32_385 <= len(line_key_calls) < 40_000
+    assert len(line_key_calls) < 1_000
 
 
 def test_cplanes_reports_a4_mode(full321):
@@ -216,3 +228,58 @@ def test_a4_builds_no_scalar_tables_from_the_pair_map(monkeypatch):
     assert rep.verdict == "pass"
     assert rep.stage("cplanes").data["axioms"]["A4"]["detail"]["mode"] == "base-point"
     assert not calls
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_h2_passes(k):
+    # at q = 4 the long secants are the one orbit of m 3-secants that the
+    # verified cyclic group picks out
+    rep = run_verify_all(2, k, 1)
+    assert rep.verdict == "pass", [(s.name, s.error) for s in rep.stages]
+    assert rep.stage("pseudoregulus").data["long_secants"] == (4 ** k - 1) // 3
+    assert rep.stage("pseudoregulus").data["exponents"] == [1, 2 * k - 1]
+    assert rep.stage("spectrum").data["path"] == "cyclic-group"
+
+
+def test_reports_name_the_spectrum_path_and_a4_bins(full321):
+    assert full321.stage("spectrum").data["path"] == "cyclic-group"
+    a4 = full321.stage("cplanes").data["axioms"]["A4"]
+    assert a4["detail"]["bins"] == "cyclic-group"
+    assert all("bins" not in full321.stage("cplanes").data["axioms"][name]["detail"]
+               for name in ("A1", "A2", "A3"))
+    exhaustive = run_verify_all(3, 2, 1, mode="exhaustive")
+    assert exhaustive.verdict == "pass"
+    assert exhaustive.stage("spectrum").data["path"] == "line-scan"
+    assert exhaustive.stage("cplanes").data["axioms"]["A4"]["detail"]["bins"] == "pair-scan"
+    # the counts are the same on both paths
+    fast, slow = (r.stage("spectrum").data["histogram"] for r in (full321, exhaustive))
+    assert (fast["mode"], slow["mode"]) == ("pairs", "exhaustive")
+    assert fast["counts"] == slow["counts"]
+
+
+def test_nonstrict_control_takes_the_pair_scan():
+    # gcd(i, hk) > 1 is outside the theorem, so no candidate is built
+    rep = run_verify_all(4, 2, 2, strict=False, stages=("spectrum",))
+    data = rep.stage("spectrum").data
+    assert data["path"] == "pair-scan" and not data["conforms"]
+    assert data["histogram"]["counts"] == run_verify_all(
+        4, 2, 2, strict=False, stages=("spectrum",), mode="exhaustive"
+    ).stage("spectrum").data["histogram"]["counts"]
+
+
+def test_hk12_spectrum_builds_no_pair_map():
+    # C(4095, 2) = 8,382,465 pairs at (6,2,1); their map took +411 MiB
+    tracemalloc.start()
+    try:
+        rep = run_verify_all(6, 2, 1, stages=("spectrum",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == "pass"
+    assert rep.stage("spectrum").data["path"] == "cyclic-group"
+    assert peak < 20 * 2**20
+
+
+def test_empty_stage_list_rejected():
+    with pytest.raises(ValueError, match="no stage"):
+        run_verify_all(3, 2, 1, stages=())

@@ -1,5 +1,8 @@
 """Secant structure, transversals, semilinear fit, spread reconstruction."""
 
+import dataclasses
+import random
+
 import pytest
 
 from hoval.errors import (
@@ -8,7 +11,7 @@ from hoval.errors import (
     TransversalExtractionFailed,
 )
 from hoval.hyperoval import DirectionSet, HyperovalSpec, build_hyperoval, directions
-from hoval.linearsets import spectrum
+from hoval.linearsets import cyclic_candidate, spectrum
 from hoval.projective import mat_vec_packed
 from hoval.pseudoregulus import (
     build_spread,
@@ -193,3 +196,63 @@ def test_detect_full_chain_331():
     assert len(rep.transversals.t0.rows) == 3
     assert len(rep.spread_result.spread) == 513
     assert rep.one_point_detail["hit_once"] == 511
+
+
+# -- long secants from the verified cyclic group ---------------------------------
+
+def _symmetry_of(hov, d):
+    hist = spectrum(d, candidate=cyclic_candidate(hov.maps, hov.spec.i))
+    assert hist.path == "cyclic-group"
+    return hist.symmetry
+
+
+def test_long_secants_from_the_group_321(case321):
+    hov, d = case321
+    sym = _symmetry_of(hov, d)
+    assert find_long_secants(d, symmetry=sym) == find_long_secants(d)
+    with pytest.raises(EnumerationTooLarge):
+        find_long_secants(d, budget=100, symmetry=sym)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_h2_needs_the_verified_group(k):
+    # at q = 4 the pair counts of long secants and 3-secants coincide
+    hov, d = _directions_for(2, k, 1)
+    m = (4 ** k - 1) // 3
+    with pytest.raises(NotPseudoregulusCandidate, match="q = 4"):
+        find_long_secants(d)
+    with pytest.raises(NotPseudoregulusCandidate, match="q = 4"):
+        find_long_secants(d, multiplicities=spectrum(d).multiplicities)
+    s = find_long_secants(d, symmetry=_symmetry_of(hov, d))
+    assert s.count == len(s.secants) == m and len(s.d_on) == len(d)
+    t = extract_transversals(s, d.space)
+    fit = fit_semilinear(d, t, transversal_map(t), hov.maps)
+    assert fit.exponents == frozenset({1, 2 * k - 1})
+
+
+def test_symmetry_of_another_set_is_not_read(case321):
+    hov, d = case321
+    sym = _symmetry_of(hov, d)
+    damaged = DirectionSet(d.ordered[1:] + (next(
+        p for p in d.space.points() if p not in d.points),), d.space)
+    with pytest.raises(NotPseudoregulusCandidate) as want:
+        find_long_secants(damaged)
+    with pytest.raises(NotPseudoregulusCandidate) as got:
+        find_long_secants(damaged, symmetry=sym)
+    assert str(got.value) == str(want.value)
+
+
+def test_orbit_that_is_no_group_orbit_is_refused(case321):
+    # the orbit list is scrambled: the line through orbit[0] and orbit[m]
+    # is then a 3-secant, not a long secant
+    hov, d = case321
+    sym = _symmetry_of(hov, d)
+    rest = list(sym.orbit[1:])
+    random.Random(5).shuffle(rest)
+    scrambled = dataclasses.replace(sym, orbit=sym.orbit[:1] + tuple(rest))
+    with pytest.raises(NotPseudoregulusCandidate, match="no orbit of 9 lines"):
+        find_long_secants(d, symmetry=scrambled)
+    # a wrong secant count from the group is the pair scan's error
+    fewer = dataclasses.replace(sym, lines={**sym.lines, 7: 8})
+    with pytest.raises(NotPseudoregulusCandidate, match="found 8 long secants, expected 9"):
+        find_long_secants(d, symmetry=fewer)
