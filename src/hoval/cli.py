@@ -33,7 +33,7 @@ from .errors import (
 )
 from .gf2 import tower_create
 from .hyperoval import DirectionSet, HyperovalSpec, build_hyperoval, directions
-from .linearsets import spectrum, spectrum_conforms
+from .linearsets import cyclic_candidate, spectrum, spectrum_conforms
 from .pipeline import STAGE_ORDER, run_verify_all
 from .projective import DEFAULT_BUDGET
 from .reduction import maps_for
@@ -117,7 +117,14 @@ def _cmd_spectrum(args) -> int:
         hov = build_hyperoval(_spec(args))
         spec, maps = hov.spec, hov.maps
         d = directions(hov.affine, maps)
-    hist = spectrum(d, mode=args.mode, budget=_budget(args), processes=args.parallel)
+    # the cyclic group verify-all reads the spectrum from, under its gate
+    candidate = None
+    if args.mode == "pairs" and spec.is_strict_case:
+        candidate = cyclic_candidate(maps, spec.i)
+    hist = spectrum(
+        d, mode=args.mode, budget=_budget(args), processes=args.parallel,
+        candidate=candidate,
+    )
     conforms, offender = spectrum_conforms(hist, 1 << spec.h)
     doc = serialize.spectrum_dict(hist, spec, maps)
     doc["conforms"] = conforms

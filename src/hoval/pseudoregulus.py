@@ -305,14 +305,25 @@ class SemilinearFit:
 
 
 def _preserves_spread(m, maps: CorrespondenceMaps, space: ProjSpace) -> bool:
-    """Does the coordinate change permute the ambient spread elements?"""
-    keys = maps.abb_spread.keys()
-    out = set()
-    for el in maps.abb_spread.elements:
-        out.add(space.rref([mat_vec_packed(m, r, space) for r in el.rows]))
-        if not out <= keys:
+    """Does the coordinate change permute the ambient spread elements?
+
+    An invertible m carries each element E onto a subspace of E's rank, so
+    m(E) is an element exactly when the images of E's rows lie in one, and
+    then m permutes the elements.  A singular m shrinks the element through
+    a kernel vector, so it permutes none.
+    """
+    try:
+        mat_inv(m, space.field)
+    except SingularMatrix:
+        return False
+    spread = maps.abb_spread
+    element_of = spread.element_of
+    normalize = space.normalize
+    for el in spread.elements:
+        hit = {element_of(normalize(mat_vec_packed(m, r, space))) for r in el.rows}
+        if len(hit) != 1:
             return False
-    return out == keys
+    return True
 
 
 def fit_semilinear(
@@ -439,9 +450,10 @@ def build_spread(
 
     Canonical elements are the field-reduction spans of (1, u^(2^i - 1))
     plus the two coordinate subspaces; they come back through the inverse
-    coordinate change.  matches_canonical compares the canonical-frame
-    elements against the line-at-infinity spread, element set for element
-    set.
+    coordinate change, so the element through a point p is the canonical
+    element through fit.matrix * p (Spread.reduced).  matches_canonical
+    compares the canonical-frame elements against the line-at-infinity
+    spread, element set for element set.
     """
     tower = maps.tower
     space = maps.hinf
@@ -451,8 +463,10 @@ def build_spread(
     vec = tower.vec_packed
     i = fit.exponent
 
+    source = ProjSpace(1, big)
     canonical_keys = set()
     element_rows = []
+    sources = []
     for u in range(1, big.q):
         fu = big.frob(u, i)
         rows = space.rref(
@@ -464,19 +478,20 @@ def build_spread(
             )
         canonical_keys.add(rows)
         element_rows.append(rows)
-    t0_rows = space.rref([vec(b) for b in tower.basis])
-    tinf_rows = space.rref([vec(b) << hk_bits for b in tower.basis])
-    element_rows.append(t0_rows)
-    element_rows.append(tinf_rows)
-    canonical_keys.add(t0_rows)
-    canonical_keys.add(tinf_rows)
+        sources.append(source.normalize(u | (fu << hk_bits)))
+    element_rows.append(space.rref([vec(b) for b in tower.basis]))
+    element_rows.append(space.rref([vec(b) << hk_bits for b in tower.basis]))
+    sources += [1, 1 << hk_bits]  # <(1, 0)> and <(0, 1)>
 
+    # the q^k + 1 distinct canonical elements reduce every point of
+    # PG(1, q^k), and mat_inv proves the fit invertible: the elements it
+    # takes back partition H_inf, and the fit finds the one through a point
     minv = mat_inv([list(r) for r in fit.matrix], space.field)
     elements = []
     for rows in element_rows:
         mapped = space.rref([mat_vec_packed(minv, r, space) for r in rows])
         elements.append(Subspace(mapped, space))
-    spread = Spread(elements, space)
+    spread = Spread.reduced(elements, space, tower, sources, source, fit.matrix)
     # the rebuilt spread, taken back to detected coordinates, must be the
     # field-reduction spread the ambient came with
     matches = spread.keys() == maps.abb_spread.keys()

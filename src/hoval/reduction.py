@@ -6,23 +6,42 @@ hyperplane at infinity PG(2k-1, q), and the Barlotti-Cofman ambient
 PG(2hk, 2).  The packed layouts are chosen so that going down the tower only
 reinterprets chunk boundaries: a GF(q)-coordinate vector with h-bit chunks
 is bitwise identical to its GF(2)-coordinate expansion.
+
+The spreads that field reduction builds (abb_spread of H_inf, s_prime of
+PG(2hk-1, 2), and the spread the pseudoregulus stage rebuilds) are
+partitions by construction: the element through a point is the reduction
+of the source point its blocks spell, so Spread.reduced finds it with one
+unvec per block and one normalize over the big field and never enumerates
+the points.  Only spreads of unknown origin (s_tilde, hand-made ones) are
+checked point by point.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Sequence
 
 from .errors import EnumerationTooLarge, InvalidSpread, NotAffine, NotAtInfinity
 from .gf2 import Tower, field_create, tower_create
-from .projective import DEFAULT_BUDGET, ProjSpace, Subspace
+from .projective import DEFAULT_BUDGET, ProjSpace, Subspace, mat_vec_packed
 
 
 class Spread:
     """A partition of PG(n, q) into pairwise disjoint equal subspaces.
 
     ``sources[idx]`` is the packed point of the source projective space that
-    field reduction turned into ``elements[idx]`` (None for spreads built
-    some other way).
+    field reduction turned into ``elements[idx]``, before any coordinate
+    change (None for spreads built some other way); ``index`` maps each
+    normalized point to the index of its element.
+
+    A spread of unknown origin (``Spread(elements, space)``: s_tilde, or a
+    hand-made one) proves it is a partition by visiting every point of
+    every element and building ``index`` as a dict.  A spread that comes
+    from field reduction (``Spread.reduced``: abb_spread, s_prime and the
+    rebuilt spread of the pseudoregulus stage) is a partition by
+    construction, the reduction of all points of its source space, and
+    visits no point: its ``index`` is a ReductionIndex that finds the
+    element through a point from the point's source.
     """
 
     __slots__ = ("elements", "index", "space", "sources", "source_space", "source_index")
@@ -57,6 +76,47 @@ class Spread:
             )
         self.index = index
 
+    @classmethod
+    def reduced(
+        cls,
+        elements: Sequence[Subspace],
+        space: ProjSpace,
+        tower: Tower,
+        sources: Sequence[int],
+        source_space: ProjSpace,
+        matrix=None,
+    ) -> Spread:
+        """The spread whose element idx is M^-1 of the reduction of sources[idx].
+
+        The caller builds elements[idx] as the field reduction over `tower`
+        of the normalized point sources[idx] of `source_space`, carried by
+        the inverse of the invertible `matrix` M when one is given.  When
+        the sources are every point of the source space once, the
+        reductions partition `space`, and so does their image under M^-1.
+        Both counts are checked here; no point of `space` is visited.
+        """
+        source_index: dict[int, int] = {}
+        for idx, src in enumerate(sources):
+            if src in source_index:
+                raise InvalidSpread(
+                    f"source 0x{src:x} gives elements {source_index[src]} and {idx}"
+                )
+            source_index[src] = idx
+        npoints = source_space.npoints()
+        if not len(elements) == len(source_index) == npoints:
+            raise InvalidSpread(
+                f"{len(elements)} elements from {len(source_index)} of "
+                f"{npoints} source points"
+            )
+        spread = cls.__new__(cls)
+        spread.elements = tuple(elements)
+        spread.space = space
+        spread.sources = tuple(sources)
+        spread.source_space = source_space
+        spread.source_index = source_index
+        spread.index = ReductionIndex(space, tower, source_space, source_index, matrix)
+        return spread
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -68,6 +128,46 @@ class Spread:
         return {el.rows for el in self.elements}
 
 
+class ReductionIndex(Mapping):
+    """Normalized point -> element index of a Spread.reduced, by arithmetic.
+
+    A point of PG(rk-1, q) is r blocks of k coordinates.  After the
+    optional coordinate change M, each block unvecs to an element of
+    GF(q^k); the r of them, normalized in PG(r-1, q^k), are the source
+    whose reduction holds the point.  A mapping view over every point of
+    the space: len() is its point count, iteration enumerates it.
+    """
+
+    __slots__ = ("space", "tower", "source", "source_index", "matrix")
+
+    def __init__(self, space, tower, source, source_index, matrix):
+        self.space = space
+        self.tower = tower
+        self.source = source
+        self.source_index = source_index
+        self.matrix = matrix
+
+    def __getitem__(self, point: int) -> int:
+        space = self.space
+        if not 0 < point < 1 << space.bits or space.normalize(point) != point:
+            raise KeyError(point)
+        if self.matrix is not None:
+            point = mat_vec_packed(self.matrix, point, space)
+        bits = self.source.h
+        mask = (1 << bits) - 1
+        unvec = self.tower.unvec_packed
+        src = 0
+        for shift in range(0, self.source.bits, bits):
+            src |= unvec((point >> shift) & mask) << shift
+        return self.source_index[self.source.normalize(src)]
+
+    def __len__(self) -> int:
+        return self.space.npoints()
+
+    def __iter__(self):
+        return self.space.points()
+
+
 def field_reduction_spread(
     tower: Tower, r: int, budget: int | None = DEFAULT_BUDGET
 ) -> Spread:
@@ -75,12 +175,13 @@ def field_reduction_spread(
 
     Element idx comes from the idx-th point (x_0, ..., x_{r-1}) of the source
     space and is the GF(q)-span of the vectors (a*x_0, ..., a*x_{r-1}) for
-    a running over the big field; its basis uses a = beta^j.
+    a running over the big field; its basis uses a = beta^j.  The budget
+    counts the k rows reduced per source point; no target point is visited.
     """
     big, small = tower.big, tower.small
     source = ProjSpace(r - 1, big)
     target = ProjSpace(r * tower.k - 1, small)
-    est = source.npoints() * tower.k + target.npoints()
+    est = source.npoints() * tower.k
     if budget is not None and est > budget:
         raise EnumerationTooLarge(est, budget, "field reduction")
     hk_bits = tower.k * tower.h
@@ -99,7 +200,7 @@ def field_reduction_spread(
             rows.append(row)
         elements.append(Subspace(target.rref(rows), target))
         sources.append(pt)
-    return Spread(elements, target, sources, source)
+    return Spread.reduced(elements, target, tower, sources, source)
 
 
 class CorrespondenceMaps:

@@ -8,6 +8,7 @@ from hoval import cli, serialize
 from hoval.cli import main
 from hoval.gf2 import tower_create
 from hoval.hyperoval import HyperovalSpec, build_hyperoval, directions
+from hoval.linearsets import spectrum
 from hoval.pipeline import run_verify_all
 from hoval.reduction import maps_for
 
@@ -53,6 +54,39 @@ def test_directions_then_spectrum_from_file(tmp_path, capsys):
     spec = json.loads(out)
     assert spec["conforms"] is True
     assert spec["counts"] == {"0": 1376, "1": 2772, "3": 588, "7": 9}
+
+
+def test_spectrum_reads_the_cyclic_group(tmp_path, capsys, monkeypatch):
+    # the CLI builds the candidate verify-all builds, from --h/--k/--i or
+    # from the file's params, under the same gate; the control still scans
+    paths = []
+    real = cli.spectrum
+
+    def recorded(*args, **kwargs):
+        hist = real(*args, **kwargs)
+        paths.append(hist.path)
+        return hist
+
+    monkeypatch.setattr(cli, "spectrum", recorded)
+    hov = build_hyperoval(HyperovalSpec(3, 2, 1))
+    scan = spectrum(directions(hov.affine, hov.maps))
+    assert scan.path == "pair-scan"
+    path = tmp_path / "dirs.json"
+    _run(capsys, "directions", "--h", "3", "--k", "2", "--i", "1",
+         "--out", str(path))
+    code, out = _run(capsys, "spectrum", "--h", "3", "--k", "2", "--i", "1")
+    assert code == 0
+    code, from_file = _run(capsys, "spectrum", "--in", str(path))
+    assert code == 0
+    assert paths == ["cyclic-group", "cyclic-group"]
+    assert out == from_file
+    assert json.loads(out)["counts"] == scan.to_json_dict()["counts"]
+    code, _ = _run(
+        capsys, "spectrum", "--h", "4", "--k", "2", "--i", "2",
+        "--allow-nonstrict",
+    )
+    assert code == 1
+    assert paths[-1] == "pair-scan"
 
 
 def test_spectrum_exit_1_when_not_conforming(capsys):

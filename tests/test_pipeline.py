@@ -5,11 +5,11 @@ import tracemalloc
 
 import pytest
 
-from hoval import linearsets, pipeline, pseudoregulus
+from hoval import linearsets, pipeline, pseudoregulus, reduction
 from hoval.errors import NoLongSecants
 from hoval.pipeline import STAGE_ORDER, run_verify_all
 from hoval.projective import ProjSpace
-from hoval.reduction import CorrespondenceMaps
+from hoval.reduction import CorrespondenceMaps, Spread
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +141,33 @@ def test_linearity_does_not_build_s_prime(monkeypatch):
     assert lin.ok
     assert lin.data["meet_histogram"] == {"0": 522, "1": 63}
     assert lin.data["max_rank"] == 6
+
+
+def test_verify_all_enumerates_no_spread(monkeypatch):
+    # abb_spread and the rebuilt spread come from field reduction and find
+    # the element through a point by arithmetic; a fresh maps cache makes
+    # the run build both
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the pipeline must not enumerate a spread's points")
+
+    monkeypatch.setattr(reduction, "_MAPS_CACHE", {})
+    monkeypatch.setattr(Spread, "__init__", refuse)
+    rep = run_verify_all(3, 3, 1)
+    assert rep.verdict == "pass"
+    assert rep.stage("spread").data["hit_once"] == 511
+
+
+def test_spread_stage_memory(monkeypatch):
+    # 6.3 MiB when both spreads indexed every point of PG(5, 8); 0.9 MiB now
+    monkeypatch.setattr(reduction, "_MAPS_CACHE", {})
+    tracemalloc.start()
+    try:
+        rep = run_verify_all(3, 3, 1, stages=("spread",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == "pass"
+    assert peak < 2 * 2**20
 
 
 def test_line_key_calls_per_run(line_key_calls):

@@ -5,14 +5,17 @@ import random
 
 import pytest
 
+from hoval import pseudoregulus
 from hoval.errors import (
     EnumerationTooLarge,
     NotPseudoregulusCandidate,
+    SingularMatrix,
     TransversalExtractionFailed,
 )
 from hoval.hyperoval import DirectionSet, HyperovalSpec, build_hyperoval, directions
 from hoval.linearsets import cyclic_candidate, spectrum
-from hoval.projective import mat_vec_packed
+from hoval.pipeline import run_verify_all
+from hoval.projective import mat_inv, mat_mul, mat_vec_packed
 from hoval.pseudoregulus import (
     build_spread,
     detect_pseudoregulus,
@@ -22,6 +25,7 @@ from hoval.pseudoregulus import (
     one_point_property,
     transversal_map,
 )
+from hoval.reduction import ReductionIndex, Spread
 
 
 def _directions_for(h, k, i, strict=True):
@@ -154,10 +158,123 @@ def test_spread_321(report321, case321):
     assert detail["hit_other"] == []
 
 
-def test_spread_is_a_partition_by_construction(report321):
-    # Spread.__init__ would have raised otherwise; double-check the size
-    spread = report321.spread_result.spread
-    assert len(spread.index) == spread.space.npoints() == 585
+@pytest.fixture(scope="module")
+def spread_runs():
+    return {
+        hki: run_verify_all(*hki, stages=("spread",)).run
+        for hki in ((3, 2, 1), (4, 2, 1), (2, 3, 1), (3, 3, 1))
+    }
+
+
+def _block_map(maps, fx, fy):
+    """The matrix of (x, y) -> (fx(x), fy(y)) for GF(q)-linear fx, fy."""
+    tower = maps.tower
+    hk_bits = tower.k * tower.h
+    cols = [tower.vec_packed(fx(b)) for b in tower.basis]
+    cols += [tower.vec_packed(fy(b)) << hk_bits for b in tower.basis]
+    return pseudoregulus._columns_matrix(maps.hinf, cols)
+
+
+def test_spread_is_a_partition_by_construction(spread_runs):
+    # the spreads from field reduction visit no point; the enumerating
+    # constructor, which refuses an overlap or a gap, is the oracle for
+    # their element_of on every point of the space
+    for run in spread_runs.values():
+        maps = run.hov.maps
+        big = maps.tower.big
+        # the fits of these runs fix every element; a fit composed with
+        # (x, y) -> (y, g x) moves them, so its element_of must apply it
+        swap = _block_map(maps, lambda x: big.mul(big.generator, x), lambda y: y)
+        swap = swap[len(swap) // 2:] + swap[:len(swap) // 2]
+        moved = dataclasses.replace(
+            run.fit, matrix=mat_mul(run.fit.matrix, swap, maps.hinf.field)
+        )
+        rebuilt = build_spread(moved, run.transversals, maps)
+        assert rebuilt.matches_canonical
+        spreads = (
+            maps.abb_spread, run.spread_result.spread, rebuilt.spread, maps.s_prime
+        )
+        for spread in spreads:
+            assert isinstance(spread.index, ReductionIndex)
+            oracle = Spread(spread.elements, spread.space).index
+            assert len(spread.index) == len(oracle) == spread.space.npoints()
+            for p, idx in oracle.items():
+                assert spread.element_of(p) == idx
+            # neither index holds the zero vector, a vector too wide or a
+            # point not scaled to a leading 1
+            off = [0, 1 << spread.space.bits]
+            if spread.space.q > 2:
+                off.append(2)
+            for p in off:
+                assert p not in spread.index and p not in oracle
+
+
+def _preserves_spread_by_rref(m, maps, space):
+    """The element-by-element check: rref every image, compare the sets."""
+    keys = maps.abb_spread.keys()
+    out = set()
+    for el in maps.abb_spread.elements:
+        out.add(space.rref([mat_vec_packed(m, r, space) for r in el.rows]))
+        if not out <= keys:
+            return False
+    return out == keys
+
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (3, 3, 1)])
+def test_preserves_spread_matches_rref_on_fitted_matrices(monkeypatch, hki):
+    seen = []
+    real = pseudoregulus._preserves_spread
+
+    def recorded(m, maps, space):
+        got = real(m, maps, space)
+        seen.append((got, _preserves_spread_by_rref(m, maps, space)))
+        return got
+
+    monkeypatch.setattr(pseudoregulus, "_preserves_spread", recorded)
+    hov, d = _directions_for(*hki)
+    rep = detect_pseudoregulus(d, hov.maps)
+    assert rep.spread_result.matches_canonical
+    assert all(got == want for got, want in seen)
+    # i and hk - i pass, one per labeling; at hk = 9 the exponents shifted
+    # by h = 3 fit D's shape too and reach the check, which refuses them
+    assert [got for got, _ in seen].count(True) == 2
+    assert len(seen) == {6: 2, 9: 6}[hki[0] * hki[1]]
+
+
+def test_preserves_spread_matches_rref_off_the_fit(report321, case321):
+    hov, _ = case321
+    maps = hov.maps
+    space = maps.hinf
+    tower = maps.tower
+    big = tower.big
+    rng = random.Random(5)
+    width = space.width
+    g = big.generator
+    scale = _block_map(maps, lambda x: big.mul(g, x), lambda y: big.mul(g, y))
+    # y -> y^(2^h) is GF(q)-linear and shifts the fit's apparent exponent
+    # by h; it keeps D's shape but not the spread
+    twist = _block_map(maps, lambda x: x, lambda y: big.frob(y, tower.h))
+    fitted = [list(r) for r in report321.fit.matrix]
+    while True:
+        rand = [[rng.randrange(space.q) for _ in range(width)] for _ in range(width)]
+        try:
+            mat_inv(rand, space.field)
+            break
+        except SingularMatrix:
+            continue
+    singular = [list(r) for r in fitted]
+    singular[-1] = [0] * width
+    cases = {
+        "fit": (fitted, True),
+        "scale": (scale, True),
+        "twist": (twist, False),
+        "twisted fit": (mat_mul(twist, fitted, space.field), False),
+        "random": (rand, False),
+        "singular": (singular, False),
+    }
+    for name, (m, want) in cases.items():
+        assert pseudoregulus._preserves_spread(m, maps, space) is want, name
+        assert _preserves_spread_by_rref(m, maps, space) is want, name
 
 
 def test_secant_count_mismatch_rejected(case321):

@@ -42,6 +42,22 @@ def test_spread_partition_guard(t32):
         Spread(s.elements[:-1], s.space)
 
 
+def test_reduced_spread_refuses_duplicate_and_missing_sources(t32):
+    # a spread from field reduction is a partition only when its sources
+    # are every point of the source space once; nothing else is checked
+    s = field_reduction_spread(t32, 2)
+    args = (s.space, t32)
+    with pytest.raises(InvalidSpread, match="gives elements 0 and 65"):
+        Spread.reduced(
+            s.elements + s.elements[:1], *args, s.sources + s.sources[:1],
+            s.source_space,
+        )
+    with pytest.raises(InvalidSpread, match="64 elements from 64 of 65"):
+        Spread.reduced(s.elements[1:], *args, s.sources[1:], s.source_space)
+    again = Spread.reduced(s.elements, *args, s.sources, s.source_space)
+    assert [again.element_of(p) for p in s.elements[7].points()] == [7] * 9
+
+
 def test_field_reduction_budget(t32):
     with pytest.raises(EnumerationTooLarge):
         field_reduction_spread(t32, 2, budget=10)
