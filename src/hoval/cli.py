@@ -286,7 +286,8 @@ def _add_common(p):
     p.add_argument("--budget", type=int, default=None,
                    help="enumeration budget (0 removes the limit)")
     p.add_argument("--parallel", type=int, default=_default_parallel(),
-                   help="worker processes for line scans")
+                   help="worker processes for the exhaustive line scan, "
+                   "at least 1, capped at the CPU count")
     p.add_argument("--out", help="write the JSON document to this file")
 
 
@@ -358,6 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.parallel < 1:
+            raise ParseError(f"--parallel must be at least 1, got {args.parallel}")
         return args.func(args)
     except (ParseError, NoLongSecants) as exc:
         print(f"error: {exc}", file=sys.stderr)

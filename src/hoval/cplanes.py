@@ -13,8 +13,9 @@ secant spaces, and A2 and A3 become partition statements about those
 meets and about the images of the L_s in V/W, checked by GF(2) linear
 algebra.  A1 and A4 reduce their scans to the planes and triples through
 one point once the translations of C are verified to carry the family onto
-itself.  Any other input, and any failing shortcut, takes the explicit
-scan, which also picks the reported witness.
+itself, and A4 reads its bins off the cyclic group of D that the spectrum
+verified when it is given one.  Any other input, and any failing shortcut,
+takes the explicit scan, which also picks the reported witness.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from math import comb
 from .errors import CPlaneConstructionFailed, DegenerateSpan, EnumerationTooLarge
 from .hyperoval import (
     AffinePointSet,
-    DirectionSet,
     f2_echelon,
     f2_reduce,
     is_arc,
@@ -193,8 +193,8 @@ class AxiomReport:
     checked: int
     witness: tuple | None
     detail: dict
-    # where A4 took its plane bins from: "cyclic-group", "pair-map",
-    # "pair-scan" or "triple-scan"; provenance only, so reports that agree
+    # where A4 took its plane bins from: "cyclic-group", "pair-scan" or
+    # "triple-scan"; provenance only, so reports that agree
     # on everything else compare equal whatever their source
     bins: str | None = field(default=None, compare=False)
 
@@ -390,7 +390,7 @@ def _check_a4(
     c_points: AffinePointSet,
     maps: CorrespondenceMaps,
     budget: int | None,
-    secants: tuple | None = None,
+    symmetry: CyclicSymmetry | None = None,
 ) -> AxiomReport:
     """Triples of C points span family planes or 4-point planes only.
 
@@ -399,7 +399,7 @@ def _check_a4(
     transitively on C while preserving the family and every plane's meet
     with C, so each triple is the translate of a triple through one base
     point and the base-point scan suffices.  Every other input takes the
-    full triple scan.  `secants` is passed on to the base-point scan.
+    full triple scan.  `symmetry` is passed on to the base-point scan.
     """
     space = maps.hinf
     h = maps.tower.h
@@ -410,7 +410,7 @@ def _check_a4(
         if budget is not None and pairs > budget:
             raise EnumerationTooLarge(pairs, budget, "base-point pair span scan")
         if _symmetric(family, c_points, maps):
-            return _a4_base_point(family, c_points, vecs, space, secants)
+            return _a4_base_point(family, c_points, vecs, space, symmetry)
     return _a4_triple_scan(family, c_points, vecs, space, budget)
 
 
@@ -441,7 +441,7 @@ def _translation_invariant(family: CPlaneFamily, gens, maps) -> bool:
     return all((rows, coset ^ d) in keys for rows, coset in keys for d in moves[rows])
 
 
-def _a4_base_point(family, c_points, vecs, space, secants=None) -> AxiomReport:
+def _a4_base_point(family, c_points, vecs, space, symmetry=None) -> AxiomReport:
     """A4 from the C(n-1, 2) pairs {b, c} through the base point a.
 
     A plane through a is fixed by its direction 2-space alone.  A family
@@ -450,14 +450,12 @@ def _a4_base_point(family, c_points, vecs, space, secants=None) -> AxiomReport:
     from transitivity: n/q times the family planes through a, n/4 times the
     four-point planes through a.
 
-    `secants` pairs a direction set D with what a pairs-mode spectrum of D
-    found: the pair map it scanned (SpectrumHistogram.multiplicities) or the
-    cyclic group it verified (SpectrumHistogram.symmetry).  When the n-1
-    directions a ^ b are pairwise distinct and are exactly D, the bins are
-    the lines with two or more points of D, keyed as the map keys them, and
-    the verdict is read from the map or from the group (_a4_from_symmetry)
-    instead of scanning; a failing verdict from either is recomputed by the
-    scan, which picks the reported bin.
+    `symmetry` is the cyclic group of a direction set D that a pairs-mode
+    spectrum verified (SpectrumHistogram.symmetry).  When the n-1 directions
+    a ^ b are pairwise distinct and are exactly D, the bins are the lines
+    with two or more points of D, and the verdict is read from the group
+    (_a4_from_symmetry) instead of scanning; a failing verdict is
+    recomputed by the scan, which picks the reported bin.
     """
     n = len(vecs)
     normalize = space.normalize
@@ -468,14 +466,10 @@ def _a4_base_point(family, c_points, vecs, space, secants=None) -> AxiomReport:
         if (rows, reduce(a, rows)) in family.vector_keys
     }
     dirs = [normalize(a ^ v) for v in vecs[1:]]
-    if secants is not None and secants[1] is not None:
-        d, lines = secants
+    if symmetry is not None:
         distinct = set(dirs)
-        if len(distinct) == n - 1 and distinct == d.points:
-            if isinstance(lines, CyclicSymmetry):
-                rep = _a4_from_symmetry(family, lines, d, through, n, space)
-            else:
-                rep = _a4_bins(family, lines, through, a, n, space, "pair-map")
+        if len(distinct) == n - 1 and distinct == symmetry.dirs.points:
+            rep = _a4_from_symmetry(family, symmetry, through, n, space)
             if rep is not None and rep.ok:
                 return rep
     space.ensure_tables()
@@ -520,21 +514,20 @@ def _a4_bins(family, counts, through, a, n, space, bins) -> AxiomReport:
     return _a4_totals(family, len(through), seen, quads, n, bins)
 
 
-def _a4_from_symmetry(family, symmetry, d, through, n, space):
-    """What _a4_bins gives on the pair map of D, from a verified group.
+def _a4_from_symmetry(family, symmetry, through, n, space):
+    """What _a4_bins gives on the pair counts of D, from a verified group.
 
     The bins are the lines with j >= 2 points of D, each with C(j, 2)
     pairs.  A bin in `through` passes iff j = q - 1 and any other iff j = 3,
     so N_j (symmetry.lines) and |L ∩ D| for the m lines L of `through`
     decide every bin.  None when some bin fails, for the scan to report it.
     """
-    if symmetry.dirs.points != d.points:
-        return None
+    dset = symmetry.dirs.points
     q = family.q
     others = dict(symmetry.lines)
     seen = 0
     for rows in through:
-        j = sum(p in d.points for p in space.line_points(*rows))
+        j = sum(p in dset for p in space.line_points(*rows))
         if j < 2:
             continue
         if j != q - 1:
@@ -552,7 +545,7 @@ def _a4_totals(family, nthrough, seen, quads, n, bins) -> AxiomReport:
     """The base-point A4 report once every bin passed: `seen` family and
     `quads` four-point planes through the base point, of `nthrough` family
     planes there.  The bins must hold all C(n-1, 2) pairs, which a scan
-    always does and a map or a group must show."""
+    always does and a group must show."""
     q = family.q
     total = (n - 1) * (n - 2) // 2
     family_planes = seen * n // q
@@ -644,13 +637,13 @@ def check_axioms(
     maps: CorrespondenceMaps,
     axioms=("A1", "A2", "A3", "A4"),
     budget: int | None = DEFAULT_BUDGET,
-    secants: tuple[DirectionSet, dict | CyclicSymmetry | None] | None = None,
+    symmetry: CyclicSymmetry | None = None,
 ) -> dict:
     """Run the requested axiom checks; returns {name: AxiomReport}.
 
-    `secants` optionally pairs the direction set of C with the pair map a
-    pairs-mode spectrum of it scanned or the cyclic group it verified, for
-    A4 to reuse (see _a4_base_point).
+    `symmetry` is optionally the cyclic group of the direction set of C
+    that a pairs-mode spectrum verified, for A4 to read its bins from (see
+    _a4_base_point).
     """
     out: dict = {}
     for name in axioms:
@@ -661,7 +654,7 @@ def check_axioms(
         elif name == "A3":
             out[name] = _check_a3(family, c_points, maps)
         elif name == "A4":
-            out[name] = _check_a4(family, c_points, maps, budget, secants)
+            out[name] = _check_a4(family, c_points, maps, budget, symmetry)
         else:
             raise ValueError(f"unknown axiom {name!r}")
     return out

@@ -17,10 +17,6 @@ class IrreducibleCheckFailed(HovalError):
     """Proposed modulus is reducible over GF(2) or has the wrong degree."""
 
 
-class FieldMismatch(HovalError):
-    """Operands belong to different fields."""
-
-
 class DivisionByZero(HovalError, ZeroDivisionError):
     """Multiplicative inverse of zero requested."""
 
@@ -57,10 +53,6 @@ class EnumerationTooLarge(HovalError):
 
 class NotAffine(HovalError):
     """Point lies at infinity where an affine point is required."""
-
-
-class NotAtInfinity(HovalError):
-    """Point is affine where a point at infinity is required."""
 
 
 # --- hyperovals and direction sets ------------------------------------------

@@ -3,9 +3,7 @@
 Field elements are plain Python ints: bit i of the int is the coefficient
 of x^i in the polynomial representative, so the constant term is the least
 significant bit.  A :class:`Field` carries the modulus and lookup tables and
-never wraps elements; hot loops therefore stay allocation-free.  The thin
-:class:`FieldElement` wrapper exists for the typed public API and for hex
-serialization, not for inner loops.
+never wraps elements; hot loops therefore stay allocation-free.
 
 Degrees 1..24 are supported.  Fields of degree <= 16 multiply through
 exp/log tables over a primitive element; larger degrees fall back to
@@ -15,16 +13,9 @@ shift-and-reduce polynomial multiplication.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .errors import (
-    DivisionByZero,
-    FieldMismatch,
-    IrreducibleCheckFailed,
-    ParseError,
-    UnsupportedDegree,
-)
+from .errors import DivisionByZero, IrreducibleCheckFailed, UnsupportedDegree
 
 MAX_DEGREE = 24
 _TABLE_LIMIT = 16  # exp/log tables up to this degree
@@ -204,9 +195,6 @@ class Field:
 
     # -- arithmetic ------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -220,9 +208,6 @@ class Field:
         if self._exp is not None:
             return self._exp[self.q - 1 - self._log[a]]
         return self._pow_raw(a, self.q - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -248,9 +233,6 @@ class Field:
         return a
 
     # -- enumeration / identity ------------------------------------------
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def nonzero_elements(self) -> range:
         return range(1, self.q)
@@ -281,73 +263,6 @@ def field_create(m: int, modulus: int | None = None) -> Field:
         f = Field(m, modulus)
         _FIELD_CACHE[(m, modulus)] = f
     return f
-
-
-# ---------------------------------------------------------------------------
-# typed element wrapper (API boundary / serialization only)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class FieldElement:
-    """An element of a specific field; operators check field identity."""
-
-    value: int
-    field: Field
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.field.q:
-            raise ValueError(
-                f"value 0x{self.value:x} outside field of degree {self.field.m}"
-            )
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value ^ other.value, self.field)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.mul(self.value, other.value), self.field)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.div(self.value, other.value), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def frob(self, i: int = 1) -> "FieldElement":
-        return FieldElement(self.field.frob(self.value, i), self.field)
-
-    def to_hex(self) -> str:
-        return format(self.value, "x")
-
-    @classmethod
-    def from_hex(cls, text: str, field: Field) -> "FieldElement":
-        try:
-            value = int(text, 16)
-        except ValueError as exc:
-            raise ParseError(f"bad hex literal {text!r}") from exc
-        if not 0 <= value < field.q:
-            raise ParseError(f"hex literal {text!r} outside GF(2^{field.m})")
-        return cls(value, field)
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def frob_pow(a: FieldElement, i: int) -> FieldElement:
-    return a.frob(i)
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +483,3 @@ def tower_create(
         _TOWER_CACHE[key] = t
     return t
 
-
-def subfield_fixed_points(big: Field, h: int) -> Iterator[int]:
-    """Elements of the big field fixed by t -> t^(2^h)."""
-    for t in range(big.q):
-        if big.frob(t, h) == t:
-            yield t

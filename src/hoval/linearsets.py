@@ -16,18 +16,22 @@ N_j = |D| c_j / j is read off the |D| - 1 lines through d0.  The verified
 CyclicSymmetry also gives the long secants (pseudoregulus) and the A4 bins
 (cplanes) without a pair scan.  A set that fails the check takes the pair
 scan, and a call without a candidate always does.
+
+Only the line scan runs in worker processes, at most one per CPU; the pair
+scan and the cyclic-group path run in the calling process.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .errors import EnumerationTooLarge, NotF2Linear, TooFewPoints
 from .gf2 import field_create
-from .hyperoval import AffinePointSet, DirectionSet, f2_echelon
+from .hyperoval import AffinePointSet, DirectionSet, f2_echelon, translation_basis
 from .projective import DEFAULT_BUDGET, ProjSpace, projective_points_count
 from .reduction import CorrespondenceMaps, Spread
 
@@ -51,9 +55,10 @@ class SpectrumHistogram:
     """counts[j] = number of lines meeting the point set in exactly j points.
 
     When the pair scan ran, `multiplicities` keeps its map from each line
-    through two or more points to its pair count; when the cyclic-group path
-    ran, `symmetry` keeps the verified group.  Either lets later consumers
-    (find_long_secants, A4) skip a second pass over the pairs.
+    through two or more points to its pair count, for find_long_secants;
+    when the cyclic-group path ran, `symmetry` keeps the verified group, for
+    find_long_secants and A4.  Either spares them a second pass over the
+    pairs.
     """
 
     counts: dict
@@ -284,35 +289,20 @@ def _exhaustive_tasks(space: ProjSpace):
     return tasks
 
 
-# worker-process state for the parallel paths
+# worker-process state for the parallel line scan
 _W: dict = {}
 
 
-def _worker_init(m, modulus, n, pts, need_cone):
+def _worker_init(m, modulus, n, pts):
     f = field_create(m, modulus)
     space = ProjSpace(n, f)
     space.ensure_tables()
     _W["space"] = space
-    _W["pts"] = tuple(pts)
-    _W["cone"] = _cone_set(pts, space) if need_cone else None
+    _W["cone"] = _cone_set(pts, space)
 
 
 def _worker_scan(task) -> dict:
     return _scan_pattern(_W["space"], _W["cone"], task)
-
-
-def _worker_pairs(bounds) -> dict:
-    lo, hi = bounds
-    space = _W["space"]
-    pts = _W["pts"]
-    key = space.pair_line_key
-    mult: dict = {}
-    for idx in range(lo, hi):
-        a = pts[idx]
-        for b in pts[idx + 1:]:
-            k = key(a, b)
-            mult[k] = mult.get(k, 0) + 1
-    return mult
 
 
 def spectrum(
@@ -335,6 +325,10 @@ def spectrum(
     cyclic_symmetry verifies on the set gives the multi-point lines from
     the lines through one point; otherwise the C(|D|, 2) pairs are scanned.
     The budget refuses C(|D|, 2) > budget on either path.
+
+    `processes` only applies to the exhaustive line scan, which runs in
+    min(processes, os.cpu_count()) worker processes, or in this one when
+    that is 1.
     """
     if isinstance(dirs, DirectionSet):
         pts = dirs.ordered
@@ -358,20 +352,7 @@ def spectrum(
                 return SpectrumHistogram(
                     counts, "pairs", space.nlines(), len(pts), symmetry=symmetry
                 )
-        if processes > 1 and len(pts) >= 64:
-            step = max(1, len(pts) // (4 * processes))
-            bounds = [
-                (lo, min(lo + step, len(pts)))
-                for lo in range(0, len(pts), step)
-            ]
-            with ProcessPoolExecutor(
-                max_workers=processes,
-                initializer=_worker_init,
-                initargs=(space.field.m, space.field.modulus, space.n, pts, False),
-            ) as pool:
-                mult = _merge_counts(pool.map(_worker_pairs, bounds))
-        else:
-            mult = _pair_multiplicities(pts, space, budget)
+        mult = _pair_multiplicities(pts, space, budget)
         counts = _complete_counts(
             _lines_from_multiplicities(mult), len(pts), space
         )
@@ -381,11 +362,12 @@ def spectrum(
     if budget is not None and est > budget:
         raise EnumerationTooLarge(est, budget, "exhaustive line scan")
     tasks = _exhaustive_tasks(space)
-    if processes > 1:
+    workers = min(processes, os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=processes,
+            max_workers=workers,
             initializer=_worker_init,
-            initargs=(space.field.m, space.field.modulus, space.n, pts, True),
+            initargs=(space.field.m, space.field.modulus, space.n, pts),
         ) as pool:
             counts = _merge_counts(pool.map(_worker_scan, tasks))
     else:
@@ -405,14 +387,14 @@ def spectrum(
 class F2Witness:
     """The GF(2)-linear point set behind an affine translation set.
 
-    rows span the difference vectors of the Barlotti-Cofman images; the
-    nonzero span vectors are the points of K in PG(2hk-1, 2).
+    rows are the echelon basis of W, the span of the difference vectors of
+    the Barlotti-Cofman images; the nonzero vectors of W are the points of
+    K in PG(2hk-1, 2).
     """
 
     base: int
     rows: tuple
     rank: int
-    span: frozenset
     k_points: tuple
 
 
@@ -421,34 +403,38 @@ def f2_witness(
 ) -> F2Witness:
     """Check that the GF(2) images differ by an F2-closed vector set.
 
-    Raises NotF2Linear when the difference set is not a subspace or when its
+    The differences (p ^ c0) >> h, c0 = min C, are the Barlotti-Cofman
+    difference vectors, so their span is the translation basis W of C
+    (translation_basis, memoized on the set) and they are closed iff
+    |C| = 2^rank W, the rank test of translation_closure_check.  Raises
+    NotF2Linear when the difference set is not a subspace or when its
     renormalization does not reproduce the direction set.
     """
     if len(q_points) < 2:
         raise TooFewPoints("need at least 2 affine points")
-    images = [maps.bc_affine(p) for p in q_points.ordered]
-    base = images[0]
-    diffs = {(im ^ base) >> 1 for im in images}
-    rows = maps.hinf2.rref(diffs)
+    rows = translation_basis(q_points)
     rank = len(rows)
-    span = {0}
-    for r in rows:
-        span |= {s ^ r for s in span}
-    if len(span) != len(diffs):
-        missing = min(span - diffs)
+    ordered = q_points.ordered
+    h = q_points.space.h
+    diffs = [(p ^ ordered[0]) >> h for p in ordered]
+    if len(diffs) != 1 << rank:
+        span = {0}
+        for r in rows:
+            span |= {s ^ r for s in span}
+        missing = min(span.difference(diffs))
         raise NotF2Linear(
             f"difference set of size {len(diffs)} spans {len(span)} vectors; "
             f"0x{missing:x} is in the span but not the set"
         )
-    k_points = tuple(sorted(span - {0}))
-    projected = {maps.hinf_point_of_f2_vector(w) for w in k_points}
+    k_points = tuple(sorted(diffs[1:]))
+    projected = {maps.hinf.normalize(w) for w in k_points}
     if projected != dirs.points:
         off = min(projected.symmetric_difference(dirs.points))
         raise NotF2Linear(
             f"projection of the rank-{rank} span differs from the "
             f"direction set near 0x{off:x}"
         )
-    return F2Witness(base, rows, rank, frozenset(span), k_points)
+    return F2Witness(maps.bc_affine(ordered[0]), rows, rank, k_points)
 
 
 @dataclass(frozen=True)

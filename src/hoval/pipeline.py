@@ -296,11 +296,10 @@ def _stage_cplanes(run: _Run) -> tuple[bool, dict]:
     # from A1-A3.  It needs no cap of its own: in a passing run its
     # base-point estimate C(n-1, 2) is the C(|D|, 2) the spectrum stage
     # already passed under this budget.
-    lines = run.pair_mult if run.symmetry is None else run.symmetry
     reports.update(
         check_axioms(
             family, run.hov.affine, maps, axioms=("A4",), budget=run.budget,
-            secants=(run.dirs, lines),
+            symmetry=run.symmetry,
         )
     )
     data = {

@@ -12,7 +12,7 @@ PG(2hk-1, 2), and the spread the pseudoregulus stage rebuilds) are
 partitions by construction: the element through a point is the reduction
 of the source point its blocks spell, so Spread.reduced finds it with one
 unvec per block and one normalize over the big field and never enumerates
-the points.  Only spreads of unknown origin (s_tilde, hand-made ones) are
+the points.  Only spreads of unknown origin (the tests' hand-made ones) are
 checked point by point.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Sequence
 
-from .errors import EnumerationTooLarge, InvalidSpread, NotAffine, NotAtInfinity
+from .errors import EnumerationTooLarge, InvalidSpread, NotAffine
 from .gf2 import Tower, field_create, tower_create
 from .projective import DEFAULT_BUDGET, ProjSpace, Subspace, mat_vec_packed
 
@@ -34,9 +34,9 @@ class Spread:
     change (None for spreads built some other way); ``index`` maps each
     normalized point to the index of its element.
 
-    A spread of unknown origin (``Spread(elements, space)``: s_tilde, or a
-    hand-made one) proves it is a partition by visiting every point of
-    every element and building ``index`` as a dict.  A spread that comes
+    A spread of unknown origin (``Spread(elements, space)``, a hand-made
+    one) proves it is a partition by visiting every point of every element
+    and building ``index`` as a dict.  A spread that comes
     from field reduction (``Spread.reduced``: abb_spread, s_prime and the
     rebuilt spread of the pseudoregulus stage) is a partition by
     construction, the reduction of all points of its source space, and
@@ -208,7 +208,7 @@ class CorrespondenceMaps:
 
     __slots__ = (
         "tower", "plane_big", "ambient", "hinf", "pi2", "hinf2",
-        "_abb_spread", "_s_prime", "_s_tilde",
+        "_abb_spread", "_s_prime",
     )
 
     def __init__(self, tower: Tower):
@@ -221,7 +221,6 @@ class CorrespondenceMaps:
         self.hinf2 = ProjSpace(2 * tower.hk - 1, gf2)
         self._abb_spread: Spread | None = None
         self._s_prime: Spread | None = None
-        self._s_tilde: Spread | None = None
 
     # -- plane over the big field -> Andre/Bruck-Bose ambient ----------------
 
@@ -234,36 +233,6 @@ class CorrespondenceMaps:
         h = self.tower.h
         vec = self.tower.vec_packed
         return 1 | (vec(t) << h) | (vec(s) << (h * (self.tower.k + 1)))
-
-    def abb_affine_inv(self, v: int) -> int:
-        if self.ambient.chunk(v, 0) != 1:
-            raise NotAffine(f"0x{v:x} is not a normalized affine point")
-        hk_bits = self.tower.k * self.tower.h
-        h = self.tower.h
-        t = self.tower.unvec_packed((v >> h) & ((1 << hk_bits) - 1))
-        s = self.tower.unvec_packed(v >> (h * (self.tower.k + 1)))
-        return self.plane_big.pack((1, t, s))
-
-    def infinity_source(self, p: int) -> int:
-        """Point (0, x1, x2) at infinity -> the PG(1, q^k) point (x1, x2)
-        packed the way field reduction indexes its sources."""
-        if self.plane_big.chunk(p, 0) != 0:
-            raise NotAtInfinity(f"0x{p:x} is affine")
-        return p >> (self.tower.k * self.tower.h)
-
-    def direction_spread_element(self, p: int) -> Subspace:
-        """Point (0, x1, x2) at infinity -> its (k-1)-space inside H_inf."""
-        if self.plane_big.chunk(p, 0) != 0:
-            raise NotAtInfinity(f"0x{p:x} is affine")
-        x1 = self.plane_big.chunk(p, 1)
-        x2 = self.plane_big.chunk(p, 2)
-        hk_bits = self.tower.k * self.tower.h
-        vec = self.tower.vec_packed
-        mul = self.tower.big.mul
-        rows = [
-            vec(mul(b, x1)) | (vec(mul(b, x2)) << hk_bits) for b in self.tower.basis
-        ]
-        return Subspace(self.hinf.rref(rows), self.hinf)
 
     @property
     def abb_spread(self) -> Spread:
@@ -280,24 +249,6 @@ class CorrespondenceMaps:
             raise NotAffine(f"0x{v:x} is not a normalized affine point")
         return 1 | ((v >> self.tower.h) << 1)
 
-    def bc_affine_inv(self, w: int) -> int:
-        if w & 1 != 1:
-            raise NotAffine(f"0x{w:x} is not a normalized affine point")
-        return 1 | ((w >> 1) << self.tower.h)
-
-    def bc_spread_of(self, p: int) -> Subspace:
-        """Point of H_inf -> its (h-1)-space in the GF(2) hyperplane."""
-        rows = [self.hinf.smul(1 << b, p) for b in range(self.tower.h)]
-        return Subspace(self.hinf2.rref(rows), self.hinf2)
-
-    def hinf_point_of_f2_vector(self, w: int) -> int:
-        """The H_inf point whose (h-1)-space contains the GF(2) vector w.
-
-        The packed layouts coincide bit for bit, so this is just
-        renormalization of w read with h-bit chunks.
-        """
-        return self.hinf.normalize(w)
-
     @property
     def s_prime(self) -> Spread:
         """(h-1)-spread of PG(2hk-1, 2); elements match points of H_inf."""
@@ -305,27 +256,6 @@ class CorrespondenceMaps:
             sub = tower_create(1, self.tower.h, big_modulus=self.tower.small.modulus)
             self._s_prime = field_reduction_spread(sub, 2 * self.tower.k, budget=None)
         return self._s_prime
-
-    @property
-    def s_tilde(self) -> Spread:
-        """(hk-1)-spread of PG(2hk-1, 2) matching the line at infinity.
-
-        Built as the GF(2)-expansion of the GF(q) spread so that it lives in
-        the same basis coordinates as everything else; reducing GF(2^hk)
-        directly would land in polynomial-basis bit coordinates instead,
-        which differ by a per-chunk GF(2)-isomorphism.
-        """
-        if self._s_tilde is None:
-            base = self.abb_spread
-            h = self.tower.h
-            els = []
-            for el in base.elements:
-                rows = [
-                    self.hinf.smul(1 << b, r) for r in el.rows for b in range(h)
-                ]
-                els.append(Subspace(self.hinf2.rref(rows), self.hinf2))
-            self._s_tilde = Spread(els, self.hinf2, base.sources, base.source_space)
-        return self._s_tilde
 
 
 _MAPS_CACHE: dict[tuple[int, int, int, int], CorrespondenceMaps] = {}

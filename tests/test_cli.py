@@ -236,6 +236,17 @@ def test_parallel_env_garbage_falls_back(monkeypatch, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("command", ["spectrum", "verify-all"])
+def test_parallel_below_one_is_a_usage_error(capsys, command, workers):
+    code = main([command, "--h", "3", "--k", "2", "--i", "1", "--mode",
+                 "exhaustive", "--parallel", workers])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: --parallel must be at least 1, got {workers}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("construct", "--h", "0", "--k", "2", "--i", "1"),
     ("verify-all", "--h", "3", "--k", "2", "--i", "7"),

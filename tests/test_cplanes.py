@@ -37,7 +37,7 @@ from hoval.hyperoval import (
     directions,
     translation_closure_check,
 )
-from hoval.linearsets import cyclic_candidate, spectrum
+from hoval.linearsets import CyclicSymmetry, cyclic_candidate, spectrum
 from hoval.projective import Line
 from hoval.pseudoregulus import SecantStructure, find_long_secants
 
@@ -254,55 +254,6 @@ def test_a4_forged_family_takes_triple_scan(case321, family321):
     assert not fast.ok and not full.ok
 
 
-# -- A4: reading the spectrum's pair map instead of scanning ------------------
-
-@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
-def test_a4_from_pair_map_matches_scan(hki, line_key_calls):
-    hov, d, s = _setup(*hki)
-    fam = build_c_planes(hov.affine, s, hov.maps)
-    mult = spectrum(d).multiplicities
-    line_key_calls.clear()
-    from_map = check_axioms(fam, hov.affine, hov.maps, axioms=("A4",),
-                            secants=(d, mult))["A4"]
-    assert not line_key_calls
-    scanned = check_axioms(fam, hov.affine, hov.maps, axioms=("A4",))["A4"]
-    n = len(hov.affine)
-    assert len(line_key_calls) == comb(n - 1, 2)
-    assert from_map == scanned and from_map.ok
-    assert from_map.detail["mode"] == "base-point"
-
-
-def test_a4_ignores_pair_map_of_another_set(case321, family321, line_key_calls):
-    hov, d, s = case321
-    n = len(hov.affine)
-    scanned = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",))["A4"]
-    # a direction set other than the n - 1 base-point directions is refused
-    # before its map is read, even when the map itself would pass
-    other = DirectionSet(d.ordered[1:], d.space)
-    mult = spectrum(d).multiplicities
-    secants = [(other, spectrum(other).multiplicities), (other, mult), (d, None)]
-    for pair in secants:
-        line_key_calls.clear()
-        rep = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",),
-                           secants=pair)["A4"]
-        assert len(line_key_calls) == comb(n - 1, 2)
-        assert rep == scanned
-
-
-def test_a4_failure_from_pair_map_is_rescanned(case321, family321):
-    # a map whose long secant lost a pair fails a family bin; the verdict is
-    # then recomputed by the scan, which also picks any reported bin
-    hov, d, s = case321
-    maps = hov.maps
-    vecs = [p >> maps.tower.h for p in hov.affine.ordered]
-    mult = dict(spectrum(d).multiplicities)
-    long_line = next(k for k, c in mult.items() if c == comb(7, 2))
-    mult[long_line] -= 1
-    rep = _a4_base_point(family321, hov.affine, vecs, maps.hinf, (d, mult))
-    assert rep == _a4_base_point(family321, hov.affine, vecs, maps.hinf)
-    assert rep.ok
-
-
 # -- A1: planes through the base point against every plane --------------------
 
 def _counting_arcs(monkeypatch):
@@ -360,24 +311,23 @@ def _collinear_coset():
     return maps, c_points, _family_of_coset(c_points, maps)
 
 
-def test_a4_pair_map_needs_distinct_directions(monkeypatch):
-    # repeated directions from the base point: the map of D has no pair for
-    # the collinear triple, so it must not be read
+def test_a4_group_needs_distinct_directions(monkeypatch):
+    # repeated directions from the base point: the counts of D have no pair
+    # for the collinear triple, so a group of D must not be read
     maps, c_points, family = _collinear_coset()
     d = directions(c_points, maps)
-    mult = spectrum(d).multiplicities
     assert len(d) < len(c_points) - 1
-    binned = []
-    real = cplanes._a4_bins
+    read = []
+    real = cplanes._a4_from_symmetry
 
-    def spy(family, counts, *args):
-        binned.append(counts)
-        return real(family, counts, *args)
+    def spy(*args):
+        read.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(cplanes, "_a4_bins", spy)
+    monkeypatch.setattr(cplanes, "_a4_from_symmetry", spy)
     rep = check_axioms(family, c_points, maps, axioms=("A4",),
-                       secants=(d, mult))["A4"]
-    assert all(counts is not mult for counts in binned)
+                       symmetry=_counted_group(d))["A4"]
+    assert not read
     assert not rep.ok and rep.witness[0] == "collinear"
 
 
@@ -436,7 +386,7 @@ def _random_coset(h, data):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_a4_paths_agree_on_random_cosets(h, data):
-    # PG(4, 8) and PG(4, 16); A1 and A4 from the pair map are held to the
+    # PG(4, 8) and PG(4, 16); A1 and A4 from the N_j of D are held to the
     # full scans on the same inputs
     maps, c_points = _random_coset(h, data)
     if len(c_points) < 3:
@@ -448,9 +398,9 @@ def test_a4_paths_agree_on_random_cosets(h, data):
     if fast.ok:
         assert {k: fast.detail[k] for k in _TOTALS} == {k: full.detail[k] for k in _TOTALS}
     d = directions(c_points, maps)
-    from_map = check_axioms(family, c_points, maps, axioms=("A4",), budget=None,
-                            secants=(d, spectrum(d).multiplicities))["A4"]
-    assert from_map == fast
+    grouped = check_axioms(family, c_points, maps, axioms=("A4",), budget=None,
+                           symmetry=_counted_group(d))["A4"]
+    assert grouped == fast
     a1 = check_axioms(family, c_points, maps, axioms=("A1",))["A1"]
     a1_full = _a1_all_planes(family, maps.ambient)
     assert (a1.ok, a1.checked, a1.witness) == (a1_full.ok, a1_full.checked, a1_full.witness)
@@ -629,6 +579,17 @@ def _group(hov, d):
     return spectrum(d, candidate=cyclic_candidate(hov.maps, hov.spec.i)).symmetry
 
 
+def _counted_group(d):
+    """A CyclicSymmetry of D whose N_j come from the pair scan.
+
+    No group is verified: A4 reads only N_j and the points of D from it,
+    and D must equal the base-point directions, so this holds A4's reading
+    of a group to the scans on sets that have no cyclic symmetry.
+    """
+    lines = {j: c for j, c in spectrum(d).counts.items() if j >= 2}
+    return CyclicSymmetry(d, d.ordered, lines)
+
+
 @pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
 def test_a4_from_the_group_matches_scan(hki, line_key_calls):
     hov, d, s = _setup(*hki)
@@ -636,7 +597,7 @@ def test_a4_from_the_group_matches_scan(hki, line_key_calls):
     sym = _group(hov, d)
     line_key_calls.clear()
     grouped = check_axioms(fam, hov.affine, hov.maps, axioms=("A4",),
-                           secants=(d, sym))["A4"]
+                           symmetry=sym)["A4"]
     assert not line_key_calls
     scanned = check_axioms(fam, hov.affine, hov.maps, axioms=("A4",))["A4"]
     assert grouped == scanned and grouped.ok
@@ -664,8 +625,8 @@ def test_a4_group_verdict_agrees_with_the_map_on_altered_bins(case321, family321
         "empty": set(longs[1:]) | {empty},
     }
     for name, through in variants.items():
-        by_map = _a4_bins(family321, mult, through, a, n, space, "pair-map")
-        by_group = _a4_from_symmetry(family321, sym, d, through, n, space)
+        by_map = _a4_bins(family321, mult, through, a, n, space, "pair-scan")
+        by_group = _a4_from_symmetry(family321, sym, through, n, space)
         assert by_map.ok == (name == "true"), name
         if by_map.ok:
             assert by_group == by_map, name
@@ -674,7 +635,7 @@ def test_a4_group_verdict_agrees_with_the_map_on_altered_bins(case321, family321
     # counts forged to fit the swapped set in every total: its 3-secant
     # through the base point is still a failing family bin
     fitted = dataclasses.replace(sym, lines={3: 589, 7: 8})
-    assert _a4_from_symmetry(family321, fitted, d, variants["swapped"], n, space) is None
+    assert _a4_from_symmetry(family321, fitted, variants["swapped"], n, space) is None
 
 
 def test_a4_group_of_another_set_or_failing_is_rescanned(case321, family321,
@@ -683,14 +644,17 @@ def test_a4_group_of_another_set_or_failing_is_rescanned(case321, family321,
     n = len(hov.affine)
     sym = _group(hov, d)
     other = DirectionSet(d.ordered[1:], d.space)
+    # the verified group of another direction set in the same H_inf
+    hov5 = build_hyperoval(HyperovalSpec(3, 2, 5))
+    sym5 = _group(hov5, directions(hov5.affine, hov5.maps))
+    assert sym5 is not None and sym5.dirs.points != d.points
     scanned = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",))["A4"]
     # a group whose counts lose one 3-secant, or gain a 5-secant
     short = dataclasses.replace(sym, lines={**sym.lines, 3: sym.lines[3] - 1})
     five = dataclasses.replace(sym, lines={**sym.lines, 5: 1})
-    for secants in ((other, sym), (d, dataclasses.replace(sym, dirs=other)),
-                    (d, short), (d, five)):
+    for symmetry in (None, sym5, dataclasses.replace(sym, dirs=other), short, five):
         line_key_calls.clear()
         rep = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",),
-                           secants=secants)["A4"]
+                           symmetry=symmetry)["A4"]
         assert len(line_key_calls) == comb(n - 1, 2)
         assert rep == scanned and rep.bins == "pair-scan"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hoval import linearsets
 from hoval.cplanes import build_c_planes, check_axioms
 from hoval.errors import EnumerationTooLarge, NotF2Linear
 from hoval.gf2 import field_create, tower_create
@@ -15,6 +16,7 @@ from hoval.hyperoval import (
     HyperovalSpec,
     build_hyperoval,
     directions,
+    translation_basis,
 )
 from hoval.linearsets import (
     F2Witness,
@@ -119,6 +121,41 @@ def test_parallel_matches_serial(case321):
     assert spectrum(d, mode="exhaustive", processes=2).counts == SPEC_321
 
 
+class _FakePool:
+    """Records the pool size it was asked for and maps in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cpus, requested, pool", [
+    (2, 4000, 2), (8, 3, 3), (None, 4000, None), (1, 2, None), (4, 1, None),
+])
+def test_line_scan_pool_is_capped_at_the_cpu_count(case321, monkeypatch,
+                                                   cpus, requested, pool):
+    # the pool gets min(processes, cpu_count) workers, and a pool of one is
+    # the serial scan; pairs mode never starts one
+    _, d = case321
+    monkeypatch.setattr(linearsets, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(linearsets.os, "cpu_count", lambda: cpus)
+    _FakePool.sizes = []
+    assert spectrum(d, mode="exhaustive", processes=requested).counts == SPEC_321
+    assert spectrum(d, mode="pairs", processes=requested).counts == SPEC_321
+    assert _FakePool.sizes == ([] if pool is None else [pool])
+
+
 def test_budget_guards(case321):
     _, d = case321
     with pytest.raises(EnumerationTooLarge):
@@ -147,7 +184,10 @@ def test_f2_witness_321(case321):
     w = f2_witness(hov.affine, d, hov.maps)
     assert w.rank == 6
     assert len(w.k_points) == 63
-    assert len(w.span) == 64
+    assert 2 ** w.rank == 64
+    assert w.rows == translation_basis(hov.affine)
+    assert w.k_points == tuple(sorted((p ^ hov.affine.ordered[0]) >> 3
+                                      for p in hov.affine.ordered[1:]))
     assert w.base == min(hov.maps.bc_affine(p) for p in hov.affine)
     rep = scattered_check(w, hov.maps.s_prime)
     assert rep.scattered and rep.is_maximum
@@ -166,8 +206,12 @@ def test_f2_witness_rejects_damaged_set(case321):
         if (1 | (v << h)) not in hov.affine.points
     )
     damaged = AffinePointSet(pts[1:] + [outside], hov.maps.ambient)
-    with pytest.raises(NotF2Linear):
+    with pytest.raises(NotF2Linear) as exc:
         f2_witness(damaged, directions(damaged, hov.maps), hov.maps)
+    assert str(exc.value) == (
+        "difference set of size 64 spans 128 vectors; "
+        "0x1 is in the span but not the set"
+    )
 
 
 def test_f2_witness_rejects_wrong_directions(case321):
@@ -175,8 +219,11 @@ def test_f2_witness_rejects_wrong_directions(case321):
     from hoval.hyperoval import DirectionSet
 
     wrong = DirectionSet(list(d.ordered[:-1]), d.space)
-    with pytest.raises(NotF2Linear):
+    with pytest.raises(NotF2Linear) as exc:
         f2_witness(hov.affine, wrong, hov.maps)
+    assert str(exc.value) == (
+        "projection of the rank-6 span differs from the direction set near 0xff1"
+    )
 
 
 def test_control_is_linear_but_not_scattered():
@@ -330,7 +377,7 @@ _STRICT = [
 @given(st.sampled_from(_STRICT))
 def test_cyclic_group_equals_the_pair_scan_oracle(hki):
     # the spectrum, the long secants and A4 from the verified group equal
-    # the pair scan and what its pair map gives
+    # the pair scans
     h, k, i = hki
     hov, d, cand = _cyclic_case(h, k, i)
     fast = spectrum(d, candidate=cand)
@@ -347,11 +394,11 @@ def test_cyclic_group_equals_the_pair_scan_oracle(hki):
     assert grouped.count == m
     family = build_c_planes(hov.affine, grouped, hov.maps)
     a4 = {}
-    for name, lines in (("group", fast.symmetry), ("map", scan.multiplicities)):
+    for name, symmetry in (("group", fast.symmetry), ("scan", None)):
         a4[name] = check_axioms(family, hov.affine, hov.maps, axioms=("A4",),
-                                secants=(d, lines))["A4"]
-    assert a4["group"] == a4["map"] and a4["group"].ok
-    assert (a4["group"].bins, a4["map"].bins) == ("cyclic-group", "pair-map")
+                                symmetry=symmetry)["A4"]
+    assert a4["group"] == a4["scan"] and a4["group"].ok
+    assert (a4["group"].bins, a4["scan"].bins) == ("cyclic-group", "pair-scan")
     assert a4["group"].detail["family_planes"] == len(family) == q ** k * m // q
 
 

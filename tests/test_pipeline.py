@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from hoval import linearsets, pipeline, pseudoregulus, reduction
+from hoval import hyperoval
 from hoval.errors import NoLongSecants
 from hoval.pipeline import STAGE_ORDER, run_verify_all
 from hoval.projective import ProjSpace
@@ -240,8 +241,8 @@ def test_reports_name_their_paths(full321):
     assert full321.stage("plane").data["hyperoval_mode"] == "translation-group"
 
 
-def test_a4_builds_no_scalar_tables_from_the_pair_map(monkeypatch):
-    # A4 reads the spectrum's pair map at (4,2,1); the PG(3,16) scalar
+def test_a4_builds_no_scalar_tables_from_the_group(monkeypatch):
+    # A4 reads the spectrum's cyclic group at (4,2,1); the PG(3,16) scalar
     # tables (+38 MiB) are only for a scan
     calls = []
     real = ProjSpace.ensure_tables
@@ -310,3 +311,42 @@ def test_hk12_spectrum_builds_no_pair_map():
 def test_empty_stage_list_rejected():
     with pytest.raises(ValueError, match="no stage"):
         run_verify_all(3, 2, 1, stages=())
+
+
+def test_f2_witness_reads_the_construct_stage_basis(monkeypatch):
+    # the linearity stage takes W from the basis construct memoized on C:
+    # neither an rref over PG(2hk-1, 2) nor an echelon pass while it runs
+    calls = []
+    real_witness = pipeline.f2_witness
+
+    def witness(*args):
+        with monkeypatch.context() as m:
+            m.setattr(ProjSpace, "rref", lambda *a: calls.append("rref"))
+            for module in (hyperoval, linearsets):
+                m.setattr(module, "f2_echelon", lambda *a: calls.append("echelon"))
+            return real_witness(*args)
+
+    monkeypatch.setattr(pipeline, "f2_witness", witness)
+    rep = run_verify_all(3, 2, 1, stages=("linearity",))
+    assert rep.verdict == "pass" and rep.stage("linearity").data["rank"] == 6
+    assert not calls
+
+
+def test_nonstrict_pair_map_reaches_the_long_secants(monkeypatch):
+    # (3,2,2) passes the spectrum stage by the pair scan, whose map
+    # find_long_secants reads instead of scanning again; the exponent fit
+    # then refuses the set
+    calls = []
+    real = linearsets._pair_multiplicities
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linearsets, "_pair_multiplicities", counted)
+    monkeypatch.setattr(pseudoregulus, "_pair_multiplicities", counted)
+    rep = run_verify_all(3, 2, 2, strict=False)
+    assert len(calls) == 1
+    assert rep.stage("spectrum").ok and rep.stage("spectrum").data["path"] == "pair-scan"
+    assert [s.status for s in rep.stages] == ["ok"] * 3 + ["error"] + ["skipped"] * 3
+    assert rep.stage("pseudoregulus").error.startswith("SemilinearFitFailed:")
