@@ -311,9 +311,10 @@ def _collinear_coset():
     return maps, c_points, _family_of_coset(c_points, maps)
 
 
-def test_a4_group_needs_distinct_directions(monkeypatch):
-    # repeated directions from the base point: the counts of D have no pair
-    # for the collinear triple, so a group of D must not be read
+def test_a4_pair_map_needs_distinct_directions(monkeypatch):
+    # repeated directions from the base point: the pair map's counts of D
+    # have no pair for the collinear triple, so a group holding them must
+    # not be read
     maps, c_points, family = _collinear_coset()
     d = directions(c_points, maps)
     assert len(d) < len(c_points) - 1
@@ -588,6 +589,54 @@ def _counted_group(d):
     """
     lines = {j: c for j, c in spectrum(d).counts.items() if j >= 2}
     return CyclicSymmetry(d, d.ordered, lines)
+
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
+def test_a4_from_pair_map_matches_scan(hki, line_key_calls):
+    # the N_j of the pair scan's map, held in a group of D, give the bins
+    # without a line key; the verdict is the scan's
+    hov, d, s = _setup(*hki)
+    fam = build_c_planes(hov.affine, s, hov.maps)
+    sym = _counted_group(d)
+    line_key_calls.clear()
+    from_map = check_axioms(fam, hov.affine, hov.maps, axioms=("A4",),
+                            symmetry=sym)["A4"]
+    assert not line_key_calls
+    scanned = check_axioms(fam, hov.affine, hov.maps, axioms=("A4",))["A4"]
+    n = len(hov.affine)
+    assert len(line_key_calls) == comb(n - 1, 2)
+    assert from_map == scanned and from_map.ok
+    assert from_map.detail["mode"] == "base-point"
+    assert from_map.bins == "cyclic-group"
+
+
+def test_a4_ignores_pair_map_of_another_set(case321, family321, line_key_calls):
+    hov, d, s = case321
+    n = len(hov.affine)
+    scanned = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",))["A4"]
+    # a direction set other than the n - 1 base-point directions is refused
+    # before its counts are read, even when the counts themselves would pass
+    other = DirectionSet(d.ordered[1:], d.space)
+    relabelled = dataclasses.replace(_counted_group(d), dirs=other)
+    for symmetry in (_counted_group(other), relabelled, None):
+        line_key_calls.clear()
+        rep = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",),
+                           symmetry=symmetry)["A4"]
+        assert len(line_key_calls) == comb(n - 1, 2)
+        assert rep == scanned and rep.bins == "pair-scan"
+
+
+def test_a4_failure_from_pair_map_is_rescanned(case321, family321):
+    # counts of the pair map that lost a long secant fail a family bin; the
+    # verdict is then recomputed by the scan, which also picks any reported bin
+    hov, d, s = case321
+    maps = hov.maps
+    vecs = [p >> maps.tower.h for p in hov.affine.ordered]
+    sym = _counted_group(d)
+    lost = dataclasses.replace(sym, lines={**sym.lines, 7: sym.lines[7] - 1})
+    rep = _a4_base_point(family321, hov.affine, vecs, maps.hinf, lost)
+    assert rep == _a4_base_point(family321, hov.affine, vecs, maps.hinf)
+    assert rep.ok and rep.bins == "pair-scan"
 
 
 @pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])

@@ -241,9 +241,9 @@ def test_reports_name_their_paths(full321):
     assert full321.stage("plane").data["hyperoval_mode"] == "translation-group"
 
 
-def test_a4_builds_no_scalar_tables_from_the_group(monkeypatch):
-    # A4 reads the spectrum's cyclic group at (4,2,1); the PG(3,16) scalar
-    # tables (+38 MiB) are only for a scan
+def test_a4_builds_no_scalar_tables_from_the_pair_map(monkeypatch):
+    # A4 reads the spectrum's cyclic group at (4,2,1), neither a pair map
+    # nor a scan; the PG(3,16) scalar tables (+38 MiB) are only for a scan
     calls = []
     real = ProjSpace.ensure_tables
 
