@@ -4,7 +4,10 @@ Points: the q^2k affine points of PG(2k, q) plus one point per spread
 element.  Lines: for each element E, the q^k affine cosets base + <E>
 closed up with E's point, plus the single line at infinity.  With a
 Desarguesian spread this is PG(2, q^k) again; the axioms are checked here
-directly against the incidence structure, not assumed.
+against the incidence structure, not assumed.  Every translation of
+V(2k, q) is a collineation, so the lines through two affine points depend
+only on their difference: marking each element's directions once covers
+all C(n, 2) point pairs in O(q^2k) work (plane_axioms_check).
 
 Integer point ids inside reports: affine points are their packed
 coordinates, the point of element idx is -1 - idx.
@@ -14,8 +17,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations
+from math import comb
 
 from .errors import DimensionMismatch, EnumerationTooLarge, InvalidSpread
 from .hyperoval import (
@@ -28,8 +32,10 @@ from .hyperoval import (
 from .projective import DEFAULT_BUDGET
 from .reduction import CorrespondenceMaps, Spread
 
-# pair coverage keeps an n-bit int per point, n^2 / 8 bytes for n points
-_EXHAUSTIVE_POINT_LIMIT = 8192
+# the translation certificate keeps one byte per vector of V(2k, q)
+_EXHAUSTIVE_DIRECTION_LIMIT = 1 << 20
+# the pair-scan fallback keeps an n-bit int per point, n^2 / 8 bytes for n points
+_PAIR_SCAN_POINT_LIMIT = 8192
 
 
 class BruckBosePlane:
@@ -108,6 +114,39 @@ class BruckBosePlane:
             for b in bs:
                 yield (eidx, b)
 
+    def line_at(self, idx: int):
+        """Line number idx in the order of lines(), then "inf" last."""
+        if idx == self.n_lines - 1:
+            return "inf"
+        eidx, j = divmod(idx, self.order)
+        return eidx, self.bases[eidx][j]
+
+    def meet(self, l1, l2) -> int:
+        """Number of common points of two distinct lines.
+
+        The line at infinity meets every other line in its element point,
+        and two lines of one class share only theirs.  Lines b1 + E1 and
+        b2 + E2 of distinct classes share the affine points b1 + (E1 ∩ E2)
+        when b1 ^ b2 lies in E1 + E2 and none otherwise: q^(2k - r) or 0,
+        r the rank of E1 + E2.  E2's rows are reduced along E1 by base_of
+        and then against each other, so one echelon of at most k rows
+        decides both; at rank 2k every direction lies in E1 + E2.
+        """
+        if l1 == "inf" or l2 == "inf":
+            return 1
+        (e1, b1), (e2, b2) = l1, l2
+        if e1 == e2:
+            return 1
+        amb = self.maps.ambient
+        rest: list = []
+        for _, multiples in self.tabs[e2]:
+            v = amb.reduce(self.base_of(e1, multiples[1]), rest)
+            if v:
+                rest.append(amb.normalize(v))
+        if len(rest) < len(self.tabs[e2]) and amb.reduce(self.base_of(e1, b1 ^ b2), rest):
+            return 0
+        return self.order // amb.q ** len(rest)
+
 
 def build_plane(maps: CorrespondenceMaps, spread: Spread | None = None) -> BruckBosePlane:
     """Incidence plane over a spread of H_inf (the canonical one by default)."""
@@ -131,23 +170,9 @@ class PlaneAxiomsReport:
     line_pairs_checked: int
     quadrangle_ok: bool
     witness: tuple | None
-
-
-def _common_points(plane: BruckBosePlane, l1, l2) -> int:
-    """Number of common points of two distinct lines, by brute membership."""
-    inf1 = l1 == "inf"
-    inf2 = l2 == "inf"
-    if inf1 or inf2:
-        return 1  # the other line's element point is on the infinite line
-    e1, b1 = l1
-    e2, b2 = l2
-    if e1 == e2:
-        return 1 if b1 != b2 else None  # parallel class meets at the element point
-    count = 0
-    for p in plane.line_points(e1, b1):
-        if plane.base_of(e2, p) == b2:
-            count += 1
-    return count  # element points differ, so only affine meetings count
+    # how the verdict was reached, not part of it: "translation" (direction
+    # marks), "pair-scan" (coverage bitsets) or "sampled"
+    path: str = field(default="pair-scan", compare=False)
 
 
 def _cover_line(cover: list, ids) -> tuple[int, int, tuple | None]:
@@ -183,8 +208,87 @@ def _quadrangle_ok(plane: BruckBosePlane) -> bool:
         1 | (1 << ((k + 1) * h)),
         1 | (1 << h) | (1 << ((k + 1) * h)),
     ]
-    lines = {plane.line_through(a, b) for a, b in combinations(pts, 2)}
+    try:
+        lines = {plane.line_through(a, b) for a, b in combinations(pts, 2)}
+    except KeyError:  # a direction on no spread element
+        return False
     return len(lines) == 6
+
+
+def _direction_marks(plane: BruckBosePlane, n_affine: int) -> tuple[int, tuple | None]:
+    """Mark every element's directions in one byte per vector of V(2k, q).
+
+    A direction is a nonzero span vector scaled so that its lowest nonzero
+    chunk is 1, the H_inf packing of normalize.  With the rows of E sorted
+    by pivot, each row is zero at the pivots before its own, so the
+    directions with pivot chunk j are normalize(r_j) plus the span of the
+    later rows: (q^k - 1) / (q - 1) marks per element, each direction once.
+    Returns how many marks fell on a marked direction and, for the first
+    element that repeats one, ("direction on two elements", d, e1, e2) with
+    d its smallest repeated direction and e1 < e2.
+    """
+    h = plane.maps.tower.h
+    normalize = plane.maps.hinf.normalize
+    marks = bytearray(n_affine)
+    repeats = 0
+    witness = None
+    for eidx, tab in enumerate(plane.tabs):
+        low = [[m >> h for m in multiples] for _, multiples in sorted(tab)]
+        dirs = []
+        tail = [0]  # the span of the rows after row j
+        for j in range(len(low) - 1, -1, -1):
+            lead = normalize(low[j][1])
+            dirs += [lead ^ v for v in tail]
+            if j:
+                tail = [v ^ m for v in tail for m in low[j]]
+        seen = sum(map(marks.__getitem__, dirs))
+        if seen:
+            repeats += seen
+            if witness is None:
+                d = min(v for v in dirs if marks[v])
+                e1 = next(e for e in range(eidx) if plane.base_of(e, d << h) == 0)
+                witness = ("direction on two elements", d, e1, eidx)
+        for v in dirs:
+            marks[v] = 1
+    return repeats, witness
+
+
+def _pair_scan(plane: BruckBosePlane, budget) -> tuple[int, int, tuple | None]:
+    """(pairs, collisions, first witness) of the coverage bitset scan.
+
+    One int bitset per point id takes, line by line, the ids that follow
+    it on the line; a pair already set collides.
+    """
+    n = plane.n_points
+    order = plane.order
+    est = n * n
+    if budget is not None and est > budget:
+        raise EnumerationTooLarge(est, budget, "pair coverage table")
+    # ids: affine points in sorted packed order, then element points
+    all_affine = sorted(p for b in plane.bases[0] for p in plane.line_points(0, b))
+    affine_ids = {p: i for i, p in enumerate(all_affine)}
+    # ids of each line in ascending order, the line at infinity last;
+    # each element's span is built once for all of its lines
+    spans = (plane.line_points(eidx, 0) for eidx in range(len(plane.bases)))
+    point_lines = chain(
+        (
+            sorted(affine_ids[base ^ s] for s in span) + [order * order + eidx]
+            for eidx, span in enumerate(spans)
+            for base in plane.bases[eidx]
+        ),
+        [range(order * order, n)],
+    )
+    cover = [0] * n
+    pairs = 0
+    collisions = 0
+    witness = None
+    for ids in point_lines:
+        line_pairs, line_collisions, first = _cover_line(cover, ids)
+        pairs += line_pairs
+        collisions += line_collisions
+        if witness is None and first is not None:
+            witness = ("pair on two lines", *first)
+    return pairs, collisions, witness
 
 
 def plane_axioms_check(
@@ -196,89 +300,92 @@ def plane_axioms_check(
 ) -> PlaneAxiomsReport:
     """Projective plane axioms for the incidence structure.
 
-    Exhaustive mode keeps one int bitset per point id and ORs in, line by
-    line, the ids that follow it on the line; a pair already set collides,
-    and the final pair count matching C(points, 2) certifies every pair is
-    covered.  Together with the uniform line size and point degree this
-    forces two lines to meet in exactly one point, which sampled line pairs
-    double-check.  Sampled mode spot checks point pairs and line pairs with
-    a seeded generator.
+    Exhaustive mode proves that every point pair lies on exactly one line
+    from the translation group.  Lines are cosets b + <E>, so every
+    translation of V(2k, q) is a collineation and the lines through two
+    affine points depend only on their difference d: one per element whose
+    span holds d.  Each parallel class tiles the affine points (k distinct
+    pivots, checked when the plane is built, give one coset representative
+    per coset), and two element points share only the line at infinity.
+    So every pair lies on exactly one line iff the element spans partition
+    the nonzero vectors of V(2k, q), which one byte per vector checks in
+    O(q^2k) (path "translation").  pairs_checked is then the sum of
+    C(|line|, 2) over the lines, which equals C(points, 2) on a plane, and
+    each vector on t > 1 spans adds (t - 1) q^2k / 2 collisions.  When the
+    spans overlap on a plane of at most 8192 points, the coverage bitset
+    scan (path "pair-scan", n^2 / 8 bytes) names the first pair on two
+    lines; above that the witness is the first direction on two elements.
+    `auto` is exhaustive up to q^2k = 2^20 (every hk <= 10), and the
+    budget charges the q^2k marks.
+
+    Both modes draw line pairs with a seeded generator and count each
+    meet by one rank (BruckBosePlane.meet): min(samples, 2000) of them in
+    exhaustive mode, as a double-check.  Sampled mode spot checks point
+    pairs, coset representatives and line pairs, `samples` draws in all.
     """
     n = plane.n_points
     order = plane.order
+    n_affine = 1 << (plane.maps.ambient.bits - plane.maps.tower.h)
     if mode == "auto":
-        mode = "exhaustive" if n <= _EXHAUSTIVE_POINT_LIMIT else "sampled"
+        mode = "exhaustive" if n_affine <= _EXHAUSTIVE_DIRECTION_LIMIT else "sampled"
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
 
     quadrangle = _quadrangle_ok(plane)
     rng = random.Random(seed)
-    n_elements = len(plane.spread.elements)
+    if mode == "sampled":
+        return _sampled_check(plane, rng, samples, quadrangle)
+
+    if budget is not None and n_affine > budget:
+        raise EnumerationTooLarge(n_affine, budget, "direction marks")
+    if order * order != n_affine:
+        raise InvalidSpread("parallel classes do not tile the affine points")
+    repeats, witness = _direction_marks(plane, n_affine)
+    if repeats and n <= _PAIR_SCAN_POINT_LIMIT:
+        path = "pair-scan"
+        pairs, collisions, witness = _pair_scan(plane, budget)
+    else:
+        path = "translation"
+        m = len(plane.bases)
+        pairs = m * order * comb(order + 1, 2) + comb(m, 2)
+        # q - 1 vectors per direction, n_affine / 2 affine pairs per vector
+        collisions = repeats * (plane.maps.ambient.q - 1) * (n_affine // 2)
+    covered_ok = pairs == comb(n, 2)
+    if not covered_ok and witness is None:
+        witness = ("pair count", pairs, comb(n, 2))
+    line_pairs = 0
+    for _ in range(min(samples, 2000)):
+        l1, l2 = (plane.line_at(i) for i in rng.sample(range(plane.n_lines), 2))
+        c = plane.meet(l1, l2)
+        line_pairs += 1
+        if c != 1:
+            collisions += 1
+            if witness is None:
+                witness = ("line pair meets", l1, l2, c)
+    ok = collisions == 0 and covered_ok and quadrangle
+    return PlaneAxiomsReport(
+        ok=ok,
+        mode="exhaustive",
+        points=n,
+        lines=plane.n_lines,
+        points_per_line=order + 1,
+        lines_per_point=order + 1,
+        pairs_checked=pairs,
+        collisions=collisions,
+        line_pairs_checked=line_pairs,
+        quadrangle_ok=quadrangle,
+        witness=witness,
+        path=path,
+    )
+
+
+def _sampled_check(plane: BruckBosePlane, rng, samples: int, quadrangle: bool):
+    """Spot checks of point pairs, coset representatives and line pairs."""
     witness = None
-
-    if mode == "exhaustive":
-        est = n * n
-        if budget is not None and est > budget:
-            raise EnumerationTooLarge(est, budget, "pair coverage table")
-        # ids: affine points in sorted packed order, then element points
-        all_affine = sorted(
-            p for b in plane.bases[0] for p in plane.line_points(0, b)
-        )
-        affine_ids = {p: i for i, p in enumerate(all_affine)}
-        if len(affine_ids) != order * order:
-            raise InvalidSpread("element 0 cosets do not tile the affine points")
-        # ids of each line in ascending order, the line at infinity last;
-        # each element's span is built once for all of its lines
-        spans = (plane.line_points(eidx, 0) for eidx in range(n_elements))
-        point_lines = chain(
-            (
-                sorted(affine_ids[base ^ s] for s in span)
-                + [order * order + eidx]
-                for eidx, span in enumerate(spans)
-                for base in plane.bases[eidx]
-            ),
-            [range(order * order, n)],
-        )
-        cover = [0] * n
-        pairs = 0
-        collisions = 0
-        for ids in point_lines:
-            line_pairs, line_collisions, first = _cover_line(cover, ids)
-            pairs += line_pairs
-            collisions += line_collisions
-            if witness is None and first is not None:
-                witness = ("pair on two lines", *first)
-        covered_ok = pairs == n * (n - 1) // 2
-        if not covered_ok and witness is None:
-            witness = ("pair count", pairs, n * (n - 1) // 2)
-        line_pairs = 0
-        all_lines = list(plane.lines()) + ["inf"]
-        for _ in range(min(samples, 2000)):
-            l1, l2 = rng.sample(all_lines, 2)
-            c = _common_points(plane, l1, l2)
-            line_pairs += 1
-            if c != 1:
-                collisions += 1
-                if witness is None:
-                    witness = ("line pair meets", l1, l2, c)
-        ok = collisions == 0 and covered_ok and quadrangle
-        return PlaneAxiomsReport(
-            ok=ok,
-            mode="exhaustive",
-            points=n,
-            lines=plane.n_lines,
-            points_per_line=order + 1,
-            lines_per_point=order + 1,
-            pairs_checked=pairs,
-            collisions=collisions,
-            line_pairs_checked=line_pairs,
-            quadrangle_ok=quadrangle,
-            witness=witness,
-        )
-
-    # sampled
     bad = 0
     pairs = 0
+    n_elements = len(plane.bases)
+    order = plane.order
     amb = plane.maps.ambient
     h = plane.maps.tower.h
     width_bits = amb.bits - h
@@ -313,17 +420,16 @@ def plane_axioms_check(
             b2 = plane.bases[e2][rng.randrange(order)]
             if (e1, b1) == (e2, b2):
                 continue
-            c = _common_points(plane, (e1, b1), (e2, b2))
+            c = plane.meet((e1, b1), (e2, b2))
             if c != 1:
                 bad += 1
                 if witness is None:
                     witness = ("line pair meets", (e1, b1), (e2, b2), c)
         pairs += 1
-    ok = bad == 0 and quadrangle
     return PlaneAxiomsReport(
-        ok=ok,
+        ok=bad == 0 and quadrangle,
         mode="sampled",
-        points=n,
+        points=plane.n_points,
         lines=plane.n_lines,
         points_per_line=order + 1,
         lines_per_point=order + 1,
@@ -332,6 +438,7 @@ def plane_axioms_check(
         line_pairs_checked=pairs,
         quadrangle_ok=quadrangle,
         witness=witness,
+        path="sampled",
     )
 
 

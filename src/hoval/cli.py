@@ -39,6 +39,11 @@ from .projective import DEFAULT_BUDGET
 from .reduction import maps_for
 
 _AXIOM_NAMES = ("A1", "A2", "A3", "A4")
+_PLANE_MODE_HELP = (
+    "auto (default) checks every point pair when the q^2k vectors of "
+    "V(2k, q) number at most 2^20 (every hk <= 10), from one mark per "
+    "direction of each spread element, and spot checks above that"
+)
 
 
 def _default_parallel() -> int:
@@ -332,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_params(p)
     _add_common(p)
     p.add_argument("--plane-mode", choices=("auto", "exhaustive", "sampled"),
-                   default="auto")
+                   default="auto", help=_PLANE_MODE_HELP)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bruck_bose)
 
@@ -348,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--mode", choices=("pairs", "exhaustive"), default="pairs")
     p.add_argument("--plane-mode", choices=("auto", "exhaustive", "sampled"),
-                   default="auto")
+                   default="auto", help=_PLANE_MODE_HELP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stages", help="comma separated stage subset")
     p.set_defaults(func=_cmd_verify_all)

@@ -33,7 +33,7 @@ from .hyperoval import (
     translation_basis,
     translation_closure_check,
 )
-from .linearsets import CyclicSymmetry
+from .linearsets import CyclicSymmetry, check_group_budget
 from .projective import DEFAULT_BUDGET
 from .pseudoregulus import SecantStructure
 from .reduction import CorrespondenceMaps
@@ -404,13 +404,8 @@ def _check_a4(
     space = maps.hinf
     h = maps.tower.h
     vecs = [p >> h for p in c_points.ordered]
-    if translation_closure_check(c_points)[0]:
-        n = len(vecs)
-        pairs = (n - 1) * (n - 2) // 2
-        if budget is not None and pairs > budget:
-            raise EnumerationTooLarge(pairs, budget, "base-point pair span scan")
-        if _symmetric(family, c_points, maps):
-            return _a4_base_point(family, c_points, vecs, space, symmetry)
+    if _symmetric(family, c_points, maps):
+        return _a4_base_point(family, c_points, vecs, space, symmetry, budget)
     return _a4_triple_scan(family, c_points, vecs, space, budget)
 
 
@@ -441,7 +436,7 @@ def _translation_invariant(family: CPlaneFamily, gens, maps) -> bool:
     return all((rows, coset ^ d) in keys for rows, coset in keys for d in moves[rows])
 
 
-def _a4_base_point(family, c_points, vecs, space, symmetry=None) -> AxiomReport:
+def _a4_base_point(family, c_points, vecs, space, symmetry=None, budget=None) -> AxiomReport:
     """A4 from the C(n-1, 2) pairs {b, c} through the base point a.
 
     A plane through a is fixed by its direction 2-space alone.  A family
@@ -455,7 +450,9 @@ def _a4_base_point(family, c_points, vecs, space, symmetry=None) -> AxiomReport:
     a ^ b are pairwise distinct and are exactly D, the bins are the lines
     with two or more points of D, and the verdict is read from the group
     (_a4_from_symmetry) instead of scanning; a failing verdict is
-    recomputed by the scan, which picks the reported bin.
+    recomputed by the scan, which picks the reported bin.  The budget
+    charges the group path |D| - 1 line keys, as the spectrum's group
+    path, and the scan its C(n-1, 2) pairs.
     """
     n = len(vecs)
     normalize = space.normalize
@@ -469,9 +466,13 @@ def _a4_base_point(family, c_points, vecs, space, symmetry=None) -> AxiomReport:
     if symmetry is not None:
         distinct = set(dirs)
         if len(distinct) == n - 1 and distinct == symmetry.dirs.points:
+            check_group_budget(n - 1, budget)
             rep = _a4_from_symmetry(family, symmetry, through, n, space)
             if rep is not None and rep.ok:
                 return rep
+    pairs = (n - 1) * (n - 2) // 2
+    if budget is not None and pairs > budget:
+        raise EnumerationTooLarge(pairs, budget, "base-point pair span scan")
     space.ensure_tables()
     pair_key = space.pair_line_key
     counts: dict = {}

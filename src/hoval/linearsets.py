@@ -112,6 +112,14 @@ def check_pair_budget(npoints: int, budget) -> None:
         raise EnumerationTooLarge(npairs, budget, "secant pair scan")
 
 
+def check_group_budget(npoints: int, budget) -> None:
+    """Refuse the npoints - 1 line keys through one point of a verified
+    cyclic group when they exceed the budget."""
+    keys = npoints - 1
+    if budget is not None and keys > budget:
+        raise EnumerationTooLarge(keys, budget, "cyclic-group line keys")
+
+
 def _pair_multiplicities(pts, space: ProjSpace, budget):
     check_pair_budget(len(pts), budget)
     key = space.pair_line_key
@@ -324,7 +332,8 @@ def spectrum(
     In pairs mode a `candidate` collineation (cyclic_candidate) that
     cyclic_symmetry verifies on the set gives the multi-point lines from
     the lines through one point; otherwise the C(|D|, 2) pairs are scanned.
-    The budget refuses C(|D|, 2) > budget on either path.
+    The budget charges each path what it computes, before it runs: |D| - 1
+    line keys for the group, C(|D|, 2) for the pair scan.
 
     `processes` only applies to the exhaustive line scan, which runs in
     min(processes, os.cpu_count()) worker processes, or in this one when
@@ -343,8 +352,8 @@ def spectrum(
         raise ValueError(f"unknown mode {mode!r}")
 
     if mode == "pairs":
-        check_pair_budget(len(pts), budget)
         if candidate is not None:
+            check_group_budget(len(pts), budget)
             d = dirs if isinstance(dirs, DirectionSet) else DirectionSet(pts, space)
             symmetry = cyclic_symmetry(d, candidate)
             if symmetry is not None:

@@ -269,6 +269,7 @@ def _stage_plane(run: _Run) -> tuple[bool, dict]:
         "points": plane.n_points,
         "lines": plane.n_lines,
         "axioms_mode": axioms.mode,
+        "axioms_path": axioms.path,
         "axioms_ok": axioms.ok,
         "pairs_checked": axioms.pairs_checked,
         "hyperoval_ok": hrep.ok,
@@ -293,9 +294,10 @@ def _stage_cplanes(run: _Run) -> tuple[bool, dict]:
         family, run.hov.affine, maps, axioms=("A1", "A2", "A3")
     )
     # A4 gets a call of its own so a trace (bench/spans.py) times it apart
-    # from A1-A3.  It needs no cap of its own: in a passing run its
-    # base-point estimate C(n-1, 2) is the C(|D|, 2) the spectrum stage
-    # already passed under this budget.
+    # from A1-A3.  It needs no cap of its own: in a passing run it charges
+    # the |D| - 1 line keys of the verified group, or the C(n-1, 2) =
+    # C(|D|, 2) pairs of its scan, and the spectrum stage already charged
+    # the same path under this budget.
     reports.update(
         check_axioms(
             family, run.hov.affine, maps, axioms=("A4",), budget=run.budget,

@@ -24,7 +24,12 @@ from .errors import (
     TransversalExtractionFailed,
 )
 from .hyperoval import DirectionSet
-from .linearsets import CyclicSymmetry, _pair_multiplicities, check_pair_budget
+from .linearsets import (
+    CyclicSymmetry,
+    _pair_multiplicities,
+    check_group_budget,
+    check_pair_budget,
+)
 from .projective import (
     DEFAULT_BUDGET,
     Line,
@@ -72,7 +77,8 @@ def find_long_secants(
     of the one through min D (_orbit_secants).  Otherwise `multiplicities`
     is the pair map a pairs-mode spectrum of D scanned
     (SpectrumHistogram.multiplicities), and without either the pairs are
-    scanned here.  The budget applies on every path.
+    scanned here.  The budget charges |D| - 1 line keys on the group path
+    and the C(|D|, 2) pairs on the others.
 
     At q = 4 a long secant and a 3-secant both carry 3 points of D, so only
     the group can tell them apart: without a verified group h = 2 is
@@ -87,17 +93,18 @@ def find_long_secants(
             f"|D| = {len(pts)} is not a multiple of q - 1 = {q - 1}"
         )
     m = len(pts) // (q - 1)
-    check_pair_budget(len(pts), budget)
     grouped = symmetry is not None and symmetry.dirs.points == dirs.points
     if grouped:
+        check_group_budget(len(pts), budget)
         # at q = 4 the 3-secants outnumber the long secants; the orbit decides
         found = m if q == 4 else symmetry.lines.get(q - 1, 0)
-    elif q == 4:
-        raise NotPseudoregulusCandidate(
-            "at q = 4 long secants and 3-secants both carry 3 directions; "
-            "without a verified cyclic symmetry of D they cannot be told apart"
-        )
     else:
+        check_pair_budget(len(pts), budget)
+        if q == 4:
+            raise NotPseudoregulusCandidate(
+                "at q = 4 long secants and 3-secants both carry 3 directions; "
+                "without a verified cyclic symmetry of D they cannot be told apart"
+            )
         mult = multiplicities
         if mult is None:
             mult = _pair_multiplicities(pts, space, budget)

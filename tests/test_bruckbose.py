@@ -1,16 +1,18 @@
 """Incidence plane construction, plane axioms, hyperoval line scan."""
 
 import random
+import tracemalloc
 
 import pytest
 
-from hoval.errors import InvalidSpread
+from hoval.errors import EnumerationTooLarge, InvalidSpread
 from hoval.gf2 import tower_create
 from hoval.hyperoval import AffinePointSet, HyperovalSpec, build_hyperoval, directions
 from hoval.bruckbose import (
+    _direction_marks,
     _histogram_by_scan,
+    _pair_scan,
     PlaneAxiomsReport,
-    _common_points,
     _quadrangle_ok,
     build_plane,
     hyperoval_in_plane,
@@ -241,6 +243,23 @@ def test_spans_and_bases_match_smul_construction(setup321):
             assert all(amb.chunk(b, amb.pivot(r)) == 0 for r in rows)
 
 
+def _common_points(plane, l1, l2):
+    """Number of common points of two distinct lines, by brute membership."""
+    inf1 = l1 == "inf"
+    inf2 = l2 == "inf"
+    if inf1 or inf2:
+        return 1  # the other line's element point is on the infinite line
+    e1, b1 = l1
+    e2, b2 = l2
+    if e1 == e2:
+        return 1 if b1 != b2 else None  # parallel class meets at the element point
+    count = 0
+    for p in plane.line_points(e1, b1):
+        if plane.base_of(e2, p) == b2:
+            count += 1
+    return count  # element points differ, so only affine meetings count
+
+
 def _bytearray_axioms_oracle(plane, seed=0, samples=2000):
     """The exhaustive plane check with an n^2 byte coverage table."""
     n = plane.n_points
@@ -298,10 +317,8 @@ def _bytearray_axioms_oracle(plane, seed=0, samples=2000):
     )
 
 
-@pytest.fixture(scope="module")
-def forged321(setup321):
-    """The (3,2,1) plane over a non-partition: element 1 copies element 0."""
-    _, _, _, plane = setup321
+def _forged(plane):
+    """The plane over the same spread with element 1 a copy of element 0."""
     good = plane.spread
     elements = list(good.elements)
     elements[1] = elements[0]
@@ -311,6 +328,13 @@ def forged321(setup321):
     forged.sources = forged.source_space = forged.source_index = None
     forged.index = {p: idx for idx, el in enumerate(elements) for p in el.points()}
     return build_plane(plane.maps, forged)
+
+
+@pytest.fixture(scope="module")
+def forged321(setup321):
+    """The (3,2,1) plane over a non-partition: element 1 copies element 0."""
+    _, _, _, plane = setup321
+    return _forged(plane)
 
 
 def test_bitset_coverage_matches_oracle(setup321):
@@ -349,3 +373,100 @@ def test_one_reduce_per_affine_pair(setup321, forged321, which):
         two = [e for e in range(n_el) if plane.base_of(e, p) == plane.base_of(e, r)]
         one = [e for e in range(n_el) if plane.base_of(e, p ^ r) == 0]
         assert one == two
+
+
+# -- the translation certificate and the rank meet -----------------------------
+
+def _line_pairs(plane, rng, count):
+    """Seeded distinct line pairs: same class, with the line at infinity,
+    and from two classes, `count` of each."""
+    n_el = len(plane.bases)
+    order = plane.order
+
+    def line(eidx):
+        return eidx, plane.bases[eidx][rng.randrange(order)]
+
+    for _ in range(count):
+        eidx = rng.randrange(n_el)
+        b1, b2 = rng.sample(plane.bases[eidx], 2)
+        yield (eidx, b1), (eidx, b2)
+        yield line(rng.randrange(n_el)), "inf"
+        e1, e2 = rng.sample(range(n_el), 2)
+        yield line(e1), line(e2)
+    # lines of two classes through one affine point
+    for _ in range(count):
+        e1, e2 = rng.sample(range(n_el), 2)
+        p = _random_affine(plane, rng)
+        yield (e1, plane.base_of(e1, p)), (e2, plane.base_of(e2, p))
+
+
+@pytest.mark.parametrize("hk", [(3, 2), (4, 2), (3, 3)])
+def test_rank_meet_matches_common_points(hk):
+    plane = build_plane(maps_for(tower_create(*hk)))
+    rng = random.Random(29)
+    for l1, l2 in _line_pairs(plane, rng, 40):
+        assert plane.meet(l1, l2) == _common_points(plane, l1, l2) == 1
+        assert plane.meet(l2, l1) == 1
+
+
+def test_rank_meet_matches_common_points_on_forged_plane(forged321):
+    rng = random.Random(31)
+    counts = set()
+    pairs = list(_line_pairs(forged321, rng, 60))
+    # element 0 and its copy: equal lines meet in q^k points, others in none
+    pairs += [((0, b1), (1, b2)) for b1 in forged321.bases[0][:4]
+              for b2 in forged321.bases[1][:4]]
+    for l1, l2 in pairs:
+        c = forged321.meet(l1, l2)
+        assert c == _common_points(forged321, l1, l2)
+        counts.add(c)
+    assert counts == {0, 1, 64}
+
+
+def test_line_at_follows_lines(setup321):
+    _, _, _, plane = setup321
+    lines = list(plane.lines()) + ["inf"]
+    assert len(lines) == plane.n_lines
+    assert [plane.line_at(i) for i in range(plane.n_lines)] == lines
+
+
+def test_direction_marks_count_the_pair_scan_collisions(forged321):
+    # 9 directions of element 0 repeat on its copy, (q - 1) vectors each,
+    # and each vector is the difference of q^2k / 2 affine pairs
+    repeats, witness = _direction_marks(forged321, 4096)
+    pairs, collisions, _ = _pair_scan(forged321, None)
+    assert repeats == 9
+    assert collisions == repeats * 7 * 2048 == 129024
+    assert witness[:1] + witness[2:] == ("direction on two elements", 0, 1)
+    assert forged321.base_of(0, witness[1] << 3) == 0
+    assert pairs == 4161 * 4160 // 2
+
+
+def test_forged_421_fails_by_direction_without_a_pair_table():
+    plane = _forged(build_plane(maps_for(tower_create(4, 2))))
+    assert plane.n_points == 65793
+    tracemalloc.start()
+    try:
+        rep = plane_axioms_check(plane, mode="exhaustive", seed=3, samples=300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the pair table would be 65793^2 / 8 bytes, ~541 MB
+    assert peak < 4 * 2**20
+    assert not rep.ok and rep.path == "translation"
+    assert rep.witness[0] == "direction on two elements"
+    assert rep.witness[2:] == (0, 1)
+    # the quadrangle's direction 1 lay on the element the copy replaced
+    assert not rep.quadrangle_ok
+    # 17 directions repeat, 15 vectors each, 2^16 / 2 pairs per vector
+    assert rep.collisions >= 17 * 15 * 2**15
+    assert rep.pairs_checked == 65793 * 65792 // 2
+
+
+def test_pair_scan_fallback_obeys_the_budget(forged321):
+    with pytest.raises(EnumerationTooLarge) as exc:
+        plane_axioms_check(forged321, mode="exhaustive", budget=4161 ** 2 - 1)
+    assert exc.value.estimate == 4161 ** 2
+    with pytest.raises(EnumerationTooLarge) as exc:
+        plane_axioms_check(forged321, mode="exhaustive", budget=4095)
+    assert exc.value.estimate == 4096

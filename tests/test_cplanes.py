@@ -580,6 +580,21 @@ def _group(hov, d):
     return spectrum(d, candidate=cyclic_candidate(hov.maps, hov.spec.i)).symmetry
 
 
+def test_a4_group_is_charged_its_line_keys(case321, family321, line_key_calls):
+    # the verified group's bins cost the |D| - 1 = 62 line keys the spectrum
+    # computed; the C(63, 2) pair scan is charged only when it runs
+    hov, d, s = case321
+    sym = _group(hov, d)
+    line_key_calls.clear()
+    rep = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",),
+                       budget=len(d) - 1, symmetry=sym)["A4"]
+    assert rep.ok and rep.bins == "cyclic-group" and not line_key_calls
+    with pytest.raises(EnumerationTooLarge) as exc:
+        check_axioms(family321, hov.affine, hov.maps, axioms=("A4",),
+                     budget=len(d) - 2, symmetry=sym)
+    assert exc.value.estimate == len(d) - 1
+
+
 def _counted_group(d):
     """A CyclicSymmetry of D whose N_j come from the pair scan.
 

@@ -358,9 +358,46 @@ def test_cyclic_symmetry_needs_a_transitive_orbit(case321):
 
 
 def test_cyclic_spectrum_obeys_the_pair_budget(case321):
+    # the verified group computes |D| - 1 = 62 line keys, and is charged those
     hov, d = case321
-    with pytest.raises(EnumerationTooLarge):
-        spectrum(d, budget=100, candidate=cyclic_candidate(hov.maps, 1))
+    candidate = cyclic_candidate(hov.maps, 1)
+    assert spectrum(d, budget=len(d) - 1, candidate=candidate).path == "cyclic-group"
+    with pytest.raises(EnumerationTooLarge) as exc:
+        spectrum(d, budget=len(d) - 2, candidate=candidate)
+    assert exc.value.estimate == len(d) - 1
+
+
+def test_hk15_spectrum_passes_under_the_default_budget():
+    # the C(|D|, 2) = 536,821,761 pairs exceed the default budget; the
+    # verified group computes |D| - 1 = 32,766 line keys
+    hov = build_hyperoval(HyperovalSpec(5, 3, 1))
+    d = directions(hov.affine, hov.maps)
+    candidate = cyclic_candidate(hov.maps, 1)
+    hist = spectrum(d, candidate=candidate)
+    assert hist.path == "cyclic-group" and hist.multiplicities is None
+    # one point of D swapped for another fails the group check, and the
+    # pair scan it would fall back to is refused by name
+    normalize = d.space.normalize
+    outside = next(p for p in map(normalize, range(1, 1 << 12)) if p not in d.points)
+    swapped = DirectionSet(d.ordered[1:] + (outside,), d.space)
+    with pytest.raises(EnumerationTooLarge) as exc:
+        spectrum(swapped, candidate=candidate)
+    assert exc.value.estimate == math.comb(len(d), 2) == 536_821_761
+    assert "secant pair scan" in str(exc.value)
+
+
+def test_failed_group_is_charged_the_pair_scan(case321):
+    # a candidate that fails verification falls back to the C(|D|, 2) scan,
+    # which the budget refuses by name before it runs
+    hov, d = case321
+    m = cyclic_candidate(hov.maps, 1)
+    cube = tuple(_apply(m, _apply(m, col)) for col in m)
+    pairs = math.comb(len(d), 2)
+    assert spectrum(d, budget=pairs, candidate=cube).path == "pair-scan"
+    with pytest.raises(EnumerationTooLarge) as exc:
+        spectrum(d, budget=pairs - 1, candidate=cube)
+    assert exc.value.estimate == pairs
+    assert "secant pair scan" in str(exc.value)
 
 
 _STRICT = [

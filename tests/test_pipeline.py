@@ -211,20 +211,35 @@ def test_h1_refused_only_when_long_secants_are_needed():
     assert rep.verdict == "pass"
 
 
-@pytest.mark.parametrize("budget, ran", [(130_305, True), (130_304, False)])
+@pytest.mark.parametrize("budget, ran", [(510, True), (509, False)])
 def test_a4_obeys_the_run_budget(budget, ran):
-    # A4's base-point estimate C(n-1, 2) is the C(|D|, 2) = 130,305 pairs the
-    # spectrum stage scans first under the same budget
+    # under the verified cyclic group A4 is charged the |D| - 1 = 510 line
+    # keys the spectrum stage computes first under the same budget
     rep = run_verify_all(3, 3, 1, stages=("cplanes",), budget=budget)
     if ran:
         a4 = rep.stage("cplanes").data["axioms"]["A4"]
         assert a4["ok"] and a4["detail"]["mode"] == "base-point"
+        assert a4["detail"]["bins"] == "cyclic-group"
         assert rep.verdict == "pass"
     else:
         spectrum = rep.stage("spectrum")
         assert spectrum.status == "error"
         assert spectrum.error.startswith("EnumerationTooLarge")
         assert rep.stage("cplanes").status == "skipped"
+
+
+def test_plane_stage_reports_its_axioms_path(full321):
+    pl = full321.stage("plane").data
+    assert (pl["axioms_mode"], pl["axioms_path"]) == ("exhaustive", "translation")
+    assert pl["pairs_checked"] == 4161 * 4160 // 2 == 8654880
+
+
+def test_auto_plane_check_is_exhaustive_at_331():
+    # q^2k = 2^18 direction marks instead of 2,000 spot checks
+    pl = run_verify_all(3, 3, 1, stages=("plane",)).stage("plane").data
+    assert pl["axioms_ok"]
+    assert (pl["axioms_mode"], pl["axioms_path"]) == ("exhaustive", "translation")
+    assert pl["pairs_checked"] == 262657 * 262656 // 2
 
 
 def test_run_artifacts_stay_out_of_the_report(full321):

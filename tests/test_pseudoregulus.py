@@ -327,8 +327,10 @@ def test_long_secants_from_the_group_321(case321):
     hov, d = case321
     sym = _symmetry_of(hov, d)
     assert find_long_secants(d, symmetry=sym) == find_long_secants(d)
+    # the group path is charged its |D| - 1 line keys, not the C(|D|, 2) pairs
+    assert find_long_secants(d, budget=len(d) - 1, symmetry=sym) == find_long_secants(d)
     with pytest.raises(EnumerationTooLarge):
-        find_long_secants(d, budget=100, symmetry=sym)
+        find_long_secants(d, budget=len(d) - 2, symmetry=sym)
 
 
 @pytest.mark.parametrize("k", [2, 3])
