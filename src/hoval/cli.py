@@ -5,9 +5,9 @@ Every subcommand prints one JSON document to stdout (or writes it with
 
     0  checks passed
     1  a property check failed, or construction was refused
-    2  usage error, unreadable input file, or h = 1 for a subcommand
-       that needs long secants
-    3  an enumeration exceeded the budget
+    2  usage error, unreadable input file, unwritable --out file, or h = 1
+       for a subcommand that needs long secants
+    3  an enumeration exceeded the budget, or a stage ran out of memory
 
 detect-pseudoregulus, build-spread, bruck-bose-verify and bj-axioms are
 views: each runs its stages through run_verify_all and projects the stage
@@ -72,11 +72,26 @@ def _spec(args) -> HyperovalSpec:
     return _checked_spec(args.h, args.k, args.i, not args.allow_nonstrict)
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an --out path that cannot be written, before any stage runs."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="ascii"):
+            pass
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def _emit(args, doc: dict) -> None:
     text = serialize.dumps(doc)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="ascii") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w", encoding="ascii") as f:
+                f.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -154,12 +169,15 @@ def _pipeline(args, stages, **options):
     )
 
 
+_EXHAUSTED = (EnumerationTooLarge.__name__ + ":", MemoryError.__name__ + ":")
+
+
 def _exit_code(rep) -> int:
-    """0 when the run passed, 3 when a stage ran out of budget, else 1."""
+    """0 when the run passed, 3 when a stage ran out of budget or memory, else 1."""
     if rep.verdict == "pass":
         return 0
     for s in rep.stages:
-        if s.error and s.error.startswith(EnumerationTooLarge.__name__ + ":"):
+        if s.error and s.error.startswith(_EXHAUSTED):
             return 3
     return 1
 
@@ -366,6 +384,8 @@ def main(argv=None) -> int:
     try:
         if args.parallel < 1:
             raise ParseError(f"--parallel must be at least 1, got {args.parallel}")
+        if args.out:
+            _check_writable(args.out)
         return args.func(args)
     except (ParseError, NoLongSecants) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -232,10 +232,7 @@ class Field:
             a = _poly_mulmod(a, a, self.modulus)
         return a
 
-    # -- enumeration / identity ------------------------------------------
-
-    def nonzero_elements(self) -> range:
-        return range(1, self.q)
+    # -- identity --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -32,7 +32,7 @@ from itertools import combinations, product
 from .errors import EnumerationTooLarge, NotF2Linear, TooFewPoints
 from .gf2 import field_create
 from .hyperoval import AffinePointSet, DirectionSet, f2_echelon, translation_basis
-from .projective import DEFAULT_BUDGET, ProjSpace, projective_points_count
+from .projective import DEFAULT_BUDGET, LinearMap, ProjSpace, projective_points_count
 from .reduction import CorrespondenceMaps, Spread
 
 
@@ -190,18 +190,6 @@ def cyclic_candidate(maps: CorrespondenceMaps, i: int) -> tuple:
     return tuple(columns)
 
 
-def _apply(columns, v: int) -> int:
-    """The GF(2)-linear map with these unit-vector images, applied to v."""
-    out = 0
-    for col in columns:
-        if not v:
-            break
-        if v & 1:
-            out ^= col
-        v >>= 1
-    return out
-
-
 def cyclic_symmetry(dirs: DirectionSet, columns) -> CyclicSymmetry | None:
     """Verify a candidate collineation on D; None when any check fails.
 
@@ -217,20 +205,21 @@ def cyclic_symmetry(dirs: DirectionSet, columns) -> CyclicSymmetry | None:
     pts = dirs.points
     if len(columns) != space.bits or len(f2_echelon(columns)) != space.bits:
         return None
+    apply = LinearMap(columns)
     w = 2 if space.q > 2 else 1  # x generates GF(q) over GF(2)
     for b, col in enumerate(columns):
-        if _apply(columns, space.smul(w, 1 << b)) != space.smul(w, col):
+        if apply(space.smul(w, 1 << b)) != space.smul(w, col):
             return None
     normalize = space.normalize
     d0 = dirs.ordered[0]
     orbit = [d0]
     p = d0
     for _ in range(len(pts) - 1):
-        p = normalize(_apply(columns, p))
+        p = normalize(apply(p))
         if p not in pts:
             return None
         orbit.append(p)
-    if len(set(orbit)) != len(pts) or normalize(_apply(columns, p)) != d0:
+    if len(set(orbit)) != len(pts) or normalize(apply(p)) != d0:
         return None
     key = space.pair_line_key
     others: dict = {}  # line through d0 -> the other points of D on it

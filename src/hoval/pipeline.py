@@ -13,7 +13,9 @@ The pipeline runs a fixed sequence of stages, each wrapping one module:
     cplanes        plane family through the long secants, axioms A1 to A4
 
 A stage that fails or raises stops the run; later stages report skipped.
-The verdict is "pass" only when every stage ran and came back clean.
+A stage that raises a HovalError or runs out of memory reports status
+"error" with the exception named in `error`.  The verdict is "pass" only
+when every stage ran and came back clean.
 """
 
 from __future__ import annotations
@@ -396,7 +398,7 @@ def run_verify_all(
             ok, data = _STAGE_FUNCS[name](run)
             status = "ok" if ok else "fail"
             err = None
-        except HovalError as exc:
+        except (HovalError, MemoryError) as exc:
             ok, data = False, {}
             status = "error"
             err = f"{type(exc).__name__}: {exc}"

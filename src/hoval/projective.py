@@ -350,21 +350,60 @@ def line_through(a: int, b: int, space: ProjSpace) -> Line:
 
 
 # ---------------------------------------------------------------------------
-# small dense matrices over GF(q), rows as lists of coordinate ints
+# linear maps: byte-sliced tables, and small dense matrices over GF(q) with
+# rows as lists of coordinate ints
 # ---------------------------------------------------------------------------
 
-def mat_vec_packed(m: Sequence[Sequence[int]], v: int, space: ProjSpace) -> int:
-    """Matrix times packed column vector, result packed."""
-    mul = space.field.mul
-    coords = space.unpack(v)
-    out = 0
-    for i, row in enumerate(m):
-        acc = 0
-        for j, c in enumerate(coords):
-            if c and row[j]:
-                acc ^= mul(row[j], c)
-        out |= acc << (i * space.h)
-    return out
+class LinearMap:
+    """A GF(2)-linear map of packed vectors, applied by byte-sliced tables.
+
+    ``columns[b]`` is the image of the unit vector 1 << b.  Table t holds the
+    XOR of every subset of columns 8t .. 8t + 7, so a vector is mapped with
+    one lookup per byte instead of one GF(q) product per matrix entry.  A
+    GF(q)-linear map is GF(2)-linear too (from_matrix); so is "the map, then
+    any GF(2)-linear relabelling of its output" (then).  Inputs must have no
+    bit at or above len(columns).
+    """
+
+    __slots__ = ("columns", "_tables")
+
+    def __init__(self, columns: Iterable[int]):
+        self.columns = tuple(columns)
+        tables = []
+        for lo in range(0, len(self.columns), 8):
+            cols = self.columns[lo:lo + 8]
+            tab = [0] * (1 << len(cols))
+            for v in range(1, len(tab)):
+                low = v & -v
+                tab[v] = tab[v ^ low] ^ cols[low.bit_length() - 1]
+            tables.append(tab)
+        self._tables = tuple(tables)
+
+    @classmethod
+    def from_matrix(cls, m: Sequence[Sequence[int]], space: ProjSpace) -> LinearMap:
+        """v -> m v for a square matrix over GF(q) acting on `space`'s vectors."""
+        mul = space.field.mul
+        h = space.h
+        columns = []
+        for j in range(space.width):
+            for bit in range(h):
+                out = 0
+                for i, row in enumerate(m):
+                    if row[j]:
+                        out |= mul(row[j], 1 << bit) << (i * h)
+                columns.append(out)
+        return cls(columns)
+
+    def then(self, f) -> LinearMap:
+        """v -> f(self(v)) for a GF(2)-linear f on the images."""
+        return LinearMap(f(c) for c in self.columns)
+
+    def __call__(self, v: int) -> int:
+        out = 0
+        for tab in self._tables:
+            out ^= tab[v & 0xFF]
+            v >>= 8
+        return out
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], field: Field

@@ -33,13 +33,13 @@ from .linearsets import (
 from .projective import (
     DEFAULT_BUDGET,
     Line,
+    LinearMap,
     ProjSpace,
     Subspace,
     mat_inv,
     mat_mul,
-    mat_vec_packed,
 )
-from .reduction import CorrespondenceMaps, Spread
+from .reduction import CorrespondenceMaps, Spread, unvec_blocks
 
 
 @dataclass(frozen=True)
@@ -314,42 +314,121 @@ class SemilinearFit:
 def _preserves_spread(m, maps: CorrespondenceMaps, space: ProjSpace) -> bool:
     """Does the coordinate change permute the ambient spread elements?
 
-    An invertible m carries each element E onto a subspace of E's rank, so
-    m(E) is an element exactly when the images of E's rows lie in one, and
-    then m permutes the elements.  A singular m shrinks the element through
-    a kernel vector, so it permutes none.
+    The ambient spread is the Desarguesian one: its elements are the orbits
+    F v of the nonzero vectors under F = {S_c : c in GF(q^k)}, where S_c
+    multiplies both blocks by c.  The cheap test first: beta, the class of
+    x, generates GF(q^k) over GF(2), so if C = M S_beta M^-1 is some S_gamma
+    then M F M^-1 = F, M(F v) = F M(v), and M permutes the elements
+    (_conjugates_field, 2hk unit vectors).  When C is no S_gamma, the
+    elements are checked one by one (_maps_elements_to_elements): a refusal
+    never rests on the stabiliser theorem, and a wrong map still exits at
+    its first element.  A singular m shrinks an element through a kernel
+    vector, so it permutes none.
     """
     try:
-        mat_inv(m, space.field)
+        minv = mat_inv(m, space.field)
     except SingularMatrix:
         return False
+    lmap = LinearMap.from_matrix(m, space)
+    if _conjugates_field(lmap, LinearMap.from_matrix(minv, space), maps):
+        return True
+    return _maps_elements_to_elements(lmap, maps, space)
+
+
+def _conjugates_field(lmap: LinearMap, inverse: LinearMap, maps) -> bool:
+    """Is C = M S_beta M^-1 equal to S_gamma, gamma the first block of C(1, 0)?
+
+    Compared on the 2hk GF(2) unit vectors, which span H_inf's vectors.
+    """
+    tower = maps.tower
+    mul = tower.big.mul
+    shift = tower.hk
+    spell = unvec_blocks(tower, 2)
+    vec = tower.vec_packed
+    mask = (1 << shift) - 1
+
+    def scale(c: int, v: int) -> int:
+        x = spell(v)
+        return vec(mul(c, x & mask)) | (vec(mul(c, x >> shift)) << shift)
+
+    beta = 2  # the class of x; its minimal polynomial is the big modulus
+    conj = [lmap(scale(beta, col)) for col in inverse.columns]
+    if conj[0] >> shift:  # C(1, 0) must be (gamma, 0)
+        return False
+    gamma = tower.unvec_packed(conj[0])
+    return all(col == scale(gamma, 1 << b) for b, col in enumerate(conj))
+
+
+def _maps_elements_to_elements(lmap: LinearMap, maps, space: ProjSpace) -> bool:
+    """Does the invertible map carry each spread element into one element?
+
+    It carries each element E onto a subspace of E's rank, so M(E) is an
+    element exactly when the images of E's rows lie in one, and then M
+    permutes the elements.
+    """
     spread = maps.abb_spread
     element_of = spread.element_of
     normalize = space.normalize
     for el in spread.elements:
-        hit = {element_of(normalize(mat_vec_packed(m, r, space))) for r in el.rows}
+        hit = {element_of(normalize(lmap(r))) for r in el.rows}
         if len(hit) != 1:
             return False
     return True
 
 
-def fit_semilinear(
+def _canonical_image(to_field: LinearMap, dirs: DirectionSet, tower, j: int) -> bool:
+    """Does the map carry D onto {<(u, u^(2^j))> : u in GF(q^k)*}?
+
+    `to_field` is the coordinate change followed by unvec of each block, so
+    it sends a point to x | y << hk with x, y in GF(q^k).  <(x, y)> is
+    canonical iff x != 0 and y x^(-2^j) = mu^(1 - 2^j) for a mu in GF(q)*;
+    it is then <(u, u^(2^j))> for u = x / mu.  gcd(j, hk) = 1 leaves 1 the
+    only scalar of GF(q) fixed by x -> x^(2^j), so distinct u give distinct
+    points and the canonical set has q^k - 1 of them.  D's image is that
+    set iff |D| = q^k - 1, each image point is canonical and their u are
+    distinct.  Tested point by point; the first point that fails ends it.
+    """
+    big = tower.big
+    if len(dirs.ordered) != big.q - 1:
+        return False
+    mul, inv, frob = big.mul, big.inv, big.frob
+    # mu^(1 - 2^j) -> 1 / mu; one-to-one, as gcd(2^j - 1, q - 1) = 1
+    unscale = {}
+    for a in range(1, tower.small.q):
+        mu = tower.embed(a)
+        unscale[mul(mu, inv(frob(mu, j)))] = inv(mu)
+    shift = tower.hk
+    mask = (1 << shift) - 1
+    seen = set()
+    for p in dirs.ordered:
+        y = to_field(p)
+        x = y & mask
+        if not x:
+            return False
+        mu_inv = unscale.get(mul(y >> shift, inv(frob(x, j))))
+        if mu_inv is None:
+            return False
+        u = mul(x, mu_inv)
+        if u in seen:
+            return False
+        seen.add(u)
+    return True
+
+
+def _fit_candidates(
     dirs: DirectionSet,
     transversals: Transversals,
     fmap: dict,
     maps: CorrespondenceMaps,
-) -> SemilinearFit:
-    """Fit x -> A x^(2^j) to the secant bijection and normalize D.
+):
+    """Every candidate coordinate change the fit tests, in order.
 
-    Tries both transversal labelings.  A candidate exponent is accepted
-    when the fitted coordinate change carries D onto {(t, t^(2^j))} and
-    permutes the spread of the hyperplane at infinity.  The second demand
-    matters: twisting one block by the GF(q)-linear map x -> x^(2^h)
-    shifts the apparent exponent by h while fixing both transversals and
-    D's shape, so without it every exponent in {+-i + s*h} would pass.
-    Respecting the spread pins the answer to one exponent per labeling,
-    {i, hk - i} in total.  The returned matrix carries detected
-    coordinates to the canonical frame where D = {(t, t^(2^i))}.
+    Yields (labeling, j, matrix, scalars, rho, to_field) for each
+    transversal labeling and each exponent j prime to hk whose fitted
+    matrix sends d0 = min D to (t, rho t^(2^j)) with t != 0 and rho in
+    GF(q).  The yielded matrix has its second block divided by rho, and
+    `to_field` is that matrix followed by unvec of each block
+    (_canonical_image).
     """
     tower = maps.tower
     space = maps.hinf
@@ -358,26 +437,14 @@ def fit_semilinear(
     hk_bits = k * tower.h
     mask = (1 << hk_bits) - 1
     vec = tower.vec_packed
+    spell = unvec_blocks(tower, 2)
 
     candidates = [j for j in range(1, hk) if math.gcd(j, hk) == 1]
-    canonical_cache: dict = {}
-
-    def canonical_set(j: int) -> frozenset:
-        got = canonical_cache.get(j)
-        if got is None:
-            got = frozenset(
-                space.normalize(vec(u) | (vec(big.frob(u, j)) << hk_bits))
-                for u in range(1, big.q)
-            )
-            canonical_cache[j] = got
-        return got
-
     inv_map = {v: u for u, v in fmap.items()}
     labelings = (
         ("standard", transversals.t0, fmap),
         ("swapped", transversals.t_inf, inv_map),
     )
-    accepted = []
     for label, source, use_map in labelings:
         u = _greedy_basis(space, sorted(use_map.keys()), k)
         if len(u) != k:
@@ -406,9 +473,10 @@ def fit_semilinear(
             cols = [vec(b) for b in tower.basis]
             cols += [vec(big.frob(b, j)) << hk_bits for b in tower.basis]
             m = mat_mul(_columns_matrix(space, cols), b_source_inv, space.field)
-            y = mat_vec_packed(m, d0, space)
-            t = tower.unvec_packed(y & mask)
-            s = tower.unvec_packed(y >> hk_bits)
+            to_field = LinearMap.from_matrix(m, space).then(spell)
+            y = to_field(d0)
+            t = y & mask
+            s = y >> hk_bits
             if t == 0:
                 continue
             rho = big.mul(s, big.inv(big.frob(t, j)))
@@ -421,11 +489,41 @@ def fit_semilinear(
                     for r in range(k)
                 ]
                 m = m[:k] + mat_mul(n, m[k:], space.field)
-            image = {space.normalize(mat_vec_packed(m, x, space)) for x in dirs.ordered}
-            if image == canonical_set(j) and _preserves_spread(m, maps, space):
-                accepted.append(
-                    (label, j, tuple(tuple(r) for r in m), tuple(scalars), rho)
-                )
+                to_field = LinearMap.from_matrix(m, space).then(spell)
+            yield label, j, m, tuple(scalars), rho, to_field
+
+
+def fit_semilinear(
+    dirs: DirectionSet,
+    transversals: Transversals,
+    fmap: dict,
+    maps: CorrespondenceMaps,
+) -> SemilinearFit:
+    """Fit x -> A x^(2^j) to the secant bijection and normalize D.
+
+    Tries both transversal labelings (_fit_candidates).  A candidate
+    exponent is accepted when the fitted coordinate change carries D onto
+    {(t, t^(2^j))}, tested point by point (_canonical_image), and permutes
+    the spread of the hyperplane at infinity (_preserves_spread: a
+    conjugation test on 2hk vectors, element by element when it fails).
+    The second demand matters: twisting one block by the GF(q)-linear map
+    x -> x^(2^h) shifts the apparent exponent by h while fixing both
+    transversals and D's shape, so without it every exponent in
+    {+-i + s*h} would pass.  Respecting the spread pins the answer to one
+    exponent per labeling, {i, hk - i} in total.  The returned matrix
+    carries detected coordinates to the canonical frame where
+    D = {(t, t^(2^i))}.
+    """
+    tower = maps.tower
+    space = maps.hinf
+    accepted = []
+    for label, j, m, scalars, rho, to_field in _fit_candidates(
+        dirs, transversals, fmap, maps
+    ):
+        if _canonical_image(to_field, dirs, tower, j) and _preserves_spread(
+            m, maps, space
+        ):
+            accepted.append((label, j, tuple(tuple(r) for r in m), scalars, rho))
     if not accepted:
         raise SemilinearFitFailed("no exponent fits the secant bijection")
     accepted.sort(key=lambda a: (a[0] != "standard", a[1]))
@@ -494,9 +592,10 @@ def build_spread(
     # PG(1, q^k), and mat_inv proves the fit invertible: the elements it
     # takes back partition H_inf, and the fit finds the one through a point
     minv = mat_inv([list(r) for r in fit.matrix], space.field)
+    inverse = LinearMap.from_matrix(minv, space)
     elements = []
     for rows in element_rows:
-        mapped = space.rref([mat_vec_packed(minv, r, space) for r in rows])
+        mapped = space.rref([inverse(r) for r in rows])
         elements.append(Subspace(mapped, space))
     spread = Spread.reduced(elements, space, tower, sources, source, fit.matrix)
     # the rebuilt spread, taken back to detected coordinates, must be the

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import EnumerationTooLarge, InvalidSpread, NotAffine
 from .gf2 import Tower, field_create, tower_create
-from .projective import DEFAULT_BUDGET, ProjSpace, Subspace, mat_vec_packed
+from .projective import DEFAULT_BUDGET, LinearMap, ProjSpace, Subspace
 
 
 class Spread:
@@ -108,13 +108,18 @@ class Spread:
                 f"{len(elements)} elements from {len(source_index)} of "
                 f"{npoints} source points"
             )
+        to_source = unvec_blocks(tower, source_space.width)
+        if matrix is None:
+            lmap = LinearMap(to_source(1 << b) for b in range(space.bits))
+        else:
+            lmap = LinearMap.from_matrix(matrix, space).then(to_source)
         spread = cls.__new__(cls)
         spread.elements = tuple(elements)
         spread.space = space
         spread.sources = tuple(sources)
         spread.source_space = source_space
         spread.source_index = source_index
-        spread.index = ReductionIndex(space, tower, source_space, source_index, matrix)
+        spread.index = ReductionIndex(space, source_space, source_index, lmap)
         return spread
 
     def __len__(self) -> int:
@@ -128,38 +133,52 @@ class Spread:
         return {el.rows for el in self.elements}
 
 
+def unvec_blocks(tower: Tower, blocks: int):
+    """v -> the big-field elements its blocks of k coordinates spell.
+
+    Block c of v (bits [c hk, (c + 1) hk)) unvecs to an element of GF(q^k)
+    packed at the same bits, so the result is a packed vector of
+    PG(blocks - 1, q^k).  The map is GF(2)-linear.
+    """
+    bits = tower.hk
+    mask = (1 << bits) - 1
+    unvec = tower.unvec_packed
+    width = blocks * bits
+
+    def spell(v: int) -> int:
+        out = 0
+        for shift in range(0, width, bits):
+            out |= unvec((v >> shift) & mask) << shift
+        return out
+
+    return spell
+
+
 class ReductionIndex(Mapping):
     """Normalized point -> element index of a Spread.reduced, by arithmetic.
 
     A point of PG(rk-1, q) is r blocks of k coordinates.  After the
     optional coordinate change M, each block unvecs to an element of
     GF(q^k); the r of them, normalized in PG(r-1, q^k), are the source
-    whose reduction holds the point.  A mapping view over every point of
-    the space: len() is its point count, iteration enumerates it.
+    whose reduction holds the point.  "M, then unvec each block" is one
+    GF(2)-linear map, applied by table (`to_source`).  A mapping view over
+    every point of the space: len() is its point count, iteration
+    enumerates it.
     """
 
-    __slots__ = ("space", "tower", "source", "source_index", "matrix")
+    __slots__ = ("space", "source", "source_index", "to_source")
 
-    def __init__(self, space, tower, source, source_index, matrix):
+    def __init__(self, space, source, source_index, to_source: LinearMap):
         self.space = space
-        self.tower = tower
         self.source = source
         self.source_index = source_index
-        self.matrix = matrix
+        self.to_source = to_source
 
     def __getitem__(self, point: int) -> int:
         space = self.space
         if not 0 < point < 1 << space.bits or space.normalize(point) != point:
             raise KeyError(point)
-        if self.matrix is not None:
-            point = mat_vec_packed(self.matrix, point, space)
-        bits = self.source.h
-        mask = (1 << bits) - 1
-        unvec = self.tower.unvec_packed
-        src = 0
-        for shift in range(0, self.source.bits, bits):
-            src |= unvec((point >> shift) & mask) << shift
-        return self.source_index[self.source.normalize(src)]
+        return self.source_index[self.source.normalize(self.to_source(point))]
 
     def __len__(self) -> int:
         return self.space.npoints()

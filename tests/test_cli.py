@@ -411,3 +411,48 @@ def test_verify_all_budget_exit_3(capsys):
     spectrum = next(s for s in doc["stages"] if s["name"] == "spectrum")
     assert spectrum["status"] == "error"
     assert spectrum["error"].startswith("EnumerationTooLarge")
+
+
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_unwritable_out_is_refused_before_any_stage(
+    tmp_path, capsys, monkeypatch, target
+):
+    path = tmp_path if target == "directory" else tmp_path / "absent" / "report.json"
+    ran = []
+    monkeypatch.setattr(cli, "run_verify_all", lambda *a, **kw: ran.append(1))
+    code = main(["verify-all", "--h", "3", "--k", "2", "--i", "1", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.out == "" and ran == []
+    assert not (tmp_path / "absent").exists()
+
+
+def test_writable_out_leaves_only_the_report(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code = main(["construct", "--h", "3", "--k", "2", "--i", "1", "--out", str(path)])
+    assert code == 0 and capsys.readouterr().out == ""
+    assert json.loads(path.read_text())["kind"] == "hyperoval"
+    # a run refused after the check leaves no empty file behind
+    other = tmp_path / "other.json"
+    code = main(["verify-all", "--h", "3", "--k", "2", "--i", "2", "--out", str(other)])
+    assert code == 1 and not other.exists()
+
+
+def test_stage_out_of_memory_exits_3(capsys, monkeypatch):
+    from hoval import pipeline
+
+    def exhausted(run):
+        raise MemoryError("no room for the C-planes")
+
+    monkeypatch.setitem(pipeline._STAGE_FUNCS, "cplanes", exhausted)
+    code = main(["verify-all", "--h", "3", "--k", "2", "--i", "1"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    cplanes = doc["stages"][-1]
+    assert cplanes["name"] == "cplanes" and cplanes["status"] == "error"
+    assert cplanes["error"] == "MemoryError: no room for the C-planes"
+    code = main(["bj-axioms", "--h", "3", "--k", "2", "--i", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: cplanes error: MemoryError:")

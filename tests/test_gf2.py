@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hoval.errors import DivisionByZero, IrreducibleCheckFailed, UnsupportedDegree
 from hoval.gf2 import Field, Tower, default_modulus, field_create, is_irreducible, tower_create
+from oracles import nonzero_elements
 
 
 # --- independent oracles -----------------------------------------------------
@@ -115,7 +116,7 @@ def test_mul_matches_oracle_sampled_large():
 def test_inverse_exhaustive():
     for m in (2, 3, 4, 8, 10):
         f = field_create(m)
-        for a in f.nonzero_elements():
+        for a in nonzero_elements(f):
             assert f.mul(a, f.inv(a)) == 1
         with pytest.raises(DivisionByZero):
             f.inv(0)

@@ -20,7 +20,6 @@ from hoval.hyperoval import (
 )
 from hoval.linearsets import (
     F2Witness,
-    _apply,
     cyclic_candidate,
     cyclic_symmetry,
     f2_witness,
@@ -31,6 +30,7 @@ from hoval.linearsets import (
 from hoval.projective import ProjSpace
 from hoval.pseudoregulus import find_long_secants
 from hoval.reduction import maps_for
+from oracles import apply_columns
 
 
 @pytest.fixture(scope="module")
@@ -346,7 +346,7 @@ def test_cyclic_symmetry_needs_a_transitive_orbit(case321):
     # still returns to d0, so only the count of distinct points refuses it
     hov, d = case321
     m = cyclic_candidate(hov.maps, 1)
-    cube = tuple(_apply(m, _apply(m, col)) for col in m)
+    cube = tuple(apply_columns(m, apply_columns(m, col)) for col in m)
     orbit = cyclic_symmetry(d, m).orbit
     assert cyclic_symmetry(d, cube) is None
     assert spectrum(d, candidate=cube).path == "pair-scan"
@@ -391,7 +391,7 @@ def test_failed_group_is_charged_the_pair_scan(case321):
     # which the budget refuses by name before it runs
     hov, d = case321
     m = cyclic_candidate(hov.maps, 1)
-    cube = tuple(_apply(m, _apply(m, col)) for col in m)
+    cube = tuple(apply_columns(m, apply_columns(m, col)) for col in m)
     pairs = math.comb(len(d), 2)
     assert spectrum(d, budget=pairs, candidate=cube).path == "pair-scan"
     with pytest.raises(EnumerationTooLarge) as exc:
@@ -446,7 +446,7 @@ def _h2_orbit_oracle(d, columns, m):
     key, normalize = space.pair_line_key, space.normalize
 
     def image(line):
-        r0, r1 = (normalize(_apply(columns, r)) for r in line)
+        r0, r1 = (normalize(apply_columns(columns, r)) for r in line)
         return key(r0, r1)
 
     d0 = d.ordered[0]

@@ -2,10 +2,11 @@
 
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from hoval import linearsets, pipeline, pseudoregulus, reduction
+from hoval import linearsets, pipeline, pseudoregulus, reduction, serialize
 from hoval import hyperoval
 from hoval.errors import NoLongSecants
 from hoval.pipeline import STAGE_ORDER, run_verify_all
@@ -365,3 +366,35 @@ def test_nonstrict_pair_map_reaches_the_long_secants(monkeypatch):
     assert rep.stage("spectrum").ok and rep.stage("spectrum").data["path"] == "pair-scan"
     assert [s.status for s in rep.stages] == ["ok"] * 3 + ["error"] + ["skipped"] * 3
     assert rep.stage("pseudoregulus").error.startswith("SemilinearFitFailed:")
+
+
+_GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "name,h,k,i,strict",
+    [
+        ("report_321.json", 3, 2, 1, True),
+        ("report_422_nonstrict.json", 4, 2, 2, False),
+        ("report_331.json", 3, 3, 1, True),
+    ],
+)
+def test_timing_free_report_matches_the_golden_file(name, h, k, i, strict):
+    # the files hold the reports of an earlier tree; a change that keeps
+    # every verdict and every reported number reproduces them byte for byte
+    rep = run_verify_all(h, k, i, strict=strict)
+    text = serialize.dumps(rep.to_json_dict(include_timings=False))
+    assert text == (_GOLDEN / name).read_text(encoding="ascii")
+
+
+def test_stage_out_of_memory_is_an_error(monkeypatch):
+    def exhausted(run):
+        raise MemoryError()
+
+    monkeypatch.setitem(pipeline._STAGE_FUNCS, "spread", exhausted)
+    rep = run_verify_all(3, 2, 1)
+    assert rep.verdict == "fail"
+    spread = rep.stage("spread")
+    assert (spread.status, spread.ok, spread.data) == ("error", False, {})
+    assert spread.error.startswith("MemoryError:")
+    assert [s.status for s in rep.stages[-2:]] == ["skipped", "skipped"]

@@ -10,17 +10,19 @@ from hoval.errors import (
     ZeroVector,
 )
 from hoval.gf2 import field_create
+from hoval.pipeline import run_verify_all
 from hoval.projective import (
     Line,
+    LinearMap,
     ProjSpace,
     Subspace,
     gaussian_lines,
     line_through,
     mat_inv,
     mat_mul,
-    mat_vec_packed,
     projective_points_count,
 )
+from oracles import mat_vec_packed
 
 
 def apply_projectivity(m, v, s):
@@ -267,3 +269,41 @@ def test_projectivity_preserves_incidence():
         assert s.contains((r0, r1), p) == s.contains(
             image_line, apply_projectivity(m, p, s)
         )
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (3, 4), (5, 3), (9, 2)])
+def test_linear_map_matches_mat_vec_packed(n, m):
+    # PG(3,4), PG(3,16), PG(5,8), PG(9,4): 8 to 20 bits, whole and partial
+    # last bytes
+    s = space(n, m)
+    rng = random.Random(100 * n + m)
+    for mat in (
+        _random_invertible(s.width, s.field, rng),
+        [[rng.randrange(s.q) for _ in range(s.width)] for _ in range(s.width)],
+    ):
+        lmap = LinearMap.from_matrix(mat, s)
+        units = tuple(mat_vec_packed(mat, 1 << b, s) for b in range(s.bits))
+        assert lmap.columns == units
+        top = (1 << s.bits) - 1
+        for v in [0, top] + [rng.randrange(top + 1) for _ in range(500)]:
+            assert lmap(v) == mat_vec_packed(mat, v, s)
+
+
+def test_linear_map_matches_mat_vec_packed_on_the_fit_331():
+    run = run_verify_all(3, 3, 1, stages=("pseudoregulus",)).run
+    s = run.hov.maps.hinf
+    fit = [list(r) for r in run.fit.matrix]
+    lmap = LinearMap.from_matrix(fit, s)
+    for p in run.dirs.ordered:
+        assert lmap(p) == mat_vec_packed(fit, p, s)
+
+
+def test_linear_map_then_composes():
+    s = space(3, 3)
+    rng = random.Random(9)
+    a = _random_invertible(4, s.field, rng)
+    b = _random_invertible(4, s.field, rng)
+    ab = LinearMap.from_matrix(b, s).then(LinearMap.from_matrix(a, s))
+    for _ in range(200):
+        v = rng.randrange(1 << s.bits)
+        assert ab(v) == mat_vec_packed(mat_mul(a, b, s.field), v, s)

@@ -1,6 +1,7 @@
 """Secant structure, transversals, semilinear fit, spread reconstruction."""
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from hoval.errors import (
 from hoval.hyperoval import DirectionSet, HyperovalSpec, build_hyperoval, directions
 from hoval.linearsets import cyclic_candidate, spectrum
 from hoval.pipeline import run_verify_all
-from hoval.projective import mat_inv, mat_mul, mat_vec_packed
+from hoval.projective import mat_inv, mat_mul
 from hoval.pseudoregulus import (
     build_spread,
     detect_pseudoregulus,
@@ -26,6 +27,7 @@ from hoval.pseudoregulus import (
     transversal_map,
 )
 from hoval.reduction import ReductionIndex, Spread
+from oracles import mat_vec_packed
 
 
 def _directions_for(h, k, i, strict=True):
@@ -241,20 +243,19 @@ def test_preserves_spread_matches_rref_on_fitted_matrices(monkeypatch, hki):
     assert len(seen) == {6: 2, 9: 6}[hki[0] * hki[1]]
 
 
-def test_preserves_spread_matches_rref_off_the_fit(report321, case321):
-    hov, _ = case321
-    maps = hov.maps
+def _off_fit_matrices(maps, fit, seed):
+    """The fit and five matrices off it: name -> (matrix, permutes the spread)."""
     space = maps.hinf
     tower = maps.tower
     big = tower.big
-    rng = random.Random(5)
+    rng = random.Random(seed)
     width = space.width
     g = big.generator
     scale = _block_map(maps, lambda x: big.mul(g, x), lambda y: big.mul(g, y))
     # y -> y^(2^h) is GF(q)-linear and shifts the fit's apparent exponent
     # by h; it keeps D's shape but not the spread
     twist = _block_map(maps, lambda x: x, lambda y: big.frob(y, tower.h))
-    fitted = [list(r) for r in report321.fit.matrix]
+    fitted = [list(r) for r in fit.matrix]
     while True:
         rand = [[rng.randrange(space.q) for _ in range(width)] for _ in range(width)]
         try:
@@ -264,7 +265,7 @@ def test_preserves_spread_matches_rref_off_the_fit(report321, case321):
             continue
     singular = [list(r) for r in fitted]
     singular[-1] = [0] * width
-    cases = {
+    return {
         "fit": (fitted, True),
         "scale": (scale, True),
         "twist": (twist, False),
@@ -272,9 +273,84 @@ def test_preserves_spread_matches_rref_off_the_fit(report321, case321):
         "random": (rand, False),
         "singular": (singular, False),
     }
-    for name, (m, want) in cases.items():
-        assert pseudoregulus._preserves_spread(m, maps, space) is want, name
-        assert _preserves_spread_by_rref(m, maps, space) is want, name
+
+
+def test_preserves_spread_matches_rref_off_the_fit(monkeypatch, report321, case321):
+    # the conjugation test accepts the fit and the scale alone; every
+    # refusal of an invertible matrix comes from the element-wise check
+    fallback = []
+    real = pseudoregulus._maps_elements_to_elements
+
+    def counted(lmap, maps, space):
+        got = real(lmap, maps, space)
+        fallback.append(got)
+        return got
+
+    monkeypatch.setattr(pseudoregulus, "_maps_elements_to_elements", counted)
+    hov331, d331 = _directions_for(3, 3, 1)
+    runs = (
+        (case321[0].maps, report321.fit, 5),
+        (hov331.maps, detect_pseudoregulus(d331, hov331.maps).fit, 6),
+    )
+    for maps, fit, seed in runs:
+        space = maps.hinf
+        for name, (m, want) in _off_fit_matrices(maps, fit, seed).items():
+            fallback.clear()
+            assert pseudoregulus._preserves_spread(m, maps, space) is want, name
+            if name in ("fit", "scale", "singular"):
+                assert fallback == [], name
+            else:
+                assert fallback == [False], name
+            assert _preserves_spread_by_rref(m, maps, space) is want, name
+
+
+def _canonical_set_oracle(maps, j):
+    """The old image target: every <(u, u^(2^j))>, normalized."""
+    tower, space = maps.tower, maps.hinf
+    vec, big = tower.vec_packed, tower.big
+    return frozenset(
+        space.normalize(vec(u) | (vec(big.frob(u, j)) << tower.hk))
+        for u in range(1, big.q)
+    )
+
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (3, 3, 1)])
+def test_point_by_point_image_test_matches_the_canonical_set(hki):
+    hov, d = _directions_for(*hki)
+    maps, space = hov.maps, d.space
+    transversals = extract_transversals(find_long_secants(d), space)
+    fmap = transversal_map(transversals)
+    verdicts = []
+    for label, j, m, _, _, to_field in pseudoregulus._fit_candidates(
+        d, transversals, fmap, maps
+    ):
+        image = {space.normalize(mat_vec_packed(m, p, space)) for p in d.ordered}
+        want = image == _canonical_set_oracle(maps, j)
+        assert pseudoregulus._canonical_image(to_field, d, maps.tower, j) is want
+        verdicts.append(want)
+    # every exponent prime to hk, under both labelings; (3,3,1) also has
+    # the exponents shifted by h = 3 fit D's shape
+    hk = hki[0] * hki[1]
+    assert len(verdicts) == 2 * sum(1 for j in range(1, hk) if math.gcd(j, hk) == 1)
+    assert verdicts.count(True) == {6: 2, 9: 6}[hk]
+    # a set one point short, with a point outside the canonical set, or
+    # carried onto one point
+    j = detect_pseudoregulus(d, maps).fit.exponent
+    to_field = next(
+        c[5] for c in pseudoregulus._fit_candidates(d, transversals, fmap, maps)
+        if c[0] == "standard" and c[1] == j
+    )
+    assert pseudoregulus._canonical_image(to_field, d, maps.tower, j)
+    short = DirectionSet(d.ordered[1:], space)
+    assert not pseudoregulus._canonical_image(to_field, short, maps.tower, j)
+    outside = next(p for p in map(space.normalize, range(1, 64)) if p not in d.points)
+    moved = DirectionSet(d.ordered[1:] + (outside,), space)
+    assert not pseudoregulus._canonical_image(to_field, moved, maps.tower, j)
+    # every image canonical but one point: <(1, 1)>, u = 1 each time
+    def constant(p):
+        return 1 | (1 << maps.tower.hk)
+
+    assert not pseudoregulus._canonical_image(constant, d, maps.tower, j)
 
 
 def test_secant_count_mismatch_rejected(case321):
