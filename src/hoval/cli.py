@@ -309,7 +309,7 @@ def _add_common(p):
     p.add_argument("--budget", type=int, default=None,
                    help="enumeration budget (0 removes the limit)")
     p.add_argument("--parallel", type=int, default=_default_parallel(),
-                   help="worker processes for the exhaustive line scan, "
+                   help="worker processes for the exhaustive line tally, "
                    "at least 1, capped at the CPU count")
     p.add_argument("--out", help="write the JSON document to this file")
 

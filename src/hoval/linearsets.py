@@ -5,8 +5,11 @@ Its line spectrum says how many lines meet D in j points; the target shape
 is support {0, 1, 3, q-1}.  D is also the GF(q)-projection of a GF(2)-linear
 point set K of rank hk, scattered with respect to the (h-1)-spread.
 
-The spectrum has three paths.  The line scan walks every line of H_inf and
-is the independent cross-check.  The pair scan bins the C(|D|, 2) pairs of
+The spectrum has three paths.  The line tally counts every line of H_inf
+and is the independent cross-check: for each second row r1 of a canonical
+line it bins the points of D of the first row's pivot by the line of the
+pencil through r1 they lie on, so the lines no point reaches are counted
+in bulk, with no scalar tables.  The pair scan bins the C(|D|, 2) pairs of
 D by the line they span.  The cyclic-group path needs a candidate
 collineation M (cyclic_candidate builds M(x, y) = (g x, g^(2^i) y) for g
 primitive in GF(q^k)) and first verifies on the data that M is a GF(q)-linear
@@ -17,7 +20,7 @@ CyclicSymmetry also gives the long secants (pseudoregulus) and the A4 bins
 (cplanes) without a pair scan.  A set that fails the check takes the pair
 scan, and a call without a candidate always does.
 
-Only the line scan runs in worker processes, at most one per CPU; the pair
+Only the line tally runs in worker processes, at most one per CPU; the pair
 scan and the cyclic-group path run in the calling process.
 """
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -130,14 +134,6 @@ def _pair_multiplicities(pts, space: ProjSpace, budget):
     return mult
 
 
-def _merge_counts(dicts):
-    out: dict = {}
-    for d in dicts:
-        for k, v in d.items():
-            out[k] = out.get(k, 0) + v
-    return out
-
-
 def _lines_from_multiplicities(mult) -> dict:
     """{j: number of lines with j >= 2 points} from a pair-count map."""
     counts: dict = {}
@@ -239,67 +235,68 @@ def cyclic_symmetry(dirs: DirectionSet, columns) -> CyclicSymmetry | None:
 
 # -- exhaustive mode ----------------------------------------------------------
 
-def _cone_set(pts, space: ProjSpace) -> frozenset:
-    """All scalar multiples of the normalized points, as raw vectors."""
-    cone = set()
+def _pivot_classes(pts, space: ProjSpace) -> dict:
+    """{p: the points of pts whose pivot is p}."""
+    classes: dict = {}
     for d in pts:
-        for lam in range(1, space.q):
-            cone.add(space.smul(lam, d))
-    return frozenset(cone)
+        classes.setdefault(space.pivot(d), []).append(d)
+    return classes
 
 
-def _scan_pattern(space: ProjSpace, cone, task) -> dict:
-    p0, p1, free0, free1, pinned = task
-    q, h = space.q, space.h
+def _tally_pattern(space: ProjSpace, dset, classes, task) -> Counter:
+    """Line counts of one pivot pattern, one pencil per second row r1.
+
+    The lines <r0, r1> with r1 fixed form a pencil.  A point d of D with
+    pivot p0 lies on exactly one of them, the one with r0 = d ^ d_p1 r1,
+    and r1 is the only point of these lines with another pivot.  So a line
+    counts int(r1 in D) plus the points of its bin, and the lines no point
+    binned to count int(r1 in D).
+    """
+    p0, p1, pencil, base, free = task
+    shift = p1 * space.h
     smul = space.smul
-    counts: dict = {}
-    base0 = 1 << (p0 * h)
-    base1 = 1 << (p1 * h)
-    ranges0 = [range(q)] * len(free0)
-    if pinned is not None:
-        ranges0[0] = (pinned,)
-    lams = range(1, q)
-    for vals0 in product(*ranges0):
-        r0 = base0
-        for sh, c in zip(free0, vals0):
-            r0 |= c << sh
-        for vals1 in product(range(q), repeat=len(free1)):
-            r1 = base1
-            for sh, c in zip(free1, vals1):
-                r1 |= c << sh
-            c = (r1 in cone) + (r0 in cone)
-            for lam in lams:
-                if r0 ^ smul(lam, r1) in cone:
-                    c += 1
-            counts[c] = counts.get(c, 0) + 1
+    keyed = [(d, (d >> shift) & space.chunk_mask) for d in classes.get(p0, ())]
+    scalars = range(1, space.q)
+    counts: Counter = Counter()
+    for r1 in space.completions(base, free):
+        hit = int(r1 in dset)
+        mults = [0] + [smul(c, r1) for c in scalars]
+        bins = Counter([d ^ mults[c] for d, c in keyed])
+        for size, n in Counter(bins.values()).items():
+            counts[hit + size] += n
+        if pencil > len(bins):
+            counts[hit] += pencil - len(bins)
     return counts
 
 
-def _exhaustive_tasks(space: ProjSpace):
+def _tally_tasks(space: ProjSpace) -> list:
+    """(p0, p1, pencil size, base of r1, free shifts of r1) per pivot
+    pattern, split on the first free coordinate of r1."""
     tasks = []
     for p0, p1, free0, free1 in space.line_chunks():
-        if free0:
+        pencil = space.q ** len(free0)
+        base = 1 << (p1 * space.h)
+        if free1:
             for v in range(space.q):
-                tasks.append((p0, p1, free0, free1, v))
+                tasks.append((p0, p1, pencil, base | v << free1[0], free1[1:]))
         else:
-            tasks.append((p0, p1, free0, free1, None))
+            tasks.append((p0, p1, pencil, base, free1))
     return tasks
 
 
-# worker-process state for the parallel line scan
+# worker-process state for the parallel tally
 _W: dict = {}
 
 
 def _worker_init(m, modulus, n, pts):
-    f = field_create(m, modulus)
-    space = ProjSpace(n, f)
-    space.ensure_tables()
+    space = ProjSpace(n, field_create(m, modulus))
     _W["space"] = space
-    _W["cone"] = _cone_set(pts, space)
+    _W["dset"] = frozenset(pts)
+    _W["classes"] = _pivot_classes(pts, space)
 
 
-def _worker_scan(task) -> dict:
-    return _scan_pattern(_W["space"], _W["cone"], task)
+def _worker_tally(task) -> Counter:
+    return _tally_pattern(_W["space"], _W["dset"], _W["classes"], task)
 
 
 def spectrum(
@@ -313,18 +310,20 @@ def spectrum(
     """Line spectrum of a point set.
 
     mode "pairs" finds the lines through two or more points and derives the
-    1- and 0-line counts from incidence identities; mode "exhaustive" walks
-    every line of the space and counts memberships directly.  Both give the
-    same histogram; exhaustive is the independent cross-check but costs
-    nlines * (q + 1) operations.
+    1- and 0-line counts from incidence identities; mode "exhaustive"
+    counts the points on every line of the space, one pencil of lines per
+    second row r1 (_tally_pattern), and checks the line total and the
+    incidence total |D| (q^n - 1)/(q - 1).  Both give the same histogram;
+    exhaustive is the independent cross-check.
 
     In pairs mode a `candidate` collineation (cyclic_candidate) that
     cyclic_symmetry verifies on the set gives the multi-point lines from
     the lines through one point; otherwise the C(|D|, 2) pairs are scanned.
     The budget charges each path what it computes, before it runs: |D| - 1
-    line keys for the group, C(|D|, 2) for the pair scan.
+    line keys for the group, C(|D|, 2) for the pair scan, and for the tally
+    #r1 (q - 1 + |D_p0|) summed over the pivot patterns (p0, p1).
 
-    `processes` only applies to the exhaustive line scan, which runs in
+    `processes` only applies to the exhaustive line tally, which runs in
     min(processes, os.cpu_count()) worker processes, or in this one when
     that is 1.
     """
@@ -356,10 +355,15 @@ def spectrum(
         )
         return SpectrumHistogram(counts, "pairs", space.nlines(), len(pts), mult)
 
-    est = space.nlines() * (space.q + 1)
+    q = space.q
+    classes = _pivot_classes(pts, space)
+    tasks = _tally_tasks(space)
+    est = sum(
+        q ** len(free) * (q - 1 + len(classes.get(p0, ())))
+        for p0, _, _, _, free in tasks
+    )
     if budget is not None and est > budget:
-        raise EnumerationTooLarge(est, budget, "exhaustive line scan")
-    tasks = _exhaustive_tasks(space)
+        raise EnumerationTooLarge(est, budget, "exhaustive line tally")
     workers = min(processes, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(
@@ -367,15 +371,18 @@ def spectrum(
             initializer=_worker_init,
             initargs=(space.field.m, space.field.modulus, space.n, pts),
         ) as pool:
-            counts = _merge_counts(pool.map(_worker_scan, tasks))
+            counts = sum(pool.map(_worker_tally, tasks), Counter())
     else:
-        space.ensure_tables()
-        cone = _cone_set(pts, space)
-        counts = _merge_counts(_scan_pattern(space, cone, t) for t in tasks)
+        dset = frozenset(pts)
+        parts = (_tally_pattern(space, dset, classes, t) for t in tasks)
+        counts = sum(parts, Counter())
     counts = {j: counts[j] for j in sorted(counts)}
     total = sum(counts.values())
     if total != space.nlines():
-        raise AssertionError(f"scanned {total} lines, expected {space.nlines()}")
+        raise AssertionError(f"tallied {total} lines, expected {space.nlines()}")
+    incident = sum(j * c for j, c in counts.items())
+    if incident != len(pts) * projective_points_count(space.n, q):
+        raise AssertionError(f"tallied {incident} incidences for {len(pts)} points")
     return SpectrumHistogram(counts, "exhaustive", space.nlines(), len(pts))
 
 

@@ -141,52 +141,41 @@ class ProjSpace:
 
     # -- enumeration ---------------------------------------------------------
 
+    def completions(self, base: int, free: Sequence[int]) -> Iterator[int]:
+        """base plus every choice of coordinates at the free shift positions."""
+        for vals in product(range(self.q), repeat=len(free)):
+            v = base
+            for sh, c in zip(free, vals):
+                v |= c << sh
+            yield v
+
     def points(self, budget: int | None = DEFAULT_BUDGET) -> Iterator[int]:
         """All normalized points, lexicographic on coordinate tuples."""
         if budget is not None and self.npoints() > budget:
             raise EnumerationTooLarge(self.npoints(), budget, "point enumeration")
-        q, h = self.q, self.h
+        h = self.h
         for p in range(self.n, -1, -1):
-            base = 1 << (p * h)
-            rest = self.n - p
-            if rest == 0:
-                yield base
-                continue
-            shifts = [(p + 1 + j) * h for j in range(rest)]
-            for suffix in product(range(q), repeat=rest):
-                v = base
-                for sh, c in zip(shifts, suffix):
-                    v |= c << sh
-                yield v
+            free = [j * h for j in range(p + 1, self.width)]
+            yield from self.completions(1 << (p * h), free)
 
     def lines(self, budget: int | None = DEFAULT_BUDGET) -> Iterator[tuple[int, int]]:
         """All lines as canonical reduced-echelon row pairs."""
         total = self.nlines()
         if budget is not None and total > budget:
             raise EnumerationTooLarge(total, budget, "line enumeration")
-        q, h, width = self.q, self.h, self.width
-        for p0 in range(width - 1):
-            for p1 in range(p0 + 1, width):
-                base0 = 1 << (p0 * h)
-                base1 = 1 << (p1 * h)
-                free0 = [j * h for j in range(p0 + 1, width) if j != p1]
-                free1 = [j * h for j in range(p1 + 1, width)]
-                for vals0 in product(range(q), repeat=len(free0)):
-                    r0 = base0
-                    for sh, c in zip(free0, vals0):
-                        r0 |= c << sh
-                    for vals1 in product(range(q), repeat=len(free1)):
-                        r1 = base1
-                        for sh, c in zip(free1, vals1):
-                            r1 |= c << sh
-                        yield (r0, r1)
+        h = self.h
+        for p0, p1, free0, free1 in self.line_chunks():
+            for r0 in self.completions(1 << (p0 * h), free0):
+                for r1 in self.completions(1 << (p1 * h), free1):
+                    yield (r0, r1)
 
     def line_chunks(self) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
-        """Splittable description of the line enumeration for parallel scans.
+        """The pivot patterns of the canonical lines, for enumerating them.
 
         Returns one entry per pivot pattern: (pivot0, pivot1, free0, free1)
-        with the free shift positions of each row.  Workers re-enumerate a
-        pattern independently; the union over patterns is lines().
+        with the free shift positions of each row.  lines() walks every row
+        pair of every pattern; the exhaustive spectrum counts one pencil of
+        q^|free0| lines per second row instead (linearsets._tally_pattern).
         """
         out = []
         for p0 in range(self.width - 1):

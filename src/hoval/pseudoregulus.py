@@ -502,10 +502,11 @@ def fit_semilinear(
     """Fit x -> A x^(2^j) to the secant bijection and normalize D.
 
     Tries both transversal labelings (_fit_candidates).  A candidate
-    exponent is accepted when the fitted coordinate change carries D onto
-    {(t, t^(2^j))}, tested point by point (_canonical_image), and permutes
-    the spread of the hyperplane at infinity (_preserves_spread: a
-    conjugation test on 2hk vectors, element by element when it fails).
+    exponent is accepted when the fitted coordinate change permutes the
+    spread of the hyperplane at infinity (_preserves_spread: a conjugation
+    test on 2hk vectors, element by element when it fails) and carries D
+    onto {(t, t^(2^j))}, tested point by point (_canonical_image).  The
+    spread test runs first, so a wrong exponent skips the image walk.
     The second demand matters: twisting one block by the GF(q)-linear map
     x -> x^(2^h) shifts the apparent exponent by h while fixing both
     transversals and D's shape, so without it every exponent in
@@ -520,8 +521,8 @@ def fit_semilinear(
     for label, j, m, scalars, rho, to_field in _fit_candidates(
         dirs, transversals, fmap, maps
     ):
-        if _canonical_image(to_field, dirs, tower, j) and _preserves_spread(
-            m, maps, space
+        if _preserves_spread(m, maps, space) and _canonical_image(
+            to_field, dirs, tower, j
         ):
             accepted.append((label, j, tuple(tuple(r) for r in m), scalars, rho))
     if not accepted:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoval import linearsets
@@ -30,7 +30,7 @@ from hoval.linearsets import (
 from hoval.projective import ProjSpace
 from hoval.pseudoregulus import find_long_secants
 from hoval.reduction import maps_for
-from oracles import apply_columns
+from oracles import apply_columns, line_scan_counts
 
 
 @pytest.fixture(scope="module")
@@ -164,19 +164,63 @@ def test_budget_guards(case321):
         spectrum(d, mode="exhaustive", budget=100)
 
 
-_PG34 = ProjSpace(3, field_create(2))
-_PG34_PTS = tuple(_PG34.points())
+_SPACES = (ProjSpace(3, field_create(2)), ProjSpace(2, field_create(3)))
+_POINTS = {space: tuple(space.points()) for space in _SPACES}
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.sets(st.sampled_from(_PG34_PTS), min_size=1, max_size=12))
-def test_pairs_equals_exhaustive_on_random_sets(pts):
-    # the derivation from pair multiplicities must agree with honest
-    # line-by-line counting on arbitrary point sets, not just hyperoval
-    # direction sets
-    a = spectrum(pts, _PG34, mode="pairs")
-    b = spectrum(pts, _PG34, mode="exhaustive")
-    assert a.counts == b.counts
+@st.composite
+def _point_sets(draw):
+    """(space, points) in PG(3,4) or PG(2,8): a random set, one that holds
+    the last point (the one of pivot n), or one with a pivot class emptied."""
+    space = draw(st.sampled_from(_SPACES))
+    pts = draw(st.sets(st.sampled_from(_POINTS[space]), min_size=1, max_size=12))
+    last = 1 << (space.n * space.h)
+    shape = draw(st.sampled_from(["random", "last point", "empty class"]))
+    if shape == "last point":
+        pts.add(last)
+    elif shape == "empty class":
+        pivot = draw(st.integers(0, space.n - 1))
+        pts = {d for d in pts if space.pivot(d) != pivot} or {last}
+    return space, frozenset(pts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_point_sets())
+@example((_SPACES[0], frozenset({1 << 6, 1 | 1 << 6, 1 << 4})))
+@example((_SPACES[1], frozenset({1 << 6, 1 << 3 | 5 << 6, 1 << 3 | 7 << 6})))
+@example((_SPACES[1], frozenset(p for p in _POINTS[_SPACES[1]] if p & 7 == 0)))
+def test_pairs_equals_exhaustive_on_random_sets(case):
+    # the tally, the line-by-line scan and the derivation from pair
+    # multiplicities must agree on arbitrary point sets, not just hyperoval
+    # direction sets; the examples hold the last point and leave the
+    # pivot-0 class empty
+    space, pts = case
+    a = spectrum(pts, space, mode="pairs")
+    b = spectrum(pts, space, mode="exhaustive")
+    assert a.counts == b.counts == line_scan_counts(pts, space)
+    assert all(type(j) is int and c > 0 for j, c in b.counts.items())
+
+
+def test_exhaustive_spectrum_builds_no_scalar_tables(case321, monkeypatch):
+    # the tally multiplies each second row by the q - 1 scalars itself, in
+    # this process and in the pool's workers alike
+    calls = []
+    real = ProjSpace.ensure_tables
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ProjSpace, "ensure_tables", counted)
+    _, d = case321
+    fresh = ProjSpace(d.space.n, d.space.field)
+    assert spectrum(d.ordered, fresh, mode="exhaustive").counts == SPEC_321
+    monkeypatch.setattr(linearsets, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(linearsets.os, "cpu_count", lambda: 2)
+    _FakePool.sizes = []
+    assert spectrum(d, mode="exhaustive", processes=2).counts == SPEC_321
+    assert _FakePool.sizes == [2]
+    assert not calls
 
 
 def test_f2_witness_321(case321):

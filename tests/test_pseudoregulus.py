@@ -237,10 +237,10 @@ def test_preserves_spread_matches_rref_on_fitted_matrices(monkeypatch, hki):
     rep = detect_pseudoregulus(d, hov.maps)
     assert rep.spread_result.matches_canonical
     assert all(got == want for got, want in seen)
-    # i and hk - i pass, one per labeling; at hk = 9 the exponents shifted
-    # by h = 3 fit D's shape too and reach the check, which refuses them
+    # the spread check comes first, so it sees every exponent prime to hk
+    # in both labelings and passes i and hk - i, one per labeling
     assert [got for got, _ in seen].count(True) == 2
-    assert len(seen) == {6: 2, 9: 6}[hki[0] * hki[1]]
+    assert len(seen) == {6: 4, 9: 12}[hki[0] * hki[1]]
 
 
 def _off_fit_matrices(maps, fit, seed):
