@@ -16,7 +16,6 @@ coordinates, the point of element idx is -1 - idx.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from math import comb
@@ -451,7 +450,7 @@ class HyperovalPlaneReport:
     lines_checked: int
     incidence_equivalents: int
     witness: tuple | None
-    mode: str  # "translation-group" | "line-scan"
+    mode: str  # "translation-group", or "closure" when Q is no coset
 
 
 def hyperoval_in_plane(
@@ -463,13 +462,13 @@ def hyperoval_in_plane(
     """Q plus the two transversal points is a hyperoval of the plane.
 
     The meet histogram over every line of the plane must be supported on
-    {0, 2} (hyperovals have no tangents).  When Q is a verified coset
-    c0 + W, the translations by W fix every parallel class, so a line
+    {0, 2} (hyperovals have no tangents).  Q must be a verified coset
+    c0 + W: the translations by W fix every parallel class, so a line
     base + E meets Q in 0 or |W ∩ E| points, and the histogram follows from
-    one GF(2) rank per spread element.  Otherwise, or when that histogram
-    fails, every line is scanned, which also picks the witness.  Either way
-    the per-line meet count settles membership for all its points, so the
-    work is equivalent to n_lines * (order + 1) point-line incidence checks.
+    one GF(2) rank per spread element (_histogram_by_basis).  A Q that is no
+    coset fails with its closure witness and no histogram.  The per-line
+    meet count settles membership for all its points, so the work is
+    equivalent to n_lines * (order + 1) point-line incidence checks.
     """
     keyed = {el.rows: idx for idx, el in enumerate(plane.spread.elements)}
     if t0_rows not in keyed or tinf_rows not in keyed:
@@ -478,44 +477,43 @@ def hyperoval_in_plane(
     order = plane.order
     size_ok = len(q_points) == order
     closure_ok, closure_witness = translation_closure_check(q_points)
-
-    histogram = _histogram_by_basis(q_points, plane, extra) if closure_ok else None
-    if histogram is not None and set(histogram) <= {0, 2}:
-        mode, witness = "translation-group", None
+    if closure_ok:
+        histogram, witness = _histogram_by_basis(q_points, plane, extra)
+        # the infinite line carries exactly the two transversal points
+        histogram[2] = histogram.get(2, 0) + 1
+        lines_checked = plane.n_lines
     else:
-        mode = "line-scan"
-        histogram, witness = _histogram_by_scan(q_points, plane, extra)
-    # the infinite line carries exactly the two transversal points
-    histogram[2] = histogram.get(2, 0) + 1
-    lines_checked = plane.n_lines
-    ok = size_ok and closure_ok and set(histogram) <= {0, 2}
-    if witness is None and not closure_ok:
-        witness = ("closure", closure_witness)
+        histogram, witness = {}, ("closure", closure_witness)
+        lines_checked = 0
     return HyperovalPlaneReport(
-        ok=ok,
+        ok=size_ok and closure_ok and set(histogram) <= {0, 2},
         size_ok=size_ok,
         closure_ok=closure_ok,
         histogram={j: histogram[j] for j in sorted(histogram)},
         lines_checked=lines_checked,
         incidence_equivalents=lines_checked * (order + 1),
         witness=witness,
-        mode=mode,
+        mode="translation-group" if closure_ok else "closure",
     )
 
 
-def _histogram_by_basis(q_points: AffinePointSet, plane: BruckBosePlane, extra) -> dict:
-    """The affine lines' meet histogram of a coset Q = c0 + W.
+def _histogram_by_basis(q_points: AffinePointSet, plane: BruckBosePlane, extra):
+    """(histogram, witness) of the affine lines' meets with a coset Q = c0 + W.
 
     Each line of element E through a point of Q meets Q in that point plus
     W ∩ E, so n / |W ∩ E| lines of the class meet Q in |W ∩ E| points and
     the rest miss it; the elements in `extra` add their point to every line
-    of their class.
+    of their class.  The witness ("line", element, base, count) names the
+    first line met off {0, 2}: the line through c0 when the lines that meet
+    Q fail, else the first line of the class that misses Q.
     """
     hinf = plane.maps.hinf
     h = plane.maps.tower.h
     basis = translation_basis(q_points)
     n = len(q_points)
+    c0 = q_points.ordered[0]
     histogram: dict = {}
+    witness = None
     for eidx, el in enumerate(plane.spread.elements):
         gens = (f2_reduce(hinf.smul(1 << b, r), basis)
                 for r in el.rows for b in range(h))
@@ -524,24 +522,14 @@ def _histogram_by_basis(q_points: AffinePointSet, plane: BruckBosePlane, extra) 
         hit = n // meet
         for count, lines in ((meet + bonus, hit),
                              (bonus, len(plane.bases[eidx]) - hit)):
-            if lines:
-                histogram[count] = histogram.get(count, 0) + lines
-    return histogram
-
-
-def _histogram_by_scan(q_points: AffinePointSet, plane: BruckBosePlane, extra):
-    """(histogram, witness) of the affine lines' meets, line by line."""
-    histogram: dict = {}
-    witness = None
-    base_of = plane.base_of
-    for eidx, bases in enumerate(plane.bases):
-        counts = Counter(base_of(eidx, p) for p in q_points.ordered)
-        bonus = 1 if eidx in extra else 0
-        for base in bases:
-            c = counts.get(base, 0) + bonus
-            histogram[c] = histogram.get(c, 0) + 1
-            if c not in (0, 2) and witness is None:
-                on_line = [p for p in q_points.ordered
-                           if plane.base_of(eidx, p) == base]
-                witness = ("line", eidx, base, c, tuple(on_line[:3]))
+            if not lines:
+                continue
+            histogram[count] = histogram.get(count, 0) + lines
+            if witness is None and count not in (0, 2):
+                if count == bonus:
+                    met = {plane.base_of(eidx, p) for p in q_points.ordered}
+                    base = next(b for b in plane.bases[eidx] if b not in met)
+                else:
+                    base = plane.base_of(eidx, c0)
+                witness = ("line", eidx, base, count)
     return histogram, witness

@@ -6,22 +6,27 @@ tile the affine points off C, slice C itself into q-arcs, and every triple
 of C points generates either one of them or a plane holding exactly four
 points of C.
 
-Every axiom verdict covers the whole family, but only an input whose
-symmetry has been verified gets a shortcut.  When C is a verified coset
-c0 + W, the family is built from the meets W ∩ L_s of W with the lifted
-secant spaces, and A2 and A3 become partition statements about those
-meets and about the images of the L_s in V/W, checked by GF(2) linear
-algebra.  A1 and A4 reduce their scans to the planes and triples through
-one point once the translations of C are verified to carry the family onto
-itself, and A4 reads its bins off the cyclic group of D that the spectrum
-verified when it is given one.  Any other input, and any failing shortcut,
-takes the explicit scan, which also picks the reported witness.
+The family is held as its coset record.  C must be a verified coset
+c0 + W and every lifted secant space L_s must meet W in exactly q vectors;
+then the planes of secant s are the n/q cosets c + (W ∩ L_s), so the family
+has n m / q planes, is carried onto itself by the translations of C, and
+gives each plane one key, all by construction.  No plane is built:
+
+* A1 tests the m meets c0 + (W ∩ L_s) through the base point c0; every
+  other meet is a translate of one of them.
+* A2 and A3 are partition statements about the meets W ∩ L_s and about the
+  images of the L_s in V/W, checked by GF(2) linear algebra.
+* A4 bins the C(n-1, 2) pairs through c0, whose family planes are the m
+  secants themselves, or reads the bins off the cyclic group of D that the
+  spectrum verified when it is given one.
+
+A failing axiom reports the witness its check already holds.  The explicit
+scans over every plane, pair and triple are the tests' oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb
 
 from .errors import CPlaneConstructionFailed, DegenerateSpan, EnumerationTooLarge
@@ -40,31 +45,24 @@ from .reduction import CorrespondenceMaps
 
 
 @dataclass(frozen=True)
-class CPlane:
-    secant_index: int
-    base: int  # affine coset representative against the lifted secant rows
-    rows: tuple  # canonical 3-row basis in the ambient space
-    points: tuple  # the q points of C on this plane, sorted
-
-
-@dataclass(frozen=True)
 class CPlaneFamily:
-    planes: tuple
-    m: int  # number of long secants
+    """The C-plane family of C = c0 + W over the long secants.
+
+    `secants` pairs each secant's rows in H_inf with the sorted vectors of
+    W ∩ L_s; the planes of that secant are the cosets c + (W ∩ L_s) of C.
+    """
+
+    c_points: AffinePointSet
+    basis: tuple  # W's GF(2) echelon basis, translation_basis(c_points)
+    secants: tuple  # (rows, W ∩ L_s) per long secant
     q: int
-    vector_keys: frozenset  # (secant rows, reduced base vector) per plane
-    # point set -> translation-symmetry verdict, filled by _symmetric
-    _symmetry: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    # (C, W, per secant its rows and the vectors of W ∩ L_s), set by
-    # build_c_planes when it built the family from C's translation basis
-    _translation: tuple | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+
+    @property
+    def m(self) -> int:
+        return len(self.secants)
 
     def __len__(self) -> int:
-        return len(self.planes)
+        return len(self.c_points) * self.m // self.q
 
 
 def build_c_planes(
@@ -72,118 +70,37 @@ def build_c_planes(
     structure: SecantStructure,
     maps: CorrespondenceMaps,
 ) -> CPlaneFamily:
-    """Group C by coset against each lifted long secant.
+    """The coset record of the C-plane family.
 
-    Every (point, secant) pair must land in a class of exactly q points of
-    C; the family size comes out to |C| * m / q.  For a verified coset
-    C = c0 + W the classes of secant s are the cosets c + (W ∩ L_s), read
-    off the q^2 vectors of L_s; otherwise, or when some |W ∩ L_s| is not q,
-    each point is reduced against each secant.
+    W ∩ L_s is read off the q^2 vectors x of L_s as those with
+    c0 ^ (x << h) in C.  Raises CPlaneConstructionFailed for a C that is no
+    coset (witness ("closure", ...)) and for a secant whose meet does not
+    hold exactly q vectors (witness ("secant", index, meet size)).
     """
-    amb = maps.ambient
-    h = maps.tower.h
-    q = amb.q
-    lifted = [tuple(r << h for r in s.rows) for s in structure.secants]
-    meets = None
-    if translation_closure_check(c_points)[0]:
-        meets = _secant_meets(c_points, structure, maps)
-    if meets is not None:
-        planes = _planes_from_meets(c_points, meets, lifted, maps)
-    else:
-        planes = _planes_by_reduce(c_points, lifted, maps)
-    expected = len(c_points) * structure.count // q
-    if len(planes) != expected:
+    closed, witness = translation_closure_check(c_points)
+    if not closed:
         raise CPlaneConstructionFailed(
-            f"{len(planes)} planes formed, expected {expected}"
+            f"C is not translation-closed: {witness!r}", ("closure", witness)
         )
-    hinf = maps.hinf
-    vkeys = frozenset(
-        (structure.secants[pl.secant_index].rows,
-         hinf.reduce(pl.base >> h, structure.secants[pl.secant_index].rows))
-        for pl in planes
-    )
-    if len(vkeys) != len(planes):
-        raise CPlaneConstructionFailed("two planes share a vector key")
-    family = CPlaneFamily(
-        planes=tuple(planes), m=structure.count, q=q, vector_keys=vkeys
-    )
-    if meets is not None:
-        record = tuple(zip((s.rows for s in structure.secants), meets))
-        object.__setattr__(
-            family, "_translation",
-            (c_points, translation_basis(c_points), record),
-        )
-    return family
-
-
-def _secant_meets(c_points: AffinePointSet, structure, maps):
-    """Per secant s, the vectors x of L_s with c0 ^ (x << h) in C, sorted.
-
-    For a closed C these are W ∩ L_s.  None when one of them does not hold
-    exactly q vectors.
-    """
     hinf = maps.hinf
     h = maps.tower.h
     q = hinf.q
     c0 = c_points.ordered[0]
     points = c_points.points
-    meets = []
-    for s in structure.secants:
+    secants = []
+    for sidx, s in enumerate(structure.secants):
         m0, m1 = ([hinf.smul(c, r) for c in range(q)] for r in s.rows)
-        meet = sorted(
+        meet = tuple(sorted(
             x for x in (a ^ b for a in m0 for b in m1)
             if c0 ^ (x << h) in points
-        )
+        ))
         if len(meet) != q:
-            return None
-        meets.append(meet)
-    return meets
-
-
-def _planes_from_meets(c_points, meets, lifted, maps) -> list:
-    """The cosets c + (W ∩ L_s) of C, one ambient reduce per plane."""
-    reduce = maps.ambient.reduce
-    h = maps.tower.h
-    planes = []
-    for sidx, (meet, rows) in enumerate(zip(meets, lifted)):
-        shifts = [x << h for x in meet]
-        done: set = set()
-        found = []
-        for p in c_points.ordered:
-            if p in done:
-                continue
-            pts = sorted(p ^ x for x in shifts)
-            done.update(pts)
-            found.append((reduce(p, rows), tuple(pts)))
-        found.sort()
-        planes.extend(
-            CPlane(secant_index=sidx, base=base, rows=(base,) + rows, points=pts)
-            for base, pts in found
-        )
-    return planes
-
-
-def _planes_by_reduce(c_points, lifted, maps) -> list:
-    """Group every point of C by its reduction against every secant."""
-    amb = maps.ambient
-    q = amb.q
-    groups: dict = {}
-    for p in c_points.ordered:
-        for sidx, rows in enumerate(lifted):
-            key = (sidx, amb.reduce(p, rows))
-            groups.setdefault(key, []).append(p)
-    planes = []
-    for (sidx, base), pts in sorted(groups.items()):
-        if len(pts) != q:
             raise CPlaneConstructionFailed(
-                f"secant {sidx} coset 0x{base:x} holds {len(pts)} points of C, "
-                f"expected {q}"
+                f"secant {sidx} meets W in {len(meet)} vectors, expected {q}",
+                ("secant", sidx, len(meet)),
             )
-        rows = (base,) + lifted[sidx]
-        planes.append(
-            CPlane(secant_index=sidx, base=base, rows=rows, points=tuple(pts))
-        )
-    return planes
+        secants.append((s.rows, meet))
+    return CPlaneFamily(c_points, translation_basis(c_points), tuple(secants), q)
 
 
 @dataclass(frozen=True)
@@ -193,275 +110,137 @@ class AxiomReport:
     checked: int
     witness: tuple | None
     detail: dict
-    # where A4 took its plane bins from: "cyclic-group", "pair-scan" or
-    # "triple-scan"; provenance only, so reports that agree
-    # on everything else compare equal whatever their source
+    # where A4 took its plane bins from: "cyclic-group" or "pair-scan";
+    # provenance only, so reports that agree on everything else compare
+    # equal whatever their source
     bins: str | None = field(default=None, compare=False)
 
 
-def _check_a1(
-    family: CPlaneFamily, c_points: AffinePointSet, maps: CorrespondenceMaps
-) -> AxiomReport:
+def _check_a1(family: CPlaneFamily, maps: CorrespondenceMaps) -> AxiomReport:
     """Each plane meets C in a q-arc.
 
-    Under the translation symmetry of _symmetric every plane's meet is the
-    translate of a meet through the base point ordered[0], and a
-    translation keeps collinearity, so only those meets are tested: each
-    plane's meet is translated onto the base point and the distinct results
-    checked, m of them for a symmetric family.  Any other input, and any
-    failure, takes the all-planes scan, which picks the reported plane.
+    Every meet is a translate of one of the m meets c0 + (W ∩ L_s) through
+    the base point, and a translation keeps collinearity, so only those are
+    tested.  A failure names the secant and a collinear triple.
     """
     amb = maps.ambient
-    planes = family.planes
-    if _symmetric(family, c_points, maps):
-        base = c_points.ordered[0]
-        meets = {
-            tuple(sorted(p ^ pl.points[0] ^ base for p in pl.points))
-            for pl in planes
-        }
-        if all(is_arc(pts, amb)[0] for pts in meets):
-            checked = sum(comb(len(pl.points), 2) for pl in planes)
-            return AxiomReport(
-                "A1", True, checked, None,
-                {"mode": "base-point", "planes": len(planes)},
-            )
-    return _a1_all_planes(family, amb)
-
-
-def _a1_all_planes(family: CPlaneFamily, amb) -> AxiomReport:
-    """A1 by testing every plane's meet with C, stopping at the first failure."""
-    checked = 0
-    for idx, pl in enumerate(family.planes):
-        ok, witness = is_arc(pl.points, amb)
-        checked += len(pl.points) * (len(pl.points) - 1) // 2
+    h = maps.tower.h
+    c0 = family.c_points.ordered[0]
+    pairs = comb(family.q, 2)
+    for sidx, (_, meet) in enumerate(family.secants):
+        ok, witness = is_arc([c0 ^ (x << h) for x in meet], amb)
         if not ok:
             return AxiomReport(
-                "A1", False, checked, ("plane", idx) + witness,
-                {"mode": "all-planes"},
+                "A1", False, (sidx + 1) * pairs, ("secant", sidx) + witness,
+                {"mode": "base-point"},
             )
     return AxiomReport(
-        "A1", True, checked, None,
-        {"mode": "all-planes", "planes": len(family.planes)},
+        "A1", True, len(family) * pairs, None,
+        {"mode": "base-point", "planes": len(family)},
     )
 
 
-def _translation(family: CPlaneFamily, c_points: AffinePointSet):
-    """(W, per secant (rows, W ∩ L_s)) when the family was built from the
-    translation basis of this very point set, else None."""
-    rec = family._translation
-    if rec is None or rec[0] is not c_points:
-        return None
-    return rec[1], rec[2]
-
-
-def _check_a2(family: CPlaneFamily, c_points: AffinePointSet) -> AxiomReport:
+def _check_a2(family: CPlaneFamily) -> AxiomReport:
     """Every pair of C points lies on exactly one plane of the family.
 
-    For a family built from C = c0 + W, the pair {a, b} lies on one plane
-    per secant s with a ^ b in W ∩ L_s (_meets_partition_w).  Any other
-    family, and a failure, takes the all-pairs scan.
+    The pair {a, b} lies on one plane per secant s with a ^ b in W ∩ L_s, so
+    A2 holds iff the sets (W ∩ L_s) minus 0 partition W minus 0.  A failure
+    names a vector covered by two secants, or how many vectors are covered.
     """
-    record = _translation(family, c_points)
-    if record is not None and _meets_partition_w(record[1], len(c_points)):
-        n = len(c_points)
-        pairs = n * (n - 1) // 2
+    n = len(family.c_points)
+    covered, clash = _partition_clash(meet for _, meet in family.secants)
+    if clash or covered != n - 1:
+        witness = ("vector",) + clash if clash else ("covered", covered, n - 1)
+        # each vector of W stands for the n/2 pairs {a, a ^ x} of C
         return AxiomReport(
-            "A2", True, pairs, None,
-            {"mode": "translation-group", "pairs": pairs},
+            "A2", False, covered * n // 2, witness, {"mode": "translation-group"}
         )
-    return _a2_all_pairs(family, c_points)
-
-
-def _meets_partition_w(secants, n: int) -> bool:
-    """Do the sets (W ∩ L_s) minus 0 partition W minus 0, for |W| = n?
-
-    `secants` pairs each secant's rows with the vectors of W ∩ L_s.
-    """
-    covered: set = set()
-    total = 0
-    for _, meet in secants:
-        covered.update(meet)
-        total += len(meet) - 1
-    covered.discard(0)
-    return total == len(covered) == n - 1
-
-
-def _a2_all_pairs(family: CPlaneFamily, c_points: AffinePointSet) -> AxiomReport:
-    """A2 by recording the plane of every pair of every plane's meet."""
-    seen: dict = {}
-    for idx, pl in enumerate(family.planes):
-        for a, b in combinations(pl.points, 2):
-            prev = seen.get((a, b))
-            if prev is not None:
-                return AxiomReport(
-                    "A2", False, len(seen), ("pair", a, b, prev, idx),
-                    {"mode": "explicit"},
-                )
-            seen[(a, b)] = idx
-    n = len(c_points)
-    total = n * (n - 1) // 2
-    ok = len(seen) == total
-    witness = None if ok else ("covered", len(seen), total)
+    pairs = n * (n - 1) // 2
     return AxiomReport(
-        "A2", ok, len(seen), witness, {"mode": "explicit", "pairs": total}
+        "A2", True, pairs, None, {"mode": "translation-group", "pairs": pairs}
     )
 
 
-def _check_a3(
-    family: CPlaneFamily, c_points: AffinePointSet, maps: CorrespondenceMaps
-) -> AxiomReport:
+def _check_a3(family: CPlaneFamily, maps: CorrespondenceMaps) -> AxiomReport:
     """Affine points off C lie on exactly one plane; C points on exactly m.
 
-    For a family built from C = c0 + W, an affine point p lies on one plane
-    per secant s whose image in V/W holds p ^ c0, so C points lie on m
-    planes (_images_partition_quotient).  Any other family, and a failure,
-    takes the cover scan.
-    """
-    record = _translation(family, c_points)
-    if record is not None and _images_partition_quotient(*record, maps):
-        total_affine = 1 << maps.hinf.bits
-        return AxiomReport(
-            "A3", True, total_affine, None,
-            {"mode": "translation-group", "affine_points": total_affine,
-             "off_set_planes": 1, "on_set_planes": family.m},
-        )
-    return _a3_cover(family, c_points, maps)
-
-
-def _images_partition_quotient(basis, secants, maps) -> bool:
-    """Do the images of the L_s in V/W partition V/W minus 0?
-
-    V is the space of H_inf vectors and W has the echelon `basis`; a vector
-    reduced against it stands for its class.  Each image is spanned by the
-    reduced GF(2) generators of L_s, the GF(q) rows times 1, 2, ..., 2^(h-1).
+    An affine point p lies on one plane per secant s whose image in V/W
+    holds the class of p ^ c0 (V the H_inf vectors; a vector reduced against
+    W's basis stands for its class), so A3 holds iff the images of the L_s
+    partition V/W minus 0.  Each image is spanned by the reduced GF(2)
+    generators of L_s, the GF(q) rows times 1, 2, ..., 2^(h-1).  A failure
+    names a class hit by two secants, or how many classes are covered.
     """
     hinf = maps.hinf
     h = maps.tower.h
-    seen = {0}
-    total = 0
-    for rows, _ in secants:
-        image = {0}
+    basis = family.basis
+    n = len(family.c_points)
+    classes = 1 << (hinf.bits - len(basis))
+
+    def image(rows):
+        out = {0}
         for g in f2_echelon(f2_reduce(hinf.smul(1 << b, r), basis)
                             for r in rows for b in range(h)):
-            image |= {x ^ g for x in image}
-        seen |= image
-        total += len(image) - 1
-    return total == len(seen) - 1 == (1 << (hinf.bits - len(basis))) - 1
+            out |= {x ^ g for x in out}
+        return sorted(out)
 
-
-def _a3_cover(
-    family: CPlaneFamily, c_points: AffinePointSet, maps: CorrespondenceMaps
-) -> AxiomReport:
-    """A3 by counting, for every affine point, the planes that hold it."""
-    amb = maps.ambient
-    q = family.q
-    cover: dict = {}
-    for pl in family.planes:
-        r1, r2 = pl.rows[1], pl.rows[2]
-        m1 = [amb.smul(c, r1) for c in range(q)]
-        m2 = [amb.smul(c, r2) for c in range(q)]
-        for a in m1:
-            pa = pl.base ^ a
-            for b in m2:
-                p = pa ^ b
-                cover[p] = cover.get(p, 0) + 1
-    cset = c_points.points
-    checked = 0
-    for p, cnt in cover.items():
-        want = family.m if p in cset else 1
-        if cnt != want:
-            return AxiomReport(
-                "A3", False, checked, ("point", p, cnt, want),
-                {"mode": "explicit"},
-            )
-        checked += 1
-    total_affine = amb.q ** (amb.width - 1)
-    ok = len(cover) == total_affine
-    witness = None if ok else ("coverage", len(cover), total_affine)
+    covered, clash = _partition_clash(image(rows) for rows, _ in family.secants)
+    if clash or covered != classes - 1:
+        witness = ("class",) + clash if clash else ("coverage", covered + 1, classes)
+        # each class is a coset of W, n affine points
+        return AxiomReport(
+            "A3", False, (covered + 1) * n, witness, {"mode": "translation-group"}
+        )
+    total_affine = 1 << hinf.bits
     return AxiomReport(
-        "A3", ok, checked, witness,
-        {"mode": "explicit", "affine_points": total_affine,
+        "A3", True, total_affine, None,
+        {"mode": "translation-group", "affine_points": total_affine,
          "off_set_planes": 1, "on_set_planes": family.m},
     )
 
 
-def _check_a4(
-    family: CPlaneFamily,
-    c_points: AffinePointSet,
-    maps: CorrespondenceMaps,
-    budget: int | None,
-    symmetry: CyclicSymmetry | None = None,
-) -> AxiomReport:
+def _partition_clash(sets) -> tuple:
+    """(nonzero elements covered, first clash) over the sets in order.
+
+    A clash (x, i, j) is a nonzero x in sets i < j; with none, the sets
+    minus 0 are pairwise disjoint and the count is the size of their union.
+    """
+    owner: dict = {}
+    for idx, elems in enumerate(sets):
+        for x in elems:
+            if x and owner.setdefault(x, idx) != idx:
+                return len(owner), (x, owner[x], idx)
+    return len(owner), None
+
+
+def _a4_base_point(family: CPlaneFamily, space, symmetry=None, budget=None) -> AxiomReport:
     """Triples of C points span family planes or 4-point planes only.
 
-    Points are handled as difference vectors in the H_inf coordinate space.
-    Under the translation symmetry of _symmetric those translations act
-    transitively on C while preserving the family and every plane's meet
-    with C, so each triple is the translate of a triple through one base
-    point and the base-point scan suffices.  Every other input takes the
-    full triple scan.  `symmetry` is passed on to the base-point scan.
-    """
-    space = maps.hinf
-    h = maps.tower.h
-    vecs = [p >> h for p in c_points.ordered]
-    if _symmetric(family, c_points, maps):
-        return _a4_base_point(family, c_points, vecs, space, symmetry, budget)
-    return _a4_triple_scan(family, c_points, vecs, space, budget)
-
-
-def _symmetric(family: CPlaneFamily, c_points: AffinePointSet, maps) -> bool:
-    """Is C a verified translation set whose translations keep the family?
-
-    Closure is memoized on the point set and the verdict per point set on
-    the family, so A1 and A4 share one check.
-    """
-    memo = family._symmetry
-    if c_points not in memo:
-        memo[c_points] = bool(c_points.ordered) and (
-            translation_closure_check(c_points)[0]
-            and _translation_invariant(family, translation_basis(c_points), maps)
-        )
-    return memo[c_points]
-
-
-def _translation_invariant(family: CPlaneFamily, gens, maps) -> bool:
-    """Do the translations of the coset C carry the family onto itself?
-
-    Translating by v sends the plane (rows, coset) to (rows, coset ^
-    reduce(v, rows)), so the GF(2) generators `gens` of the group suffice.
-    """
-    reduce = maps.hinf.reduce
-    keys = family.vector_keys
-    moves = {rows: [reduce(g, rows) for g in gens] for rows in {r for r, _ in keys}}
-    return all((rows, coset ^ d) in keys for rows, coset in keys for d in moves[rows])
-
-
-def _a4_base_point(family, c_points, vecs, space, symmetry=None, budget=None) -> AxiomReport:
-    """A4 from the C(n-1, 2) pairs {b, c} through the base point a.
-
-    A plane through a is fixed by its direction 2-space alone.  A family
-    bin must collect C(q-1, 2) pairs and any other bin exactly C(3, 2) = 3,
-    and exactly m family planes pass through a.  The full-set totals follow
-    from transitivity: n/q times the family planes through a, n/4 times the
-    four-point planes through a.
+    The translations of C act transitively on C and keep the family and
+    every plane's meet with C, so each triple is the translate of one
+    through the base point a = c0, and A4 follows from the C(n-1, 2) pairs
+    {b, c} through a.  Points are handled as vectors of H_inf (`space`), and
+    a plane through a is fixed by its direction 2-space alone: the family
+    planes through a are the m secants.  A family bin must collect
+    C(q-1, 2) pairs and any other bin exactly C(3, 2) = 3.  The full-set
+    totals follow from transitivity: n/q times the family planes through a,
+    n/4 times the four-point planes through a.
 
     `symmetry` is the cyclic group of a direction set D that a pairs-mode
-    spectrum verified (SpectrumHistogram.symmetry).  When the n-1 directions
-    a ^ b are pairwise distinct and are exactly D, the bins are the lines
-    with two or more points of D, and the verdict is read from the group
-    (_a4_from_symmetry) instead of scanning; a failing verdict is
+    spectrum verified (SpectrumHistogram.symmetry).  When the n-1
+    directions a ^ b are pairwise distinct and are exactly D, the bins are
+    the lines with two or more points of D, and the verdict is read from the
+    group (_a4_from_symmetry) instead of scanning; a failing verdict is
     recomputed by the scan, which picks the reported bin.  The budget
-    charges the group path |D| - 1 line keys, as the spectrum's group
-    path, and the scan its C(n-1, 2) pairs.
+    charges the group path |D| - 1 line keys, as the spectrum's group path,
+    and the scan its C(n-1, 2) pairs.
     """
+    ordered = family.c_points.ordered
+    vecs = [p >> space.h for p in ordered]
     n = len(vecs)
     normalize = space.normalize
-    reduce = space.reduce
     a = vecs[0]
-    through = {
-        rows for rows in {rows for rows, _ in family.vector_keys}
-        if (rows, reduce(a, rows)) in family.vector_keys
-    }
+    through = {rows for rows, _ in family.secants}
     dirs = [normalize(a ^ v) for v in vecs[1:]]
     if symmetry is not None:
         distinct = set(dirs)
@@ -484,8 +263,7 @@ def _a4_base_point(family, c_points, vecs, space, symmetry=None, budget=None) ->
             except DegenerateSpan:
                 return AxiomReport(
                     "A4", False, 0,
-                    ("collinear", c_points.ordered[0],
-                     c_points.ordered[ib + 1], c_points.ordered[ic + 1]),
+                    ("collinear", ordered[0], ordered[ib + 1], ordered[ic + 1]),
                     {"mode": "base-point"}, "pair-scan",
                 )
             counts[rows] = counts.get(rows, 0) + 1
@@ -549,98 +327,29 @@ def _a4_totals(family, nthrough, seen, quads, n, bins) -> AxiomReport:
     always does and a group must show."""
     q = family.q
     total = (n - 1) * (n - 2) // 2
-    family_planes = seen * n // q
     binned = seen * comb(q - 1, 2) + quads * 3
     witness = None
     if seen != nthrough or seen != family.m:
         witness = ("family planes through base point", seen, family.m)
-    elif seen * n != q * len(family.planes):
-        witness = ("family planes seen", family_planes, len(family.planes))
     elif binned != total:
         witness = ("pairs binned", binned, total)
     return AxiomReport(
         "A4", witness is None, total, witness,
         {"mode": "base-point", "pairs": total, "triples": comb(n, 3),
-         "family_planes": family_planes, "four_point_planes": quads * n // 4},
+         "family_planes": seen * n // q, "four_point_planes": quads * n // 4},
         bins,
-    )
-
-
-def _a4_triple_scan(family, c_points, vecs, space, budget) -> AxiomReport:
-    """A4 by binning every unordered triple by the affine plane it spans.
-
-    A bin of a family plane must collect C(q, 3) triples, any other bin
-    exactly C(4, 3) = 4, meaning a fourth point of C completes it.
-    """
-    q = family.q
-    n = len(vecs)
-    total = n * (n - 1) * (n - 2) // 6
-    if budget is not None and total > budget:
-        raise EnumerationTooLarge(total, budget, "triple span scan")
-    space.ensure_tables()
-    normalize = space.normalize
-    pair_key = space.pair_line_key
-    reduce = space.reduce
-    # keys packed into a single int: rows then coset, `shift` bits apiece
-    shift = space.width * space.field.m
-    fam_packed = {
-        (rows[0] << 2 * shift) | (rows[1] << shift) | coset
-        for rows, coset in family.vector_keys
-    }
-    counts: dict = {}
-    for ia in range(n - 2):
-        a = vecs[ia]
-        for ib in range(ia + 1, n - 1):
-            u = normalize(a ^ vecs[ib])
-            for ic in range(ib + 1, n):
-                w = normalize(a ^ vecs[ic])
-                try:
-                    r0, r1 = pair_key(u, w)
-                except DegenerateSpan:
-                    return AxiomReport(
-                        "A4", False, 0,
-                        ("collinear", c_points.ordered[ia],
-                         c_points.ordered[ib], c_points.ordered[ic]),
-                        {"mode": "triple-scan"}, "triple-scan",
-                    )
-                kk = (r0 << 2 * shift) | (r1 << shift) | reduce(a, (r0, r1))
-                counts[kk] = counts.get(kk, 0) + 1
-    family_mult = comb(q, 3)
-    family_seen = 0
-    quads = 0
-    mask = (1 << shift) - 1
-    for kk, cnt in counts.items():
-        in_family = kk in fam_packed
-        if in_family and cnt == family_mult:
-            family_seen += 1
-        elif cnt == 4 and not in_family:
-            quads += 1
-        else:
-            return AxiomReport(
-                "A4", False, total,
-                ("plane", (kk >> 2 * shift, (kk >> shift) & mask), kk & mask,
-                 cnt, "family" if in_family else "outside"),
-                {"mode": "triple-scan"}, "triple-scan",
-            )
-    ok = family_seen == len(family.planes)
-    witness = None if ok else ("family planes seen", family_seen, len(family.planes))
-    return AxiomReport(
-        "A4", ok, total, witness,
-        {"mode": "triple-scan", "triples": total, "family_planes": family_seen,
-         "four_point_planes": quads},
-        "triple-scan",
     )
 
 
 def check_axioms(
     family: CPlaneFamily,
-    c_points: AffinePointSet,
     maps: CorrespondenceMaps,
     axioms=("A1", "A2", "A3", "A4"),
     budget: int | None = DEFAULT_BUDGET,
     symmetry: CyclicSymmetry | None = None,
 ) -> dict:
-    """Run the requested axiom checks; returns {name: AxiomReport}.
+    """Run the requested axiom checks on the family's own C; returns
+    {name: AxiomReport}.
 
     `symmetry` is optionally the cyclic group of the direction set of C
     that a pairs-mode spectrum verified, for A4 to read its bins from (see
@@ -649,13 +358,13 @@ def check_axioms(
     out: dict = {}
     for name in axioms:
         if name == "A1":
-            out[name] = _check_a1(family, c_points, maps)
+            out[name] = _check_a1(family, maps)
         elif name == "A2":
-            out[name] = _check_a2(family, c_points)
+            out[name] = _check_a2(family)
         elif name == "A3":
-            out[name] = _check_a3(family, c_points, maps)
+            out[name] = _check_a3(family, maps)
         elif name == "A4":
-            out[name] = _check_a4(family, c_points, maps, budget, symmetry)
+            out[name] = _a4_base_point(family, maps.hinf, symmetry, budget)
         else:
             raise ValueError(f"unknown axiom {name!r}")
     return out

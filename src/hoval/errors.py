@@ -98,7 +98,12 @@ class InvalidSpread(HovalError):
 # --- C-plane family ----------------------------------------------------------
 
 class CPlaneConstructionFailed(HovalError):
-    """Some span of an affine point and a long secant misses the q-point law."""
+    """C is no coset c0 + W, or some secant space meets W in other than q
+    vectors; `witness` names which."""
+
+    def __init__(self, message: str, witness: tuple):
+        super().__init__(message)
+        self.witness = witness
 
 
 # --- serialization -----------------------------------------------------------

@@ -292,9 +292,7 @@ def _stage_cplanes(run: _Run) -> tuple[bool, dict]:
     family = build_c_planes(run.hov.affine, run.structure, maps)
     q = 1 << spec.h
     n = len(run.hov.affine)
-    reports = check_axioms(
-        family, run.hov.affine, maps, axioms=("A1", "A2", "A3")
-    )
+    reports = check_axioms(family, maps, axioms=("A1", "A2", "A3"))
     # A4 gets a call of its own so a trace (bench/spans.py) times it apart
     # from A1-A3.  It needs no cap of its own: in a passing run it charges
     # the |D| - 1 line keys of the verified group, or the C(n-1, 2) =
@@ -302,7 +300,7 @@ def _stage_cplanes(run: _Run) -> tuple[bool, dict]:
     # the same path under this budget.
     reports.update(
         check_axioms(
-            family, run.hov.affine, maps, axioms=("A4",), budget=run.budget,
+            family, maps, axioms=("A4",), budget=run.budget,
             symmetry=run.symmetry,
         )
     )

@@ -4,8 +4,14 @@ Each is the straightforward version of something `src/hoval` now computes
 another way, kept here (not in the package) because only tests call it.
 """
 
-from itertools import product
+from collections import Counter
+from dataclasses import dataclass
+from itertools import combinations, product
+from math import comb
 
+from hoval.cplanes import AxiomReport
+from hoval.errors import CPlaneConstructionFailed, DegenerateSpan, EnumerationTooLarge
+from hoval.hyperoval import is_arc
 from hoval.projective import ProjSpace
 
 
@@ -82,3 +88,194 @@ def line_scan_counts(pts, space: ProjSpace) -> dict:
         for j, c in scan_pattern(space, cone, pattern).items():
             out[j] = out.get(j, 0) + c
     return {j: out[j] for j in sorted(out)}
+
+
+# -- the C-plane family, plane by plane ---------------------------------------
+
+@dataclass(frozen=True)
+class CPlane:
+    secant_index: int
+    base: int  # affine coset representative against the lifted secant rows
+    rows: tuple  # canonical 3-row basis in the ambient space
+    points: tuple  # the q points of C on this plane, sorted
+
+
+def _lifted(secant_rows, maps) -> list:
+    return [tuple(r << maps.tower.h for r in rows) for rows in secant_rows]
+
+
+def planes_by_reduce(c_points, structure, maps) -> list:
+    """Every plane, by grouping each point of C by its reduction against
+    each lifted long secant; any class of other than q points raises."""
+    amb = maps.ambient
+    lifted = _lifted((s.rows for s in structure.secants), maps)
+    groups: dict = {}
+    for p in c_points.ordered:
+        for sidx, rows in enumerate(lifted):
+            groups.setdefault((sidx, amb.reduce(p, rows)), []).append(p)
+    planes = []
+    for (sidx, base), pts in sorted(groups.items()):
+        if len(pts) != amb.q:
+            raise CPlaneConstructionFailed(
+                f"secant {sidx} coset 0x{base:x} holds {len(pts)} points of C, "
+                f"expected {amb.q}", ("coset", sidx, base, len(pts)),
+            )
+        planes.append(CPlane(sidx, base, (base,) + lifted[sidx], tuple(pts)))
+    return planes
+
+
+def planes_of(family, maps) -> list:
+    """Every plane of a coset record: the cosets c + (W ∩ L_s) of its C,
+    ordered as planes_by_reduce orders them."""
+    reduce = maps.ambient.reduce
+    h = maps.tower.h
+    lifted = _lifted((rows for rows, _ in family.secants), maps)
+    planes = []
+    for sidx, ((_, meet), rows) in enumerate(zip(family.secants, lifted)):
+        shifts = [x << h for x in meet]
+        done: set = set()
+        found = []
+        for p in family.c_points.ordered:
+            if p not in done:
+                pts = sorted(p ^ x for x in shifts)
+                done.update(pts)
+                found.append((reduce(p, rows), tuple(pts)))
+        planes.extend(CPlane(sidx, base, (base,) + rows, pts)
+                      for base, pts in sorted(found))
+    return planes
+
+
+def vector_keys(planes, maps) -> frozenset:
+    """(secant rows in H_inf, reduced coset vector) of every plane."""
+    hinf = maps.hinf
+    h = maps.tower.h
+    keys = set()
+    for pl in planes:
+        rows = tuple(r >> h for r in pl.rows[1:])
+        keys.add((rows, hinf.reduce(pl.base >> h, rows)))
+    return frozenset(keys)
+
+
+def a1_all_planes(planes, amb) -> AxiomReport:
+    """A1 by testing every plane's meet with C, stopping at the first failure."""
+    checked = 0
+    for idx, pl in enumerate(planes):
+        ok, witness = is_arc(pl.points, amb)
+        checked += comb(len(pl.points), 2)
+        if not ok:
+            return AxiomReport("A1", False, checked, ("plane", idx) + witness,
+                               {"mode": "all-planes"})
+    return AxiomReport("A1", True, checked, None,
+                       {"mode": "all-planes", "planes": len(planes)})
+
+
+def a2_all_pairs(planes, n: int) -> AxiomReport:
+    """A2 by recording the plane of every pair of every plane's meet."""
+    seen: dict = {}
+    for idx, pl in enumerate(planes):
+        for a, b in combinations(pl.points, 2):
+            prev = seen.get((a, b))
+            if prev is not None:
+                return AxiomReport("A2", False, len(seen), ("pair", a, b, prev, idx),
+                                   {"mode": "explicit"})
+            seen[(a, b)] = idx
+    total = n * (n - 1) // 2
+    ok = len(seen) == total
+    return AxiomReport("A2", ok, len(seen),
+                       None if ok else ("covered", len(seen), total),
+                       {"mode": "explicit", "pairs": total})
+
+
+def a3_cover(planes, c_points, m: int, amb) -> AxiomReport:
+    """A3 by counting, for every affine point, the planes that hold it."""
+    q = amb.q
+    cover: dict = {}
+    for pl in planes:
+        m1 = [amb.smul(c, pl.rows[1]) for c in range(q)]
+        m2 = [amb.smul(c, pl.rows[2]) for c in range(q)]
+        for a in m1:
+            for b in m2:
+                p = pl.base ^ a ^ b
+                cover[p] = cover.get(p, 0) + 1
+    checked = 0
+    for p, cnt in cover.items():
+        want = m if p in c_points.points else 1
+        if cnt != want:
+            return AxiomReport("A3", False, checked, ("point", p, cnt, want),
+                               {"mode": "explicit"})
+        checked += 1
+    total_affine = q ** (amb.width - 1)
+    ok = len(cover) == total_affine
+    return AxiomReport(
+        "A3", ok, checked, None if ok else ("coverage", len(cover), total_affine),
+        {"mode": "explicit", "affine_points": total_affine,
+         "off_set_planes": 1, "on_set_planes": m},
+    )
+
+
+def a4_triple_scan(planes, c_points, maps, budget=None) -> AxiomReport:
+    """A4 by binning every unordered triple by the affine plane it spans.
+
+    A bin of a family plane must collect C(q, 3) triples, any other bin
+    exactly C(4, 3) = 4, meaning a fourth point of C completes it.
+    """
+    space = maps.hinf
+    q = space.q
+    vecs = [p >> maps.tower.h for p in c_points.ordered]
+    n = len(vecs)
+    total = comb(n, 3)
+    if budget is not None and total > budget:
+        raise EnumerationTooLarge(total, budget, "triple span scan")
+    family = vector_keys(planes, maps)
+    space.ensure_tables()
+    normalize, pair_key, reduce = space.normalize, space.pair_line_key, space.reduce
+    counts: dict = {}
+    for ia in range(n - 2):
+        a = vecs[ia]
+        for ib in range(ia + 1, n - 1):
+            u = normalize(a ^ vecs[ib])
+            for ic in range(ib + 1, n):
+                try:
+                    rows = pair_key(u, normalize(a ^ vecs[ic]))
+                except DegenerateSpan:
+                    return AxiomReport(
+                        "A4", False, 0,
+                        ("collinear",) + tuple(c_points.ordered[j] for j in (ia, ib, ic)),
+                        {"mode": "triple-scan"}, "triple-scan")
+                key = (rows, reduce(a, rows))
+                counts[key] = counts.get(key, 0) + 1
+    family_seen = quads = 0
+    for key, cnt in counts.items():
+        in_family = key in family
+        if in_family and cnt == comb(q, 3):
+            family_seen += 1
+        elif cnt == 4 and not in_family:
+            quads += 1
+        else:
+            return AxiomReport("A4", False, total,
+                               ("plane",) + key + (cnt, "family" if in_family else "outside"),
+                               {"mode": "triple-scan"}, "triple-scan")
+    ok = family_seen == len(planes)
+    return AxiomReport(
+        "A4", ok, total, None if ok else ("family planes seen", family_seen, len(planes)),
+        {"mode": "triple-scan", "triples": total, "family_planes": family_seen,
+         "four_point_planes": quads},
+        "triple-scan",
+    )
+
+
+# -- the hyperoval in the Bruck-Bose plane, line by line ----------------------
+
+def histogram_by_scan(q_points, plane, extra):
+    """(histogram, witness) of the affine lines' meets, line by line."""
+    histogram: dict = {}
+    witness = None
+    for eidx, bases in enumerate(plane.bases):
+        counts = Counter(plane.base_of(eidx, p) for p in q_points.ordered)
+        bonus = 1 if eidx in extra else 0
+        for base in bases:
+            c = counts.get(base, 0) + bonus
+            histogram[c] = histogram.get(c, 0) + 1
+            if c not in (0, 2) and witness is None:
+                witness = ("line", eidx, base, c)
+    return histogram, witness

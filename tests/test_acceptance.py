@@ -256,8 +256,7 @@ def test_criterion_08_cplane_axioms():
         n = len(hov.affine)
         rep = _chain(h, k, i)
         family = build_c_planes(hov.affine, rep.structure, hov.maps)
-        reports = check_axioms(family, hov.affine, hov.maps,
-                               budget=max(10 ** 8, comb(n, 3)))
+        reports = check_axioms(family, hov.maps, budget=max(10 ** 8, comb(n, 3)))
         all_ok = all(r.ok for r in reports.values())
         pair_identity = len(family) * comb(q, 2) == comb(n, 2)
         a4 = reports["A4"].detail
@@ -352,7 +351,7 @@ def test_criterion_09_mutation_sensitivity():
             family = build_c_planes(qset, good_structure, maps)
         except HovalError as exc:
             return f"{type(exc).__name__}"
-        reports = check_axioms(family, qset, maps)
+        reports = check_axioms(family, maps)
         bad = [name for name, r in sorted(reports.items()) if not r.ok]
         return f"axioms {bad} failed" if bad else None
 

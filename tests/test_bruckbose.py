@@ -7,10 +7,15 @@ import pytest
 
 from hoval.errors import EnumerationTooLarge, InvalidSpread
 from hoval.gf2 import tower_create
-from hoval.hyperoval import AffinePointSet, HyperovalSpec, build_hyperoval, directions
+from hoval.hyperoval import (
+    AffinePointSet,
+    HyperovalSpec,
+    build_hyperoval,
+    directions,
+    translation_closure_check,
+)
 from hoval.bruckbose import (
     _direction_marks,
-    _histogram_by_scan,
     _pair_scan,
     PlaneAxiomsReport,
     _quadrangle_ok,
@@ -20,6 +25,7 @@ from hoval.bruckbose import (
 )
 from hoval.pseudoregulus import detect_pseudoregulus
 from hoval.reduction import Spread, maps_for
+from oracles import histogram_by_scan
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +133,7 @@ def test_hyperoval_in_plane_421():
 def test_mutated_set_caught_by_line_scan(setup321):
     hov, d, rep, plane = setup321
     t = rep.transversals
+    trans = (t.t0.rows, t.t_inf.rows)
     rng = random.Random(11)
     h = hov.maps.tower.h
     bits = hov.maps.ambient.bits - h
@@ -136,11 +143,13 @@ def test_mutated_set_caught_by_line_scan(setup321):
         if cand not in hov.affine.points:
             break
     damaged = AffinePointSet(pts[1:] + [cand], hov.maps.ambient)
-    hrep = hyperoval_in_plane(damaged, t.t0.rows, t.t_inf.rows, plane)
+    hrep = hyperoval_in_plane(damaged, *trans, plane)
     assert not hrep.ok
-    assert hrep.witness is not None
-    bad = [j for j in hrep.histogram if j not in (0, 2) and hrep.histogram[j]]
-    assert bad
+    assert hrep.witness == ("closure", translation_closure_check(damaged)[1])
+    # the line scan finds a line that meets the mutant off {0, 2}
+    hist, witness = _scanned(damaged, plane, trans)
+    assert witness is not None
+    assert [j for j in hist if j not in (0, 2)]
 
 
 def _plane_case(hki):
@@ -152,11 +161,15 @@ def _plane_case(hki):
     return hov, plane, (t.t0.rows, t.t_inf.rows)
 
 
+def _extra(plane, transversals):
+    """Indices of the two transversal elements."""
+    elements = [el.rows for el in plane.spread.elements]
+    return {elements.index(rows) for rows in transversals}
+
+
 def _scanned(q_points, plane, transversals):
     """(histogram with the line at infinity, witness) of the full line scan."""
-    elements = [el.rows for el in plane.spread.elements]
-    extra = {elements.index(rows) for rows in transversals}
-    hist, witness = _histogram_by_scan(q_points, plane, extra)
+    hist, witness = histogram_by_scan(q_points, plane, _extra(plane, transversals))
     hist[2] = hist.get(2, 0) + 1
     return {j: hist[j] for j in sorted(hist)}, witness
 
@@ -169,7 +182,7 @@ def test_hyperoval_in_plane_by_basis_matches_scan(hki):
     assert (hrep.histogram, hrep.witness) == _scanned(hov.affine, plane, trans)
 
 
-def test_hyperoval_in_plane_scans_without_closure(setup321):
+def test_hyperoval_in_plane_refuses_an_unclosed_set(setup321):
     hov, d, rep, plane = setup321
     trans = (rep.transversals.t0.rows, rep.transversals.t_inf.rows)
     pts = list(hov.affine.ordered)
@@ -177,20 +190,29 @@ def test_hyperoval_in_plane_scans_without_closure(setup321):
     outside = next(1 | (v << h) for v in range(1, 1 << 12)
                    if (1 | (v << h)) not in hov.affine.points)
     damaged = AffinePointSet(pts[1:] + [outside], hov.maps.ambient)
+    closed, witness = translation_closure_check(damaged)
     hrep = hyperoval_in_plane(damaged, *trans, plane)
-    assert hrep.mode == "line-scan" and not hrep.closure_ok
-    assert (hrep.histogram, hrep.witness) == _scanned(damaged, plane, trans)
+    assert not closed and not hrep.ok and not hrep.closure_ok
+    assert hrep.mode == "closure" and hrep.witness == ("closure", witness)
+    assert hrep.histogram == {} and hrep.lines_checked == 0
 
 
-def test_failing_histogram_is_rescanned_for_its_witness():
-    # the (4,2,2) set is a closed coset but no arc: the histogram from W
-    # fails, and the scan reports the same histogram with a line witness
+def test_failing_histogram_names_its_line():
+    # the (4,2,2) set, moved off the origin, is a closed coset but no arc:
+    # the histogram from W is the line scan's, and the witness names the
+    # line through its smallest point, which the scan counts alike
     hov, plane, trans = _plane_case((4, 2, 1))
-    bad = build_hyperoval(HyperovalSpec(4, 2, 2, strict=False)).affine
+    control = build_hyperoval(HyperovalSpec(4, 2, 2, strict=False)).affine
+    shift = 0x5A << hov.maps.tower.h
+    bad = AffinePointSet([p ^ shift for p in control.ordered], hov.maps.ambient)
     hrep = hyperoval_in_plane(bad, *trans, plane)
-    assert hrep.closure_ok and not hrep.ok and hrep.mode == "line-scan"
-    assert (hrep.histogram, hrep.witness) == _scanned(bad, plane, trans)
-    assert hrep.witness[0] == "line"
+    assert hrep.closure_ok and not hrep.ok and hrep.mode == "translation-group"
+    assert hrep.histogram == _scanned(bad, plane, trans)[0]
+    tag, eidx, base, count = hrep.witness
+    assert tag == "line" and count not in (0, 2)
+    on_line = sum(plane.base_of(eidx, p) == base for p in bad.ordered)
+    assert on_line + (eidx in _extra(plane, trans)) == count
+    assert plane.base_of(eidx, bad.ordered[0]) == base != plane.bases[eidx][0]
 
 
 def test_wrong_transversal_rows_rejected(setup321):

@@ -1,6 +1,7 @@
 """C-plane family construction and the four incidence axioms."""
 
 import dataclasses
+import inspect
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations
@@ -10,21 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoval import cplanes
+from hoval import cplanes, pipeline
 from hoval.cplanes import (
-    CPlane,
-    CPlaneFamily,
-    _a1_all_planes,
-    _a2_all_pairs,
-    _a3_cover,
     _a4_base_point,
     _a4_bins,
     _a4_from_symmetry,
-    _a4_triple_scan,
-    _images_partition_quotient,
-    _meets_partition_w,
-    _planes_by_reduce,
-    _symmetric,
     build_c_planes,
     check_axioms,
 )
@@ -35,11 +26,22 @@ from hoval.hyperoval import (
     HyperovalSpec,
     build_hyperoval,
     directions,
+    is_arc,
     translation_closure_check,
 )
 from hoval.linearsets import CyclicSymmetry, cyclic_candidate, spectrum
+from hoval.pipeline import run_verify_all
 from hoval.projective import Line
 from hoval.pseudoregulus import SecantStructure, find_long_secants
+from oracles import (
+    a1_all_planes,
+    a2_all_pairs,
+    a3_cover,
+    a4_triple_scan,
+    planes_by_reduce,
+    planes_of,
+    vector_keys,
+)
 
 
 def _setup(h, k, i):
@@ -65,34 +67,36 @@ def test_family_size_321(case321, family321):
     assert len(family321) == 72
     assert family321.q == 8 and family321.m == 9
     assert len(family321) == len(hov.affine) * s.count // 8
-    for pl in family321.planes:
+    planes = planes_of(family321, hov.maps)
+    assert len(planes) == 72
+    for pl in planes:
         assert len(pl.points) == 8
         assert len(pl.rows) == 3
 
 
-def test_planes_have_distinct_keys(family321):
-    keys = {(pl.secant_index, pl.base) for pl in family321.planes}
-    assert len(keys) == len(family321)
-    assert len(family321.vector_keys) == len(family321)
+def test_planes_have_distinct_keys(case321, family321):
+    planes = planes_of(family321, case321[0].maps)
+    assert len({(pl.secant_index, pl.base) for pl in planes}) == len(family321)
+    assert len(vector_keys(planes, case321[0].maps)) == len(family321)
 
 
 def test_axiom_a1_321(case321, family321):
     hov, d, s = case321
-    rep = check_axioms(family321, hov.affine, hov.maps, axioms=("A1",))["A1"]
+    rep = check_axioms(family321, hov.maps, axioms=("A1",))["A1"]
     assert rep.ok, rep.witness
     assert rep.checked == 72 * comb(8, 2)
 
 
 def test_axiom_a2_321(case321, family321):
     hov, d, s = case321
-    rep = check_axioms(family321, hov.affine, hov.maps, axioms=("A2",))["A2"]
+    rep = check_axioms(family321, hov.maps, axioms=("A2",))["A2"]
     assert rep.ok, rep.witness
     assert rep.checked == comb(64, 2) == 2016
 
 
 def test_axiom_a3_321(case321, family321):
     hov, d, s = case321
-    rep = check_axioms(family321, hov.affine, hov.maps, axioms=("A3",))["A3"]
+    rep = check_axioms(family321, hov.maps, axioms=("A3",))["A3"]
     assert rep.ok, rep.witness
     # 72 planes of 64 affine points apiece tile C nine-fold, the rest once
     assert 72 * 64 == 64 * 9 + (8 ** 4 - 64)
@@ -101,7 +105,7 @@ def test_axiom_a3_321(case321, family321):
 
 def test_axiom_a4_321(case321, family321):
     hov, d, s = case321
-    rep = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",))["A4"]
+    rep = check_axioms(family321, hov.maps, axioms=("A4",))["A4"]
     assert rep.ok, rep.witness
     assert rep.detail["triples"] == comb(64, 3) == 41664
     assert rep.detail["family_planes"] == 72
@@ -111,13 +115,13 @@ def test_axiom_a4_321(case321, family321):
 def test_a4_budget_guard(case321, family321):
     hov, d, s = case321
     with pytest.raises(EnumerationTooLarge):
-        check_axioms(family321, hov.affine, hov.maps, axioms=("A4",), budget=100)
+        check_axioms(family321, hov.maps, axioms=("A4",), budget=100)
 
 
 def test_unknown_axiom_rejected(case321, family321):
     hov, d, s = case321
     with pytest.raises(ValueError):
-        check_axioms(family321, hov.affine, hov.maps, axioms=("A5",))
+        check_axioms(family321, hov.maps, axioms=("A5",))
 
 
 def test_family_size_421():
@@ -125,7 +129,7 @@ def test_family_size_421():
     fam = build_c_planes(hov.affine, s, hov.maps)
     assert len(fam) == 272
     assert fam.m == 17
-    reps = check_axioms(fam, hov.affine, hov.maps, axioms=("A1", "A2", "A3"))
+    reps = check_axioms(fam, hov.maps, axioms=("A1", "A2", "A3"))
     assert all(r.ok for r in reps.values())
     assert reps["A2"].checked == comb(256, 2) == 32640
 
@@ -135,45 +139,100 @@ def test_family_size_331():
     fam = build_c_planes(hov.affine, s, hov.maps)
     assert len(fam) == 4672
     assert fam.m == 73
-    rep = check_axioms(fam, hov.affine, hov.maps, axioms=("A2",))["A2"]
+    rep = check_axioms(fam, hov.maps, axioms=("A2",))["A2"]
     assert rep.ok, rep.witness
     assert rep.checked == comb(512, 2) == 130816
 
 
+def test_cplanes_stage_at_341_builds_no_plane(monkeypatch):
+    # hk = 12: 299,520 planes, none of them materialized; the family and
+    # A1-A4 together stay under 10 MiB of Python allocations
+    peaks = []
+    build, check = pipeline.build_c_planes, pipeline.check_axioms
+
+    def traced_build(*args, **kwargs):
+        tracemalloc.start()
+        return build(*args, **kwargs)
+
+    def traced_check(*args, **kwargs):
+        out = check(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return out
+
+    monkeypatch.setattr(pipeline, "build_c_planes", traced_build)
+    monkeypatch.setattr(pipeline, "check_axioms", traced_check)
+    try:
+        rep = run_verify_all(3, 4, 1, stages=("cplanes",))
+    finally:
+        tracemalloc.stop()
+    cp = rep.stage("cplanes")
+    assert rep.verdict == "pass" and cp.status == "ok"
+    assert cp.data["planes"] == cp.data["expected_planes"] == 299520
+    assert len(peaks) == 2 and max(peaks) < 10 * 2**20, peaks
+
+
+def _damaged(hov):
+    """C with its smallest point swapped for an affine point outside C."""
+    pts = sorted(hov.affine.points)
+    h = hov.maps.tower.h
+    outside = next(1 | (v << h) for v in range(1, 1 << 12)
+                   if (1 | (v << h)) not in hov.affine.points)
+    return AffinePointSet(pts[1:] + [outside], hov.maps.ambient)
+
+
 def test_damaged_set_fails_construction(case321):
     hov, d, s = case321
-    pts = sorted(hov.affine.points)
-    # swap one point for an affine point outside C
-    bad = pts[0] ^ (1 << hov.maps.tower.h)
-    while bad in hov.affine.points or not hov.maps.ambient.chunk(bad, 0) == 1:
-        bad ^= 1 << (2 * hov.maps.tower.h)
-    damaged = AffinePointSet(frozenset(pts[1:]) | {bad}, hov.maps.ambient)
-    with pytest.raises(CPlaneConstructionFailed):
+    damaged = _damaged(hov)
+    closed, witness = translation_closure_check(damaged)
+    assert not closed
+    with pytest.raises(CPlaneConstructionFailed) as exc:
         build_c_planes(damaged, s, hov.maps)
+    assert exc.value.witness == ("closure", witness)
+
+
+def _forged_records(family):
+    """Meet records no build produces: the last secant dropped, and the
+    first secant's entry replaced by a copy of the second's."""
+    return {
+        "dropped": dataclasses.replace(family, secants=family.secants[:-1]),
+        "repeated": dataclasses.replace(
+            family, secants=family.secants[1:2] + family.secants[1:]
+        ),
+    }
 
 
 def test_damaged_family_fails_a2(case321, family321):
+    # a dropped secant leaves 7 vectors of W and 7 classes of V/W uncovered,
+    # a repeated one covers its own twice; A2 and A3 name that, and the
+    # explicit scans over the forged planes fail as well
     hov, d, s = case321
-    # drop one plane: some pair of C points is then uncovered
-    import dataclasses
-
-    fam = dataclasses.replace(
-        family321,
-        planes=family321.planes[:-1],
-        vector_keys=frozenset(list(family321.vector_keys)[:-1]),
-    )
-    rep = check_axioms(fam, hov.affine, hov.maps, axioms=("A2",))["A2"]
-    assert not rep.ok
-    assert rep.witness is not None
+    maps = hov.maps
+    n = len(hov.affine)
+    for name, fam in _forged_records(family321).items():
+        reps = check_axioms(fam, maps, axioms=("A2", "A3"))
+        assert not reps["A2"].ok and not reps["A3"].ok, name
+        planes = planes_of(fam, maps)
+        assert not a2_all_pairs(planes, n).ok
+        assert not a3_cover(planes, hov.affine, fam.m, maps.ambient).ok
+        if name == "dropped":
+            assert reps["A2"].witness == ("covered", n - 1 - 7, n - 1)
+            assert reps["A3"].witness == ("coverage", 64 - 7, 64)
+        else:
+            tag, x, first, second = reps["A2"].witness
+            assert (tag, first, second) == ("vector", 0, 1)
+            assert x in family321.secants[1][1]
+            assert reps["A3"].witness[0] == "class"
+            assert reps["A3"].witness[2:] == (0, 1)
+        _assert_witness_on_planes(reps["A2"].witness, planes, hov.affine, maps)
+        _assert_witness_on_planes(reps["A3"].witness, planes, hov.affine, maps)
 
 
 # -- A4: base-point scan against the full triple scan -------------------------
 
-def _a4_both(family, c_points, maps):
-    """(public A4 report, full triple-scan report) for one input."""
-    fast = check_axioms(family, c_points, maps, axioms=("A4",), budget=None)["A4"]
-    vecs = [p >> maps.tower.h for p in c_points.ordered]
-    full = _a4_triple_scan(family, c_points, vecs, maps.hinf, None)
+def _a4_both(family, maps):
+    """(public A4 report, oracle triple-scan report) for one family."""
+    fast = check_axioms(family, maps, axioms=("A4",), budget=None)["A4"]
+    full = a4_triple_scan(planes_of(family, maps), family.c_points, maps)
     return fast, full
 
 
@@ -184,7 +243,7 @@ _TOTALS = ("triples", "family_planes", "four_point_planes")
 def test_a4_base_point_matches_triple_scan(hki):
     hov, d, s = _setup(*hki)
     fam = build_c_planes(hov.affine, s, hov.maps)
-    fast, full = _a4_both(fam, hov.affine, hov.maps)
+    fast, full = _a4_both(fam, hov.maps)
     assert fast.detail["mode"] == "base-point"
     assert full.detail["mode"] == "triple-scan"
     assert fast.ok and full.ok, (fast.witness, full.witness)
@@ -197,61 +256,12 @@ def test_a4_base_point_matches_triple_scan(hki):
 def test_a4_base_point_budget_counts_pairs(case321, family321):
     hov, d, s = case321
     # 1953 pairs through the base point fit, the 41664 triples would not
-    rep = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",),
+    rep = check_axioms(family321, hov.maps, axioms=("A4",),
                        budget=comb(63, 2))["A4"]
     assert rep.ok and rep.detail["mode"] == "base-point"
     with pytest.raises(EnumerationTooLarge) as exc:
-        check_axioms(family321, hov.affine, hov.maps, axioms=("A4",),
-                     budget=comb(63, 2) - 1)
+        check_axioms(family321, hov.maps, axioms=("A4",), budget=comb(63, 2) - 1)
     assert exc.value.estimate == comb(63, 2)
-
-
-def _damaged(hov):
-    """C with its smallest point swapped for an affine point outside C."""
-    pts = sorted(hov.affine.points)
-    h = hov.maps.tower.h
-    outside = next(1 | (v << h) for v in range(1, 1 << 12)
-                   if (1 | (v << h)) not in hov.affine.points)
-    return AffinePointSet(pts[1:] + [outside], hov.maps.ambient)
-
-
-def _forged(family, hov):
-    """The family with a plane that misses the base point swapped for a plane
-    that misses C: every bin through the base point still looks right, but
-    the family is no longer carried onto itself by the translations of C."""
-    space = hov.maps.hinf
-    base = hov.affine.ordered[0] >> hov.maps.tower.h
-    keys = family.vector_keys
-    rows, coset = min(
-        (r, c) for r, c in keys if space.reduce(base, r) != c
-    )
-    fake = next(
-        space.reduce(v, rows) for v in range(1, 1 << space.bits)
-        if (rows, space.reduce(v, rows)) not in keys
-    )
-    return dataclasses.replace(
-        family, vector_keys=(keys - {(rows, coset)}) | {(rows, fake)}
-    )
-
-
-def test_a4_damaged_set_takes_triple_scan(case321, family321):
-    hov, d, s = case321
-    damaged = _damaged(hov)
-    assert not translation_closure_check(damaged)[0]
-    rep = check_axioms(family321, damaged, hov.maps, axioms=("A4",))["A4"]
-    assert rep.detail["mode"] == "triple-scan"
-    assert not rep.ok
-
-
-def test_a4_forged_family_takes_triple_scan(case321, family321):
-    hov, d, s = case321
-    maps = hov.maps
-    vecs = [p >> maps.tower.h for p in hov.affine.ordered]
-    forged = _forged(family321, hov)
-    assert _a4_base_point(forged, hov.affine, vecs, maps.hinf).ok
-    fast, full = _a4_both(forged, hov.affine, maps)
-    assert fast.detail["mode"] == "triple-scan"
-    assert not fast.ok and not full.ok
 
 
 # -- A1: planes through the base point against every plane --------------------
@@ -269,13 +279,13 @@ def _counting_arcs(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1), (3, 3, 1), (3, 3, 2)])
 def test_a1_base_point_matches_all_planes(hki, monkeypatch):
     hov, d, s = _setup(*hki)
     fam = build_c_planes(hov.affine, s, hov.maps)
-    full = _a1_all_planes(fam, hov.maps.ambient)
+    full = a1_all_planes(planes_by_reduce(hov.affine, s, hov.maps), hov.maps.ambient)
     calls = _counting_arcs(monkeypatch)
-    fast = check_axioms(fam, hov.affine, hov.maps, axioms=("A1",))["A1"]
+    fast = check_axioms(fam, hov.maps, axioms=("A1",))["A1"]
     assert len(calls) == fam.m
     assert fast.detail == {**full.detail, "mode": "base-point"}
     assert full.detail["mode"] == "all-planes"
@@ -283,18 +293,25 @@ def test_a1_base_point_matches_all_planes(hki, monkeypatch):
     assert fast.ok and fast.checked == len(fam) * comb(fam.q, 2)
 
 
-def test_a1_without_symmetry_scans_all_planes(case321, family321, monkeypatch):
-    hov, d, s = case321
-    damaged = _damaged(hov)
-    forged = _forged(family321, hov)
-    full = _a1_all_planes(family321, hov.maps.ambient)
-    calls = _counting_arcs(monkeypatch)
-    for family, c_points in ((forged, hov.affine), (family321, damaged)):
-        calls.clear()
-        assert not _symmetric(family, c_points, hov.maps)
-        rep = check_axioms(family, c_points, hov.maps, axioms=("A1",))["A1"]
-        assert len(calls) == len(family321)
-        assert rep == full and rep.detail["mode"] == "all-planes"
+def _secant_structure(keys, maps):
+    """A hand-made SecantStructure over the given lines of H_inf."""
+    return SecantStructure(
+        secants=tuple(Line(r0, r1, maps.hinf) for r0, r1 in sorted(keys)),
+        count=len(keys), d_on={}, zero_points=(), zero_pairs=(),
+    )
+
+
+def _coset_secants(c_points, maps):
+    """The lines L spanned by two directions of the coset C with
+    |W ∩ L| = q, as a hand-made SecantStructure: its family is every plane
+    that meets C in exactly q points."""
+    space, h, q = maps.hinf, maps.tower.h, maps.hinf.q
+    vecs = [p >> h for p in c_points.ordered]
+    dirs = sorted({space.normalize(vecs[0] ^ v) for v in vecs[1:]})
+    lines = {space.pair_line_key(u, w) for u, w in combinations(dirs, 2)}
+    keys = [rows for rows in lines
+            if sum(space.reduce(vecs[0] ^ v, rows) == 0 for v in vecs) == q]
+    return _secant_structure(keys, maps)
 
 
 def _collinear_coset():
@@ -308,7 +325,7 @@ def _collinear_coset():
     for g in gens:
         span |= {x ^ g for x in span}
     c_points = AffinePointSet((1 | (x << h) for x in span), maps.ambient)
-    return maps, c_points, _family_of_coset(c_points, maps)
+    return maps, c_points, build_c_planes(c_points, _coset_secants(c_points, maps), maps)
 
 
 def test_a4_pair_map_needs_distinct_directions(monkeypatch):
@@ -326,39 +343,22 @@ def test_a4_pair_map_needs_distinct_directions(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(cplanes, "_a4_from_symmetry", spy)
-    rep = check_axioms(family, c_points, maps, axioms=("A4",),
+    rep = check_axioms(family, maps, axioms=("A4",),
                        symmetry=_counted_group(d))["A4"]
     assert not read
     assert not rep.ok and rep.witness[0] == "collinear"
 
 
 def test_a1_failure_under_symmetry_reports_all_planes_witness():
-    # the family is one symmetric plane whose meet holds 0, g and 2g
+    # the family is one plane whose meet holds 0, g and 2g: the base-point
+    # check names the collinear triple the all-planes scan names, by secant
     maps, c_points, family = _collinear_coset()
-    assert len(family) == 1 and _symmetric(family, c_points, maps)
-    rep = check_axioms(family, c_points, maps, axioms=("A1",))["A1"]
-    full = _a1_all_planes(family, maps.ambient)
-    assert not rep.ok and rep == full
-
-
-def _family_of_coset(c_points, maps):
-    """Planes meeting C in exactly q points, over every spanned direction."""
-    space, h, q = maps.hinf, maps.tower.h, maps.hinf.q
-    vecs = [p >> h for p in c_points.ordered]
-    dirs = sorted({space.normalize(vecs[0] ^ v) for v in vecs[1:]})
-    groups: dict = {}
-    for rows in {space.pair_line_key(u, w) for u, w in combinations(dirs, 2)}:
-        for p, v in zip(c_points.ordered, vecs):
-            groups.setdefault((rows, space.reduce(v, rows)), []).append(p)
-    keys = sorted(key for key, pts in groups.items() if len(pts) == q)
-    planes = tuple(
-        CPlane(secant_index=0, base=coset << h,
-               rows=(coset << h,) + tuple(r << h for r in rows),
-               points=tuple(groups[(rows, coset)]))
-        for rows, coset in keys
-    )
-    return CPlaneFamily(planes=planes, m=len({rows for rows, _ in keys}), q=q,
-                        vector_keys=frozenset(keys))
+    assert len(family) == 1
+    rep = check_axioms(family, maps, axioms=("A1",))["A1"]
+    full = a1_all_planes(planes_of(family, maps), maps.ambient)
+    assert not rep.ok and not full.ok
+    assert rep.witness == ("secant", 0) + full.witness[2:]
+    assert rep.checked == full.checked == comb(8, 2)
 
 
 def _random_coset(h, data):
@@ -392,20 +392,24 @@ def test_a4_paths_agree_on_random_cosets(h, data):
     maps, c_points = _random_coset(h, data)
     if len(c_points) < 3:
         return
-    family = _family_of_coset(c_points, maps)
-    fast, full = _a4_both(family, c_points, maps)
+    family = build_c_planes(c_points, _coset_secants(c_points, maps), maps)
+    fast, full = _a4_both(family, maps)
     assert fast.detail["mode"] == "base-point"
     assert fast.ok == full.ok, (fast.witness, full.witness)
     if fast.ok:
         assert {k: fast.detail[k] for k in _TOTALS} == {k: full.detail[k] for k in _TOTALS}
     d = directions(c_points, maps)
-    grouped = check_axioms(family, c_points, maps, axioms=("A4",), budget=None,
+    grouped = check_axioms(family, maps, axioms=("A4",), budget=None,
                            symmetry=_counted_group(d))["A4"]
     assert grouped == fast
-    a1 = check_axioms(family, c_points, maps, axioms=("A1",))["A1"]
-    a1_full = _a1_all_planes(family, maps.ambient)
-    assert (a1.ok, a1.checked, a1.witness) == (a1_full.ok, a1_full.checked, a1_full.witness)
-    assert a1.detail["mode"] == ("base-point" if a1.ok else "all-planes")
+    a1 = check_axioms(family, maps, axioms=("A1",))["A1"]
+    a1_full = a1_all_planes(planes_of(family, maps), maps.ambient)
+    assert a1.ok == a1_full.ok and a1.detail["mode"] == "base-point"
+    if a1.ok:
+        assert a1.checked == a1_full.checked
+    else:
+        assert a1.witness[0] == "secant"
+        assert not is_arc(a1.witness[2:], maps.ambient)[0]
 
 
 # -- the family, A2 and A3 from the translation basis W -----------------------
@@ -415,45 +419,36 @@ def case331():
     return _setup(3, 3, 1)
 
 
-def _lifted(structure, maps):
-    return [tuple(r << maps.tower.h for r in s.rows) for s in structure.secants]
-
-
 @pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1), (3, 3, 2)])
 def test_planes_from_w_match_reduce(hki):
     hov, d, s = _setup(*hki)
     fam = build_c_planes(hov.affine, s, hov.maps)
-    assert fam._translation is not None and fam._translation[0] is hov.affine
-    assert fam.planes == tuple(_planes_by_reduce(hov.affine, _lifted(s, hov.maps), hov.maps))
+    assert fam.c_points is hov.affine
+    assert planes_of(fam, hov.maps) == planes_by_reduce(hov.affine, s, hov.maps)
 
 
 def test_planes_from_w_match_reduce_331(case331):
     hov, d, s = case331
     fam = build_c_planes(hov.affine, s, hov.maps)
-    assert fam.planes == tuple(_planes_by_reduce(hov.affine, _lifted(s, hov.maps), hov.maps))
+    assert planes_of(fam, hov.maps) == planes_by_reduce(hov.affine, s, hov.maps)
 
 
-def _three_secant_structure(keys, maps):
-    """A hand-made SecantStructure over the given lines of H_inf."""
-    return SecantStructure(
-        secants=tuple(Line(r0, r1, maps.hinf) for r0, r1 in sorted(keys)),
-        count=len(keys), d_on={}, zero_points=(), zero_pairs=(),
-    )
-
-
-def test_short_meet_falls_back_to_the_reduce_error(case321):
-    # a 3-secant meets W in 4 vectors, not q = 8: the family is grouped by
-    # reduce, which fails on the same coset with the same message
+def test_short_meet_is_refused_by_secant(case321):
+    # a 3-secant meets W in 4 vectors, not q = 8: the record names that
+    # secant and its meet, and grouping by reduce fails on the same secant
     hov, d, s = case321
     maps = hov.maps
     three = sorted(k for k, c in spectrum(d).multiplicities.items() if c == 3)
     keys = [sec.rows for sec in s.secants[1:]] + [three[0]]
-    structure = _three_secant_structure(keys, maps)
-    with pytest.raises(CPlaneConstructionFailed) as want:
-        _planes_by_reduce(hov.affine, _lifted(structure, maps), maps)
+    structure = _secant_structure(keys, maps)
+    sidx = sorted(keys).index(three[0])
     with pytest.raises(CPlaneConstructionFailed) as got:
         build_c_planes(hov.affine, structure, maps)
-    assert str(got.value) == str(want.value)
+    assert got.value.witness == ("secant", sidx, 4)
+    assert str(got.value) == f"secant {sidx} meets W in 4 vectors, expected 8"
+    with pytest.raises(CPlaneConstructionFailed) as want:
+        planes_by_reduce(hov.affine, structure, maps)
+    assert want.value.witness[:2] == ("coset", sidx)
 
 
 def _without_mode(rep):
@@ -462,34 +457,62 @@ def _without_mode(rep):
     )
 
 
-def _assert_w_matches_explicit(family, c_points, maps):
-    """A2 and A3 from W agree with the explicit scans on a family built
-    from W, both the partition verdicts and the reports apart from mode."""
-    _, basis, secants = family._translation
-    a2 = _a2_all_pairs(family, c_points)
-    a3 = _a3_cover(family, c_points, maps)
-    assert _meets_partition_w(secants, len(c_points)) == a2.ok
-    assert _images_partition_quotient(basis, secants, maps) == a3.ok
-    reps = check_axioms(family, c_points, maps, axioms=("A2", "A3"))
-    assert _without_mode(reps["A2"]) == _without_mode(a2)
-    assert _without_mode(reps["A3"]) == _without_mode(a3)
+def _on_planes(p, sidx, planes, maps):
+    """The planes of secant sidx that hold the affine point p."""
+    reduce = maps.ambient.reduce
+    return [pl for pl in planes
+            if pl.secant_index == sidx and reduce(p ^ pl.base, pl.rows[1:]) == 0]
+
+
+def _assert_witness_on_planes(witness, planes, c_points, maps):
+    """A failing A2 or A3 witness holds on the explicit planes: the pair or
+    point it names lies on planes of both its secants, or the count of what
+    is covered falls short."""
+    tag = witness[0]
+    if tag in ("vector", "class"):
+        _, x, first, second = witness
+        p = c_points.ordered[0] ^ (x << maps.tower.h)
+        # the pair {c0, p} of C for A2, the affine point p off C for A3
+        assert (p in c_points.points) == (tag == "vector")
+        for sidx in (first, second):
+            assert _on_planes(p, sidx, planes, maps)
+            if tag == "vector":
+                assert _on_planes(c_points.ordered[0], sidx, planes, maps)
+    else:
+        assert tag in ("covered", "coverage") and witness[1] < witness[2]
+
+
+def _assert_w_matches_explicit(family, structure, maps):
+    """A2 and A3 from the record agree with the explicit scans over the
+    planes grouped by reduce: passing reports agree apart from mode, and a
+    failing witness holds on those planes."""
+    c_points = family.c_points
+    planes = planes_by_reduce(c_points, structure, maps)
+    explicit = {"A2": a2_all_pairs(planes, len(c_points)),
+                "A3": a3_cover(planes, c_points, family.m, maps.ambient)}
+    reps = check_axioms(family, maps, axioms=("A2", "A3"))
     for name, rep in reps.items():
-        assert rep.detail["mode"] == ("translation-group" if rep.ok else "explicit"), name
+        assert rep.ok == explicit[name].ok, name
+        assert rep.detail["mode"] == "translation-group", name
+        if rep.ok:
+            assert _without_mode(rep) == _without_mode(explicit[name])
+        else:
+            _assert_witness_on_planes(rep.witness, planes, c_points, maps)
     return reps
 
 
-@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1), (3, 3, 2)])
 def test_w_axioms_match_explicit_on_the_true_family(hki):
     hov, d, s = _setup(*hki)
     fam = build_c_planes(hov.affine, s, hov.maps)
-    reps = _assert_w_matches_explicit(fam, hov.affine, hov.maps)
+    reps = _assert_w_matches_explicit(fam, s, hov.maps)
     assert reps["A2"].ok and reps["A3"].ok
 
 
 def test_w_axioms_match_explicit_on_the_true_family_331(case331):
     hov, d, s = case331
     fam = build_c_planes(hov.affine, s, hov.maps)
-    reps = _assert_w_matches_explicit(fam, hov.affine, hov.maps)
+    reps = _assert_w_matches_explicit(fam, s, hov.maps)
     assert reps["A2"].ok and reps["A3"].ok
 
 
@@ -508,15 +531,14 @@ def _h2_case(k):
 @given(data=st.data())
 def test_w_axioms_match_explicit_on_random_secant_choices(k, data):
     # m of the 3-secants at random: each meets W in q = 4 vectors, so the
-    # family is built from W, but the choice seldom partitions D
+    # record is built, but the choice seldom partitions D
     hov, d, three = _h2_case(k)
     m = (4 ** k - 1) // 3
     picks = data.draw(st.lists(st.sampled_from(three), min_size=m, max_size=m,
                                unique=True))
-    structure = _three_secant_structure(picks, hov.maps)
+    structure = _secant_structure(picks, hov.maps)
     fam = build_c_planes(hov.affine, structure, hov.maps)
-    assert fam._translation is not None
-    _assert_w_matches_explicit(fam, hov.affine, hov.maps)
+    _assert_w_matches_explicit(fam, structure, hov.maps)
 
 
 def test_w_axioms_match_explicit_on_every_partition_221():
@@ -539,25 +561,27 @@ def test_w_axioms_match_explicit_on_every_partition_221():
     cover([], frozenset())
     assert partitions
     for picks in partitions:
-        structure = _three_secant_structure(picks, hov.maps)
+        structure = _secant_structure(picks, hov.maps)
         fam = build_c_planes(hov.affine, structure, hov.maps)
-        assert _assert_w_matches_explicit(fam, hov.affine, hov.maps)["A2"].ok
+        assert _assert_w_matches_explicit(fam, structure, hov.maps)["A2"].ok
 
 
 def test_w_axioms_need_the_family_built_from_this_set(case321, family321):
-    # a copied family, a family checked against an equal but distinct point
-    # set, and a damaged set all take the explicit scans
+    # the axioms take no point set: they read the C the record was built
+    # from, so an equal but distinct set gets its own, equal record, and a
+    # damaged set gets none
     hov, d, s = case321
     maps = hov.maps
+    assert "c_points" not in inspect.signature(check_axioms).parameters
+    assert family321.c_points is hov.affine
     twin = AffinePointSet(hov.affine.points, maps.ambient)
-    copied = dataclasses.replace(family321)
-    assert copied._translation is None
-    for family, c_points in ((copied, hov.affine), (family321, twin),
-                             (family321, _damaged(hov))):
-        reps = check_axioms(family, c_points, maps, axioms=("A2", "A3"))
-        assert reps["A2"] == _a2_all_pairs(family, c_points)
-        assert reps["A3"] == _a3_cover(family, c_points, maps)
-        assert reps["A2"].detail["mode"] == reps["A3"].detail["mode"] == "explicit"
+    twin_family = build_c_planes(twin, s, maps)
+    assert twin_family.c_points is twin
+    assert twin_family.secants == family321.secants
+    axioms = ("A1", "A2", "A3", "A4")
+    assert check_axioms(twin_family, maps, axioms) == check_axioms(family321, maps, axioms)
+    with pytest.raises(CPlaneConstructionFailed):
+        build_c_planes(_damaged(hov), s, maps)
 
 
 def test_a123_memory_at_331(case331):
@@ -566,7 +590,7 @@ def test_a123_memory_at_331(case331):
     fam = build_c_planes(hov.affine, s, hov.maps)
     tracemalloc.start()
     try:
-        reps = check_axioms(fam, hov.affine, hov.maps, axioms=("A1", "A2", "A3"))
+        reps = check_axioms(fam, hov.maps, axioms=("A1", "A2", "A3"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -586,11 +610,11 @@ def test_a4_group_is_charged_its_line_keys(case321, family321, line_key_calls):
     hov, d, s = case321
     sym = _group(hov, d)
     line_key_calls.clear()
-    rep = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",),
+    rep = check_axioms(family321, hov.maps, axioms=("A4",),
                        budget=len(d) - 1, symmetry=sym)["A4"]
     assert rep.ok and rep.bins == "cyclic-group" and not line_key_calls
     with pytest.raises(EnumerationTooLarge) as exc:
-        check_axioms(family321, hov.affine, hov.maps, axioms=("A4",),
+        check_axioms(family321, hov.maps, axioms=("A4",),
                      budget=len(d) - 2, symmetry=sym)
     assert exc.value.estimate == len(d) - 1
 
@@ -614,10 +638,10 @@ def test_a4_from_pair_map_matches_scan(hki, line_key_calls):
     fam = build_c_planes(hov.affine, s, hov.maps)
     sym = _counted_group(d)
     line_key_calls.clear()
-    from_map = check_axioms(fam, hov.affine, hov.maps, axioms=("A4",),
+    from_map = check_axioms(fam, hov.maps, axioms=("A4",),
                             symmetry=sym)["A4"]
     assert not line_key_calls
-    scanned = check_axioms(fam, hov.affine, hov.maps, axioms=("A4",))["A4"]
+    scanned = check_axioms(fam, hov.maps, axioms=("A4",))["A4"]
     n = len(hov.affine)
     assert len(line_key_calls) == comb(n - 1, 2)
     assert from_map == scanned and from_map.ok
@@ -628,14 +652,14 @@ def test_a4_from_pair_map_matches_scan(hki, line_key_calls):
 def test_a4_ignores_pair_map_of_another_set(case321, family321, line_key_calls):
     hov, d, s = case321
     n = len(hov.affine)
-    scanned = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",))["A4"]
+    scanned = check_axioms(family321, hov.maps, axioms=("A4",))["A4"]
     # a direction set other than the n - 1 base-point directions is refused
     # before its counts are read, even when the counts themselves would pass
     other = DirectionSet(d.ordered[1:], d.space)
     relabelled = dataclasses.replace(_counted_group(d), dirs=other)
     for symmetry in (_counted_group(other), relabelled, None):
         line_key_calls.clear()
-        rep = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",),
+        rep = check_axioms(family321, hov.maps, axioms=("A4",),
                            symmetry=symmetry)["A4"]
         assert len(line_key_calls) == comb(n - 1, 2)
         assert rep == scanned and rep.bins == "pair-scan"
@@ -646,11 +670,10 @@ def test_a4_failure_from_pair_map_is_rescanned(case321, family321):
     # verdict is then recomputed by the scan, which also picks any reported bin
     hov, d, s = case321
     maps = hov.maps
-    vecs = [p >> maps.tower.h for p in hov.affine.ordered]
     sym = _counted_group(d)
     lost = dataclasses.replace(sym, lines={**sym.lines, 7: sym.lines[7] - 1})
-    rep = _a4_base_point(family321, hov.affine, vecs, maps.hinf, lost)
-    assert rep == _a4_base_point(family321, hov.affine, vecs, maps.hinf)
+    rep = _a4_base_point(family321, maps.hinf, lost)
+    assert rep == _a4_base_point(family321, maps.hinf)
     assert rep.ok and rep.bins == "pair-scan"
 
 
@@ -660,10 +683,10 @@ def test_a4_from_the_group_matches_scan(hki, line_key_calls):
     fam = build_c_planes(hov.affine, s, hov.maps)
     sym = _group(hov, d)
     line_key_calls.clear()
-    grouped = check_axioms(fam, hov.affine, hov.maps, axioms=("A4",),
+    grouped = check_axioms(fam, hov.maps, axioms=("A4",),
                            symmetry=sym)["A4"]
     assert not line_key_calls
-    scanned = check_axioms(fam, hov.affine, hov.maps, axioms=("A4",))["A4"]
+    scanned = check_axioms(fam, hov.maps, axioms=("A4",))["A4"]
     assert grouped == scanned and grouped.ok
     assert (grouped.bins, scanned.bins) == ("cyclic-group", "pair-scan")
 
@@ -712,13 +735,13 @@ def test_a4_group_of_another_set_or_failing_is_rescanned(case321, family321,
     hov5 = build_hyperoval(HyperovalSpec(3, 2, 5))
     sym5 = _group(hov5, directions(hov5.affine, hov5.maps))
     assert sym5 is not None and sym5.dirs.points != d.points
-    scanned = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",))["A4"]
+    scanned = check_axioms(family321, hov.maps, axioms=("A4",))["A4"]
     # a group whose counts lose one 3-secant, or gain a 5-secant
     short = dataclasses.replace(sym, lines={**sym.lines, 3: sym.lines[3] - 1})
     five = dataclasses.replace(sym, lines={**sym.lines, 5: 1})
     for symmetry in (None, sym5, dataclasses.replace(sym, dirs=other), short, five):
         line_key_calls.clear()
-        rep = check_axioms(family321, hov.affine, hov.maps, axioms=("A4",),
+        rep = check_axioms(family321, hov.maps, axioms=("A4",),
                            symmetry=symmetry)["A4"]
         assert len(line_key_calls) == comb(n - 1, 2)
         assert rep == scanned and rep.bins == "pair-scan"

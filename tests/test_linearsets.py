@@ -476,7 +476,7 @@ def test_cyclic_group_equals_the_pair_scan_oracle(hki):
     family = build_c_planes(hov.affine, grouped, hov.maps)
     a4 = {}
     for name, symmetry in (("group", fast.symmetry), ("scan", None)):
-        a4[name] = check_axioms(family, hov.affine, hov.maps, axioms=("A4",),
+        a4[name] = check_axioms(family, hov.maps, axioms=("A4",),
                                 symmetry=symmetry)["A4"]
     assert a4["group"] == a4["scan"] and a4["group"].ok
     assert (a4["group"].bins, a4["scan"].bins) == ("cyclic-group", "pair-scan")
