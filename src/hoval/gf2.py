@@ -193,6 +193,14 @@ class Field:
         self._exp = exp
         self._log = log
 
+    @property
+    def tables(self) -> tuple[list[int], list[int]] | None:
+        """(exp, log) with a*b = exp[log[a] + log[b]], or None above the
+        table limit."""
+        if self._exp is None:
+            return None
+        return self._exp, self._log
+
     # -- arithmetic ------------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:

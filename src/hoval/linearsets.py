@@ -9,16 +9,17 @@ The spectrum has three paths.  The line tally counts every line of H_inf
 and is the independent cross-check: for each second row r1 of a canonical
 line it bins the points of D of the first row's pivot by the line of the
 pencil through r1 they lie on, so the lines no point reaches are counted
-in bulk, with no scalar tables.  The pair scan bins the C(|D|, 2) pairs of
-D by the line they span.  The cyclic-group path needs a candidate
-collineation M (cyclic_candidate builds M(x, y) = (g x, g^(2^i) y) for g
-primitive in GF(q^k)) and first verifies on the data that M is a GF(q)-linear
-bijection whose powers carry d0 = min D through all of D and back.  Then
-every point of D lies on the same number c_j of j-secants, so the spectrum
-N_j = |D| c_j / j is read off the |D| - 1 lines through d0.  The verified
-CyclicSymmetry also gives the long secants (pseudoregulus) and the A4 bins
-(cplanes) without a pair scan.  A set that fails the check takes the pair
-scan, and a call without a candidate always does.
+in bulk, from the q - 1 scalar multiples of each r1.  The pair scan bins
+the C(|D|, 2) pairs of D by the line they span.  The cyclic-group path
+needs a candidate collineation M (cyclic_candidate builds
+M(x, y) = (g x, g^(2^i) y) for g primitive in GF(q^k)) and first verifies
+on the data that M is a GF(q)-linear bijection whose powers carry
+d0 = min D through all of D and back.  Then every point of D lies on the
+same number c_j of j-secants, so the spectrum N_j = |D| c_j / j is read
+off the |D| - 1 lines through d0.  The verified CyclicSymmetry also gives
+the long secants (pseudoregulus) and the A4 bins (cplanes) without a pair
+scan.  A set that fails the check takes the pair scan, and a call without
+a candidate always does.
 
 Only the line tally runs in worker processes, at most one per CPU; the pair
 scan and the cyclic-group path run in the calling process.
@@ -288,8 +289,8 @@ def _tally_tasks(space: ProjSpace) -> list:
 _W: dict = {}
 
 
-def _worker_init(m, modulus, n, pts):
-    space = ProjSpace(n, field_create(m, modulus))
+def _worker_init(m, modulus, n, pts, tables):
+    space = ProjSpace(n, field_create(m, modulus), tables)
     _W["space"] = space
     _W["dset"] = frozenset(pts)
     _W["classes"] = _pivot_classes(pts, space)
@@ -369,7 +370,8 @@ def spectrum(
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
-            initargs=(space.field.m, space.field.modulus, space.n, pts),
+            initargs=(space.field.m, space.field.modulus, space.n, pts,
+                      space.table_backed),
         ) as pool:
             counts = sum(pool.map(_worker_tally, tasks), Counter())
     else:

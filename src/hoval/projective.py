@@ -6,6 +6,14 @@ significant chunk and vector addition is plain XOR.  Points are kept in the
 canonical scaling whose leftmost (lowest-index) nonzero coordinate equals 1.
 Subspaces are tuples of packed rows in reduced echelon form with strictly
 increasing pivot chunks, so subspace equality is tuple equality.
+
+Multiplying by a fixed scalar s is a GF(2)-linear map of packed vectors.  A
+table-backed space applies it as LinearMap does, one lookup per byte into
+ceil(bits/8) tables of 256 entries, built on s's first use.  The spaces over
+the tower's base field GF(q) are table-backed: a run multiplies by each of
+their q - 1 scalars hundreds to thousands of times.  The spaces over
+GF(q^k) meet each scalar about once and multiply chunk by chunk through the
+field's exp/log tables.  Which kind a space is gets fixed where it is created.
 """
 
 from __future__ import annotations
@@ -24,9 +32,6 @@ from .gf2 import Field
 
 DEFAULT_BUDGET = 10**8
 
-# full scalar-times-vector tables are built only below this size
-_SMUL_TABLE_LIMIT = 1 << 20
-
 
 def gaussian_lines(width: int, q: int) -> int:
     """Number of lines of PG(width-1, q)."""
@@ -38,13 +43,19 @@ def projective_points_count(width: int, q: int) -> int:
 
 
 class ProjSpace:
-    """Coordinate helper for PG(n, q); all vectors are packed ints."""
+    """Coordinate helper for PG(n, q); all vectors are packed ints.
+
+    With tables=True, smul reads per-scalar byte tables (see the module
+    docstring); a field above gf2's exp/log table limit keeps the chunk
+    loop, so no space holds more than 2^16 scalar slots.
+    """
 
     __slots__ = (
         "n", "field", "width", "h", "q", "chunk_mask", "bits", "_smul_tabs",
+        "_exp_log",
     )
 
-    def __init__(self, n: int, field: Field):
+    def __init__(self, n: int, field: Field, tables: bool = False):
         self.n = n
         self.field = field
         self.width = n + 1
@@ -52,7 +63,11 @@ class ProjSpace:
         self.q = field.q
         self.chunk_mask = field.q - 1
         self.bits = self.width * self.h
-        self._smul_tabs: list[list[int]] | None = None
+        self._exp_log = field.tables
+        # slot s holds scalar s's byte tables once built; None: chunk loop
+        self._smul_tabs: list | None = (
+            [None] * self.q if tables and self._exp_log is not None else None
+        )
 
     # -- packing ----------------------------------------------------------
 
@@ -76,48 +91,63 @@ class ProjSpace:
 
     # -- scalar action -----------------------------------------------------
 
-    def ensure_tables(self) -> bool:
-        """Build full scalar-action tables when affordable; True if present."""
-        self._ensure_tables()
+    @property
+    def table_backed(self) -> bool:
+        """True when smul reads byte tables, False for the chunk loop."""
         return self._smul_tabs is not None
 
-    def _ensure_tables(self) -> None:
-        if self._smul_tabs is not None:
-            return
-        size = 1 << self.bits
-        if size * self.q > _SMUL_TABLE_LIMIT:
-            return
-        mul = self.field.mul
+    def ensure_tables(self) -> bool:
+        """Build every scalar's byte tables now; True if the space has them."""
+        tabs = self._smul_tabs
+        if tabs is not None:
+            for s in range(2, self.q):
+                if tabs[s] is None:
+                    self._scalar_tables(s)
+        return tabs is not None
+
+    def _scalar_tables(self, s: int) -> tuple:
+        """Byte tables of v -> s v, from the images of the unit vectors."""
         h = self.h
-        mask = self.chunk_mask
-        tabs = [None] * self.q
-        tabs[0] = [0] * size
-        tabs[1] = list(range(size))
-        for s in range(2, self.q):
-            row = [0] * size
-            single = [mul(s, c) for c in range(self.q)]
-            for v in range(1, size):
-                row[v] = single[v & mask] | (row[v >> h] << h)
-            tabs[s] = row
-        self._smul_tabs = tabs  # type: ignore[assignment]
+        single = [self.field.mul(s, 1 << b) for b in range(h)]
+        tabs = _byte_tables(
+            [single[b % h] << (b // h * h) for b in range(self.bits)]
+        )
+        self._smul_tabs[s] = tabs
+        return tabs
 
     def smul(self, s: int, v: int) -> int:
-        """Scalar multiple of a packed vector."""
+        """Scalar multiple of a packed vector: one lookup per byte on a
+        table-backed space, else one exp/log product per nonzero chunk."""
         if s == 0:
             return 0
         if s == 1 or v == 0:
             return v
-        if self._smul_tabs is not None:
-            return self._smul_tabs[s][v]
-        mul = self.field.mul
+        tabs = self._smul_tabs
+        if tabs is not None:
+            out = 0
+            for tab in tabs[s] or self._scalar_tables(s):
+                out ^= tab[v & 0xFF]
+                v >>= 8
+            return out
         h = self.h
         mask = self.chunk_mask
         out = 0
         shift = 0
+        if self._exp_log is None:
+            mul = self.field.mul
+            while v:
+                c = v & mask
+                if c:
+                    out |= mul(s, c) << shift
+                v >>= h
+                shift += h
+            return out
+        exp, log = self._exp_log
+        ls = log[s]
         while v:
             c = v & mask
             if c:
-                out |= mul(s, c) << shift
+                out |= exp[ls + log[c]] << shift
             v >>= h
             shift += h
         return out
@@ -126,7 +156,9 @@ class ProjSpace:
         """Canonical scaling: leftmost nonzero coordinate becomes 1."""
         if v == 0:
             raise ZeroVector("zero vector has no projective point")
-        lead = self.chunk(v, self.pivot(v))
+        h = self.h
+        # the pivot chunk, inline: normalize sits under every kernel below
+        lead = (v >> ((v & -v).bit_length() - 1) // h * h) & self.chunk_mask
         if lead == 1:
             return v
         return self.smul(self.field.inv(lead), v)
@@ -194,18 +226,20 @@ class ProjSpace:
 
         Both inputs must already be normalized points.
         """
-        pa, pb = self.pivot(a), self.pivot(b)
-        if pa == pb:
-            b ^= a if self.chunk(b, pb) == 1 else self.smul(self.chunk(b, pb), a)
-            # both inputs normalized: pivots have value 1, so XOR suffices
+        h = self.h
+        # bit shifts of the pivot chunks
+        sa = ((a & -a).bit_length() - 1) // h * h
+        sb = ((b & -b).bit_length() - 1) // h * h
+        if sa == sb:
+            b ^= a  # both pivots have value 1
             if b == 0:
                 raise DegenerateSpan("coincident points span no line")
             b = self.normalize(b)
-            pb = self.pivot(b)
-        if pb < pa:
+            sb = ((b & -b).bit_length() - 1) // h * h
+        if sb < sa:
             a, b = b, a
-            pa, pb = pb, pa
-        c = self.chunk(a, pb)
+            sb = sa
+        c = (a >> sb) & self.chunk_mask
         if c:
             a ^= self.smul(c, b)
         return (a, b)
@@ -232,8 +266,10 @@ class ProjSpace:
 
     def reduce(self, v: int, rows: Sequence[int]) -> int:
         """Clear the pivot chunks of the given echelon rows from v."""
+        h = self.h
+        mask = self.chunk_mask
         for r in rows:
-            c = self.chunk(v, self.pivot(r))
+            c = (v >> ((r & -r).bit_length() - 1) // h * h) & mask
             if c:
                 v ^= self.smul(c, r)
         return v
@@ -343,6 +379,19 @@ def line_through(a: int, b: int, space: ProjSpace) -> Line:
 # rows as lists of coordinate ints
 # ---------------------------------------------------------------------------
 
+def _byte_tables(columns: Sequence[int]) -> tuple[list[int], ...]:
+    """Table t holds the XOR of every subset of columns 8t .. 8t + 7."""
+    tables = []
+    for lo in range(0, len(columns), 8):
+        cols = columns[lo:lo + 8]
+        tab = [0] * (1 << len(cols))
+        for v in range(1, len(tab)):
+            low = v & -v
+            tab[v] = tab[v ^ low] ^ cols[low.bit_length() - 1]
+        tables.append(tab)
+    return tuple(tables)
+
+
 class LinearMap:
     """A GF(2)-linear map of packed vectors, applied by byte-sliced tables.
 
@@ -358,15 +407,7 @@ class LinearMap:
 
     def __init__(self, columns: Iterable[int]):
         self.columns = tuple(columns)
-        tables = []
-        for lo in range(0, len(self.columns), 8):
-            cols = self.columns[lo:lo + 8]
-            tab = [0] * (1 << len(cols))
-            for v in range(1, len(tab)):
-                low = v & -v
-                tab[v] = tab[v ^ low] ^ cols[low.bit_length() - 1]
-            tables.append(tab)
-        self._tables = tuple(tables)
+        self._tables = _byte_tables(self.columns)
 
     @classmethod
     def from_matrix(cls, m: Sequence[Sequence[int]], space: ProjSpace) -> LinearMap:

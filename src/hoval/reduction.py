@@ -199,7 +199,7 @@ def field_reduction_spread(
     """
     big, small = tower.big, tower.small
     source = ProjSpace(r - 1, big)
-    target = ProjSpace(r * tower.k - 1, small)
+    target = ProjSpace(r * tower.k - 1, small, tables=True)
     est = source.npoints() * tower.k
     if budget is not None and est > budget:
         raise EnumerationTooLarge(est, budget, "field reduction")
@@ -234,8 +234,9 @@ class CorrespondenceMaps:
         self.tower = tower
         gf2 = field_create(1)
         self.plane_big = ProjSpace(2, tower.big)
-        self.ambient = ProjSpace(2 * tower.k, tower.small)
-        self.hinf = ProjSpace(2 * tower.k - 1, tower.small)
+        # the GF(q) spaces multiply by each scalar many times: byte tables
+        self.ambient = ProjSpace(2 * tower.k, tower.small, tables=True)
+        self.hinf = ProjSpace(2 * tower.k - 1, tower.small, tables=True)
         self.pi2 = ProjSpace(2 * tower.hk, gf2)
         self.hinf2 = ProjSpace(2 * tower.hk - 1, gf2)
         self._abb_spread: Spread | None = None

@@ -6,7 +6,7 @@ another way, kept here (not in the package) because only tests call it.
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from math import comb
 
 from hoval.cplanes import AxiomReport
@@ -27,6 +27,49 @@ def mat_vec_packed(m, v: int, space: ProjSpace) -> int:
                 acc ^= mul(row[j], c)
         out |= acc << (i * space.h)
     return out
+
+
+def chunk_smul(space: ProjSpace, s: int, v: int) -> int:
+    """s times a packed vector, one Field.mul per coordinate."""
+    return space.pack([space.field.mul(s, c) for c in space.unpack(v)])
+
+
+def chunk_normalize(space: ProjSpace, v: int) -> int:
+    """The scaling of v whose first nonzero coordinate is 1."""
+    lead = next(c for c in space.unpack(v) if c)
+    return chunk_smul(space, space.field.inv(lead), v)
+
+
+def _minus_multiple(field, row, col, pivot_row):
+    """row minus row[col] times pivot_row, coordinate by coordinate."""
+    c = row[col]
+    return [x ^ field.mul(c, y) for x, y in zip(row, pivot_row)]
+
+
+def chunk_rref(space: ProjSpace, rows) -> tuple:
+    """Gauss-Jordan on coordinate lists, column by column from coordinate 0."""
+    f = space.field
+    rest = [list(space.unpack(r)) for r in rows]
+    done: list = []
+    for col in range(space.width):
+        i = next((i for i, r in enumerate(rest) if r[col]), None)
+        if i is None:
+            continue
+        row = rest.pop(i)
+        piv = [f.mul(f.inv(row[col]), x) for x in row]
+        rest = [_minus_multiple(f, r, col, piv) for r in rest]
+        done = [_minus_multiple(f, r, col, piv) for r in done] + [piv]
+    return tuple(space.pack(r) for r in done)
+
+
+def chunk_reduce(space: ProjSpace, v: int, rows) -> int:
+    """v with the pivot coordinates of the echelon rows cleared."""
+    coords = list(space.unpack(v))
+    for r in rows:
+        row = space.unpack(r)
+        col = next(j for j, c in enumerate(row) if c)
+        coords = _minus_multiple(space.field, coords, col, row)
+    return space.pack(coords)
 
 
 def apply_columns(columns, v: int) -> int:
@@ -217,33 +260,40 @@ def a4_triple_scan(planes, c_points, maps, budget=None) -> AxiomReport:
     """A4 by binning every unordered triple by the affine plane it spans.
 
     A bin of a family plane must collect C(q, 3) triples, any other bin
-    exactly C(4, 3) = 4, meaning a fourth point of C completes it.
+    exactly C(4, 3) = 4, meaning a fourth point of C completes it.  A
+    plane's key (rows, reduce(a, rows)) is packed into one int.
     """
     space = maps.hinf
-    q = space.q
-    vecs = [p >> maps.tower.h for p in c_points.ordered]
+    q, bits = space.q, space.bits
+    mask = (1 << bits) - 1
+    ordered = c_points.ordered
+    vecs = [p >> maps.tower.h for p in ordered]
     n = len(vecs)
     total = comb(n, 3)
     if budget is not None and total > budget:
         raise EnumerationTooLarge(total, budget, "triple span scan")
-    family = vector_keys(planes, maps)
+    family = {(red << bits | r1) << bits | r0
+              for (r0, r1), red in vector_keys(planes, maps)}
     space.ensure_tables()
     normalize, pair_key, reduce = space.normalize, space.pair_line_key, space.reduce
+    # each triple is binned under its first point a, one line count per a
     counts: dict = {}
     for ia in range(n - 2):
         a = vecs[ia]
-        for ib in range(ia + 1, n - 1):
-            u = normalize(a ^ vecs[ib])
-            for ic in range(ib + 1, n):
-                try:
-                    rows = pair_key(u, normalize(a ^ vecs[ic]))
-                except DegenerateSpan:
-                    return AxiomReport(
-                        "A4", False, 0,
-                        ("collinear",) + tuple(c_points.ordered[j] for j in (ia, ib, ic)),
-                        {"mode": "triple-scan"}, "triple-scan")
-                key = (rows, reduce(a, rows))
-                counts[key] = counts.get(key, 0) + 1
+        dirs = [normalize(a ^ v) for v in vecs[ia + 1:]]
+        lines: Counter = Counter()
+        for ib, u in enumerate(dirs):
+            rest = dirs[ib + 1:]
+            if u in rest:
+                return AxiomReport(
+                    "A4", False, 0,
+                    ("collinear", ordered[ia], ordered[ia + 1 + ib],
+                     ordered[ia + ib + 2 + rest.index(u)]),
+                    {"mode": "triple-scan"}, "triple-scan")
+            lines.update(map(pair_key, repeat(u), rest))
+        for rows, cnt in lines.items():
+            key = (reduce(a, rows) << bits | rows[1]) << bits | rows[0]
+            counts[key] = counts.get(key, 0) + cnt
     family_seen = quads = 0
     for key, cnt in counts.items():
         in_family = key in family
@@ -252,8 +302,10 @@ def a4_triple_scan(planes, c_points, maps, budget=None) -> AxiomReport:
         elif cnt == 4 and not in_family:
             quads += 1
         else:
+            rows = (key & mask, key >> bits & mask)
             return AxiomReport("A4", False, total,
-                               ("plane",) + key + (cnt, "family" if in_family else "outside"),
+                               ("plane", rows, key >> 2 * bits, cnt,
+                                "family" if in_family else "outside"),
                                {"mode": "triple-scan"}, "triple-scan")
     ok = family_seen == len(planes)
     return AxiomReport(

@@ -202,8 +202,9 @@ def test_pairs_equals_exhaustive_on_random_sets(case):
 
 
 def test_exhaustive_spectrum_builds_no_scalar_tables(case321, monkeypatch):
-    # the tally multiplies each second row by the q - 1 scalars itself, in
-    # this process and in the pool's workers alike
+    # the tally multiplies each second row by the q - 1 scalars through
+    # smul, which builds a scalar's byte tables on its first use; nothing
+    # asks for all of them up front, in this process or in the pool's workers
     calls = []
     real = ProjSpace.ensure_tables
 
@@ -213,13 +214,14 @@ def test_exhaustive_spectrum_builds_no_scalar_tables(case321, monkeypatch):
 
     monkeypatch.setattr(ProjSpace, "ensure_tables", counted)
     _, d = case321
-    fresh = ProjSpace(d.space.n, d.space.field)
+    fresh = ProjSpace(d.space.n, d.space.field, tables=True)
     assert spectrum(d.ordered, fresh, mode="exhaustive").counts == SPEC_321
     monkeypatch.setattr(linearsets, "ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(linearsets.os, "cpu_count", lambda: 2)
     _FakePool.sizes = []
     assert spectrum(d, mode="exhaustive", processes=2).counts == SPEC_321
     assert _FakePool.sizes == [2]
+    assert linearsets._W["space"].table_backed  # the worker's H_inf too
     assert not calls
 
 

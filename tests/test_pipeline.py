@@ -259,7 +259,8 @@ def test_reports_name_their_paths(full321):
 
 def test_a4_builds_no_scalar_tables_from_the_pair_map(monkeypatch):
     # A4 reads the spectrum's cyclic group at (4,2,1), neither a pair map
-    # nor a scan; the PG(3,16) scalar tables (+38 MiB) are only for a scan
+    # nor a scan; only the scan builds all 14 scalars' byte tables of
+    # PG(3,16) up front, everything else builds a scalar's on first use
     calls = []
     real = ProjSpace.ensure_tables
 
@@ -272,6 +273,30 @@ def test_a4_builds_no_scalar_tables_from_the_pair_map(monkeypatch):
     assert rep.verdict == "pass"
     assert rep.stage("cplanes").data["axioms"]["A4"]["detail"]["mode"] == "base-point"
     assert not calls
+
+
+def test_a4_pair_scan_memory(monkeypatch):
+    # exhaustive mode verifies no group, so A4 scans the pairs through the
+    # base point; the full PG(3,16) scalar tables made that stage peak at
+    # 38.9 MiB, its byte tables take a few hundred KiB
+    monkeypatch.setattr(reduction, "_MAPS_CACHE", {})
+    stage = pipeline._STAGE_FUNCS["cplanes"]
+    peaks = []
+
+    def traced(run):
+        tracemalloc.start()
+        try:
+            return stage(run)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setitem(pipeline._STAGE_FUNCS, "cplanes", traced)
+    rep = run_verify_all(4, 2, 1, mode="exhaustive")
+    assert rep.verdict == "pass"
+    a4 = rep.stage("cplanes").data["axioms"]["A4"]
+    assert a4["ok"] and a4["detail"]["bins"] == "pair-scan"
+    assert len(peaks) == 1 and peaks[0] < 8 * 2**20
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

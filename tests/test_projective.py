@@ -9,7 +9,7 @@ from hoval.errors import (
     SingularMatrix,
     ZeroVector,
 )
-from hoval.gf2 import field_create
+from hoval.gf2 import field_create, tower_create
 from hoval.pipeline import run_verify_all
 from hoval.projective import (
     Line,
@@ -22,7 +22,14 @@ from hoval.projective import (
     mat_mul,
     projective_points_count,
 )
-from oracles import mat_vec_packed
+from hoval.reduction import maps_for
+from oracles import (
+    chunk_normalize,
+    chunk_reduce,
+    chunk_rref,
+    chunk_smul,
+    mat_vec_packed,
+)
 
 
 def apply_projectivity(m, v, s):
@@ -121,24 +128,72 @@ def test_points_are_normalized_unique_lex_sorted():
 
 # --- scalar action ----------------------------------------------------------------
 
+def _test_vectors(s, rng, count):
+    """0, all ones, every unit vector, and random vectors."""
+    top = (1 << s.bits) - 1
+    return ([0, top] + [1 << b for b in range(s.bits)]
+            + [rng.randrange(top + 1) for _ in range(count)])
+
+
 def test_smul_matches_chunkwise():
-    s = space(3, 3)
-    s.ensure_tables()
-    f = s.field
-    rng = random.Random(9)
-    for _ in range(300):
-        v = rng.randrange(1 << s.bits)
-        lam = rng.randrange(s.q)
-        want = s.pack([f.mul(lam, c) for c in s.unpack(v)])
-        assert s.smul(lam, v) == want
+    # the plane over GF(q^k) meets each scalar about once: no tables, the
+    # chunk loop reads the field's exp/log tables
+    s = maps_for(tower_create(3, 3)).plane_big
+    assert (s.n, s.q) == (2, 512) and not s.table_backed
+    vecs = _test_vectors(s, random.Random(512), 20)
+    for lam in range(s.q):
+        for v in vecs:
+            assert s.smul(lam, v) == chunk_smul(s, lam, v)
+    assert s.ensure_tables() is False
 
 
 def test_smul_no_tables_path():
-    s = space(4, 4)  # 20 bits * q=16 exceeds the table limit
+    # a field above gf2's exp/log table limit keeps Field.mul per chunk,
+    # even where byte tables are asked for
+    s = ProjSpace(2, field_create(17), tables=True)
     assert s.ensure_tables() is False
     f = s.field
-    v = s.pack((1, 2, 3, 4, 5))
-    assert s.unpack(s.smul(7, v)) == tuple(f.mul(7, c) for c in (1, 2, 3, 4, 5))
+    v = s.pack((1, 2, 3))
+    assert s.unpack(s.smul(7, v)) == tuple(f.mul(7, c) for c in (1, 2, 3))
+
+
+# H_inf and the ambient space of (4,2), the ambient spaces of (3,3) and (6,2)
+_TABLE_SPACES = [(3, 4), (4, 4), (6, 3), (4, 6)]
+
+
+@pytest.mark.parametrize("n, m", _TABLE_SPACES)
+def test_table_smul_matches_chunkwise_for_every_scalar(n, m):
+    s = ProjSpace(n, field_create(m), tables=True)
+    assert s.table_backed
+    vecs = _test_vectors(s, random.Random(n * 31 + m), 40)
+    for lam in range(s.q):
+        for v in vecs:
+            assert s.smul(lam, v) == chunk_smul(s, lam, v)
+    assert s.ensure_tables() is True
+
+
+@pytest.mark.parametrize("n, m, tables", [nm + (True,) for nm in _TABLE_SPACES]
+                         + [(2, 9, False)])
+def test_kernels_match_the_chunk_loop_oracle(n, m, tables):
+    s = ProjSpace(n, field_create(m), tables=tables)
+    rng = random.Random(n * 31 + m)
+
+    def vec():
+        # nonzero, with a random number of zero chunks below the pivot
+        low = rng.randrange(s.width) * s.h
+        return rng.randrange(1, 1 << (s.bits - low)) << low
+
+    for _ in range(150):
+        v = vec()
+        assert s.normalize(v) == chunk_normalize(s, v)
+        rows = [vec() for _ in range(rng.randrange(1, s.width + 1))]
+        rows.append(rows[0] ^ chunk_smul(s, rng.randrange(s.q), rows[-1]))
+        ech = s.rref(rows)
+        assert ech == chunk_rref(s, rows)
+        assert s.reduce(v, ech) == chunk_reduce(s, v, ech)
+        a, b = chunk_normalize(s, vec()), chunk_normalize(s, vec())
+        if a != b:
+            assert s.pair_line_key(a, b) == chunk_rref(s, (a, b))
 
 
 # --- lines -------------------------------------------------------------------------

@@ -77,6 +77,19 @@ def maps32(t32):
     return maps_for(t32)
 
 
+def test_only_the_gf_q_spaces_take_scalar_tables():
+    # the spaces over GF(q) multiply by each of their q - 1 scalars many
+    # times, those over GF(q^k) and GF(2) by each scalar about once or never
+    maps = maps_for(tower_create(3, 3))
+    spread = maps.abb_spread
+    assert maps.ambient.table_backed and maps.hinf.table_backed
+    assert spread.space.table_backed and not spread.source_space.table_backed
+    assert not maps.plane_big.table_backed and not maps.pi2.table_backed
+    # equality and hash ignore the tables
+    plain = ProjSpace(maps.ambient.n, maps.tower.small)
+    assert plain == maps.ambient and hash(plain) == hash(maps.ambient)
+
+
 def test_line_spread_of_pg3_8(t32):
     # PG(1, 64) has 65 points; reduction gives 65 disjoint lines covering
     # the 585 points of PG(3, 8).
