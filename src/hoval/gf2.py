@@ -18,7 +18,7 @@ from typing import Iterable
 from .errors import DivisionByZero, IrreducibleCheckFailed, UnsupportedDegree
 
 MAX_DEGREE = 24
-_TABLE_LIMIT = 16  # exp/log tables up to this degree
+TABLE_LIMIT = 16  # exp/log tables up to this degree
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ class Field:
         self._generator: int | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        if m <= _TABLE_LIMIT:
+        if m <= TABLE_LIMIT:
             self._build_tables()
 
     # -- construction helpers -------------------------------------------
@@ -192,14 +192,6 @@ class Field:
             exp[idx] = exp[idx - n]
         self._exp = exp
         self._log = log
-
-    @property
-    def tables(self) -> tuple[list[int], list[int]] | None:
-        """(exp, log) with a*b = exp[log[a] + log[b]], or None above the
-        table limit."""
-        if self._exp is None:
-            return None
-        return self._exp, self._log
 
     # -- arithmetic ------------------------------------------------------
 

@@ -12,8 +12,8 @@ table-backed space applies it as LinearMap does, one lookup per byte into
 ceil(bits/8) tables of 256 entries, built on s's first use.  The spaces over
 the tower's base field GF(q) are table-backed: a run multiplies by each of
 their q - 1 scalars hundreds to thousands of times.  The spaces over
-GF(q^k) meet each scalar about once and multiply chunk by chunk through the
-field's exp/log tables.  Which kind a space is gets fixed where it is created.
+GF(q^k) meet each scalar about once and multiply chunk by chunk with
+Field.mul.  Which kind a space is gets fixed where it is created.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     SingularMatrix,
     ZeroVector,
 )
-from .gf2 import Field
+from .gf2 import TABLE_LIMIT, Field
 
 DEFAULT_BUDGET = 10**8
 
@@ -50,10 +50,7 @@ class ProjSpace:
     loop, so no space holds more than 2^16 scalar slots.
     """
 
-    __slots__ = (
-        "n", "field", "width", "h", "q", "chunk_mask", "bits", "_smul_tabs",
-        "_exp_log",
-    )
+    __slots__ = ("n", "field", "width", "h", "q", "chunk_mask", "bits", "_smul_tabs")
 
     def __init__(self, n: int, field: Field, tables: bool = False):
         self.n = n
@@ -63,10 +60,9 @@ class ProjSpace:
         self.q = field.q
         self.chunk_mask = field.q - 1
         self.bits = self.width * self.h
-        self._exp_log = field.tables
         # slot s holds scalar s's byte tables once built; None: chunk loop
         self._smul_tabs: list | None = (
-            [None] * self.q if tables and self._exp_log is not None else None
+            [None] * self.q if tables and field.m <= TABLE_LIMIT else None
         )
 
     # -- packing ----------------------------------------------------------
@@ -117,7 +113,7 @@ class ProjSpace:
 
     def smul(self, s: int, v: int) -> int:
         """Scalar multiple of a packed vector: one lookup per byte on a
-        table-backed space, else one exp/log product per nonzero chunk."""
+        table-backed space, else one Field.mul per nonzero chunk."""
         if s == 0:
             return 0
         if s == 1 or v == 0:
@@ -131,23 +127,13 @@ class ProjSpace:
             return out
         h = self.h
         mask = self.chunk_mask
+        mul = self.field.mul
         out = 0
         shift = 0
-        if self._exp_log is None:
-            mul = self.field.mul
-            while v:
-                c = v & mask
-                if c:
-                    out |= mul(s, c) << shift
-                v >>= h
-                shift += h
-            return out
-        exp, log = self._exp_log
-        ls = log[s]
         while v:
             c = v & mask
             if c:
-                out |= exp[ls + log[c]] << shift
+                out |= mul(s, c) << shift
             v >>= h
             shift += h
         return out
@@ -156,9 +142,7 @@ class ProjSpace:
         """Canonical scaling: leftmost nonzero coordinate becomes 1."""
         if v == 0:
             raise ZeroVector("zero vector has no projective point")
-        h = self.h
-        # the pivot chunk, inline: normalize sits under every kernel below
-        lead = (v >> ((v & -v).bit_length() - 1) // h * h) & self.chunk_mask
+        lead = self.chunk(v, self.pivot(v))
         if lead == 1:
             return v
         return self.smul(self.field.inv(lead), v)
@@ -226,20 +210,17 @@ class ProjSpace:
 
         Both inputs must already be normalized points.
         """
-        h = self.h
-        # bit shifts of the pivot chunks
-        sa = ((a & -a).bit_length() - 1) // h * h
-        sb = ((b & -b).bit_length() - 1) // h * h
-        if sa == sb:
+        pa, pb = self.pivot(a), self.pivot(b)
+        if pa == pb:
             b ^= a  # both pivots have value 1
             if b == 0:
                 raise DegenerateSpan("coincident points span no line")
             b = self.normalize(b)
-            sb = ((b & -b).bit_length() - 1) // h * h
-        if sb < sa:
+            pb = self.pivot(b)
+        if pb < pa:
             a, b = b, a
-            sb = sa
-        c = (a >> sb) & self.chunk_mask
+            pa, pb = pb, pa
+        c = self.chunk(a, pb)
         if c:
             a ^= self.smul(c, b)
         return (a, b)
@@ -266,10 +247,8 @@ class ProjSpace:
 
     def reduce(self, v: int, rows: Sequence[int]) -> int:
         """Clear the pivot chunks of the given echelon rows from v."""
-        h = self.h
-        mask = self.chunk_mask
         for r in rows:
-            c = (v >> ((r & -r).bit_length() - 1) // h * h) & mask
+            c = self.chunk(v, self.pivot(r))
             if c:
                 v ^= self.smul(c, r)
         return v

@@ -137,7 +137,7 @@ def _test_vectors(s, rng, count):
 
 def test_smul_matches_chunkwise():
     # the plane over GF(q^k) meets each scalar about once: no tables, the
-    # chunk loop reads the field's exp/log tables
+    # chunk loop calls Field.mul per coordinate
     s = maps_for(tower_create(3, 3)).plane_big
     assert (s.n, s.q) == (2, 512) and not s.table_backed
     vecs = _test_vectors(s, random.Random(512), 20)
