@@ -13,7 +13,7 @@ shift-and-reduce polynomial multiplication.
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import DivisionByZero, IrreducibleCheckFailed, UnsupportedDegree
 

@@ -9,9 +9,9 @@ inputs to work on.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
 
 from .errors import GcdHypothesisViolated, TooFewPoints
 from .gf2 import tower_create

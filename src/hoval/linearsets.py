@@ -22,7 +22,9 @@ scan.  A set that fails the check takes the pair scan, and a call without
 a candidate always does.
 
 Only the line tally runs in worker processes, at most one per CPU; the pair
-scan and the cyclic-group path run in the calling process.
+scan and the cyclic-group path run in the calling process.  The worker pool
+(concurrent.futures.process and multiprocessing) is imported only when a
+tally starts more than one worker, so a serial run never loads it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -367,6 +368,8 @@ def spectrum(
         raise EnumerationTooLarge(est, budget, "exhaustive line tally")
     workers = min(processes, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,

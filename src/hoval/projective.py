@@ -18,8 +18,8 @@ Field.mul.  Which kind a space is gets fixed where it is created.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import product
-from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DegenerateSpan,

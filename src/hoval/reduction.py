@@ -18,8 +18,7 @@ checked point by point.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Sequence
+from collections.abc import Mapping, Sequence
 
 from .errors import EnumerationTooLarge, InvalidSpread, NotAffine
 from .gf2 import Tower, field_create, tower_create

@@ -1,6 +1,7 @@
 """Spectrum histograms against frozen counts, mode cross-checks, F2 structure."""
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings
@@ -115,10 +116,25 @@ def test_h2_smoke_support():
     assert ok
 
 
-def test_parallel_matches_serial(case321):
+class _RealPool(ProcessPoolExecutor):
+    """A real process pool that records the size it was asked for."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, **kwargs):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+
+
+def test_parallel_matches_serial(case321, monkeypatch):
+    # the tally runs in a real pool of two workers, even on a one-CPU host
     _, d = case321
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RealPool)
+    monkeypatch.setattr(linearsets.os, "cpu_count", lambda: 2)
+    _RealPool.sizes = []
     assert spectrum(d, mode="pairs", processes=2).counts == SPEC_321
     assert spectrum(d, mode="exhaustive", processes=2).counts == SPEC_321
+    assert _RealPool.sizes == [2]
 
 
 class _FakePool:
@@ -148,7 +164,7 @@ def test_line_scan_pool_is_capped_at_the_cpu_count(case321, monkeypatch,
     # the pool gets min(processes, cpu_count) workers, and a pool of one is
     # the serial scan; pairs mode never starts one
     _, d = case321
-    monkeypatch.setattr(linearsets, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(linearsets.os, "cpu_count", lambda: cpus)
     _FakePool.sizes = []
     assert spectrum(d, mode="exhaustive", processes=requested).counts == SPEC_321
@@ -216,7 +232,7 @@ def test_exhaustive_spectrum_builds_no_scalar_tables(case321, monkeypatch):
     _, d = case321
     fresh = ProjSpace(d.space.n, d.space.field, tables=True)
     assert spectrum(d.ordered, fresh, mode="exhaustive").counts == SPEC_321
-    monkeypatch.setattr(linearsets, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(linearsets.os, "cpu_count", lambda: 2)
     _FakePool.sizes = []
     assert spectrum(d, mode="exhaustive", processes=2).counts == SPEC_321

@@ -1,6 +1,10 @@
-"""The package imports nothing outside the standard library at runtime."""
+"""The package imports nothing outside the standard library at runtime, and
+a serial run never loads the worker pool."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,3 +31,36 @@ def test_every_import_is_relative_or_stdlib():
             if level == 0 and top != "hoval" and top not in sys.stdlib_module_names:
                 outside.append(f"{path.name}: {module}")
     assert not outside
+
+
+# runs in a fresh interpreter: sys.argv[1] is a scratch directory for --out
+_SERIAL_RUNS = """
+import json, sys
+import hoval, hoval.cli
+out = sys.argv[1] + "/report.json"
+for argv in (["verify-all", "--h", "3", "--k", "2", "--i", "1"],
+             ["spectrum", "--h", "3", "--k", "2", "--i", "1",
+              "--mode", "exhaustive"]):
+    rc = hoval.cli.main(argv + ["--parallel", "1", "--out", out])
+    assert rc == 0, (argv, rc)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_a_serial_run_loads_no_process_pool(tmp_path):
+    # the pool is imported where a tally starts more than one worker, so
+    # neither the import nor a --parallel 1 run may pull it in
+    env = dict(os.environ)
+    env.pop("HOVAL_PARALLEL", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SERIAL_RUNS, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    modules = json.loads(proc.stdout.splitlines()[-1])
+    assert "hoval.linearsets" in modules
+    pool = [m for m in modules
+            if m.startswith("multiprocessing") or m == "concurrent.futures.process"]
+    assert not pool
