@@ -5,9 +5,9 @@ element.  Lines: for each element E, the q^k affine cosets base + <E>
 closed up with E's point, plus the single line at infinity.  With a
 Desarguesian spread this is PG(2, q^k) again; the axioms are checked here
 against the incidence structure, not assumed.  Every translation of
-V(2k, q) is a collineation, so the lines through two affine points depend
-only on their difference: marking each element's directions once covers
-all C(n, 2) point pairs in O(q^2k) work (plane_axioms_check).
+V(2k, q) is a collineation, so the axioms come down to the element spans
+partitioning H_inf, which the fibres of the spread's field reduction
+certify in k (q^k + 1) lookups (plane_axioms_check).
 
 Integer point ids inside reports: affine points are their packed
 coordinates, the point of element idx is -1 - idx.
@@ -17,24 +17,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
 from .errors import DimensionMismatch, EnumerationTooLarge, InvalidSpread
-from .hyperoval import (
-    AffinePointSet,
-    f2_echelon,
-    f2_reduce,
-    translation_basis,
-    translation_closure_check,
-)
+from .gf2 import f2_echelon, f2_reduce
+from .hyperoval import AffinePointSet, translation_basis, translation_closure_check
 from .projective import DEFAULT_BUDGET
-from .reduction import CorrespondenceMaps, Spread
-
-# the translation certificate keeps one byte per vector of V(2k, q)
-_EXHAUSTIVE_DIRECTION_LIMIT = 1 << 20
-# the pair-scan fallback keeps an n-bit int per point, n^2 / 8 bytes for n points
-_PAIR_SCAN_POINT_LIMIT = 8192
+from .reduction import CorrespondenceMaps, ReductionIndex, Spread
 
 
 class BruckBosePlane:
@@ -91,16 +81,6 @@ class BruckBosePlane:
             p ^= multiples[(p >> shift) & mask]
         return p
 
-    def line_points(self, eidx: int, base: int) -> list:
-        """The q^k affine points base + <E> of element eidx, unsorted.
-
-        Built from the element's row multiples on each call.
-        """
-        pts = [base]
-        for _, multiples in self.tabs[eidx]:
-            pts = [p ^ m for p in pts for m in multiples]
-        return pts
-
     def line_through(self, p: int, r: int):
         """Line id (eidx, base) through two distinct affine points."""
         h = self.maps.tower.h
@@ -108,13 +88,9 @@ class BruckBosePlane:
         eidx = self.spread.element_of(d)
         return eidx, self.base_of(eidx, p)
 
-    def lines(self):
-        for eidx, bs in enumerate(self.bases):
-            for b in bs:
-                yield (eidx, b)
-
     def line_at(self, idx: int):
-        """Line number idx in the order of lines(), then "inf" last."""
+        """Line number idx: element by element, each element's lines in
+        the order of its bases, then "inf" last."""
         if idx == self.n_lines - 1:
             return "inf"
         eidx, j = divmod(idx, self.order)
@@ -165,37 +141,12 @@ class PlaneAxiomsReport:
     points_per_line: int
     lines_per_point: int
     pairs_checked: int
-    collisions: int
+    collisions: int  # certificate failures plus line pairs not meeting once
     line_pairs_checked: int
     quadrangle_ok: bool
     witness: tuple | None
-    # how the verdict was reached, not part of it: "translation" (direction
-    # marks), "pair-scan" (coverage bitsets) or "sampled"
-    path: str = field(default="pair-scan", compare=False)
-
-
-def _cover_line(cover: list, ids) -> tuple[int, int, tuple | None]:
-    """Mark the point pairs of one line in the per-point coverage bitsets.
-
-    `ids` are the line's point ids in ascending order; bit b of cover[a]
-    is set once the pair a < b lies on a scanned line.  Returns the number
-    of pairs, how many of them an earlier line already covered, and the
-    first such pair (smallest a, then smallest b) or None.
-    """
-    later = 0
-    for a in ids:
-        later |= 1 << a
-    collisions = 0
-    first = None
-    for a in ids:
-        later ^= 1 << a
-        seen = cover[a] & later
-        if seen:
-            collisions += seen.bit_count()
-            if first is None:
-                first = (a, (seen & -seen).bit_length() - 1)
-        cover[a] |= later
-    return len(ids) * (len(ids) - 1) // 2, collisions, first
+    # how the verdict was reached, not part of it
+    path: str = field(default="fibres", compare=False)
 
 
 def _quadrangle_ok(plane: BruckBosePlane) -> bool:
@@ -214,144 +165,72 @@ def _quadrangle_ok(plane: BruckBosePlane) -> bool:
     return len(lines) == 6
 
 
-def _direction_marks(plane: BruckBosePlane, n_affine: int) -> tuple[int, tuple | None]:
-    """Mark every element's directions in one byte per vector of V(2k, q).
-
-    A direction is a nonzero span vector scaled so that its lowest nonzero
-    chunk is 1, the H_inf packing of normalize.  With the rows of E sorted
-    by pivot, each row is zero at the pivots before its own, so the
-    directions with pivot chunk j are normalize(r_j) plus the span of the
-    later rows: (q^k - 1) / (q - 1) marks per element, each direction once.
-    Returns how many marks fell on a marked direction and, for the first
-    element that repeats one, ("direction on two elements", d, e1, e2) with
-    d its smallest repeated direction and e1 < e2.
-    """
-    h = plane.maps.tower.h
-    normalize = plane.maps.hinf.normalize
-    marks = bytearray(n_affine)
-    repeats = 0
-    witness = None
-    for eidx, tab in enumerate(plane.tabs):
-        low = [[m >> h for m in multiples] for _, multiples in sorted(tab)]
-        dirs = []
-        tail = [0]  # the span of the rows after row j
-        for j in range(len(low) - 1, -1, -1):
-            lead = normalize(low[j][1])
-            dirs += [lead ^ v for v in tail]
-            if j:
-                tail = [v ^ m for v in tail for m in low[j]]
-        seen = sum(map(marks.__getitem__, dirs))
-        if seen:
-            repeats += seen
-            if witness is None:
-                d = min(v for v in dirs if marks[v])
-                e1 = next(e for e in range(eidx) if plane.base_of(e, d << h) == 0)
-                witness = ("direction on two elements", d, e1, eidx)
-        for v in dirs:
-            marks[v] = 1
-    return repeats, witness
-
-
-def _pair_scan(plane: BruckBosePlane, budget) -> tuple[int, int, tuple | None]:
-    """(pairs, collisions, first witness) of the coverage bitset scan.
-
-    One int bitset per point id takes, line by line, the ids that follow
-    it on the line; a pair already set collides.
-    """
-    n = plane.n_points
-    order = plane.order
-    est = n * n
-    if budget is not None and est > budget:
-        raise EnumerationTooLarge(est, budget, "pair coverage table")
-    # ids: affine points in sorted packed order, then element points
-    all_affine = sorted(p for b in plane.bases[0] for p in plane.line_points(0, b))
-    affine_ids = {p: i for i, p in enumerate(all_affine)}
-    # ids of each line in ascending order, the line at infinity last;
-    # each element's span is built once for all of its lines
-    spans = (plane.line_points(eidx, 0) for eidx in range(len(plane.bases)))
-    point_lines = chain(
-        (
-            sorted(affine_ids[base ^ s] for s in span) + [order * order + eidx]
-            for eidx, span in enumerate(spans)
-            for base in plane.bases[eidx]
-        ),
-        [range(order * order, n)],
-    )
-    cover = [0] * n
-    pairs = 0
-    collisions = 0
-    witness = None
-    for ids in point_lines:
-        line_pairs, line_collisions, first = _cover_line(cover, ids)
-        pairs += line_pairs
-        collisions += line_collisions
-        if witness is None and first is not None:
-            witness = ("pair on two lines", *first)
-    return pairs, collisions, witness
-
-
 def plane_axioms_check(
     plane: BruckBosePlane,
-    mode: str = "auto",
     seed: int = 0,
     samples: int = 2000,
     budget: int | None = DEFAULT_BUDGET,
 ) -> PlaneAxiomsReport:
-    """Projective plane axioms for the incidence structure.
+    """Projective plane axioms for the incidence structure, at every size.
 
-    Exhaustive mode proves that every point pair lies on exactly one line
-    from the translation group.  Lines are cosets b + <E>, so every
-    translation of V(2k, q) is a collineation and the lines through two
-    affine points depend only on their difference d: one per element whose
-    span holds d.  Each parallel class tiles the affine points (k distinct
-    pivots, checked when the plane is built, give one coset representative
-    per coset), and two element points share only the line at infinity.
-    So every pair lies on exactly one line iff the element spans partition
-    the nonzero vectors of V(2k, q), which one byte per vector checks in
-    O(q^2k) (path "translation").  pairs_checked is then the sum of
-    C(|line|, 2) over the lines, which equals C(points, 2) on a plane, and
-    each vector on t > 1 spans adds (t - 1) q^2k / 2 collisions.  When the
-    spans overlap on a plane of at most 8192 points, the coverage bitset
-    scan (path "pair-scan", n^2 / 8 bytes) names the first pair on two
-    lines; above that the witness is the first direction on two elements.
-    `auto` is exhaustive up to q^2k = 2^20 (every hk <= 10), and the
-    budget charges the q^2k marks.
+    Lines are cosets b + <E>, so every translation of V(2k, q) is a
+    collineation and the lines through two affine points depend only on
+    their difference d: one per element whose span holds d.  Each parallel
+    class tiles the affine points (distinct pivots, checked when the plane
+    is built, give one coset representative per coset), and two element
+    points share only the line at infinity.  So every point pair lies on
+    exactly one line iff the element spans partition the nonzero vectors
+    of H_inf.
 
-    Both modes draw line pairs with a seeded generator and count each
-    meet by one rank (BruckBosePlane.meet): min(samples, 2000) of them in
-    exhaustive mode, as a double-check.  Sampled mode spot checks point
-    pairs, coset representatives and line pairs, `samples` draws in all.
+    The partition is certified from the fibres of the spread's
+    ReductionIndex (path "fibres") in k (q^k + 1) element_of calls, with no
+    array over the q^2k vectors.  The fibre of a source s, plus 0, is the
+    preimage of GF(q^k) s under "M, then unvec each block": a GF(q)-subspace,
+    since the map is GF(q)-linear, and the fibres of distinct sources meet
+    only in 0, since Spread.reduced checked the map injective.  The
+    certificate asks that every element has k rows (independent, as their
+    pivots are distinct) and that every row of element idx lies in the
+    fibre of idx.  Then each span lies in its own fibre, the spans are
+    pairwise disjoint, and q^k + 1 of them cover the q^2k - 1 nonzero
+    vectors.  pairs_checked, the sum of C(|line|, 2) over the lines, equals
+    C(points, 2) exactly when there are q^k + 1 elements.  A row in a wrong
+    fibre is ("element row in another fibre", idx, row, other_idx), with
+    other_idx None when the row's source gives no element.  A spread that
+    is not a Spread.reduced raises InvalidSpread; the budget charges the
+    element_of calls.
+
+    As a double-check, min(samples, 2000) line pairs drawn with a seeded
+    generator have their meet counted by one rank (BruckBosePlane.meet),
+    and four points in general position must span six lines.
     """
+    spread = plane.spread
+    index = spread.index
+    if not isinstance(index, ReductionIndex):
+        raise InvalidSpread("the plane axioms are certified for a Spread.reduced only")
+    k = plane.maps.tower.k
+    m = len(spread.elements)
+    if budget is not None and k * m > budget:
+        raise EnumerationTooLarge(k * m, budget, "fibre certificate")
+    collisions = 0
+    witness = None
+    for idx, el in enumerate(spread.elements):
+        if len(el.rows) != k:
+            collisions += 1
+            witness = witness or ("element rank", idx, len(el.rows), k)
+            continue
+        for row in el.rows:
+            other = index.get(row)
+            if other != idx:
+                collisions += 1
+                witness = witness or ("element row in another fibre", idx, row, other)
     n = plane.n_points
     order = plane.order
-    n_affine = 1 << (plane.maps.ambient.bits - plane.maps.tower.h)
-    if mode == "auto":
-        mode = "exhaustive" if n_affine <= _EXHAUSTIVE_DIRECTION_LIMIT else "sampled"
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    quadrangle = _quadrangle_ok(plane)
-    rng = random.Random(seed)
-    if mode == "sampled":
-        return _sampled_check(plane, rng, samples, quadrangle)
-
-    if budget is not None and n_affine > budget:
-        raise EnumerationTooLarge(n_affine, budget, "direction marks")
-    if order * order != n_affine:
-        raise InvalidSpread("parallel classes do not tile the affine points")
-    repeats, witness = _direction_marks(plane, n_affine)
-    if repeats and n <= _PAIR_SCAN_POINT_LIMIT:
-        path = "pair-scan"
-        pairs, collisions, witness = _pair_scan(plane, budget)
-    else:
-        path = "translation"
-        m = len(plane.bases)
-        pairs = m * order * comb(order + 1, 2) + comb(m, 2)
-        # q - 1 vectors per direction, n_affine / 2 affine pairs per vector
-        collisions = repeats * (plane.maps.ambient.q - 1) * (n_affine // 2)
+    pairs = m * order * comb(order + 1, 2) + comb(m, 2)
     covered_ok = pairs == comb(n, 2)
     if not covered_ok and witness is None:
         witness = ("pair count", pairs, comb(n, 2))
+    quadrangle = _quadrangle_ok(plane)
+    rng = random.Random(seed)
     line_pairs = 0
     for _ in range(min(samples, 2000)):
         l1, l2 = (plane.line_at(i) for i in rng.sample(range(plane.n_lines), 2))
@@ -361,9 +240,8 @@ def plane_axioms_check(
             collisions += 1
             if witness is None:
                 witness = ("line pair meets", l1, l2, c)
-    ok = collisions == 0 and covered_ok and quadrangle
     return PlaneAxiomsReport(
-        ok=ok,
+        ok=collisions == 0 and covered_ok and quadrangle,
         mode="exhaustive",
         points=n,
         lines=plane.n_lines,
@@ -374,70 +252,6 @@ def plane_axioms_check(
         line_pairs_checked=line_pairs,
         quadrangle_ok=quadrangle,
         witness=witness,
-        path=path,
-    )
-
-
-def _sampled_check(plane: BruckBosePlane, rng, samples: int, quadrangle: bool):
-    """Spot checks of point pairs, coset representatives and line pairs."""
-    witness = None
-    bad = 0
-    pairs = 0
-    n_elements = len(plane.bases)
-    order = plane.order
-    amb = plane.maps.ambient
-    h = plane.maps.tower.h
-    width_bits = amb.bits - h
-    for _ in range(samples):
-        kind = rng.randrange(3)
-        if kind == 0:
-            p = 1 | (rng.randrange(1 << width_bits) << h)
-            r = 1 | (rng.randrange(1 << width_bits) << h)
-            if p == r:
-                continue
-            # reduce is GF(q)-linear: p, r share a coset iff p ^ r reduces to 0
-            d = p ^ r
-            hits = [
-                eidx for eidx in range(n_elements) if plane.base_of(eidx, d) == 0
-            ]
-            if len(hits) != 1:
-                bad += 1
-                if witness is None:
-                    witness = ("affine pair", p, r, len(hits))
-        elif kind == 1:
-            p = 1 | (rng.randrange(1 << width_bits) << h)
-            eidx = rng.randrange(n_elements)
-            base = plane.base_of(eidx, p)
-            if base not in plane.bases[eidx]:
-                bad += 1
-                if witness is None:
-                    witness = ("coset rep missing", eidx, p)
-        else:
-            e1 = rng.randrange(n_elements)
-            e2 = rng.randrange(n_elements)
-            b1 = plane.bases[e1][rng.randrange(order)]
-            b2 = plane.bases[e2][rng.randrange(order)]
-            if (e1, b1) == (e2, b2):
-                continue
-            c = plane.meet((e1, b1), (e2, b2))
-            if c != 1:
-                bad += 1
-                if witness is None:
-                    witness = ("line pair meets", (e1, b1), (e2, b2), c)
-        pairs += 1
-    return PlaneAxiomsReport(
-        ok=bad == 0 and quadrangle,
-        mode="sampled",
-        points=plane.n_points,
-        lines=plane.n_lines,
-        points_per_line=order + 1,
-        lines_per_point=order + 1,
-        pairs_checked=pairs,
-        collisions=bad,
-        line_pairs_checked=pairs,
-        quadrangle_ok=quadrangle,
-        witness=witness,
-        path="sampled",
     )
 
 

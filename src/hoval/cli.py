@@ -39,11 +39,6 @@ from .projective import DEFAULT_BUDGET
 from .reduction import maps_for
 
 _AXIOM_NAMES = ("A1", "A2", "A3", "A4")
-_PLANE_MODE_HELP = (
-    "auto (default) checks every point pair when the q^2k vectors of "
-    "V(2k, q) number at most 2^20 (every hk <= 10), from one mark per "
-    "direction of each spread element, and spot checks above that"
-)
 
 
 def _default_parallel() -> int:
@@ -251,8 +246,7 @@ def _cmd_bruck_bose(args) -> int:
         doc.update(plane.data, ok=plane.ok)
         return doc, plane.ok
 
-    return _view(args, ("plane",), project,
-                 plane_mode=args.plane_mode, seed=args.seed)
+    return _view(args, ("plane",), project, seed=args.seed)
 
 
 def _cmd_bj_axioms(args) -> int:
@@ -288,8 +282,7 @@ def _cmd_verify_all(args) -> int:
         for name in stages:
             if name not in STAGE_ORDER:
                 raise ParseError(f"unknown stage {name!r}, pick from {STAGE_ORDER}")
-    rep = _pipeline(args, stages, mode=args.mode,
-                    plane_mode=args.plane_mode, seed=args.seed)
+    rep = _pipeline(args, stages, mode=args.mode, seed=args.seed)
     _emit(args, rep.to_json_dict())
     return _exit_code(rep)
 
@@ -354,8 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="plane axioms and the hyperoval line scan")
     _add_params(p)
     _add_common(p)
-    p.add_argument("--plane-mode", choices=("auto", "exhaustive", "sampled"),
-                   default="auto", help=_PLANE_MODE_HELP)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bruck_bose)
 
@@ -370,8 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_params(p)
     _add_common(p)
     p.add_argument("--mode", choices=("pairs", "exhaustive"), default="pairs")
-    p.add_argument("--plane-mode", choices=("auto", "exhaustive", "sampled"),
-                   default="auto", help=_PLANE_MODE_HELP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stages", help="comma separated stage subset")
     p.set_defaults(func=_cmd_verify_all)

@@ -30,10 +30,9 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .errors import CPlaneConstructionFailed, DegenerateSpan, EnumerationTooLarge
+from .gf2 import f2_echelon, f2_reduce
 from .hyperoval import (
     AffinePointSet,
-    f2_echelon,
-    f2_reduce,
     is_arc,
     translation_basis,
     translation_closure_check,

@@ -112,6 +112,34 @@ def default_modulus(m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# linear algebra over GF(2), ints as bit-vectors
+# ---------------------------------------------------------------------------
+
+def f2_reduce(v: int, rows) -> int:
+    """v with the pivot bits of GF(2) echelon rows cleared."""
+    for r in rows:
+        if v & r & -r:
+            v ^= r
+    return v
+
+
+def f2_echelon(vectors) -> tuple:
+    """Reduced echelon basis over GF(2) of packed bit vectors.
+
+    A row's pivot is its lowest set bit, clear in every other row; rows are
+    sorted by pivot, so the basis of a subspace is unique.
+    """
+    rows: list = []
+    for v in vectors:
+        v = f2_reduce(v, rows)
+        if v:
+            low = v & -v
+            rows = [r ^ v if r & low else r for r in rows]
+            rows.append(v)
+    return tuple(sorted(rows, key=lambda r: r & -r))
+
+
+# ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GcdHypothesisViolated, TooFewPoints
-from .gf2 import tower_create
+from .gf2 import f2_echelon, tower_create
 from .projective import ProjSpace
 from .reduction import CorrespondenceMaps, maps_for
 
@@ -222,30 +222,6 @@ def translation_basis(q_points: AffinePointSet) -> tuple:
         h = q_points.space.h
         q_points._basis = f2_echelon((p ^ ordered[0]) >> h for p in ordered[1:])
     return q_points._basis
-
-
-def f2_reduce(v: int, rows) -> int:
-    """v with the pivot bits of GF(2) echelon rows cleared."""
-    for r in rows:
-        if v & r & -r:
-            v ^= r
-    return v
-
-
-def f2_echelon(vectors) -> tuple:
-    """Reduced echelon basis over GF(2) of packed bit vectors.
-
-    A row's pivot is its lowest set bit, clear in every other row; rows are
-    sorted by pivot, so the basis of a subspace is unique.
-    """
-    rows: list = []
-    for v in vectors:
-        v = f2_reduce(v, rows)
-        if v:
-            low = v & -v
-            rows = [r ^ v if r & low else r for r in rows]
-            rows.append(v)
-    return tuple(sorted(rows, key=lambda r: r & -r))
 
 
 def _is_coset(ordered) -> bool:

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .errors import EnumerationTooLarge, NotF2Linear, TooFewPoints
-from .gf2 import field_create
-from .hyperoval import AffinePointSet, DirectionSet, f2_echelon, translation_basis
+from .gf2 import f2_echelon, field_create
+from .hyperoval import AffinePointSet, DirectionSet, translation_basis
 from .projective import DEFAULT_BUDGET, LinearMap, ProjSpace, projective_points_count
 from .reduction import CorrespondenceMaps, Spread
 

@@ -120,12 +120,11 @@ def _hex_seq(seq) -> list:
 class _Run:
     """Mutable state threaded through the stages."""
 
-    def __init__(self, spec, mode, budget, processes, plane_mode, seed):
+    def __init__(self, spec, mode, budget, processes, seed):
         self.spec = spec
         self.mode = mode
         self.budget = budget
         self.processes = processes
-        self.plane_mode = plane_mode
         self.seed = seed
         self.hov = None
         self.dirs = None
@@ -260,9 +259,7 @@ def _stage_plane(run: _Run) -> tuple[bool, dict]:
     maps = run.hov.maps
     res = run.spread_result
     plane = build_plane(maps, res.spread)
-    axioms = plane_axioms_check(
-        plane, mode=run.plane_mode, seed=run.seed, budget=run.budget
-    )
+    axioms = plane_axioms_check(plane, seed=run.seed, budget=run.budget)
     t0_rows = res.spread.elements[res.t0_index].rows
     tinf_rows = res.spread.elements[res.tinf_index].rows
     hrep = hyperoval_in_plane(run.hov.affine, t0_rows, tinf_rows, plane)
@@ -355,7 +352,6 @@ def run_verify_all(
     budget: int | None = DEFAULT_BUDGET,
     processes: int = 1,
     stages=None,
-    plane_mode: str = "auto",
     seed: int = 0,
 ) -> VerificationReport:
     """Run the verification stages for one parameter triple.
@@ -378,7 +374,7 @@ def run_verify_all(
         needed.update(_PREREQS[name])
     if "pseudoregulus" in needed:  # every stage from it on reads the secants
         require_long_secants(h)
-    run = _Run(spec, mode, budget, processes, plane_mode, seed)
+    run = _Run(spec, mode, budget, processes, seed)
     results = []
     failed = False
     for name in STAGE_ORDER:
@@ -416,7 +412,6 @@ def run_verify_all(
         "q": 1 << h,
         "field_degree": h * k,
         "mode": mode,
-        "plane_mode": plane_mode,
         "processes": processes,
         "seed": seed,
         "stages": list(requested),

@@ -12,8 +12,7 @@ PG(2hk-1, 2), and the spread the pseudoregulus stage rebuilds) are
 partitions by construction: the element through a point is the reduction
 of the source point its blocks spell, so Spread.reduced finds it with one
 unvec per block and one normalize over the big field and never enumerates
-the points.  Only spreads of unknown origin (the tests' hand-made ones) are
-checked point by point.
+the points.
 """
 
 from __future__ import annotations
@@ -21,59 +20,23 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from .errors import EnumerationTooLarge, InvalidSpread, NotAffine
-from .gf2 import Tower, field_create, tower_create
+from .gf2 import Tower, f2_echelon, field_create, tower_create
 from .projective import DEFAULT_BUDGET, LinearMap, ProjSpace, Subspace
 
 
 class Spread:
     """A partition of PG(n, q) into pairwise disjoint equal subspaces.
 
+    Every spread comes from field reduction (``Spread.reduced``: abb_spread,
+    s_prime and the rebuilt spread of the pseudoregulus stage).
     ``sources[idx]`` is the packed point of the source projective space that
     field reduction turned into ``elements[idx]``, before any coordinate
-    change (None for spreads built some other way); ``index`` maps each
-    normalized point to the index of its element.
-
-    A spread of unknown origin (``Spread(elements, space)``, a hand-made
-    one) proves it is a partition by visiting every point of every element
-    and building ``index`` as a dict.  A spread that comes
-    from field reduction (``Spread.reduced``: abb_spread, s_prime and the
-    rebuilt spread of the pseudoregulus stage) is a partition by
-    construction, the reduction of all points of its source space, and
-    visits no point: its ``index`` is a ReductionIndex that finds the
-    element through a point from the point's source.
+    change; ``index`` is a ReductionIndex that finds the element through a
+    normalized point from the point's source, so no point is visited.  The
+    tests keep a point-by-point partition check as their oracle.
     """
 
     __slots__ = ("elements", "index", "space", "sources", "source_space", "source_index")
-
-    def __init__(
-        self,
-        elements: Sequence[Subspace],
-        space: ProjSpace,
-        sources: Sequence[int] | None = None,
-        source_space: ProjSpace | None = None,
-    ):
-        self.elements = tuple(elements)
-        self.space = space
-        self.sources = None if sources is None else tuple(sources)
-        self.source_space = source_space
-        self.source_index = (
-            None
-            if sources is None
-            else {src: i for i, src in enumerate(self.sources)}
-        )
-        index: dict[int, int] = {}
-        for idx, el in enumerate(self.elements):
-            for p in el.points():
-                if p in index:
-                    raise InvalidSpread(
-                        f"point 0x{p:x} lies in elements {index[p]} and {idx}"
-                    )
-                index[p] = idx
-        if len(index) != space.npoints():
-            raise InvalidSpread(
-                f"elements cover {len(index)} of {space.npoints()} points"
-            )
-        self.index = index
 
     @classmethod
     def reduced(
@@ -89,10 +52,12 @@ class Spread:
 
         The caller builds elements[idx] as the field reduction over `tower`
         of the normalized point sources[idx] of `source_space`, carried by
-        the inverse of the invertible `matrix` M when one is given.  When
-        the sources are every point of the source space once, the
-        reductions partition `space`, and so does their image under M^-1.
-        Both counts are checked here; no point of `space` is visited.
+        M^-1 when a `matrix` M is given.  When the sources are every point
+        of the source space once, the reductions partition `space`, and so
+        does their image under M^-1.  Both counts are checked here, and so
+        is M: "M, then unvec each block" must have GF(2)-independent
+        columns, else the fibres of distinct sources share its kernel.  No
+        point of `space` is visited.
         """
         source_index: dict[int, int] = {}
         for idx, src in enumerate(sources):
@@ -112,6 +77,8 @@ class Spread:
             lmap = LinearMap(to_source(1 << b) for b in range(space.bits))
         else:
             lmap = LinearMap.from_matrix(matrix, space).then(to_source)
+        if len(f2_echelon(lmap.columns)) != space.bits:
+            raise InvalidSpread("the coordinate change is singular")
         spread = cls.__new__(cls)
         spread.elements = tuple(elements)
         spread.space = space

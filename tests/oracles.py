@@ -4,13 +4,15 @@ Each is the straightforward version of something `src/hoval` now computes
 another way, kept here (not in the package) because only tests call it.
 """
 
+import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
+from itertools import chain, combinations, product, repeat
 from math import comb
 
+from hoval.bruckbose import PlaneAxiomsReport
 from hoval.cplanes import AxiomReport
-from hoval.errors import CPlaneConstructionFailed, DegenerateSpan, EnumerationTooLarge
+from hoval.errors import CPlaneConstructionFailed, EnumerationTooLarge, InvalidSpread
 from hoval.hyperoval import is_arc
 from hoval.projective import ProjSpace
 
@@ -331,3 +333,196 @@ def histogram_by_scan(q_points, plane, extra):
             if c not in (0, 2) and witness is None:
                 witness = ("line", eidx, base, c)
     return histogram, witness
+
+
+# -- spreads, point by point --------------------------------------------------
+
+def partition_index(elements, space: ProjSpace) -> dict:
+    """Normalized point -> element index, visiting every point of every
+    element; raises InvalidSpread unless the elements partition `space`."""
+    index: dict = {}
+    for idx, el in enumerate(elements):
+        for p in el.points():
+            if p in index:
+                raise InvalidSpread(f"point 0x{p:x} lies in elements {index[p]} and {idx}")
+            index[p] = idx
+    if len(index) != space.npoints():
+        raise InvalidSpread(f"elements cover {len(index)} of {space.npoints()} points")
+    return index
+
+
+# -- the Bruck-Bose plane axioms, pair by pair and direction by direction -----
+
+def affine_line(plane, eidx: int, base: int) -> list:
+    """The q^k affine points base + <E> of element eidx, unsorted."""
+    pts = [base]
+    for _, multiples in plane.tabs[eidx]:
+        pts = [p ^ m for p in pts for m in multiples]
+    return pts
+
+
+def plane_lines(plane):
+    """Every affine line (eidx, base), in the order of plane.line_at."""
+    for eidx, bases in enumerate(plane.bases):
+        for b in bases:
+            yield (eidx, b)
+
+
+def cover_line(cover: list, ids) -> tuple:
+    """Mark the point pairs of one line in the per-point coverage bitsets.
+
+    `ids` are the line's point ids in ascending order; bit b of cover[a]
+    is set once the pair a < b lies on a scanned line.  Returns the number
+    of pairs, how many of them an earlier line already covered, and the
+    first such pair (smallest a, then smallest b) or None.
+    """
+    later = 0
+    for a in ids:
+        later |= 1 << a
+    collisions = 0
+    first = None
+    for a in ids:
+        later ^= 1 << a
+        seen = cover[a] & later
+        if seen:
+            collisions += seen.bit_count()
+            if first is None:
+                first = (a, (seen & -seen).bit_length() - 1)
+        cover[a] |= later
+    return len(ids) * (len(ids) - 1) // 2, collisions, first
+
+
+def pair_scan(plane, budget=None) -> tuple:
+    """(pairs, collisions, first witness) of the coverage bitset scan.
+
+    One int bitset per point id takes, line by line, the ids that follow
+    it on the line; a pair already set collides.  n^2 / 8 bytes for n
+    points.
+    """
+    n = plane.n_points
+    order = plane.order
+    if budget is not None and n * n > budget:
+        raise EnumerationTooLarge(n * n, budget, "pair coverage table")
+    # ids: affine points in sorted packed order, then element points
+    all_affine = sorted(p for b in plane.bases[0] for p in affine_line(plane, 0, b))
+    affine_ids = {p: i for i, p in enumerate(all_affine)}
+    # ids of each line in ascending order, the line at infinity last;
+    # each element's span is built once for all of its lines
+    spans = (affine_line(plane, eidx, 0) for eidx in range(len(plane.bases)))
+    point_lines = chain(
+        (
+            sorted(affine_ids[base ^ s] for s in span) + [order * order + eidx]
+            for eidx, span in enumerate(spans)
+            for base in plane.bases[eidx]
+        ),
+        [range(order * order, n)],
+    )
+    cover = [0] * n
+    pairs = collisions = 0
+    witness = None
+    for ids in point_lines:
+        line_pairs, line_collisions, first = cover_line(cover, ids)
+        pairs += line_pairs
+        collisions += line_collisions
+        if witness is None and first is not None:
+            witness = ("pair on two lines", *first)
+    return pairs, collisions, witness
+
+
+def direction_marks(plane) -> tuple:
+    """Mark every element's directions in one byte per vector of V(2k, q).
+
+    A direction is a nonzero span vector scaled so that its lowest nonzero
+    chunk is 1, the H_inf packing of normalize.  With the rows of E sorted
+    by pivot, each row is zero at the pivots before its own, so the
+    directions with pivot chunk j are normalize(r_j) plus the span of the
+    later rows: (q^k - 1) / (q - 1) marks per element, each direction once.
+    Returns how many marks fell on a marked direction and, for the first
+    element that repeats one, ("direction on two elements", d, e1, e2) with
+    d its smallest repeated direction and e1 < e2.  The spans partition
+    H_inf iff nothing repeats and every direction is marked.
+    """
+    h = plane.maps.tower.h
+    normalize = plane.maps.hinf.normalize
+    marks = bytearray(1 << plane.maps.hinf.bits)
+    repeats = 0
+    witness = None
+    for eidx, tab in enumerate(plane.tabs):
+        low = [[m >> h for m in multiples] for _, multiples in sorted(tab)]
+        dirs = []
+        tail = [0]  # the span of the rows after row j
+        for j in range(len(low) - 1, -1, -1):
+            lead = normalize(low[j][1])
+            dirs += [lead ^ v for v in tail]
+            if j:
+                tail = [v ^ m for v in tail for m in low[j]]
+        seen = sum(map(marks.__getitem__, dirs))
+        if seen:
+            repeats += seen
+            if witness is None:
+                d = min(v for v in dirs if marks[v])
+                e1 = next(e for e in range(eidx) if plane.base_of(e, d << h) == 0)
+                witness = ("direction on two elements", d, e1, eidx)
+        for v in dirs:
+            marks[v] = 1
+    return repeats, witness
+
+
+def sampled_check(plane, quadrangle: bool, seed: int = 0, samples: int = 2000):
+    """Spot checks of point pairs, coset representatives and line pairs."""
+    rng = random.Random(seed)
+    witness = None
+    bad = 0
+    pairs = 0
+    n_elements = len(plane.bases)
+    order = plane.order
+    h = plane.maps.tower.h
+    width_bits = plane.maps.ambient.bits - h
+    for _ in range(samples):
+        kind = rng.randrange(3)
+        if kind == 0:
+            p = 1 | (rng.randrange(1 << width_bits) << h)
+            r = 1 | (rng.randrange(1 << width_bits) << h)
+            if p == r:
+                continue
+            # reduce is GF(q)-linear: p, r share a coset iff p ^ r reduces to 0
+            d = p ^ r
+            hits = [e for e in range(n_elements) if plane.base_of(e, d) == 0]
+            if len(hits) != 1:
+                bad += 1
+                if witness is None:
+                    witness = ("affine pair", p, r, len(hits))
+        elif kind == 1:
+            p = 1 | (rng.randrange(1 << width_bits) << h)
+            eidx = rng.randrange(n_elements)
+            if plane.base_of(eidx, p) not in plane.bases[eidx]:
+                bad += 1
+                if witness is None:
+                    witness = ("coset rep missing", eidx, p)
+        else:
+            e1 = rng.randrange(n_elements)
+            e2 = rng.randrange(n_elements)
+            b1 = plane.bases[e1][rng.randrange(order)]
+            b2 = plane.bases[e2][rng.randrange(order)]
+            if (e1, b1) == (e2, b2):
+                continue
+            c = plane.meet((e1, b1), (e2, b2))
+            if c != 1:
+                bad += 1
+                if witness is None:
+                    witness = ("line pair meets", (e1, b1), (e2, b2), c)
+        pairs += 1
+    return PlaneAxiomsReport(
+        ok=bad == 0 and quadrangle,
+        mode="sampled",
+        points=plane.n_points,
+        lines=plane.n_lines,
+        points_per_line=order + 1,
+        lines_per_point=order + 1,
+        pairs_checked=pairs,
+        collisions=bad,
+        line_pairs_checked=pairs,
+        quadrangle_ok=quadrangle,
+        witness=witness,
+        path="sampled",
+    )

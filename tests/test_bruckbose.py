@@ -15,17 +15,23 @@ from hoval.hyperoval import (
     translation_closure_check,
 )
 from hoval.bruckbose import (
-    _direction_marks,
-    _pair_scan,
     PlaneAxiomsReport,
     _quadrangle_ok,
     build_plane,
     hyperoval_in_plane,
     plane_axioms_check,
 )
+from hoval.projective import Subspace
 from hoval.pseudoregulus import detect_pseudoregulus
 from hoval.reduction import Spread, maps_for
-from oracles import histogram_by_scan
+from oracles import (
+    affine_line,
+    direction_marks,
+    histogram_by_scan,
+    pair_scan,
+    plane_lines,
+    sampled_check,
+)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +49,7 @@ def test_plane_counts_321(setup321):
     assert plane.n_points == 64 * 64 + 65 == 4161
     assert plane.n_lines == 64 * 65 + 1 == 4161
     # each affine line has order affine points, all distinct
-    pts = plane.line_points(0, plane.bases[0][0])
+    pts = affine_line(plane, 0, plane.bases[0][0])
     assert len(set(pts)) == 64
 
 
@@ -58,7 +64,7 @@ def test_line_through_membership(setup321):
         if p == r:
             continue
         eidx, base = plane.line_through(p, r)
-        on = plane.line_points(eidx, base)
+        on = affine_line(plane, eidx, base)
         assert p in on and r in on
 
 
@@ -67,7 +73,7 @@ def test_parallel_classes_tile_affine(setup321):
     for eidx in (0, 17, 64):
         seen = set()
         for b in plane.bases[eidx]:
-            pts = plane.line_points(eidx, b)
+            pts = affine_line(plane, eidx, b)
             assert not (set(pts) & seen)
             seen.update(pts)
         assert len(seen) == 64 * 64
@@ -75,9 +81,10 @@ def test_parallel_classes_tile_affine(setup321):
 
 def test_axioms_exhaustive_321(setup321):
     _, _, _, plane = setup321
-    rep = plane_axioms_check(plane, mode="exhaustive", samples=500)
+    rep = plane_axioms_check(plane, samples=500)
     assert rep.ok
-    assert rep.mode == "exhaustive"
+    assert (rep.mode, rep.path) == ("exhaustive", "fibres")
+    assert rep.line_pairs_checked == 500
     assert rep.points == rep.lines == 4161
     assert rep.points_per_line == 65
     assert rep.pairs_checked == 4161 * 4160 // 2
@@ -88,7 +95,7 @@ def test_axioms_exhaustive_321(setup321):
 
 def test_axioms_sampled_mode(setup321):
     _, _, _, plane = setup321
-    rep = plane_axioms_check(plane, mode="sampled", seed=5, samples=400)
+    rep = sampled_check(plane, _quadrangle_ok(plane), seed=5, samples=400)
     assert rep.ok
     assert rep.mode == "sampled"
     assert rep.collisions == 0
@@ -97,7 +104,7 @@ def test_axioms_sampled_mode(setup321):
 def test_axioms_exhaustive_small_case():
     hov = build_hyperoval(HyperovalSpec(2, 2, 1))
     plane = build_plane(hov.maps)
-    rep = plane_axioms_check(plane, mode="auto")
+    rep = plane_axioms_check(plane)
     assert rep.mode == "exhaustive"
     assert rep.ok
     assert rep.points == 16 * 16 + 17 == 273
@@ -256,7 +263,7 @@ def test_spans_and_bases_match_smul_construction(setup321):
         vecs = {0}
         for row in rows:
             vecs = {v ^ amb.smul(c, row) for v in vecs for c in range(q)}
-        assert sorted(plane.line_points(eidx, 0)) == sorted(vecs)
+        assert sorted(affine_line(plane, eidx, 0)) == sorted(vecs)
         # coset representatives: chunk 0 is 1, every row pivot chunk is 0
         bases = plane.bases[eidx]
         assert len(bases) == plane.order and list(bases) == sorted(set(bases))
@@ -276,28 +283,25 @@ def _common_points(plane, l1, l2):
     if e1 == e2:
         return 1 if b1 != b2 else None  # parallel class meets at the element point
     count = 0
-    for p in plane.line_points(e1, b1):
+    for p in affine_line(plane, e1, b1):
         if plane.base_of(e2, p) == b2:
             count += 1
     return count  # element points differ, so only affine meetings count
 
 
-def _bytearray_axioms_oracle(plane, seed=0, samples=2000):
-    """The exhaustive plane check with an n^2 byte coverage table."""
+def _pair_table(plane):
+    """(pairs, collisions, first witness) from an n^2 byte coverage table."""
     n = plane.n_points
     order = plane.order
-    quadrangle = _quadrangle_ok(plane)
-    rng = random.Random(seed)
-    witness = None
-    all_affine = sorted(p for b in plane.bases[0] for p in plane.line_points(0, b))
+    all_affine = sorted(p for b in plane.bases[0] for p in affine_line(plane, 0, b))
     affine_ids = {p: i for i, p in enumerate(all_affine)}
     buf = bytearray(n * n)
-    pairs = 0
-    collisions = 0
+    pairs = collisions = 0
+    witness = None
     lines = [
-        sorted(affine_ids[p] for p in plane.line_points(eidx, base))
+        sorted(affine_ids[p] for p in affine_line(plane, eidx, base))
         + [order * order + eidx]
-        for eidx, base in plane.lines()
+        for eidx, base in plane_lines(plane)
     ]
     lines.append(list(range(order * order, n)))
     for ids in lines:
@@ -311,11 +315,21 @@ def _bytearray_axioms_oracle(plane, seed=0, samples=2000):
                 else:
                     buf[row + b] = 1
                 pairs += 1
+    return pairs, collisions, witness
+
+
+def _bytearray_axioms_oracle(plane, seed=0, samples=2000):
+    """The exhaustive plane check with an n^2 byte coverage table."""
+    n = plane.n_points
+    order = plane.order
+    quadrangle = _quadrangle_ok(plane)
+    rng = random.Random(seed)
+    pairs, collisions, witness = _pair_table(plane)
     covered_ok = pairs == n * (n - 1) // 2
     if not covered_ok and witness is None:
         witness = ("pair count", pairs, n * (n - 1) // 2)
     line_pairs = 0
-    all_lines = list(plane.lines()) + ["inf"]
+    all_lines = list(plane_lines(plane)) + ["inf"]
     for _ in range(min(samples, 2000)):
         l1, l2 = rng.sample(all_lines, 2)
         c = _common_points(plane, l1, l2)
@@ -340,16 +354,29 @@ def _bytearray_axioms_oracle(plane, seed=0, samples=2000):
 
 
 def _forged(plane):
-    """The plane over the same spread with element 1 a copy of element 0."""
+    """The plane over the same spread with element 1 a copy of element 0,
+    indexed point by point: no Spread.reduced, so only the oracles take it."""
     good = plane.spread
     elements = list(good.elements)
     elements[1] = elements[0]
-    forged = object.__new__(Spread)  # Spread() itself refuses overlaps
+    forged = object.__new__(Spread)  # Spread.reduced checks its sources
     forged.elements = tuple(elements)
     forged.space = good.space
     forged.sources = forged.source_space = forged.source_index = None
     forged.index = {p: idx for idx, el in enumerate(elements) for p in el.points()}
     return build_plane(plane.maps, forged)
+
+
+def _forged_reduced(hk):
+    """The canonical plane of GF(2^h) < GF(2^hk) over a Spread.reduced in
+    which element 1 copies element 0's rows but keeps its own source."""
+    maps = maps_for(tower_create(*hk))
+    good = maps.abb_spread
+    elements = list(good.elements)
+    elements[1] = elements[0]
+    forged = Spread.reduced(elements, good.space, maps.tower, good.sources,
+                            good.source_space)
+    return build_plane(maps, forged)
 
 
 @pytest.fixture(scope="module")
@@ -359,29 +386,32 @@ def forged321(setup321):
     return _forged(plane)
 
 
-def test_bitset_coverage_matches_oracle(setup321):
+def test_fibre_certificate_matches_the_pair_table_oracle(setup321):
     _, _, _, plane = setup321
-    rep = plane_axioms_check(plane, mode="exhaustive", seed=3, samples=300)
+    rep = plane_axioms_check(plane, seed=3, samples=300)
     assert rep == _bytearray_axioms_oracle(plane, seed=3, samples=300)
     assert rep.ok and rep.collisions == 0
 
 
 def test_bitset_coverage_matches_oracle_on_forged_plane(forged321):
-    rep = plane_axioms_check(forged321, mode="exhaustive", seed=3, samples=300)
-    oracle = _bytearray_axioms_oracle(forged321, seed=3, samples=300)
-    assert rep == oracle
-    assert not rep.ok
-    assert rep.collisions > 0
-    assert rep.witness[0] == "pair on two lines"
+    pairs, collisions, witness = pair_scan(forged321)
+    assert (pairs, collisions, witness) == _pair_table(forged321)
+    assert collisions > 0
+    assert witness[0] == "pair on two lines"
     # every pair on an element-0 line is covered twice, element 1 adds none
-    assert rep.pairs_checked == 4161 * 4160 // 2
+    assert pairs == 4161 * 4160 // 2
 
 
 def test_sampled_mode_catches_forged_plane(forged321):
-    rep = plane_axioms_check(forged321, mode="sampled", seed=5, samples=600)
+    rep = sampled_check(forged321, _quadrangle_ok(forged321), seed=5, samples=600)
     assert not rep.ok
     assert rep.collisions > 0
     assert rep.witness is not None
+
+
+def test_plane_check_refuses_a_spread_that_is_not_reduced(forged321):
+    with pytest.raises(InvalidSpread, match="Spread.reduced"):
+        plane_axioms_check(forged321)
 
 
 @pytest.mark.parametrize("which", ["valid", "forged"])
@@ -447,7 +477,7 @@ def test_rank_meet_matches_common_points_on_forged_plane(forged321):
 
 def test_line_at_follows_lines(setup321):
     _, _, _, plane = setup321
-    lines = list(plane.lines()) + ["inf"]
+    lines = list(plane_lines(plane)) + ["inf"]
     assert len(lines) == plane.n_lines
     assert [plane.line_at(i) for i in range(plane.n_lines)] == lines
 
@@ -455,8 +485,8 @@ def test_line_at_follows_lines(setup321):
 def test_direction_marks_count_the_pair_scan_collisions(forged321):
     # 9 directions of element 0 repeat on its copy, (q - 1) vectors each,
     # and each vector is the difference of q^2k / 2 affine pairs
-    repeats, witness = _direction_marks(forged321, 4096)
-    pairs, collisions, _ = _pair_scan(forged321, None)
+    repeats, witness = direction_marks(forged321)
+    pairs, collisions, _ = pair_scan(forged321)
     assert repeats == 9
     assert collisions == repeats * 7 * 2048 == 129024
     assert witness[:1] + witness[2:] == ("direction on two elements", 0, 1)
@@ -464,31 +494,57 @@ def test_direction_marks_count_the_pair_scan_collisions(forged321):
     assert pairs == 4161 * 4160 // 2
 
 
-def test_forged_421_fails_by_direction_without_a_pair_table():
-    plane = _forged(build_plane(maps_for(tower_create(4, 2))))
-    assert plane.n_points == 65793
+@pytest.mark.parametrize("hk, points", [((3, 2), 4161), ((4, 2), 65793)])
+def test_forged_reduced_spread_fails_by_its_fibres(hk, points):
+    # witnesses on both sides of 8,192 points, with no table over the
+    # points or the q^2k vectors (a pair table at (4,2,1) is ~541 MB)
+    plane = _forged_reduced(hk)
+    assert plane.n_points == points
     tracemalloc.start()
     try:
-        rep = plane_axioms_check(plane, mode="exhaustive", seed=3, samples=300)
+        rep = plane_axioms_check(plane, seed=3, samples=300)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the pair table would be 65793^2 / 8 bytes, ~541 MB
-    assert peak < 4 * 2**20
-    assert not rep.ok and rep.path == "translation"
-    assert rep.witness[0] == "direction on two elements"
-    assert rep.witness[2:] == (0, 1)
-    # the quadrangle's direction 1 lay on the element the copy replaced
-    assert not rep.quadrangle_ok
-    # 17 directions repeat, 15 vectors each, 2^16 / 2 pairs per vector
-    assert rep.collisions >= 17 * 15 * 2**15
-    assert rep.pairs_checked == 65793 * 65792 // 2
+    assert peak < 2**20
+    assert not rep.ok and rep.path == "fibres"
+    row = plane.spread.elements[0].rows[0]
+    assert rep.witness == ("element row in another fibre", 1, row, 0)
+    assert rep.pairs_checked == points * (points - 1) // 2
+
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1), (3, 3, 1)])
+def test_fibre_certificate_agrees_with_direction_marks(hki):
+    _, plane, _ = _plane_case(hki)
+    forged = _forged_reduced(hki[:2])
+    for p in (plane, forged):
+        repeats, _ = direction_marks(p)
+        assert plane_axioms_check(p).ok == (repeats == 0)
+    assert plane_axioms_check(plane).ok
+
+
+def test_fibre_certificate_names_an_element_of_the_wrong_rank():
+    # every element cut to its first row: each still lies in its own fibre
+    maps = maps_for(tower_create(3, 2))
+    good = maps.abb_spread
+    cut = [Subspace(el.rows[:1], good.space) for el in good.elements]
+    spread = Spread.reduced(cut, good.space, maps.tower, good.sources, good.source_space)
+    rep = plane_axioms_check(build_plane(maps, spread))
+    assert not rep.ok
+    assert rep.witness == ("element rank", 0, 1, 2)
+    assert rep.collisions >= 65
+
+
+def test_fibre_certificate_obeys_the_budget(setup321):
+    _, _, _, plane = setup321
+    calls = 2 * 65  # k rows of each of the q^k + 1 elements
+    assert plane_axioms_check(plane, budget=calls).ok
+    with pytest.raises(EnumerationTooLarge) as exc:
+        plane_axioms_check(plane, budget=calls - 1)
+    assert exc.value.estimate == calls
 
 
 def test_pair_scan_fallback_obeys_the_budget(forged321):
     with pytest.raises(EnumerationTooLarge) as exc:
-        plane_axioms_check(forged321, mode="exhaustive", budget=4161 ** 2 - 1)
+        pair_scan(forged321, budget=4161 ** 2 - 1)
     assert exc.value.estimate == 4161 ** 2
-    with pytest.raises(EnumerationTooLarge) as exc:
-        plane_axioms_check(forged321, mode="exhaustive", budget=4095)
-    assert exc.value.estimate == 4096

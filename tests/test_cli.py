@@ -116,6 +116,14 @@ def test_missing_required_flag_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["verify-all", "bruck-bose-verify"])
+def test_plane_mode_is_no_option(command):
+    # one exhaustive plane check at every size, nothing to choose
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--h", "3", "--k", "2", "--i", "1", "--plane-mode", "sampled"])
+    assert exc.value.code == 2
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("this is not json\n")

@@ -11,7 +11,7 @@ from hoval import hyperoval
 from hoval.errors import NoLongSecants
 from hoval.pipeline import STAGE_ORDER, run_verify_all
 from hoval.projective import ProjSpace
-from hoval.reduction import CorrespondenceMaps, Spread
+from hoval.reduction import CorrespondenceMaps
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +153,7 @@ def test_verify_all_enumerates_no_spread(monkeypatch):
         raise AssertionError("the pipeline must not enumerate a spread's points")
 
     monkeypatch.setattr(reduction, "_MAPS_CACHE", {})
-    monkeypatch.setattr(Spread, "__init__", refuse)
+    monkeypatch.setattr(reduction.ReductionIndex, "__iter__", refuse)
     rep = run_verify_all(3, 3, 1)
     assert rep.verdict == "pass"
     assert rep.stage("spread").data["hit_once"] == 511
@@ -231,16 +231,25 @@ def test_a4_obeys_the_run_budget(budget, ran):
 
 def test_plane_stage_reports_its_axioms_path(full321):
     pl = full321.stage("plane").data
-    assert (pl["axioms_mode"], pl["axioms_path"]) == ("exhaustive", "translation")
+    assert (pl["axioms_mode"], pl["axioms_path"]) == ("exhaustive", "fibres")
     assert pl["pairs_checked"] == 4161 * 4160 // 2 == 8654880
+    assert "plane_mode" not in full321.params
 
 
 def test_auto_plane_check_is_exhaustive_at_331():
-    # q^2k = 2^18 direction marks instead of 2,000 spot checks
+    # 3 x 513 element_of calls, no array over the 2^18 vectors
     pl = run_verify_all(3, 3, 1, stages=("plane",)).stage("plane").data
     assert pl["axioms_ok"]
-    assert (pl["axioms_mode"], pl["axioms_path"]) == ("exhaustive", "translation")
+    assert (pl["axioms_mode"], pl["axioms_path"]) == ("exhaustive", "fibres")
     assert pl["pairs_checked"] == 262657 * 262656 // 2
+
+
+def test_plane_check_is_exhaustive_at_hk_12():
+    # 3 x 4,097 element_of calls where 2,000 spot checks used to run
+    pl = run_verify_all(4, 3, 1, stages=("plane",)).stage("plane").data
+    assert pl["axioms_ok"]
+    assert (pl["axioms_mode"], pl["axioms_path"]) == ("exhaustive", "fibres")
+    assert pl["pairs_checked"] == 16781313 * 16781312 // 2
 
 
 def test_run_artifacts_stay_out_of_the_report(full321):

@@ -9,6 +9,7 @@ from hoval.errors import EnumerationTooLarge, InvalidSpread, NotAffine
 from hoval.gf2 import tower_create
 from hoval.projective import ProjSpace, Subspace
 from hoval.reduction import CorrespondenceMaps, Spread, field_reduction_spread, maps_for
+from oracles import partition_index
 
 
 # --- independent oracles for the maps and spreads ------------------------------
@@ -55,16 +56,16 @@ def bc_spread_of(maps, p):
 
 
 def s_tilde(maps):
-    """(hk-1)-spread of PG(2hk-1, 2) matching the line at infinity: the
-    GF(2)-expansion of the elements of abb_spread, checked point by point
-    by the enumerating Spread constructor."""
-    base = maps.abb_spread
+    """Elements of the (hk-1)-spread of PG(2hk-1, 2) matching the line at
+    infinity: the GF(2)-expansion of the elements of abb_spread, checked
+    point by point by the partition oracle."""
     h = maps.tower.h
     els = []
-    for el in base.elements:
+    for el in maps.abb_spread.elements:
         rows = [maps.hinf.smul(1 << b, r) for r in el.rows for b in range(h)]
         els.append(Subspace(maps.hinf2.rref(rows), maps.hinf2))
-    return Spread(els, maps.hinf2, base.sources, base.source_space)
+    partition_index(els, maps.hinf2)
+    return els
 
 
 @pytest.fixture(scope="module")
@@ -103,12 +104,25 @@ def test_line_spread_of_pg3_8(t32):
 
 def test_spread_partition_guard(t32):
     s = field_reduction_spread(t32, 2)
+    assert partition_index(s.elements, s.space) == dict(s.index.items())
     # duplicating an element must be caught
-    with pytest.raises(InvalidSpread):
-        Spread(list(s.elements) + [s.elements[0]], s.space)
+    with pytest.raises(InvalidSpread, match="lies in elements 0 and 65"):
+        partition_index(list(s.elements) + [s.elements[0]], s.space)
     # dropping one leaves points uncovered
-    with pytest.raises(InvalidSpread):
-        Spread(s.elements[:-1], s.space)
+    with pytest.raises(InvalidSpread, match="cover 576 of 585"):
+        partition_index(s.elements[:-1], s.space)
+
+
+def test_reduced_spread_refuses_a_singular_coordinate_change(t32):
+    # with a singular M the fibres of distinct sources share its kernel,
+    # so the sources alone no longer make the elements a partition
+    s = field_reduction_spread(t32, 2)
+    singular = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0]]
+    with pytest.raises(InvalidSpread, match="singular"):
+        Spread.reduced(s.elements, s.space, t32, s.sources, s.source_space, singular)
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    again = Spread.reduced(s.elements, s.space, t32, s.sources, s.source_space, identity)
+    assert [again.element_of(p) for p in s.elements[7].points()] == [7] * 9
 
 
 def test_reduced_spread_refuses_duplicate_and_missing_sources(t32):
@@ -221,7 +235,7 @@ def test_s_tilde_is_refined_by_s_prime(maps32):
     sp = maps32.s_prime
     st = s_tilde(maps32)
     assert len(st) == 65
-    for el in st.elements:
+    for el in st:
         fibers = Counter(sp.index[p] for p in el.points())
         assert len(fibers) == 9
         assert all(c == 7 for c in fibers.values())
