@@ -28,57 +28,38 @@ from .reduction import CorrespondenceMaps, ReductionIndex, Spread
 
 
 class BruckBosePlane:
-    __slots__ = (
-        "maps", "spread", "tabs", "mask", "bases", "order",
-        "n_points", "n_lines",
-    )
+    __slots__ = ("maps", "spread", "rows", "mask", "order", "n_points", "n_lines")
 
     def __init__(self, maps: CorrespondenceMaps, spread: Spread):
         amb = maps.ambient
         h = maps.tower.h
         self.maps = maps
         self.spread = spread
-        q = amb.q
         rank = len(spread.elements[0].rows)
-        self.order = q**rank
+        self.order = amb.q**rank
         self.mask = amb.chunk_mask
-        tabs = []
-        bases = []
-        cosets_by_free: dict = {}
-        width = amb.width
+        rows = []
         for el in spread.elements:
-            rows = tuple(r << h for r in el.rows)
-            # per row: (pivot shift, the q multiples of the row)
-            tab = tuple(
-                (amb.pivot(r) * h, tuple(amb.smul(c, r) for c in range(q)))
-                for r in rows
-            )
-            tabs.append(tab)
-            pivots = {amb.pivot(r) for r in rows}
-            free = tuple(c for c in range(1, width) if c not in pivots)
-            if len(free) != width - 1 - rank:
+            lifted = tuple((amb.pivot(r << h) * h, r << h) for r in el.rows)
+            if len({s for s, _ in lifted if s}) != rank:
                 raise InvalidSpread("element pivots collide with the affine chunk")
-            cosets = cosets_by_free.get(free)
-            if cosets is None:
-                vecs = [1]
-                for c in free:
-                    vecs = [v | (val << (c * h)) for v in vecs for val in range(q)]
-                cosets = cosets_by_free[free] = tuple(sorted(vecs))
-            bases.append(cosets)
-        self.tabs = tuple(tabs)
-        self.bases = tuple(bases)
+            rows.append(lifted)
+        self.rows = tuple(rows)
         self.n_points = self.order**2 + len(spread.elements)
         self.n_lines = self.order * len(spread.elements) + 1
 
     def base_of(self, eidx: int, p: int) -> int:
         """Coset representative of affine point p along element eidx.
 
-        Clears the pivot chunks of the element's lifted rows in turn, as
-        ProjSpace.reduce does, reading each row multiple from its table.
+        ProjSpace.reduce over the element's lifted rows, with their pivots
+        found when the plane was built: one ambient smul per pivot chunk.
         """
         mask = self.mask
-        for shift, multiples in self.tabs[eidx]:
-            p ^= multiples[(p >> shift) & mask]
+        smul = self.maps.ambient.smul
+        for shift, row in self.rows[eidx]:
+            c = (p >> shift) & mask
+            if c:
+                p ^= smul(c, row)
         return p
 
     def line_through(self, p: int, r: int):
@@ -89,12 +70,21 @@ class BruckBosePlane:
         return eidx, self.base_of(eidx, p)
 
     def line_at(self, idx: int):
-        """Line number idx: element by element, each element's lines in
-        the order of its bases, then "inf" last."""
+        """Line number idx: element by element, then "inf" last.
+
+        Line j of element eidx has chunk 0 equal to 1, zero pivot chunks and
+        the base-q digits of j in the free chunks, lowest digit lowest (so
+        the bases ascend): a zero chunk is pushed in at each pivot of j << h.
+        """
         if idx == self.n_lines - 1:
             return "inf"
         eidx, j = divmod(idx, self.order)
-        return eidx, self.bases[eidx][j]
+        h = self.maps.tower.h
+        base = j << h
+        for shift in sorted(s for s, _ in self.rows[eidx]):
+            low = base & ((1 << shift) - 1)
+            base = low | (base ^ low) << h
+        return eidx, base | 1
 
     def meet(self, l1, l2) -> int:
         """Number of common points of two distinct lines.
@@ -114,11 +104,11 @@ class BruckBosePlane:
             return 1
         amb = self.maps.ambient
         rest: list = []
-        for _, multiples in self.tabs[e2]:
-            v = amb.reduce(self.base_of(e1, multiples[1]), rest)
+        for _, row in self.rows[e2]:
+            v = amb.reduce(self.base_of(e1, row), rest)
             if v:
                 rest.append(amb.normalize(v))
-        if len(rest) < len(self.tabs[e2]) and amb.reduce(self.base_of(e1, b1 ^ b2), rest):
+        if len(rest) < len(self.rows[e2]) and amb.reduce(self.base_of(e1, b1 ^ b2), rest):
             return 0
         return self.order // amb.q ** len(rest)
 
@@ -325,6 +315,7 @@ def _histogram_by_basis(q_points: AffinePointSet, plane: BruckBosePlane, extra):
     h = plane.maps.tower.h
     basis = translation_basis(q_points)
     n = len(q_points)
+    order = plane.order
     c0 = q_points.ordered[0]
     histogram: dict = {}
     witness = None
@@ -334,15 +325,15 @@ def _histogram_by_basis(q_points: AffinePointSet, plane: BruckBosePlane, extra):
         meet = 1 << (h * len(el.rows) - len(f2_echelon(gens)))
         bonus = 1 if eidx in extra else 0
         hit = n // meet
-        for count, lines in ((meet + bonus, hit),
-                             (bonus, len(plane.bases[eidx]) - hit)):
+        for count, lines in ((meet + bonus, hit), (bonus, order - hit)):
             if not lines:
                 continue
             histogram[count] = histogram.get(count, 0) + lines
             if witness is None and count not in (0, 2):
                 if count == bonus:
                     met = {plane.base_of(eidx, p) for p in q_points.ordered}
-                    base = next(b for b in plane.bases[eidx] if b not in met)
+                    lines_of = (plane.line_at(eidx * order + j)[1] for j in range(order))
+                    base = next(b for b in lines_of if b not in met)
                 else:
                     base = plane.base_of(eidx, c0)
                 witness = ("line", eidx, base, count)

@@ -13,7 +13,8 @@ detect-pseudoregulus, build-spread, bruck-bose-verify and bj-axioms are
 views: each runs its stages through run_verify_all and projects the stage
 data, so a view checks exactly what verify-all checks.
 
-Set HOVAL_PARALLEL to change the default worker count of --parallel.
+Only spectrum and verify-all take --parallel; set HOVAL_PARALLEL to change
+its default.  construct and directions enumerate nothing, so take no --budget.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ def _default_parallel() -> int:
         return max(1, int(raw))
     except ValueError:
         return 1
+
+
+def _processes(args) -> int:
+    if args.parallel < 1:
+        raise ParseError(f"--parallel must be at least 1, got {args.parallel}")
+    return args.parallel
 
 
 def _budget(args) -> int | None:
@@ -124,6 +131,7 @@ def _dirs_from_file(path: str):
 
 
 def _cmd_spectrum(args) -> int:
+    processes = _processes(args)
     if args.infile:
         spec, maps, d = _dirs_from_file(args.infile)
     else:
@@ -132,12 +140,12 @@ def _cmd_spectrum(args) -> int:
         hov = build_hyperoval(_spec(args))
         spec, maps = hov.spec, hov.maps
         d = directions(hov.affine, maps)
-    # the cyclic group verify-all reads the spectrum from, under its gate
+    # the cyclic group verify-all checks, under its gate
     candidate = None
-    if args.mode == "pairs" and spec.is_strict_case:
+    if spec.is_strict_case:
         candidate = cyclic_candidate(maps, spec.i)
     hist = spectrum(
-        d, mode=args.mode, budget=_budget(args), processes=args.parallel,
+        d, mode=args.mode, budget=_budget(args), processes=processes,
         candidate=candidate,
     )
     conforms, offender = spectrum_conforms(hist, 1 << spec.h)
@@ -158,7 +166,6 @@ def _pipeline(args, stages, **options):
         args.i,
         strict=not args.allow_nonstrict,
         budget=_budget(args),
-        processes=args.parallel,
         stages=stages,
         **options,
     )
@@ -274,6 +281,7 @@ def _cmd_bj_axioms(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    processes = _processes(args)
     stages = None
     if args.stages is not None:
         stages = tuple(s.strip() for s in args.stages.split(",") if s.strip())
@@ -282,7 +290,8 @@ def _cmd_verify_all(args) -> int:
         for name in stages:
             if name not in STAGE_ORDER:
                 raise ParseError(f"unknown stage {name!r}, pick from {STAGE_ORDER}")
-    rep = _pipeline(args, stages, mode=args.mode, seed=args.seed)
+    rep = _pipeline(args, stages, mode=args.mode, seed=args.seed,
+                    processes=processes)
     _emit(args, rep.to_json_dict())
     return _exit_code(rep)
 
@@ -298,12 +307,14 @@ def _add_params(p, required=True):
                    help="accept exponents with gcd(i, hk) > 1")
 
 
-def _add_common(p):
-    p.add_argument("--budget", type=int, default=None,
-                   help="enumeration budget (0 removes the limit)")
-    p.add_argument("--parallel", type=int, default=_default_parallel(),
-                   help="worker processes for the exhaustive line tally, "
-                   "at least 1, capped at the CPU count")
+def _add_common(p, budget=True, parallel=False):
+    if budget:
+        p.add_argument("--budget", type=int, default=None,
+                       help="enumeration budget (0 removes the limit)")
+    if parallel:
+        p.add_argument("--parallel", type=int, default=_default_parallel(),
+                       help="worker processes for the exhaustive line tally, "
+                       "at least 1, capped at the CPU count")
     p.add_argument("--out", help="write the JSON document to this file")
 
 
@@ -316,17 +327,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build the point set and print it")
     _add_params(p)
-    _add_common(p)
+    _add_common(p, budget=False)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("directions", help="direction set of the affine points")
     _add_params(p)
-    _add_common(p)
+    _add_common(p, budget=False)
     p.set_defaults(func=_cmd_directions)
 
     p = sub.add_parser("spectrum", help="line meet counts of the direction set")
     _add_params(p, required=False)
-    _add_common(p)
+    _add_common(p, parallel=True)
     p.add_argument("--in", dest="infile",
                    help="read a directions JSON file instead of constructing")
     p.add_argument("--mode", choices=("pairs", "exhaustive"), default="pairs")
@@ -359,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run the full verification pipeline")
     _add_params(p)
-    _add_common(p)
+    _add_common(p, parallel=True)
     p.add_argument("--mode", choices=("pairs", "exhaustive"), default="pairs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stages", help="comma separated stage subset")
@@ -371,8 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.parallel < 1:
-            raise ParseError(f"--parallel must be at least 1, got {args.parallel}")
         if args.out:
             _check_writable(args.out)
         return args.func(args)

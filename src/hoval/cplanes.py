@@ -225,8 +225,8 @@ def _a4_base_point(family: CPlaneFamily, space, symmetry=None, budget=None) -> A
     totals follow from transitivity: n/q times the family planes through a,
     n/4 times the four-point planes through a.
 
-    `symmetry` is the cyclic group of a direction set D that a pairs-mode
-    spectrum verified (SpectrumHistogram.symmetry).  When the n-1
+    `symmetry` is the cyclic group of a direction set D that the spectrum
+    verified (SpectrumHistogram.symmetry).  When the n-1
     directions a ^ b are pairwise distinct and are exactly D, the bins are
     the lines with two or more points of D, and the verdict is read from the
     group (_a4_from_symmetry) instead of scanning; a failing verdict is

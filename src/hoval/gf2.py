@@ -307,7 +307,7 @@ class Tower:
     __slots__ = (
         "h", "k", "hk", "small", "big", "root",
         "_embed_table", "_unembed", "basis",
-        "_fwd_col", "_inv_col", "_vec_table", "_unvec_table",
+        "_fwd_col", "_inv_col", "_vec_table",
     )
 
     def __init__(self, h: int, k: int, small: Field, big: Field):
@@ -399,12 +399,10 @@ class Tower:
                 inv_col[j] |= ((inv_rows[i] >> j) & 1) << i
         self._fwd_col = fwd_col
         self._inv_col = inv_col
-        if self.big.q <= 1 << 16:
-            self._vec_table = [self._vec_packed_slow(t) for t in range(self.big.q)]
-            self._unvec_table = None
-        else:
-            self._vec_table = None
-            self._unvec_table = None
+        self._vec_table = (
+            [self._vec_packed_slow(t) for t in range(self.big.q)]
+            if self.big.m <= TABLE_LIMIT else None
+        )
 
     def _vec_packed_slow(self, t: int) -> int:
         out = 0

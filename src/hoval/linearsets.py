@@ -19,7 +19,7 @@ same number c_j of j-secants, so the spectrum N_j = |D| c_j / j is read
 off the |D| - 1 lines through d0.  The verified CyclicSymmetry also gives
 the long secants (pseudoregulus) and the A4 bins (cplanes) without a pair
 scan.  A set that fails the check takes the pair scan, and a call without
-a candidate always does.
+a candidate always does.  The line tally only hands a verified group on.
 
 Only the line tally runs in worker processes, at most one per CPU; the pair
 scan and the cyclic-group path run in the calling process.  The worker pool
@@ -62,9 +62,9 @@ class SpectrumHistogram:
 
     When the pair scan ran, `multiplicities` keeps its map from each line
     through two or more points to its pair count, for find_long_secants;
-    when the cyclic-group path ran, `symmetry` keeps the verified group, for
-    find_long_secants and A4.  Either spares them a second pass over the
-    pairs.
+    when a candidate was verified, in either mode, `symmetry` keeps the
+    group, for find_long_secants and A4.  Either spares them a second pass
+    over the pairs.
     """
 
     counts: dict
@@ -301,6 +301,15 @@ def _worker_tally(task) -> Counter:
     return _tally_pattern(_W["space"], _W["dset"], _W["classes"], task)
 
 
+def _verified_group(dirs, pts, space: ProjSpace, candidate, budget):
+    """cyclic_symmetry of the candidate on the set; None without one."""
+    if candidate is None:
+        return None
+    check_group_budget(len(pts), budget)
+    d = dirs if isinstance(dirs, DirectionSet) else DirectionSet(pts, space)
+    return cyclic_symmetry(d, candidate)
+
+
 def spectrum(
     dirs,
     space: ProjSpace | None = None,
@@ -318,9 +327,10 @@ def spectrum(
     incidence total |D| (q^n - 1)/(q - 1).  Both give the same histogram;
     exhaustive is the independent cross-check.
 
-    In pairs mode a `candidate` collineation (cyclic_candidate) that
-    cyclic_symmetry verifies on the set gives the multi-point lines from
-    the lines through one point; otherwise the C(|D|, 2) pairs are scanned.
+    A `candidate` collineation (cyclic_candidate) is verified on the set in
+    either mode.  In pairs mode the group gives the multi-point lines from
+    the lines through one point, else the C(|D|, 2) pairs are scanned; the
+    tally counts every line and only hands the group on.
     The budget charges each path what it computes, before it runs: |D| - 1
     line keys for the group, C(|D|, 2) for the pair scan, and for the tally
     #r1 (q - 1 + |D_p0|) summed over the pivot patterns (p0, p1).
@@ -342,15 +352,12 @@ def spectrum(
         raise ValueError(f"unknown mode {mode!r}")
 
     if mode == "pairs":
-        if candidate is not None:
-            check_group_budget(len(pts), budget)
-            d = dirs if isinstance(dirs, DirectionSet) else DirectionSet(pts, space)
-            symmetry = cyclic_symmetry(d, candidate)
-            if symmetry is not None:
-                counts = _complete_counts(symmetry.lines, len(pts), space)
-                return SpectrumHistogram(
-                    counts, "pairs", space.nlines(), len(pts), symmetry=symmetry
-                )
+        symmetry = _verified_group(dirs, pts, space, candidate, budget)
+        if symmetry is not None:
+            counts = _complete_counts(symmetry.lines, len(pts), space)
+            return SpectrumHistogram(
+                counts, "pairs", space.nlines(), len(pts), symmetry=symmetry
+            )
         mult = _pair_multiplicities(pts, space, budget)
         counts = _complete_counts(
             _lines_from_multiplicities(mult), len(pts), space
@@ -366,6 +373,7 @@ def spectrum(
     )
     if budget is not None and est > budget:
         raise EnumerationTooLarge(est, budget, "exhaustive line tally")
+    symmetry = _verified_group(dirs, pts, space, candidate, budget)
     workers = min(processes, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -388,7 +396,8 @@ def spectrum(
     incident = sum(j * c for j, c in counts.items())
     if incident != len(pts) * projective_points_count(space.n, q):
         raise AssertionError(f"tallied {incident} incidences for {len(pts)} points")
-    return SpectrumHistogram(counts, "exhaustive", space.nlines(), len(pts))
+    return SpectrumHistogram(counts, "exhaustive", space.nlines(), len(pts),
+                             symmetry=symmetry)
 
 
 # -- GF(2)-linear structure ----------------------------------------------------

@@ -4,7 +4,7 @@ The pipeline runs a fixed sequence of stages, each wrapping one module:
 
     construct      build the point set, count it, check translation closure
     spectrum       direction counts of affine lines against {0, 1, 3, q-1},
-                   from a verified cyclic symmetry of D when one is found
+                   in pairs mode from a verified cyclic symmetry of D
     linearity      binary-linearity witness and scatteredness of the
                    direction set against the canonical subline spread
     pseudoregulus  long secants, transversals, semilinear exponent fit
@@ -169,9 +169,9 @@ def _stage_spectrum(run: _Run) -> tuple[bool, dict]:
     spec = run.spec
     run.dirs = directions(run.hov.affine, run.hov.maps)
     # M(x, y) = (g x, g^(2^i) y) acts regularly on D when gcd(i, hk) = 1;
-    # the spectrum checks it on D before reading anything off it
+    # the spectrum checks it on D in either mode before anything reads it
     candidate = None
-    if run.mode == "pairs" and spec.is_strict_case:
+    if spec.is_strict_case:
         candidate = cyclic_candidate(run.hov.maps, spec.i)
     hist = spectrum(
         run.dirs, mode=run.mode, budget=run.budget, processes=run.processes,

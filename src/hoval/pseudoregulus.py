@@ -72,9 +72,9 @@ def find_long_secants(
 ) -> SecantStructure:
     """Locate the (q-1)-secants and check they partition D.
 
-    `symmetry` is the cyclic group a pairs-mode spectrum of the same D
-    verified (SpectrumHistogram.symmetry); the secants are then the orbit
-    of the one through min D (_orbit_secants).  Otherwise `multiplicities`
+    `symmetry` is the cyclic group a spectrum of the same D verified
+    (SpectrumHistogram.symmetry); the secants are then the orbit of the one
+    through min D (_orbit_secants).  Otherwise `multiplicities`
     is the pair map a pairs-mode spectrum of D scanned
     (SpectrumHistogram.multiplicities), and without either the pairs are
     scanned here.  The budget charges |D| - 1 line keys on the group path
@@ -183,7 +183,6 @@ class Transversals:
     t_inf: Subspace
     side0: tuple  # per secant, its point on t0
     side_inf: tuple  # per secant, its point on t_inf
-    anchor: int
 
 
 def _rank_for_point_count(m: int, q: int) -> int:
@@ -242,9 +241,7 @@ def extract_transversals(
             )
     if len(space.rref(t0.rows + t_inf.rows)) != space.width:
         raise TransversalExtractionFailed("transversals do not span the space")
-    return Transversals(
-        t0=t0, t_inf=t_inf, side0=tuple(side0), side_inf=tuple(side_inf), anchor=anchor
-    )
+    return Transversals(t0=t0, t_inf=t_inf, side0=tuple(side0), side_inf=tuple(side_inf))
 
 
 def transversal_map(transversals: Transversals) -> dict:
@@ -306,8 +303,6 @@ class SemilinearFit:
     exponents: frozenset  # all exponents accepted over both labelings
     labeling: str  # "standard" or "swapped" for the primary fit
     matrix: tuple  # coordinate change, detected -> canonical, row tuples
-    scalars: tuple  # the projective rescaling constants c_2..c_k
-    rho: int  # field constant absorbed while normalizing the fit
     fits: tuple  # every accepted (labeling, exponent) pair
 
 
@@ -423,7 +418,7 @@ def _fit_candidates(
 ):
     """Every candidate coordinate change the fit tests, in order.
 
-    Yields (labeling, j, matrix, scalars, rho, to_field) for each
+    Yields (labeling, j, matrix, to_field) for each
     transversal labeling and each exponent j prime to hk whose fitted
     matrix sends d0 = min D to (t, rho t^(2^j)) with t != 0 and rho in
     GF(q).  The yielded matrix has its second block divided by rho, and
@@ -490,7 +485,7 @@ def _fit_candidates(
                 ]
                 m = m[:k] + mat_mul(n, m[k:], space.field)
                 to_field = LinearMap.from_matrix(m, space).then(spell)
-            yield label, j, m, tuple(scalars), rho, to_field
+            yield label, j, m, to_field
 
 
 def fit_semilinear(
@@ -518,24 +513,20 @@ def fit_semilinear(
     tower = maps.tower
     space = maps.hinf
     accepted = []
-    for label, j, m, scalars, rho, to_field in _fit_candidates(
-        dirs, transversals, fmap, maps
-    ):
+    for label, j, m, to_field in _fit_candidates(dirs, transversals, fmap, maps):
         if _preserves_spread(m, maps, space) and _canonical_image(
             to_field, dirs, tower, j
         ):
-            accepted.append((label, j, tuple(tuple(r) for r in m), scalars, rho))
+            accepted.append((label, j, tuple(tuple(r) for r in m)))
     if not accepted:
         raise SemilinearFitFailed("no exponent fits the secant bijection")
     accepted.sort(key=lambda a: (a[0] != "standard", a[1]))
-    label, j, m, scalars, rho = accepted[0]
+    label, j, m = accepted[0]
     return SemilinearFit(
         exponent=j,
         exponents=frozenset(a[1] for a in accepted),
         labeling=label,
         matrix=m,
-        scalars=scalars,
-        rho=rho,
         fits=tuple((a[0], a[1]) for a in accepted),
     )
 

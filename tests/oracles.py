@@ -324,10 +324,10 @@ def histogram_by_scan(q_points, plane, extra):
     """(histogram, witness) of the affine lines' meets, line by line."""
     histogram: dict = {}
     witness = None
-    for eidx, bases in enumerate(plane.bases):
+    for eidx in range(len(plane.spread.elements)):
         counts = Counter(plane.base_of(eidx, p) for p in q_points.ordered)
         bonus = 1 if eidx in extra else 0
-        for base in bases:
+        for base in coset_bases(plane, eidx):
             c = counts.get(base, 0) + bonus
             histogram[c] = histogram.get(c, 0) + 1
             if c not in (0, 2) and witness is None:
@@ -353,18 +353,42 @@ def partition_index(elements, space: ProjSpace) -> dict:
 
 # -- the Bruck-Bose plane axioms, pair by pair and direction by direction -----
 
+def row_multiples(plane, eidx: int) -> tuple:
+    """(pivot shift, the q multiples) of each row of element eidx, lifted
+    into the ambient space and multiplied out by ambient smul."""
+    amb = plane.maps.ambient
+    h = plane.maps.tower.h
+    lifted = [r << h for r in plane.spread.elements[eidx].rows]
+    return tuple((amb.pivot(r) * h, tuple(amb.smul(c, r) for c in range(amb.q)))
+                 for r in lifted)
+
+
+def coset_bases(plane, eidx: int) -> tuple:
+    """The coset representatives of element eidx in ascending order: chunk
+    0 is 1, the pivot chunks of its lifted rows are 0, and every other chunk
+    runs over GF(q)."""
+    amb = plane.maps.ambient
+    h = plane.maps.tower.h
+    pivots = {amb.pivot(r << h) for r in plane.spread.elements[eidx].rows}
+    vecs = [1]
+    for c in range(1, amb.width):
+        if c not in pivots:
+            vecs = [v | (val << (c * h)) for v in vecs for val in range(amb.q)]
+    return tuple(sorted(vecs))
+
+
 def affine_line(plane, eidx: int, base: int) -> list:
     """The q^k affine points base + <E> of element eidx, unsorted."""
     pts = [base]
-    for _, multiples in plane.tabs[eidx]:
+    for _, multiples in row_multiples(plane, eidx):
         pts = [p ^ m for p in pts for m in multiples]
     return pts
 
 
 def plane_lines(plane):
     """Every affine line (eidx, base), in the order of plane.line_at."""
-    for eidx, bases in enumerate(plane.bases):
-        for b in bases:
+    for eidx in range(len(plane.spread.elements)):
+        for b in coset_bases(plane, eidx):
             yield (eidx, b)
 
 
@@ -404,16 +428,16 @@ def pair_scan(plane, budget=None) -> tuple:
     if budget is not None and n * n > budget:
         raise EnumerationTooLarge(n * n, budget, "pair coverage table")
     # ids: affine points in sorted packed order, then element points
-    all_affine = sorted(p for b in plane.bases[0] for p in affine_line(plane, 0, b))
+    all_affine = sorted(p for b in coset_bases(plane, 0) for p in affine_line(plane, 0, b))
     affine_ids = {p: i for i, p in enumerate(all_affine)}
     # ids of each line in ascending order, the line at infinity last;
     # each element's span is built once for all of its lines
-    spans = (affine_line(plane, eidx, 0) for eidx in range(len(plane.bases)))
+    spans = (affine_line(plane, eidx, 0) for eidx in range(len(plane.spread.elements)))
     point_lines = chain(
         (
             sorted(affine_ids[base ^ s] for s in span) + [order * order + eidx]
             for eidx, span in enumerate(spans)
-            for base in plane.bases[eidx]
+            for base in coset_bases(plane, eidx)
         ),
         [range(order * order, n)],
     )
@@ -447,7 +471,8 @@ def direction_marks(plane) -> tuple:
     marks = bytearray(1 << plane.maps.hinf.bits)
     repeats = 0
     witness = None
-    for eidx, tab in enumerate(plane.tabs):
+    for eidx in range(len(plane.spread.elements)):
+        tab = row_multiples(plane, eidx)
         low = [[m >> h for m in multiples] for _, multiples in sorted(tab)]
         dirs = []
         tail = [0]  # the span of the rows after row j
@@ -474,7 +499,8 @@ def sampled_check(plane, quadrangle: bool, seed: int = 0, samples: int = 2000):
     witness = None
     bad = 0
     pairs = 0
-    n_elements = len(plane.bases)
+    n_elements = len(plane.spread.elements)
+    bases = [coset_bases(plane, eidx) for eidx in range(n_elements)]
     order = plane.order
     h = plane.maps.tower.h
     width_bits = plane.maps.ambient.bits - h
@@ -495,15 +521,15 @@ def sampled_check(plane, quadrangle: bool, seed: int = 0, samples: int = 2000):
         elif kind == 1:
             p = 1 | (rng.randrange(1 << width_bits) << h)
             eidx = rng.randrange(n_elements)
-            if plane.base_of(eidx, p) not in plane.bases[eidx]:
+            if plane.base_of(eidx, p) not in bases[eidx]:
                 bad += 1
                 if witness is None:
                     witness = ("coset rep missing", eidx, p)
         else:
             e1 = rng.randrange(n_elements)
             e2 = rng.randrange(n_elements)
-            b1 = plane.bases[e1][rng.randrange(order)]
-            b2 = plane.bases[e2][rng.randrange(order)]
+            b1 = bases[e1][rng.randrange(order)]
+            b2 = bases[e2][rng.randrange(order)]
             if (e1, b1) == (e2, b2):
                 continue
             c = plane.meet((e1, b1), (e2, b2))

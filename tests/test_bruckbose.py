@@ -21,11 +21,13 @@ from hoval.bruckbose import (
     hyperoval_in_plane,
     plane_axioms_check,
 )
+from hoval.pipeline import run_verify_all
 from hoval.projective import Subspace
 from hoval.pseudoregulus import detect_pseudoregulus
 from hoval.reduction import Spread, maps_for
 from oracles import (
     affine_line,
+    coset_bases,
     direction_marks,
     histogram_by_scan,
     pair_scan,
@@ -49,8 +51,22 @@ def test_plane_counts_321(setup321):
     assert plane.n_points == 64 * 64 + 65 == 4161
     assert plane.n_lines == 64 * 65 + 1 == 4161
     # each affine line has order affine points, all distinct
-    pts = affine_line(plane, 0, plane.bases[0][0])
+    pts = affine_line(plane, 0, coset_bases(plane, 0)[0])
     assert len(set(pts)) == 64
+
+
+def test_plane_keeps_only_the_lifted_rows():
+    # the plane over the (6,2,1) run's spread: 4,097 elements of 2 rows, and
+    # nothing with q entries per row (their multiples took about 21 MiB)
+    run = run_verify_all(6, 2, 1, stages=("spread",)).run
+    tracemalloc.start()
+    try:
+        plane = build_plane(run.hov.maps, run.spread_result.spread)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plane.n_lines == 4096 * 4097 + 1
+    assert peak < 2 * 2**20
 
 
 def test_line_through_membership(setup321):
@@ -72,7 +88,7 @@ def test_parallel_classes_tile_affine(setup321):
     _, _, _, plane = setup321
     for eidx in (0, 17, 64):
         seen = set()
-        for b in plane.bases[eidx]:
+        for b in coset_bases(plane, eidx):
             pts = affine_line(plane, eidx, b)
             assert not (set(pts) & seen)
             seen.update(pts)
@@ -219,7 +235,7 @@ def test_failing_histogram_names_its_line():
     assert tag == "line" and count not in (0, 2)
     on_line = sum(plane.base_of(eidx, p) == base for p in bad.ordered)
     assert on_line + (eidx in _extra(plane, trans)) == count
-    assert plane.base_of(eidx, bad.ordered[0]) == base != plane.bases[eidx][0]
+    assert plane.base_of(eidx, bad.ordered[0]) == base != coset_bases(plane, eidx)[0]
 
 
 def test_wrong_transversal_rows_rejected(setup321):
@@ -265,7 +281,8 @@ def test_spans_and_bases_match_smul_construction(setup321):
             vecs = {v ^ amb.smul(c, row) for v in vecs for c in range(q)}
         assert sorted(affine_line(plane, eidx, 0)) == sorted(vecs)
         # coset representatives: chunk 0 is 1, every row pivot chunk is 0
-        bases = plane.bases[eidx]
+        order = plane.order
+        bases = [plane.line_at(eidx * order + j)[1] for j in range(order)]
         assert len(bases) == plane.order and list(bases) == sorted(set(bases))
         for b in bases:
             assert b & amb.chunk_mask == 1
@@ -293,7 +310,7 @@ def _pair_table(plane):
     """(pairs, collisions, first witness) from an n^2 byte coverage table."""
     n = plane.n_points
     order = plane.order
-    all_affine = sorted(p for b in plane.bases[0] for p in affine_line(plane, 0, b))
+    all_affine = sorted(p for b in coset_bases(plane, 0) for p in affine_line(plane, 0, b))
     affine_ids = {p: i for i, p in enumerate(all_affine)}
     buf = bytearray(n * n)
     pairs = collisions = 0
@@ -432,15 +449,16 @@ def test_one_reduce_per_affine_pair(setup321, forged321, which):
 def _line_pairs(plane, rng, count):
     """Seeded distinct line pairs: same class, with the line at infinity,
     and from two classes, `count` of each."""
-    n_el = len(plane.bases)
+    n_el = len(plane.spread.elements)
     order = plane.order
+    bases = [coset_bases(plane, eidx) for eidx in range(n_el)]
 
     def line(eidx):
-        return eidx, plane.bases[eidx][rng.randrange(order)]
+        return eidx, bases[eidx][rng.randrange(order)]
 
     for _ in range(count):
         eidx = rng.randrange(n_el)
-        b1, b2 = rng.sample(plane.bases[eidx], 2)
+        b1, b2 = rng.sample(bases[eidx], 2)
         yield (eidx, b1), (eidx, b2)
         yield line(rng.randrange(n_el)), "inf"
         e1, e2 = rng.sample(range(n_el), 2)
@@ -466,8 +484,8 @@ def test_rank_meet_matches_common_points_on_forged_plane(forged321):
     counts = set()
     pairs = list(_line_pairs(forged321, rng, 60))
     # element 0 and its copy: equal lines meet in q^k points, others in none
-    pairs += [((0, b1), (1, b2)) for b1 in forged321.bases[0][:4]
-              for b2 in forged321.bases[1][:4]]
+    pairs += [((0, b1), (1, b2)) for b1 in coset_bases(forged321, 0)[:4]
+              for b2 in coset_bases(forged321, 1)[:4]]
     for l1, l2 in pairs:
         c = forged321.meet(l1, l2)
         assert c == _common_points(forged321, l1, l2)

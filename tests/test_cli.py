@@ -124,6 +124,20 @@ def test_plane_mode_is_no_option(command):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, flag", [
+    *((c, "--parallel") for c in ("construct", "directions", "detect-pseudoregulus",
+                                  "build-spread", "bruck-bose-verify", "bj-axioms")),
+    ("construct", "--budget"),
+    ("directions", "--budget"),
+])
+def test_flags_that_do_nothing_are_no_options(command, flag):
+    # only the exhaustive line tally has workers, and construct and
+    # directions enumerate nothing a budget could cap
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--h", "3", "--k", "2", "--i", "1", flag, "2"])
+    assert exc.value.code == 2
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("this is not json\n")

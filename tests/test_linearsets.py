@@ -376,7 +376,12 @@ def test_unverified_or_exhaustive_spectrum_takes_its_scan(which, case321):
     mode = "exhaustive" if which == "exhaustive" else "pairs"
     hist = spectrum(d, mode=mode, candidate=cand)
     assert hist.path == ("line-scan" if mode == "exhaustive" else "pair-scan")
-    assert hist.symmetry is None
+    if which == "exhaustive":
+        # the tally still counts; the group it verified is only handed on
+        assert hist.symmetry is not None and hist.symmetry.dirs is d
+        assert hist.symmetry.lines == {j: c for j, c in SPEC_321.items() if j >= 2}
+    else:
+        assert hist.symmetry is None
     assert hist.counts == spectrum(d, mode=mode).counts
     if which != "swapped":
         assert hist.counts == SPEC_321

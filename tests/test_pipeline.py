@@ -285,10 +285,14 @@ def test_a4_builds_no_scalar_tables_from_the_pair_map(monkeypatch):
 
 
 def test_a4_pair_scan_memory(monkeypatch):
-    # exhaustive mode verifies no group, so A4 scans the pairs through the
-    # base point; the full PG(3,16) scalar tables made that stage peak at
-    # 38.9 MiB, its byte tables take a few hundred KiB
+    # a candidate built from the wrong exponent fails its check on D, so no
+    # group is verified and A4 scans the pairs through the base point; the
+    # full PG(3,16) scalar tables made that stage peak at 38.9 MiB, its byte
+    # tables take a few hundred KiB
     monkeypatch.setattr(reduction, "_MAPS_CACHE", {})
+    candidate = pipeline.cyclic_candidate
+    monkeypatch.setattr(pipeline, "cyclic_candidate",
+                        lambda maps, i: candidate(maps, i + 1))
     stage = pipeline._STAGE_FUNCS["cplanes"]
     peaks = []
 
@@ -311,24 +315,34 @@ def test_a4_pair_scan_memory(monkeypatch):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_h2_passes(k):
     # at q = 4 the long secants are the one orbit of m 3-secants that the
-    # verified cyclic group picks out
-    rep = run_verify_all(2, k, 1)
-    assert rep.verdict == "pass", [(s.name, s.error) for s in rep.stages]
-    assert rep.stage("pseudoregulus").data["long_secants"] == (4 ** k - 1) // 3
-    assert rep.stage("pseudoregulus").data["exponents"] == [1, 2 * k - 1]
-    assert rep.stage("spectrum").data["path"] == "cyclic-group"
+    # verified cyclic group picks out; the group is verified in either mode
+    for mode, path in (("pairs", "cyclic-group"), ("exhaustive", "line-scan")):
+        rep = run_verify_all(2, k, 1, mode=mode)
+        assert rep.verdict == "pass", [(s.name, s.error) for s in rep.stages]
+        assert rep.stage("pseudoregulus").data["long_secants"] == (4 ** k - 1) // 3
+        assert rep.stage("pseudoregulus").data["exponents"] == [1, 2 * k - 1]
+        assert rep.stage("spectrum").data["path"] == path
 
 
-def test_reports_name_the_spectrum_path_and_a4_bins(full321):
+def test_reports_name_the_spectrum_path_and_a4_bins(full321, monkeypatch):
     assert full321.stage("spectrum").data["path"] == "cyclic-group"
     a4 = full321.stage("cplanes").data["axioms"]["A4"]
     assert a4["detail"]["bins"] == "cyclic-group"
     assert all("bins" not in full321.stage("cplanes").data["axioms"][name]["detail"]
                for name in ("A1", "A2", "A3"))
+    # the line tally counts, and the group it verified on the way bins A4
     exhaustive = run_verify_all(3, 2, 1, mode="exhaustive")
     assert exhaustive.verdict == "pass"
     assert exhaustive.stage("spectrum").data["path"] == "line-scan"
-    assert exhaustive.stage("cplanes").data["axioms"]["A4"]["detail"]["bins"] == "pair-scan"
+    assert exhaustive.stage("cplanes").data["axioms"]["A4"]["detail"]["bins"] == "cyclic-group"
+    # a candidate built from the wrong exponent verifies no group: A4 scans
+    candidate = pipeline.cyclic_candidate
+    monkeypatch.setattr(pipeline, "cyclic_candidate",
+                        lambda maps, i: candidate(maps, i + 1))
+    scanned = run_verify_all(3, 2, 1, mode="exhaustive")
+    assert scanned.verdict == "pass"
+    assert scanned.stage("spectrum").data["path"] == "line-scan"
+    assert scanned.stage("cplanes").data["axioms"]["A4"]["detail"]["bins"] == "pair-scan"
     # the counts are the same on both paths
     fast, slow = (r.stage("spectrum").data["histogram"] for r in (full321, exhaustive))
     assert (fast["mode"], slow["mode"]) == ("pairs", "exhaustive")

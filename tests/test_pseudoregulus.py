@@ -321,7 +321,7 @@ def test_point_by_point_image_test_matches_the_canonical_set(hki):
     transversals = extract_transversals(find_long_secants(d), space)
     fmap = transversal_map(transversals)
     verdicts = []
-    for label, j, m, _, _, to_field in pseudoregulus._fit_candidates(
+    for label, j, m, to_field in pseudoregulus._fit_candidates(
         d, transversals, fmap, maps
     ):
         image = {space.normalize(mat_vec_packed(m, p, space)) for p in d.ordered}
@@ -337,7 +337,7 @@ def test_point_by_point_image_test_matches_the_canonical_set(hki):
     # carried onto one point
     j = detect_pseudoregulus(d, maps).fit.exponent
     to_field = next(
-        c[5] for c in pseudoregulus._fit_candidates(d, transversals, fmap, maps)
+        c[3] for c in pseudoregulus._fit_candidates(d, transversals, fmap, maps)
         if c[0] == "standard" and c[1] == j
     )
     assert pseudoregulus._canonical_image(to_field, d, maps.tower, j)
