@@ -34,7 +34,7 @@ from .linearsets import (
     spectrum_conforms,
 )
 from .pipeline import VerificationReport, run_verify_all
-from .projective import DEFAULT_BUDGET, Line, ProjSpace, Subspace
+from .projective import DEFAULT_BUDGET, ProjSpace
 from .pseudoregulus import detect_pseudoregulus, find_long_secants
 from .bruckbose import build_plane, hyperoval_in_plane, plane_axioms_check
 from .cplanes import build_c_planes, check_axioms
@@ -53,13 +53,11 @@ __all__ = [
     "HovalError",
     "HyperovalSpec",
     "InvalidSpread",
-    "Line",
     "NotF2Linear",
     "ParseError",
     "ProjSpace",
     "SpectrumHistogram",
     "Spread",
-    "Subspace",
     "Tower",
     "TranslationHyperoval",
     "VerificationReport",

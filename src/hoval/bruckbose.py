@@ -35,12 +35,12 @@ class BruckBosePlane:
         h = maps.tower.h
         self.maps = maps
         self.spread = spread
-        rank = len(spread.elements[0].rows)
+        rank = len(spread.elements[0])
         self.order = amb.q**rank
         self.mask = amb.chunk_mask
         rows = []
         for el in spread.elements:
-            lifted = tuple((amb.pivot(r << h) * h, r << h) for r in el.rows)
+            lifted = tuple((amb.pivot(r << h) * h, r << h) for r in el)
             if len({s for s, _ in lifted if s}) != rank:
                 raise InvalidSpread("element pivots collide with the affine chunk")
             rows.append(lifted)
@@ -204,11 +204,11 @@ def plane_axioms_check(
     collisions = 0
     witness = None
     for idx, el in enumerate(spread.elements):
-        if len(el.rows) != k:
+        if len(el) != k:
             collisions += 1
-            witness = witness or ("element rank", idx, len(el.rows), k)
+            witness = witness or ("element rank", idx, len(el), k)
             continue
-        for row in el.rows:
+        for row in el:
             other = index.get(row)
             if other != idx:
                 collisions += 1
@@ -274,7 +274,7 @@ def hyperoval_in_plane(
     meet count settles membership for all its points, so the work is
     equivalent to n_lines * (order + 1) point-line incidence checks.
     """
-    keyed = {el.rows: idx for idx, el in enumerate(plane.spread.elements)}
+    keyed = {el: idx for idx, el in enumerate(plane.spread.elements)}
     if t0_rows not in keyed or tinf_rows not in keyed:
         raise InvalidSpread("transversal rows are not spread elements")
     extra = {keyed[t0_rows], keyed[tinf_rows]}
@@ -321,8 +321,8 @@ def _histogram_by_basis(q_points: AffinePointSet, plane: BruckBosePlane, extra):
     witness = None
     for eidx, el in enumerate(plane.spread.elements):
         gens = (f2_reduce(hinf.smul(1 << b, r), basis)
-                for r in el.rows for b in range(h))
-        meet = 1 << (h * len(el.rows) - len(f2_echelon(gens)))
+                for r in el for b in range(h))
+        meet = 1 << (h * len(el) - len(f2_echelon(gens)))
         bonus = 1 if eidx in extra else 0
         hit = n // meet
         for count, lines in ((meet + bonus, hit), (bonus, order - hit)):

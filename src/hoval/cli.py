@@ -13,8 +13,8 @@ detect-pseudoregulus, build-spread, bruck-bose-verify and bj-axioms are
 views: each runs its stages through run_verify_all and projects the stage
 data, so a view checks exactly what verify-all checks.
 
-Only spectrum and verify-all take --parallel; set HOVAL_PARALLEL to change
-its default.  construct and directions enumerate nothing, so take no --budget.
+Only spectrum and verify-all take --parallel (default 1).  construct and
+directions enumerate nothing, so take no --budget.
 """
 
 from __future__ import annotations
@@ -40,14 +40,6 @@ from .projective import DEFAULT_BUDGET
 from .reduction import maps_for
 
 _AXIOM_NAMES = ("A1", "A2", "A3", "A4")
-
-
-def _default_parallel() -> int:
-    raw = os.environ.get("HOVAL_PARALLEL", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _processes(args) -> int:
@@ -312,7 +304,7 @@ def _add_common(p, budget=True, parallel=False):
         p.add_argument("--budget", type=int, default=None,
                        help="enumeration budget (0 removes the limit)")
     if parallel:
-        p.add_argument("--parallel", type=int, default=_default_parallel(),
+        p.add_argument("--parallel", type=int, default=1,
                        help="worker processes for the exhaustive line tally, "
                        "at least 1, capped at the CPU count")
     p.add_argument("--out", help="write the JSON document to this file")

@@ -88,7 +88,7 @@ def build_c_planes(
     points = c_points.points
     secants = []
     for sidx, s in enumerate(structure.secants):
-        m0, m1 = ([hinf.smul(c, r) for c in range(q)] for r in s.rows)
+        m0, m1 = ([hinf.smul(c, r) for c in range(q)] for r in s)
         meet = tuple(sorted(
             x for x in (a ^ b for a in m0 for b in m1)
             if c0 ^ (x << h) in points
@@ -98,7 +98,7 @@ def build_c_planes(
                 f"secant {sidx} meets W in {len(meet)} vectors, expected {q}",
                 ("secant", sidx, len(meet)),
             )
-        secants.append((s.rows, meet))
+        secants.append((s, meet))
     return CPlaneFamily(c_points, translation_basis(c_points), tuple(secants), q)
 
 

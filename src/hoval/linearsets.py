@@ -301,24 +301,22 @@ def _worker_tally(task) -> Counter:
     return _tally_pattern(_W["space"], _W["dset"], _W["classes"], task)
 
 
-def _verified_group(dirs, pts, space: ProjSpace, candidate, budget):
+def _verified_group(dirs: DirectionSet, candidate, budget):
     """cyclic_symmetry of the candidate on the set; None without one."""
     if candidate is None:
         return None
-    check_group_budget(len(pts), budget)
-    d = dirs if isinstance(dirs, DirectionSet) else DirectionSet(pts, space)
-    return cyclic_symmetry(d, candidate)
+    check_group_budget(len(dirs.ordered), budget)
+    return cyclic_symmetry(dirs, candidate)
 
 
 def spectrum(
-    dirs,
-    space: ProjSpace | None = None,
+    dirs: DirectionSet,
     mode: str = "pairs",
     budget: int | None = DEFAULT_BUDGET,
     processes: int = 1,
     candidate: tuple | None = None,
 ) -> SpectrumHistogram:
-    """Line spectrum of a point set.
+    """Line spectrum of a DirectionSet in its projective space.
 
     mode "pairs" finds the lines through two or more points and derives the
     1- and 0-line counts from incidence identities; mode "exhaustive"
@@ -339,20 +337,15 @@ def spectrum(
     min(processes, os.cpu_count()) worker processes, or in this one when
     that is 1.
     """
-    if isinstance(dirs, DirectionSet):
-        pts = dirs.ordered
-        space = dirs.space
-    else:
-        pts = tuple(sorted(dirs))
-        if space is None:
-            raise ValueError("space is required for plain point iterables")
+    pts = dirs.ordered
+    space = dirs.space
     if not pts:
         raise TooFewPoints("empty point set has no spectrum")
     if mode not in ("pairs", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
 
     if mode == "pairs":
-        symmetry = _verified_group(dirs, pts, space, candidate, budget)
+        symmetry = _verified_group(dirs, candidate, budget)
         if symmetry is not None:
             counts = _complete_counts(symmetry.lines, len(pts), space)
             return SpectrumHistogram(
@@ -373,7 +366,7 @@ def spectrum(
     )
     if budget is not None and est > budget:
         raise EnumerationTooLarge(est, budget, "exhaustive line tally")
-    symmetry = _verified_group(dirs, pts, space, candidate, budget)
+    symmetry = _verified_group(dirs, candidate, budget)
     workers = min(processes, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

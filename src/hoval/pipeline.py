@@ -220,7 +220,7 @@ def _stage_pseudoregulus(run: _Run) -> tuple[bool, dict]:
     )
     run.transversals = extract_transversals(run.structure, run.dirs.space)
     fmap = transversal_map(run.transversals)
-    run.fit = fit_semilinear(run.dirs, run.transversals, fmap, maps)
+    run.fit = fit_semilinear(run.dirs, fmap, maps)
     hk = spec.hk
     found = sorted(set(run.fit.exponents))
     expected = sorted({spec.i % hk, (hk - spec.i) % hk})
@@ -260,9 +260,10 @@ def _stage_plane(run: _Run) -> tuple[bool, dict]:
     res = run.spread_result
     plane = build_plane(maps, res.spread)
     axioms = plane_axioms_check(plane, seed=run.seed, budget=run.budget)
-    t0_rows = res.spread.elements[res.t0_index].rows
-    tinf_rows = res.spread.elements[res.tinf_index].rows
-    hrep = hyperoval_in_plane(run.hov.affine, t0_rows, tinf_rows, plane)
+    elements = res.spread.elements
+    hrep = hyperoval_in_plane(
+        run.hov.affine, elements[res.t0_index], elements[res.tinf_index], plane
+    )
     data = {
         "order": plane.order,
         "points": plane.n_points,

@@ -295,64 +295,6 @@ class ProjSpace:
         return f"ProjSpace(n={self.n}, q={self.q})"
 
 
-class Subspace:
-    """A projective subspace given by its reduced-echelon basis rows."""
-
-    __slots__ = ("rows", "space", "_points")
-
-    def __init__(self, rows: Sequence[int], space: ProjSpace):
-        self.rows = tuple(rows)
-        self.space = space
-        self._points: list[int] | None = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows) - 1
-
-    def npoints(self) -> int:
-        return projective_points_count(len(self.rows), self.space.q)
-
-    def contains(self, v: int) -> bool:
-        return self.space.contains(self.rows, v)
-
-    def points(self) -> list[int]:
-        if self._points is None:
-            self._points = self.space.subspace_points(self.rows)
-        return self._points
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and other.rows == self.rows
-            and other.space == self.space
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim}, rows={self.rows})"
-
-
-class Line(Subspace):
-    """A line; caches its q+1 points."""
-
-    __slots__ = ()
-
-    def __init__(self, r0: int, r1: int, space: ProjSpace):
-        super().__init__((r0, r1), space)
-
-    def points(self) -> list[int]:
-        if self._points is None:
-            self._points = self.space.line_points(*self.rows)
-        return self._points
-
-
-def line_through(a: int, b: int, space: ProjSpace) -> Line:
-    r0, r1 = space.pair_line_key(a, b)
-    return Line(r0, r1, space)
-
-
 # ---------------------------------------------------------------------------
 # linear maps: byte-sliced tables, and small dense matrices over GF(q) with
 # rows as lists of coordinate ints

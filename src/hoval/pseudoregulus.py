@@ -32,10 +32,8 @@ from .linearsets import (
 )
 from .projective import (
     DEFAULT_BUDGET,
-    Line,
     LinearMap,
     ProjSpace,
-    Subspace,
     mat_inv,
     mat_mul,
 )
@@ -44,7 +42,9 @@ from .reduction import CorrespondenceMaps, Spread, unvec_blocks
 
 @dataclass(frozen=True)
 class SecantStructure:
-    secants: tuple  # Line objects in canonical order
+    """The long secants of D, each as its ProjSpace.pair_line_key row pair."""
+
+    secants: tuple  # one per long secant, sorted
     count: int  # m = (q^k - 1)/(q - 1)
     d_on: dict  # D point -> index of its unique long secant
     zero_points: tuple  # sorted points of the secants that avoid D
@@ -144,9 +144,8 @@ def find_long_secants(
         raise NotPseudoregulusCandidate(f"0x{missing:x} is on no long secant")
     if len(set(zero_all)) != 2 * m:
         raise NotPseudoregulusCandidate("long secants are not pairwise disjoint")
-    secants = tuple(Line(k0, k1, space) for k0, k1 in keys)
     return SecantStructure(
-        secants=secants,
+        secants=tuple(keys),
         count=m,
         d_on=d_on,
         zero_points=tuple(sorted(zero_all)),
@@ -179,8 +178,10 @@ def _orbit_secants(symmetry: CyclicSymmetry, m: int) -> list:
 
 @dataclass(frozen=True)
 class Transversals:
-    t0: Subspace
-    t_inf: Subspace
+    """The two transversal subspaces as row tuples, and their secant points."""
+
+    t0: tuple  # reduced-echelon rows (ProjSpace.rref) of the side of the anchor
+    t_inf: tuple  # reduced-echelon rows of the other side
     side0: tuple  # per secant, its point on t0
     side_inf: tuple  # per secant, its point on t_inf
 
@@ -228,18 +229,18 @@ def extract_transversals(
         side0.append(a if za else b)
         side_inf.append(b if za else a)
     r = _rank_for_point_count(structure.count, space.q)
-    t0 = Subspace(space.rref(side0), space)
-    t_inf = Subspace(space.rref(side_inf), space)
-    for name, sub, side in (("T0", t0, side0), ("Tinf", t_inf, side_inf)):
-        if len(sub.rows) != r:
+    t0 = space.rref(side0)
+    t_inf = space.rref(side_inf)
+    for name, rows, side in (("T0", t0, side0), ("Tinf", t_inf, side_inf)):
+        if len(rows) != r:
             raise TransversalExtractionFailed(
-                f"{name} has rank {len(sub.rows)}, expected {r}"
+                f"{name} has rank {len(rows)}, expected {r}"
             )
-        if set(sub.points()) != set(side):
+        if set(space.subspace_points(rows)) != set(side):
             raise TransversalExtractionFailed(
                 f"{name} span has points beyond the off points"
             )
-    if len(space.rref(t0.rows + t_inf.rows)) != space.width:
+    if len(space.rref(t0 + t_inf)) != space.width:
         raise TransversalExtractionFailed("transversals do not span the space")
     return Transversals(t0=t0, t_inf=t_inf, side0=tuple(side0), side_inf=tuple(side_inf))
 
@@ -365,7 +366,7 @@ def _maps_elements_to_elements(lmap: LinearMap, maps, space: ProjSpace) -> bool:
     element_of = spread.element_of
     normalize = space.normalize
     for el in spread.elements:
-        hit = {element_of(normalize(lmap(r))) for r in el.rows}
+        hit = {element_of(normalize(lmap(r))) for r in el}
         if len(hit) != 1:
             return False
     return True
@@ -410,12 +411,7 @@ def _canonical_image(to_field: LinearMap, dirs: DirectionSet, tower, j: int) -> 
     return True
 
 
-def _fit_candidates(
-    dirs: DirectionSet,
-    transversals: Transversals,
-    fmap: dict,
-    maps: CorrespondenceMaps,
-):
+def _fit_candidates(dirs: DirectionSet, fmap: dict, maps: CorrespondenceMaps):
     """Every candidate coordinate change the fit tests, in order.
 
     Yields (labeling, j, matrix, to_field) for each
@@ -436,11 +432,7 @@ def _fit_candidates(
 
     candidates = [j for j in range(1, hk) if math.gcd(j, hk) == 1]
     inv_map = {v: u for u, v in fmap.items()}
-    labelings = (
-        ("standard", transversals.t0, fmap),
-        ("swapped", transversals.t_inf, inv_map),
-    )
-    for label, source, use_map in labelings:
+    for label, use_map in (("standard", fmap), ("swapped", inv_map)):
         u = _greedy_basis(space, sorted(use_map.keys()), k)
         if len(u) != k:
             continue
@@ -489,10 +481,7 @@ def _fit_candidates(
 
 
 def fit_semilinear(
-    dirs: DirectionSet,
-    transversals: Transversals,
-    fmap: dict,
-    maps: CorrespondenceMaps,
+    dirs: DirectionSet, fmap: dict, maps: CorrespondenceMaps
 ) -> SemilinearFit:
     """Fit x -> A x^(2^j) to the secant bijection and normalize D.
 
@@ -513,7 +502,7 @@ def fit_semilinear(
     tower = maps.tower
     space = maps.hinf
     accepted = []
-    for label, j, m, to_field in _fit_candidates(dirs, transversals, fmap, maps):
+    for label, j, m, to_field in _fit_candidates(dirs, fmap, maps):
         if _preserves_spread(m, maps, space) and _canonical_image(
             to_field, dirs, tower, j
         ):
@@ -585,24 +574,19 @@ def build_spread(
     # takes back partition H_inf, and the fit finds the one through a point
     minv = mat_inv([list(r) for r in fit.matrix], space.field)
     inverse = LinearMap.from_matrix(minv, space)
-    elements = []
-    for rows in element_rows:
-        mapped = space.rref([inverse(r) for r in rows])
-        elements.append(Subspace(mapped, space))
+    elements = [space.rref([inverse(r) for r in rows]) for rows in element_rows]
     spread = Spread.reduced(elements, space, tower, sources, source, fit.matrix)
     # the rebuilt spread, taken back to detected coordinates, must be the
     # field-reduction spread the ambient came with
-    matches = spread.keys() == maps.abb_spread.keys()
-    want0 = transversals.t0.rows
-    want_inf = transversals.t_inf.rows
-    keyset = {el.rows: idx for idx, el in enumerate(spread.elements)}
-    if want0 not in keyset or want_inf not in keyset:
+    matches = set(spread.elements) == set(maps.abb_spread.elements)
+    keyset = {el: idx for idx, el in enumerate(spread.elements)}
+    if transversals.t0 not in keyset or transversals.t_inf not in keyset:
         raise SpreadConstructionFailed("transversals are not spread elements")
     return SpreadResult(
         spread=spread,
         matches_canonical=matches,
-        t0_index=keyset[want0],
-        tinf_index=keyset[want_inf],
+        t0_index=keyset[transversals.t0],
+        tinf_index=keyset[transversals.t_inf],
         exponent=i,
     )
 
@@ -658,7 +642,7 @@ def detect_pseudoregulus(
     structure = find_long_secants(dirs, budget)
     transversals = extract_transversals(structure, dirs.space)
     fmap = transversal_map(transversals)
-    fit = fit_semilinear(dirs, transversals, fmap, maps)
+    fit = fit_semilinear(dirs, fmap, maps)
     result = build_spread(fit, transversals, maps)
     ok, detail = one_point_property(result, dirs)
     return PseudoregulusReport(

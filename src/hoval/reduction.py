@@ -21,14 +21,16 @@ from collections.abc import Mapping, Sequence
 
 from .errors import EnumerationTooLarge, InvalidSpread, NotAffine
 from .gf2 import Tower, f2_echelon, field_create, tower_create
-from .projective import DEFAULT_BUDGET, LinearMap, ProjSpace, Subspace
+from .projective import DEFAULT_BUDGET, LinearMap, ProjSpace
 
 
 class Spread:
     """A partition of PG(n, q) into pairwise disjoint equal subspaces.
 
     Every spread comes from field reduction (``Spread.reduced``: abb_spread,
-    s_prime and the rebuilt spread of the pseudoregulus stage).
+    s_prime and the rebuilt spread of the pseudoregulus stage).  Each of
+    ``elements`` is a subspace of ``space`` as its reduced-echelon row
+    tuple (ProjSpace.rref), so two elements are equal iff their tuples are.
     ``sources[idx]`` is the packed point of the source projective space that
     field reduction turned into ``elements[idx]``, before any coordinate
     change; ``index`` is a ReductionIndex that finds the element through a
@@ -36,12 +38,12 @@ class Spread:
     tests keep a point-by-point partition check as their oracle.
     """
 
-    __slots__ = ("elements", "index", "space", "sources", "source_space", "source_index")
+    __slots__ = ("elements", "index", "space", "sources")
 
     @classmethod
     def reduced(
         cls,
-        elements: Sequence[Subspace],
+        elements: Sequence[tuple[int, ...]],
         space: ProjSpace,
         tower: Tower,
         sources: Sequence[int],
@@ -83,8 +85,6 @@ class Spread:
         spread.elements = tuple(elements)
         spread.space = space
         spread.sources = tuple(sources)
-        spread.source_space = source_space
-        spread.source_index = source_index
         spread.index = ReductionIndex(space, source_space, source_index, lmap)
         return spread
 
@@ -94,9 +94,6 @@ class Spread:
     def element_of(self, point: int) -> int:
         """Index of the unique element through a normalized point."""
         return self.index[point]
-
-    def keys(self) -> set[tuple[int, ...]]:
-        return {el.rows for el in self.elements}
 
 
 def unvec_blocks(tower: Tower, blocks: int):
@@ -183,7 +180,7 @@ def field_reduction_spread(
                 if x:
                     row |= vec(mul(b, x)) << (c * hk_bits)
             rows.append(row)
-        elements.append(Subspace(target.rref(rows), target))
+        elements.append(target.rref(rows))
         sources.append(pt)
     return Spread.reduced(elements, target, tower, sources, source)
 

@@ -87,7 +87,7 @@ def spread_dict(spread: Spread, spec: HyperovalSpec,
         "kind": "spread",
         "params": params_header(spec, maps),
         "count": len(spread.elements),
-        "elements": sorted([_hex(r) for r in el.rows] for el in spread.elements),
+        "elements": sorted([_hex(r) for r in el] for el in spread.elements),
     }
 
 

@@ -153,7 +153,7 @@ def planes_by_reduce(c_points, structure, maps) -> list:
     """Every plane, by grouping each point of C by its reduction against
     each lifted long secant; any class of other than q points raises."""
     amb = maps.ambient
-    lifted = _lifted((s.rows for s in structure.secants), maps)
+    lifted = _lifted(structure.secants, maps)
     groups: dict = {}
     for p in c_points.ordered:
         for sidx, rows in enumerate(lifted):
@@ -342,7 +342,7 @@ def partition_index(elements, space: ProjSpace) -> dict:
     element; raises InvalidSpread unless the elements partition `space`."""
     index: dict = {}
     for idx, el in enumerate(elements):
-        for p in el.points():
+        for p in space.subspace_points(el):
             if p in index:
                 raise InvalidSpread(f"point 0x{p:x} lies in elements {index[p]} and {idx}")
             index[p] = idx
@@ -358,7 +358,7 @@ def row_multiples(plane, eidx: int) -> tuple:
     into the ambient space and multiplied out by ambient smul."""
     amb = plane.maps.ambient
     h = plane.maps.tower.h
-    lifted = [r << h for r in plane.spread.elements[eidx].rows]
+    lifted = [r << h for r in plane.spread.elements[eidx]]
     return tuple((amb.pivot(r) * h, tuple(amb.smul(c, r) for c in range(amb.q)))
                  for r in lifted)
 
@@ -369,7 +369,7 @@ def coset_bases(plane, eidx: int) -> tuple:
     runs over GF(q)."""
     amb = plane.maps.ambient
     h = plane.maps.tower.h
-    pivots = {amb.pivot(r << h) for r in plane.spread.elements[eidx].rows}
+    pivots = {amb.pivot(r << h) for r in plane.spread.elements[eidx]}
     vecs = [1]
     for c in range(1, amb.width):
         if c not in pivots:

@@ -139,8 +139,8 @@ def test_criterion_04_pseudoregulus_structure():
         case_ok = (
             s.count == m
             and len(s.zero_points) == 2 * m
-            and len(t.t0.rows) == k
-            and len(t.t_inf.rows) == k
+            and len(t.t0) == k
+            and len(t.t_inf) == k
             and disjoint
             and zeros_covered
         )
@@ -202,8 +202,8 @@ def test_criterion_07_hyperoval_reconstruction():
     axioms = plane_axioms_check(plane)
     hrep = hyperoval_in_plane(
         hov.affine,
-        res.spread.elements[res.t0_index].rows,
-        res.spread.elements[res.tinf_index].rows,
+        res.spread.elements[res.t0_index],
+        res.spread.elements[res.tinf_index],
         plane,
     )
     closure_321 = translation_closure_check(hov.affine)[0]
@@ -227,8 +227,8 @@ def test_criterion_07_hyperoval_reconstruction():
     plane4 = build_plane(hov4.maps, res4.spread)
     hrep4 = hyperoval_in_plane(
         hov4.affine,
-        res4.spread.elements[res4.t0_index].rows,
-        res4.spread.elements[res4.tinf_index].rows,
+        res4.spread.elements[res4.t0_index],
+        res4.spread.elements[res4.tinf_index],
         plane4,
     )
     closure_421 = translation_closure_check(hov4.affine)[0]
@@ -300,8 +300,8 @@ def test_criterion_09_mutation_sensitivity():
     rep = _chain(3, 2, 1)
     res = rep.spread_result
     plane = build_plane(maps, res.spread)
-    t0_rows = res.spread.elements[res.t0_index].rows
-    tinf_rows = res.spread.elements[res.tinf_index].rows
+    t0_rows = res.spread.elements[res.t0_index]
+    tinf_rows = res.spread.elements[res.tinf_index]
     good_structure = rep.structure
 
     def detect_c3(qset, dirs):

@@ -22,7 +22,6 @@ from hoval.bruckbose import (
     plane_axioms_check,
 )
 from hoval.pipeline import run_verify_all
-from hoval.projective import Subspace
 from hoval.pseudoregulus import detect_pseudoregulus
 from hoval.reduction import Spread, maps_for
 from oracles import (
@@ -129,7 +128,7 @@ def test_axioms_exhaustive_small_case():
 def test_hyperoval_in_plane_321(setup321):
     hov, d, rep, plane = setup321
     t = rep.transversals
-    hrep = hyperoval_in_plane(hov.affine, t.t0.rows, t.t_inf.rows, plane)
+    hrep = hyperoval_in_plane(hov.affine, t.t0, t.t_inf, plane)
     assert hrep.ok
     assert hrep.size_ok and hrep.closure_ok
     assert hrep.histogram == {0: 2016, 2: 2145}
@@ -144,7 +143,7 @@ def test_hyperoval_in_plane_421():
     rep = detect_pseudoregulus(d, hov.maps)
     plane = build_plane(hov.maps, rep.spread_result.spread)
     t = rep.transversals
-    hrep = hyperoval_in_plane(hov.affine, t.t0.rows, t.t_inf.rows, plane)
+    hrep = hyperoval_in_plane(hov.affine, t.t0, t.t_inf, plane)
     assert hrep.ok
     # no tangents, C(258, 2) secants, the rest external
     assert hrep.histogram.get(1, 0) == 0
@@ -156,7 +155,7 @@ def test_hyperoval_in_plane_421():
 def test_mutated_set_caught_by_line_scan(setup321):
     hov, d, rep, plane = setup321
     t = rep.transversals
-    trans = (t.t0.rows, t.t_inf.rows)
+    trans = (t.t0, t.t_inf)
     rng = random.Random(11)
     h = hov.maps.tower.h
     bits = hov.maps.ambient.bits - h
@@ -181,13 +180,12 @@ def _plane_case(hki):
     rep = detect_pseudoregulus(d, hov.maps)
     plane = build_plane(hov.maps, rep.spread_result.spread)
     t = rep.transversals
-    return hov, plane, (t.t0.rows, t.t_inf.rows)
+    return hov, plane, (t.t0, t.t_inf)
 
 
 def _extra(plane, transversals):
     """Indices of the two transversal elements."""
-    elements = [el.rows for el in plane.spread.elements]
-    return {elements.index(rows) for rows in transversals}
+    return {plane.spread.elements.index(rows) for rows in transversals}
 
 
 def _scanned(q_points, plane, transversals):
@@ -207,7 +205,7 @@ def test_hyperoval_in_plane_by_basis_matches_scan(hki):
 
 def test_hyperoval_in_plane_refuses_an_unclosed_set(setup321):
     hov, d, rep, plane = setup321
-    trans = (rep.transversals.t0.rows, rep.transversals.t_inf.rows)
+    trans = (rep.transversals.t0, rep.transversals.t_inf)
     pts = list(hov.affine.ordered)
     h = hov.maps.tower.h
     outside = next(1 | (v << h) for v in range(1, 1 << 12)
@@ -249,7 +247,7 @@ def test_wrong_transversal_rows_rejected(setup321):
 def _lifted(plane, eidx):
     """Rows of spread element eidx moved into the ambient space."""
     h = plane.maps.tower.h
-    return tuple(r << h for r in plane.spread.elements[eidx].rows)
+    return tuple(r << h for r in plane.spread.elements[eidx])
 
 
 def _random_affine(plane, rng):
@@ -379,8 +377,9 @@ def _forged(plane):
     forged = object.__new__(Spread)  # Spread.reduced checks its sources
     forged.elements = tuple(elements)
     forged.space = good.space
-    forged.sources = forged.source_space = forged.source_index = None
-    forged.index = {p: idx for idx, el in enumerate(elements) for p in el.points()}
+    forged.sources = None
+    forged.index = {p: idx for idx, el in enumerate(elements)
+                    for p in good.space.subspace_points(el)}
     return build_plane(plane.maps, forged)
 
 
@@ -392,7 +391,7 @@ def _forged_reduced(hk):
     elements = list(good.elements)
     elements[1] = elements[0]
     forged = Spread.reduced(elements, good.space, maps.tower, good.sources,
-                            good.source_space)
+                            good.index.source)
     return build_plane(maps, forged)
 
 
@@ -526,7 +525,7 @@ def test_forged_reduced_spread_fails_by_its_fibres(hk, points):
         tracemalloc.stop()
     assert peak < 2**20
     assert not rep.ok and rep.path == "fibres"
-    row = plane.spread.elements[0].rows[0]
+    row = plane.spread.elements[0][0]
     assert rep.witness == ("element row in another fibre", 1, row, 0)
     assert rep.pairs_checked == points * (points - 1) // 2
 
@@ -545,8 +544,8 @@ def test_fibre_certificate_names_an_element_of_the_wrong_rank():
     # every element cut to its first row: each still lies in its own fibre
     maps = maps_for(tower_create(3, 2))
     good = maps.abb_spread
-    cut = [Subspace(el.rows[:1], good.space) for el in good.elements]
-    spread = Spread.reduced(cut, good.space, maps.tower, good.sources, good.source_space)
+    cut = [el[:1] for el in good.elements]
+    spread = Spread.reduced(cut, good.space, maps.tower, good.sources, good.index.source)
     rep = plane_axioms_check(build_plane(maps, spread))
     assert not rep.ok
     assert rep.witness == ("element rank", 0, 1, 2)

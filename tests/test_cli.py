@@ -245,17 +245,15 @@ def test_verify_all_control_fails(capsys):
     assert doc["verdict"] == "fail"
 
 
-def test_parallel_env_default(monkeypatch, capsys):
+def test_parallel_defaults_to_one_whatever_the_environment(monkeypatch, capsys):
+    # --parallel is the one way to ask for workers; no variable changes it
     monkeypatch.setenv("HOVAL_PARALLEL", "2")
-    code, out = _run(capsys, "spectrum", "--h", "3", "--k", "2", "--i", "1")
+    code, out = _run(
+        capsys, "verify-all", "--h", "3", "--k", "2", "--i", "1",
+        "--stages", "construct,spectrum",
+    )
     assert code == 0
-    assert json.loads(out)["conforms"] is True
-
-
-def test_parallel_env_garbage_falls_back(monkeypatch, capsys):
-    monkeypatch.setenv("HOVAL_PARALLEL", "lots")
-    code, out = _run(capsys, "spectrum", "--h", "3", "--k", "2", "--i", "1")
-    assert code == 0
+    assert json.loads(out)["params"]["processes"] == 1
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

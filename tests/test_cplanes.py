@@ -31,7 +31,6 @@ from hoval.hyperoval import (
 )
 from hoval.linearsets import CyclicSymmetry, cyclic_candidate, spectrum
 from hoval.pipeline import run_verify_all
-from hoval.projective import Line
 from hoval.pseudoregulus import SecantStructure, find_long_secants
 from oracles import (
     a1_all_planes,
@@ -296,7 +295,7 @@ def test_a1_base_point_matches_all_planes(hki, monkeypatch):
 def _secant_structure(keys, maps):
     """A hand-made SecantStructure over the given lines of H_inf."""
     return SecantStructure(
-        secants=tuple(Line(r0, r1, maps.hinf) for r0, r1 in sorted(keys)),
+        secants=tuple(sorted(keys)),
         count=len(keys), d_on={}, zero_points=(), zero_pairs=(),
     )
 
@@ -439,7 +438,7 @@ def test_short_meet_is_refused_by_secant(case321):
     hov, d, s = case321
     maps = hov.maps
     three = sorted(k for k, c in spectrum(d).multiplicities.items() if c == 3)
-    keys = [sec.rows for sec in s.secants[1:]] + [three[0]]
+    keys = list(s.secants[1:]) + [three[0]]
     structure = _secant_structure(keys, maps)
     sidx = sorted(keys).index(three[0])
     with pytest.raises(CPlaneConstructionFailed) as got:
@@ -701,7 +700,7 @@ def test_a4_group_verdict_agrees_with_the_map_on_altered_bins(case321, family321
     a = hov.affine.ordered[0] >> hov.maps.tower.h
     sym = _group(hov, d)
     mult = spectrum(d).multiplicities
-    longs = [sec.rows for sec in s.secants]
+    longs = list(s.secants)
     three = min(k for k, c in mult.items() if c == 3)
     empty = next(line for line in space.lines() if line not in mult)
     variants = {

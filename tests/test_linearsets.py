@@ -211,8 +211,9 @@ def test_pairs_equals_exhaustive_on_random_sets(case):
     # direction sets; the examples hold the last point and leave the
     # pivot-0 class empty
     space, pts = case
-    a = spectrum(pts, space, mode="pairs")
-    b = spectrum(pts, space, mode="exhaustive")
+    d = DirectionSet(pts, space)
+    a = spectrum(d, mode="pairs")
+    b = spectrum(d, mode="exhaustive")
     assert a.counts == b.counts == line_scan_counts(pts, space)
     assert all(type(j) is int and c > 0 for j, c in b.counts.items())
 
@@ -231,7 +232,7 @@ def test_exhaustive_spectrum_builds_no_scalar_tables(case321, monkeypatch):
     monkeypatch.setattr(ProjSpace, "ensure_tables", counted)
     _, d = case321
     fresh = ProjSpace(d.space.n, d.space.field, tables=True)
-    assert spectrum(d.ordered, fresh, mode="exhaustive").counts == SPEC_321
+    assert spectrum(DirectionSet(d.ordered, fresh), mode="exhaustive").counts == SPEC_321
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(linearsets.os, "cpu_count", lambda: 2)
     _FakePool.sizes = []
@@ -494,7 +495,7 @@ def test_cyclic_group_equals_the_pair_scan_oracle(hki):
     else:
         # the oracle at q = 4: the 3-secants through d0 whose orbit under M,
         # walked line by line, has m members partitioning D
-        assert [line.rows for line in grouped.secants] == _h2_orbit_oracle(d, cand, m)
+        assert list(grouped.secants) == _h2_orbit_oracle(d, cand, m)
     assert grouped.count == m
     family = build_c_planes(hov.affine, grouped, hov.maps)
     a4 = {}

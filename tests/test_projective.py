@@ -12,12 +12,9 @@ from hoval.errors import (
 from hoval.gf2 import field_create, tower_create
 from hoval.pipeline import run_verify_all
 from hoval.projective import (
-    Line,
     LinearMap,
     ProjSpace,
-    Subspace,
     gaussian_lines,
-    line_through,
     mat_inv,
     mat_mul,
     projective_points_count,
@@ -234,14 +231,6 @@ def test_pair_line_key_coincident():
         s.pair_line_key(p, p)
 
 
-def test_line_through_caches_points():
-    s = space(2, 3)
-    ln = line_through(s.pack((1, 0, 0)), s.pack((0, 1, 0)), s)
-    assert isinstance(ln, Line)
-    assert len(ln.points()) == 9
-    assert ln.points() is ln.points()
-
-
 # --- subspaces ------------------------------------------------------------------------
 
 def test_rref_span_membership():
@@ -263,13 +252,12 @@ def test_rref_span_membership():
 def test_subspace_points_plane_in_pg38():
     s = space(3, 3)
     rows = s.rref((s.pack((1, 0, 0, 5)), s.pack((0, 1, 0, 3)), s.pack((0, 0, 1, 7))))
-    sub = Subspace(rows, s)
-    pts = sub.points()
+    pts = s.subspace_points(rows)
     assert len(pts) == 73  # q^2 + q + 1 for q = 8
     assert len(set(pts)) == 73
     for p in pts:
         assert s.normalize(p) == p
-        assert sub.contains(p)
+        assert s.contains(rows, p)
 
 
 # --- budget ----------------------------------------------------------------------------

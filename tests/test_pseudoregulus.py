@@ -58,7 +58,7 @@ def test_long_secant_structure_321(case321):
     # secants pairwise disjoint on all q+1 points
     seen = set()
     for line in s.secants:
-        pts = set(line.points())
+        pts = set(d.space.line_points(*line))
         assert not (pts & seen)
         seen |= pts
 
@@ -79,10 +79,10 @@ def test_transversals_321(case321):
     hov, d = case321
     s = find_long_secants(d)
     t = extract_transversals(s, d.space)
-    assert len(t.t0.rows) == 2 and len(t.t_inf.rows) == 2
+    assert len(t.t0) == 2 and len(t.t_inf) == 2
     assert len(set(t.side0)) == 9 and len(set(t.side_inf)) == 9
-    assert set(t.t0.points()) == set(t.side0)
-    assert set(t.t_inf.points()) == set(t.side_inf)
+    assert set(d.space.subspace_points(t.t0)) == set(t.side0)
+    assert set(d.space.subspace_points(t.t_inf)) == set(t.side_inf)
     assert not (set(t.side0) & d.points)
     fmap = transversal_map(t)
     assert sorted(fmap) == sorted(t.side0)
@@ -93,10 +93,10 @@ def test_transversals_anchor_independent(case321):
     hov, d = case321
     s = find_long_secants(d)
     base = extract_transversals(s, d.space)
-    expected = {base.t0.rows, base.t_inf.rows}
+    expected = {base.t0, base.t_inf}
     for anchor in s.zero_points[1:6]:
         alt = extract_transversals(s, d.space, anchor=anchor)
-        assert {alt.t0.rows, alt.t_inf.rows} == expected
+        assert {alt.t0, alt.t_inf} == expected
     with pytest.raises(TransversalExtractionFailed):
         extract_transversals(s, d.space, anchor=d.ordered[0])
 
@@ -152,7 +152,7 @@ def test_spread_321(report321, case321):
     assert len(res.spread) == 65
     assert res.matches_canonical
     assert res.t0_index != res.tinf_index
-    assert res.spread.elements[res.t0_index].rows == report321.transversals.t0.rows
+    assert res.spread.elements[res.t0_index] == report321.transversals.t0
     ok, detail = one_point_property(res, d)
     assert ok
     assert detail["hit_once"] == 63
@@ -175,6 +175,30 @@ def _block_map(maps, fx, fy):
     cols = [tower.vec_packed(fx(b)) for b in tower.basis]
     cols += [tower.vec_packed(fy(b)) << hk_bits for b in tower.basis]
     return pseudoregulus._columns_matrix(maps.hinf, cols)
+
+
+def test_spread_elements_and_transversals_are_echelon_row_tuples(spread_runs):
+    # a subspace is its ProjSpace.rref tuple, so equal subspaces compare equal
+    for run in spread_runs.values():
+        maps, space = run.hov.maps, run.dirs.space
+        for spread in (maps.abb_spread, run.spread_result.spread):
+            for el in spread.elements:
+                assert space.rref(el) == el
+        t = run.transversals
+        assert space.rref(t.t0) == t.t0 and space.rref(t.t_inf) == t.t_inf
+
+
+def test_secants_are_their_pair_line_keys(spread_runs):
+    # a long secant is the pair_line_key of any two of its points of D
+    for run in spread_runs.values():
+        space = run.dirs.space
+        on: dict = {}
+        for p, idx in run.structure.d_on.items():
+            on.setdefault(idx, []).append(p)
+        assert len(on) == len(run.structure.secants)
+        for idx, secant in enumerate(run.structure.secants):
+            a, b = on[idx][:2]
+            assert space.pair_line_key(a, b) == secant
 
 
 def test_spread_is_a_partition_by_construction(spread_runs):
@@ -213,10 +237,10 @@ def test_spread_is_a_partition_by_construction(spread_runs):
 
 def _preserves_spread_by_rref(m, maps, space):
     """The element-by-element check: rref every image, compare the sets."""
-    keys = maps.abb_spread.keys()
+    keys = set(maps.abb_spread.elements)
     out = set()
     for el in maps.abb_spread.elements:
-        out.add(space.rref([mat_vec_packed(m, r, space) for r in el.rows]))
+        out.add(space.rref([mat_vec_packed(m, r, space) for r in el]))
         if not out <= keys:
             return False
     return out == keys
@@ -321,9 +345,7 @@ def test_point_by_point_image_test_matches_the_canonical_set(hki):
     transversals = extract_transversals(find_long_secants(d), space)
     fmap = transversal_map(transversals)
     verdicts = []
-    for label, j, m, to_field in pseudoregulus._fit_candidates(
-        d, transversals, fmap, maps
-    ):
+    for label, j, m, to_field in pseudoregulus._fit_candidates(d, fmap, maps):
         image = {space.normalize(mat_vec_packed(m, p, space)) for p in d.ordered}
         want = image == _canonical_set_oracle(maps, j)
         assert pseudoregulus._canonical_image(to_field, d, maps.tower, j) is want
@@ -337,7 +359,7 @@ def test_point_by_point_image_test_matches_the_canonical_set(hki):
     # carried onto one point
     j = detect_pseudoregulus(d, maps).fit.exponent
     to_field = next(
-        c[3] for c in pseudoregulus._fit_candidates(d, transversals, fmap, maps)
+        c[3] for c in pseudoregulus._fit_candidates(d, fmap, maps)
         if c[0] == "standard" and c[1] == j
     )
     assert pseudoregulus._canonical_image(to_field, d, maps.tower, j)
@@ -386,7 +408,7 @@ def test_detect_full_chain_331():
     hov, d = _directions_for(3, 3, 1)
     rep = detect_pseudoregulus(d, hov.maps)
     assert rep.structure.count == 73
-    assert len(rep.transversals.t0.rows) == 3
+    assert len(rep.transversals.t0) == 3
     assert len(rep.spread_result.spread) == 513
     assert rep.one_point_detail["hit_once"] == 511
 
@@ -421,7 +443,7 @@ def test_h2_needs_the_verified_group(k):
     s = find_long_secants(d, symmetry=_symmetry_of(hov, d))
     assert s.count == len(s.secants) == m and len(s.d_on) == len(d)
     t = extract_transversals(s, d.space)
-    fit = fit_semilinear(d, t, transversal_map(t), hov.maps)
+    fit = fit_semilinear(d, transversal_map(t), hov.maps)
     assert fit.exponents == frozenset({1, 2 * k - 1})
 
 

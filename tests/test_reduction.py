@@ -7,7 +7,7 @@ import pytest
 
 from hoval.errors import EnumerationTooLarge, InvalidSpread, NotAffine
 from hoval.gf2 import tower_create
-from hoval.projective import ProjSpace, Subspace
+from hoval.projective import ProjSpace
 from hoval.reduction import CorrespondenceMaps, Spread, field_reduction_spread, maps_for
 from oracles import partition_index
 
@@ -39,7 +39,7 @@ def direction_spread_element(maps, p):
     vec = maps.tower.vec_packed
     mul = maps.tower.big.mul
     rows = [vec(mul(b, x1)) | (vec(mul(b, x2)) << hk_bits) for b in maps.tower.basis]
-    return Subspace(maps.hinf.rref(rows), maps.hinf)
+    return maps.hinf.rref(rows)
 
 
 def bc_affine_inv(maps, w):
@@ -52,7 +52,7 @@ def bc_affine_inv(maps, w):
 def bc_spread_of(maps, p):
     """Point of H_inf -> its (h-1)-space in the GF(2) hyperplane."""
     rows = [maps.hinf.smul(1 << b, p) for b in range(maps.tower.h)]
-    return Subspace(maps.hinf2.rref(rows), maps.hinf2)
+    return maps.hinf2.rref(rows)
 
 
 def s_tilde(maps):
@@ -62,8 +62,8 @@ def s_tilde(maps):
     h = maps.tower.h
     els = []
     for el in maps.abb_spread.elements:
-        rows = [maps.hinf.smul(1 << b, r) for r in el.rows for b in range(h)]
-        els.append(Subspace(maps.hinf2.rref(rows), maps.hinf2))
+        rows = [maps.hinf.smul(1 << b, r) for r in el for b in range(h)]
+        els.append(maps.hinf2.rref(rows))
     partition_index(els, maps.hinf2)
     return els
 
@@ -84,7 +84,7 @@ def test_only_the_gf_q_spaces_take_scalar_tables():
     maps = maps_for(tower_create(3, 3))
     spread = maps.abb_spread
     assert maps.ambient.table_backed and maps.hinf.table_backed
-    assert spread.space.table_backed and not spread.source_space.table_backed
+    assert spread.space.table_backed and not spread.index.source.table_backed
     assert not maps.plane_big.table_backed and not maps.pi2.table_backed
     # equality and hash ignore the tables
     plain = ProjSpace(maps.ambient.n, maps.tower.small)
@@ -97,7 +97,7 @@ def test_line_spread_of_pg3_8(t32):
     s = field_reduction_spread(t32, 2)
     assert len(s) == 65
     assert s.space.n == 3 and s.space.q == 8
-    assert all(el.dim == 1 for el in s.elements)
+    assert all(len(el) == 2 for el in s.elements)
     assert len(s.index) == 585
     assert len(s.sources) == 65
 
@@ -119,10 +119,10 @@ def test_reduced_spread_refuses_a_singular_coordinate_change(t32):
     s = field_reduction_spread(t32, 2)
     singular = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0]]
     with pytest.raises(InvalidSpread, match="singular"):
-        Spread.reduced(s.elements, s.space, t32, s.sources, s.source_space, singular)
+        Spread.reduced(s.elements, s.space, t32, s.sources, s.index.source, singular)
     identity = [[int(i == j) for j in range(4)] for i in range(4)]
-    again = Spread.reduced(s.elements, s.space, t32, s.sources, s.source_space, identity)
-    assert [again.element_of(p) for p in s.elements[7].points()] == [7] * 9
+    again = Spread.reduced(s.elements, s.space, t32, s.sources, s.index.source, identity)
+    assert [again.element_of(p) for p in s.space.subspace_points(s.elements[7])] == [7] * 9
 
 
 def test_reduced_spread_refuses_duplicate_and_missing_sources(t32):
@@ -133,12 +133,12 @@ def test_reduced_spread_refuses_duplicate_and_missing_sources(t32):
     with pytest.raises(InvalidSpread, match="gives elements 0 and 65"):
         Spread.reduced(
             s.elements + s.elements[:1], *args, s.sources + s.sources[:1],
-            s.source_space,
+            s.index.source,
         )
     with pytest.raises(InvalidSpread, match="64 elements from 64 of 65"):
-        Spread.reduced(s.elements[1:], *args, s.sources[1:], s.source_space)
-    again = Spread.reduced(s.elements, *args, s.sources, s.source_space)
-    assert [again.element_of(p) for p in s.elements[7].points()] == [7] * 9
+        Spread.reduced(s.elements[1:], *args, s.sources[1:], s.index.source)
+    again = Spread.reduced(s.elements, *args, s.sources, s.index.source)
+    assert [again.element_of(p) for p in s.space.subspace_points(s.elements[7])] == [7] * 9
 
 
 def test_field_reduction_budget(t32):
@@ -174,9 +174,9 @@ def test_direction_elements_are_the_spread(maps32):
     seen = set()
     for pt in infinity:
         el = direction_spread_element(maps32, pt)
-        idx = spread.source_index[infinity_source(maps32, pt)]
-        assert el.rows == spread.elements[idx].rows
-        seen.add(el.rows)
+        idx = spread.index.source_index[infinity_source(maps32, pt)]
+        assert el == spread.elements[idx]
+        seen.add(el)
     assert len(seen) == 65
 
 
@@ -199,7 +199,7 @@ def test_abb_sends_line_directions_into_spread_elements(maps32):
         el = direction_spread_element(maps32, at_inf)
         diff = maps32.abb_affine(p1) ^ maps32.abb_affine(p2)
         assert diff & ((1 << h) - 1) == 0
-        assert el.contains(maps32.hinf.normalize(diff >> h))
+        assert maps32.hinf.contains(el, maps32.hinf.normalize(diff >> h))
 
 
 def test_bc_affine_roundtrip(maps32):
@@ -221,10 +221,10 @@ def test_s_prime_matches_bc_spread_elements(maps32):
     assert sp.space.npoints() == 4095  # PG(11, 2)
     for idx in (0, 1, 17, 320, 584):
         src = sp.sources[idx]
-        assert bc_spread_of(maps32, src).rows == sp.elements[idx].rows
+        assert bc_spread_of(maps32, src) == sp.elements[idx]
     # renormalizing any GF(2) vector of an element recovers its source
     for idx in (3, 100):
-        for p in sp.elements[idx].points():
+        for p in sp.space.subspace_points(sp.elements[idx]):
             assert maps32.hinf.normalize(p) == sp.sources[idx]
 
 
@@ -236,7 +236,7 @@ def test_s_tilde_is_refined_by_s_prime(maps32):
     st = s_tilde(maps32)
     assert len(st) == 65
     for el in st:
-        fibers = Counter(sp.index[p] for p in el.points())
+        fibers = Counter(sp.index[p] for p in maps32.hinf2.subspace_points(el))
         assert len(fibers) == 9
         assert all(c == 7 for c in fibers.values())
 
@@ -246,7 +246,7 @@ def test_tower_33_spread_sizes():
     m = maps_for(t)
     s = m.abb_spread
     assert len(s) == 513  # 8^3 + 1 elements, planes of PG(5, 8)
-    assert all(el.dim == 2 for el in s.elements)
+    assert all(len(el) == 3 for el in s.elements)
     assert len(s.index) == s.space.npoints() == 37449
 
 

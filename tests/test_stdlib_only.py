@@ -51,7 +51,6 @@ def test_a_serial_run_loads_no_process_pool(tmp_path):
     # the pool is imported where a tally starts more than one worker, so
     # neither the import nor a --parallel 1 run may pull it in
     env = dict(os.environ)
-    env.pop("HOVAL_PARALLEL", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p
     )
