@@ -26,6 +26,8 @@ from .hyperoval import AffinePointSet, translation_basis, translation_closure_ch
 from .projective import DEFAULT_BUDGET
 from .reduction import CorrespondenceMaps, ReductionIndex, Spread
 
+LINE_PAIR_SAMPLES = 2000  # seeded line pairs plane_axioms_check meets
+
 
 class BruckBosePlane:
     __slots__ = ("maps", "spread", "rows", "mask", "order", "n_points", "n_lines")
@@ -158,7 +160,6 @@ def _quadrangle_ok(plane: BruckBosePlane) -> bool:
 def plane_axioms_check(
     plane: BruckBosePlane,
     seed: int = 0,
-    samples: int = 2000,
     budget: int | None = DEFAULT_BUDGET,
 ) -> PlaneAxiomsReport:
     """Projective plane axioms for the incidence structure, at every size.
@@ -189,7 +190,7 @@ def plane_axioms_check(
     is not a Spread.reduced raises InvalidSpread; the budget charges the
     element_of calls.
 
-    As a double-check, min(samples, 2000) line pairs drawn with a seeded
+    As a double-check, LINE_PAIR_SAMPLES line pairs drawn with a seeded
     generator have their meet counted by one rank (BruckBosePlane.meet),
     and four points in general position must span six lines.
     """
@@ -222,7 +223,7 @@ def plane_axioms_check(
     quadrangle = _quadrangle_ok(plane)
     rng = random.Random(seed)
     line_pairs = 0
-    for _ in range(min(samples, 2000)):
+    for _ in range(LINE_PAIR_SAMPLES):
         l1, l2 = (plane.line_at(i) for i in rng.sample(range(plane.n_lines), 2))
         c = plane.meet(l1, l2)
         line_pairs += 1

@@ -36,7 +36,7 @@ class DimensionMismatch(HovalError):
 
 
 class SingularMatrix(HovalError):
-    """Matrix is not invertible over the field."""
+    """A linear map has no inverse (gf2.LinearMap.inverse)."""
 
 
 class EnumerationTooLarge(HovalError):

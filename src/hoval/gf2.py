@@ -8,6 +8,13 @@ never wraps elements; hot loops therefore stay allocation-free.
 Degrees 1..24 are supported.  Fields of degree <= 16 multiply through
 exp/log tables over a primitive element; larger degrees fall back to
 shift-and-reduce polynomial multiplication.
+
+Linear algebra over GF(2) works on the same packed ints.  Every linear map
+of the package is a LinearMap, given by the images of the unit vectors and
+applied one byte at a time: the tower's embedding and vec/unvec, the
+coordinate changes of the pseudoregulus fit and the collineation of the
+cyclic-group path.  LinearMap.inverse is the one matrix inversion:
+Gauss-Jordan over GF(2).
 """
 
 from __future__ import annotations
@@ -15,7 +22,12 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 
-from .errors import DivisionByZero, IrreducibleCheckFailed, UnsupportedDegree
+from .errors import (
+    DivisionByZero,
+    IrreducibleCheckFailed,
+    SingularMatrix,
+    UnsupportedDegree,
+)
 
 MAX_DEGREE = 24
 TABLE_LIMIT = 16  # exp/log tables up to this degree
@@ -137,6 +149,75 @@ def f2_echelon(vectors) -> tuple:
             rows = [r ^ v if r & low else r for r in rows]
             rows.append(v)
     return tuple(sorted(rows, key=lambda r: r & -r))
+
+
+def _byte_tables(columns) -> tuple[list[int], ...]:
+    """Table t holds the XOR of every subset of columns 8t .. 8t + 7."""
+    tables = []
+    for lo in range(0, len(columns), 8):
+        cols = columns[lo:lo + 8]
+        tab = [0] * (1 << len(cols))
+        for v in range(1, len(tab)):
+            low = v & -v
+            tab[v] = tab[v ^ low] ^ cols[low.bit_length() - 1]
+        tables.append(tab)
+    return tuple(tables)
+
+
+class LinearMap:
+    """A GF(2)-linear map of packed vectors, applied by byte-sliced tables.
+
+    ``columns[b]`` is the image of the unit vector 1 << b.  Table t holds the
+    XOR of every subset of columns 8t .. 8t + 7, so a vector is mapped with
+    one lookup per byte instead of one GF(q) product per matrix entry.  A
+    GF(q)-linear map is GF(2)-linear too (from_columns); so is "the map,
+    then any GF(2)-linear relabelling of its output" (then).  Inputs must
+    have no bit at or above len(columns).
+    """
+
+    __slots__ = ("columns", "_tables")
+
+    def __init__(self, columns: Iterable[int]):
+        self.columns = tuple(columns)
+        self._tables = _byte_tables(self.columns)
+
+    @classmethod
+    def from_columns(cls, cols, space) -> LinearMap:
+        """The GF(q)-linear map of `space`'s packed vectors (a ProjSpace)
+        that sends coordinate j's unit vector to the packed vector cols[j].
+
+        Bit b of chunk j is the scalar 2^b in coordinate j, so its image is
+        space.smul(1 << b, cols[j]).
+        """
+        smul = space.smul
+        return cls(smul(1 << b, c) for c in cols for b in range(space.h))
+
+    def then(self, f) -> LinearMap:
+        """v -> f(self(v)) for a GF(2)-linear f on the images."""
+        return LinearMap(f(c) for c in self.columns)
+
+    def inverse(self) -> LinearMap:
+        """The inverse map, by GF(2) Gauss-Jordan on (image, preimage) pairs.
+
+        Image bits sit below preimage bits in one int, so the reduced
+        echelon rows of a bijection of the n low bits are 1 << b beside the
+        preimage of 1 << b.  Raises SingularMatrix for any other map.
+        """
+        n = len(self.columns)
+        if any(c >> n for c in self.columns):
+            raise SingularMatrix("the map is not square")
+        rows = f2_echelon(c | 1 << (n + b) for b, c in enumerate(self.columns))
+        low = (1 << n) - 1
+        if [r & low for r in rows] != [1 << b for b in range(n)]:
+            raise SingularMatrix("the map has no inverse")
+        return LinearMap(r >> n for r in rows)
+
+    def __call__(self, v: int) -> int:
+        out = 0
+        for tab in self._tables:
+            out ^= tab[v & 0xFF]
+            v >>= 8
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +383,17 @@ class Tower:
     the big field over the small one is 1, beta, ..., beta^(k-1) where beta
     is the class of x modulo the big modulus.  vec/unvec convert between a
     big-field element and its coordinate vector in that basis.
+
+    vec_packed(t) packs t's coordinates as k chunks of h bits and
+    unvec_packed undoes it.  Both are GF(2)-linear: unvec_packed is the
+    LinearMap whose column j h + b is the embedded 2^b times basis[j], and
+    vec_packed is its inverse, read from a list while the big field has
+    exp/log tables.
     """
 
     __slots__ = (
         "h", "k", "hk", "small", "big", "root",
-        "_embed_table", "_unembed", "basis",
-        "_fwd_col", "_inv_col", "_vec_table",
+        "_embed_table", "_unembed", "basis", "vec_packed", "unvec_packed",
     )
 
     def __init__(self, h: int, k: int, small: Field, big: Field):
@@ -320,21 +406,19 @@ class Tower:
         powers = [1] * h
         for b in range(1, h):
             powers[b] = big.mul(powers[b - 1], self.root)
-        self._embed_table = [0] * small.q
-        for a in range(small.q):
-            acc = 0
-            bits = a
-            b = 0
-            while bits:
-                if bits & 1:
-                    acc ^= powers[b]
-                bits >>= 1
-                b += 1
-            self._embed_table[a] = acc
+        embed = LinearMap(powers)
+        self._embed_table = [embed(a) for a in range(small.q)]
         self._unembed = {img: a for a, img in enumerate(self._embed_table)}
         beta = 2 if self.hk > 1 else 1
         self.basis = tuple(big.pow(beta, j) for j in range(k))
-        self._build_vec_maps()
+        self.unvec_packed = LinearMap(
+            big.mul(self._embed_table[1 << b], bj) for bj in self.basis for b in range(h)
+        )
+        vec = self.unvec_packed.inverse()
+        # below the table limit a list lookup beats the byte tables
+        self.vec_packed = (
+            [vec(t) for t in range(big.q)].__getitem__ if big.m <= TABLE_LIMIT else vec
+        )
         self._self_check()
 
     # -- construction ----------------------------------------------------
@@ -365,54 +449,6 @@ class Tower:
                 f"small modulus 0x{small.modulus:x} has no root in GF(2^{big.m})"
             )
         return min(roots)
-
-    def _build_vec_maps(self) -> None:
-        hk, h, k = self.hk, self.h, self.k
-        fwd_col = [0] * hk
-        for j in range(k):
-            for b in range(h):
-                fwd_col[j * h + b] = self.big.mul(
-                    self._embed_table[1 << b], self.basis[j]
-                )
-        # invert the GF(2) matrix whose columns are fwd_col
-        rows = []
-        for i in range(hk):
-            r = 0
-            for j in range(hk):
-                r |= ((fwd_col[j] >> i) & 1) << j
-            rows.append(r)
-        aug = [rows[i] | (1 << (hk + i)) for i in range(hk)]
-        for col in range(hk):
-            piv = next(
-                (r for r in range(col, hk) if (aug[r] >> col) & 1), None
-            )
-            if piv is None:
-                raise IrreducibleCheckFailed("basis does not span the big field")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            for r in range(hk):
-                if r != col and (aug[r] >> col) & 1:
-                    aug[r] ^= aug[col]
-        inv_rows = [aug[i] >> hk for i in range(hk)]
-        inv_col = [0] * hk
-        for j in range(hk):
-            for i in range(hk):
-                inv_col[j] |= ((inv_rows[i] >> j) & 1) << i
-        self._fwd_col = fwd_col
-        self._inv_col = inv_col
-        self._vec_table = (
-            [self._vec_packed_slow(t) for t in range(self.big.q)]
-            if self.big.m <= TABLE_LIMIT else None
-        )
-
-    def _vec_packed_slow(self, t: int) -> int:
-        out = 0
-        b = 0
-        while t:
-            if t & 1:
-                out ^= self._inv_col[b]
-            t >>= 1
-            b += 1
-        return out
 
     def _self_check(self) -> None:
         small, big = self.small, self.big
@@ -450,22 +486,6 @@ class Tower:
     def to_subfield(self, t: int) -> int:
         """Preimage of an embedded element; raises KeyError when outside."""
         return self._unembed[t]
-
-    def vec_packed(self, t: int) -> int:
-        """Coordinates of t in the basis, packed as k chunks of h bits."""
-        if self._vec_table is not None:
-            return self._vec_table[t]
-        return self._vec_packed_slow(t)
-
-    def unvec_packed(self, c: int) -> int:
-        out = 0
-        b = 0
-        while c:
-            if c & 1:
-                out ^= self._fwd_col[b]
-            c >>= 1
-            b += 1
-        return out
 
     def vec(self, t: int) -> tuple[int, ...]:
         packed = self.vec_packed(t)

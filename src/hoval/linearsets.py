@@ -33,13 +33,13 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import EnumerationTooLarge, NotF2Linear, TooFewPoints
-from .gf2 import f2_echelon, field_create
+from .gf2 import LinearMap, f2_echelon, field_create
 from .hyperoval import AffinePointSet, DirectionSet, translation_basis
-from .projective import DEFAULT_BUDGET, LinearMap, ProjSpace, projective_points_count
-from .reduction import CorrespondenceMaps, Spread
+from .projective import DEFAULT_BUDGET, ProjSpace, projective_points_count
+from .reduction import CorrespondenceMaps
 
 
 @dataclass(frozen=True)
@@ -460,33 +460,28 @@ class ScatterednessReport:
     meet_histogram: dict
 
 
-def scattered_check(witness: F2Witness, fibres) -> ScatterednessReport:
+def scattered_check(witness: F2Witness, hinf: ProjSpace) -> ScatterednessReport:
     """Does every element of the (h-1)-spread meet K in at most one point?
 
-    `fibres` is H_inf itself: the spread element holding a GF(2) vector w is
-    the fibre of its H_inf point normalize(w), so counting normalize over K
-    needs no spread, and the offending element is reported as the smallest
-    over-met H_inf point.  A built spread (CorrespondenceMaps.s_prime) is
-    accepted too and checked element by element, offending element given
-    as its index; the tests keep it as the oracle for the fibre count.
+    The spread element holding a GF(2) vector w is the fibre of its H_inf
+    point hinf.normalize(w), so counting normalize over K needs no spread,
+    and the offending element is reported as the smallest over-met H_inf
+    point.  The tests build the spread by field reduction and check it
+    element by element as the oracle for the fibre count.
     """
-    if isinstance(fibres, Spread):
-        element_of, nelements, space = fibres.element_of, len(fibres), fibres.space
-    else:
-        element_of, nelements, space = fibres.normalize, fibres.npoints(), fibres
     meets: dict = {}
     for p in witness.k_points:
-        idx = element_of(p)
+        idx = hinf.normalize(p)
         meets[idx] = meets.get(idx, 0) + 1
     max_meet = max(meets.values(), default=0)
     offender = None
     if max_meet > 1:
         offender = min(i for i, c in meets.items() if c > 1)
-    hist: dict = {0: nelements - len(meets)}
+    hist: dict = {0: hinf.npoints() - len(meets)}
     for c in meets.values():
         hist[c] = hist.get(c, 0) + 1
-    # K lives in PG(2hk-1, 2); either description has 2hk bits per vector
-    max_rank = space.width * space.field.m // 2
+    # K lives in PG(2hk-1, 2): H_inf's 2hk bits per vector
+    max_rank = hinf.bits // 2
     scattered = max_meet <= 1
     return ScatterednessReport(
         scattered=scattered,

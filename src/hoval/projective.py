@@ -8,12 +8,16 @@ Subspaces are tuples of packed rows in reduced echelon form with strictly
 increasing pivot chunks, so subspace equality is tuple equality.
 
 Multiplying by a fixed scalar s is a GF(2)-linear map of packed vectors.  A
-table-backed space applies it as LinearMap does, one lookup per byte into
-ceil(bits/8) tables of 256 entries, built on s's first use.  The spaces over
-the tower's base field GF(q) are table-backed: a run multiplies by each of
-their q - 1 scalars hundreds to thousands of times.  The spaces over
-GF(q^k) meet each scalar about once and multiply chunk by chunk with
+table-backed space applies it as gf2.LinearMap does, one lookup per byte
+into ceil(bits/8) tables of 256 entries, built on s's first use.  The
+spaces over the tower's base field GF(q) are table-backed: a run multiplies
+by each of their q - 1 scalars hundreds to thousands of times.  The spaces
+over GF(q^k) meet each scalar about once and multiply chunk by chunk with
 Field.mul.  Which kind a space is gets fixed where it is created.
+
+No other linear map is defined here: vec/unvec and the coordinate changes
+are gf2.LinearMaps, and LinearMap.from_columns builds a GF(q)-linear one
+of this module's packed vectors from its columns.
 """
 
 from __future__ import annotations
@@ -25,10 +29,9 @@ from .errors import (
     DegenerateSpan,
     DimensionMismatch,
     EnumerationTooLarge,
-    SingularMatrix,
     ZeroVector,
 )
-from .gf2 import TABLE_LIMIT, Field
+from .gf2 import TABLE_LIMIT, Field, _byte_tables
 
 DEFAULT_BUDGET = 10**8
 
@@ -293,104 +296,3 @@ class ProjSpace:
 
     def __repr__(self) -> str:
         return f"ProjSpace(n={self.n}, q={self.q})"
-
-
-# ---------------------------------------------------------------------------
-# linear maps: byte-sliced tables, and small dense matrices over GF(q) with
-# rows as lists of coordinate ints
-# ---------------------------------------------------------------------------
-
-def _byte_tables(columns: Sequence[int]) -> tuple[list[int], ...]:
-    """Table t holds the XOR of every subset of columns 8t .. 8t + 7."""
-    tables = []
-    for lo in range(0, len(columns), 8):
-        cols = columns[lo:lo + 8]
-        tab = [0] * (1 << len(cols))
-        for v in range(1, len(tab)):
-            low = v & -v
-            tab[v] = tab[v ^ low] ^ cols[low.bit_length() - 1]
-        tables.append(tab)
-    return tuple(tables)
-
-
-class LinearMap:
-    """A GF(2)-linear map of packed vectors, applied by byte-sliced tables.
-
-    ``columns[b]`` is the image of the unit vector 1 << b.  Table t holds the
-    XOR of every subset of columns 8t .. 8t + 7, so a vector is mapped with
-    one lookup per byte instead of one GF(q) product per matrix entry.  A
-    GF(q)-linear map is GF(2)-linear too (from_matrix); so is "the map, then
-    any GF(2)-linear relabelling of its output" (then).  Inputs must have no
-    bit at or above len(columns).
-    """
-
-    __slots__ = ("columns", "_tables")
-
-    def __init__(self, columns: Iterable[int]):
-        self.columns = tuple(columns)
-        self._tables = _byte_tables(self.columns)
-
-    @classmethod
-    def from_matrix(cls, m: Sequence[Sequence[int]], space: ProjSpace) -> LinearMap:
-        """v -> m v for a square matrix over GF(q) acting on `space`'s vectors."""
-        mul = space.field.mul
-        h = space.h
-        columns = []
-        for j in range(space.width):
-            for bit in range(h):
-                out = 0
-                for i, row in enumerate(m):
-                    if row[j]:
-                        out |= mul(row[j], 1 << bit) << (i * h)
-                columns.append(out)
-        return cls(columns)
-
-    def then(self, f) -> LinearMap:
-        """v -> f(self(v)) for a GF(2)-linear f on the images."""
-        return LinearMap(f(c) for c in self.columns)
-
-    def __call__(self, v: int) -> int:
-        out = 0
-        for tab in self._tables:
-            out ^= tab[v & 0xFF]
-            v >>= 8
-        return out
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], field: Field
-            ) -> list[list[int]]:
-    n = len(a)
-    m = len(b[0])
-    inner = len(b)
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = 0
-            for t in range(inner):
-                if a[i][t] and b[t][j]:
-                    acc ^= field.mul(a[i][t], b[t][j])
-            out[i][j] = acc
-    return out
-
-
-def mat_inv(m: Sequence[Sequence[int]], field: Field) -> list[list[int]]:
-    n = len(m)
-    a = [list(row) for row in m]
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise SingularMatrix("matrix has no inverse")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = field.inv(a[col][col])
-        if scale != 1:
-            a[col] = [field.mul(scale, x) for x in a[col]]
-            inv[col] = [field.mul(scale, x) for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x ^ field.mul(f, y) for x, y in zip(a[r], a[col])]
-                inv[r] = [x ^ field.mul(f, y) for x, y in zip(inv[r], inv[col])]
-    return inv
-

@@ -23,6 +23,7 @@ from .errors import (
     SpreadConstructionFailed,
     TransversalExtractionFailed,
 )
+from .gf2 import LinearMap
 from .hyperoval import DirectionSet
 from .linearsets import (
     CyclicSymmetry,
@@ -30,13 +31,7 @@ from .linearsets import (
     check_group_budget,
     check_pair_budget,
 )
-from .projective import (
-    DEFAULT_BUDGET,
-    LinearMap,
-    ProjSpace,
-    mat_inv,
-    mat_mul,
-)
+from .projective import DEFAULT_BUDGET, ProjSpace
 from .reduction import CorrespondenceMaps, Spread, unvec_blocks
 
 
@@ -280,11 +275,6 @@ def _solve_in_span(space: ProjSpace, target: int, vectors):
     return tuple(out) if t == 0 else None
 
 
-def _columns_matrix(space: ProjSpace, cols):
-    unpacked = [space.unpack(c) for c in cols]
-    return [[unpacked[c][r] for c in range(len(cols))] for r in range(space.width)]
-
-
 def _greedy_basis(space: ProjSpace, pts, rank: int):
     basis: list = []
     rows: tuple = ()
@@ -300,10 +290,17 @@ def _greedy_basis(space: ProjSpace, pts, rank: int):
 
 @dataclass(frozen=True)
 class SemilinearFit:
+    """The accepted exponents and the coordinate change of the primary fit.
+
+    `matrix` is a LinearMap of H_inf's packed vectors: the GF(q)-linear
+    map taking detected coordinates to the canonical frame, where
+    D = {(t, t^(2^exponent))}.
+    """
+
     exponent: int  # Frobenius exponent of the primary fit
     exponents: frozenset  # all exponents accepted over both labelings
     labeling: str  # "standard" or "swapped" for the primary fit
-    matrix: tuple  # coordinate change, detected -> canonical, row tuples
+    matrix: LinearMap  # coordinate change, detected -> canonical
     fits: tuple  # every accepted (labeling, exponent) pair
 
 
@@ -322,13 +319,12 @@ def _preserves_spread(m, maps: CorrespondenceMaps, space: ProjSpace) -> bool:
     vector, so it permutes none.
     """
     try:
-        minv = mat_inv(m, space.field)
+        inverse = m.inverse()
     except SingularMatrix:
         return False
-    lmap = LinearMap.from_matrix(m, space)
-    if _conjugates_field(lmap, LinearMap.from_matrix(minv, space), maps):
+    if _conjugates_field(m, inverse, maps):
         return True
-    return _maps_elements_to_elements(lmap, maps, space)
+    return _maps_elements_to_elements(m, maps, space)
 
 
 def _conjugates_field(lmap: LinearMap, inverse: LinearMap, maps) -> bool:
@@ -417,8 +413,10 @@ def _fit_candidates(dirs: DirectionSet, fmap: dict, maps: CorrespondenceMaps):
     Yields (labeling, j, matrix, to_field) for each
     transversal labeling and each exponent j prime to hk whose fitted
     matrix sends d0 = min D to (t, rho t^(2^j)) with t != 0 and rho in
-    GF(q).  The yielded matrix has its second block divided by rho, and
-    `to_field` is that matrix followed by unvec of each block
+    GF(q).  The matrix is the LinearMap that takes the basis u + w of the
+    transversal points to the canonical basis (b, 0), (0, b^(2^j)) over
+    the tower basis b, with its second block then divided by rho, and
+    `to_field` is that map followed by unvec of each block
     (_canonical_image).
     """
     tower = maps.tower
@@ -427,7 +425,7 @@ def _fit_candidates(dirs: DirectionSet, fmap: dict, maps: CorrespondenceMaps):
     k, hk = tower.k, tower.hk
     hk_bits = k * tower.h
     mask = (1 << hk_bits) - 1
-    vec = tower.vec_packed
+    vec, unvec = tower.vec_packed, tower.unvec_packed
     spell = unvec_blocks(tower, 2)
 
     candidates = [j for j in range(1, hk) if math.gcd(j, hk) == 1]
@@ -450,17 +448,16 @@ def _fit_candidates(dirs: DirectionSet, fmap: dict, maps: CorrespondenceMaps):
         if not ok:
             continue
         w = [space.smul(c, x) for c, x in zip(scalars, v)]
-        b_source = _columns_matrix(space, u + w)
         try:
-            b_source_inv = mat_inv(b_source, space.field)
+            to_basis = LinearMap.from_columns(u + w, space).inverse()
         except SingularMatrix:
             continue
         d0 = dirs.ordered[0]
         for j in candidates:
             cols = [vec(b) for b in tower.basis]
             cols += [vec(big.frob(b, j)) << hk_bits for b in tower.basis]
-            m = mat_mul(_columns_matrix(space, cols), b_source_inv, space.field)
-            to_field = LinearMap.from_matrix(m, space).then(spell)
+            m = to_basis.then(LinearMap.from_columns(cols, space))
+            to_field = m.then(spell)
             y = to_field(d0)
             t = y & mask
             s = y >> hk_bits
@@ -471,12 +468,9 @@ def _fit_candidates(dirs: DirectionSet, fmap: dict, maps: CorrespondenceMaps):
                 continue
             if rho != 1:
                 rinv = big.inv(rho)
-                n = [
-                    [tower.vec(big.mul(rinv, b))[r] for b in tower.basis]
-                    for r in range(k)
-                ]
-                m = m[:k] + mat_mul(n, m[k:], space.field)
-                to_field = LinearMap.from_matrix(m, space).then(spell)
+                m = m.then(lambda c: c & mask | vec(
+                    big.mul(rinv, unvec(c >> hk_bits))) << hk_bits)
+                to_field = m.then(spell)
             yield label, j, m, to_field
 
 
@@ -495,9 +489,9 @@ def fit_semilinear(
     x -> x^(2^h) shifts the apparent exponent by h while fixing both
     transversals and D's shape, so without it every exponent in
     {+-i + s*h} would pass.  Respecting the spread pins the answer to one
-    exponent per labeling, {i, hk - i} in total.  The returned matrix
-    carries detected coordinates to the canonical frame where
-    D = {(t, t^(2^i))}.
+    exponent per labeling, {i, hk - i} in total.  The returned matrix is
+    the LinearMap that carries detected coordinates to the canonical frame
+    where D = {(t, t^(2^i))}.
     """
     tower = maps.tower
     space = maps.hinf
@@ -506,7 +500,7 @@ def fit_semilinear(
         if _preserves_spread(m, maps, space) and _canonical_image(
             to_field, dirs, tower, j
         ):
-            accepted.append((label, j, tuple(tuple(r) for r in m)))
+            accepted.append((label, j, m))
     if not accepted:
         raise SemilinearFitFailed("no exponent fits the secant bijection")
     accepted.sort(key=lambda a: (a[0] != "standard", a[1]))
@@ -535,11 +529,11 @@ def build_spread(
     """Rebuild the Desarguesian spread through the fitted pseudoregulus.
 
     Canonical elements are the field-reduction spans of (1, u^(2^i - 1))
-    plus the two coordinate subspaces; they come back through the inverse
-    coordinate change, so the element through a point p is the canonical
-    element through fit.matrix * p (Spread.reduced).  matches_canonical
-    compares the canonical-frame elements against the line-at-infinity
-    spread, element set for element set.
+    plus the two coordinate subspaces; they come back through
+    fit.matrix.inverse(), so the element through a point p is the
+    canonical element through fit.matrix(p) (Spread.reduced).
+    matches_canonical compares the canonical-frame elements against the
+    line-at-infinity spread, element set for element set.
     """
     tower = maps.tower
     space = maps.hinf
@@ -570,10 +564,10 @@ def build_spread(
     sources += [1, 1 << hk_bits]  # <(1, 0)> and <(0, 1)>
 
     # the q^k + 1 distinct canonical elements reduce every point of
-    # PG(1, q^k), and mat_inv proves the fit invertible: the elements it
-    # takes back partition H_inf, and the fit finds the one through a point
-    minv = mat_inv([list(r) for r in fit.matrix], space.field)
-    inverse = LinearMap.from_matrix(minv, space)
+    # PG(1, q^k), and the inverse exists, so the fit is invertible: the
+    # elements it takes back partition H_inf, and the fit finds the one
+    # through a point
+    inverse = fit.matrix.inverse()
     elements = [space.rref([inverse(r) for r in rows]) for rows in element_rows]
     spread = Spread.reduced(elements, space, tower, sources, source, fit.matrix)
     # the rebuilt spread, taken back to detected coordinates, must be the

@@ -7,12 +7,11 @@ PG(2hk, 2).  The packed layouts are chosen so that going down the tower only
 reinterprets chunk boundaries: a GF(q)-coordinate vector with h-bit chunks
 is bitwise identical to its GF(2)-coordinate expansion.
 
-The spreads that field reduction builds (abb_spread of H_inf, s_prime of
-PG(2hk-1, 2), and the spread the pseudoregulus stage rebuilds) are
-partitions by construction: the element through a point is the reduction
-of the source point its blocks spell, so Spread.reduced finds it with one
-unvec per block and one normalize over the big field and never enumerates
-the points.
+The spreads that field reduction builds (abb_spread of H_inf and the spread
+the pseudoregulus stage rebuilds) are partitions by construction: the
+element through a point is the reduction of the source point its blocks
+spell, so Spread.reduced finds it with one unvec per block and one
+normalize over the big field and never enumerates the points.
 """
 
 from __future__ import annotations
@@ -20,15 +19,15 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from .errors import EnumerationTooLarge, InvalidSpread, NotAffine
-from .gf2 import Tower, f2_echelon, field_create, tower_create
-from .projective import DEFAULT_BUDGET, LinearMap, ProjSpace
+from .gf2 import LinearMap, Tower, f2_echelon, field_create
+from .projective import DEFAULT_BUDGET, ProjSpace
 
 
 class Spread:
     """A partition of PG(n, q) into pairwise disjoint equal subspaces.
 
-    Every spread comes from field reduction (``Spread.reduced``: abb_spread,
-    s_prime and the rebuilt spread of the pseudoregulus stage).  Each of
+    Every spread comes from field reduction (``Spread.reduced``: abb_spread
+    and the rebuilt spread of the pseudoregulus stage).  Each of
     ``elements`` is a subspace of ``space`` as its reduced-echelon row
     tuple (ProjSpace.rref), so two elements are equal iff their tuples are.
     ``sources[idx]`` is the packed point of the source projective space that
@@ -48,13 +47,13 @@ class Spread:
         tower: Tower,
         sources: Sequence[int],
         source_space: ProjSpace,
-        matrix=None,
+        matrix: LinearMap | None = None,
     ) -> Spread:
         """The spread whose element idx is M^-1 of the reduction of sources[idx].
 
         The caller builds elements[idx] as the field reduction over `tower`
         of the normalized point sources[idx] of `source_space`, carried by
-        M^-1 when a `matrix` M is given.  When the sources are every point
+        M^-1 when a `matrix` M (a LinearMap of `space`'s vectors) is given.  When the sources are every point
         of the source space once, the reductions partition `space`, and so
         does their image under M^-1.  Both counts are checked here, and so
         is M: "M, then unvec each block" must have GF(2)-independent
@@ -75,10 +74,7 @@ class Spread:
                 f"{npoints} source points"
             )
         to_source = unvec_blocks(tower, source_space.width)
-        if matrix is None:
-            lmap = LinearMap(to_source(1 << b) for b in range(space.bits))
-        else:
-            lmap = LinearMap.from_matrix(matrix, space).then(to_source)
+        lmap = to_source if matrix is None else matrix.then(to_source)
         if len(f2_echelon(lmap.columns)) != space.bits:
             raise InvalidSpread("the coordinate change is singular")
         spread = cls.__new__(cls)
@@ -96,25 +92,15 @@ class Spread:
         return self.index[point]
 
 
-def unvec_blocks(tower: Tower, blocks: int):
+def unvec_blocks(tower: Tower, blocks: int) -> LinearMap:
     """v -> the big-field elements its blocks of k coordinates spell.
 
     Block c of v (bits [c hk, (c + 1) hk)) unvecs to an element of GF(q^k)
     packed at the same bits, so the result is a packed vector of
-    PG(blocks - 1, q^k).  The map is GF(2)-linear.
+    PG(blocks - 1, q^k).
     """
-    bits = tower.hk
-    mask = (1 << bits) - 1
-    unvec = tower.unvec_packed
-    width = blocks * bits
-
-    def spell(v: int) -> int:
-        out = 0
-        for shift in range(0, width, bits):
-            out |= unvec((v >> shift) & mask) << shift
-        return out
-
-    return spell
+    hk, unvec = tower.hk, tower.unvec_packed
+    return LinearMap(unvec(1 << b % hk) << b // hk * hk for b in range(blocks * hk))
 
 
 class ReductionIndex(Mapping):
@@ -189,8 +175,7 @@ class CorrespondenceMaps:
     """Coordinate maps tying PG(2, q^k), PG(2k, q) and PG(2hk, 2) together."""
 
     __slots__ = (
-        "tower", "plane_big", "ambient", "hinf", "pi2", "hinf2",
-        "_abb_spread", "_s_prime",
+        "tower", "plane_big", "ambient", "hinf", "pi2", "hinf2", "_abb_spread",
     )
 
     def __init__(self, tower: Tower):
@@ -203,7 +188,6 @@ class CorrespondenceMaps:
         self.pi2 = ProjSpace(2 * tower.hk, gf2)
         self.hinf2 = ProjSpace(2 * tower.hk - 1, gf2)
         self._abb_spread: Spread | None = None
-        self._s_prime: Spread | None = None
 
     # -- plane over the big field -> Andre/Bruck-Bose ambient ----------------
 
@@ -231,14 +215,6 @@ class CorrespondenceMaps:
         if self.ambient.chunk(v, 0) != 1:
             raise NotAffine(f"0x{v:x} is not a normalized affine point")
         return 1 | ((v >> self.tower.h) << 1)
-
-    @property
-    def s_prime(self) -> Spread:
-        """(h-1)-spread of PG(2hk-1, 2); elements match points of H_inf."""
-        if self._s_prime is None:
-            sub = tower_create(1, self.tower.h, big_modulus=self.tower.small.modulus)
-            self._s_prime = field_reduction_spread(sub, 2 * self.tower.k, budget=None)
-        return self._s_prime
 
 
 _MAPS_CACHE: dict[tuple[int, int, int, int], CorrespondenceMaps] = {}

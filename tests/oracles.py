@@ -7,14 +7,75 @@ another way, kept here (not in the package) because only tests call it.
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations, product, repeat
 from math import comb
 
 from hoval.bruckbose import PlaneAxiomsReport
 from hoval.cplanes import AxiomReport
-from hoval.errors import CPlaneConstructionFailed, EnumerationTooLarge, InvalidSpread
+from hoval.errors import (
+    CPlaneConstructionFailed,
+    EnumerationTooLarge,
+    InvalidSpread,
+    SingularMatrix,
+)
+from hoval.gf2 import tower_create
 from hoval.hyperoval import is_arc
+from hoval.linearsets import ScatterednessReport
 from hoval.projective import ProjSpace
+from hoval.reduction import field_reduction_spread
+
+
+# -- matrices over GF(q) as lists of coordinate rows --------------------------
+
+def mat_mul(a, b, field) -> list:
+    """The product of two list matrices over `field`, entry by entry."""
+    n = len(a)
+    m = len(b[0])
+    inner = len(b)
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            acc = 0
+            for t in range(inner):
+                if a[i][t] and b[t][j]:
+                    acc ^= field.mul(a[i][t], b[t][j])
+            out[i][j] = acc
+    return out
+
+
+def mat_inv(m, field) -> list:
+    """Gauss-Jordan over GF(q); raises SingularMatrix."""
+    n = len(m)
+    a = [list(row) for row in m]
+    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise SingularMatrix("matrix has no inverse")
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        scale = field.inv(a[col][col])
+        if scale != 1:
+            a[col] = [field.mul(scale, x) for x in a[col]]
+            inv[col] = [field.mul(scale, x) for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x ^ field.mul(f, y) for x, y in zip(a[r], a[col])]
+                inv[r] = [x ^ field.mul(f, y) for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
+def matrix_columns(m, space: ProjSpace) -> list:
+    """The packed columns of a square list matrix, for LinearMap.from_columns."""
+    return [space.pack([row[j] for row in m]) for j in range(space.width)]
+
+
+def columns_matrix(cols, space: ProjSpace) -> list:
+    """The list matrix whose column j is the packed vector cols[j]."""
+    unpacked = [space.unpack(c) for c in cols]
+    return [[col[r] for col in unpacked] for r in range(space.width)]
 
 
 def mat_vec_packed(m, v: int, space: ProjSpace) -> int:
@@ -84,6 +145,28 @@ def apply_columns(columns, v: int) -> int:
             out ^= col
         v >>= 1
     return out
+
+
+# -- the tower's vec/unvec, bit by bit -----------------------------------------
+
+def tower_columns(tower) -> tuple:
+    """(unvec columns, vec columns) of the tower: column j h + b of unvec
+    is the embedded 2^b times basis[j], and vec's are its inverse, by
+    Gauss-Jordan on the augmented GF(2) matrix of bit rows."""
+    hk, h = tower.hk, tower.h
+    fwd = [tower.big.mul(tower.embed(1 << b), bj) for bj in tower.basis
+           for b in range(h)]
+    rows = [sum(((fwd[j] >> i) & 1) << j for j in range(hk)) for i in range(hk)]
+    aug = [rows[i] | (1 << (hk + i)) for i in range(hk)]
+    for col in range(hk):
+        piv = next(r for r in range(col, hk) if (aug[r] >> col) & 1)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        for r in range(hk):
+            if r != col and (aug[r] >> col) & 1:
+                aug[r] ^= aug[col]
+    inv_rows = [aug[i] >> hk for i in range(hk)]
+    inv = [sum(((inv_rows[i] >> j) & 1) << i for i in range(hk)) for j in range(hk)]
+    return fwd, inv
 
 
 def nonzero_elements(field) -> range:
@@ -551,4 +634,36 @@ def sampled_check(plane, quadrangle: bool, seed: int = 0, samples: int = 2000):
         quadrangle_ok=quadrangle,
         witness=witness,
         path="sampled",
+    )
+
+
+# -- scatteredness over the enumerated (h-1)-spread ----------------------------
+
+@cache
+def s_prime(maps):
+    """The (h-1)-spread of PG(2hk-1, 2) by field reduction over GF(2) <
+    GF(q): element idx is the GF(2) vectors of the H_inf point sources[idx]."""
+    tower = maps.tower
+    sub = tower_create(1, tower.h, big_modulus=tower.small.modulus)
+    return field_reduction_spread(sub, 2 * tower.k, budget=None)
+
+
+def scattered_by_elements(witness, spread) -> ScatterednessReport:
+    """scattered_check element by element over a built spread; the
+    offending element is the least over-met element index."""
+    meets = Counter(spread.element_of(p) for p in witness.k_points)
+    max_meet = max(meets.values(), default=0)
+    offender = min((i for i, c in meets.items() if c > 1), default=None)
+    hist = Counter(meets.values())
+    hist[0] = len(spread) - len(meets)
+    max_rank = spread.space.bits // 2
+    scattered = max_meet <= 1
+    return ScatterednessReport(
+        scattered=scattered,
+        rank=witness.rank,
+        max_rank=max_rank,
+        is_maximum=scattered and witness.rank == max_rank,
+        max_meet=max_meet,
+        offending_element=offender,
+        meet_histogram={j: hist[j] for j in sorted(hist)},
     )

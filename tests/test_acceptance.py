@@ -9,8 +9,6 @@ import random
 import time
 from math import comb
 
-import pytest
-
 from hoval.bruckbose import build_plane, hyperoval_in_plane, plane_axioms_check
 from hoval.cplanes import build_c_planes, check_axioms
 from hoval.errors import HovalError, NotF2Linear
@@ -28,6 +26,7 @@ from hoval.pseudoregulus import (
     extract_transversals,
     find_long_secants,
 )
+from oracles import s_prime, scattered_by_elements
 
 STRICT_CASES = ((3, 2, 1), (4, 2, 1), (4, 2, 3), (3, 3, 1), (3, 3, 2))
 CONTROL = (4, 2, 2)
@@ -118,7 +117,7 @@ def test_criterion_03_linearity_and_scatteredness():
         )
         if hk <= 8:
             # the enumerated (h-1)-spread is the oracle for the fibre count
-            case_ok = case_ok and scattered_check(wit, hov.maps.s_prime) == rep
+            case_ok = case_ok and scattered_by_elements(wit, s_prime(hov.maps)) == rep
         notes.append(f"({h},{k},{i}) |D|={len(d.points)} rank={wit.rank}")
         ok = ok and case_ok
     _verdict(3, ok, "; ".join(notes))
@@ -311,7 +310,7 @@ def test_criterion_09_mutation_sensitivity():
             wit = f2_witness(qset, dirs, maps)
         except NotF2Linear as exc:
             return f"NotF2Linear: {exc}"
-        srep = scattered_check(wit, maps.s_prime)
+        srep = scattered_by_elements(wit, s_prime(maps))
         if wit.rank != spec.hk or not (srep.scattered and srep.is_maximum):
             return f"rank={wit.rank} scattered={srep.scattered}"
         return None

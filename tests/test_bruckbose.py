@@ -15,6 +15,7 @@ from hoval.hyperoval import (
     translation_closure_check,
 )
 from hoval.bruckbose import (
+    LINE_PAIR_SAMPLES,
     PlaneAxiomsReport,
     _quadrangle_ok,
     build_plane,
@@ -96,10 +97,10 @@ def test_parallel_classes_tile_affine(setup321):
 
 def test_axioms_exhaustive_321(setup321):
     _, _, _, plane = setup321
-    rep = plane_axioms_check(plane, samples=500)
+    rep = plane_axioms_check(plane)
     assert rep.ok
     assert (rep.mode, rep.path) == ("exhaustive", "fibres")
-    assert rep.line_pairs_checked == 500
+    assert rep.line_pairs_checked == LINE_PAIR_SAMPLES == 2000
     assert rep.points == rep.lines == 4161
     assert rep.points_per_line == 65
     assert rep.pairs_checked == 4161 * 4160 // 2
@@ -333,7 +334,7 @@ def _pair_table(plane):
     return pairs, collisions, witness
 
 
-def _bytearray_axioms_oracle(plane, seed=0, samples=2000):
+def _bytearray_axioms_oracle(plane, seed=0):
     """The exhaustive plane check with an n^2 byte coverage table."""
     n = plane.n_points
     order = plane.order
@@ -345,7 +346,7 @@ def _bytearray_axioms_oracle(plane, seed=0, samples=2000):
         witness = ("pair count", pairs, n * (n - 1) // 2)
     line_pairs = 0
     all_lines = list(plane_lines(plane)) + ["inf"]
-    for _ in range(min(samples, 2000)):
+    for _ in range(LINE_PAIR_SAMPLES):
         l1, l2 = rng.sample(all_lines, 2)
         c = _common_points(plane, l1, l2)
         line_pairs += 1
@@ -404,8 +405,8 @@ def forged321(setup321):
 
 def test_fibre_certificate_matches_the_pair_table_oracle(setup321):
     _, _, _, plane = setup321
-    rep = plane_axioms_check(plane, seed=3, samples=300)
-    assert rep == _bytearray_axioms_oracle(plane, seed=3, samples=300)
+    rep = plane_axioms_check(plane, seed=3)
+    assert rep == _bytearray_axioms_oracle(plane, seed=3)
     assert rep.ok and rep.collisions == 0
 
 
@@ -519,7 +520,7 @@ def test_forged_reduced_spread_fails_by_its_fibres(hk, points):
     assert plane.n_points == points
     tracemalloc.start()
     try:
-        rep = plane_axioms_check(plane, seed=3, samples=300)
+        rep = plane_axioms_check(plane, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,12 +1,20 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoval.errors import DivisionByZero, IrreducibleCheckFailed, UnsupportedDegree
-from hoval.gf2 import Field, Tower, default_modulus, field_create, is_irreducible, tower_create
-from oracles import nonzero_elements
+from hoval.gf2 import (
+    TABLE_LIMIT,
+    Field,
+    default_modulus,
+    field_create,
+    is_irreducible,
+    tower_create,
+)
+from oracles import apply_columns, nonzero_elements, tower_columns
 
 
 # --- independent oracles -----------------------------------------------------
@@ -103,8 +111,6 @@ def test_mul_matches_oracle_exhaustive():
 
 
 def test_mul_matches_oracle_sampled_large():
-    import random
-
     rng = random.Random(7)
     for m in (11, 16, 17, 24):
         f = field_create(m)
@@ -124,8 +130,6 @@ def test_inverse_exhaustive():
 
 def test_inverse_large_degree_path():
     f = field_create(17)
-    import random
-
     rng = random.Random(3)
     for _ in range(50):
         a = rng.randrange(1, f.q)
@@ -213,6 +217,22 @@ def test_tower_vec_unvec_round_trip_exhaustive():
         assert t.unvec_packed(t.vec_packed(x)) == x
 
 
+@pytest.mark.parametrize("h, k", [(3, 2), (6, 3)])
+def test_tower_vec_unvec_match_the_bit_loop_oracle(h, k):
+    # every element of GF(2^6); 2,000 seeded ones of GF(2^18), past the
+    # table limit, where vec_packed is the inverse LinearMap itself
+    t = tower_create(h, k)
+    fwd, inv = tower_columns(t)
+    if t.big.m <= TABLE_LIMIT:
+        sample = range(t.big.q)
+    else:
+        rng = random.Random(18)
+        sample = [rng.randrange(t.big.q) for _ in range(2000)]
+    for x in sample:
+        assert t.vec_packed(x) == apply_columns(inv, x)
+        assert t.unvec_packed(x) == apply_columns(fwd, x)
+
+
 def test_tower_vec_is_basis_expansion():
     t = tower_create(3, 2)
     for j in range(t.k):
@@ -221,8 +241,6 @@ def test_tower_vec_is_basis_expansion():
 
 
 def test_tower_vec_additive_and_small_linear():
-    import random
-
     t = tower_create(3, 3)
     rng = random.Random(11)
     for _ in range(100):

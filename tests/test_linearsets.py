@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hoval import linearsets
 from hoval.cplanes import build_c_planes, check_axioms
 from hoval.errors import EnumerationTooLarge, NotF2Linear
-from hoval.gf2 import field_create, tower_create
+from hoval.gf2 import field_create
 from hoval.hyperoval import (
     AffinePointSet,
     DirectionSet,
@@ -20,7 +20,6 @@ from hoval.hyperoval import (
     translation_basis,
 )
 from hoval.linearsets import (
-    F2Witness,
     cyclic_candidate,
     cyclic_symmetry,
     f2_witness,
@@ -30,8 +29,7 @@ from hoval.linearsets import (
 )
 from hoval.projective import ProjSpace
 from hoval.pseudoregulus import find_long_secants
-from hoval.reduction import maps_for
-from oracles import apply_columns, line_scan_counts
+from oracles import apply_columns, line_scan_counts, s_prime, scattered_by_elements
 
 
 @pytest.fixture(scope="module")
@@ -252,7 +250,7 @@ def test_f2_witness_321(case321):
     assert w.k_points == tuple(sorted((p ^ hov.affine.ordered[0]) >> 3
                                       for p in hov.affine.ordered[1:]))
     assert w.base == min(hov.maps.bc_affine(p) for p in hov.affine)
-    rep = scattered_check(w, hov.maps.s_prime)
+    rep = scattered_by_elements(w, s_prime(hov.maps))
     assert rep.scattered and rep.is_maximum
     assert rep.rank == rep.max_rank == 6
     assert rep.max_meet == 1
@@ -296,7 +294,7 @@ def test_control_is_linear_but_not_scattered():
     d = directions(hov.affine, hov.maps)
     w = f2_witness(hov.affine, d, hov.maps)
     assert w.rank == 8
-    rep = scattered_check(w, hov.maps.s_prime)
+    rep = scattered_by_elements(w, s_prime(hov.maps))
     assert not rep.scattered
     assert rep.max_meet == 3
     assert rep.meet_histogram == {0: 4284, 3: 85}
@@ -306,7 +304,7 @@ def test_control_is_linear_but_not_scattered():
 def test_scattered_421(case421):
     hov, d = case421
     w = f2_witness(hov.affine, d, hov.maps)
-    rep = scattered_check(w, hov.maps.s_prime)
+    rep = scattered_by_elements(w, s_prime(hov.maps))
     assert rep.scattered and rep.is_maximum and rep.rank == 8
     assert rep.meet_histogram == {0: 4369 - 255, 1: 255}
 
@@ -322,7 +320,7 @@ def test_fibre_scatteredness_matches_s_prime(h, k, i, strict):
     maps = hov.maps
     w = f2_witness(hov.affine, directions(hov.affine, maps), maps)
     fibres = scattered_check(w, maps.hinf)
-    spread = scattered_check(w, maps.s_prime)
+    spread = scattered_by_elements(w, s_prime(maps))
     same = ("scattered", "rank", "max_rank", "is_maximum", "max_meet", "meet_histogram")
     assert {f: getattr(fibres, f) for f in same} == {f: getattr(spread, f) for f in same}
     assert fibres.max_rank == h * k
@@ -332,10 +330,10 @@ def test_fibre_scatteredness_matches_s_prime(h, k, i, strict):
         # the fibre offender is an H_inf point whose s_prime element is over-met
         over = fibres.offending_element
         assert maps.hinf.normalize(over) == over
-        idx = {maps.s_prime.element_of(p) for p in w.k_points
+        idx = {s_prime(maps).element_of(p) for p in w.k_points
                if maps.hinf.normalize(p) == over}
         assert len(idx) == 1
-        assert sum(maps.s_prime.element_of(p) in idx for p in w.k_points) > 1
+        assert sum(s_prime(maps).element_of(p) in idx for p in w.k_points) > 1
 
 
 # -- the cyclic-group path ------------------------------------------------------

@@ -11,7 +11,6 @@ from hoval import hyperoval
 from hoval.errors import NoLongSecants
 from hoval.pipeline import STAGE_ORDER, run_verify_all
 from hoval.projective import ProjSpace
-from hoval.reduction import CorrespondenceMaps
 
 
 @pytest.fixture(scope="module")
@@ -131,18 +130,6 @@ def test_one_pair_scan_per_run(monkeypatch):
     assert rep.verdict == "pass"
     assert rep.stage("spectrum").data["path"] == "pair-scan"
     assert len(calls) == 1
-
-
-def test_linearity_does_not_build_s_prime(monkeypatch):
-    def refuse(self):
-        raise AssertionError("the pipeline must not enumerate s_prime")
-
-    monkeypatch.setattr(CorrespondenceMaps, "s_prime", property(refuse))
-    rep = run_verify_all(3, 2, 1, stages=("linearity",))
-    lin = rep.stage("linearity")
-    assert lin.ok
-    assert lin.data["meet_histogram"] == {"0": 522, "1": 63}
-    assert lin.data["max_rank"] == 6
 
 
 def test_verify_all_enumerates_no_spread(monkeypatch):

@@ -9,23 +9,20 @@ from hoval.errors import (
     SingularMatrix,
     ZeroVector,
 )
-from hoval.gf2 import field_create, tower_create
+from hoval.gf2 import LinearMap, field_create, tower_create
 from hoval.pipeline import run_verify_all
-from hoval.projective import (
-    LinearMap,
-    ProjSpace,
-    gaussian_lines,
-    mat_inv,
-    mat_mul,
-    projective_points_count,
-)
+from hoval.projective import ProjSpace, gaussian_lines, projective_points_count
 from hoval.reduction import maps_for
 from oracles import (
     chunk_normalize,
     chunk_reduce,
     chunk_rref,
     chunk_smul,
+    columns_matrix,
+    mat_inv,
+    mat_mul,
     mat_vec_packed,
+    matrix_columns,
 )
 
 
@@ -283,18 +280,52 @@ def _random_invertible(n, field, rng):
 
 
 def test_mat_inv_round_trip():
-    f = field_create(3)
+    # LinearMap.inverse, GF(2) Gauss-Jordan on the packed columns, is the
+    # GF(q) inverse of the list-matrix oracle
+    s = space(3, 3)
+    f = s.field
     rng = random.Random(23)
     ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     for _ in range(20):
         m = _random_invertible(4, f, rng)
         assert mat_mul(m, mat_inv(m, f), f) == ident
+        lmap = LinearMap.from_columns(matrix_columns(m, s), s)
+        inverse = lmap.inverse()
+        want = LinearMap.from_columns(matrix_columns(mat_inv(m, f), s), s)
+        assert inverse.columns == want.columns
+        for _ in range(50):
+            v = rng.randrange(1 << s.bits)
+            assert inverse(lmap(v)) == lmap(inverse(v)) == v
+
+
+@pytest.mark.parametrize("bits", [1, 7, 8, 13, 24])
+def test_linear_map_inverse_round_trips_over_gf2(bits):
+    rng = random.Random(bits)
+    top = (1 << bits) - 1
+    for _ in range(10):
+        while True:
+            lmap = LinearMap(rng.randrange(1, top + 1) for _ in range(bits))
+            try:
+                inverse = lmap.inverse()
+                break
+            except SingularMatrix:
+                continue
+        for v in [0, top] + [rng.randrange(top + 1) for _ in range(100)]:
+            assert inverse(lmap(v)) == lmap(inverse(v)) == v
 
 
 def test_mat_inv_singular():
     f = field_create(2)
     with pytest.raises(SingularMatrix):
         mat_inv([[1, 1], [1, 1]], f)
+    # a column that is the sum of two others, a repeated column, a zero
+    # column, and a column reaching past the map's bits
+    s = space(3, 2)
+    for cols in ([1, 4, 5, 64], [1, 4, 4, 64], [1, 0, 16, 64], [1, 4, 16, 256]):
+        with pytest.raises(SingularMatrix):
+            LinearMap.from_columns(cols, s).inverse()
+    with pytest.raises(SingularMatrix):
+        LinearMap([0b011, 0b110, 0b101]).inverse()
 
 
 def test_projectivity_preserves_incidence():
@@ -324,7 +355,7 @@ def test_linear_map_matches_mat_vec_packed(n, m):
         _random_invertible(s.width, s.field, rng),
         [[rng.randrange(s.q) for _ in range(s.width)] for _ in range(s.width)],
     ):
-        lmap = LinearMap.from_matrix(mat, s)
+        lmap = LinearMap.from_columns(matrix_columns(mat, s), s)
         units = tuple(mat_vec_packed(mat, 1 << b, s) for b in range(s.bits))
         assert lmap.columns == units
         top = (1 << s.bits) - 1
@@ -333,12 +364,16 @@ def test_linear_map_matches_mat_vec_packed(n, m):
 
 
 def test_linear_map_matches_mat_vec_packed_on_the_fit_331():
+    # the fit is GF(q)-linear: its images of the coordinate unit vectors
+    # fix it on every vector
     run = run_verify_all(3, 3, 1, stages=("pseudoregulus",)).run
     s = run.hov.maps.hinf
-    fit = [list(r) for r in run.fit.matrix]
-    lmap = LinearMap.from_matrix(fit, s)
+    cols = [run.fit.matrix(1 << (j * s.h)) for j in range(s.width)]
+    fit = columns_matrix(cols, s)
+    lmap = LinearMap.from_columns(cols, s)
+    assert lmap.columns == run.fit.matrix.columns
     for p in run.dirs.ordered:
-        assert lmap(p) == mat_vec_packed(fit, p, s)
+        assert lmap(p) == mat_vec_packed(fit, p, s) == run.fit.matrix(p)
 
 
 def test_linear_map_then_composes():
@@ -346,7 +381,8 @@ def test_linear_map_then_composes():
     rng = random.Random(9)
     a = _random_invertible(4, s.field, rng)
     b = _random_invertible(4, s.field, rng)
-    ab = LinearMap.from_matrix(b, s).then(LinearMap.from_matrix(a, s))
+    ab = LinearMap.from_columns(matrix_columns(b, s), s).then(
+        LinearMap.from_columns(matrix_columns(a, s), s))
     for _ in range(200):
         v = rng.randrange(1 << s.bits)
         assert ab(v) == mat_vec_packed(mat_mul(a, b, s.field), v, s)

@@ -13,10 +13,10 @@ from hoval.errors import (
     SingularMatrix,
     TransversalExtractionFailed,
 )
+from hoval.gf2 import LinearMap
 from hoval.hyperoval import DirectionSet, HyperovalSpec, build_hyperoval, directions
 from hoval.linearsets import cyclic_candidate, spectrum
 from hoval.pipeline import run_verify_all
-from hoval.projective import mat_inv, mat_mul
 from hoval.pseudoregulus import (
     build_spread,
     detect_pseudoregulus,
@@ -27,7 +27,7 @@ from hoval.pseudoregulus import (
     transversal_map,
 )
 from hoval.reduction import ReductionIndex
-from oracles import mat_vec_packed, partition_index
+from oracles import matrix_columns, partition_index, s_prime
 
 
 def _directions_for(h, k, i, strict=True):
@@ -121,9 +121,7 @@ def test_fit_image_is_canonical(case321, report321):
         space.normalize(vec(u) | (vec(big.frob(u, fit.exponent)) << shift))
         for u in range(1, big.q)
     }
-    image = {
-        space.normalize(mat_vec_packed(list(fit.matrix), p, space)) for p in d.ordered
-    }
+    image = {space.normalize(fit.matrix(p)) for p in d.ordered}
     assert image == canonical
 
 
@@ -169,12 +167,12 @@ def spread_runs():
 
 
 def _block_map(maps, fx, fy):
-    """The matrix of (x, y) -> (fx(x), fy(y)) for GF(q)-linear fx, fy."""
+    """The LinearMap (x, y) -> (fx(x), fy(y)) for GF(q)-linear fx, fy."""
     tower = maps.tower
     hk_bits = tower.k * tower.h
     cols = [tower.vec_packed(fx(b)) for b in tower.basis]
     cols += [tower.vec_packed(fy(b)) << hk_bits for b in tower.basis]
-    return pseudoregulus._columns_matrix(maps.hinf, cols)
+    return LinearMap.from_columns(cols, maps.hinf)
 
 
 def test_spread_elements_and_transversals_are_echelon_row_tuples(spread_runs):
@@ -210,15 +208,14 @@ def test_spread_is_a_partition_by_construction(spread_runs):
         big = maps.tower.big
         # the fits of these runs fix every element; a fit composed with
         # (x, y) -> (y, g x) moves them, so its element_of must apply it
+        hk, mask = maps.tower.hk, (1 << maps.tower.hk) - 1
         swap = _block_map(maps, lambda x: big.mul(big.generator, x), lambda y: y)
-        swap = swap[len(swap) // 2:] + swap[:len(swap) // 2]
-        moved = dataclasses.replace(
-            run.fit, matrix=mat_mul(run.fit.matrix, swap, maps.hinf.field)
-        )
+        swap = swap.then(lambda v: v >> hk | (v & mask) << hk)
+        moved = dataclasses.replace(run.fit, matrix=swap.then(run.fit.matrix))
         rebuilt = build_spread(moved, run.transversals, maps)
         assert rebuilt.matches_canonical
         spreads = (
-            maps.abb_spread, run.spread_result.spread, rebuilt.spread, maps.s_prime
+            maps.abb_spread, run.spread_result.spread, rebuilt.spread, s_prime(maps)
         )
         for spread in spreads:
             assert isinstance(spread.index, ReductionIndex)
@@ -240,7 +237,7 @@ def _preserves_spread_by_rref(m, maps, space):
     keys = set(maps.abb_spread.elements)
     out = set()
     for el in maps.abb_spread.elements:
-        out.add(space.rref([mat_vec_packed(m, r, space) for r in el]))
+        out.add(space.rref([m(r) for r in el]))
         if not out <= keys:
             return False
     return out == keys
@@ -268,7 +265,7 @@ def test_preserves_spread_matches_rref_on_fitted_matrices(monkeypatch, hki):
 
 
 def _off_fit_matrices(maps, fit, seed):
-    """The fit and five matrices off it: name -> (matrix, permutes the spread)."""
+    """The fit and five LinearMaps off it: name -> (map, permutes the spread)."""
     space = maps.hinf
     tower = maps.tower
     big = tower.big
@@ -279,21 +276,23 @@ def _off_fit_matrices(maps, fit, seed):
     # y -> y^(2^h) is GF(q)-linear and shifts the fit's apparent exponent
     # by h; it keeps D's shape but not the spread
     twist = _block_map(maps, lambda x: x, lambda y: big.frob(y, tower.h))
-    fitted = [list(r) for r in fit.matrix]
+    fitted = fit.matrix
     while True:
         rand = [[rng.randrange(space.q) for _ in range(width)] for _ in range(width)]
+        rand = LinearMap.from_columns(matrix_columns(rand, space), space)
         try:
-            mat_inv(rand, space.field)
+            rand.inverse()
             break
         except SingularMatrix:
             continue
-    singular = [list(r) for r in fitted]
-    singular[-1] = [0] * width
+    # the last coordinate of the fit's image cleared
+    last = ~(space.chunk_mask << (width - 1) * space.h)
+    singular = fitted.then(lambda v: v & last)
     return {
         "fit": (fitted, True),
         "scale": (scale, True),
         "twist": (twist, False),
-        "twisted fit": (mat_mul(twist, fitted, space.field), False),
+        "twisted fit": (fitted.then(twist), False),
         "random": (rand, False),
         "singular": (singular, False),
     }
@@ -346,7 +345,7 @@ def test_point_by_point_image_test_matches_the_canonical_set(hki):
     fmap = transversal_map(transversals)
     verdicts = []
     for label, j, m, to_field in pseudoregulus._fit_candidates(d, fmap, maps):
-        image = {space.normalize(mat_vec_packed(m, p, space)) for p in d.ordered}
+        image = {space.normalize(m(p)) for p in d.ordered}
         want = image == _canonical_set_oracle(maps, j)
         assert pseudoregulus._canonical_image(to_field, d, maps.tower, j) is want
         verdicts.append(want)

@@ -8,8 +8,9 @@ import pytest
 from hoval.errors import EnumerationTooLarge, InvalidSpread, NotAffine
 from hoval.gf2 import tower_create
 from hoval.projective import ProjSpace
-from hoval.reduction import CorrespondenceMaps, Spread, field_reduction_spread, maps_for
-from oracles import partition_index
+from hoval.gf2 import LinearMap
+from hoval.reduction import Spread, field_reduction_spread, maps_for
+from oracles import partition_index, s_prime
 
 
 # --- independent oracles for the maps and spreads ------------------------------
@@ -117,10 +118,12 @@ def test_reduced_spread_refuses_a_singular_coordinate_change(t32):
     # with a singular M the fibres of distinct sources share its kernel,
     # so the sources alone no longer make the elements a partition
     s = field_reduction_spread(t32, 2)
-    singular = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0]]
+    h = s.space.h
+    # coordinate 2 goes to coordinates 2 and 3, coordinate 3 to zero
+    singular = LinearMap.from_columns([1, 1 << h, 5 << 2 * h, 0], s.space)
     with pytest.raises(InvalidSpread, match="singular"):
         Spread.reduced(s.elements, s.space, t32, s.sources, s.index.source, singular)
-    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    identity = LinearMap.from_columns([1 << j * h for j in range(4)], s.space)
     again = Spread.reduced(s.elements, s.space, t32, s.sources, s.index.source, identity)
     assert [again.element_of(p) for p in s.space.subspace_points(s.elements[7])] == [7] * 9
 
@@ -215,7 +218,7 @@ def test_bc_affine_roundtrip(maps32):
 
 
 def test_s_prime_matches_bc_spread_elements(maps32):
-    sp = maps32.s_prime
+    sp = s_prime(maps32)
     # sources live in PG(3, 8) with the same packing as H_inf
     assert len(sp) == 585
     assert sp.space.npoints() == 4095  # PG(11, 2)
@@ -232,7 +235,7 @@ def test_s_tilde_is_refined_by_s_prime(maps32):
     # each (hk-1)-element splits into exactly (q^k-1)/(q-1) full
     # (h-1)-elements; this is the subspread property the two-step
     # construction relies on
-    sp = maps32.s_prime
+    sp = s_prime(maps32)
     st = s_tilde(maps32)
     assert len(st) == 65
     for el in st:
