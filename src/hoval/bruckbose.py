@@ -16,7 +16,6 @@ coordinates, the point of element idx is -1 - idx.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -24,6 +23,7 @@ from .errors import DimensionMismatch, EnumerationTooLarge, InvalidSpread
 from .gf2 import f2_echelon, f2_reduce
 from .hyperoval import AffinePointSet, translation_basis, translation_closure_check
 from .projective import DEFAULT_BUDGET
+from .record import Record
 from .reduction import CorrespondenceMaps, ReductionIndex, Spread
 
 LINE_PAIR_SAMPLES = 2000  # seeded line pairs plane_axioms_check meets
@@ -124,8 +124,7 @@ def build_plane(maps: CorrespondenceMaps, spread: Spread | None = None) -> Bruck
     return BruckBosePlane(maps, spread)
 
 
-@dataclass(frozen=True)
-class PlaneAxiomsReport:
+class PlaneAxiomsReport(Record):
     ok: bool
     mode: str
     points: int
@@ -138,7 +137,8 @@ class PlaneAxiomsReport:
     quadrangle_ok: bool
     witness: tuple | None
     # how the verdict was reached, not part of it
-    path: str = field(default="fibres", compare=False)
+    path: str = "fibres"
+    _uncompared = ("path",)
 
 
 def _quadrangle_ok(plane: BruckBosePlane) -> bool:
@@ -246,8 +246,7 @@ def plane_axioms_check(
     )
 
 
-@dataclass(frozen=True)
-class HyperovalPlaneReport:
+class HyperovalPlaneReport(Record):
     ok: bool
     size_ok: bool
     closure_ok: bool

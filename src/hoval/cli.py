@@ -288,7 +288,22 @@ def _cmd_verify_all(args) -> int:
     return _exit_code(rep)
 
 
-def _add_params(p, required=True):
+_COMMANDS = {
+    "construct": (_cmd_construct, "build the point set and print it"),
+    "directions": (_cmd_directions, "direction set of the affine points"),
+    "spectrum": (_cmd_spectrum, "line meet counts of the direction set"),
+    "detect-pseudoregulus": (_cmd_detect,
+                             "secants, transversals, exponent fit, spread"),
+    "build-spread": (_cmd_build_spread, "print the reconstructed spread"),
+    "bruck-bose-verify": (_cmd_bruck_bose, "plane axioms and the hyperoval line scan"),
+    "bj-axioms": (_cmd_bj_axioms, "C-plane incidence axioms"),
+    "verify-all": (_cmd_verify_all, "run the full verification pipeline"),
+}
+
+
+def _add_arguments(p, command: str) -> None:
+    """Add the arguments of subcommand `command` to its parser `p`."""
+    required = command != "spectrum"  # spectrum can read --in instead
     p.add_argument("--h", type=int, required=required,
                    help="subfield degree, the plane order is 2^(h*k)")
     p.add_argument("--k", type=int, required=required,
@@ -297,86 +312,55 @@ def _add_params(p, required=True):
                    help="Frobenius exponent of the defining map t -> t^(2^i)")
     p.add_argument("--allow-nonstrict", action="store_true",
                    help="accept exponents with gcd(i, hk) > 1")
-
-
-def _add_common(p, budget=True, parallel=False):
-    if budget:
+    if command not in ("construct", "directions"):
         p.add_argument("--budget", type=int, default=None,
                        help="enumeration budget (0 removes the limit)")
-    if parallel:
+    if command in ("spectrum", "verify-all"):
         p.add_argument("--parallel", type=int, default=1,
                        help="worker processes for the exhaustive line tally, "
                        "at least 1, capped at the CPU count")
     p.add_argument("--out", help="write the JSON document to this file")
+    if command == "spectrum":
+        p.add_argument("--in", dest="infile",
+                       help="read a directions JSON file instead of constructing")
+    if command in ("spectrum", "verify-all"):
+        p.add_argument("--mode", choices=("pairs", "exhaustive"), default="pairs")
+    if command in ("bruck-bose-verify", "verify-all"):
+        p.add_argument("--seed", type=int, default=0)
+    if command == "bj-axioms":
+        p.add_argument("--axioms", default="A1,A2,A3,A4",
+                       help="comma separated subset of A1,A2,A3,A4")
+    if command == "verify-all":
+        p.add_argument("--stages", help="comma separated stage subset")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list) -> argparse.ArgumentParser:
+    """The parser, with the arguments of the subcommand `argv` names only.
+
+    The top level takes no option with a value, so the first word of `argv`
+    that is not an option names the subcommand.
+    """
     parser = argparse.ArgumentParser(
         prog="hoval",
         description="translation hyperovals: construction and verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="build the point set and print it")
-    _add_params(p)
-    _add_common(p, budget=False)
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("directions", help="direction set of the affine points")
-    _add_params(p)
-    _add_common(p, budget=False)
-    p.set_defaults(func=_cmd_directions)
-
-    p = sub.add_parser("spectrum", help="line meet counts of the direction set")
-    _add_params(p, required=False)
-    _add_common(p, parallel=True)
-    p.add_argument("--in", dest="infile",
-                   help="read a directions JSON file instead of constructing")
-    p.add_argument("--mode", choices=("pairs", "exhaustive"), default="pairs")
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("detect-pseudoregulus",
-                       help="secants, transversals, exponent fit, spread")
-    _add_params(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_detect)
-
-    p = sub.add_parser("build-spread", help="print the reconstructed spread")
-    _add_params(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_build_spread)
-
-    p = sub.add_parser("bruck-bose-verify",
-                       help="plane axioms and the hyperoval line scan")
-    _add_params(p)
-    _add_common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bruck_bose)
-
-    p = sub.add_parser("bj-axioms", help="C-plane incidence axioms")
-    _add_params(p)
-    _add_common(p)
-    p.add_argument("--axioms", default="A1,A2,A3,A4",
-                   help="comma separated subset of A1,A2,A3,A4")
-    p.set_defaults(func=_cmd_bj_axioms)
-
-    p = sub.add_parser("verify-all", help="run the full verification pipeline")
-    _add_params(p)
-    _add_common(p, parallel=True)
-    p.add_argument("--mode", choices=("pairs", "exhaustive"), default="pairs")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stages", help="comma separated stage subset")
-    p.set_defaults(func=_cmd_verify_all)
-
+    named = next((a for a in argv if not a.startswith("-")), None)
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == named:
+            _add_arguments(p, command)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         if args.out:
             _check_writable(args.out)
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except (ParseError, NoLongSecants) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,6 @@ scans over every plane, pair and triple are the tests' oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
 from .errors import CPlaneConstructionFailed, DegenerateSpan, EnumerationTooLarge
@@ -40,11 +39,11 @@ from .hyperoval import (
 from .linearsets import CyclicSymmetry, check_group_budget
 from .projective import DEFAULT_BUDGET
 from .pseudoregulus import SecantStructure
+from .record import Record
 from .reduction import CorrespondenceMaps
 
 
-@dataclass(frozen=True)
-class CPlaneFamily:
+class CPlaneFamily(Record):
     """The C-plane family of C = c0 + W over the long secants.
 
     `secants` pairs each secant's rows in H_inf with the sorted vectors of
@@ -102,8 +101,7 @@ def build_c_planes(
     return CPlaneFamily(c_points, translation_basis(c_points), tuple(secants), q)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     name: str
     ok: bool
     checked: int
@@ -112,7 +110,8 @@ class AxiomReport:
     # where A4 took its plane bins from: "cyclic-group" or "pair-scan";
     # provenance only, so reports that agree on everything else compare
     # equal whatever their source
-    bins: str | None = field(default=None, compare=False)
+    bins: str | None = None
+    _uncompared = ("bins",)
 
 
 def _check_a1(family: CPlaneFamily, maps: CorrespondenceMaps) -> AxiomReport:

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GcdHypothesisViolated, TooFewPoints
 from .gf2 import f2_echelon, tower_create
 from .projective import ProjSpace
+from .record import Record
 from .reduction import CorrespondenceMaps, maps_for
 
 
-@dataclass(frozen=True)
-class HyperovalSpec:
+class HyperovalSpec(Record):
     """Parameters (h, k, i): tower GF(2^h) < GF(2^hk), Frobenius x -> x^(2^i)."""
 
     h: int
@@ -28,7 +27,8 @@ class HyperovalSpec:
     i: int
     strict: bool = True
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.h < 1 or self.k < 1:
             raise ValueError("h and k must be positive")
         hk = self.h * self.k
@@ -100,8 +100,7 @@ class DirectionSet:
         return p in self.points
 
 
-@dataclass(frozen=True)
-class TranslationHyperoval:
+class TranslationHyperoval(Record):
     spec: HyperovalSpec
     maps: CorrespondenceMaps
     plane_points: tuple  # all q^k + 2 points of PG(2, q^k), sorted

@@ -32,18 +32,17 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import EnumerationTooLarge, NotF2Linear, TooFewPoints
 from .gf2 import LinearMap, f2_echelon, field_create
 from .hyperoval import AffinePointSet, DirectionSet, translation_basis
 from .projective import DEFAULT_BUDGET, ProjSpace, projective_points_count
+from .record import Record
 from .reduction import CorrespondenceMaps
 
 
-@dataclass(frozen=True)
-class CyclicSymmetry:
+class CyclicSymmetry(Record):
     """A collineation of H_inf verified to act transitively on a direction set.
 
     `orbit[t]` is M^t(d0) for d0 = min D, so the orbit lists every point of D
@@ -56,8 +55,7 @@ class CyclicSymmetry:
     lines: dict
 
 
-@dataclass(frozen=True)
-class SpectrumHistogram:
+class SpectrumHistogram(Record):
     """counts[j] = number of lines meeting the point set in exactly j points.
 
     When the pair scan ran, `multiplicities` keeps its map from each line
@@ -71,8 +69,9 @@ class SpectrumHistogram:
     mode: str
     nlines: int
     npoints: int
-    multiplicities: dict | None = field(default=None, compare=False, repr=False)
-    symmetry: CyclicSymmetry | None = field(default=None, compare=False, repr=False)
+    multiplicities: dict | None = None
+    symmetry: CyclicSymmetry | None = None
+    _uncompared = ("multiplicities", "symmetry")
 
     @property
     def support(self) -> tuple:
@@ -395,8 +394,7 @@ def spectrum(
 
 # -- GF(2)-linear structure ----------------------------------------------------
 
-@dataclass(frozen=True)
-class F2Witness:
+class F2Witness(Record):
     """The GF(2)-linear point set behind an affine translation set.
 
     rows are the echelon basis of W, the span of the difference vectors of
@@ -449,8 +447,7 @@ def f2_witness(
     return F2Witness(maps.bc_affine(ordered[0]), rows, rank, k_points)
 
 
-@dataclass(frozen=True)
-class ScatterednessReport:
+class ScatterednessReport(Record):
     scattered: bool
     rank: int
     max_rank: int

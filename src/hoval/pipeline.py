@@ -21,7 +21,6 @@ when every stage ran and came back clean.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .bruckbose import build_plane, hyperoval_in_plane, plane_axioms_check
 from .cplanes import build_c_planes, check_axioms
@@ -50,6 +49,7 @@ from .pseudoregulus import (
     require_long_secants,
     transversal_map,
 )
+from .record import Record
 
 STAGE_ORDER = (
     "construct",
@@ -62,8 +62,7 @@ STAGE_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class StageResult:
+class StageResult(Record):
     name: str
     status: str  # "ok" | "fail" | "error" | "skipped"
     ok: bool
@@ -72,14 +71,14 @@ class StageResult:
     seconds: float
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     params: dict
     verdict: str
     stages: tuple
     # the artifacts the stages built, for callers that need more than the
     # JSON data (the CLI prints the spread elements); never serialized
-    run: _Run | None = field(default=None, compare=False, repr=False)
+    run: _Run | None = None
+    _uncompared = ("run",)
 
     def stage(self, name: str) -> StageResult:
         for s in self.stages:

@@ -13,7 +13,6 @@ around it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     NoLongSecants,
@@ -32,11 +31,11 @@ from .linearsets import (
     check_pair_budget,
 )
 from .projective import DEFAULT_BUDGET, ProjSpace
+from .record import Record
 from .reduction import CorrespondenceMaps, Spread, unvec_blocks
 
 
-@dataclass(frozen=True)
-class SecantStructure:
+class SecantStructure(Record):
     """The long secants of D, each as its ProjSpace.pair_line_key row pair."""
 
     secants: tuple  # one per long secant, sorted
@@ -171,8 +170,7 @@ def _orbit_secants(symmetry: CyclicSymmetry, m: int) -> list:
     return sorted(space.pair_line_key(orbit[t], orbit[t + m]) for t in range(m))
 
 
-@dataclass(frozen=True)
-class Transversals:
+class Transversals(Record):
     """The two transversal subspaces as row tuples, and their secant points."""
 
     t0: tuple  # reduced-echelon rows (ProjSpace.rref) of the side of the anchor
@@ -288,8 +286,7 @@ def _greedy_basis(space: ProjSpace, pts, rank: int):
     return basis
 
 
-@dataclass(frozen=True)
-class SemilinearFit:
+class SemilinearFit(Record):
     """The accepted exponents and the coordinate change of the primary fit.
 
     `matrix` is a LinearMap of H_inf's packed vectors: the GF(q)-linear
@@ -514,8 +511,7 @@ def fit_semilinear(
     )
 
 
-@dataclass(frozen=True)
-class SpreadResult:
+class SpreadResult(Record):
     spread: Spread
     matches_canonical: bool
     t0_index: int
@@ -619,8 +615,7 @@ def one_point_property(
     return ok, detail
 
 
-@dataclass(frozen=True)
-class PseudoregulusReport:
+class PseudoregulusReport(Record):
     structure: SecantStructure
     transversals: Transversals
     fit: SemilinearFit

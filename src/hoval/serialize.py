@@ -10,10 +10,10 @@ sorted and separators fixed, so equal content gives equal bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import ParseError
 from .hyperoval import HyperovalSpec, TranslationHyperoval
+from .record import Record
 from .reduction import CorrespondenceMaps, Spread
 
 SCHEMA_VERSION = 1
@@ -99,8 +99,7 @@ def spectrum_dict(hist, spec: HyperovalSpec, maps: CorrespondenceMaps) -> dict:
     return d
 
 
-@dataclass(frozen=True)
-class PointSetFile:
+class PointSetFile(Record):
     kind: str
     params: dict
     points: tuple

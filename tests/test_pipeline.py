@@ -1,6 +1,5 @@
 """Stage sequencing and report shape of the verification pipeline."""
 
-import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -243,7 +242,7 @@ def test_run_artifacts_stay_out_of_the_report(full321):
     assert full321.run.spread_result.matches_canonical
     assert "run" not in repr(full321)
     assert "run" not in full321.to_json_dict()
-    assert full321 == dataclasses.replace(full321, run=None)
+    assert full321 == full321.replace(run=None)
 
 
 def test_reports_name_their_paths(full321):

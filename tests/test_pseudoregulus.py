@@ -1,6 +1,5 @@
 """Secant structure, transversals, semilinear fit, spread reconstruction."""
 
-import dataclasses
 import math
 import random
 
@@ -211,7 +210,7 @@ def test_spread_is_a_partition_by_construction(spread_runs):
         hk, mask = maps.tower.hk, (1 << maps.tower.hk) - 1
         swap = _block_map(maps, lambda x: big.mul(big.generator, x), lambda y: y)
         swap = swap.then(lambda v: v >> hk | (v & mask) << hk)
-        moved = dataclasses.replace(run.fit, matrix=swap.then(run.fit.matrix))
+        moved = run.fit.replace(matrix=swap.then(run.fit.matrix))
         rebuilt = build_spread(moved, run.transversals, maps)
         assert rebuilt.matches_canonical
         spreads = (
@@ -465,10 +464,10 @@ def test_orbit_that_is_no_group_orbit_is_refused(case321):
     sym = _symmetry_of(hov, d)
     rest = list(sym.orbit[1:])
     random.Random(5).shuffle(rest)
-    scrambled = dataclasses.replace(sym, orbit=sym.orbit[:1] + tuple(rest))
+    scrambled = sym.replace(orbit=sym.orbit[:1] + tuple(rest))
     with pytest.raises(NotPseudoregulusCandidate, match="no orbit of 9 lines"):
         find_long_secants(d, symmetry=scrambled)
     # a wrong secant count from the group is the pair scan's error
-    fewer = dataclasses.replace(sym, lines={**sym.lines, 7: 8})
+    fewer = sym.replace(lines={**sym.lines, 7: 8})
     with pytest.raises(NotPseudoregulusCandidate, match="found 8 long secants, expected 9"):
         find_long_secants(d, symmetry=fewer)

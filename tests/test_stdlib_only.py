@@ -1,5 +1,5 @@
 """The package imports nothing outside the standard library at runtime, and
-a serial run never loads the worker pool."""
+a serial run never loads the worker pool or `dataclasses`."""
 
 import ast
 import json
@@ -63,3 +63,5 @@ def test_a_serial_run_loads_no_process_pool(tmp_path):
     pool = [m for m in modules
             if m.startswith("multiprocessing") or m == "concurrent.futures.process"]
     assert not pool
+    # the records are no dataclasses, so start-up skips inspect and its chain
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(modules)
