@@ -7,7 +7,10 @@ Desarguesian spread this is PG(2, q^k) again; the axioms are checked here
 against the incidence structure, not assumed.  Every translation of
 V(2k, q) is a collineation, so the axioms come down to the element spans
 partitioning H_inf, which the fibres of the spread's field reduction
-certify in k (q^k + 1) lookups (plane_axioms_check).
+certify in k (q^k + 1) lookups (plane_axioms_check).  The same partition
+puts every nonzero difference of a coset c0 + W in exactly one element, so
+one element_of per point of the coset gives every |W ∩ E| and with it the
+hyperoval's line histogram (hyperoval_in_plane).
 
 Integer point ids inside reports: affine points are their packed
 coordinates, the point of element idx is -1 - idx.
@@ -15,18 +18,14 @@ coordinates, the point of element idx is -1 - idx.
 
 from __future__ import annotations
 
-import random
 from itertools import combinations
 from math import comb
 
 from .errors import DimensionMismatch, EnumerationTooLarge, InvalidSpread
-from .gf2 import f2_echelon, f2_reduce
-from .hyperoval import AffinePointSet, translation_basis, translation_closure_check
+from .hyperoval import AffinePointSet, translation_closure_check
 from .projective import DEFAULT_BUDGET
 from .record import Record
 from .reduction import CorrespondenceMaps, ReductionIndex, Spread
-
-LINE_PAIR_SAMPLES = 2000  # seeded line pairs plane_axioms_check meets
 
 
 class BruckBosePlane:
@@ -88,32 +87,6 @@ class BruckBosePlane:
             base = low | (base ^ low) << h
         return eidx, base | 1
 
-    def meet(self, l1, l2) -> int:
-        """Number of common points of two distinct lines.
-
-        The line at infinity meets every other line in its element point,
-        and two lines of one class share only theirs.  Lines b1 + E1 and
-        b2 + E2 of distinct classes share the affine points b1 + (E1 ∩ E2)
-        when b1 ^ b2 lies in E1 + E2 and none otherwise: q^(2k - r) or 0,
-        r the rank of E1 + E2.  E2's rows are reduced along E1 by base_of
-        and then against each other, so one echelon of at most k rows
-        decides both; at rank 2k every direction lies in E1 + E2.
-        """
-        if l1 == "inf" or l2 == "inf":
-            return 1
-        (e1, b1), (e2, b2) = l1, l2
-        if e1 == e2:
-            return 1
-        amb = self.maps.ambient
-        rest: list = []
-        for _, row in self.rows[e2]:
-            v = amb.reduce(self.base_of(e1, row), rest)
-            if v:
-                rest.append(amb.normalize(v))
-        if len(rest) < len(self.rows[e2]) and amb.reduce(self.base_of(e1, b1 ^ b2), rest):
-            return 0
-        return self.order // amb.q ** len(rest)
-
 
 def build_plane(maps: CorrespondenceMaps, spread: Spread | None = None) -> BruckBosePlane:
     """Incidence plane over a spread of H_inf (the canonical one by default)."""
@@ -132,8 +105,7 @@ class PlaneAxiomsReport(Record):
     points_per_line: int
     lines_per_point: int
     pairs_checked: int
-    collisions: int  # certificate failures plus line pairs not meeting once
-    line_pairs_checked: int
+    collisions: int  # element rows off their fibre, elements of the wrong rank
     quadrangle_ok: bool
     witness: tuple | None
     # how the verdict was reached, not part of it
@@ -159,7 +131,6 @@ def _quadrangle_ok(plane: BruckBosePlane) -> bool:
 
 def plane_axioms_check(
     plane: BruckBosePlane,
-    seed: int = 0,
     budget: int | None = DEFAULT_BUDGET,
 ) -> PlaneAxiomsReport:
     """Projective plane axioms for the incidence structure, at every size.
@@ -188,11 +159,10 @@ def plane_axioms_check(
     fibre is ("element row in another fibre", idx, row, other_idx), with
     other_idx None when the row's source gives no element.  A spread that
     is not a Spread.reduced raises InvalidSpread; the budget charges the
-    element_of calls.
-
-    As a double-check, LINE_PAIR_SAMPLES line pairs drawn with a seeded
-    generator have their meet counted by one rank (BruckBosePlane.meet),
-    and four points in general position must span six lines.
+    element_of calls.  Four points in general position must also span six
+    lines.  Nothing is sampled: the certificate decides the axioms, and
+    every forged plane of the tests fails it with its own witness
+    (test_forged_planes_fail_by_the_certificate_alone).
     """
     spread = plane.spread
     index = spread.index
@@ -221,16 +191,6 @@ def plane_axioms_check(
     if not covered_ok and witness is None:
         witness = ("pair count", pairs, comb(n, 2))
     quadrangle = _quadrangle_ok(plane)
-    rng = random.Random(seed)
-    line_pairs = 0
-    for _ in range(LINE_PAIR_SAMPLES):
-        l1, l2 = (plane.line_at(i) for i in rng.sample(range(plane.n_lines), 2))
-        c = plane.meet(l1, l2)
-        line_pairs += 1
-        if c != 1:
-            collisions += 1
-            if witness is None:
-                witness = ("line pair meets", l1, l2, c)
     return PlaneAxiomsReport(
         ok=collisions == 0 and covered_ok and quadrangle,
         mode="exhaustive",
@@ -240,7 +200,6 @@ def plane_axioms_check(
         lines_per_point=order + 1,
         pairs_checked=pairs,
         collisions=collisions,
-        line_pairs_checked=line_pairs,
         quadrangle_ok=quadrangle,
         witness=witness,
     )
@@ -269,10 +228,17 @@ def hyperoval_in_plane(
     {0, 2} (hyperovals have no tangents).  Q must be a verified coset
     c0 + W: the translations by W fix every parallel class, so a line
     base + E meets Q in 0 or |W ∩ E| points, and the histogram follows from
-    one GF(2) rank per spread element (_histogram_by_basis).  A Q that is no
-    coset fails with its closure witness and no histogram.  The per-line
-    meet count settles membership for all its points, so the work is
-    equivalent to n_lines * (order + 1) point-line incidence checks.
+    one element_of per point of Q (_histogram_by_fibres).  A Q that is no
+    coset fails with its closure witness and no histogram, and so does a
+    difference whose direction lies on no element.  The per-line meet count
+    settles membership for all its points, so the work is equivalent to
+    n_lines * (order + 1) point-line incidence checks.
+
+    The verdict holds only for a plane that plane_axioms_check accepts: the
+    counts are taken from the spread index's fibres, which are the element
+    spans only when its certificate passes.  Off it, a class whose fibre
+    count the lines of its span cannot hold fails with the witness
+    ("element span is no fibre", element) and no histogram.
     """
     keyed = {el: idx for idx, el in enumerate(plane.spread.elements)}
     if t0_rows not in keyed or tinf_rows not in keyed:
@@ -281,16 +247,17 @@ def hyperoval_in_plane(
     order = plane.order
     size_ok = len(q_points) == order
     closure_ok, closure_witness = translation_closure_check(q_points)
-    if closure_ok:
-        histogram, witness = _histogram_by_basis(q_points, plane, extra)
-        # the infinite line carries exactly the two transversal points
-        histogram[2] = histogram.get(2, 0) + 1
-        lines_checked = plane.n_lines
+    histogram, lines_checked = {}, 0
+    if not closure_ok:
+        witness = ("closure", closure_witness)
     else:
-        histogram, witness = {}, ("closure", closure_witness)
-        lines_checked = 0
+        histogram, witness = _histogram_by_fibres(q_points, plane, extra)
+        if histogram:
+            # the infinite line carries exactly the two transversal points
+            histogram[2] = histogram.get(2, 0) + 1
+            lines_checked = plane.n_lines
     return HyperovalPlaneReport(
-        ok=size_ok and closure_ok and set(histogram) <= {0, 2},
+        ok=size_ok and lines_checked > 0 and set(histogram) <= {0, 2},
         size_ok=size_ok,
         closure_ok=closure_ok,
         histogram={j: histogram[j] for j in sorted(histogram)},
@@ -301,30 +268,45 @@ def hyperoval_in_plane(
     )
 
 
-def _histogram_by_basis(q_points: AffinePointSet, plane: BruckBosePlane, extra):
+def _histogram_by_fibres(q_points: AffinePointSet, plane: BruckBosePlane, extra):
     """(histogram, witness) of the affine lines' meets with a coset Q = c0 + W.
 
+    The element spans partition H_inf (plane_axioms_check's certificate),
+    so each nonzero w = (p ^ c0) >> h of W lies in exactly one element and
+    |W ∩ E| is 1 plus the points p != c0 whose direction element_of sends
+    to E: |Q| - 1 lookups, no rank.  On a plane that fails the certificate
+    these are fibre counts, and the plane stage fails on the certificate.
     Each line of element E through a point of Q meets Q in that point plus
     W ∩ E, so n / |W ∩ E| lines of the class meet Q in |W ∩ E| points and
     the rest miss it; the elements in `extra` add their point to every line
     of their class.  The witness ("line", element, base, count) names the
     first line met off {0, 2}: the line through c0 when the lines that meet
-    Q fail, else the first line of the class that misses Q.
+    Q fail, else the first line of the class that misses Q.  A direction on
+    no element gives ({}, ("direction on no element", d)), and a class that
+    Q would meet in more lines than it has, or in all of them when the count
+    leaves one missed, gives ({}, ("element span is no fibre", element)).
     """
-    hinf = plane.maps.hinf
+    normalize = plane.maps.hinf.normalize
+    element_of = plane.spread.element_of
     h = plane.maps.tower.h
-    basis = translation_basis(q_points)
     n = len(q_points)
     order = plane.order
     c0 = q_points.ordered[0]
+    meets = [1] * len(plane.spread.elements)
+    for p in q_points.ordered[1:]:
+        d = normalize((p ^ c0) >> h)
+        try:
+            eidx = element_of(d)
+        except KeyError:
+            return {}, ("direction on no element", d)
+        meets[eidx] += 1
     histogram: dict = {}
     witness = None
-    for eidx, el in enumerate(plane.spread.elements):
-        gens = (f2_reduce(hinf.smul(1 << b, r), basis)
-                for r in el for b in range(h))
-        meet = 1 << (h * len(el) - len(f2_echelon(gens)))
+    for eidx, meet in enumerate(meets):
         bonus = 1 if eidx in extra else 0
         hit = n // meet
+        if hit > order:
+            return {}, ("element span is no fibre", eidx)
         for count, lines in ((meet + bonus, hit), (bonus, order - hit)):
             if not lines:
                 continue
@@ -333,7 +315,9 @@ def _histogram_by_basis(q_points: AffinePointSet, plane: BruckBosePlane, extra):
                 if count == bonus:
                     met = {plane.base_of(eidx, p) for p in q_points.ordered}
                     lines_of = (plane.line_at(eidx * order + j)[1] for j in range(order))
-                    base = next(b for b in lines_of if b not in met)
+                    base = next((b for b in lines_of if b not in met), None)
+                    if base is None:
+                        return {}, ("element span is no fibre", eidx)
                 else:
                     base = plane.base_of(eidx, c0)
                 witness = ("line", eidx, base, count)

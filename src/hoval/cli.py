@@ -245,7 +245,7 @@ def _cmd_bruck_bose(args) -> int:
         doc.update(plane.data, ok=plane.ok)
         return doc, plane.ok
 
-    return _view(args, ("plane",), project, seed=args.seed)
+    return _view(args, ("plane",), project)
 
 
 def _cmd_bj_axioms(args) -> int:
@@ -325,8 +325,9 @@ def _add_arguments(p, command: str) -> None:
                        help="read a directions JSON file instead of constructing")
     if command in ("spectrum", "verify-all"):
         p.add_argument("--mode", choices=("pairs", "exhaustive"), default="pairs")
-    if command in ("bruck-bose-verify", "verify-all"):
-        p.add_argument("--seed", type=int, default=0)
+    if command == "verify-all":
+        p.add_argument("--seed", type=int, default=0,
+                       help="recorded in the report's params; seeds nothing")
     if command == "bj-axioms":
         p.add_argument("--axioms", default="A1,A2,A3,A4",
                        help="comma separated subset of A1,A2,A3,A4")

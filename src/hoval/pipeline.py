@@ -119,12 +119,11 @@ def _hex_seq(seq) -> list:
 class _Run:
     """Mutable state threaded through the stages."""
 
-    def __init__(self, spec, mode, budget, processes, seed):
+    def __init__(self, spec, mode, budget, processes):
         self.spec = spec
         self.mode = mode
         self.budget = budget
         self.processes = processes
-        self.seed = seed
         self.hov = None
         self.dirs = None
         self.pair_mult = None  # pairs-mode secant multiplicities of dirs
@@ -258,7 +257,7 @@ def _stage_plane(run: _Run) -> tuple[bool, dict]:
     maps = run.hov.maps
     res = run.spread_result
     plane = build_plane(maps, res.spread)
-    axioms = plane_axioms_check(plane, seed=run.seed, budget=run.budget)
+    axioms = plane_axioms_check(plane, budget=run.budget)
     elements = res.spread.elements
     hrep = hyperoval_in_plane(
         run.hov.affine, elements[res.t0_index], elements[res.tinf_index], plane
@@ -359,7 +358,8 @@ def run_verify_all(
     `stages` restricts which stage results are reported; prerequisites of a
     requested stage still execute (unreported) to build their artifacts.
     Raises NoLongSecants before any stage runs when h = 1 and a stage needs
-    the long secants.
+    the long secants.  `seed` is recorded in `params` and seeds nothing:
+    no check of the run draws a sample from it.
     """
     spec = HyperovalSpec(h, k, i, strict=strict)
     requested = tuple(STAGE_ORDER) if stages is None else tuple(stages)
@@ -374,7 +374,7 @@ def run_verify_all(
         needed.update(_PREREQS[name])
     if "pseudoregulus" in needed:  # every stage from it on reads the secants
         require_long_secants(h)
-    run = _Run(spec, mode, budget, processes, seed)
+    run = _Run(spec, mode, budget, processes)
     results = []
     failed = False
     for name in STAGE_ORDER:

@@ -19,8 +19,8 @@ from hoval.errors import (
     InvalidSpread,
     SingularMatrix,
 )
-from hoval.gf2 import tower_create
-from hoval.hyperoval import is_arc
+from hoval.gf2 import f2_echelon, f2_reduce, tower_create
+from hoval.hyperoval import is_arc, translation_basis
 from hoval.linearsets import ScatterednessReport
 from hoval.projective import ProjSpace
 from hoval.reduction import field_reduction_spread
@@ -418,6 +418,46 @@ def histogram_by_scan(q_points, plane, extra):
     return histogram, witness
 
 
+def histogram_by_rank(q_points, plane, extra):
+    """(histogram, witness) of the affine lines' meets with a coset Q = c0 + W,
+    |W ∩ E| taken by one GF(2) rank of W + E per spread element.
+
+    Each line of element E through a point of Q meets Q in that point plus
+    W ∩ E, so n / |W ∩ E| lines of the class meet Q in |W ∩ E| points and
+    the rest miss it; the elements in `extra` add their point to every line
+    of their class.  The witness ("line", element, base, count) names the
+    first line met off {0, 2}: the line through c0 when the lines that meet
+    Q fail, else the first line of the class that misses Q.
+    """
+    hinf = plane.maps.hinf
+    h = plane.maps.tower.h
+    basis = translation_basis(q_points)
+    n = len(q_points)
+    order = plane.order
+    c0 = q_points.ordered[0]
+    histogram: dict = {}
+    witness = None
+    for eidx, el in enumerate(plane.spread.elements):
+        gens = (f2_reduce(hinf.smul(1 << b, r), basis)
+                for r in el for b in range(h))
+        meet = 1 << (h * len(el) - len(f2_echelon(gens)))
+        bonus = 1 if eidx in extra else 0
+        hit = n // meet
+        for count, lines in ((meet + bonus, hit), (bonus, order - hit)):
+            if not lines:
+                continue
+            histogram[count] = histogram.get(count, 0) + lines
+            if witness is None and count not in (0, 2):
+                if count == bonus:
+                    met = {plane.base_of(eidx, p) for p in q_points.ordered}
+                    lines_of = (plane.line_at(eidx * order + j)[1] for j in range(order))
+                    base = next(b for b in lines_of if b not in met)
+                else:
+                    base = plane.base_of(eidx, c0)
+                witness = ("line", eidx, base, count)
+    return histogram, witness
+
+
 # -- spreads, point by point --------------------------------------------------
 
 def partition_index(elements, space: ProjSpace) -> dict:
@@ -576,6 +616,52 @@ def direction_marks(plane) -> tuple:
     return repeats, witness
 
 
+LINE_PAIR_SAMPLES = 2000  # seeded line pairs of line_pair_meets
+
+
+def meet(plane, l1, l2) -> int:
+    """Number of common points of two distinct lines of `plane`, by one rank.
+
+    The line at infinity meets every other line in its element point,
+    and two lines of one class share only theirs.  Lines b1 + E1 and
+    b2 + E2 of distinct classes share the affine points b1 + (E1 ∩ E2)
+    when b1 ^ b2 lies in E1 + E2 and none otherwise: q^(2k - r) or 0,
+    r the rank of E1 + E2.  E2's rows are reduced along E1 by base_of
+    and then against each other, so one echelon of at most k rows
+    decides both; at rank 2k every direction lies in E1 + E2.
+    """
+    if l1 == "inf" or l2 == "inf":
+        return 1
+    (e1, b1), (e2, b2) = l1, l2
+    if e1 == e2:
+        return 1
+    amb = plane.maps.ambient
+    rest: list = []
+    for _, row in plane.rows[e2]:
+        v = amb.reduce(plane.base_of(e1, row), rest)
+        if v:
+            rest.append(amb.normalize(v))
+    if len(rest) < len(plane.rows[e2]) and amb.reduce(plane.base_of(e1, b1 ^ b2), rest):
+        return 0
+    return plane.order // amb.q ** len(rest)
+
+
+def line_pair_meets(plane, seed: int = 0, samples: int = LINE_PAIR_SAMPLES) -> tuple:
+    """(pairs not meeting once, first witness) over `samples` line pairs
+    drawn by plane.line_at from a seeded generator, each met by `meet`."""
+    rng = random.Random(seed)
+    bad = 0
+    witness = None
+    for _ in range(samples):
+        l1, l2 = (plane.line_at(i) for i in rng.sample(range(plane.n_lines), 2))
+        c = meet(plane, l1, l2)
+        if c != 1:
+            bad += 1
+            if witness is None:
+                witness = ("line pair meets", l1, l2, c)
+    return bad, witness
+
+
 def sampled_check(plane, quadrangle: bool, seed: int = 0, samples: int = 2000):
     """Spot checks of point pairs, coset representatives and line pairs."""
     rng = random.Random(seed)
@@ -615,7 +701,7 @@ def sampled_check(plane, quadrangle: bool, seed: int = 0, samples: int = 2000):
             b2 = bases[e2][rng.randrange(order)]
             if (e1, b1) == (e2, b2):
                 continue
-            c = plane.meet((e1, b1), (e2, b2))
+            c = meet(plane, (e1, b1), (e2, b2))
             if c != 1:
                 bad += 1
                 if witness is None:
@@ -630,7 +716,6 @@ def sampled_check(plane, quadrangle: bool, seed: int = 0, samples: int = 2000):
         lines_per_point=order + 1,
         pairs_checked=pairs,
         collisions=bad,
-        line_pairs_checked=pairs,
         quadrangle_ok=quadrangle,
         witness=witness,
         path="sampled",

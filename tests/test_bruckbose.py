@@ -15,8 +15,8 @@ from hoval.hyperoval import (
     translation_closure_check,
 )
 from hoval.bruckbose import (
-    LINE_PAIR_SAMPLES,
     PlaneAxiomsReport,
+    _histogram_by_fibres,
     _quadrangle_ok,
     build_plane,
     hyperoval_in_plane,
@@ -26,10 +26,14 @@ from hoval.pipeline import run_verify_all
 from hoval.pseudoregulus import detect_pseudoregulus
 from hoval.reduction import Spread, maps_for
 from oracles import (
+    LINE_PAIR_SAMPLES,
     affine_line,
     coset_bases,
     direction_marks,
+    histogram_by_rank,
     histogram_by_scan,
+    line_pair_meets,
+    meet,
     pair_scan,
     plane_lines,
     sampled_check,
@@ -100,7 +104,6 @@ def test_axioms_exhaustive_321(setup321):
     rep = plane_axioms_check(plane)
     assert rep.ok
     assert (rep.mode, rep.path) == ("exhaustive", "fibres")
-    assert rep.line_pairs_checked == LINE_PAIR_SAMPLES == 2000
     assert rep.points == rep.lines == 4161
     assert rep.points_per_line == 65
     assert rep.pairs_checked == 4161 * 4160 // 2
@@ -237,6 +240,71 @@ def test_failing_histogram_names_its_line():
     assert plane.base_of(eidx, bad.ordered[0]) == base != coset_bases(plane, eidx)[0]
 
 
+def _by_rank(q_points, plane, transversals):
+    """(histogram with the line at infinity, witness) of the rank oracle."""
+    hist, witness = histogram_by_rank(q_points, plane, _extra(plane, transversals))
+    hist[2] = hist.get(2, 0) + 1
+    return {j: hist[j] for j in sorted(hist)}, witness
+
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1), (4, 2, 3), (3, 3, 1),
+                                 (3, 3, 2), (5, 2, 1)])
+def test_fibre_counts_match_the_rank_oracle(hki):
+    hov, plane, trans = _plane_case(hki)
+    extra = _extra(plane, trans)
+    by_fibres = _histogram_by_fibres(hov.affine, plane, extra)
+    assert by_fibres == histogram_by_rank(hov.affine, plane, extra)
+    assert set(by_fibres[0]) == {0, 2} and by_fibres[1] is None
+
+
+def _off_hyperoval(which):
+    """A closed coset that is no hyperoval, its plane and transversals, and
+    whether its witness is the line through c0 (else the first missed line)."""
+    if which == "through c0":
+        # the (4,2,2) set moved off the origin: some lines meet it in 4 points
+        hov, plane, trans = _plane_case((4, 2, 1))
+        control = build_hyperoval(HyperovalSpec(4, 2, 2, strict=False)).affine
+        shift = 0x5A << hov.maps.tower.h
+        coset = AffinePointSet([p ^ shift for p in control.ordered], hov.maps.ambient)
+        return coset, plane, trans, True
+    # two points whose direction is off element 0, which is made a
+    # transversal: its lines through them meet 2, the others only its point
+    hov, plane, _ = _plane_case((3, 2, 1))
+    c0 = hov.affine.ordered[0]
+    p = next(p for p in hov.affine.ordered if plane.base_of(0, p) != plane.base_of(0, c0))
+    elements = plane.spread.elements
+    return AffinePointSet([c0, p], hov.maps.ambient), plane, (elements[0], elements[1]), False
+
+
+@pytest.mark.parametrize("which", ["through c0", "missed line"])
+def test_fibre_counts_match_the_rank_oracle_off_hyperovals(which):
+    coset, plane, trans, through_c0 = _off_hyperoval(which)
+    hrep = hyperoval_in_plane(coset, *trans, plane)
+    assert hrep.closure_ok and not hrep.ok
+    assert (hrep.histogram, hrep.witness) == _by_rank(coset, plane, trans)
+    assert hrep.histogram == _scanned(coset, plane, trans)[0]
+    _, eidx, base, count = hrep.witness
+    c0 = coset.ordered[0]
+    assert (plane.base_of(eidx, c0) == base) == through_c0
+    if not through_c0:
+        assert (eidx, count) == (0, 1)
+        assert base not in {plane.base_of(0, p) for p in coset.ordered}
+
+
+def test_direction_on_no_element_is_a_witness(setup321, forged321):
+    # element 1 of the forged spread copies element 0, so no element holds
+    # the directions of the original element 1
+    hov, _, _, plane = setup321
+    h = hov.maps.tower.h
+    d = plane.maps.hinf.normalize(plane.spread.elements[1][0])
+    pair = AffinePointSet([1, 1 ^ (d << h)], hov.maps.ambient)
+    elements = forged321.spread.elements
+    hrep = hyperoval_in_plane(pair, elements[0], elements[2], forged321)
+    assert hrep.closure_ok and not hrep.ok
+    assert hrep.witness == ("direction on no element", d)
+    assert hrep.histogram == {} and hrep.lines_checked == 0
+
+
 def test_wrong_transversal_rows_rejected(setup321):
     hov, d, rep, plane = setup321
     with pytest.raises(InvalidSpread):
@@ -344,12 +412,10 @@ def _bytearray_axioms_oracle(plane, seed=0):
     covered_ok = pairs == n * (n - 1) // 2
     if not covered_ok and witness is None:
         witness = ("pair count", pairs, n * (n - 1) // 2)
-    line_pairs = 0
     all_lines = list(plane_lines(plane)) + ["inf"]
     for _ in range(LINE_PAIR_SAMPLES):
         l1, l2 = rng.sample(all_lines, 2)
         c = _common_points(plane, l1, l2)
-        line_pairs += 1
         if c != 1:
             collisions += 1
             if witness is None:
@@ -363,7 +429,6 @@ def _bytearray_axioms_oracle(plane, seed=0):
         lines_per_point=order + 1,
         pairs_checked=pairs,
         collisions=collisions,
-        line_pairs_checked=line_pairs,
         quadrangle_ok=quadrangle,
         witness=witness,
     )
@@ -405,7 +470,7 @@ def forged321(setup321):
 
 def test_fibre_certificate_matches_the_pair_table_oracle(setup321):
     _, _, _, plane = setup321
-    rep = plane_axioms_check(plane, seed=3)
+    rep = plane_axioms_check(plane)
     assert rep == _bytearray_axioms_oracle(plane, seed=3)
     assert rep.ok and rep.collisions == 0
 
@@ -475,8 +540,8 @@ def test_rank_meet_matches_common_points(hk):
     plane = build_plane(maps_for(tower_create(*hk)))
     rng = random.Random(29)
     for l1, l2 in _line_pairs(plane, rng, 40):
-        assert plane.meet(l1, l2) == _common_points(plane, l1, l2) == 1
-        assert plane.meet(l2, l1) == 1
+        assert meet(plane, l1, l2) == _common_points(plane, l1, l2) == 1
+        assert meet(plane, l2, l1) == 1
 
 
 def test_rank_meet_matches_common_points_on_forged_plane(forged321):
@@ -487,7 +552,7 @@ def test_rank_meet_matches_common_points_on_forged_plane(forged321):
     pairs += [((0, b1), (1, b2)) for b1 in coset_bases(forged321, 0)[:4]
               for b2 in coset_bases(forged321, 1)[:4]]
     for l1, l2 in pairs:
-        c = forged321.meet(l1, l2)
+        c = meet(forged321, l1, l2)
         assert c == _common_points(forged321, l1, l2)
         counts.add(c)
     assert counts == {0, 1, 64}
@@ -520,7 +585,7 @@ def test_forged_reduced_spread_fails_by_its_fibres(hk, points):
     assert plane.n_points == points
     tracemalloc.start()
     try:
-        rep = plane_axioms_check(plane, seed=3)
+        rep = plane_axioms_check(plane)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -528,6 +593,7 @@ def test_forged_reduced_spread_fails_by_its_fibres(hk, points):
     assert not rep.ok and rep.path == "fibres"
     row = plane.spread.elements[0][0]
     assert rep.witness == ("element row in another fibre", 1, row, 0)
+    assert rep.collisions == 2  # both rows of element 1 lie in element 0's fibre
     assert rep.pairs_checked == points * (points - 1) // 2
 
 
@@ -541,16 +607,41 @@ def test_fibre_certificate_agrees_with_direction_marks(hki):
     assert plane_axioms_check(plane).ok
 
 
-def test_fibre_certificate_names_an_element_of_the_wrong_rank():
-    # every element cut to its first row: each still lies in its own fibre
+def _wrong_rank():
+    """The (3,2) canonical plane with every element cut to its first row."""
     maps = maps_for(tower_create(3, 2))
     good = maps.abb_spread
     cut = [el[:1] for el in good.elements]
     spread = Spread.reduced(cut, good.space, maps.tower, good.sources, good.index.source)
-    rep = plane_axioms_check(build_plane(maps, spread))
+    return build_plane(maps, spread)
+
+
+def test_fibre_certificate_names_an_element_of_the_wrong_rank():
+    # every element cut to its first row: each still lies in its own fibre
+    rep = plane_axioms_check(_wrong_rank())
     assert not rep.ok
     assert rep.witness == ("element rank", 0, 1, 2)
-    assert rep.collisions >= 65
+    assert rep.collisions == 65
+
+
+def test_hyperoval_in_plane_assumes_the_certificate():
+    # the fibres of the cut spread are still the (3,2) spread, so they
+    # count W ∩ E for 2-dimensional elements on a plane of order q: a class
+    # would hold more lines than the plane has, and no verdict is given
+    hov, _, (t0, t_inf) = _plane_case((3, 2, 1))
+    plane = _wrong_rank()
+    assert not plane_axioms_check(plane).ok
+    hrep = hyperoval_in_plane(hov.affine, t0[:1], t_inf[:1], plane)
+    assert hrep.closure_ok and not hrep.size_ok and not hrep.ok
+    assert hrep.witness == ("element span is no fibre", 0)
+    assert hrep.histogram == {} and hrep.lines_checked == 0
+
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1), (3, 3, 1)])
+def test_every_oracle_meet_is_one_on_valid_planes(hki):
+    _, plane, _ = _plane_case(hki)
+    assert plane_axioms_check(plane).ok
+    assert line_pair_meets(plane, seed=hki[0]) == (0, None)
 
 
 def test_fibre_certificate_obeys_the_budget(setup321):

@@ -129,6 +129,7 @@ def test_plane_mode_is_no_option(command):
                                   "build-spread", "bruck-bose-verify", "bj-axioms")),
     ("construct", "--budget"),
     ("directions", "--budget"),
+    ("bruck-bose-verify", "--seed"),
 ])
 def test_flags_that_do_nothing_are_no_options(command, flag):
     # only the exhaustive line tally has workers, and construct and

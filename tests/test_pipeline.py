@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hoval import linearsets, pipeline, pseudoregulus, reduction, serialize
+from hoval import bruckbose, linearsets, pipeline, pseudoregulus, reduction, serialize
 from hoval import hyperoval
 from hoval.errors import NoLongSecants
 from hoval.pipeline import STAGE_ORDER, run_verify_all
@@ -143,6 +143,37 @@ def test_verify_all_enumerates_no_spread(monkeypatch):
     rep = run_verify_all(3, 3, 1)
     assert rep.verdict == "pass"
     assert rep.stage("spread").data["hit_once"] == 511
+
+
+def test_plane_stage_element_lookups(monkeypatch):
+    # element_of lookups on the run's spread, plane stage only: k rows of
+    # each of the q^k + 1 elements (fibre certificate), six line_through
+    # (quadrangle) and one direction per point of Q but c0 (|W ∩ E|)
+    lookups = []
+    real_get = reduction.ReductionIndex.__getitem__
+    real_stage = pipeline._STAGE_FUNCS["plane"]
+
+    def plane_stage(run):
+        index = run.spread_result.spread.index
+
+        def get(self, point):
+            if self is index:
+                lookups.append(point)
+            return real_get(self, point)
+
+        monkeypatch.setattr(reduction.ReductionIndex, "__getitem__", get)
+        try:
+            return real_stage(run)
+        finally:
+            monkeypatch.setattr(reduction.ReductionIndex, "__getitem__", real_get)
+
+    monkeypatch.setitem(pipeline._STAGE_FUNCS, "plane", plane_stage)
+    rep = run_verify_all(4, 2, 1)
+    assert rep.verdict == "pass"
+    q, k = 16, 2
+    assert len(lookups) == k * (q**k + 1) + 6 + (q**k - 1) == 775
+    assert "random" not in vars(bruckbose)
+    assert not hasattr(bruckbose.BruckBosePlane, "meet")
 
 
 def test_spread_stage_memory(monkeypatch):
