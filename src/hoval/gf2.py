@@ -152,14 +152,13 @@ def f2_echelon(vectors) -> tuple:
 
 
 def _byte_tables(columns) -> tuple[list[int], ...]:
-    """Table t holds the XOR of every subset of columns 8t .. 8t + 7."""
+    """Table t holds the XOR of every subset of columns 8t .. 8t + 7: by
+    doubling, entry v has column 8t + b iff bit b of v is set."""
     tables = []
     for lo in range(0, len(columns), 8):
-        cols = columns[lo:lo + 8]
-        tab = [0] * (1 << len(cols))
-        for v in range(1, len(tab)):
-            low = v & -v
-            tab[v] = tab[v ^ low] ^ cols[low.bit_length() - 1]
+        tab = [0]
+        for c in columns[lo:lo + 8]:
+            tab += [x ^ c for x in tab]
         tables.append(tab)
     return tuple(tables)
 

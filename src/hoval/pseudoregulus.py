@@ -13,6 +13,7 @@ around it.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from .errors import (
     NoLongSecants,
@@ -22,7 +23,7 @@ from .errors import (
     SpreadConstructionFailed,
     TransversalExtractionFailed,
 )
-from .gf2 import LinearMap
+from .gf2 import LinearMap, f2_echelon
 from .hyperoval import DirectionSet
 from .linearsets import (
     CyclicSymmetry,
@@ -32,7 +33,7 @@ from .linearsets import (
 )
 from .projective import DEFAULT_BUDGET, ProjSpace
 from .record import Record
-from .reduction import CorrespondenceMaps, Spread, unvec_blocks
+from .reduction import CorrespondenceMaps, Spread, reduction_rows, unvec_blocks
 
 
 class SecantStructure(Record):
@@ -301,38 +302,36 @@ class SemilinearFit(Record):
     fits: tuple  # every accepted (labeling, exponent) pair
 
 
-def _preserves_spread(m, maps: CorrespondenceMaps, space: ProjSpace) -> bool:
+def _preserves_spread(m, maps: CorrespondenceMaps, spell: LinearMap) -> bool:
     """Does the coordinate change permute the ambient spread elements?
 
     The ambient spread is the Desarguesian one: its elements are the orbits
     F v of the nonzero vectors under F = {S_c : c in GF(q^k)}, where S_c
     multiplies both blocks by c.  The cheap test first: beta, the class of
-    x, generates GF(q^k) over GF(2), so if C = M S_beta M^-1 is some S_gamma
-    then M F M^-1 = F, M(F v) = F M(v), and M permutes the elements
-    (_conjugates_field, 2hk unit vectors).  When C is no S_gamma, the
-    elements are checked one by one (_maps_elements_to_elements): a refusal
-    never rests on the stabiliser theorem, and a wrong map still exits at
-    its first element.  A singular m shrinks an element through a kernel
-    vector, so it permutes none.
+    x, generates GF(q^k) over GF(2), so if an invertible M has M S_beta =
+    S_gamma M for some gamma then M F M^-1 = F, M(F v) = F M(v), and M
+    permutes the elements (_conjugates_field, 2hk unit vectors).  When it
+    has not, the elements are made and checked one by one
+    (_maps_elements_to_elements): a refusal never rests on the stabiliser
+    theorem, and a wrong map still exits at its first element.  A singular
+    m shrinks an element through a kernel vector, so it permutes none.
+    `spell` is unvec_blocks(tower, 2), built once per fit.
     """
-    try:
-        inverse = m.inverse()
-    except SingularMatrix:
+    if len(f2_echelon(m.columns)) != maps.hinf.bits:
         return False
-    if _conjugates_field(m, inverse, maps):
-        return True
-    return _maps_elements_to_elements(m, maps, space)
+    return _conjugates_field(m, maps, spell) or _maps_elements_to_elements(m, maps, spell)
 
 
-def _conjugates_field(lmap: LinearMap, inverse: LinearMap, maps) -> bool:
-    """Is C = M S_beta M^-1 equal to S_gamma, gamma the first block of C(1, 0)?
+def _conjugates_field(lmap: LinearMap, maps, spell: LinearMap) -> bool:
+    """Is M S_beta = S_gamma M, gamma read off the first unit vector?
 
-    Compared on the 2hk GF(2) unit vectors, which span H_inf's vectors.
+    Compared on the 2hk GF(2) unit vectors e_b, which span H_inf's vectors:
+    M S_beta e_b against S_gamma of M e_b, column b of M.  M e_0 is nonzero
+    for an invertible M, so one of its blocks fixes gamma.
     """
     tower = maps.tower
-    mul = tower.big.mul
+    mul, inv = tower.big.mul, tower.big.inv
     shift = tower.hk
-    spell = unvec_blocks(tower, 2)
     vec = tower.vec_packed
     mask = (1 << shift) - 1
 
@@ -341,25 +340,30 @@ def _conjugates_field(lmap: LinearMap, inverse: LinearMap, maps) -> bool:
         return vec(mul(c, x & mask)) | (vec(mul(c, x >> shift)) << shift)
 
     beta = 2  # the class of x; its minimal polynomial is the big modulus
-    conj = [lmap(scale(beta, col)) for col in inverse.columns]
-    if conj[0] >> shift:  # C(1, 0) must be (gamma, 0)
-        return False
-    gamma = tower.unvec_packed(conj[0])
-    return all(col == scale(gamma, 1 << b) for b, col in enumerate(conj))
+    cols = lmap.columns
+    x0, x1 = spell(cols[0]), spell(lmap(scale(beta, 1)))
+    if not x0 & mask:  # read gamma off the second block
+        x0, x1 = x0 >> shift, x1 >> shift
+    gamma = mul(x1 & mask, inv(x0 & mask))
+    return all(
+        lmap(scale(beta, 1 << b)) == scale(gamma, col) for b, col in enumerate(cols)
+    )
 
 
-def _maps_elements_to_elements(lmap: LinearMap, maps, space: ProjSpace) -> bool:
+def _maps_elements_to_elements(lmap: LinearMap, maps, spell: LinearMap) -> bool:
     """Does the invertible map carry each spread element into one element?
 
-    It carries each element E onto a subspace of E's rank, so M(E) is an
-    element exactly when the images of E's rows lie in one, and then M
-    permutes the elements.
+    The elements, reductions of the points (0, 1) and (1, t) of PG(1, q^k),
+    are written one at a time (reduction_rows), so a wrong map costs the
+    elements up to its first bad one.  M carries each element E onto a
+    subspace of E's rank, so M(E) is an element exactly when the images of
+    E's k rows spell one point of PG(1, q^k), and then M permutes them.
     """
-    spread = maps.abb_spread
-    element_of = spread.element_of
-    normalize = space.normalize
-    for el in spread.elements:
-        hit = {element_of(normalize(lmap(r))) for r in el}
+    tower = maps.tower
+    hk = tower.hk
+    normalize = ProjSpace(1, tower.big).normalize
+    for src in chain((1 << hk,), (1 | t << hk for t in range(tower.big.q))):
+        hit = {normalize(spell(lmap(r))) for r in reduction_rows(tower, src)}
         if len(hit) != 1:
             return False
     return True
@@ -407,14 +411,13 @@ def _canonical_image(to_field: LinearMap, dirs: DirectionSet, tower, j: int) -> 
 def _fit_candidates(dirs: DirectionSet, fmap: dict, maps: CorrespondenceMaps):
     """Every candidate coordinate change the fit tests, in order.
 
-    Yields (labeling, j, matrix, to_field) for each
-    transversal labeling and each exponent j prime to hk whose fitted
-    matrix sends d0 = min D to (t, rho t^(2^j)) with t != 0 and rho in
+    Yields (labeling, j, matrix) for each transversal labeling and each
+    exponent j prime to hk whose fitted matrix sends d0 = min D to
+    (t, rho t^(2^j)), read as big-field blocks, with t != 0 and rho in
     GF(q).  The matrix is the LinearMap that takes the basis u + w of the
     transversal points to the canonical basis (b, 0), (0, b^(2^j)) over
-    the tower basis b, with its second block then divided by rho, and
-    `to_field` is that map followed by unvec of each block
-    (_canonical_image).
+    the tower basis b, with its second block then divided by rho; its
+    columns are written from to_basis's, one table build per candidate.
     """
     tower = maps.tower
     space = maps.hinf
@@ -422,8 +425,17 @@ def _fit_candidates(dirs: DirectionSet, fmap: dict, maps: CorrespondenceMaps):
     k, hk = tower.k, tower.hk
     hk_bits = k * tower.h
     mask = (1 << hk_bits) - 1
-    vec, unvec = tower.vec_packed, tower.unvec_packed
-    spell = unvec_blocks(tower, 2)
+    vec, unvec, mul = tower.vec_packed, tower.unvec_packed, big.mul
+
+    def second(v: int) -> list:
+        """The GF(q) coordinates of v's second block, embedded in GF(q^k)."""
+        return [tower.embed(a) for a in space.unpack(v)[k:]]
+
+    def dot(xs, ys) -> int:
+        out = 0
+        for x, y in zip(xs, ys):
+            out ^= mul(x, y)
+        return out
 
     candidates = [j for j in range(1, hk) if math.gcd(j, hk) == 1]
     inv_map = {v: u for u, v in fmap.items()}
@@ -449,26 +461,25 @@ def _fit_candidates(dirs: DirectionSet, fmap: dict, maps: CorrespondenceMaps):
             to_basis = LinearMap.from_columns(u + w, space).inverse()
         except SingularMatrix:
             continue
-        d0 = dirs.ordered[0]
+        # the canonical basis keeps the first block (t of d0 for every j) and
+        # sends the GF(q) coordinates a_l of the second to sum a_l b_l^(2^j) / rho
+        y0 = to_basis(dirs.ordered[0])
+        t, s0 = unvec(y0 & mask), second(y0)
+        if t == 0:
+            continue
+        firsts = [c & mask for c in to_basis.columns]
+        seconds = [second(c) for c in to_basis.columns]
         for j in candidates:
-            cols = [vec(b) for b in tower.basis]
-            cols += [vec(big.frob(b, j)) << hk_bits for b in tower.basis]
-            m = to_basis.then(LinearMap.from_columns(cols, space))
-            to_field = m.then(spell)
-            y = to_field(d0)
-            t = y & mask
-            s = y >> hk_bits
-            if t == 0:
-                continue
-            rho = big.mul(s, big.inv(big.frob(t, j)))
+            images = [big.frob(b, j) for b in tower.basis]
+            rho = mul(dot(s0, images), big.inv(big.frob(t, j)))
             if rho == 0 or not tower.in_subfield(rho):
                 continue
-            if rho != 1:
-                rinv = big.inv(rho)
-                m = m.then(lambda c: c & mask | vec(
-                    big.mul(rinv, unvec(c >> hk_bits))) << hk_bits)
-                to_field = m.then(spell)
-            yield label, j, m, to_field
+            rinv = big.inv(rho)
+            images = [mul(rinv, c) for c in images]
+            m = LinearMap(
+                f | vec(dot(a, images)) << hk_bits for f, a in zip(firsts, seconds)
+            )
+            yield label, j, m
 
 
 def fit_semilinear(
@@ -481,7 +492,8 @@ def fit_semilinear(
     spread of the hyperplane at infinity (_preserves_spread: a conjugation
     test on 2hk vectors, element by element when it fails) and carries D
     onto {(t, t^(2^j))}, tested point by point (_canonical_image).  The
-    spread test runs first, so a wrong exponent skips the image walk.
+    spread test runs first, so a wrong exponent skips the image walk and
+    the map it reads.
     The second demand matters: twisting one block by the GF(q)-linear map
     x -> x^(2^h) shifts the apparent exponent by h while fixing both
     transversals and D's shape, so without it every exponent in
@@ -491,11 +503,11 @@ def fit_semilinear(
     where D = {(t, t^(2^i))}.
     """
     tower = maps.tower
-    space = maps.hinf
+    spell = unvec_blocks(tower, 2)
     accepted = []
-    for label, j, m, to_field in _fit_candidates(dirs, fmap, maps):
-        if _preserves_spread(m, maps, space) and _canonical_image(
-            to_field, dirs, tower, j
+    for label, j, m in _fit_candidates(dirs, fmap, maps):
+        if _preserves_spread(m, maps, spell) and _canonical_image(
+            m.then(spell), dirs, tower, j
         ):
             accepted.append((label, j, m))
     if not accepted:
@@ -524,51 +536,34 @@ def build_spread(
 ) -> SpreadResult:
     """Rebuild the Desarguesian spread through the fitted pseudoregulus.
 
-    Canonical elements are the field-reduction spans of (1, u^(2^i - 1))
-    plus the two coordinate subspaces; they come back through
-    fit.matrix.inverse(), so the element through a point p is the
-    canonical element through fit.matrix(p) (Spread.reduced).
-    matches_canonical compares the canonical-frame elements against the
-    line-at-infinity spread, element set for element set.
+    The canonical sources are <(u, u^(2^i))> for u in GF(q^k)* and the
+    coordinate points <(1, 0)>, <(0, 1)> of PG(1, q^k); field reduction is
+    injective on points, so two u collide iff their elements do.  Element
+    idx is the reduction (reduction_rows) of the point that M^-1 of source
+    idx spells, M = fit.matrix: M^-1 of canonical element idx, as M
+    permutes the Desarguesian spread, so the element through p is the
+    canonical one through M(p) (Spread.reduced).  No element is
+    row-reduced.  matches_canonical runs the fit's spread test again on M,
+    and plane_axioms_check re-verifies it, as a row lies in fibre idx only
+    if M carries the element onto canonical element idx.
     """
     tower = maps.tower
-    space = maps.hinf
     big = tower.big
-    k = tower.k
-    hk_bits = k * tower.h
-    vec = tower.vec_packed
+    hk = tower.hk
     i = fit.exponent
-
     source = ProjSpace(1, big)
-    canonical_keys = set()
-    element_rows = []
-    sources = []
+    first_u: dict = {}
     for u in range(1, big.q):
-        fu = big.frob(u, i)
-        rows = space.rref(
-            [vec(big.mul(b, u)) | (vec(big.mul(b, fu)) << hk_bits) for b in tower.basis]
-        )
-        if rows in canonical_keys:
+        if first_u.setdefault(source.normalize(u | big.frob(u, i) << hk), u) != u:
             raise SpreadConstructionFailed(
                 f"parameters u collide at 0x{u:x}; exponent {i} is not strict"
             )
-        canonical_keys.add(rows)
-        element_rows.append(rows)
-        sources.append(source.normalize(u | (fu << hk_bits)))
-    element_rows.append(space.rref([vec(b) for b in tower.basis]))
-    element_rows.append(space.rref([vec(b) << hk_bits for b in tower.basis]))
-    sources += [1, 1 << hk_bits]  # <(1, 0)> and <(0, 1)>
-
-    # the q^k + 1 distinct canonical elements reduce every point of
-    # PG(1, q^k), and the inverse exists, so the fit is invertible: the
-    # elements it takes back partition H_inf, and the fit finds the one
-    # through a point
-    inverse = fit.matrix.inverse()
-    elements = [space.rref([inverse(r) for r in rows]) for rows in element_rows]
-    spread = Spread.reduced(elements, space, tower, sources, source, fit.matrix)
-    # the rebuilt spread, taken back to detected coordinates, must be the
-    # field-reduction spread the ambient came with
-    matches = set(spread.elements) == set(maps.abb_spread.elements)
+    sources = [*first_u, 1, 1 << hk]  # then <(1, 0)> and <(0, 1)>
+    m, spell = fit.matrix, unvec_blocks(tower, 2)
+    back = m.then(spell).inverse().then(spell)  # source -> source under M^-1
+    matches = _conjugates_field(m, maps, spell) or _maps_elements_to_elements(m, maps, spell)
+    elements = [reduction_rows(tower, source.normalize(back(s))) for s in sources]
+    spread = Spread.reduced(elements, maps.hinf, tower, sources, source, m)
     keyset = {el: idx for idx, el in enumerate(spread.elements)}
     if transversals.t0 not in keyset or transversals.t_inf not in keyset:
         raise SpreadConstructionFailed("transversals are not spread elements")

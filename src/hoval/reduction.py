@@ -11,7 +11,9 @@ The spreads that field reduction builds (abb_spread of H_inf and the spread
 the pseudoregulus stage rebuilds) are partitions by construction: the
 element through a point is the reduction of the source point its blocks
 spell, so Spread.reduced finds it with one unvec per block and one
-normalize over the big field and never enumerates the points.
+normalize over the big field and never enumerates the points.  An element
+is written down, not row-reduced: the reduction of a normalized source
+point is already in ProjSpace.rref form (reduction_rows).
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ class Spread:
     Every spread comes from field reduction (``Spread.reduced``: abb_spread
     and the rebuilt spread of the pseudoregulus stage).  Each of
     ``elements`` is a subspace of ``space`` as its reduced-echelon row
-    tuple (ProjSpace.rref), so two elements are equal iff their tuples are.
+    tuple (ProjSpace.rref), so two elements are equal iff their tuples are;
+    the builders write each one with reduction_rows.
     ``sources[idx]`` is the packed point of the source projective space that
     field reduction turned into ``elements[idx]``, before any coordinate
     change; ``index`` is a ReductionIndex that finds the element through a
@@ -125,7 +128,7 @@ class ReductionIndex(Mapping):
 
     def __getitem__(self, point: int) -> int:
         space = self.space
-        if not 0 < point < 1 << space.bits or space.normalize(point) != point:
+        if not 0 < point < 1 << space.bits or space.chunk(point, space.pivot(point)) != 1:
             raise KeyError(point)
         return self.source_index[self.source.normalize(self.to_source(point))]
 
@@ -136,6 +139,22 @@ class ReductionIndex(Mapping):
         return self.space.points()
 
 
+def reduction_rows(tower: Tower, point: int) -> tuple[int, ...]:
+    """The field reduction of a normalized point, as its ProjSpace.rref rows.
+
+    Row j of point (x_0, ..., x_{r-1}) of PG(r-1, q^k) is (beta^j x_0, ...,
+    beta^j x_{r-1}), each coordinate vec'd into a block of k chunks.  The
+    tower basis is 1, beta, ..., beta^(k-1), so where the leading x_p is 1
+    row j has block p = e_j and zero blocks before it: pivot p k + j, value
+    1, zero in every other row's pivot, rows sorted by pivot.
+    """
+    hk, mask, vec, mul = tower.hk, tower.big.q - 1, tower.vec_packed, tower.big.mul
+    coords = [point >> c & mask for c in range(0, point.bit_length(), hk)]
+    return tuple(
+        sum(vec(mul(b, x)) << c * hk for c, x in enumerate(coords)) for b in tower.basis
+    )
+
+
 def field_reduction_spread(
     tower: Tower, r: int, budget: int | None = DEFAULT_BUDGET
 ) -> Spread:
@@ -143,31 +162,17 @@ def field_reduction_spread(
 
     Element idx comes from the idx-th point (x_0, ..., x_{r-1}) of the source
     space and is the GF(q)-span of the vectors (a*x_0, ..., a*x_{r-1}) for
-    a running over the big field; its basis uses a = beta^j.  The budget
-    counts the k rows reduced per source point; no target point is visited.
+    a running over the big field; reduction_rows writes it down from the
+    basis a = beta^j, already in reduced echelon form.  The budget counts
+    the k rows written per source point; no target point is visited.
     """
-    big, small = tower.big, tower.small
-    source = ProjSpace(r - 1, big)
-    target = ProjSpace(r * tower.k - 1, small, tables=True)
+    source = ProjSpace(r - 1, tower.big)
+    target = ProjSpace(r * tower.k - 1, tower.small, tables=True)
     est = source.npoints() * tower.k
     if budget is not None and est > budget:
         raise EnumerationTooLarge(est, budget, "field reduction")
-    hk_bits = tower.k * tower.h
-    vec = tower.vec_packed
-    mul = big.mul
-    elements = []
-    sources = []
-    for pt in source.points(budget=None):
-        coords = source.unpack(pt)
-        rows = []
-        for b in tower.basis:
-            row = 0
-            for c, x in enumerate(coords):
-                if x:
-                    row |= vec(mul(b, x)) << (c * hk_bits)
-            rows.append(row)
-        elements.append(target.rref(rows))
-        sources.append(pt)
+    sources = tuple(source.points(budget=None))
+    elements = [reduction_rows(tower, pt) for pt in sources]
     return Spread.reduced(elements, target, tower, sources, source)
 
 
@@ -203,7 +208,7 @@ class CorrespondenceMaps:
 
     @property
     def abb_spread(self) -> Spread:
-        """The Desarguesian (k-1)-spread of H_inf from the line at infinity."""
+        """The Desarguesian (k-1)-spread of H_inf; no verify-all stage builds it."""
         if self._abb_spread is None:
             self._abb_spread = field_reduction_spread(self.tower, 2)
         return self._abb_spread

@@ -9,6 +9,8 @@ from hoval.errors import DivisionByZero, IrreducibleCheckFailed, UnsupportedDegr
 from hoval.gf2 import (
     TABLE_LIMIT,
     Field,
+    LinearMap,
+    _byte_tables,
     default_modulus,
     field_create,
     is_irreducible,
@@ -43,6 +45,19 @@ def oracle_irreducible(modulus, m):
             if r == 0:
                 return False
     return True
+
+
+def byte_tables_entry_by_entry(columns):
+    """Each table entry from the entry with its lowest set bit cleared."""
+    tables = []
+    for lo in range(0, len(columns), 8):
+        cols = columns[lo:lo + 8]
+        tab = [0] * (1 << len(cols))
+        for v in range(1, len(tab)):
+            low = v & -v
+            tab[v] = tab[v ^ low] ^ cols[low.bit_length() - 1]
+        tables.append(tab)
+    return tuple(tables)
 
 
 def subfield_fixed_points(big, h):
@@ -208,6 +223,17 @@ def test_tower_embedded_generator_has_subfield_order():
         acc = t.big.mul(acc, img)
         order += 1
     assert order == t.small.q - 1
+
+
+@pytest.mark.parametrize("ncols", [1, 5, 8, 13, 18, 24])
+def test_byte_tables_match_the_entry_by_entry_oracle(ncols):
+    # the last table covers fewer than 8 columns unless 8 divides ncols
+    rng = random.Random(ncols)
+    cols = [rng.randrange(1 << 20) for _ in range(ncols)]
+    assert _byte_tables(cols) == byte_tables_entry_by_entry(cols)
+    lmap = LinearMap(cols)
+    for v in [rng.randrange(1 << ncols) for _ in range(200)]:
+        assert lmap(v) == apply_columns(cols, v)
 
 
 def test_tower_vec_unvec_round_trip_exhaustive():

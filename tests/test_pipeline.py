@@ -145,6 +145,30 @@ def test_verify_all_enumerates_no_spread(monkeypatch):
     assert rep.stage("spread").data["hit_once"] == 511
 
 
+@pytest.mark.parametrize("hki", [(3, 3, 1), (4, 2, 1)])
+def test_verify_all_enumerates_no_canonical_spread(monkeypatch, hki):
+    # the fit and the spread stage write each Desarguesian element from its
+    # source point (reduction_rows): abb_spread is never built, and the
+    # whole run row-reduces fewer than 30 subspaces (1,562 at (3,3,1) when
+    # every element was reduced)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline must not build abb_spread")
+
+    rref_calls = []
+    real_rref = ProjSpace.rref
+
+    def counted(self, rows):
+        rref_calls.append(1)
+        return real_rref(self, rows)
+
+    monkeypatch.setattr(reduction, "_MAPS_CACHE", {})
+    monkeypatch.setattr(reduction, "field_reduction_spread", refuse)
+    monkeypatch.setattr(ProjSpace, "rref", counted)
+    rep = run_verify_all(*hki)
+    assert rep.verdict == "pass"
+    assert len(rref_calls) < 30
+
+
 def test_plane_stage_element_lookups(monkeypatch):
     # element_of lookups on the run's spread, plane stage only: k rows of
     # each of the q^k + 1 elements (fibre certificate), six line_through

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from hoval import pseudoregulus
+from hoval.bruckbose import build_plane, plane_axioms_check
 from hoval.errors import (
     EnumerationTooLarge,
     NotPseudoregulusCandidate,
@@ -25,7 +26,7 @@ from hoval.pseudoregulus import (
     one_point_property,
     transversal_map,
 )
-from hoval.reduction import ReductionIndex
+from hoval.reduction import ReductionIndex, unvec_blocks
 from oracles import matrix_columns, partition_index, s_prime
 
 
@@ -247,9 +248,9 @@ def test_preserves_spread_matches_rref_on_fitted_matrices(monkeypatch, hki):
     seen = []
     real = pseudoregulus._preserves_spread
 
-    def recorded(m, maps, space):
-        got = real(m, maps, space)
-        seen.append((got, _preserves_spread_by_rref(m, maps, space)))
+    def recorded(m, maps, spell):
+        got = real(m, maps, spell)
+        seen.append((got, _preserves_spread_by_rref(m, maps, maps.hinf)))
         return got
 
     monkeypatch.setattr(pseudoregulus, "_preserves_spread", recorded)
@@ -303,8 +304,8 @@ def test_preserves_spread_matches_rref_off_the_fit(monkeypatch, report321, case3
     fallback = []
     real = pseudoregulus._maps_elements_to_elements
 
-    def counted(lmap, maps, space):
-        got = real(lmap, maps, space)
+    def counted(lmap, maps, spell):
+        got = real(lmap, maps, spell)
         fallback.append(got)
         return got
 
@@ -318,12 +319,102 @@ def test_preserves_spread_matches_rref_off_the_fit(monkeypatch, report321, case3
         space = maps.hinf
         for name, (m, want) in _off_fit_matrices(maps, fit, seed).items():
             fallback.clear()
-            assert pseudoregulus._preserves_spread(m, maps, space) is want, name
+            got = pseudoregulus._preserves_spread(m, maps, unvec_blocks(maps.tower, 2))
+            assert got is want, name
             if name in ("fit", "scale", "singular"):
                 assert fallback == [], name
             else:
                 assert fallback == [False], name
             assert _preserves_spread_by_rref(m, maps, space) is want, name
+
+
+def _maps_elements_by_abb_spread(lmap, maps):
+    """The element-by-element walk over the enumerated abb_spread: every
+    element's row images must lie in one element."""
+    spread = maps.abb_spread
+    normalize = maps.hinf.normalize
+    return all(
+        len({spread.element_of(normalize(lmap(r))) for r in el}) == 1
+        for el in spread.elements
+    )
+
+
+@pytest.mark.parametrize("hki", [(3, 3, 1), (4, 2, 1)])
+def test_elements_made_on_demand_match_the_abb_spread_walk(hki):
+    # each candidate of the fit, the identity and the accepted fits pass,
+    # every other exponent fails
+    hov, d = _directions_for(*hki)
+    maps = hov.maps
+    spell = unvec_blocks(maps.tower, 2)
+    fmap = transversal_map(extract_transversals(find_long_secants(d), d.space))
+    fits = fit_semilinear(d, fmap, maps).fits
+    identity = LinearMap(1 << b for b in range(maps.hinf.bits))
+    assert pseudoregulus._maps_elements_to_elements(identity, maps, spell)
+    verdicts = []
+    for label, j, m in pseudoregulus._fit_candidates(d, fmap, maps):
+        got = pseudoregulus._maps_elements_to_elements(m, maps, spell)
+        assert got is _maps_elements_by_abb_spread(m, maps) is ((label, j) in fits)
+        verdicts.append(got)
+    assert verdicts.count(True) == 2 and verdicts.count(False) >= 2
+
+
+def _spread_by_rref(fit, maps):
+    """The rebuilt elements by row reduction: each canonical element's rows,
+    rref'd, taken back through fit.matrix.inverse() and rref'd again, in the
+    order of build_spread's sources."""
+    tower, space = maps.tower, maps.hinf
+    vec, big, hk = tower.vec_packed, tower.big, tower.hk
+    canonical = []
+    for u in range(1, big.q):
+        fu = big.frob(u, fit.exponent)
+        canonical.append(
+            space.rref([vec(big.mul(b, u)) | vec(big.mul(b, fu)) << hk for b in tower.basis])
+        )
+    canonical.append(space.rref([vec(b) for b in tower.basis]))
+    canonical.append(space.rref([vec(b) << hk for b in tower.basis]))
+    inverse = fit.matrix.inverse()
+    return canonical, [space.rref([inverse(r) for r in el]) for el in canonical]
+
+
+@pytest.mark.parametrize(
+    "hki", [(3, 2, 1), (4, 2, 1), (4, 2, 3), (3, 3, 1), (3, 3, 2), (2, 3, 1)]
+)
+def test_rebuilt_spread_matches_the_rref_oracle(hki):
+    # the elements written from their sources are, in order, the rref'd
+    # M^-1 images of the canonical elements, and those are abb_spread's.
+    # The fitted M fixes every element; composed with x -> g x on the first
+    # block, of order q^k - 1 on the elements, it moves them
+    run = run_verify_all(*hki, stages=("spread",)).run
+    maps = run.hov.maps
+    big = maps.tower.big
+    scale = _block_map(maps, lambda x: big.mul(big.generator, x), lambda y: y)
+    moved = run.fit.replace(matrix=scale.then(run.fit.matrix))
+    for fit, res in (
+        (run.fit, run.spread_result),
+        (moved, build_spread(moved, run.transversals, maps)),
+    ):
+        canonical, taken_back = _spread_by_rref(fit, maps)
+        assert list(res.spread.elements) == taken_back
+        assert set(canonical) == set(taken_back) == set(maps.abb_spread.elements)
+        assert res.matches_canonical
+        # the element-by-element path, which the conjugation test spares
+        # these fits, gives the same verdict
+        spell = unvec_blocks(maps.tower, 2)
+        assert pseudoregulus._maps_elements_to_elements(fit.matrix, maps, spell)
+
+
+def test_spread_through_a_wrong_matrix_fails_the_plane_certificate(report321, case321):
+    # twisting the fit's second block by y -> y^(2^h) keeps both transversals
+    # but not the spread: the elements written from the detected sources no
+    # longer lie in their fibres
+    hov, _ = case321
+    maps, fit = hov.maps, report321.fit
+    twisted = _off_fit_matrices(maps, fit, 5)["twisted fit"][0]
+    res = build_spread(fit.replace(matrix=twisted), report321.transversals, maps)
+    assert not res.matches_canonical
+    axioms = plane_axioms_check(build_plane(maps, res.spread))
+    assert not axioms.ok and axioms.collisions > 0
+    assert axioms.witness[0] == "element row in another fibre"
 
 
 def _canonical_set_oracle(maps, j):
@@ -343,7 +434,9 @@ def test_point_by_point_image_test_matches_the_canonical_set(hki):
     transversals = extract_transversals(find_long_secants(d), space)
     fmap = transversal_map(transversals)
     verdicts = []
-    for label, j, m, to_field in pseudoregulus._fit_candidates(d, fmap, maps):
+    spell = unvec_blocks(maps.tower, 2)
+    for label, j, m in pseudoregulus._fit_candidates(d, fmap, maps):
+        to_field = m.then(spell)
         image = {space.normalize(m(p)) for p in d.ordered}
         want = image == _canonical_set_oracle(maps, j)
         assert pseudoregulus._canonical_image(to_field, d, maps.tower, j) is want
@@ -357,8 +450,8 @@ def test_point_by_point_image_test_matches_the_canonical_set(hki):
     # carried onto one point
     j = detect_pseudoregulus(d, maps).fit.exponent
     to_field = next(
-        c[3] for c in pseudoregulus._fit_candidates(d, fmap, maps)
-        if c[0] == "standard" and c[1] == j
+        m.then(spell) for label, jj, m in pseudoregulus._fit_candidates(d, fmap, maps)
+        if label == "standard" and jj == j
     )
     assert pseudoregulus._canonical_image(to_field, d, maps.tower, j)
     short = DirectionSet(d.ordered[1:], space)

@@ -144,6 +144,32 @@ def test_reduced_spread_refuses_duplicate_and_missing_sources(t32):
     assert [again.element_of(p) for p in s.space.subspace_points(s.elements[7])] == [7] * 9
 
 
+@pytest.mark.parametrize("hk", [(2, 2), (3, 2), (2, 3)])
+def test_field_reduction_rows_are_already_reduced(hk):
+    # reduction_rows writes each element without row reduction; rref of
+    # its rows, over r = 2 (abb_spread) and r = 2k (s_prime), is the oracle
+    maps = maps_for(tower_create(*hk))
+    for spread in (field_reduction_spread(maps.tower, 2), s_prime(maps)):
+        k = spread.index.source.h // spread.space.h
+        for el in spread.elements:
+            assert len(el) == k
+            assert spread.space.rref(el) == el
+
+
+def test_reduction_index_refuses_unnormalized_points(t32):
+    # the index reads a point's leading chunk: any multiple but the
+    # normalized one is no key, though it spans the same point
+    s = field_reduction_spread(t32, 2)
+    space = s.space
+    for p in space.subspace_points(s.elements[7]):
+        assert s.element_of(p) == 7
+        for c in range(2, space.q):
+            off = space.smul(c, p)
+            assert off not in s.index
+            with pytest.raises(KeyError):
+                s.element_of(off)
+
+
 def test_field_reduction_budget(t32):
     with pytest.raises(EnumerationTooLarge):
         field_reduction_spread(t32, 2, budget=10)
