@@ -5,6 +5,8 @@ plane, the ambient small-field space and the binary model, and verifies
 the structural claims: direction spectra, scattered binary linearity,
 the pseudoregulus shape of the direction set, the reconstructed line
 spread, the incidence plane it defines, and the C-plane axioms.
+run_verify_all is the one chain of those checks; the other entry points
+are its stages, one at a time.
 """
 
 from .errors import (
@@ -35,7 +37,7 @@ from .linearsets import (
 )
 from .pipeline import VerificationReport, run_verify_all
 from .projective import DEFAULT_BUDGET, ProjSpace
-from .pseudoregulus import detect_pseudoregulus, find_long_secants
+from .pseudoregulus import find_long_secants
 from .bruckbose import build_plane, hyperoval_in_plane, plane_axioms_check
 from .cplanes import build_c_planes, check_axioms
 from .reduction import CorrespondenceMaps, Spread, field_reduction_spread, maps_for
@@ -65,7 +67,6 @@ __all__ = [
     "build_hyperoval",
     "build_plane",
     "check_axioms",
-    "detect_pseudoregulus",
     "directions",
     "f2_witness",
     "field_reduction_spread",

@@ -26,6 +26,7 @@ import sys
 from . import serialize
 from .errors import (
     EnumerationTooLarge,
+    GcdHypothesisViolated,
     HovalError,
     IrreducibleCheckFailed,
     NoLongSecants,
@@ -51,13 +52,19 @@ def _processes(args) -> int:
 def _budget(args) -> int | None:
     if args.budget is None:
         return DEFAULT_BUDGET
-    return None if args.budget <= 0 else args.budget
+    if args.budget < 0:
+        raise ParseError(f"--budget must be at least 0, got {args.budget}")
+    return args.budget or None
 
 
 def _checked_spec(h, k, i, strict: bool) -> HyperovalSpec:
     """HyperovalSpec with out-of-range parameters turned into usage errors."""
     try:
         return HyperovalSpec(h, k, i, strict=strict)
+    except GcdHypothesisViolated as exc:  # still exit 1, naming the CLI flag
+        gcd = str(exc).split(";")[0]
+        raise GcdHypothesisViolated(
+            f"{gcd}; pass --allow-nonstrict to build the set anyway") from None
     except ValueError as exc:
         raise ParseError(f"bad parameters (h={h}, k={k}, i={i}): {exc}") from exc
 
@@ -103,12 +110,13 @@ def _cmd_directions(args) -> int:
     return 0
 
 
-def _dirs_from_file(path: str):
+def _dirs_from_file(path: str, allow_nonstrict: bool):
     doc = serialize.load_point_set(path)
     if doc.kind != "directions":
         raise ParseError(f"expected a directions file, got kind {doc.kind!r}")
     p = doc.params
-    spec = _checked_spec(p["h"], p["k"], p["i"], bool(p.get("strict", True)))
+    strict = bool(p.get("strict", True)) and not allow_nonstrict
+    spec = _checked_spec(p["h"], p["k"], p["i"], strict)
     try:
         tower = tower_create(spec.h, spec.k, *doc.moduli)
     except (IrreducibleCheckFailed, UnsupportedDegree) as exc:
@@ -124,8 +132,9 @@ def _dirs_from_file(path: str):
 
 def _cmd_spectrum(args) -> int:
     processes = _processes(args)
+    budget = _budget(args)
     if args.infile:
-        spec, maps, d = _dirs_from_file(args.infile)
+        spec, maps, d = _dirs_from_file(args.infile, args.allow_nonstrict)
     else:
         if None in (args.h, args.k, args.i):
             raise ParseError("need --h, --k and --i when no --in file is given")
@@ -137,7 +146,7 @@ def _cmd_spectrum(args) -> int:
     if spec.is_strict_case:
         candidate = cyclic_candidate(maps, spec.i)
     hist = spectrum(
-        d, mode=args.mode, budget=_budget(args), processes=processes,
+        d, mode=args.mode, budget=budget, processes=processes,
         candidate=candidate,
     )
     conforms, offender = spectrum_conforms(hist, 1 << spec.h)
@@ -151,13 +160,14 @@ def _cmd_spectrum(args) -> int:
 
 def _pipeline(args, stages, **options):
     """run_verify_all over the parameters and common flags of `args`."""
+    budget = _budget(args)
     _spec(args)  # reject bad parameters as usage errors before the run
     return run_verify_all(
         args.h,
         args.k,
         args.i,
         strict=not args.allow_nonstrict,
-        budget=_budget(args),
+        budget=budget,
         stages=stages,
         **options,
     )

@@ -380,11 +380,10 @@ class Tower:
     The embedding sends x (class of the small modulus) to the numerically
     smallest root of the small modulus inside the big field; the basis of
     the big field over the small one is 1, beta, ..., beta^(k-1) where beta
-    is the class of x modulo the big modulus.  vec/unvec convert between a
-    big-field element and its coordinate vector in that basis.
+    is the class of x modulo the big modulus.
 
-    vec_packed(t) packs t's coordinates as k chunks of h bits and
-    unvec_packed undoes it.  Both are GF(2)-linear: unvec_packed is the
+    vec_packed(t) packs t's coordinates in that basis as k chunks of h bits
+    and unvec_packed undoes it.  Both are GF(2)-linear: unvec_packed is the
     LinearMap whose column j h + b is the embedded 2^b times basis[j], and
     vec_packed is its inverse, read from a list while the big field has
     exp/log tables.
@@ -392,7 +391,7 @@ class Tower:
 
     __slots__ = (
         "h", "k", "hk", "small", "big", "root",
-        "_embed_table", "_unembed", "basis", "vec_packed", "unvec_packed",
+        "_embed_table", "basis", "vec_packed", "unvec_packed",
     )
 
     def __init__(self, h: int, k: int, small: Field, big: Field):
@@ -407,7 +406,6 @@ class Tower:
             powers[b] = big.mul(powers[b - 1], self.root)
         embed = LinearMap(powers)
         self._embed_table = [embed(a) for a in range(small.q)]
-        self._unembed = {img: a for a, img in enumerate(self._embed_table)}
         beta = 2 if self.hk > 1 else 1
         self.basis = tuple(big.pow(beta, j) for j in range(k))
         self.unvec_packed = LinearMap(
@@ -481,24 +479,6 @@ class Tower:
 
     def in_subfield(self, t: int) -> bool:
         return self.big.frob(t, self.h) == t
-
-    def to_subfield(self, t: int) -> int:
-        """Preimage of an embedded element; raises KeyError when outside."""
-        return self._unembed[t]
-
-    def vec(self, t: int) -> tuple[int, ...]:
-        packed = self.vec_packed(t)
-        mask = self.small.q - 1
-        return tuple((packed >> (j * self.h)) & mask for j in range(self.k))
-
-    def unvec(self, coords: Iterable[int]) -> int:
-        packed = 0
-        for j, c in enumerate(coords):
-            packed |= c << (j * self.h)
-        return self.unvec_packed(packed)
-
-    def frob(self, t: int, i: int = 1) -> int:
-        return self.big.frob(t, i)
 
     def __repr__(self) -> str:
         return f"Tower(h={self.h}, k={self.k})"

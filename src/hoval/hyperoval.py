@@ -213,8 +213,8 @@ def translation_basis(q_points: AffinePointSet) -> tuple:
     """The GF(2) echelon basis of W = span{(p ^ c0) >> h}, c0 = ordered[0].
 
     Vectors are in the H_inf layout, where the packed GF(q) coordinates are
-    read as 2hk bits; the rows are those CorrespondenceMaps.hinf2.rref
-    returns.  For a closed set C = c0 + W.  Memoized on the set.
+    read as 2hk bits; the rows are W's unique reduced echelon basis
+    (f2_echelon).  For a closed set C = c0 + W.  Memoized on the set.
     """
     if q_points._basis is None:
         ordered = q_points.ordered

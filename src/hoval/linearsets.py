@@ -84,9 +84,6 @@ class SpectrumHistogram(Record):
             return "line-scan"
         return "pair-scan" if self.symmetry is None else "cyclic-group"
 
-    def count(self, j: int) -> int:
-        return self.counts.get(j, 0)
-
     def to_json_dict(self) -> dict:
         return {
             "mode": self.mode,

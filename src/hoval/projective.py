@@ -177,24 +177,13 @@ class ProjSpace:
             free = [j * h for j in range(p + 1, self.width)]
             yield from self.completions(1 << (p * h), free)
 
-    def lines(self, budget: int | None = DEFAULT_BUDGET) -> Iterator[tuple[int, int]]:
-        """All lines as canonical reduced-echelon row pairs."""
-        total = self.nlines()
-        if budget is not None and total > budget:
-            raise EnumerationTooLarge(total, budget, "line enumeration")
-        h = self.h
-        for p0, p1, free0, free1 in self.line_chunks():
-            for r0 in self.completions(1 << (p0 * h), free0):
-                for r1 in self.completions(1 << (p1 * h), free1):
-                    yield (r0, r1)
-
     def line_chunks(self) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
         """The pivot patterns of the canonical lines, for enumerating them.
 
         Returns one entry per pivot pattern: (pivot0, pivot1, free0, free1)
-        with the free shift positions of each row.  lines() walks every row
-        pair of every pattern; the exhaustive spectrum counts one pencil of
-        q^|free0| lines per second row instead (linearsets._tally_pattern).
+        with the free shift positions of each row.  Every line is one row
+        pair of one pattern; the exhaustive spectrum counts one pencil of
+        q^|free0| lines per second row (linearsets._tally_pattern).
         """
         out = []
         for p0 in range(self.width - 1):
@@ -255,9 +244,6 @@ class ProjSpace:
             if c:
                 v ^= self.smul(c, r)
         return v
-
-    def contains(self, rows: Sequence[int], v: int) -> bool:
-        return self.reduce(v, rows) == 0
 
     def subspace_points(self, rows: Sequence[int]) -> list[int]:
         """Normalized points of the span of echelon rows (all of them)."""

@@ -609,31 +609,3 @@ def one_point_property(
     }
     return ok, detail
 
-
-class PseudoregulusReport(Record):
-    structure: SecantStructure
-    transversals: Transversals
-    fit: SemilinearFit
-    spread_result: SpreadResult
-    one_point_ok: bool
-    one_point_detail: dict
-
-
-def detect_pseudoregulus(
-    dirs: DirectionSet, maps: CorrespondenceMaps, budget: int | None = DEFAULT_BUDGET
-) -> PseudoregulusReport:
-    """Full chain: secants, transversals, semilinear fit, spread, 1-point."""
-    structure = find_long_secants(dirs, budget)
-    transversals = extract_transversals(structure, dirs.space)
-    fmap = transversal_map(transversals)
-    fit = fit_semilinear(dirs, fmap, maps)
-    result = build_spread(fit, transversals, maps)
-    ok, detail = one_point_property(result, dirs)
-    return PseudoregulusReport(
-        structure=structure,
-        transversals=transversals,
-        fit=fit,
-        spread_result=result,
-        one_point_ok=ok,
-        one_point_detail=detail,
-    )

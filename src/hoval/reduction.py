@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from .errors import EnumerationTooLarge, InvalidSpread, NotAffine
-from .gf2 import LinearMap, Tower, f2_echelon, field_create
+from .gf2 import LinearMap, Tower, f2_echelon
 from .projective import DEFAULT_BUDGET, ProjSpace
 
 
@@ -180,18 +180,15 @@ class CorrespondenceMaps:
     """Coordinate maps tying PG(2, q^k), PG(2k, q) and PG(2hk, 2) together."""
 
     __slots__ = (
-        "tower", "plane_big", "ambient", "hinf", "pi2", "hinf2", "_abb_spread",
+        "tower", "plane_big", "ambient", "hinf", "_abb_spread",
     )
 
     def __init__(self, tower: Tower):
         self.tower = tower
-        gf2 = field_create(1)
         self.plane_big = ProjSpace(2, tower.big)
         # the GF(q) spaces multiply by each scalar many times: byte tables
         self.ambient = ProjSpace(2 * tower.k, tower.small, tables=True)
         self.hinf = ProjSpace(2 * tower.k - 1, tower.small, tables=True)
-        self.pi2 = ProjSpace(2 * tower.hk, gf2)
-        self.hinf2 = ProjSpace(2 * tower.hk - 1, gf2)
         self._abb_spread: Spread | None = None
 
     # -- plane over the big field -> Andre/Bruck-Bose ambient ----------------

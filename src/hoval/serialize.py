@@ -25,11 +25,6 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def save(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write(dumps(obj))
-
-
 def _hex(p: int) -> str:
     return f"0x{p:x}"
 

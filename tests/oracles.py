@@ -1,7 +1,10 @@
 """Reference implementations the tests hold the library's fast paths to.
 
 Each is the straightforward version of something `src/hoval` now computes
-another way, kept here (not in the package) because only tests call it.
+another way, or a helper the package dropped, kept here (not in the
+package) because only tests call it.  detect_pseudoregulus chains the
+pseudoregulus stages on any direction set; run_verify_all is the package's
+one chain.
 """
 
 import random
@@ -19,11 +22,24 @@ from hoval.errors import (
     InvalidSpread,
     SingularMatrix,
 )
-from hoval.gf2 import f2_echelon, f2_reduce, tower_create
+from hoval.gf2 import f2_echelon, f2_reduce, field_create, tower_create
 from hoval.hyperoval import is_arc, translation_basis
 from hoval.linearsets import ScatterednessReport
-from hoval.projective import ProjSpace
+from hoval.projective import DEFAULT_BUDGET, ProjSpace
+from hoval.pseudoregulus import (
+    SecantStructure,
+    SemilinearFit,
+    SpreadResult,
+    Transversals,
+    build_spread,
+    extract_transversals,
+    find_long_secants,
+    fit_semilinear,
+    one_point_property,
+    transversal_map,
+)
 from hoval.reduction import field_reduction_spread
+from hoval.serialize import dumps
 
 
 # -- matrices over GF(q) as lists of coordinate rows --------------------------
@@ -135,6 +151,22 @@ def chunk_reduce(space: ProjSpace, v: int, rows) -> int:
     return space.pack(coords)
 
 
+def all_lines(space: ProjSpace, budget=DEFAULT_BUDGET):
+    """Every line of the space as its canonical reduced-echelon row pair."""
+    total = space.nlines()
+    if budget is not None and total > budget:
+        raise EnumerationTooLarge(total, budget, "line enumeration")
+    for p0, p1, free0, free1 in space.line_chunks():
+        for r0 in space.completions(1 << (p0 * space.h), free0):
+            for r1 in space.completions(1 << (p1 * space.h), free1):
+                yield (r0, r1)
+
+
+def in_span(space: ProjSpace, rows, v: int) -> bool:
+    """Does the span of the echelon rows hold v?"""
+    return space.reduce(v, rows) == 0
+
+
 def apply_columns(columns, v: int) -> int:
     """The GF(2)-linear map with these unit-vector images, applied to v."""
     out = 0
@@ -167,6 +199,23 @@ def tower_columns(tower) -> tuple:
     inv_rows = [aug[i] >> hk for i in range(hk)]
     inv = [sum(((inv_rows[i] >> j) & 1) << i for i in range(hk)) for j in range(hk)]
     return fwd, inv
+
+
+def tower_vec(tower, t: int) -> tuple:
+    """The k GF(q) coordinates of t over the tower basis."""
+    packed = tower.vec_packed(t)
+    return tuple((packed >> (j * tower.h)) & (tower.small.q - 1)
+                 for j in range(tower.k))
+
+
+def tower_unvec(tower, coords) -> int:
+    """The big-field element with the given coordinates over the basis."""
+    return tower.unvec_packed(sum(c << (j * tower.h) for j, c in enumerate(coords)))
+
+
+def to_subfield(tower, t: int) -> int:
+    """The small-field preimage of an embedded element; KeyError outside."""
+    return {tower.embed(a): a for a in range(tower.small.q)}[t]
 
 
 def nonzero_elements(field) -> range:
@@ -722,6 +771,19 @@ def sampled_check(plane, quadrangle: bool, seed: int = 0, samples: int = 2000):
     )
 
 
+# -- H_inf over GF(2), and documents on disk -----------------------------------
+
+def hinf2(maps) -> ProjSpace:
+    """PG(2hk - 1, 2): H_inf's packed vectors read as 2hk bits."""
+    return ProjSpace(2 * maps.tower.hk - 1, field_create(1))
+
+
+def save(path: str, obj: dict) -> None:
+    """Write a document as serialize.dumps spells it."""
+    with open(path, "w", encoding="ascii") as f:
+        f.write(dumps(obj))
+
+
 # -- scatteredness over the enumerated (h-1)-spread ----------------------------
 
 @cache
@@ -752,3 +814,28 @@ def scattered_by_elements(witness, spread) -> ScatterednessReport:
         offending_element=offender,
         meet_histogram={j: hist[j] for j in sorted(hist)},
     )
+
+
+# -- the pseudoregulus stages chained without the pipeline ---------------------
+
+@dataclass(frozen=True)
+class PseudoregulusReport:
+    structure: SecantStructure
+    transversals: Transversals
+    fit: SemilinearFit
+    spread_result: SpreadResult
+    one_point_ok: bool
+    one_point_detail: dict
+
+
+def detect_pseudoregulus(dirs, maps, budget=DEFAULT_BUDGET) -> PseudoregulusReport:
+    """Secants, transversals, semilinear fit, spread and 1-point property of
+    any direction set, canonical or not.  The secants come from a pair scan,
+    as no cyclic symmetry is given, so h = 2 is refused (find_long_secants);
+    run_verify_all is the chain the package runs."""
+    structure = find_long_secants(dirs, budget)
+    transversals = extract_transversals(structure, dirs.space)
+    fit = fit_semilinear(dirs, transversal_map(transversals), maps)
+    result = build_spread(fit, transversals, maps)
+    ok, detail = one_point_property(result, dirs)
+    return PseudoregulusReport(structure, transversals, fit, result, ok, detail)

@@ -21,12 +21,8 @@ from hoval.hyperoval import (
 )
 from hoval.linearsets import f2_witness, scattered_check, spectrum, spectrum_conforms
 from hoval.pipeline import run_verify_all
-from hoval.pseudoregulus import (
-    detect_pseudoregulus,
-    extract_transversals,
-    find_long_secants,
-)
-from oracles import s_prime, scattered_by_elements
+from hoval.pseudoregulus import extract_transversals, find_long_secants
+from oracles import detect_pseudoregulus, s_prime, scattered_by_elements
 
 STRICT_CASES = ((3, 2, 1), (4, 2, 1), (4, 2, 3), (3, 3, 1), (3, 3, 2))
 CONTROL = (4, 2, 2)

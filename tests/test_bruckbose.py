@@ -23,12 +23,12 @@ from hoval.bruckbose import (
     plane_axioms_check,
 )
 from hoval.pipeline import run_verify_all
-from hoval.pseudoregulus import detect_pseudoregulus
 from hoval.reduction import Spread, maps_for
 from oracles import (
     LINE_PAIR_SAMPLES,
     affine_line,
     coset_bases,
+    detect_pseudoregulus,
     direction_marks,
     histogram_by_rank,
     histogram_by_scan,

@@ -11,6 +11,7 @@ from hoval.hyperoval import HyperovalSpec, build_hyperoval, directions
 from hoval.linearsets import spectrum
 from hoval.pipeline import run_verify_all
 from hoval.reduction import maps_for
+from oracles import save
 
 
 def _run(capsys, *argv):
@@ -108,6 +109,19 @@ def test_spectrum_without_params_or_file_is_exit_2(capsys):
 def test_nonstrict_refused_without_flag(capsys):
     code, _ = _run(capsys, "construct", "--h", "4", "--k", "2", "--i", "2")
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["construct", "spectrum", "verify-all"])
+def test_gcd_refusal_names_the_flag(capsys, command):
+    # a refused construction (exit 1) that points at the CLI flag, not at
+    # the library keyword
+    code = main([command, "--h", "2", "--k", "3", "--i", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        "error: gcd(2, 6) = 2 != 1; pass --allow-nonstrict to build the set anyway\n"
+    )
+    assert captured.out == ""
 
 
 def test_missing_required_flag_is_usage_error():
@@ -268,6 +282,41 @@ def test_parallel_below_one_is_a_usage_error(capsys, command, workers):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify-all"])
+def test_budget_below_zero_is_a_usage_error(capsys, command):
+    # only 0 removes the cap; a negative budget is no budget at all
+    code = main([command, "--h", "3", "--k", "2", "--i", "1", "--mode",
+                 "exhaustive", "--budget", "-7"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --budget must be at least 0, got -7\n"
+    assert captured.out == ""
+
+
+def test_budget_zero_removes_the_cap(capsys):
+    code, out = _run(capsys, "spectrum", "--h", "3", "--k", "2", "--i", "1",
+                     "--mode", "exhaustive", "--budget", "0")
+    assert code == 0
+    assert json.loads(out)["lines"] == 4745
+
+
+def test_spectrum_from_file_takes_the_nonstrict_flag(tmp_path, capsys):
+    # a file that claims strictness for a gcd > 1 exponent is refused with
+    # the flag's name, and the flag lifts the refusal
+    path = tmp_path / "dirs.json"
+    _run(capsys, "directions", "--h", "4", "--k", "2", "--i", "2",
+         "--allow-nonstrict", "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc["params"]["strict"] = True
+    path.write_text(serialize.dumps(doc))
+    code = main(["spectrum", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "pass --allow-nonstrict" in captured.err and captured.out == ""
+    _, out = _run(capsys, "spectrum", "--in", str(path), "--allow-nonstrict")
+    assert json.loads(out)["params"]["strict"] is False
+
+
 @pytest.mark.parametrize("argv", [
     ("construct", "--h", "0", "--k", "2", "--i", "1"),
     ("verify-all", "--h", "3", "--k", "2", "--i", "7"),
@@ -311,7 +360,7 @@ def _directions_file(tmp_path, small, big):
     hov = build_hyperoval(spec, maps)
     d = directions(hov.affine, maps)
     path = tmp_path / "dirs.json"
-    serialize.save(
+    save(
         str(path), serialize.point_set_dict("directions", d.points, spec, maps)
     )
     return path

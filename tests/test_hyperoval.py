@@ -22,6 +22,7 @@ from hoval.hyperoval import (
     translation_closure_check,
 )
 from hoval.reduction import maps_for
+from oracles import hinf2
 
 
 def direction_pair_counts(q_points, maps) -> dict:
@@ -272,7 +273,7 @@ def test_closure_by_rank_matches_scan(data):
     assert translation_closure_check(pts) == scanned
     assert _is_coset(pts.ordered) == scanned[0]
     base = pts.ordered[0]
-    assert translation_basis(pts) == maps.hinf2.rref(
+    assert translation_basis(pts) == hinf2(maps).rref(
         (p ^ base) >> h for p in pts.ordered[1:]
     )
 

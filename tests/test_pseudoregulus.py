@@ -19,7 +19,6 @@ from hoval.linearsets import cyclic_candidate, spectrum
 from hoval.pipeline import run_verify_all
 from hoval.pseudoregulus import (
     build_spread,
-    detect_pseudoregulus,
     extract_transversals,
     find_long_secants,
     fit_semilinear,
@@ -27,7 +26,7 @@ from hoval.pseudoregulus import (
     transversal_map,
 )
 from hoval.reduction import ReductionIndex, unvec_blocks
-from oracles import matrix_columns, partition_index, s_prime
+from oracles import detect_pseudoregulus, matrix_columns, partition_index, s_prime
 
 
 def _directions_for(h, k, i, strict=True):
@@ -536,6 +535,18 @@ def test_h2_needs_the_verified_group(k):
     t = extract_transversals(s, d.space)
     fit = fit_semilinear(d, transversal_map(t), hov.maps)
     assert fit.exponents == frozenset({1, 2 * k - 1})
+
+
+@pytest.mark.parametrize("hki", [(2, 3, 1), (2, 5, 1)])
+def test_h2_passes_the_one_chain_the_package_runs(hki):
+    # run_verify_all hands the spectrum's verified group to the secant
+    # search; the oracle chain scans pairs, so at q = 4 it refuses
+    rep = run_verify_all(*hki)
+    h, k, i = hki
+    assert rep.verdict == "pass"
+    assert rep.stage("pseudoregulus").data["exponents"] == [i, h * k - i]
+    with pytest.raises(NotPseudoregulusCandidate, match="q = 4"):
+        detect_pseudoregulus(rep.run.dirs, rep.run.hov.maps)
 
 
 def test_symmetry_of_another_set_is_not_read(case321):

@@ -10,7 +10,7 @@ from hoval.gf2 import tower_create
 from hoval.projective import ProjSpace
 from hoval.gf2 import LinearMap
 from hoval.reduction import Spread, field_reduction_spread, maps_for
-from oracles import partition_index, s_prime
+from oracles import hinf2, in_span, partition_index, s_prime
 
 
 # --- independent oracles for the maps and spreads ------------------------------
@@ -53,7 +53,7 @@ def bc_affine_inv(maps, w):
 def bc_spread_of(maps, p):
     """Point of H_inf -> its (h-1)-space in the GF(2) hyperplane."""
     rows = [maps.hinf.smul(1 << b, p) for b in range(maps.tower.h)]
-    return maps.hinf2.rref(rows)
+    return hinf2(maps).rref(rows)
 
 
 def s_tilde(maps):
@@ -64,8 +64,8 @@ def s_tilde(maps):
     els = []
     for el in maps.abb_spread.elements:
         rows = [maps.hinf.smul(1 << b, r) for r in el for b in range(h)]
-        els.append(maps.hinf2.rref(rows))
-    partition_index(els, maps.hinf2)
+        els.append(hinf2(maps).rref(rows))
+    partition_index(els, hinf2(maps))
     return els
 
 
@@ -81,12 +81,12 @@ def maps32(t32):
 
 def test_only_the_gf_q_spaces_take_scalar_tables():
     # the spaces over GF(q) multiply by each of their q - 1 scalars many
-    # times, those over GF(q^k) and GF(2) by each scalar about once or never
+    # times, the plane over GF(q^k) by each scalar about once
     maps = maps_for(tower_create(3, 3))
     spread = maps.abb_spread
     assert maps.ambient.table_backed and maps.hinf.table_backed
     assert spread.space.table_backed and not spread.index.source.table_backed
-    assert not maps.plane_big.table_backed and not maps.pi2.table_backed
+    assert not maps.plane_big.table_backed
     # equality and hash ignore the tables
     plain = ProjSpace(maps.ambient.n, maps.tower.small)
     assert plain == maps.ambient and hash(plain) == hash(maps.ambient)
@@ -228,7 +228,7 @@ def test_abb_sends_line_directions_into_spread_elements(maps32):
         el = direction_spread_element(maps32, at_inf)
         diff = maps32.abb_affine(p1) ^ maps32.abb_affine(p2)
         assert diff & ((1 << h) - 1) == 0
-        assert maps32.hinf.contains(el, maps32.hinf.normalize(diff >> h))
+        assert in_span(maps32.hinf, el, maps32.hinf.normalize(diff >> h))
 
 
 def test_bc_affine_roundtrip(maps32):
@@ -265,7 +265,7 @@ def test_s_tilde_is_refined_by_s_prime(maps32):
     st = s_tilde(maps32)
     assert len(st) == 65
     for el in st:
-        fibers = Counter(sp.index[p] for p in maps32.hinf2.subspace_points(el))
+        fibers = Counter(sp.index[p] for p in hinf2(maps32).subspace_points(el))
         assert len(fibers) == 9
         assert all(c == 7 for c in fibers.values())
 

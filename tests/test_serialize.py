@@ -11,9 +11,9 @@ from hoval.serialize import (
     loads_json,
     parse_point_set,
     point_set_dict,
-    save,
     spread_dict,
 )
+from oracles import save
 
 
 @pytest.fixture(scope="module")
