@@ -9,8 +9,8 @@ V(2k, q) is a collineation, so the axioms come down to the element spans
 partitioning H_inf, which the fibres of the spread's field reduction
 certify in k (q^k + 1) lookups (plane_axioms_check).  The same partition
 puts every nonzero difference of a coset c0 + W in exactly one element, so
-one element_of per point of the coset gives every |W ∩ E| and with it the
-hyperoval's line histogram (hyperoval_in_plane).
+the spread stage's count of D per element, or one element_of per point of
+the coset, gives every |W ∩ E| and the line histogram (hyperoval_in_plane).
 
 Integer point ids inside reports: affine points are their packed
 coordinates, the point of element idx is -1 - idx.
@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import DimensionMismatch, EnumerationTooLarge, InvalidSpread
-from .hyperoval import AffinePointSet, translation_closure_check
+from .hyperoval import AffinePointSet, projected_differences, translation_closure_check
 from .projective import DEFAULT_BUDGET
 from .record import Record
 from .reduction import CorrespondenceMaps, ReductionIndex, Spread
@@ -41,7 +41,8 @@ class BruckBosePlane:
         self.mask = amb.chunk_mask
         rows = []
         for el in spread.elements:
-            lifted = tuple((amb.pivot(r << h) * h, r << h) for r in el)
+            # (shift of its pivot chunk, r << h), the pivot read inline
+            lifted = tuple((((r & -r).bit_length() - 1) // h * h + h, r << h) for r in el)
             if len({s for s, _ in lifted if s}) != rank:
                 raise InvalidSpread("element pivots collide with the affine chunk")
             rows.append(lifted)
@@ -221,6 +222,7 @@ def hyperoval_in_plane(
     t0_rows: tuple,
     tinf_rows: tuple,
     plane: BruckBosePlane,
+    dir_hits: dict | None = None,
 ) -> HyperovalPlaneReport:
     """Q plus the two transversal points is a hyperoval of the plane.
 
@@ -228,11 +230,12 @@ def hyperoval_in_plane(
     {0, 2} (hyperovals have no tangents).  Q must be a verified coset
     c0 + W: the translations by W fix every parallel class, so a line
     base + E meets Q in 0 or |W ∩ E| points, and the histogram follows from
-    one element_of per point of Q (_histogram_by_fibres).  A Q that is no
-    coset fails with its closure witness and no histogram, and so does a
-    difference whose direction lies on no element.  The per-line meet count
-    settles membership for all its points, so the work is equivalent to
-    n_lines * (order + 1) point-line incidence checks.
+    one element_of per point of Q (_histogram_by_fibres), or from
+    `dir_hits`, one_point_property's count of D = directions(q_points) per
+    element.  A Q that is no coset fails with its closure witness and no
+    histogram, and so does a difference whose direction lies on no element.
+    The per-line meet count settles membership for all its points, so the
+    work is equivalent to n_lines * (order + 1) point-line incidence checks.
 
     The verdict holds only for a plane that plane_axioms_check accepts: the
     counts are taken from the spread index's fibres, which are the element
@@ -251,7 +254,7 @@ def hyperoval_in_plane(
     if not closure_ok:
         witness = ("closure", closure_witness)
     else:
-        histogram, witness = _histogram_by_fibres(q_points, plane, extra)
+        histogram, witness = _histogram_by_fibres(q_points, plane, extra, dir_hits)
         if histogram:
             # the infinite line carries exactly the two transversal points
             histogram[2] = histogram.get(2, 0) + 1
@@ -268,14 +271,16 @@ def hyperoval_in_plane(
     )
 
 
-def _histogram_by_fibres(q_points: AffinePointSet, plane: BruckBosePlane, extra):
+def _histogram_by_fibres(q_points: AffinePointSet, plane: BruckBosePlane, extra, dir_hits=None):
     """(histogram, witness) of the affine lines' meets with a coset Q = c0 + W.
 
     The element spans partition H_inf (plane_axioms_check's certificate),
     so each nonzero w = (p ^ c0) >> h of W lies in exactly one element and
     |W ∩ E| is 1 plus the points p != c0 whose direction element_of sends
-    to E: |Q| - 1 lookups, no rank.  On a plane that fails the certificate
-    these are fibre counts, and the plane stage fails on the certificate.
+    to E: |Q| - 1 lookups of projected_differences, no rank.  When
+    `dir_hits` counts |D| = |Q| - 1 points, no two p share a direction and
+    those are the counts, with no lookup.  On a plane that fails the
+    certificate these are fibre counts, and the plane stage fails on it.
     Each line of element E through a point of Q meets Q in that point plus
     W ∩ E, so n / |W ∩ E| lines of the class meet Q in |W ∩ E| points and
     the rest miss it; the elements in `extra` add their point to every line
@@ -286,20 +291,20 @@ def _histogram_by_fibres(q_points: AffinePointSet, plane: BruckBosePlane, extra)
     Q would meet in more lines than it has, or in all of them when the count
     leaves one missed, gives ({}, ("element span is no fibre", element)).
     """
-    normalize = plane.maps.hinf.normalize
-    element_of = plane.spread.element_of
-    h = plane.maps.tower.h
     n = len(q_points)
     order = plane.order
     c0 = q_points.ordered[0]
-    meets = [1] * len(plane.spread.elements)
-    for p in q_points.ordered[1:]:
-        d = normalize((p ^ c0) >> h)
-        try:
-            eidx = element_of(d)
-        except KeyError:
-            return {}, ("direction on no element", d)
-        meets[eidx] += 1
+    if dir_hits is not None and sum(dir_hits.values()) == n - 1:
+        meets = [1 + dir_hits.get(e, 0) for e in range(len(plane.spread.elements))]
+    else:
+        meets = [1] * len(plane.spread.elements)
+        element_of = plane.spread.index.__getitem__
+        for d in projected_differences(q_points, plane.maps.hinf):
+            try:
+                eidx = element_of(d)
+            except KeyError:
+                return {}, ("direction on no element", d)
+            meets[eidx] += 1
     histogram: dict = {}
     witness = None
     for eidx, meet in enumerate(meets):

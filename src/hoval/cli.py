@@ -346,19 +346,21 @@ def _add_arguments(p, command: str) -> None:
 
 
 def _build_parser(argv: list) -> argparse.ArgumentParser:
-    """The parser, with the arguments of the subcommand `argv` names only.
+    """The parser, with only the subcommand `argv` names and its arguments.
 
-    The top level takes no option with a value, so the first word of `argv`
-    that is not an option names the subcommand.
+    The top level takes no option but -h, so argv[0] names a subcommand.
+    If it names none, all are added, without arguments, for the top-level
+    help and the invalid-choice error; if it does, usage still lists all.
     """
     parser = argparse.ArgumentParser(
         prog="hoval",
         description="translation hyperovals: construction and verification",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    named = next((a for a in argv if not a.startswith("-")), None)
-    for command, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    every = "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every if named else None)
+    for command in _COMMANDS if named is None else (named,):
+        p = sub.add_parser(command, help=_COMMANDS[command][1])
         if command == named:
             _add_arguments(p, command)
     return parser

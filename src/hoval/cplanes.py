@@ -33,6 +33,7 @@ from .gf2 import f2_echelon, f2_reduce
 from .hyperoval import (
     AffinePointSet,
     is_arc,
+    projected_differences,
     translation_basis,
     translation_closure_check,
 )
@@ -222,7 +223,8 @@ def _a4_base_point(family: CPlaneFamily, space, symmetry=None, budget=None) -> A
     planes through a are the m secants.  A family bin must collect
     C(q-1, 2) pairs and any other bin exactly C(3, 2) = 3.  The full-set
     totals follow from transitivity: n/q times the family planes through a,
-    n/4 times the four-point planes through a.
+    n/4 times the four-point planes through a.  The directions a ^ b are
+    the set's projected_differences, normalized once per run.
 
     `symmetry` is the cyclic group of a direction set D that the spectrum
     verified (SpectrumHistogram.symmetry).  When the n-1
@@ -234,12 +236,10 @@ def _a4_base_point(family: CPlaneFamily, space, symmetry=None, budget=None) -> A
     and the scan its C(n-1, 2) pairs.
     """
     ordered = family.c_points.ordered
-    vecs = [p >> space.h for p in ordered]
-    n = len(vecs)
-    normalize = space.normalize
-    a = vecs[0]
+    n = len(ordered)
+    a = ordered[0] >> space.h
     through = {rows for rows, _ in family.secants}
-    dirs = [normalize(a ^ v) for v in vecs[1:]]
+    dirs = projected_differences(family.c_points, space)
     if symmetry is not None:
         distinct = set(dirs)
         if len(distinct) == n - 1 and distinct == symmetry.dirs.points:

@@ -391,7 +391,7 @@ class Tower:
 
     __slots__ = (
         "h", "k", "hk", "small", "big", "root",
-        "_embed_table", "basis", "vec_packed", "unvec_packed",
+        "_embed_table", "basis", "vec_packed", "unvec_packed", "_row_map",
     )
 
     def __init__(self, h: int, k: int, small: Field, big: Field):
@@ -416,6 +416,7 @@ class Tower:
         self.vec_packed = (
             [vec(t) for t in range(big.q)].__getitem__ if big.m <= TABLE_LIMIT else vec
         )
+        self._row_map = None
         self._self_check()
 
     # -- construction ----------------------------------------------------
@@ -476,6 +477,16 @@ class Tower:
     def embed(self, a: int) -> int:
         """Image of a small-field element in the big field."""
         return self._embed_table[a]
+
+    @property
+    def row_map(self) -> LinearMap:
+        """t -> vec(beta^j t) at bit j hk for j < k; built on first use."""
+        if self._row_map is None:
+            vec, mul, hk = self.vec_packed, self.big.mul, self.hk
+            self._row_map = LinearMap(
+                sum(vec(mul(bj, 1 << b)) << j * hk for j, bj in enumerate(self.basis))
+                for b in range(hk))
+        return self._row_map
 
     def in_subfield(self, t: int) -> bool:
         return self.big.frob(t, self.h) == t

@@ -52,13 +52,13 @@ class HyperovalSpec(Record):
 class AffinePointSet:
     """A set of normalized affine points of one projective space.
 
-    The translation basis W and the result of translation_closure_check are
-    memoized on the set, so the symmetry shortcuts that depend on them
-    (directions, the C-planes, the axioms, the hyperoval line scan) compute
-    them at most once per set.
+    The translation basis W, the result of translation_closure_check and
+    projected_differences are memoized on the set, so the stages that read
+    them (directions, linearity, the hyperoval line scan, the C-planes and
+    their axioms) compute each at most once per set.
     """
 
-    __slots__ = ("points", "ordered", "space", "_closure", "_basis")
+    __slots__ = ("points", "ordered", "space", "_closure", "_basis", "_projected")
 
     def __init__(self, points, space: ProjSpace):
         self.points = frozenset(points)
@@ -66,6 +66,7 @@ class AffinePointSet:
         self.space = space
         self._closure = None
         self._basis = None
+        self._projected = None
         for p in self.ordered:
             if space.chunk(p, 0) != 1:
                 raise ValueError(f"0x{p:x} is not normalized affine")
@@ -180,14 +181,21 @@ def directions(q_points: AffinePointSet, maps: CorrespondenceMaps) -> DirectionS
     are exactly the differences base ^ x against one base point, so n - 1 of
     them give the whole set; any other set pays for all C(n, 2) pairs.
     """
-    h = maps.tower.h
-    normalize = maps.hinf.normalize
     if q_points.ordered and translation_closure_check(q_points)[0]:
-        base = q_points.ordered[0]
-        out = {normalize((base ^ x) >> h) for x in q_points.ordered[1:]}
-    else:
-        out = {normalize((a ^ b) >> h) for a, b in combinations(q_points.ordered, 2)}
+        return DirectionSet(projected_differences(q_points, maps.hinf), maps.hinf)
+    h, normalize = maps.tower.h, maps.hinf.normalize
+    out = {normalize((a ^ b) >> h) for a, b in combinations(q_points.ordered, 2)}
     return DirectionSet(out, maps.hinf)
+
+
+def projected_differences(q_points: AffinePointSet, hinf: ProjSpace) -> tuple:
+    """hinf.normalize((p ^ c0) >> h) for p in ordered[1:], c0 = ordered[0]:
+    the H_inf point of each difference from the least point, in order; for
+    a closed set, D point by point.  Memoized on the set."""
+    if q_points._projected is None:
+        h, c0, normalize = q_points.space.h, q_points.ordered[0], hinf.normalize
+        q_points._projected = tuple(normalize((p ^ c0) >> h) for p in q_points.ordered[1:])
+    return q_points._projected
 
 
 def translation_closure_check(q_points: AffinePointSet):

@@ -36,7 +36,7 @@ from itertools import combinations
 
 from .errors import EnumerationTooLarge, NotF2Linear, TooFewPoints
 from .gf2 import LinearMap, f2_echelon, field_create
-from .hyperoval import AffinePointSet, DirectionSet, translation_basis
+from .hyperoval import AffinePointSet, DirectionSet, projected_differences, translation_basis
 from .projective import DEFAULT_BUDGET, ProjSpace, projective_points_count
 from .record import Record
 from .reduction import CorrespondenceMaps
@@ -396,13 +396,15 @@ class F2Witness(Record):
 
     rows are the echelon basis of W, the span of the difference vectors of
     the Barlotti-Cofman images; the nonzero vectors of W are the points of
-    K in PG(2hk-1, 2).
+    K in PG(2hk-1, 2); `projected` holds the H_inf point of each, in C's order.
     """
 
     base: int
     rows: tuple
     rank: int
     k_points: tuple
+    projected: tuple
+    _uncompared = ("projected",)
 
 
 def f2_witness(
@@ -434,14 +436,14 @@ def f2_witness(
             f"0x{missing:x} is in the span but not the set"
         )
     k_points = tuple(sorted(diffs[1:]))
-    projected = {maps.hinf.normalize(w) for w in k_points}
-    if projected != dirs.points:
-        off = min(projected.symmetric_difference(dirs.points))
+    projected = projected_differences(q_points, maps.hinf)
+    if dirs.points.symmetric_difference(projected):
+        off = min(dirs.points.symmetric_difference(projected))
         raise NotF2Linear(
             f"projection of the rank-{rank} span differs from the "
             f"direction set near 0x{off:x}"
         )
-    return F2Witness(maps.bc_affine(ordered[0]), rows, rank, k_points)
+    return F2Witness(maps.bc_affine(ordered[0]), rows, rank, k_points, projected)
 
 
 class ScatterednessReport(Record):
@@ -458,22 +460,18 @@ def scattered_check(witness: F2Witness, hinf: ProjSpace) -> ScatterednessReport:
     """Does every element of the (h-1)-spread meet K in at most one point?
 
     The spread element holding a GF(2) vector w is the fibre of its H_inf
-    point hinf.normalize(w), so counting normalize over K needs no spread,
+    point hinf.normalize(w), so counting witness.projected needs no spread,
     and the offending element is reported as the smallest over-met H_inf
     point.  The tests build the spread by field reduction and check it
     element by element as the oracle for the fibre count.
     """
-    meets: dict = {}
-    for p in witness.k_points:
-        idx = hinf.normalize(p)
-        meets[idx] = meets.get(idx, 0) + 1
+    meets = Counter(witness.projected)
     max_meet = max(meets.values(), default=0)
     offender = None
     if max_meet > 1:
         offender = min(i for i, c in meets.items() if c > 1)
-    hist: dict = {0: hinf.npoints() - len(meets)}
-    for c in meets.values():
-        hist[c] = hist.get(c, 0) + 1
+    hist = Counter(meets.values())
+    hist[0] = hinf.npoints() - len(meets)
     # K lives in PG(2hk-1, 2): H_inf's 2hk bits per vector
     max_rank = hinf.bits // 2
     scattered = max_meet <= 1

@@ -132,6 +132,7 @@ class _Run:
         self.transversals = None
         self.fit = None
         self.spread_result = None
+        self.dir_hits = None  # points of dirs per element of the spread
 
 
 def _stage_construct(run: _Run) -> tuple[bool, dict]:
@@ -238,6 +239,7 @@ def _stage_spread(run: _Run) -> tuple[bool, dict]:
     run.spread_result = build_spread(run.fit, run.transversals, maps)
     res = run.spread_result
     ok1, detail = one_point_property(res, run.dirs)
+    run.dir_hits = detail["hits"]
     q, k = 1 << spec.h, spec.k
     size_ok = len(res.spread.elements) == q ** k + 1
     data = {
@@ -260,7 +262,8 @@ def _stage_plane(run: _Run) -> tuple[bool, dict]:
     axioms = plane_axioms_check(plane, budget=run.budget)
     elements = res.spread.elements
     hrep = hyperoval_in_plane(
-        run.hov.affine, elements[res.t0_index], elements[res.tinf_index], plane
+        run.hov.affine, elements[res.t0_index], elements[res.tinf_index], plane,
+        run.dir_hits,
     )
     data = {
         "order": plane.order,

@@ -12,8 +12,9 @@ table-backed space applies it as gf2.LinearMap does, one lookup per byte
 into ceil(bits/8) tables of 256 entries, built on s's first use.  The
 spaces over the tower's base field GF(q) are table-backed: a run multiplies
 by each of their q - 1 scalars hundreds to thousands of times.  The spaces
-over GF(q^k) meet each scalar about once and multiply chunk by chunk with
-Field.mul.  Which kind a space is gets fixed where it is created.
+over GF(q^k) meet each scalar about once and multiply chunk by chunk, with
+Field.mul (normalize adds logs).  Which kind a space is gets fixed where
+it is created.
 
 No other linear map is defined here: vec/unvec and the coordinate changes
 are gf2.LinearMaps, and LinearMap.from_columns builds a GF(q)-linear one
@@ -142,13 +143,31 @@ class ProjSpace:
         return out
 
     def normalize(self, v: int) -> int:
-        """Canonical scaling: leftmost nonzero coordinate becomes 1."""
+        """Canonical scaling: leftmost nonzero coordinate becomes 1.  The
+        inverse is read off the exp/log tables, and a space without scalar
+        tables adds logs chunk by chunk; above gf2.TABLE_LIMIT, Field.inv."""
         if v == 0:
             raise ZeroVector("zero vector has no projective point")
-        lead = self.chunk(v, self.pivot(v))
+        h, mask = self.h, self.chunk_mask
+        shift = ((v & -v).bit_length() - 1) // h * h
+        lead = v >> shift & mask
         if lead == 1:
             return v
-        return self.smul(self.field.inv(lead), v)
+        exp, log = self.field._exp, self.field._log
+        if exp is None:
+            return self.smul(self.field.inv(lead), v)
+        s = self.q - 1 - log[lead]  # the log of 1 / lead
+        if self._smul_tabs is not None:
+            return self.smul(exp[s], v)
+        out = 1 << shift
+        v >>= shift + h
+        while v:
+            shift += h
+            c = v & mask
+            if c:
+                out |= exp[s + log[c]] << shift
+            v >>= h
+        return out
 
     # -- counting ----------------------------------------------------------
 
@@ -202,17 +221,19 @@ class ProjSpace:
 
         Both inputs must already be normalized points.
         """
-        pa, pb = self.pivot(a), self.pivot(b)
+        h = self.h
+        pa = ((a & -a).bit_length() - 1) // h
+        pb = ((b & -b).bit_length() - 1) // h
         if pa == pb:
             b ^= a  # both pivots have value 1
             if b == 0:
                 raise DegenerateSpan("coincident points span no line")
             b = self.normalize(b)
-            pb = self.pivot(b)
+            pb = ((b & -b).bit_length() - 1) // h
         if pb < pa:
             a, b = b, a
-            pa, pb = pb, pa
-        c = self.chunk(a, pb)
+            pb = pa
+        c = a >> pb * h & self.chunk_mask
         if c:
             a ^= self.smul(c, b)
         return (a, b)

@@ -13,6 +13,7 @@ around it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import chain
 
 from .errors import (
@@ -380,6 +381,8 @@ def _canonical_image(to_field: LinearMap, dirs: DirectionSet, tower, j: int) -> 
     points and the canonical set has q^k - 1 of them.  D's image is that
     set iff |D| = q^k - 1, each image point is canonical and their u are
     distinct.  Tested point by point; the first point that fails ends it.
+    With exp/log tables a point costs one to_field and log arithmetic, u
+    compared by its log mod q^k - 1; above gf2.TABLE_LIMIT, Field calls.
     """
     big = tower.big
     if len(dirs.ordered) != big.q - 1:
@@ -393,16 +396,21 @@ def _canonical_image(to_field: LinearMap, dirs: DirectionSet, tower, j: int) -> 
     shift = tower.hk
     mask = (1 << shift) - 1
     seen = set()
+    log, n = big._log, big.q - 1
+    if log is not None:
+        unscale = {log[r]: log[m] for r, m in unscale.items()}
     for p in dirs.ordered:
         y = to_field(p)
-        x = y & mask
-        if not x:
+        x, z = y & mask, y >> shift
+        if not x or not z:
             return False
-        mu_inv = unscale.get(mul(y >> shift, inv(frob(x, j))))
-        if mu_inv is None:
-            return False
-        u = mul(x, mu_inv)
-        if u in seen:
+        if log is None:
+            mu_inv = unscale.get(mul(z, inv(frob(x, j))))
+            u = None if mu_inv is None else mul(x, mu_inv)
+        else:
+            mu_inv = unscale.get((log[z] - (log[x] << j)) % n)
+            u = None if mu_inv is None else (log[x] + mu_inv) % n
+        if u is None or u in seen:
             return False
         seen.add(u)
     return True
@@ -582,12 +590,11 @@ def one_point_property(
     """Each non-transversal element carries exactly one point of D.
 
     Returns (ok, detail dict with the hit histogram and a witness index).
+    detail["hits"] counts the points of D on each element, for the plane
+    stage (hyperoval_in_plane's dir_hits).
     """
     spread = result.spread
-    hits: dict = {}
-    for p in dirs.ordered:
-        idx = spread.element_of(p)
-        hits[idx] = hits.get(idx, 0) + 1
+    hits = Counter(map(spread.index.__getitem__, dirs.ordered))
     ok = True
     witness = None
     for idx in (result.t0_index, result.tinf_index):
@@ -606,6 +613,7 @@ def one_point_property(
         "hit_once": once,
         "hit_other": sorted(set(hits.values()) - {1}),
         "witness": witness,
+        "hits": hits,
     }
     return ok, detail
 

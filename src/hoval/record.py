@@ -60,7 +60,3 @@ class Record:
     def __repr__(self) -> str:
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
         return f"{type(self).__qualname__}({shown})"
-
-    def replace(self, **changes):
-        """A copy of the record with the named fields changed."""
-        return type(self)(**{f: getattr(self, f) for f in self._fields} | changes)

@@ -113,9 +113,9 @@ class ReductionIndex(Mapping):
     optional coordinate change M, each block unvecs to an element of
     GF(q^k); the r of them, normalized in PG(r-1, q^k), are the source
     whose reduction holds the point.  "M, then unvec each block" is one
-    GF(2)-linear map, applied by table (`to_source`).  A mapping view over
-    every point of the space: len() is its point count, iteration
-    enumerates it.
+    GF(2)-linear map, applied by table (`to_source`); an unnormalized point
+    is refused by its pivot chunk, read inline.  A mapping view over every
+    point of the space: len() is its point count, iteration enumerates it.
     """
 
     __slots__ = ("space", "source", "source_index", "to_source")
@@ -128,7 +128,9 @@ class ReductionIndex(Mapping):
 
     def __getitem__(self, point: int) -> int:
         space = self.space
-        if not 0 < point < 1 << space.bits or space.chunk(point, space.pivot(point)) != 1:
+        h = space.h
+        if not 0 < point < 1 << space.bits or (
+                point >> ((point & -point).bit_length() - 1) // h * h & space.chunk_mask != 1):
             raise KeyError(point)
         return self.source_index[self.source.normalize(self.to_source(point))]
 
@@ -146,13 +148,16 @@ def reduction_rows(tower: Tower, point: int) -> tuple[int, ...]:
     beta^j x_{r-1}), each coordinate vec'd into a block of k chunks.  The
     tower basis is 1, beta, ..., beta^(k-1), so where the leading x_p is 1
     row j has block p = e_j and zero blocks before it: pivot p k + j, value
-    1, zero in every other row's pivot, rows sorted by pivot.
+    1, zero in every other row's pivot, rows sorted by pivot.  Each x_c
+    takes one lookup of Tower.row_map, whose block j is vec(beta^j x_c).
     """
-    hk, mask, vec, mul = tower.hk, tower.big.q - 1, tower.vec_packed, tower.big.mul
-    coords = [point >> c & mask for c in range(0, point.bit_length(), hk)]
-    return tuple(
-        sum(vec(mul(b, x)) << c * hk for c, x in enumerate(coords)) for b in tower.basis
-    )
+    hk, mask, row_map = tower.hk, tower.big.q - 1, tower.row_map
+    rows = [0] * tower.k
+    for c in range(0, point.bit_length(), hk):
+        blocks = row_map(point >> c & mask)
+        for j in range(tower.k):
+            rows[j] |= (blocks >> j * hk & mask) << c
+    return tuple(rows)
 
 
 def field_reduction_spread(

@@ -7,6 +7,7 @@ pseudoregulus stages on any direction set; run_verify_all is the package's
 one chain.
 """
 
+import argparse
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -14,13 +15,16 @@ from functools import cache
 from itertools import chain, combinations, product, repeat
 from math import comb
 
+from hoval import cli
 from hoval.bruckbose import PlaneAxiomsReport
 from hoval.cplanes import AxiomReport
 from hoval.errors import (
     CPlaneConstructionFailed,
+    DegenerateSpan,
     EnumerationTooLarge,
     InvalidSpread,
     SingularMatrix,
+    ZeroVector,
 )
 from hoval.gf2 import f2_echelon, f2_reduce, field_create, tower_create
 from hoval.hyperoval import is_arc, translation_basis
@@ -117,6 +121,30 @@ def chunk_normalize(space: ProjSpace, v: int) -> int:
     """The scaling of v whose first nonzero coordinate is 1."""
     lead = next(c for c in space.unpack(v) if c)
     return chunk_smul(space, space.field.inv(lead), v)
+
+
+def pivot_normalize(space: ProjSpace, v: int) -> int:
+    """normalize as the composition of pivot, chunk, Field.inv and smul."""
+    if v == 0:
+        raise ZeroVector("zero vector has no projective point")
+    lead = space.chunk(v, space.pivot(v))
+    return v if lead == 1 else space.smul(space.field.inv(lead), v)
+
+
+def pivot_pair_line_key(space: ProjSpace, a: int, b: int) -> tuple:
+    """pair_line_key with its pivots, chunk and normalize taken by calls."""
+    pa, pb = space.pivot(a), space.pivot(b)
+    if pa == pb:
+        b ^= a
+        if b == 0:
+            raise DegenerateSpan("coincident points span no line")
+        b = pivot_normalize(space, b)
+        pb = space.pivot(b)
+    if pb < pa:
+        a, b = b, a
+        pa, pb = pb, pa
+    c = space.chunk(a, pb)
+    return (a ^ space.smul(c, b) if c else a, b)
 
 
 def _minus_multiple(field, row, col, pivot_row):
@@ -509,6 +537,16 @@ def histogram_by_rank(q_points, plane, extra):
 
 # -- spreads, point by point --------------------------------------------------
 
+def generator_reduction_rows(tower, point: int) -> tuple:
+    """reduction_rows from the tower basis: row j is the coordinates of
+    point times beta^j, one Field.mul and one vec per coordinate."""
+    hk, mask, vec, mul = tower.hk, tower.big.q - 1, tower.vec_packed, tower.big.mul
+    coords = [point >> c & mask for c in range(0, point.bit_length(), hk)]
+    return tuple(
+        sum(vec(mul(b, x)) << c * hk for c, x in enumerate(coords)) for b in tower.basis
+    )
+
+
 def partition_index(elements, space: ProjSpace) -> dict:
     """Normalized point -> element index, visiting every point of every
     element; raises InvalidSpread unless the elements partition `space`."""
@@ -769,6 +807,60 @@ def sampled_check(plane, quadrangle: bool, seed: int = 0, samples: int = 2000):
         witness=witness,
         path="sampled",
     )
+
+
+# -- the semilinear fit's image test by Field calls -----------------------------
+
+def canonical_image_by_field(to_field, dirs, tower, j: int) -> bool:
+    """_canonical_image with Field.mul, inv and frob on every point: is
+    D's image {<(u, u^(2^j))> : u in GF(q^k)*}, each u once?"""
+    big = tower.big
+    if len(dirs.ordered) != big.q - 1:
+        return False
+    mul, inv, frob = big.mul, big.inv, big.frob
+    unscale = {}
+    for a in range(1, tower.small.q):
+        mu = tower.embed(a)
+        unscale[mul(mu, inv(frob(mu, j)))] = inv(mu)
+    shift = tower.hk
+    mask = (1 << shift) - 1
+    seen = set()
+    for p in dirs.ordered:
+        y = to_field(p)
+        x = y & mask
+        if not x:
+            return False
+        mu_inv = unscale.get(mul(y >> shift, inv(frob(x, j))))
+        if mu_inv is None:
+            return False
+        u = mul(x, mu_inv)
+        if u in seen:
+            return False
+        seen.add(u)
+    return True
+
+
+# -- records and the command line ------------------------------------------------
+
+def replace(record, **changes):
+    """A copy of a record with the named fields changed."""
+    return type(record)(**{f: getattr(record, f) for f in record._fields} | changes)
+
+
+def parser_with_every_subcommand(argv):
+    """The CLI parser as it was built with every subcommand's parser added
+    and the arguments of the first non-option word of argv only."""
+    parser = argparse.ArgumentParser(
+        prog="hoval",
+        description="translation hyperovals: construction and verification",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = next((a for a in argv if not a.startswith("-")), None)
+    for command, (_, help_text) in cli._COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == named:
+            cli._add_arguments(p, command)
+    return parser
 
 
 # -- H_inf over GF(2), and documents on disk -----------------------------------

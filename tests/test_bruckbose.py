@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -289,6 +290,30 @@ def test_fibre_counts_match_the_rank_oracle_off_hyperovals(which):
     if not through_c0:
         assert (eidx, count) == (0, 1)
         assert base not in {plane.base_of(0, p) for p in coset.ordered}
+
+
+def test_direction_hits_are_read_only_when_the_projection_is_injective():
+    # W holds w, 2w and 3w, which give one direction: |D| < |Q| - 1, so the
+    # hits of D are no fibre counts and W is walked, as the rank oracle
+    # counts; on the run's set |D| = |Q| - 1 and the hits give the same
+    # report as the walk
+    hov, plane, trans = _plane_case((3, 2, 1))
+    maps, h = hov.maps, hov.maps.tower.h
+    hinf = maps.hinf
+    w, v = hinf.pack((1, 2, 0, 5)), hinf.pack((0, 1, 7, 3))
+    span = {0}
+    for g in (w, hinf.smul(2, w), v):
+        span |= {x ^ g for x in span}
+    coset = AffinePointSet([1 ^ x << h for x in span], maps.ambient)
+    element_of = plane.spread.element_of
+    for q_points, injective in ((coset, False), (hov.affine, True)):
+        d = directions(q_points, maps)
+        hits = Counter(element_of(p) for p in d.ordered)
+        assert (len(d) == len(q_points) - 1) is injective
+        hrep = hyperoval_in_plane(q_points, *trans, plane, hits)
+        assert hrep == hyperoval_in_plane(q_points, *trans, plane)
+        assert (hrep.histogram, hrep.witness) == _by_rank(q_points, plane, trans)
+        assert hrep.ok is injective
 
 
 def test_direction_on_no_element_is_a_witness(setup321, forged321):

@@ -11,7 +11,7 @@ from hoval.hyperoval import HyperovalSpec, build_hyperoval, directions
 from hoval.linearsets import spectrum
 from hoval.pipeline import run_verify_all
 from hoval.reduction import maps_for
-from oracles import save
+from oracles import parser_with_every_subcommand, save
 
 
 def _run(capsys, *argv):
@@ -526,3 +526,29 @@ def test_stage_out_of_memory_exits_3(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("error: cplanes error: MemoryError:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help", "verify-all"], [], ["frobnicate", "--h", "3"],
+    ["verify-all", "-h"], ["spectrum", "--help"],
+    ["verify-all", "--h", "3"], ["bj-axioms", "--h", "3", "--k", "2", "--i", "1", "--bogus"],
+    ["verify-all", "--h", "3", "--k", "2", "--i", "1", "--mode", "lines"],
+])
+def test_parser_prints_what_the_parser_of_every_subcommand_printed(argv, capsys):
+    # help, an unknown command and subcommand usage errors read the same
+    # whether or not the other subcommands' parsers are built
+    def printed(parser):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    assert printed(cli._build_parser(argv)) == printed(parser_with_every_subcommand(argv))
+
+
+def test_parser_builds_only_the_named_subcommand():
+    def commands(argv):
+        return list(cli._build_parser(argv)._subparsers._group_actions[0].choices)
+
+    assert commands(["verify-all", "--h", "3"]) == ["verify-all"]
+    assert commands(["-h", "verify-all"]) == commands(["nope"]) == list(cli._COMMANDS)

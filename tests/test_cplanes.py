@@ -40,6 +40,7 @@ from oracles import (
     in_span,
     planes_by_reduce,
     planes_of,
+    replace,
     vector_keys,
 )
 
@@ -194,9 +195,9 @@ def _forged_records(family):
     """Meet records no build produces: the last secant dropped, and the
     first secant's entry replaced by a copy of the second's."""
     return {
-        "dropped": family.replace(secants=family.secants[:-1]),
-        "repeated": family.replace(
-            secants=family.secants[1:2] + family.secants[1:]
+        "dropped": replace(family, secants=family.secants[:-1]),
+        "repeated": replace(
+            family, secants=family.secants[1:2] + family.secants[1:]
         ),
     }
 
@@ -452,8 +453,8 @@ def test_short_meet_is_refused_by_secant(case321):
 
 
 def _without_mode(rep):
-    return rep.replace(
-        detail={k: v for k, v in rep.detail.items() if k != "mode"}
+    return replace(
+        rep, detail={k: v for k, v in rep.detail.items() if k != "mode"}
     )
 
 
@@ -656,7 +657,7 @@ def test_a4_ignores_pair_map_of_another_set(case321, family321, line_key_calls):
     # a direction set other than the n - 1 base-point directions is refused
     # before its counts are read, even when the counts themselves would pass
     other = DirectionSet(d.ordered[1:], d.space)
-    relabelled = _counted_group(d).replace(dirs=other)
+    relabelled = replace(_counted_group(d), dirs=other)
     for symmetry in (_counted_group(other), relabelled, None):
         line_key_calls.clear()
         rep = check_axioms(family321, hov.maps, axioms=("A4",),
@@ -671,7 +672,7 @@ def test_a4_failure_from_pair_map_is_rescanned(case321, family321):
     hov, d, s = case321
     maps = hov.maps
     sym = _counted_group(d)
-    lost = sym.replace(lines={**sym.lines, 7: sym.lines[7] - 1})
+    lost = replace(sym, lines={**sym.lines, 7: sym.lines[7] - 1})
     rep = _a4_base_point(family321, maps.hinf, lost)
     assert rep == _a4_base_point(family321, maps.hinf)
     assert rep.ok and rep.bins == "pair-scan"
@@ -721,7 +722,7 @@ def test_a4_group_verdict_agrees_with_the_map_on_altered_bins(case321, family321
             assert by_group is None or not by_group.ok, name
     # counts forged to fit the swapped set in every total: its 3-secant
     # through the base point is still a failing family bin
-    fitted = sym.replace(lines={3: 589, 7: 8})
+    fitted = replace(sym, lines={3: 589, 7: 8})
     assert _a4_from_symmetry(family321, fitted, variants["swapped"], n, space) is None
 
 
@@ -737,9 +738,9 @@ def test_a4_group_of_another_set_or_failing_is_rescanned(case321, family321,
     assert sym5 is not None and sym5.dirs.points != d.points
     scanned = check_axioms(family321, hov.maps, axioms=("A4",))["A4"]
     # a group whose counts lose one 3-secant, or gain a 5-secant
-    short = sym.replace(lines={**sym.lines, 3: sym.lines[3] - 1})
-    five = sym.replace(lines={**sym.lines, 5: 1})
-    for symmetry in (None, sym5, sym.replace(dirs=other), short, five):
+    short = replace(sym, lines={**sym.lines, 3: sym.lines[3] - 1})
+    five = replace(sym, lines={**sym.lines, 5: 1})
+    for symmetry in (None, sym5, replace(sym, dirs=other), short, five):
         line_key_calls.clear()
         rep = check_axioms(family321, hov.maps, axioms=("A4",),
                            symmetry=symmetry)["A4"]

@@ -8,12 +8,13 @@ SRC = TESTS.parent / "src" / "hoval"
 
 # members of package classes that only tests read, now plain functions in
 # oracles.py (all_lines, in_span, tower_vec, tower_unvec, to_subfield,
-# hinf2) or gone
+# hinf2, replace) or gone
 MOVED_MEMBERS = {
     "ProjSpace.lines", "ProjSpace.contains",
     "Tower.vec", "Tower.unvec", "Tower.frob", "Tower.to_subfield", "Tower._unembed",
     "SpectrumHistogram.count",
     "CorrespondenceMaps.pi2", "CorrespondenceMaps.hinf2",
+    "Record.replace",
 }
 
 

@@ -25,6 +25,8 @@ from oracles import (
     mat_mul,
     mat_vec_packed,
     matrix_columns,
+    pivot_normalize,
+    pivot_pair_line_key,
 )
 
 
@@ -190,6 +192,56 @@ def test_kernels_match_the_chunk_loop_oracle(n, m, tables):
         a, b = chunk_normalize(s, vec()), chunk_normalize(s, vec())
         if a != b:
             assert s.pair_line_key(a, b) == chunk_rref(s, (a, b))
+
+
+# --- normalize and pair_line_key in one frame, against their compositions -----
+
+def _same_pivot_partner(s, p, rng):
+    """A normalized point other than p with p's pivot, or None."""
+    free = s.bits - ((p & -p).bit_length() - 1) // s.h * s.h - s.h
+    if free == 0:
+        return None
+    other = p ^ rng.randrange(1, 1 << free) << (s.bits - free)
+    return s.normalize(other)
+
+
+def _check_kernels(s, points, rng):
+    """normalize of every nonzero multiple (a seeded one when q > 16) and
+    pair_line_key with a seeded partner and a same-pivot partner."""
+    points = list(points)
+    for p in points:
+        for c in range(1, s.q) if s.q <= 16 else (rng.randrange(2, s.q),):
+            v = s.smul(c, p)
+            assert s.normalize(v) == pivot_normalize(s, v) == pivot_normalize(s, p)
+        partners = [rng.choice(points), _same_pivot_partner(s, p, rng)]
+        for b in partners:
+            if b is not None and b != p:
+                assert s.pair_line_key(p, b) == pivot_pair_line_key(s, p, b)
+
+
+@pytest.mark.parametrize("hk", [(3, 2), (2, 3), (4, 2)])
+def test_kernels_on_every_point_of_the_table_backed_hinf(hk):
+    hinf = maps_for(tower_create(*hk)).hinf
+    assert hinf.table_backed
+    _check_kernels(hinf, hinf.points(), random.Random(hk[0] * 7 + hk[1]))
+
+
+@pytest.mark.parametrize("hk", [(2, 2), (3, 2), (2, 3), (4, 2)])
+def test_kernels_on_every_point_of_the_big_field_line(hk):
+    # PG(1, q^k): no scalar tables, each chunk multiplied by adding logs
+    line = ProjSpace(1, tower_create(*hk).big)
+    assert not line.table_backed and line.field._exp is not None
+    _check_kernels(line, line.points(), random.Random(hk[0] * 7 + hk[1]))
+
+
+def test_kernels_past_the_table_limit():
+    # degree 18 has no exp/log tables: normalize takes Field.inv and smul
+    tower = tower_create(6, 3)
+    assert tower.big._exp is None
+    rng = random.Random(63)
+    for s in (ProjSpace(1, tower.big), maps_for(tower).hinf):
+        points = {s.normalize(rng.randrange(1, 1 << s.bits)) for _ in range(2000)}
+        _check_kernels(s, sorted(points), rng)
 
 
 # --- lines -------------------------------------------------------------------------

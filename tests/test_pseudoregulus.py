@@ -26,7 +26,14 @@ from hoval.pseudoregulus import (
     transversal_map,
 )
 from hoval.reduction import ReductionIndex, unvec_blocks
-from oracles import detect_pseudoregulus, matrix_columns, partition_index, s_prime
+from oracles import (
+    canonical_image_by_field,
+    detect_pseudoregulus,
+    matrix_columns,
+    partition_index,
+    replace,
+    s_prime,
+)
 
 
 def _directions_for(h, k, i, strict=True):
@@ -210,7 +217,7 @@ def test_spread_is_a_partition_by_construction(spread_runs):
         hk, mask = maps.tower.hk, (1 << maps.tower.hk) - 1
         swap = _block_map(maps, lambda x: big.mul(big.generator, x), lambda y: y)
         swap = swap.then(lambda v: v >> hk | (v & mask) << hk)
-        moved = run.fit.replace(matrix=swap.then(run.fit.matrix))
+        moved = replace(run.fit, matrix=swap.then(run.fit.matrix))
         rebuilt = build_spread(moved, run.transversals, maps)
         assert rebuilt.matches_canonical
         spreads = (
@@ -387,7 +394,7 @@ def test_rebuilt_spread_matches_the_rref_oracle(hki):
     maps = run.hov.maps
     big = maps.tower.big
     scale = _block_map(maps, lambda x: big.mul(big.generator, x), lambda y: y)
-    moved = run.fit.replace(matrix=scale.then(run.fit.matrix))
+    moved = replace(run.fit, matrix=scale.then(run.fit.matrix))
     for fit, res in (
         (run.fit, run.spread_result),
         (moved, build_spread(moved, run.transversals, maps)),
@@ -409,7 +416,7 @@ def test_spread_through_a_wrong_matrix_fails_the_plane_certificate(report321, ca
     hov, _ = case321
     maps, fit = hov.maps, report321.fit
     twisted = _off_fit_matrices(maps, fit, 5)["twisted fit"][0]
-    res = build_spread(fit.replace(matrix=twisted), report321.transversals, maps)
+    res = build_spread(replace(fit, matrix=twisted), report321.transversals, maps)
     assert not res.matches_canonical
     axioms = plane_axioms_check(build_plane(maps, res.spread))
     assert not axioms.ok and axioms.collisions > 0
@@ -463,6 +470,36 @@ def test_point_by_point_image_test_matches_the_canonical_set(hki):
         return 1 | (1 << maps.tower.hk)
 
     assert not pseudoregulus._canonical_image(constant, d, maps.tower, j)
+
+
+@pytest.mark.parametrize("hki", [(3, 3, 1), (4, 2, 1)])
+@pytest.mark.parametrize("tables", [True, False])
+def test_log_image_test_matches_the_field_oracle(hki, tables, monkeypatch):
+    # every candidate the fit yields, then D with its last point replaced by
+    # c d0 for each scalar c != 0, 1: a second vector of the point <d0>, whose
+    # u repeats d0's though x and mu both differ, so its log sum differs
+    # from d0's by 0 or q^k - 1; without tables the Field path runs
+    run = run_verify_all(*hki).run
+    d, maps = run.dirs, run.hov.maps
+    tower, space = maps.tower, d.space
+    if not tables:
+        monkeypatch.setattr(tower.big, "_exp", None)
+        monkeypatch.setattr(tower.big, "_log", None)
+    spell = unvec_blocks(tower, 2)
+    fmap = transversal_map(run.transversals)
+    verdicts = []
+    for _, j, m in pseudoregulus._fit_candidates(d, fmap, maps):
+        want = canonical_image_by_field(m.then(spell), d, tower, j)
+        assert pseudoregulus._canonical_image(m.then(spell), d, tower, j) is want
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
+    to_field, j = run.fit.matrix.then(spell), run.fit.exponent
+    assert pseudoregulus._canonical_image(to_field, d, tower, j)
+    for c in range(2, space.q):
+        forged = object.__new__(DirectionSet)
+        forged.ordered = d.ordered[:-1] + (space.smul(c, d.ordered[0]),)
+        assert not canonical_image_by_field(to_field, forged, tower, j)
+        assert not pseudoregulus._canonical_image(to_field, forged, tower, j)
 
 
 def test_secant_count_mismatch_rejected(case321):
@@ -568,10 +605,10 @@ def test_orbit_that_is_no_group_orbit_is_refused(case321):
     sym = _symmetry_of(hov, d)
     rest = list(sym.orbit[1:])
     random.Random(5).shuffle(rest)
-    scrambled = sym.replace(orbit=sym.orbit[:1] + tuple(rest))
+    scrambled = replace(sym, orbit=sym.orbit[:1] + tuple(rest))
     with pytest.raises(NotPseudoregulusCandidate, match="no orbit of 9 lines"):
         find_long_secants(d, symmetry=scrambled)
     # a wrong secant count from the group is the pair scan's error
-    fewer = sym.replace(lines={**sym.lines, 7: 8})
+    fewer = replace(sym, lines={**sym.lines, 7: 8})
     with pytest.raises(NotPseudoregulusCandidate, match="found 8 long secants, expected 9"):
         find_long_secants(d, symmetry=fewer)

@@ -1,4 +1,5 @@
-"""The frozen record base every stage result is built on."""
+"""The frozen record base every stage result is built on, and the
+tests' copy-with-changes of a record (oracles.replace)."""
 
 import pytest
 
@@ -6,6 +7,7 @@ from hoval.cplanes import AxiomReport
 from hoval.errors import GcdHypothesisViolated
 from hoval.hyperoval import HyperovalSpec
 from hoval.record import Record
+from oracles import replace
 
 
 class _Pair(Record):
@@ -24,7 +26,7 @@ class _OtherPair(Record):
 
 def test_record_contract():
     a = AxiomReport("A4", True, 12, None, {"triples": 3}, bins="pair-scan")
-    assert a == a.replace(bins="cyclic-group") and a != a.replace(checked=13)
+    assert a == replace(a, bins="cyclic-group") and a != replace(a, checked=13)
     assert "bins" not in repr(a) and "pair-scan" not in repr(a)
 
     p = _Pair(1, how="group")
@@ -39,13 +41,13 @@ def test_record_contract():
             change()
     assert p.left == 1
 
-    q = p.replace(right=5, how="pairs")
+    q = replace(p, right=5, how="pairs")
     assert (q.left, q.right, q.how) == (1, 5, "pairs")
-    assert q.replace(right=0) == p and p.replace() == p
+    assert replace(q, right=0) == p and replace(p) == p
 
     for bad in (lambda: _Pair(1, colour=2), lambda: _Pair(1, left=2),
                 lambda: _Pair(right=2), lambda: _Pair(1, 2, "x", 4),
-                lambda: p.replace(colour=2)):
+                lambda: replace(p, colour=2)):
         with pytest.raises(TypeError):
             bad()
 
@@ -53,6 +55,6 @@ def test_record_contract():
     with pytest.raises(ValueError):
         HyperovalSpec(3, 2, 6)
     with pytest.raises(ValueError):
-        HyperovalSpec(3, 2, 1).replace(k=0)
+        replace(HyperovalSpec(3, 2, 1), k=0)
     with pytest.raises(GcdHypothesisViolated):
         HyperovalSpec(4, 2, 2)

@@ -6,11 +6,11 @@ from collections import Counter
 import pytest
 
 from hoval.errors import EnumerationTooLarge, InvalidSpread, NotAffine
-from hoval.gf2 import tower_create
+from hoval.gf2 import Tower, field_create, tower_create
 from hoval.projective import ProjSpace
 from hoval.gf2 import LinearMap
-from hoval.reduction import Spread, field_reduction_spread, maps_for
-from oracles import hinf2, in_span, partition_index, s_prime
+from hoval.reduction import Spread, field_reduction_spread, maps_for, reduction_rows
+from oracles import generator_reduction_rows, hinf2, in_span, partition_index, s_prime
 
 
 # --- independent oracles for the maps and spreads ------------------------------
@@ -154,6 +154,33 @@ def test_field_reduction_rows_are_already_reduced(hk):
         for el in spread.elements:
             assert len(el) == k
             assert spread.space.rref(el) == el
+
+
+@pytest.mark.parametrize("hk", [(2, 2), (3, 2), (2, 3), (4, 2)])
+def test_reduction_rows_match_the_generator_oracle(hk):
+    # every point of PG(1, q^k), and of PG(2, q^k) at q^k = 16
+    tower = tower_create(*hk)
+    spaces = [ProjSpace(1, tower.big)] + ([ProjSpace(2, tower.big)] if hk == (2, 2) else [])
+    for source in spaces:
+        for p in source.points():
+            assert reduction_rows(tower, p) == generator_reduction_rows(tower, p)
+
+
+def test_reduction_rows_past_the_table_limit():
+    tower = tower_create(6, 3)
+    source = ProjSpace(1, tower.big)
+    rng = random.Random(63)
+    for _ in range(2000):
+        p = source.normalize(rng.randrange(1, 1 << source.bits))
+        assert reduction_rows(tower, p) == generator_reduction_rows(tower, p)
+
+
+def test_row_map_is_built_on_first_use():
+    tower = Tower(3, 2, field_create(3), field_create(6))
+    assert tower._row_map is None
+    rows = reduction_rows(tower, 1)  # the point (1, 0): e_j in block 0
+    assert tower._row_map is not None
+    assert rows == tuple(1 << j * 3 for j in range(2))
 
 
 def test_reduction_index_refuses_unnormalized_points(t32):
