@@ -141,13 +141,10 @@ def _cmd_spectrum(args) -> int:
         hov = build_hyperoval(_spec(args))
         spec, maps = hov.spec, hov.maps
         d = directions(hov.affine, maps)
-    # the cyclic group verify-all checks, under its gate
-    candidate = None
-    if spec.is_strict_case:
-        candidate = cyclic_candidate(maps, spec.i)
+    # the cyclic group verify-all checks
     hist = spectrum(
         d, mode=args.mode, budget=budget, processes=processes,
-        candidate=candidate,
+        candidate=cyclic_candidate(maps, spec.i),
     )
     conforms, offender = spectrum_conforms(hist, 1 << spec.h)
     doc = serialize.spectrum_dict(hist, spec, maps)

@@ -44,10 +44,6 @@ class HyperovalSpec(Record):
     def hk(self) -> int:
         return self.h * self.k
 
-    @property
-    def is_strict_case(self) -> bool:
-        return math.gcd(self.i, self.hk) == 1
-
 
 class AffinePointSet:
     """A set of normalized affine points of one projective space.

@@ -12,7 +12,8 @@ pencil through r1 they lie on, so the lines no point reaches are counted
 in bulk, from the q - 1 scalar multiples of each r1.  The pair scan bins
 the C(|D|, 2) pairs of D by the line they span.  The cyclic-group path
 needs a candidate collineation M (cyclic_candidate builds
-M(x, y) = (g x, g^(2^i) y) for g primitive in GF(q^k)) and first verifies
+M(x, y) = (g x, g^(2^i) y) for g primitive in GF(q^k), which acts
+transitively on D for every exponent i) and first verifies
 on the data that M is a GF(q)-linear bijection whose powers carry
 d0 = min D through all of D and back.  Then every point of D lies on the
 same number c_j of j-secants, so the spectrum N_j = |D| c_j / j is read
@@ -166,9 +167,10 @@ def cyclic_candidate(maps: CorrespondenceMaps, i: int) -> tuple:
     """M(x, y) = (g x, g^(2^i) y) on H_inf, for g the generator of GF(q^k).
 
     M is given by the images of the 2hk GF(2) unit vectors of the H_inf
-    layout, where a vector packs vec(x) below vec(y).  For gcd(i, hk) = 1
-    its powers act regularly on D = {<(t, t^(2^i))>}, but it is only a
-    candidate: cyclic_symmetry checks it on the data before any use.
+    layout, where a vector packs vec(x) below vec(y).  It sends
+    <(t, t^(2^i))> to <(gt, (gt)^(2^i))>, so its powers act transitively on
+    D for every i, gcd(i, hk) > 1 included; but it is only a candidate:
+    cyclic_symmetry checks it on the data before any use.
     """
     tower = maps.tower
     big = tower.big
@@ -402,7 +404,6 @@ class F2Witness(Record):
     base: int
     rows: tuple
     rank: int
-    k_points: tuple
     projected: tuple
     _uncompared = ("projected",)
 
@@ -424,9 +425,9 @@ def f2_witness(
     rows = translation_basis(q_points)
     rank = len(rows)
     ordered = q_points.ordered
-    h = q_points.space.h
-    diffs = [(p ^ ordered[0]) >> h for p in ordered]
-    if len(diffs) != 1 << rank:
+    if len(ordered) != 1 << rank:
+        h = q_points.space.h
+        diffs = [(p ^ ordered[0]) >> h for p in ordered]
         span = {0}
         for r in rows:
             span |= {s ^ r for s in span}
@@ -435,7 +436,6 @@ def f2_witness(
             f"difference set of size {len(diffs)} spans {len(span)} vectors; "
             f"0x{missing:x} is in the span but not the set"
         )
-    k_points = tuple(sorted(diffs[1:]))
     projected = projected_differences(q_points, maps.hinf)
     if dirs.points.symmetric_difference(projected):
         off = min(dirs.points.symmetric_difference(projected))
@@ -443,7 +443,7 @@ def f2_witness(
             f"projection of the rank-{rank} span differs from the "
             f"direction set near 0x{off:x}"
         )
-    return F2Witness(maps.bc_affine(ordered[0]), rows, rank, k_points, projected)
+    return F2Witness(maps.bc_affine(ordered[0]), rows, rank, projected)
 
 
 class ScatterednessReport(Record):

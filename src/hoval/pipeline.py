@@ -167,14 +167,11 @@ def _stage_construct(run: _Run) -> tuple[bool, dict]:
 def _stage_spectrum(run: _Run) -> tuple[bool, dict]:
     spec = run.spec
     run.dirs = directions(run.hov.affine, run.hov.maps)
-    # M(x, y) = (g x, g^(2^i) y) acts regularly on D when gcd(i, hk) = 1;
-    # the spectrum checks it on D in either mode before anything reads it
-    candidate = None
-    if spec.is_strict_case:
-        candidate = cyclic_candidate(run.hov.maps, spec.i)
+    # M(x, y) = (g x, g^(2^i) y) acts transitively on D for every i; the
+    # spectrum checks it on D in either mode before anything reads it
     hist = spectrum(
         run.dirs, mode=run.mode, budget=run.budget, processes=run.processes,
-        candidate=candidate,
+        candidate=cyclic_candidate(run.hov.maps, spec.i),
     )
     run.pair_mult = hist.multiplicities
     run.symmetry = hist.symmetry

@@ -887,10 +887,19 @@ def s_prime(maps):
     return field_reduction_spread(sub, 2 * tower.k, budget=None)
 
 
-def scattered_by_elements(witness, spread) -> ScatterednessReport:
-    """scattered_check element by element over a built spread; the
-    offending element is the least over-met element index."""
-    meets = Counter(spread.element_of(p) for p in witness.k_points)
+def k_points(q_points) -> tuple:
+    """The points of K: the nonzero GF(2) differences (p ^ c0) >> h of the
+    affine set, c0 = min C, sorted."""
+    ordered = q_points.ordered
+    h = q_points.space.h
+    return tuple(sorted((p ^ ordered[0]) >> h for p in ordered[1:]))
+
+
+def scattered_by_elements(q_points, witness, spread) -> ScatterednessReport:
+    """scattered_check element by element over a built spread, with K read
+    from the affine set; the offending element is the least over-met element
+    index."""
+    meets = Counter(spread.element_of(p) for p in k_points(q_points))
     max_meet = max(meets.values(), default=0)
     offender = min((i for i, c in meets.items() if c > 1), default=None)
     hist = Counter(meets.values())

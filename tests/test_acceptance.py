@@ -113,7 +113,8 @@ def test_criterion_03_linearity_and_scatteredness():
         )
         if hk <= 8:
             # the enumerated (h-1)-spread is the oracle for the fibre count
-            case_ok = case_ok and scattered_by_elements(wit, s_prime(hov.maps)) == rep
+            spread_rep = scattered_by_elements(hov.affine, wit, s_prime(hov.maps))
+            case_ok = case_ok and spread_rep == rep
         notes.append(f"({h},{k},{i}) |D|={len(d.points)} rank={wit.rank}")
         ok = ok and case_ok
     _verdict(3, ok, "; ".join(notes))
@@ -306,7 +307,7 @@ def test_criterion_09_mutation_sensitivity():
             wit = f2_witness(qset, dirs, maps)
         except NotF2Linear as exc:
             return f"NotF2Linear: {exc}"
-        srep = scattered_by_elements(wit, s_prime(maps))
+        srep = scattered_by_elements(qset, wit, s_prime(maps))
         if wit.rank != spec.hk or not (srep.scattered and srep.is_maximum):
             return f"rank={wit.rank} scattered={srep.scattered}"
         return None

@@ -59,7 +59,7 @@ def test_directions_then_spectrum_from_file(tmp_path, capsys):
 
 def test_spectrum_reads_the_cyclic_group(tmp_path, capsys, monkeypatch):
     # the CLI builds the candidate verify-all builds, from --h/--k/--i or
-    # from the file's params, under the same gate; the control still scans
+    # from the file's params, for every exponent; the control reads it too
     paths = []
     real = cli.spectrum
 
@@ -87,7 +87,7 @@ def test_spectrum_reads_the_cyclic_group(tmp_path, capsys, monkeypatch):
         "--allow-nonstrict",
     )
     assert code == 1
-    assert paths[-1] == "pair-scan"
+    assert paths[-1] == "cyclic-group"
 
 
 def test_spectrum_exit_1_when_not_conforming(capsys):

@@ -50,7 +50,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         HyperovalSpec(3, 2, 6)
     assert HyperovalSpec(3, 2, 5).hk == 6
-    assert not HyperovalSpec(4, 2, 2, strict=False).is_strict_case
+    assert not HyperovalSpec(4, 2, 2, strict=False).strict
 
 
 def test_sizes_321(hov321):

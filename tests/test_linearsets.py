@@ -29,7 +29,9 @@ from hoval.linearsets import (
 )
 from hoval.projective import ProjSpace
 from hoval.pseudoregulus import find_long_secants
-from oracles import apply_columns, line_scan_counts, s_prime, scattered_by_elements
+from oracles import (
+    apply_columns, k_points, line_scan_counts, s_prime, scattered_by_elements,
+)
 
 
 @pytest.fixture(scope="module")
@@ -244,13 +246,16 @@ def test_f2_witness_321(case321):
     hov, d = case321
     w = f2_witness(hov.affine, d, hov.maps)
     assert w.rank == 6
-    assert len(w.k_points) == 63
     assert 2 ** w.rank == 64
     assert w.rows == translation_basis(hov.affine)
-    assert w.k_points == tuple(sorted((p ^ hov.affine.ordered[0]) >> 3
-                                      for p in hov.affine.ordered[1:]))
+    points = k_points(hov.affine)
+    assert len(points) == 63
+    span = {0}
+    for r in w.rows:
+        span |= {s ^ r for s in span}
+    assert set(points) == span - {0}
     assert w.base == min(hov.maps.bc_affine(p) for p in hov.affine)
-    rep = scattered_by_elements(w, s_prime(hov.maps))
+    rep = scattered_by_elements(hov.affine, w, s_prime(hov.maps))
     assert rep.scattered and rep.is_maximum
     assert rep.rank == rep.max_rank == 6
     assert rep.max_meet == 1
@@ -294,7 +299,7 @@ def test_control_is_linear_but_not_scattered():
     d = directions(hov.affine, hov.maps)
     w = f2_witness(hov.affine, d, hov.maps)
     assert w.rank == 8
-    rep = scattered_by_elements(w, s_prime(hov.maps))
+    rep = scattered_by_elements(hov.affine, w, s_prime(hov.maps))
     assert not rep.scattered
     assert rep.max_meet == 3
     assert rep.meet_histogram == {0: 4284, 3: 85}
@@ -304,7 +309,7 @@ def test_control_is_linear_but_not_scattered():
 def test_scattered_421(case421):
     hov, d = case421
     w = f2_witness(hov.affine, d, hov.maps)
-    rep = scattered_by_elements(w, s_prime(hov.maps))
+    rep = scattered_by_elements(hov.affine, w, s_prime(hov.maps))
     assert rep.scattered and rep.is_maximum and rep.rank == 8
     assert rep.meet_histogram == {0: 4369 - 255, 1: 255}
 
@@ -320,7 +325,7 @@ def test_fibre_scatteredness_matches_s_prime(h, k, i, strict):
     maps = hov.maps
     w = f2_witness(hov.affine, directions(hov.affine, maps), maps)
     fibres = scattered_check(w, maps.hinf)
-    spread = scattered_by_elements(w, s_prime(maps))
+    spread = scattered_by_elements(hov.affine, w, s_prime(maps))
     same = ("scattered", "rank", "max_rank", "is_maximum", "max_meet", "meet_histogram")
     assert {f: getattr(fibres, f) for f in same} == {f: getattr(spread, f) for f in same}
     assert fibres.max_rank == h * k
@@ -330,10 +335,11 @@ def test_fibre_scatteredness_matches_s_prime(h, k, i, strict):
         # the fibre offender is an H_inf point whose s_prime element is over-met
         over = fibres.offending_element
         assert maps.hinf.normalize(over) == over
-        idx = {s_prime(maps).element_of(p) for p in w.k_points
+        points = k_points(hov.affine)
+        idx = {s_prime(maps).element_of(p) for p in points
                if maps.hinf.normalize(p) == over}
         assert len(idx) == 1
-        assert sum(s_prime(maps).element_of(p) in idx for p in w.k_points) > 1
+        assert sum(s_prime(maps).element_of(p) in idx for p in points) > 1
 
 
 # -- the cyclic-group path ------------------------------------------------------
@@ -350,9 +356,13 @@ def _swapped(d):
     return DirectionSet(d.ordered[:-1] + (outside,), d.space)
 
 
-@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 3), (2, 3, 1), (1, 3, 1)])
+@pytest.mark.parametrize("hki", [
+    (3, 2, 1), (4, 2, 3), (2, 3, 1), (1, 3, 1),
+    # gcd(i, hk) > 1: the non-examples, on which <M> is still transitive
+    (4, 2, 2), (3, 2, 2), (2, 3, 3),
+])
 def test_cyclic_group_spectrum_equals_pair_scan(hki):
-    hov, d, cand = _cyclic_case(*hki)
+    hov, d, cand = _cyclic_case(*hki, strict=False)
     fast = spectrum(d, candidate=cand)
     scan = spectrum(d)
     assert fast.path == "cyclic-group" and scan.path == "pair-scan"

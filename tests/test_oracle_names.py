@@ -15,6 +15,7 @@ MOVED_MEMBERS = {
     "SpectrumHistogram.count",
     "CorrespondenceMaps.pi2", "CorrespondenceMaps.hinf2",
     "Record.replace",
+    "HyperovalSpec.is_strict_case", "F2Witness.k_points",
 }
 
 

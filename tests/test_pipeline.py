@@ -392,11 +392,12 @@ def test_reports_name_the_spectrum_path_and_a4_bins(full321, monkeypatch):
     assert fast["counts"] == slow["counts"]
 
 
-def test_nonstrict_control_takes_the_pair_scan():
-    # gcd(i, hk) > 1 is outside the theorem, so no candidate is built
+def test_nonstrict_control_reads_the_cyclic_group():
+    # gcd(i, hk) > 1 is outside the theorem, but <M> still acts transitively
+    # on D, so the verified group gives the control's spectrum
     rep = run_verify_all(4, 2, 2, strict=False, stages=("spectrum",))
     data = rep.stage("spectrum").data
-    assert data["path"] == "pair-scan" and not data["conforms"]
+    assert data["path"] == "cyclic-group" and not data["conforms"]
     assert data["histogram"]["counts"] == run_verify_all(
         4, 2, 2, strict=False, stages=("spectrum",), mode="exhaustive"
     ).stage("spectrum").data["histogram"]["counts"]
@@ -440,9 +441,12 @@ def test_f2_witness_reads_the_construct_stage_basis(monkeypatch):
 
 
 def test_nonstrict_pair_map_reaches_the_long_secants(monkeypatch):
-    # (3,2,2) passes the spectrum stage by the pair scan, whose map
-    # find_long_secants reads instead of scanning again; the exponent fit
-    # then refuses the set
+    # with a candidate from the wrong exponent, (3,2,2) passes the spectrum
+    # stage by the pair scan, whose map find_long_secants reads instead of
+    # scanning again; the exponent fit then refuses the set
+    candidate = pipeline.cyclic_candidate
+    monkeypatch.setattr(pipeline, "cyclic_candidate",
+                        lambda maps, i: candidate(maps, i + 1))
     calls = []
     real = linearsets._pair_multiplicities
 
@@ -457,6 +461,34 @@ def test_nonstrict_pair_map_reaches_the_long_secants(monkeypatch):
     assert rep.stage("spectrum").ok and rep.stage("spectrum").data["path"] == "pair-scan"
     assert [s.status for s in rep.stages] == ["ok"] * 3 + ["error"] + ["skipped"] * 3
     assert rep.stage("pseudoregulus").error.startswith("SemilinearFitFailed:")
+
+
+def test_nonstrict_control_stays_under_a_pair_budget():
+    # C(4095, 2) = 8,382,465 pairs at (3,4,2) would exceed the budget; the
+    # verified group charges |D| - 1 = 4,094 line keys instead
+    rep = run_verify_all(3, 4, 2, strict=False, budget=100_000)
+    assert rep.stage("spectrum").data["path"] == "cyclic-group"
+    assert rep.stage("pseudoregulus").error.startswith("SemilinearFitFailed:")
+
+
+def test_q4_control_reaches_the_exponent_fit(monkeypatch):
+    # at q = 4 only the verified group tells the long secants from the
+    # 3-secants, so (2,3,3) gets as far as the fit, which refuses it
+    rep = run_verify_all(2, 3, 3, strict=False)
+    assert rep.stage("spectrum").data["path"] == "cyclic-group"
+    assert [s.status for s in rep.stages] == ["ok"] * 3 + ["error"] + ["skipped"] * 3
+    assert rep.stage("pseudoregulus").error == (
+        "SemilinearFitFailed: no exponent fits the secant bijection"
+    )
+    # without the group the pair counts cannot decide, and the stage refuses
+    candidate = pipeline.cyclic_candidate
+    monkeypatch.setattr(pipeline, "cyclic_candidate",
+                        lambda maps, i: candidate(maps, i + 1))
+    scanned = run_verify_all(2, 3, 3, strict=False)
+    assert scanned.stage("spectrum").data["path"] == "pair-scan"
+    assert scanned.stage("pseudoregulus").error.startswith(
+        "NotPseudoregulusCandidate: at q = 4"
+    )
 
 
 _GOLDEN = Path(__file__).parent / "data"
