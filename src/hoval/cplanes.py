@@ -16,9 +16,10 @@ gives each plane one key, all by construction.  No plane is built:
   other meet is a translate of one of them.
 * A2 and A3 are partition statements about the meets W ∩ L_s and about the
   images of the L_s in V/W, checked by GF(2) linear algebra.
-* A4 bins the C(n-1, 2) pairs through c0, whose family planes are the m
-  secants themselves, or reads the bins off the cyclic group of D that the
-  spectrum verified when it is given one.
+* A4 bins the C(n-1, 2) pairs through c0 by the plane they span with c0:
+  the lines with two or more points of the direction set D.  The family
+  planes there are the m secants themselves, and the line counts N_j of a
+  spectrum of D decide every other bin.
 
 A failing axiom reports the witness its check already holds.  The explicit
 scans over every plane, pair and triple are the tests' oracles.
@@ -26,18 +27,20 @@ scans over every plane, pair and triple are the tests' oracles.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
 
-from .errors import CPlaneConstructionFailed, DegenerateSpan, EnumerationTooLarge
+from .errors import CPlaneConstructionFailed
 from .gf2 import f2_echelon, f2_reduce
 from .hyperoval import (
     AffinePointSet,
+    DirectionSet,
     is_arc,
     projected_differences,
     translation_basis,
     translation_closure_check,
 )
-from .linearsets import CyclicSymmetry, check_group_budget
+from .linearsets import SpectrumHistogram, spectrum
 from .projective import DEFAULT_BUDGET
 from .pseudoregulus import SecantStructure
 from .record import Record
@@ -108,9 +111,9 @@ class AxiomReport(Record):
     checked: int
     witness: tuple | None
     detail: dict
-    # where A4 took its plane bins from: "cyclic-group" or "pair-scan";
-    # provenance only, so reports that agree on everything else compare
-    # equal whatever their source
+    # the spectrum A4 read its line counts from: "cyclic-group", "pair-scan"
+    # or "line-scan"; provenance only, so reports that agree on everything
+    # else compare equal whatever their source
     bins: str | None = None
     _uncompared = ("bins",)
 
@@ -212,7 +215,7 @@ def _partition_clash(sets) -> tuple:
     return len(owner), None
 
 
-def _a4_base_point(family: CPlaneFamily, space, symmetry=None, budget=None) -> AxiomReport:
+def _a4_base_point(family: CPlaneFamily, space, hist=None, budget=None) -> AxiomReport:
     """Triples of C points span family planes or 4-point planes only.
 
     The translations of C act transitively on C and keep the family and
@@ -220,114 +223,62 @@ def _a4_base_point(family: CPlaneFamily, space, symmetry=None, budget=None) -> A
     through the base point a = c0, and A4 follows from the C(n-1, 2) pairs
     {b, c} through a.  Points are handled as vectors of H_inf (`space`), and
     a plane through a is fixed by its direction 2-space alone: the family
-    planes through a are the m secants.  A family bin must collect
-    C(q-1, 2) pairs and any other bin exactly C(3, 2) = 3.  The full-set
-    totals follow from transitivity: n/q times the family planes through a,
-    n/4 times the four-point planes through a.  The directions a ^ b are
-    the set's projected_differences, normalized once per run.
-
-    `symmetry` is the cyclic group of a direction set D that the spectrum
-    verified (SpectrumHistogram.symmetry).  When the n-1
-    directions a ^ b are pairwise distinct and are exactly D, the bins are
-    the lines with two or more points of D, and the verdict is read from the
-    group (_a4_from_symmetry) instead of scanning; a failing verdict is
-    recomputed by the scan, which picks the reported bin.  The budget
-    charges the group path |D| - 1 line keys, as the spectrum's group path,
-    and the scan its C(n-1, 2) pairs.
+    planes through a are the m secants.  Two equal directions a ^ b = a ^ c
+    make a, b, c collinear.  Otherwise the n - 1 directions are a set D,
+    the planes through a that hold pairs are the lines with j >= 2 points
+    of D, and each holds C(j, 2) pairs.  A family plane must hold C(q-1, 2)
+    and any other C(3, 2) = 3, so A4 holds iff each family line carries
+    q - 1 points of D and every other line with two or more carries 3: the
+    line counts N_j of `hist`, a spectrum of D, and |L ∩ D| for the m family
+    lines L decide it.  A histogram of another set is not read, and without
+    one of D the pair scan spectrum(D, budget=budget) is run and charged.
+    The full-set totals follow from transitivity: n/q times the family
+    planes through a, n/4 times the four-point planes through a.
     """
     ordered = family.c_points.ordered
     n = len(ordered)
-    a = ordered[0] >> space.h
-    through = {rows for rows, _ in family.secants}
-    dirs = projected_differences(family.c_points, space)
-    if symmetry is not None:
-        distinct = set(dirs)
-        if len(distinct) == n - 1 and distinct == symmetry.dirs.points:
-            check_group_budget(n - 1, budget)
-            rep = _a4_from_symmetry(family, symmetry, through, n, space)
-            if rep is not None and rep.ok:
-                return rep
-    pairs = (n - 1) * (n - 2) // 2
-    if budget is not None and pairs > budget:
-        raise EnumerationTooLarge(pairs, budget, "base-point pair span scan")
-    space.ensure_tables()
-    pair_key = space.pair_line_key
-    counts: dict = {}
-    for ib in range(n - 2):
-        u = dirs[ib]
-        for ic in range(ib + 1, n - 1):
-            try:
-                rows = pair_key(u, dirs[ic])
-            except DegenerateSpan:
-                return AxiomReport(
-                    "A4", False, 0,
-                    ("collinear", ordered[0], ordered[ib + 1], ordered[ic + 1]),
-                    {"mode": "base-point"}, "pair-scan",
-                )
-            counts[rows] = counts.get(rows, 0) + 1
-    return _a4_bins(family, counts, through, a, n, space, "pair-scan")
-
-
-def _a4_bins(family, counts, through, a, n, space, bins) -> AxiomReport:
-    """The base-point A4 verdict from the pair count of each plane through a."""
     q = family.q
     total = (n - 1) * (n - 2) // 2
-    family_mult = comb(q - 1, 2)
+    dirs = projected_differences(family.c_points, space)
+    dset = frozenset(dirs)
+    if len(dset) != n - 1:
+        # the first pair (b, c) in scan order with equal directions
+        times = Counter(dirs)
+        ib = next(i for i, u in enumerate(dirs) if times[u] > 1)
+        ic = dirs.index(dirs[ib], ib + 1)
+        return AxiomReport(
+            "A4", False, 0, ("collinear", ordered[0], ordered[ib + 1], ordered[ic + 1]),
+            {"mode": "base-point"},
+        )
+    if hist is None or hist.dirs.points != dset:
+        hist = spectrum(DirectionSet(dset, space), budget=budget)
+    bins = "cyclic-group" if hist.symmetry is not None else hist.path
+    a = ordered[0] >> space.h
+    others = {j: c for j, c in hist.counts.items() if j >= 2}
     seen = 0
-    quads = 0
-    for rows, cnt in counts.items():
-        in_family = rows in through
-        if in_family and cnt == family_mult:
-            seen += 1
-        elif cnt == 3 and not in_family:
-            quads += 1
-        else:
-            return AxiomReport(
-                "A4", False, total,
-                ("plane", rows, space.reduce(a, rows), cnt,
-                 "family" if in_family else "outside"),
-                {"mode": "base-point"}, bins,
-            )
-    return _a4_totals(family, len(through), seen, quads, n, bins)
-
-
-def _a4_from_symmetry(family, symmetry, through, n, space):
-    """What _a4_bins gives on the pair counts of D, from a verified group.
-
-    The bins are the lines with j >= 2 points of D, each with C(j, 2)
-    pairs.  A bin in `through` passes iff j = q - 1 and any other iff j = 3,
-    so N_j (symmetry.lines) and |L ∩ D| for the m lines L of `through`
-    decide every bin.  None when some bin fails, for the scan to report it.
-    """
-    dset = symmetry.dirs.points
-    q = family.q
-    others = dict(symmetry.lines)
-    seen = 0
-    for rows in through:
+    for rows, _ in family.secants:
         j = sum(p in dset for p in space.line_points(*rows))
         if j < 2:
             continue
         if j != q - 1:
-            return None
+            return AxiomReport(
+                "A4", False, total,
+                ("plane", rows, space.reduce(a, rows), comb(j, 2), "family"),
+                {"mode": "base-point"}, bins,
+            )
         seen += 1
-        others[j] -= 1
-    if any(c for j, c in others.items() if j != 3):
-        return None
-    return _a4_totals(
-        family, len(through), seen, others.get(3, 0), n, "cyclic-group"
-    )
-
-
-def _a4_totals(family, nthrough, seen, quads, n, bins) -> AxiomReport:
-    """The base-point A4 report once every bin passed: `seen` family and
-    `quads` four-point planes through the base point, of `nthrough` family
-    planes there.  The bins must hold all C(n-1, 2) pairs, which a scan
-    always does and a group must show."""
-    q = family.q
-    total = (n - 1) * (n - 2) // 2
+        others[j] = others.get(j, 0) - 1
+    # what is left of N_j are the lines off the family
+    for j, c in sorted(others.items()):
+        if c < 0 or (c and j != 3):
+            return AxiomReport(
+                "A4", False, total, ("outside", j, hist.counts.get(j, 0)),
+                {"mode": "base-point"}, bins,
+            )
+    quads = others.get(3, 0)
     binned = seen * comb(q - 1, 2) + quads * 3
     witness = None
-    if seen != nthrough or seen != family.m:
+    if seen != family.m:
         witness = ("family planes through base point", seen, family.m)
     elif binned != total:
         witness = ("pairs binned", binned, total)
@@ -344,14 +295,14 @@ def check_axioms(
     maps: CorrespondenceMaps,
     axioms=("A1", "A2", "A3", "A4"),
     budget: int | None = DEFAULT_BUDGET,
-    symmetry: CyclicSymmetry | None = None,
+    hist: SpectrumHistogram | None = None,
 ) -> dict:
     """Run the requested axiom checks on the family's own C; returns
     {name: AxiomReport}.
 
-    `symmetry` is optionally the cyclic group of the direction set of C
-    that a pairs-mode spectrum verified, for A4 to read its bins from (see
-    _a4_base_point).
+    `hist` is optionally a spectrum of the direction set of C, whose line
+    counts A4 reads (see _a4_base_point); reading it charges nothing, and
+    without it A4 runs the pair scan under `budget`.
     """
     out: dict = {}
     for name in axioms:
@@ -362,7 +313,7 @@ def check_axioms(
         elif name == "A3":
             out[name] = _check_a3(family, maps)
         elif name == "A4":
-            out[name] = _a4_base_point(family, maps.hinf, symmetry, budget)
+            out[name] = _a4_base_point(family, maps.hinf, hist, budget)
         else:
             raise ValueError(f"unknown axiom {name!r}")
     return out

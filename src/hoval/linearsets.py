@@ -16,11 +16,15 @@ M(x, y) = (g x, g^(2^i) y) for g primitive in GF(q^k), which acts
 transitively on D for every exponent i) and first verifies
 on the data that M is a GF(q)-linear bijection whose powers carry
 d0 = min D through all of D and back.  Then every point of D lies on the
-same number c_j of j-secants, so the spectrum N_j = |D| c_j / j is read
-off the |D| - 1 lines through d0.  The verified CyclicSymmetry also gives
-the long secants (pseudoregulus) and the A4 bins (cplanes) without a pair
-scan.  A set that fails the check takes the pair scan, and a call without
-a candidate always does.  The line tally only hands a verified group on.
+same number c_j of j-secants, and the spectrum N_j = |D| c_j / j is read
+off the |D| - 1 lines through d0.  A set that fails the check takes the
+pair scan, and a call without a candidate always does.  The line tally
+only hands a verified group on.
+
+The histogram is the one carrier of secant facts: it names the set it
+counted, and the long secants (pseudoregulus) and A4 (cplanes) read the
+group's orbit, the pair map or the line counts N_j from it.  Only
+`spectrum` charges the budget for line keys or pairs.
 
 Only the line tally runs in worker processes, at most one per CPU; the pair
 scan and the cyclic-group path run in the calling process.  The worker pool
@@ -57,22 +61,24 @@ class CyclicSymmetry(Record):
 
 
 class SpectrumHistogram(Record):
-    """counts[j] = number of lines meeting the point set in exactly j points.
+    """counts[j] = number of lines meeting the point set `dirs` in exactly j
+    points.
 
     When the pair scan ran, `multiplicities` keeps its map from each line
-    through two or more points to its pair count, for find_long_secants;
-    when a candidate was verified, in either mode, `symmetry` keeps the
-    group, for find_long_secants and A4.  Either spares them a second pass
-    over the pairs.
+    through two or more points to its pair count; when a candidate was
+    verified, in either mode, `symmetry` keeps the group.  find_long_secants
+    and A4 read them, and the counts, instead of a second pass over the
+    pairs, once `dirs` shows the histogram is of their set.
     """
 
     counts: dict
     mode: str
     nlines: int
     npoints: int
+    dirs: DirectionSet
     multiplicities: dict | None = None
     symmetry: CyclicSymmetry | None = None
-    _uncompared = ("multiplicities", "symmetry")
+    _uncompared = ("dirs", "multiplicities", "symmetry")
 
     @property
     def support(self) -> tuple:
@@ -108,23 +114,10 @@ def spectrum_conforms(hist: SpectrumHistogram, q: int):
 
 # -- pairs mode ---------------------------------------------------------------
 
-def check_pair_budget(npoints: int, budget) -> None:
-    """Refuse a scan of the C(npoints, 2) pairs that exceeds the budget."""
-    npairs = npoints * (npoints - 1) // 2
+def _pair_multiplicities(pts, space: ProjSpace, budget):
+    npairs = len(pts) * (len(pts) - 1) // 2
     if budget is not None and npairs > budget:
         raise EnumerationTooLarge(npairs, budget, "secant pair scan")
-
-
-def check_group_budget(npoints: int, budget) -> None:
-    """Refuse the npoints - 1 line keys through one point of a verified
-    cyclic group when they exceed the budget."""
-    keys = npoints - 1
-    if budget is not None and keys > budget:
-        raise EnumerationTooLarge(keys, budget, "cyclic-group line keys")
-
-
-def _pair_multiplicities(pts, space: ProjSpace, budget):
-    check_pair_budget(len(pts), budget)
     key = space.pair_line_key
     mult: dict = {}
     for a, b in combinations(pts, 2):
@@ -303,7 +296,10 @@ def _verified_group(dirs: DirectionSet, candidate, budget):
     """cyclic_symmetry of the candidate on the set; None without one."""
     if candidate is None:
         return None
-    check_group_budget(len(dirs.ordered), budget)
+    # the |D| - 1 line keys through d0
+    keys = len(dirs.ordered) - 1
+    if budget is not None and keys > budget:
+        raise EnumerationTooLarge(keys, budget, "cyclic-group line keys")
     return cyclic_symmetry(dirs, candidate)
 
 
@@ -347,13 +343,13 @@ def spectrum(
         if symmetry is not None:
             counts = _complete_counts(symmetry.lines, len(pts), space)
             return SpectrumHistogram(
-                counts, "pairs", space.nlines(), len(pts), symmetry=symmetry
+                counts, "pairs", space.nlines(), len(pts), dirs, symmetry=symmetry
             )
         mult = _pair_multiplicities(pts, space, budget)
         counts = _complete_counts(
             _lines_from_multiplicities(mult), len(pts), space
         )
-        return SpectrumHistogram(counts, "pairs", space.nlines(), len(pts), mult)
+        return SpectrumHistogram(counts, "pairs", space.nlines(), len(pts), dirs, mult)
 
     q = space.q
     classes = _pivot_classes(pts, space)
@@ -387,7 +383,7 @@ def spectrum(
     incident = sum(j * c for j, c in counts.items())
     if incident != len(pts) * projective_points_count(space.n, q):
         raise AssertionError(f"tallied {incident} incidences for {len(pts)} points")
-    return SpectrumHistogram(counts, "exhaustive", space.nlines(), len(pts),
+    return SpectrumHistogram(counts, "exhaustive", space.nlines(), len(pts), dirs,
                              symmetry=symmetry)
 
 

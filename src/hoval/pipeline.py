@@ -126,8 +126,7 @@ class _Run:
         self.processes = processes
         self.hov = None
         self.dirs = None
-        self.pair_mult = None  # pairs-mode secant multiplicities of dirs
-        self.symmetry = None  # the cyclic symmetry of dirs the spectrum verified
+        self.hist = None  # the spectrum of dirs: line counts, pair map or group
         self.structure = None
         self.transversals = None
         self.fit = None
@@ -173,8 +172,7 @@ def _stage_spectrum(run: _Run) -> tuple[bool, dict]:
         run.dirs, mode=run.mode, budget=run.budget, processes=run.processes,
         candidate=cyclic_candidate(run.hov.maps, spec.i),
     )
-    run.pair_mult = hist.multiplicities
-    run.symmetry = hist.symmetry
+    run.hist = hist
     q = 1 << spec.h
     conforms, offender = spectrum_conforms(hist, q)
     ndirs = len(run.dirs.points)
@@ -211,9 +209,7 @@ def _stage_linearity(run: _Run) -> tuple[bool, dict]:
 def _stage_pseudoregulus(run: _Run) -> tuple[bool, dict]:
     spec = run.spec
     maps = run.hov.maps
-    run.structure = find_long_secants(
-        run.dirs, run.budget, multiplicities=run.pair_mult, symmetry=run.symmetry
-    )
+    run.structure = find_long_secants(run.dirs, run.budget, hist=run.hist)
     run.transversals = extract_transversals(run.structure, run.dirs.space)
     fmap = transversal_map(run.transversals)
     run.fit = fit_semilinear(run.dirs, fmap, maps)
@@ -290,15 +286,10 @@ def _stage_cplanes(run: _Run) -> tuple[bool, dict]:
     n = len(run.hov.affine)
     reports = check_axioms(family, maps, axioms=("A1", "A2", "A3"))
     # A4 gets a call of its own so a trace (bench/spans.py) times it apart
-    # from A1-A3.  It needs no cap of its own: in a passing run it charges
-    # the |D| - 1 line keys of the verified group, or the C(n-1, 2) =
-    # C(|D|, 2) pairs of its scan, and the spectrum stage already charged
-    # the same path under this budget.
+    # from A1-A3.  It reads the line counts of the spectrum stage, which
+    # charged them under this budget, and charges nothing itself.
     reports.update(
-        check_axioms(
-            family, maps, axioms=("A4",), budget=run.budget,
-            symmetry=run.symmetry,
-        )
+        check_axioms(family, maps, axioms=("A4",), budget=run.budget, hist=run.hist)
     )
     data = {
         "planes": len(family),

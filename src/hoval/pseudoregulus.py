@@ -26,12 +26,7 @@ from .errors import (
 )
 from .gf2 import LinearMap, f2_echelon
 from .hyperoval import DirectionSet
-from .linearsets import (
-    CyclicSymmetry,
-    _pair_multiplicities,
-    check_group_budget,
-    check_pair_budget,
-)
+from .linearsets import CyclicSymmetry, SpectrumHistogram, spectrum
 from .projective import DEFAULT_BUDGET, ProjSpace
 from .record import Record
 from .reduction import CorrespondenceMaps, Spread, reduction_rows, unvec_blocks
@@ -63,18 +58,16 @@ def require_long_secants(h: int) -> None:
 def find_long_secants(
     dirs: DirectionSet,
     budget: int | None = DEFAULT_BUDGET,
-    multiplicities: dict | None = None,
-    symmetry: CyclicSymmetry | None = None,
+    hist: SpectrumHistogram | None = None,
 ) -> SecantStructure:
     """Locate the (q-1)-secants and check they partition D.
 
-    `symmetry` is the cyclic group a spectrum of the same D verified
-    (SpectrumHistogram.symmetry); the secants are then the orbit of the one
-    through min D (_orbit_secants).  Otherwise `multiplicities`
-    is the pair map a pairs-mode spectrum of D scanned
-    (SpectrumHistogram.multiplicities), and without either the pairs are
-    scanned here.  The budget charges |D| - 1 line keys on the group path
-    and the C(|D|, 2) pairs on the others.
+    `hist` is a spectrum of D (a histogram of another set is not read).
+    When it holds a verified cyclic group, the secants are the orbit of the
+    one through min D (_orbit_secants); otherwise they are the lines of its
+    pair map with C(q-1, 2) pairs.  A histogram with neither, or none, is
+    replaced by spectrum(dirs, budget=budget), which charges the C(|D|, 2)
+    pair scan; reading a histogram charges nothing.
 
     At q = 4 a long secant and a 3-secant both carry 3 points of D, so only
     the group can tell them apart: without a verified group h = 2 is
@@ -89,30 +82,28 @@ def find_long_secants(
             f"|D| = {len(pts)} is not a multiple of q - 1 = {q - 1}"
         )
     m = len(pts) // (q - 1)
-    grouped = symmetry is not None and symmetry.dirs.points == dirs.points
-    if grouped:
-        check_group_budget(len(pts), budget)
+    if hist is not None and hist.dirs.points != dirs.points:
+        hist = None
+    if hist is not None and hist.symmetry is not None:
         # at q = 4 the 3-secants outnumber the long secants; the orbit decides
-        found = m if q == 4 else symmetry.lines.get(q - 1, 0)
+        found = m if q == 4 else hist.counts.get(q - 1, 0)
+    elif q == 4:
+        raise NotPseudoregulusCandidate(
+            "at q = 4 long secants and 3-secants both carry 3 directions; "
+            "without a verified cyclic symmetry of D they cannot be told apart"
+        )
     else:
-        check_pair_budget(len(pts), budget)
-        if q == 4:
-            raise NotPseudoregulusCandidate(
-                "at q = 4 long secants and 3-secants both carry 3 directions; "
-                "without a verified cyclic symmetry of D they cannot be told apart"
-            )
-        mult = multiplicities
-        if mult is None:
-            mult = _pair_multiplicities(pts, space, budget)
+        if hist is None or hist.multiplicities is None:
+            hist = spectrum(dirs, budget=budget)
         target = (q - 1) * (q - 2) // 2
-        keys = sorted(k for k, c in mult.items() if c == target)
+        keys = sorted(k for k, c in hist.multiplicities.items() if c == target)
         found = len(keys)
     if found != m:
         raise NotPseudoregulusCandidate(
             f"found {found} long secants, expected {m}"
         )
-    if grouped:
-        keys = _orbit_secants(symmetry, m)
+    if hist.symmetry is not None:
+        keys = _orbit_secants(hist.symmetry, m)
     dset = dirs.points
     d_on: dict = {}
     zero_pairs = []

@@ -11,13 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoval import cplanes, pipeline
-from hoval.cplanes import (
-    _a4_base_point,
-    _a4_bins,
-    _a4_from_symmetry,
-    build_c_planes,
-    check_axioms,
-)
+from hoval.cplanes import build_c_planes, check_axioms
 from hoval.errors import CPlaneConstructionFailed, EnumerationTooLarge
 from hoval.hyperoval import (
     AffinePointSet,
@@ -28,7 +22,7 @@ from hoval.hyperoval import (
     is_arc,
     translation_closure_check,
 )
-from hoval.linearsets import CyclicSymmetry, cyclic_candidate, spectrum
+from hoval.linearsets import cyclic_candidate, spectrum
 from hoval.pipeline import run_verify_all
 from hoval.pseudoregulus import SecantStructure, find_long_secants
 from oracles import (
@@ -240,11 +234,33 @@ def _a4_both(family, maps):
 _TOTALS = ("triples", "family_planes", "four_point_planes")
 
 
-@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
-def test_a4_base_point_matches_triple_scan(hki):
+def _histograms(d, maps, i):
+    """Spectra of D by the cyclic group (when the candidate of exponent i
+    verifies on D), by the pair scan and by the line tally, and one of D
+    minus its least point, which A4 must not read."""
+    out = {
+        "group": spectrum(d, candidate=cyclic_candidate(maps, i)),
+        "pair-scan": spectrum(d),
+        "line-scan": spectrum(d, mode="exhaustive"),
+    }
+    if len(d) > 1:
+        out["other-set"] = spectrum(DirectionSet(d.ordered[1:], d.space))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _a4_case(hki):
+    """The family of (h, k, i), A4 by the base point and by the oracle's
+    triple scan, and the spectra of its D."""
     hov, d, s = _setup(*hki)
     fam = build_c_planes(hov.affine, s, hov.maps)
     fast, full = _a4_both(fam, hov.maps)
+    return hov, fam, fast, full, _histograms(d, hov.maps, hki[2])
+
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
+def test_a4_base_point_matches_triple_scan(hki):
+    hov, fam, fast, full, _ = _a4_case(hki)
     assert fast.detail["mode"] == "base-point"
     assert full.detail["mode"] == "triple-scan"
     assert fast.ok and full.ok, (fast.witness, full.witness)
@@ -252,6 +268,23 @@ def test_a4_base_point_matches_triple_scan(hki):
     n = len(hov.affine)
     assert fast.checked == fast.detail["pairs"] == comb(n - 1, 2)
     assert full.checked == comb(n, 3)
+
+
+@pytest.mark.parametrize("path", ["group", "pair-scan", "line-scan", "other-set"])
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
+def test_a4_from_each_spectrum_matches_triple_scan(hki, path, line_key_calls):
+    # A4 reads the line counts of the group, the pair map or the line tally
+    # of D without a line key; a spectrum of another set is not read, and
+    # A4 runs the pair scan of D instead
+    hov, fam, _, full, hists = _a4_case(hki)
+    line_key_calls.clear()
+    rep = check_axioms(fam, hov.maps, axioms=("A4",), budget=None,
+                       hist=hists[path])["A4"]
+    n = len(hov.affine)
+    assert len(line_key_calls) == (comb(n - 1, 2) if path == "other-set" else 0)
+    assert rep.ok and full.ok
+    assert {k: rep.detail[k] for k in _TOTALS} == {k: full.detail[k] for k in _TOTALS}
+    assert rep.bins == {"group": "cyclic-group", "other-set": "pair-scan"}.get(path, path)
 
 
 def test_a4_base_point_budget_counts_pairs(case321, family321):
@@ -329,25 +362,20 @@ def _collinear_coset():
     return maps, c_points, build_c_planes(c_points, _coset_secants(c_points, maps), maps)
 
 
-def test_a4_pair_map_needs_distinct_directions(monkeypatch):
-    # repeated directions from the base point: the pair map's counts of D
-    # have no pair for the collinear triple, so a group holding them must
-    # not be read
+def test_a4_pair_map_needs_distinct_directions(line_key_calls):
+    # repeated directions from the base point: a spectrum of the distinct
+    # directions has no pair for the collinear triple, so it is not read,
+    # and A4 names the triple the oracle's triple scan names
     maps, c_points, family = _collinear_coset()
     d = directions(c_points, maps)
     assert len(d) < len(c_points) - 1
-    read = []
-    real = cplanes._a4_from_symmetry
-
-    def spy(*args):
-        read.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(cplanes, "_a4_from_symmetry", spy)
-    rep = check_axioms(family, maps, axioms=("A4",),
-                       symmetry=_counted_group(d))["A4"]
-    assert not read
+    hist = spectrum(d)
+    line_key_calls.clear()
+    rep = check_axioms(family, maps, axioms=("A4",), hist=hist)["A4"]
+    assert not line_key_calls
+    full = a4_triple_scan(planes_of(family, maps), c_points, maps)
     assert not rep.ok and rep.witness[0] == "collinear"
+    assert rep.witness == full.witness
 
 
 def test_a1_failure_under_symmetry_reports_all_planes_witness():
@@ -388,8 +416,8 @@ def _random_coset(h, data):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_a4_paths_agree_on_random_cosets(h, data):
-    # PG(4, 8) and PG(4, 16); A1 and A4 from the N_j of D are held to the
-    # full scans on the same inputs
+    # PG(4, 8) and PG(4, 16); A1, and A4 from each spectrum of D, are held
+    # to the full scans on the same inputs
     maps, c_points = _random_coset(h, data)
     if len(c_points) < 3:
         return
@@ -400,9 +428,10 @@ def test_a4_paths_agree_on_random_cosets(h, data):
     if fast.ok:
         assert {k: fast.detail[k] for k in _TOTALS} == {k: full.detail[k] for k in _TOTALS}
     d = directions(c_points, maps)
-    grouped = check_axioms(family, maps, axioms=("A4",), budget=None,
-                           symmetry=_counted_group(d))["A4"]
-    assert grouped == fast
+    for path, hist in _histograms(d, maps, 1).items():
+        read = check_axioms(family, maps, axioms=("A4",), budget=None,
+                            hist=hist)["A4"]
+        assert read == fast, path
     a1 = check_axioms(family, maps, axioms=("A1",))["A1"]
     a1_full = a1_all_planes(planes_of(family, maps), maps.ambient)
     assert a1.ok == a1_full.ok and a1.detail["mode"] == "base-point"
@@ -601,148 +630,115 @@ def test_a123_memory_at_331(case331):
 
 # -- A4 from the verified cyclic group of D ----------------------------------
 
-def _group(hov, d):
-    return spectrum(d, candidate=cyclic_candidate(hov.maps, hov.spec.i)).symmetry
-
-
-def test_a4_group_is_charged_its_line_keys(case321, family321, line_key_calls):
-    # the verified group's bins cost the |D| - 1 = 62 line keys the spectrum
-    # computed; the C(63, 2) pair scan is charged only when it runs
-    hov, d, s = case321
-    sym = _group(hov, d)
-    line_key_calls.clear()
-    rep = check_axioms(family321, hov.maps, axioms=("A4",),
-                       budget=len(d) - 1, symmetry=sym)["A4"]
-    assert rep.ok and rep.bins == "cyclic-group" and not line_key_calls
-    with pytest.raises(EnumerationTooLarge) as exc:
-        check_axioms(family321, hov.maps, axioms=("A4",),
-                     budget=len(d) - 2, symmetry=sym)
-    assert exc.value.estimate == len(d) - 1
-
-
-def _counted_group(d):
-    """A CyclicSymmetry of D whose N_j come from the pair scan.
-
-    No group is verified: A4 reads only N_j and the points of D from it,
-    and D must equal the base-point directions, so this holds A4's reading
-    of a group to the scans on sets that have no cyclic symmetry.
-    """
-    lines = {j: c for j, c in spectrum(d).counts.items() if j >= 2}
-    return CyclicSymmetry(d, d.ordered, lines)
+def _grouped(hov, d):
+    hist = spectrum(d, candidate=cyclic_candidate(hov.maps, hov.spec.i))
+    assert hist.path == "cyclic-group"
+    return hist
 
 
 @pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
 def test_a4_from_pair_map_matches_scan(hki, line_key_calls):
-    # the N_j of the pair scan's map, held in a group of D, give the bins
-    # without a line key; the verdict is the scan's
+    # the N_j of the pair scan's histogram give the bins without a line key
+    # and without a charge; the verdict is that of A4's own scan
     hov, d, s = _setup(*hki)
     fam = build_c_planes(hov.affine, s, hov.maps)
-    sym = _counted_group(d)
+    hist = spectrum(d)
     line_key_calls.clear()
-    from_map = check_axioms(fam, hov.maps, axioms=("A4",),
-                            symmetry=sym)["A4"]
+    from_map = check_axioms(fam, hov.maps, axioms=("A4",), budget=0,
+                            hist=hist)["A4"]
     assert not line_key_calls
     scanned = check_axioms(fam, hov.maps, axioms=("A4",))["A4"]
     n = len(hov.affine)
     assert len(line_key_calls) == comb(n - 1, 2)
     assert from_map == scanned and from_map.ok
     assert from_map.detail["mode"] == "base-point"
-    assert from_map.bins == "cyclic-group"
+    assert from_map.bins == scanned.bins == "pair-scan"
 
 
 def test_a4_ignores_pair_map_of_another_set(case321, family321, line_key_calls):
     hov, d, s = case321
     n = len(hov.affine)
     scanned = check_axioms(family321, hov.maps, axioms=("A4",))["A4"]
-    # a direction set other than the n - 1 base-point directions is refused
-    # before its counts are read, even when the counts themselves would pass
+    # a spectrum of a set other than the n - 1 base-point directions is
+    # refused before its counts are read, even when the counts would pass:
+    # D minus a point, D's counts relabelled, the verified group of (3,2,5)
     other = DirectionSet(d.ordered[1:], d.space)
-    relabelled = replace(_counted_group(d), dirs=other)
-    for symmetry in (_counted_group(other), relabelled, None):
+    hov5 = build_hyperoval(HyperovalSpec(3, 2, 5))
+    grouped5 = _grouped(hov5, directions(hov5.affine, hov5.maps))
+    assert grouped5.dirs.points != d.points
+    for hist in (spectrum(other), replace(spectrum(d), dirs=other), grouped5, None):
         line_key_calls.clear()
-        rep = check_axioms(family321, hov.maps, axioms=("A4",),
-                           symmetry=symmetry)["A4"]
+        rep = check_axioms(family321, hov.maps, axioms=("A4",), hist=hist)["A4"]
         assert len(line_key_calls) == comb(n - 1, 2)
         assert rep == scanned and rep.bins == "pair-scan"
-
-
-def test_a4_failure_from_pair_map_is_rescanned(case321, family321):
-    # counts of the pair map that lost a long secant fail a family bin; the
-    # verdict is then recomputed by the scan, which also picks any reported bin
-    hov, d, s = case321
-    maps = hov.maps
-    sym = _counted_group(d)
-    lost = replace(sym, lines={**sym.lines, 7: sym.lines[7] - 1})
-    rep = _a4_base_point(family321, maps.hinf, lost)
-    assert rep == _a4_base_point(family321, maps.hinf)
-    assert rep.ok and rep.bins == "pair-scan"
 
 
 @pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
 def test_a4_from_the_group_matches_scan(hki, line_key_calls):
     hov, d, s = _setup(*hki)
     fam = build_c_planes(hov.affine, s, hov.maps)
-    sym = _group(hov, d)
+    hist = _grouped(hov, d)
     line_key_calls.clear()
-    grouped = check_axioms(fam, hov.maps, axioms=("A4",),
-                           symmetry=sym)["A4"]
+    grouped = check_axioms(fam, hov.maps, axioms=("A4",), budget=0,
+                           hist=hist)["A4"]
     assert not line_key_calls
     scanned = check_axioms(fam, hov.maps, axioms=("A4",))["A4"]
     assert grouped == scanned and grouped.ok
     assert (grouped.bins, scanned.bins) == ("cyclic-group", "pair-scan")
 
 
+def _family_over(family, keys, maps):
+    """The record of C's planes over the given lines of H_inf, each with its
+    meet W ∩ L whatever its size (build_c_planes refuses a size other than
+    q), so that the oracle scans the same planes A4 is handed."""
+    hinf, h = maps.hinf, maps.tower.h
+    c0, points = family.c_points.ordered[0], family.c_points.points
+    secants = []
+    for rows in sorted(keys):
+        m0, m1 = ([hinf.smul(c, r) for c in range(hinf.q)] for r in rows)
+        meet = sorted(x for x in {a ^ b for a in m0 for b in m1}
+                      if c0 ^ (x << h) in points)
+        secants.append((rows, tuple(meet)))
+    return replace(family, secants=tuple(secants))
+
+
 def test_a4_group_verdict_agrees_with_the_map_on_altered_bins(case321, family321):
     # the family lines through the base point are swapped, dropped or added
-    # to; the verdict from N_j must be the map's whenever the map passes,
-    # and must never pass when the map fails
+    # to.  A4 from the group's spectrum and from the pair map's give one
+    # report, which passes only when the triple scan does, and names a
+    # family line off q - 1 = 7 points of D, or the N_j of lines left off
+    # the family
     hov, d, s = case321
-    space = hov.maps.hinf
-    n = len(hov.affine)
-    a = hov.affine.ordered[0] >> hov.maps.tower.h
-    sym = _group(hov, d)
-    mult = spectrum(d).multiplicities
+    maps = hov.maps
+    space = maps.hinf
+    grouped, mapped = _grouped(hov, d), spectrum(d)
+    a = hov.affine.ordered[0] >> maps.tower.h
     longs = list(s.secants)
-    three = min(k for k, c in mult.items() if c == 3)
-    empty = next(line for line in all_lines(space) if line not in mult)
+    three = min(k for k, c in mapped.multiplicities.items() if c == 3)
+    empty = next(line for line in all_lines(space) if line not in mapped.multiplicities)
+    on_three = ("plane", three, space.reduce(a, three), 3, "family")
     variants = {
-        "true": set(longs),
-        "swapped": set(longs[1:]) | {three},
-        "fewer": set(longs[1:]),
-        "extra": set(longs) | {three},
-        "empty": set(longs[1:]) | {empty},
+        "true": (set(longs), None),
+        "swapped": (set(longs[1:]) | {three}, on_three),
+        "fewer": (set(longs[1:]), ("outside", 7, 9)),
+        "extra": (set(longs) | {three}, on_three),
+        "empty": (set(longs[1:]) | {empty}, ("outside", 7, 9)),
     }
-    for name, through in variants.items():
-        by_map = _a4_bins(family321, mult, through, a, n, space, "pair-scan")
-        by_group = _a4_from_symmetry(family321, sym, through, n, space)
-        assert by_map.ok == (name == "true"), name
-        if by_map.ok:
-            assert by_group == by_map, name
-        else:
-            assert by_group is None or not by_group.ok, name
+    families = {}
+    for name, (keys, witness) in variants.items():
+        fam = families[name] = _family_over(family321, keys, maps)
+        by_group, by_map = (check_axioms(fam, maps, axioms=("A4",), hist=hist)["A4"]
+                            for hist in (grouped, mapped))
+        full = a4_triple_scan(planes_of(fam, maps), hov.affine, maps)
+        assert by_group == by_map and by_group.witness == witness, name
+        assert by_group.ok == full.ok == (name == "true"), name
+    assert families["true"] == family321
     # counts forged to fit the swapped set in every total: its 3-secant
     # through the base point is still a failing family bin
-    fitted = replace(sym, lines={3: 589, 7: 8})
-    assert _a4_from_symmetry(family321, fitted, variants["swapped"], n, space) is None
-
-
-def test_a4_group_of_another_set_or_failing_is_rescanned(case321, family321,
-                                                         line_key_calls):
-    hov, d, s = case321
-    n = len(hov.affine)
-    sym = _group(hov, d)
-    other = DirectionSet(d.ordered[1:], d.space)
-    # the verified group of another direction set in the same H_inf
-    hov5 = build_hyperoval(HyperovalSpec(3, 2, 5))
-    sym5 = _group(hov5, directions(hov5.affine, hov5.maps))
-    assert sym5 is not None and sym5.dirs.points != d.points
-    scanned = check_axioms(family321, hov.maps, axioms=("A4",))["A4"]
-    # a group whose counts lose one 3-secant, or gain a 5-secant
-    short = replace(sym, lines={**sym.lines, 3: sym.lines[3] - 1})
-    five = replace(sym, lines={**sym.lines, 5: 1})
-    for symmetry in (None, sym5, replace(sym, dirs=other), short, five):
-        line_key_calls.clear()
-        rep = check_axioms(family321, hov.maps, axioms=("A4",),
-                           symmetry=symmetry)["A4"]
-        assert len(line_key_calls) == comb(n - 1, 2)
-        assert rep == scanned and rep.bins == "pair-scan"
+    fitted = replace(grouped, counts={**grouped.counts, 3: 589, 7: 8})
+    rep = check_axioms(families["swapped"], maps, axioms=("A4",), hist=fitted)["A4"]
+    assert rep.witness == on_three
+    # a spectrum without N_7 fails on the true family by its count
+    lost = replace(grouped, counts={j: c for j, c in grouped.counts.items() if j != 7})
+    rep = check_axioms(family321, maps, axioms=("A4",), hist=lost)["A4"]
+    assert rep.witness == ("outside", 7, 0)

@@ -497,9 +497,9 @@ def test_cyclic_group_equals_the_pair_scan_oracle(hki):
     scan = spectrum(d)
     assert fast.path == "cyclic-group" and fast.counts == scan.counts
     q, m = 1 << h, len(d) // ((1 << h) - 1)
-    grouped = find_long_secants(d, symmetry=fast.symmetry)
+    grouped = find_long_secants(d, hist=fast)
     if h > 2:
-        assert grouped == find_long_secants(d, multiplicities=scan.multiplicities)
+        assert grouped == find_long_secants(d, hist=scan)
     else:
         # the oracle at q = 4: the 3-secants through d0 whose orbit under M,
         # walked line by line, has m members partitioning D
@@ -507,9 +507,8 @@ def test_cyclic_group_equals_the_pair_scan_oracle(hki):
     assert grouped.count == m
     family = build_c_planes(hov.affine, grouped, hov.maps)
     a4 = {}
-    for name, symmetry in (("group", fast.symmetry), ("scan", None)):
-        a4[name] = check_axioms(family, hov.maps, axioms=("A4",),
-                                symmetry=symmetry)["A4"]
+    for name, hist in (("group", fast), ("scan", scan)):
+        a4[name] = check_axioms(family, hov.maps, axioms=("A4",), hist=hist)["A4"]
     assert a4["group"] == a4["scan"] and a4["group"].ok
     assert (a4["group"].bins, a4["scan"].bins) == ("cyclic-group", "pair-scan")
     assert a4["group"].detail["family_planes"] == len(family) == q ** k * m // q

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hoval import bruckbose, linearsets, pipeline, pseudoregulus, reduction, serialize
+from hoval import bruckbose, linearsets, pipeline, reduction, serialize
 from hoval import hyperoval
 from hoval.errors import NoLongSecants
 from hoval.pipeline import STAGE_ORDER, run_verify_all
@@ -116,19 +116,20 @@ def test_one_pair_scan_per_run(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(linearsets, "_pair_multiplicities", counted)
-    monkeypatch.setattr(pseudoregulus, "_pair_multiplicities", counted)
-    rep = run_verify_all(3, 2, 1, stages=("spectrum", "pseudoregulus"))
+    rep = run_verify_all(3, 2, 1)
     assert rep.verdict == "pass"
     assert rep.stage("spectrum").data["path"] == "cyclic-group"
     assert len(calls) == 0
     # a candidate built from the wrong exponent fails its check on D: the
-    # pairs are scanned once and that map serves the long secants
+    # pairs are scanned once, and that histogram serves the long secants
+    # and A4
     candidate = pipeline.cyclic_candidate
     monkeypatch.setattr(pipeline, "cyclic_candidate",
                         lambda maps, i: candidate(maps, i + 1))
-    rep = run_verify_all(3, 2, 1, stages=("spectrum", "pseudoregulus"))
+    rep = run_verify_all(3, 2, 1)
     assert rep.verdict == "pass"
     assert rep.stage("spectrum").data["path"] == "pair-scan"
+    assert rep.stage("cplanes").data["axioms"]["A4"]["detail"]["bins"] == "pair-scan"
     assert len(calls) == 1
 
 
@@ -257,8 +258,8 @@ def test_h1_refused_only_when_long_secants_are_needed():
 
 @pytest.mark.parametrize("budget, ran", [(510, True), (509, False)])
 def test_a4_obeys_the_run_budget(budget, ran):
-    # under the verified cyclic group A4 is charged the |D| - 1 = 510 line
-    # keys the spectrum stage computes first under the same budget
+    # the spectrum stage charges the |D| - 1 = 510 line keys of the verified
+    # cyclic group; A4 reads its line counts and charges nothing
     rep = run_verify_all(3, 3, 1, stages=("cplanes",), budget=budget)
     if ran:
         a4 = rep.stage("cplanes").data["axioms"]["A4"]
@@ -310,9 +311,9 @@ def test_reports_name_their_paths(full321):
 
 
 def test_a4_builds_no_scalar_tables_from_the_pair_map(monkeypatch):
-    # A4 reads the spectrum's cyclic group at (4,2,1), neither a pair map
-    # nor a scan; only the scan builds all 14 scalars' byte tables of
-    # PG(3,16) up front, everything else builds a scalar's on first use
+    # A4 reads the spectrum's line counts at (4,2,1); no stage builds all
+    # 14 scalars' byte tables of PG(3,16) up front, each builds a scalar's
+    # on first use
     calls = []
     real = ProjSpace.ensure_tables
 
@@ -325,34 +326,6 @@ def test_a4_builds_no_scalar_tables_from_the_pair_map(monkeypatch):
     assert rep.verdict == "pass"
     assert rep.stage("cplanes").data["axioms"]["A4"]["detail"]["mode"] == "base-point"
     assert not calls
-
-
-def test_a4_pair_scan_memory(monkeypatch):
-    # a candidate built from the wrong exponent fails its check on D, so no
-    # group is verified and A4 scans the pairs through the base point; the
-    # full PG(3,16) scalar tables made that stage peak at 38.9 MiB, its byte
-    # tables take a few hundred KiB
-    monkeypatch.setattr(reduction, "_MAPS_CACHE", {})
-    candidate = pipeline.cyclic_candidate
-    monkeypatch.setattr(pipeline, "cyclic_candidate",
-                        lambda maps, i: candidate(maps, i + 1))
-    stage = pipeline._STAGE_FUNCS["cplanes"]
-    peaks = []
-
-    def traced(run):
-        tracemalloc.start()
-        try:
-            return stage(run)
-        finally:
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-
-    monkeypatch.setitem(pipeline._STAGE_FUNCS, "cplanes", traced)
-    rep = run_verify_all(4, 2, 1, mode="exhaustive")
-    assert rep.verdict == "pass"
-    a4 = rep.stage("cplanes").data["axioms"]["A4"]
-    assert a4["ok"] and a4["detail"]["bins"] == "pair-scan"
-    assert len(peaks) == 1 and peaks[0] < 8 * 2**20
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -373,19 +346,25 @@ def test_reports_name_the_spectrum_path_and_a4_bins(full321, monkeypatch):
     assert a4["detail"]["bins"] == "cyclic-group"
     assert all("bins" not in full321.stage("cplanes").data["axioms"][name]["detail"]
                for name in ("A1", "A2", "A3"))
-    # the line tally counts, and the group it verified on the way bins A4
+    # the line tally counts, and A4 names the group it verified on the way
     exhaustive = run_verify_all(3, 2, 1, mode="exhaustive")
     assert exhaustive.verdict == "pass"
     assert exhaustive.stage("spectrum").data["path"] == "line-scan"
     assert exhaustive.stage("cplanes").data["axioms"]["A4"]["detail"]["bins"] == "cyclic-group"
-    # a candidate built from the wrong exponent verifies no group: A4 scans
+    # a candidate built from the wrong exponent verifies no group: A4 reads
+    # the line tally's counts, and the pairs are scanned once, for the long
+    # secants the tally cannot name
     candidate = pipeline.cyclic_candidate
     monkeypatch.setattr(pipeline, "cyclic_candidate",
                         lambda maps, i: candidate(maps, i + 1))
-    scanned = run_verify_all(3, 2, 1, mode="exhaustive")
-    assert scanned.verdict == "pass"
-    assert scanned.stage("spectrum").data["path"] == "line-scan"
-    assert scanned.stage("cplanes").data["axioms"]["A4"]["detail"]["bins"] == "pair-scan"
+    scans = []
+    real = linearsets._pair_multiplicities
+    monkeypatch.setattr(linearsets, "_pair_multiplicities",
+                        lambda *args: scans.append(1) or real(*args))
+    tallied = run_verify_all(3, 2, 1, mode="exhaustive")
+    assert tallied.verdict == "pass" and len(scans) == 1
+    assert tallied.stage("spectrum").data["path"] == "line-scan"
+    assert tallied.stage("cplanes").data["axioms"]["A4"]["detail"]["bins"] == "line-scan"
     # the counts are the same on both paths
     fast, slow = (r.stage("spectrum").data["histogram"] for r in (full321, exhaustive))
     assert (fast["mode"], slow["mode"]) == ("pairs", "exhaustive")
@@ -455,7 +434,6 @@ def test_nonstrict_pair_map_reaches_the_long_secants(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(linearsets, "_pair_multiplicities", counted)
-    monkeypatch.setattr(pseudoregulus, "_pair_multiplicities", counted)
     rep = run_verify_all(3, 2, 2, strict=False)
     assert len(calls) == 1
     assert rep.stage("spectrum").ok and rep.stage("spectrum").data["path"] == "pair-scan"

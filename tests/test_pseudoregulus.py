@@ -69,16 +69,22 @@ def test_long_secant_structure_321(case321):
         seen |= pts
 
 
-def test_long_secants_from_spectrum_map(case321):
-    # the pipeline hands the spectrum's pair map over instead of rescanning;
-    # the structure is the same and the budget is still enforced
+def test_long_secants_from_spectrum_map(case321, monkeypatch):
+    # the pipeline hands the spectrum over instead of rescanning: its pair
+    # map is read and charged nothing, and the structure is the same.  A
+    # line tally has no pair map, so it is replaced by the charged pair scan
     hov, d = case321
     hist = spectrum(d, mode="pairs")
-    assert hist.multiplicities is not None
-    assert spectrum(d, mode="exhaustive").multiplicities is None
-    assert find_long_secants(d, multiplicities=hist.multiplicities) == find_long_secants(d)
-    with pytest.raises(EnumerationTooLarge):
-        find_long_secants(d, budget=100, multiplicities=hist.multiplicities)
+    tally = spectrum(d, mode="exhaustive")
+    assert hist.multiplicities is not None and tally.multiplicities is None
+    want = find_long_secants(d)
+    with monkeypatch.context() as m:
+        m.setattr(pseudoregulus, "spectrum", None)
+        assert find_long_secants(d, budget=0, hist=hist) == want
+    assert find_long_secants(d, hist=tally) == want
+    for hist in (None, tally):
+        with pytest.raises(EnumerationTooLarge):
+            find_long_secants(d, budget=100, hist=hist)
 
 
 def test_transversals_321(case321):
@@ -542,20 +548,18 @@ def test_detect_full_chain_331():
 
 # -- long secants from the verified cyclic group ---------------------------------
 
-def _symmetry_of(hov, d):
+def _grouped(hov, d):
     hist = spectrum(d, candidate=cyclic_candidate(hov.maps, hov.spec.i))
     assert hist.path == "cyclic-group"
-    return hist.symmetry
+    return hist
 
 
 def test_long_secants_from_the_group_321(case321):
     hov, d = case321
-    sym = _symmetry_of(hov, d)
-    assert find_long_secants(d, symmetry=sym) == find_long_secants(d)
-    # the group path is charged its |D| - 1 line keys, not the C(|D|, 2) pairs
-    assert find_long_secants(d, budget=len(d) - 1, symmetry=sym) == find_long_secants(d)
-    with pytest.raises(EnumerationTooLarge):
-        find_long_secants(d, budget=len(d) - 2, symmetry=sym)
+    hist = _grouped(hov, d)
+    assert find_long_secants(d, hist=hist) == find_long_secants(d)
+    # the spectrum charged the group's |D| - 1 line keys; reading it is free
+    assert find_long_secants(d, budget=0, hist=hist) == find_long_secants(d)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -566,8 +570,8 @@ def test_h2_needs_the_verified_group(k):
     with pytest.raises(NotPseudoregulusCandidate, match="q = 4"):
         find_long_secants(d)
     with pytest.raises(NotPseudoregulusCandidate, match="q = 4"):
-        find_long_secants(d, multiplicities=spectrum(d).multiplicities)
-    s = find_long_secants(d, symmetry=_symmetry_of(hov, d))
+        find_long_secants(d, hist=spectrum(d))
+    s = find_long_secants(d, hist=_grouped(hov, d))
     assert s.count == len(s.secants) == m and len(s.d_on) == len(d)
     t = extract_transversals(s, d.space)
     fit = fit_semilinear(d, transversal_map(t), hov.maps)
@@ -588,13 +592,13 @@ def test_h2_passes_the_one_chain_the_package_runs(hki):
 
 def test_symmetry_of_another_set_is_not_read(case321):
     hov, d = case321
-    sym = _symmetry_of(hov, d)
+    hist = _grouped(hov, d)
     damaged = DirectionSet(d.ordered[1:] + (next(
         p for p in d.space.points() if p not in d.points),), d.space)
     with pytest.raises(NotPseudoregulusCandidate) as want:
         find_long_secants(damaged)
     with pytest.raises(NotPseudoregulusCandidate) as got:
-        find_long_secants(damaged, symmetry=sym)
+        find_long_secants(damaged, hist=hist)
     assert str(got.value) == str(want.value)
 
 
@@ -602,13 +606,14 @@ def test_orbit_that_is_no_group_orbit_is_refused(case321):
     # the orbit list is scrambled: the line through orbit[0] and orbit[m]
     # is then a 3-secant, not a long secant
     hov, d = case321
-    sym = _symmetry_of(hov, d)
+    hist = _grouped(hov, d)
+    sym = hist.symmetry
     rest = list(sym.orbit[1:])
     random.Random(5).shuffle(rest)
     scrambled = replace(sym, orbit=sym.orbit[:1] + tuple(rest))
     with pytest.raises(NotPseudoregulusCandidate, match="no orbit of 9 lines"):
-        find_long_secants(d, symmetry=scrambled)
-    # a wrong secant count from the group is the pair scan's error
-    fewer = replace(sym, lines={**sym.lines, 7: 8})
+        find_long_secants(d, hist=replace(hist, symmetry=scrambled))
+    # a wrong secant count from the histogram is the pair scan's error
+    fewer = replace(hist, counts={**hist.counts, 7: 8})
     with pytest.raises(NotPseudoregulusCandidate, match="found 8 long secants, expected 9"):
-        find_long_secants(d, symmetry=fewer)
+        find_long_secants(d, hist=fewer)
