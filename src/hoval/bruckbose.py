@@ -150,7 +150,7 @@ def plane_axioms_check(
     array over the q^2k vectors.  The fibre of a source s, plus 0, is the
     preimage of GF(q^k) s under "M, then unvec each block": a GF(q)-subspace,
     since the map is GF(q)-linear, and the fibres of distinct sources meet
-    only in 0, since Spread.reduced checked the map injective.  The
+    only in 0, since the Spread refused a map that is not injective.  The
     certificate asks that every element has k rows (independent, as their
     pivots are distinct) and that every row of element idx lies in the
     fibre of idx.  Then each span lies in its own fibre, the spans are
@@ -158,8 +158,8 @@ def plane_axioms_check(
     vectors.  pairs_checked, the sum of C(|line|, 2) over the lines, equals
     C(points, 2) exactly when there are q^k + 1 elements.  A row in a wrong
     fibre is ("element row in another fibre", idx, row, other_idx), with
-    other_idx None when the row's source gives no element.  A spread that
-    is not a Spread.reduced raises InvalidSpread; the budget charges the
+    other_idx None when the row is no normalized point.  A spread whose
+    index is no ReductionIndex raises InvalidSpread; the budget charges the
     element_of calls.  Four points in general position must also span six
     lines.  Nothing is sampled: the certificate decides the axioms, and
     every forged plane of the tests fails it with its own witness
@@ -168,7 +168,7 @@ def plane_axioms_check(
     spread = plane.spread
     index = spread.index
     if not isinstance(index, ReductionIndex):
-        raise InvalidSpread("the plane axioms are certified for a Spread.reduced only")
+        raise InvalidSpread("the plane axioms are certified for a field reduction index only")
     k = plane.maps.tower.k
     m = len(spread.elements)
     if budget is not None and k * m > budget:

@@ -115,7 +115,7 @@ def _dirs_from_file(path: str, allow_nonstrict: bool):
     if doc.kind != "directions":
         raise ParseError(f"expected a directions file, got kind {doc.kind!r}")
     p = doc.params
-    strict = bool(p.get("strict", True)) and not allow_nonstrict
+    strict = p.get("strict", True) and not allow_nonstrict
     spec = _checked_spec(p["h"], p["k"], p["i"], strict)
     try:
         tower = tower_create(spec.h, spec.k, *doc.moduli)

@@ -50,12 +50,12 @@ from .reduction import CorrespondenceMaps
 class CyclicSymmetry(Record):
     """A collineation of H_inf verified to act transitively on a direction set.
 
+    The set is the `dirs` of the SpectrumHistogram that holds the group.
     `orbit[t]` is M^t(d0) for d0 = min D, so the orbit lists every point of D
     once.  `lines[j]` is the number N_j of lines meeting D in exactly j >= 2
     points, read off the lines through d0.
     """
 
-    dirs: DirectionSet
     orbit: tuple
     lines: dict
 
@@ -74,11 +74,14 @@ class SpectrumHistogram(Record):
     counts: dict
     mode: str
     nlines: int
-    npoints: int
     dirs: DirectionSet
     multiplicities: dict | None = None
     symmetry: CyclicSymmetry | None = None
     _uncompared = ("dirs", "multiplicities", "symmetry")
+
+    @property
+    def npoints(self) -> int:
+        return len(self.dirs)
 
     @property
     def support(self) -> tuple:
@@ -223,7 +226,7 @@ def cyclic_symmetry(dirs: DirectionSet, columns) -> CyclicSymmetry | None:
         lines[j], rest = divmod(len(pts) * c[j], j)
         if rest:
             raise AssertionError(f"{len(pts)} * {c[j]} is not a multiple of {j}")
-    return CyclicSymmetry(dirs, tuple(orbit), lines)
+    return CyclicSymmetry(tuple(orbit), lines)
 
 
 # -- exhaustive mode ----------------------------------------------------------
@@ -342,14 +345,12 @@ def spectrum(
         symmetry = _verified_group(dirs, candidate, budget)
         if symmetry is not None:
             counts = _complete_counts(symmetry.lines, len(pts), space)
-            return SpectrumHistogram(
-                counts, "pairs", space.nlines(), len(pts), dirs, symmetry=symmetry
-            )
+            return SpectrumHistogram(counts, "pairs", space.nlines(), dirs, symmetry=symmetry)
         mult = _pair_multiplicities(pts, space, budget)
         counts = _complete_counts(
             _lines_from_multiplicities(mult), len(pts), space
         )
-        return SpectrumHistogram(counts, "pairs", space.nlines(), len(pts), dirs, mult)
+        return SpectrumHistogram(counts, "pairs", space.nlines(), dirs, mult)
 
     q = space.q
     classes = _pivot_classes(pts, space)
@@ -383,8 +384,7 @@ def spectrum(
     incident = sum(j * c for j, c in counts.items())
     if incident != len(pts) * projective_points_count(space.n, q):
         raise AssertionError(f"tallied {incident} incidences for {len(pts)} points")
-    return SpectrumHistogram(counts, "exhaustive", space.nlines(), len(pts), dirs,
-                             symmetry=symmetry)
+    return SpectrumHistogram(counts, "exhaustive", space.nlines(), dirs, symmetry=symmetry)
 
 
 # -- GF(2)-linear structure ----------------------------------------------------

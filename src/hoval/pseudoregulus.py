@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain
 
 from .errors import (
     NoLongSecants,
@@ -103,7 +102,7 @@ def find_long_secants(
             f"found {found} long secants, expected {m}"
         )
     if hist.symmetry is not None:
-        keys = _orbit_secants(hist.symmetry, m)
+        keys = _orbit_secants(hist.symmetry, dirs, m)
     dset = dirs.points
     d_on: dict = {}
     zero_pairs = []
@@ -140,7 +139,7 @@ def find_long_secants(
     )
 
 
-def _orbit_secants(symmetry: CyclicSymmetry, m: int) -> list:
+def _orbit_secants(symmetry: CyclicSymmetry, dirs: DirectionSet, m: int) -> list:
     """The <M>-orbit of m lines with q - 1 points of D each, sorted.
 
     A line whose orbit has m members is fixed by the order-(q - 1) subgroup
@@ -151,9 +150,9 @@ def _orbit_secants(symmetry: CyclicSymmetry, m: int) -> list:
     Raises NotPseudoregulusCandidate when L carries any other point of D.
     """
     orbit = symmetry.orbit
-    space = symmetry.dirs.space
+    space = dirs.space
     key = space.pair_line_key(orbit[0], orbit[m])
-    on = {p for p in space.line_points(*key) if p in symmetry.dirs.points}
+    on = {p for p in space.line_points(*key) if p in dirs.points}
     if on != set(orbit[::m]):
         raise NotPseudoregulusCandidate(
             f"no orbit of {m} lines partitions D under the verified cyclic "
@@ -345,16 +344,16 @@ def _conjugates_field(lmap: LinearMap, maps, spell: LinearMap) -> bool:
 def _maps_elements_to_elements(lmap: LinearMap, maps, spell: LinearMap) -> bool:
     """Does the invertible map carry each spread element into one element?
 
-    The elements, reductions of the points (0, 1) and (1, t) of PG(1, q^k),
-    are written one at a time (reduction_rows), so a wrong map costs the
-    elements up to its first bad one.  M carries each element E onto a
+    The elements, reductions of the points of PG(1, q^k) in the order of
+    ProjSpace.points, are written one at a time (reduction_rows), so a
+    wrong map costs the elements up to its first bad one.  M carries each element E onto a
     subspace of E's rank, so M(E) is an element exactly when the images of
     E's k rows spell one point of PG(1, q^k), and then M permutes them.
     """
     tower = maps.tower
-    hk = tower.hk
-    normalize = ProjSpace(1, tower.big).normalize
-    for src in chain((1 << hk,), (1 | t << hk for t in range(tower.big.q))):
+    source = ProjSpace(1, tower.big)
+    normalize = source.normalize
+    for src in source.points(budget=None):
         hit = {normalize(spell(lmap(r))) for r in reduction_rows(tower, src)}
         if len(hit) != 1:
             return False
@@ -535,43 +534,26 @@ def build_spread(
 ) -> SpreadResult:
     """Rebuild the Desarguesian spread through the fitted pseudoregulus.
 
-    The canonical sources are <(u, u^(2^i))> for u in GF(q^k)* and the
-    coordinate points <(1, 0)>, <(0, 1)> of PG(1, q^k); field reduction is
-    injective on points, so two u collide iff their elements do.  Element
-    idx is the reduction (reduction_rows) of the point that M^-1 of source
-    idx spells, M = fit.matrix: M^-1 of canonical element idx, as M
-    permutes the Desarguesian spread, so the element through p is the
-    canonical one through M(p) (Spread.reduced).  No element is
-    row-reduced.  matches_canonical runs the fit's spread test again on M,
-    and plane_axioms_check re-verifies it, as a row lies in fibre idx only
-    if M carries the element onto canonical element idx.
+    The spread is Spread(tower, H_inf, M), M = fit.matrix: element idx is
+    the reduction of the point that M^-1 of source idx of PG(1, q^k)
+    spells, which is M^-1 of abb_spread's element idx, as M permutes the
+    Desarguesian spread; so the element through p is the canonical one
+    through M(p).  No element is row-reduced.  matches_canonical runs the
+    fit's spread test (_preserves_spread) again on M, and
+    plane_axioms_check re-verifies it, as a row lies in fibre idx only if
+    M carries the element onto canonical element idx.
     """
-    tower = maps.tower
-    big = tower.big
-    hk = tower.hk
-    i = fit.exponent
-    source = ProjSpace(1, big)
-    first_u: dict = {}
-    for u in range(1, big.q):
-        if first_u.setdefault(source.normalize(u | big.frob(u, i) << hk), u) != u:
-            raise SpreadConstructionFailed(
-                f"parameters u collide at 0x{u:x}; exponent {i} is not strict"
-            )
-    sources = [*first_u, 1, 1 << hk]  # then <(1, 0)> and <(0, 1)>
-    m, spell = fit.matrix, unvec_blocks(tower, 2)
-    back = m.then(spell).inverse().then(spell)  # source -> source under M^-1
-    matches = _conjugates_field(m, maps, spell) or _maps_elements_to_elements(m, maps, spell)
-    elements = [reduction_rows(tower, source.normalize(back(s))) for s in sources]
-    spread = Spread.reduced(elements, maps.hinf, tower, sources, source, m)
+    m = fit.matrix
+    spread = Spread(maps.tower, maps.hinf, m)
     keyset = {el: idx for idx, el in enumerate(spread.elements)}
     if transversals.t0 not in keyset or transversals.t_inf not in keyset:
         raise SpreadConstructionFailed("transversals are not spread elements")
     return SpreadResult(
         spread=spread,
-        matches_canonical=matches,
+        matches_canonical=_preserves_spread(m, maps, unvec_blocks(maps.tower, 2)),
         t0_index=keyset[transversals.t0],
         tinf_index=keyset[transversals.t_inf],
-        exponent=i,
+        exponent=fit.exponent,
     )
 
 

@@ -7,85 +7,67 @@ PG(2hk, 2).  The packed layouts are chosen so that going down the tower only
 reinterprets chunk boundaries: a GF(q)-coordinate vector with h-bit chunks
 is bitwise identical to its GF(2)-coordinate expansion.
 
-The spreads that field reduction builds (abb_spread of H_inf and the spread
-the pseudoregulus stage rebuilds) are partitions by construction: the
-element through a point is the reduction of the source point its blocks
-spell, so Spread.reduced finds it with one unvec per block and one
-normalize over the big field and never enumerates the points.  An element
-is written down, not row-reduced: the reduction of a normalized source
-point is already in ProjSpace.rref form (reduction_rows).
+Both Desarguesian spreads of a run (abb_spread of H_inf and the spread the
+pseudoregulus stage rebuilds) are one Spread: the field reduction of every
+point of PG(1, q^k), carried by M^-1 when the stage has fitted a coordinate
+change M.  They are partitions by construction: the element through a
+point is the reduction of the source point its blocks spell, so the
+spread's index finds it with one unvec per block and one normalize over
+the big field and never enumerates the points.  An element is written
+down, not row-reduced: the reduction of a normalized source point is
+already in ProjSpace.rref form (reduction_rows).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
-from .errors import EnumerationTooLarge, InvalidSpread, NotAffine
-from .gf2 import LinearMap, Tower, f2_echelon
-from .projective import DEFAULT_BUDGET, ProjSpace
+from .errors import EnumerationTooLarge, InvalidSpread, NotAffine, SingularMatrix
+from .gf2 import LinearMap, Tower
+from .projective import DEFAULT_BUDGET, ProjSpace, projective_points_count
 
 
 class Spread:
-    """A partition of PG(n, q) into pairwise disjoint equal subspaces.
+    """The Desarguesian (k-1)-spread of PG(rk-1, q), by field reduction.
 
-    Every spread comes from field reduction (``Spread.reduced``: abb_spread
-    and the rebuilt spread of the pseudoregulus stage).  Each of
-    ``elements`` is a subspace of ``space`` as its reduced-echelon row
-    tuple (ProjSpace.rref), so two elements are equal iff their tuples are;
-    the builders write each one with reduction_rows.
-    ``sources[idx]`` is the packed point of the source projective space that
-    field reduction turned into ``elements[idx]``, before any coordinate
-    change; ``index`` is a ReductionIndex that finds the element through a
-    normalized point from the point's source, so no point is visited.  The
-    tests keep a point-by-point partition check as their oracle.
+    ``Spread(tower, space)`` reduces PG(r-1, q^k) over `tower` into
+    `space`, r = space.width / k: element idx is the reduction
+    (reduction_rows) of the idx-th point of ProjSpace(r - 1, q^k).points().
+    With a `matrix` M, a LinearMap of `space`'s vectors, element idx is the
+    reduction of the point that M^-1 of source idx spells: M^-1 of the
+    reduction of source idx when M permutes the spread, and otherwise an
+    element off its fibre, which plane_axioms_check names.  Each element
+    is its reduced-echelon row tuple (ProjSpace.rref), so two elements are
+    equal iff their tuples are.  ``index`` is a ReductionIndex that finds
+    the element through a normalized point from the point's source, so no
+    point of `space` is visited.  The tests keep a point-by-point partition
+    check as their oracle.
     """
 
-    __slots__ = ("elements", "index", "space", "sources")
+    __slots__ = ("elements", "index", "space")
 
-    @classmethod
-    def reduced(
-        cls,
-        elements: Sequence[tuple[int, ...]],
-        space: ProjSpace,
-        tower: Tower,
-        sources: Sequence[int],
-        source_space: ProjSpace,
-        matrix: LinearMap | None = None,
-    ) -> Spread:
-        """The spread whose element idx is M^-1 of the reduction of sources[idx].
-
-        The caller builds elements[idx] as the field reduction over `tower`
-        of the normalized point sources[idx] of `source_space`, carried by
-        M^-1 when a `matrix` M (a LinearMap of `space`'s vectors) is given.  When the sources are every point
-        of the source space once, the reductions partition `space`, and so
-        does their image under M^-1.  Both counts are checked here, and so
-        is M: "M, then unvec each block" must have GF(2)-independent
-        columns, else the fibres of distinct sources share its kernel.  No
-        point of `space` is visited.
+    def __init__(self, tower: Tower, space: ProjSpace, matrix: LinearMap | None = None):
+        """Every source point once, so the fibres of the index partition
+        `space`.  M is refused unless "M, then unvec each block" is
+        invertible: else the fibres of distinct sources share its kernel.
         """
-        source_index: dict[int, int] = {}
-        for idx, src in enumerate(sources):
-            if src in source_index:
-                raise InvalidSpread(
-                    f"source 0x{src:x} gives elements {source_index[src]} and {idx}"
-                )
-            source_index[src] = idx
-        npoints = source_space.npoints()
-        if not len(elements) == len(source_index) == npoints:
-            raise InvalidSpread(
-                f"{len(elements)} elements from {len(source_index)} of "
-                f"{npoints} source points"
-            )
-        to_source = unvec_blocks(tower, source_space.width)
-        lmap = to_source if matrix is None else matrix.then(to_source)
-        if len(f2_echelon(lmap.columns)) != space.bits:
-            raise InvalidSpread("the coordinate change is singular")
-        spread = cls.__new__(cls)
-        spread.elements = tuple(elements)
-        spread.space = space
-        spread.sources = tuple(sources)
-        spread.index = ReductionIndex(space, source_space, source_index, lmap)
-        return spread
+        source = ProjSpace(space.width // tower.k - 1, tower.big)
+        to_source = unvec_blocks(tower, source.width)
+        points = tuple(source.points(budget=None))
+        if matrix is None:
+            lmap, spelled = to_source, points
+        else:
+            lmap = matrix.then(to_source)
+            try:
+                back = lmap.inverse().then(to_source)  # source -> source under M^-1
+            except SingularMatrix:
+                raise InvalidSpread("the coordinate change is singular") from None
+            spelled = map(source.normalize, map(back, points))
+        self.elements = tuple(reduction_rows(tower, p) for p in spelled)
+        self.space = space
+        self.index = ReductionIndex(
+            space, source, {s: idx for idx, s in enumerate(points)}, lmap
+        )
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -107,7 +89,7 @@ def unvec_blocks(tower: Tower, blocks: int) -> LinearMap:
 
 
 class ReductionIndex(Mapping):
-    """Normalized point -> element index of a Spread.reduced, by arithmetic.
+    """Normalized point -> element index of a Spread, by arithmetic.
 
     A point of PG(rk-1, q) is r blocks of k coordinates.  After the
     optional coordinate change M, each block unvecs to an element of
@@ -171,14 +153,10 @@ def field_reduction_spread(
     basis a = beta^j, already in reduced echelon form.  The budget counts
     the k rows written per source point; no target point is visited.
     """
-    source = ProjSpace(r - 1, tower.big)
-    target = ProjSpace(r * tower.k - 1, tower.small, tables=True)
-    est = source.npoints() * tower.k
+    est = projective_points_count(r, tower.big.q) * tower.k
     if budget is not None and est > budget:
         raise EnumerationTooLarge(est, budget, "field reduction")
-    sources = tuple(source.points(budget=None))
-    elements = [reduction_rows(tower, pt) for pt in sources]
-    return Spread.reduced(elements, target, tower, sources, source)
+    return Spread(tower, ProjSpace(r * tower.k - 1, tower.small, tables=True))
 
 
 class CorrespondenceMaps:

@@ -130,14 +130,18 @@ def parse_point_set(d: dict) -> PointSetFile:
     if not isinstance(d.get("points"), list):
         raise ParseError("missing 'points' array")
     pts = tuple(_parse_int(s, f"points[{n}]") for n, s in enumerate(d["points"]))
-    if d.get("count") != len(pts):
-        raise ParseError(f"count {d.get('count')} != {len(pts)} points listed")
+    count = d.get("count")
+    # a JSON boolean is a Python int: true would read as 1
+    if isinstance(count, bool) or count != len(pts):
+        raise ParseError(f"count {count!r} != {len(pts)} points listed")
     params = d.get("params")
     if not isinstance(params, dict):
         raise ParseError("missing 'params' object")
     for key in ("h", "k", "i"):
-        if not isinstance(params.get(key), int):
+        if not isinstance(params.get(key), int) or isinstance(params[key], bool):
             raise ParseError(f"params.{key} missing or not an int")
+    if not isinstance(params.get("strict", False), bool):
+        raise ParseError(f"params.strict is {params['strict']!r}, not true or false")
     moduli = tuple(
         None if params.get(key) is None else _parse_int(params[key], f"params.{key}")
         for key in ("modulus_small", "modulus_big")

@@ -42,7 +42,7 @@ from hoval.pseudoregulus import (
     one_point_property,
     transversal_map,
 )
-from hoval.reduction import field_reduction_spread
+from hoval.reduction import Spread, field_reduction_spread
 from hoval.serialize import dumps
 
 
@@ -881,10 +881,22 @@ def save(path: str, obj: dict) -> None:
 @cache
 def s_prime(maps):
     """The (h-1)-spread of PG(2hk-1, 2) by field reduction over GF(2) <
-    GF(q): element idx is the GF(2) vectors of the H_inf point sources[idx]."""
+    GF(q): element idx is the GF(2) vectors of the idx-th H_inf point of
+    ProjSpace.points()."""
     tower = maps.tower
     sub = tower_create(1, tower.h, big_modulus=tower.small.modulus)
     return field_reduction_spread(sub, 2 * tower.k, budget=None)
+
+
+def forged_spread(good, elements):
+    """`good` with its elements replaced and its index kept: a plane over it
+    has the fibres of a field-reduction spread, so plane_axioms_check
+    certifies it and names the first element row off its own fibre."""
+    forged = object.__new__(Spread)
+    forged.elements = tuple(elements)
+    forged.space = good.space
+    forged.index = good.index
+    return forged
 
 
 def k_points(q_points) -> tuple:

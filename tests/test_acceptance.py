@@ -155,7 +155,7 @@ def test_criterion_05_spread_properties():
         rep = _chain(h, k, i)
         res = rep.spread_result
         n_el = len(res.spread.elements)
-        # Spread.reduced already validated the sources of the partition of H_inf
+        # the spread is field reduction of every point of PG(1, q^k): a partition of H_inf
         indices_ok = (
             0 <= res.t0_index < n_el
             and 0 <= res.tinf_index < n_el

@@ -31,6 +31,7 @@ from oracles import (
     coset_bases,
     detect_pseudoregulus,
     direction_marks,
+    forged_spread,
     histogram_by_rank,
     histogram_by_scan,
     line_pair_meets,
@@ -461,29 +462,27 @@ def _bytearray_axioms_oracle(plane, seed=0):
 
 def _forged(plane):
     """The plane over the same spread with element 1 a copy of element 0,
-    indexed point by point: no Spread.reduced, so only the oracles take it."""
+    indexed point by point: no ReductionIndex, so only the oracles take it."""
     good = plane.spread
     elements = list(good.elements)
     elements[1] = elements[0]
-    forged = object.__new__(Spread)  # Spread.reduced checks its sources
+    forged = object.__new__(Spread)  # a Spread reduces every source itself
     forged.elements = tuple(elements)
     forged.space = good.space
-    forged.sources = None
     forged.index = {p: idx for idx, el in enumerate(elements)
                     for p in good.space.subspace_points(el)}
     return build_plane(plane.maps, forged)
 
 
 def _forged_reduced(hk):
-    """The canonical plane of GF(2^h) < GF(2^hk) over a Spread.reduced in
-    which element 1 copies element 0's rows but keeps its own source."""
+    """The canonical plane of GF(2^h) < GF(2^hk) over a spread with the
+    field-reduction index in which element 1 copies element 0's rows but
+    keeps its own fibre."""
     maps = maps_for(tower_create(*hk))
     good = maps.abb_spread
     elements = list(good.elements)
     elements[1] = elements[0]
-    forged = Spread.reduced(elements, good.space, maps.tower, good.sources,
-                            good.index.source)
-    return build_plane(maps, forged)
+    return build_plane(maps, forged_spread(good, elements))
 
 
 @pytest.fixture(scope="module")
@@ -517,7 +516,7 @@ def test_sampled_mode_catches_forged_plane(forged321):
 
 
 def test_plane_check_refuses_a_spread_that_is_not_reduced(forged321):
-    with pytest.raises(InvalidSpread, match="Spread.reduced"):
+    with pytest.raises(InvalidSpread, match="field reduction"):
         plane_axioms_check(forged321)
 
 
@@ -636,9 +635,7 @@ def _wrong_rank():
     """The (3,2) canonical plane with every element cut to its first row."""
     maps = maps_for(tower_create(3, 2))
     good = maps.abb_spread
-    cut = [el[:1] for el in good.elements]
-    spread = Spread.reduced(cut, good.space, maps.tower, good.sources, good.index.source)
-    return build_plane(maps, spread)
+    return build_plane(maps, forged_spread(good, [el[:1] for el in good.elements]))
 
 
 def test_fibre_certificate_names_an_element_of_the_wrong_rank():

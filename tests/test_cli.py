@@ -397,6 +397,26 @@ def test_bad_modulus_in_file_exit_2(tmp_path, capsys, key, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("key, value", [
+    ("h", True), ("k", True), ("i", True), ("count", True), ("strict", "no"),
+])
+def test_bool_for_an_int_or_non_bool_strict_in_file_exit_2(tmp_path, capsys, key, value):
+    # "i": true would run as i = 1, "count": true pass for one point, and
+    # "strict": "no" read as strict
+    path = _directions_file(tmp_path, None, None)
+    doc = json.loads(path.read_text())
+    if key == "count":
+        doc["points"], doc["count"] = doc["points"][:1], value
+    else:
+        doc["params"][key] = value
+    path.write_text(serialize.dumps(doc))
+    code = main(["spectrum", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {'count' if key == 'count' else 'params.' + key}")
+    assert captured.out == ""
+
+
 # --- the stage subcommands are views over verify-all ---------------------------
 
 _VIEWS = ("detect-pseudoregulus", "build-spread", "bruck-bose-verify", "bj-axioms")

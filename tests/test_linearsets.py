@@ -367,7 +367,7 @@ def test_cyclic_group_spectrum_equals_pair_scan(hki):
     scan = spectrum(d)
     assert fast.path == "cyclic-group" and scan.path == "pair-scan"
     assert fast == scan and fast.counts == scan.counts
-    assert fast.multiplicities is None and fast.symmetry.dirs is d
+    assert fast.multiplicities is None and fast.dirs is d and fast.npoints == len(d)
     sym = fast.symmetry
     assert sym.orbit[0] == d.ordered[0] and set(sym.orbit) == d.points
     assert len(sym.orbit) == len(d)
@@ -387,7 +387,7 @@ def test_unverified_or_exhaustive_spectrum_takes_its_scan(which, case321):
     assert hist.path == ("line-scan" if mode == "exhaustive" else "pair-scan")
     if which == "exhaustive":
         # the tally still counts; the group it verified is only handed on
-        assert hist.symmetry is not None and hist.symmetry.dirs is d
+        assert hist.symmetry is not None and hist.dirs is d
         assert hist.symmetry.lines == {j: c for j, c in SPEC_321.items() if j >= 2}
     else:
         assert hist.symmetry is None

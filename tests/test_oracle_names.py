@@ -16,6 +16,7 @@ MOVED_MEMBERS = {
     "CorrespondenceMaps.pi2", "CorrespondenceMaps.hinf2",
     "Record.replace",
     "HyperovalSpec.is_strict_case", "F2Witness.k_points",
+    "Spread.reduced", "Spread.sources", "CyclicSymmetry.dirs",
 }
 
 

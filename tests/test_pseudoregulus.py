@@ -17,6 +17,7 @@ from hoval.gf2 import LinearMap
 from hoval.hyperoval import DirectionSet, HyperovalSpec, build_hyperoval, directions
 from hoval.linearsets import cyclic_candidate, spectrum
 from hoval.pipeline import run_verify_all
+from hoval.projective import ProjSpace
 from hoval.pseudoregulus import (
     build_spread,
     extract_transversals,
@@ -271,9 +272,11 @@ def test_preserves_spread_matches_rref_on_fitted_matrices(monkeypatch, hki):
     assert rep.spread_result.matches_canonical
     assert all(got == want for got, want in seen)
     # the spread check comes first, so it sees every exponent prime to hk
-    # in both labelings and passes i and hk - i, one per labeling
-    assert [got for got, _ in seen].count(True) == 2
-    assert len(seen) == {6: 4, 9: 12}[hki[0] * hki[1]]
+    # in both labelings and passes i and hk - i, one per labeling; then
+    # build_spread runs it once more on the chosen matrix
+    *fit, rebuilt = [got for got, _ in seen]
+    assert fit.count(True) == 2 and rebuilt
+    assert len(fit) == {6: 4, 9: 12}[hki[0] * hki[1]]
 
 
 def _off_fit_matrices(maps, fit, seed):
@@ -371,9 +374,9 @@ def test_elements_made_on_demand_match_the_abb_spread_walk(hki):
 
 
 def _spread_by_rref(fit, maps):
-    """The rebuilt elements by row reduction: each canonical element's rows,
-    rref'd, taken back through fit.matrix.inverse() and rref'd again, in the
-    order of build_spread's sources."""
+    """The canonical elements, (u, u^(2^i)) for each u and the coordinate
+    points, by row reduction; and abb_spread's elements taken back through
+    fit.matrix.inverse() and rref'd again, in abb_spread's order."""
     tower, space = maps.tower, maps.hinf
     vec, big, hk = tower.vec_packed, tower.big, tower.hk
     canonical = []
@@ -385,15 +388,16 @@ def _spread_by_rref(fit, maps):
     canonical.append(space.rref([vec(b) for b in tower.basis]))
     canonical.append(space.rref([vec(b) << hk for b in tower.basis]))
     inverse = fit.matrix.inverse()
-    return canonical, [space.rref([inverse(r) for r in el]) for el in canonical]
+    taken_back = [space.rref([inverse(r) for r in el]) for el in maps.abb_spread.elements]
+    return canonical, taken_back
 
 
 @pytest.mark.parametrize(
     "hki", [(3, 2, 1), (4, 2, 1), (4, 2, 3), (3, 3, 1), (3, 3, 2), (2, 3, 1)]
 )
 def test_rebuilt_spread_matches_the_rref_oracle(hki):
-    # the elements written from their sources are, in order, the rref'd
-    # M^-1 images of the canonical elements, and those are abb_spread's.
+    # element idx written from its source is the rref'd M^-1 image of
+    # abb_spread's element idx, and abb_spread's are the canonical elements.
     # The fitted M fixes every element; composed with x -> g x on the first
     # block, of order q^k - 1 on the elements, it moves them
     run = run_verify_all(*hki, stages=("spread",)).run
@@ -408,11 +412,30 @@ def test_rebuilt_spread_matches_the_rref_oracle(hki):
         canonical, taken_back = _spread_by_rref(fit, maps)
         assert list(res.spread.elements) == taken_back
         assert set(canonical) == set(taken_back) == set(maps.abb_spread.elements)
+        assert len(canonical) == len(set(canonical)) == len(taken_back)
         assert res.matches_canonical
         # the element-by-element path, which the conjugation test spares
         # these fits, gives the same verdict
         spell = unvec_blocks(maps.tower, 2)
         assert pseudoregulus._maps_elements_to_elements(fit.matrix, maps, spell)
+
+
+def test_build_spread_normalizes_each_source_point_once(monkeypatch, report321, case321):
+    # one normalize over PG(1, q^k) per source point, q^k + 1 = 65 at
+    # (3,2,1): no pass over the parameters u of D comes first
+    maps = case321[0].maps
+    big = maps.tower.big
+    real = ProjSpace.normalize
+    calls = []
+
+    def counted(self, v):
+        if self.n == 1 and self.field is big:
+            calls.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(ProjSpace, "normalize", counted)
+    res = build_spread(report321.fit, report321.transversals, maps)
+    assert len(calls) == len(res.spread) == 65
 
 
 def test_spread_through_a_wrong_matrix_fails_the_plane_certificate(report321, case321):

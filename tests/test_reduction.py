@@ -100,7 +100,8 @@ def test_line_spread_of_pg3_8(t32):
     assert s.space.n == 3 and s.space.q == 8
     assert all(len(el) == 2 for el in s.elements)
     assert len(s.index) == 585
-    assert len(s.sources) == 65
+    # element idx reduces the idx-th point of PG(1, 64)
+    assert [reduction_rows(t32, p) for p in s.index.source.points()] == list(s.elements)
 
 
 def test_spread_partition_guard(t32):
@@ -122,25 +123,10 @@ def test_reduced_spread_refuses_a_singular_coordinate_change(t32):
     # coordinate 2 goes to coordinates 2 and 3, coordinate 3 to zero
     singular = LinearMap.from_columns([1, 1 << h, 5 << 2 * h, 0], s.space)
     with pytest.raises(InvalidSpread, match="singular"):
-        Spread.reduced(s.elements, s.space, t32, s.sources, s.index.source, singular)
+        Spread(t32, s.space, singular)
     identity = LinearMap.from_columns([1 << j * h for j in range(4)], s.space)
-    again = Spread.reduced(s.elements, s.space, t32, s.sources, s.index.source, identity)
-    assert [again.element_of(p) for p in s.space.subspace_points(s.elements[7])] == [7] * 9
-
-
-def test_reduced_spread_refuses_duplicate_and_missing_sources(t32):
-    # a spread from field reduction is a partition only when its sources
-    # are every point of the source space once; nothing else is checked
-    s = field_reduction_spread(t32, 2)
-    args = (s.space, t32)
-    with pytest.raises(InvalidSpread, match="gives elements 0 and 65"):
-        Spread.reduced(
-            s.elements + s.elements[:1], *args, s.sources + s.sources[:1],
-            s.index.source,
-        )
-    with pytest.raises(InvalidSpread, match="64 elements from 64 of 65"):
-        Spread.reduced(s.elements[1:], *args, s.sources[1:], s.index.source)
-    again = Spread.reduced(s.elements, *args, s.sources, s.index.source)
+    again = Spread(t32, s.space, identity)
+    assert again.elements == s.elements
     assert [again.element_of(p) for p in s.space.subspace_points(s.elements[7])] == [7] * 9
 
 
@@ -275,13 +261,13 @@ def test_s_prime_matches_bc_spread_elements(maps32):
     # sources live in PG(3, 8) with the same packing as H_inf
     assert len(sp) == 585
     assert sp.space.npoints() == 4095  # PG(11, 2)
+    sources = tuple(sp.index.source.points())
     for idx in (0, 1, 17, 320, 584):
-        src = sp.sources[idx]
-        assert bc_spread_of(maps32, src) == sp.elements[idx]
+        assert bc_spread_of(maps32, sources[idx]) == sp.elements[idx]
     # renormalizing any GF(2) vector of an element recovers its source
     for idx in (3, 100):
         for p in sp.space.subspace_points(sp.elements[idx]):
-            assert maps32.hinf.normalize(p) == sp.sources[idx]
+            assert maps32.hinf.normalize(p) == sources[idx]
 
 
 def test_s_tilde_is_refined_by_s_prime(maps32):

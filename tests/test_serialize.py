@@ -118,3 +118,29 @@ def test_parse_point_set_guards(hov):
     bad["kind"] = "spread"
     with pytest.raises(ParseError):
         parse_point_set(bad)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("h", True, "params.h missing or not an int"),
+    ("k", False, "params.k missing or not an int"),
+    ("i", True, "params.i missing or not an int"),
+    ("count", True, "count True != 1 points listed"),
+    ("strict", "no", "params.strict is 'no', not true or false"),
+    ("strict", 0, "params.strict is 0, not true or false"),
+    ("strict", None, "params.strict is None, not true or false"),
+])
+def test_parse_point_set_takes_no_bool_for_an_int_nor_a_non_bool_strict(
+        hov, key, value, message):
+    # JSON true is a Python int equal to 1, so a one-point set is the case
+    # where "count": true or "i": true would pass for 1
+    one = sorted(directions(hov.affine, hov.maps).points)[:1]
+    doc = point_set_dict("directions", one, hov.spec, hov.maps)
+    assert parse_point_set(doc).params["strict"] is True
+    bad = {**doc, "params": dict(doc["params"])}
+    if key == "count":
+        bad["count"] = value
+    else:
+        bad["params"][key] = value
+    with pytest.raises(ParseError) as exc:
+        parse_point_set(bad)
+    assert str(exc.value) == message
