@@ -73,7 +73,6 @@ class SpectrumHistogram(Record):
 
     counts: dict
     mode: str
-    nlines: int
     dirs: DirectionSet
     multiplicities: dict | None = None
     symmetry: CyclicSymmetry | None = None
@@ -82,6 +81,10 @@ class SpectrumHistogram(Record):
     @property
     def npoints(self) -> int:
         return len(self.dirs)
+
+    @property
+    def nlines(self) -> int:
+        return self.dirs.space.nlines()
 
     @property
     def support(self) -> tuple:
@@ -345,12 +348,12 @@ def spectrum(
         symmetry = _verified_group(dirs, candidate, budget)
         if symmetry is not None:
             counts = _complete_counts(symmetry.lines, len(pts), space)
-            return SpectrumHistogram(counts, "pairs", space.nlines(), dirs, symmetry=symmetry)
+            return SpectrumHistogram(counts, "pairs", dirs, symmetry=symmetry)
         mult = _pair_multiplicities(pts, space, budget)
         counts = _complete_counts(
             _lines_from_multiplicities(mult), len(pts), space
         )
-        return SpectrumHistogram(counts, "pairs", space.nlines(), dirs, mult)
+        return SpectrumHistogram(counts, "pairs", dirs, mult)
 
     q = space.q
     classes = _pivot_classes(pts, space)
@@ -384,7 +387,7 @@ def spectrum(
     incident = sum(j * c for j, c in counts.items())
     if incident != len(pts) * projective_points_count(space.n, q):
         raise AssertionError(f"tallied {incident} incidences for {len(pts)} points")
-    return SpectrumHistogram(counts, "exhaustive", space.nlines(), dirs, symmetry=symmetry)
+    return SpectrumHistogram(counts, "exhaustive", dirs, symmetry=symmetry)
 
 
 # -- GF(2)-linear structure ----------------------------------------------------

@@ -266,24 +266,6 @@ class ProjSpace:
                 v ^= self.smul(c, r)
         return v
 
-    def subspace_points(self, rows: Sequence[int]) -> list[int]:
-        """Normalized points of the span of echelon rows (all of them)."""
-        r = len(rows)
-        if r == 0:
-            return []
-        if r == 1:
-            return [rows[0]]
-        coeff_space = ProjSpace(r - 1, self.field)
-        out = []
-        for cv in coeff_space.points(budget=None):
-            v = 0
-            for j in range(r):
-                c = coeff_space.chunk(cv, j)
-                if c:
-                    v ^= self.smul(c, rows[j])
-            out.append(v)
-        return out
-
     def line_points(self, r0: int, r1: int) -> list[int]:
         """The q+1 normalized points of a canonical line row pair."""
         pts = [r1]

@@ -26,7 +26,7 @@ from .errors import (
 from .gf2 import LinearMap, f2_echelon
 from .hyperoval import DirectionSet
 from .linearsets import CyclicSymmetry, SpectrumHistogram, spectrum
-from .projective import DEFAULT_BUDGET, ProjSpace
+from .projective import DEFAULT_BUDGET, ProjSpace, projective_points_count
 from .record import Record
 from .reduction import CorrespondenceMaps, Spread, reduction_rows, unvec_blocks
 
@@ -171,18 +171,6 @@ class Transversals(Record):
     side_inf: tuple  # per secant, its point on t_inf
 
 
-def _rank_for_point_count(m: int, q: int) -> int:
-    total, r = 0, 0
-    while total < m:
-        total += q**r
-        r += 1
-    if total != m:
-        raise TransversalExtractionFailed(
-            f"{m} is not the point count of any subspace over GF({q})"
-        )
-    return r
-
-
 def extract_transversals(
     structure: SecantStructure, space: ProjSpace, anchor: int | None = None
 ) -> Transversals:
@@ -190,7 +178,10 @@ def extract_transversals(
 
     The anchor (least off point by default) names one side; a point X of
     another secant joins it iff the line anchor-X avoids D entirely.  The
-    result is anchor-independent up to swapping the two sides.
+    result is anchor-independent up to swapping the two sides.  T0 and
+    T_inf are complementary (k-1)-spaces of PG(2k-1, q), so each side must
+    have rank width // 2; its span holds the side, so the two are equal
+    exactly when the side has as many points as the span.
     """
     zset = set(structure.zero_points)
     if anchor is None:
@@ -213,7 +204,7 @@ def extract_transversals(
             )
         side0.append(a if za else b)
         side_inf.append(b if za else a)
-    r = _rank_for_point_count(structure.count, space.q)
+    r = space.width // 2
     t0 = space.rref(side0)
     t_inf = space.rref(side_inf)
     for name, rows, side in (("T0", t0, side0), ("Tinf", t_inf, side_inf)):
@@ -221,7 +212,7 @@ def extract_transversals(
             raise TransversalExtractionFailed(
                 f"{name} has rank {len(rows)}, expected {r}"
             )
-        if set(space.subspace_points(rows)) != set(side):
+        if projective_points_count(r, space.q) != len(set(side)):
             raise TransversalExtractionFailed(
                 f"{name} span has points beyond the off points"
             )
@@ -235,34 +226,18 @@ def transversal_map(transversals: Transversals) -> dict:
     return dict(zip(transversals.side0, transversals.side_inf))
 
 
-def _solve_in_span(space: ProjSpace, target: int, vectors):
-    """Coefficients expressing target over the given vectors, or None."""
-    f = space.field
-    rows: list = []
-    for idx, v in enumerate(vectors):
-        cf = [0] * len(vectors)
-        cf[idx] = 1
-        for rv, rc in rows:
-            c = space.chunk(v, space.pivot(rv))
-            if c:
-                v ^= space.smul(c, rv)
-                cf = [x ^ f.mul(c, y) for x, y in zip(cf, rc)]
-        if v == 0:
-            continue
-        lead = space.chunk(v, space.pivot(v))
-        if lead != 1:
-            il = f.inv(lead)
-            v = space.smul(il, v)
-            cf = [f.mul(il, x) for x in cf]
-        rows.append((v, cf))
-    out = [0] * len(vectors)
-    t = target
-    for rv, rc in rows:
-        c = space.chunk(t, space.pivot(rv))
-        if c:
-            t ^= space.smul(c, rv)
-            out = [x ^ f.mul(c, y) for x, y in zip(out, rc)]
-    return tuple(out) if t == 0 else None
+def _span_scale(space: ProjSpace, z: int, v0: int, v1: int):
+    """The c in GF(q)* with v0 + c v1 in <z>, or None.
+
+    reduce(., (z,)) is GF(q)-linear with kernel <z>, so c maps v1's
+    remainder onto v0's: it is their ratio at the pivot of v1's.
+    """
+    r0, r1 = space.reduce(v0, (z,)), space.reduce(v1, (z,))
+    if r1 == 0:
+        return None
+    p, f = space.pivot(r1), space.field
+    c = f.mul(space.chunk(r0, p), f.inv(space.chunk(r1, p)))
+    return c if c and space.smul(c, r1) == r0 else None
 
 
 def _greedy_basis(space: ProjSpace, pts, rank: int):
@@ -416,6 +391,9 @@ def _fit_candidates(dirs: DirectionSet, fmap: dict, maps: CorrespondenceMaps):
     transversal points to the canonical basis (b, 0), (0, b^(2^j)) over
     the tower basis b, with its second block then divided by rho; its
     columns are written from to_basis's, one table build per candidate.
+    w_l is f(u_l) scaled so that f(u_0 + u_l) = <w_0 + w_l>: w_0 = v_0 and
+    w_l = c v_l, where c is _span_scale's for z = f(u_0 + u_l).  A labeling
+    with no such z or no such c yields nothing.
     """
     tower = maps.tower
     space = maps.hinf
@@ -443,16 +421,13 @@ def _fit_candidates(dirs: DirectionSet, fmap: dict, maps: CorrespondenceMaps):
             continue
         v = [use_map[x] for x in u]
         scalars = [1]
-        ok = True
         for ell in range(1, k):
-            x = space.normalize(u[0] ^ u[ell])
-            z = use_map.get(x)
-            coeffs = None if z is None else _solve_in_span(space, v[0], [z, v[ell]])
-            if coeffs is None or coeffs[1] == 0:
-                ok = False
+            z = use_map.get(space.normalize(u[0] ^ u[ell]))
+            c = None if z is None else _span_scale(space, z, v[0], v[ell])
+            if c is None:
                 break
-            scalars.append(coeffs[1])
-        if not ok:
+            scalars.append(c)
+        if len(scalars) != k:
             continue
         w = [space.smul(c, x) for c, x in zip(scalars, v)]
         try:

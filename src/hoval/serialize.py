@@ -130,6 +130,11 @@ def parse_point_set(d: dict) -> PointSetFile:
     if not isinstance(d.get("points"), list):
         raise ParseError("missing 'points' array")
     pts = tuple(_parse_int(s, f"points[{n}]") for n, s in enumerate(d["points"]))
+    seen: set = set()
+    for n, p in enumerate(pts):
+        if p in seen:
+            raise ParseError(f"points[{n}]: {_hex(p)} is listed twice")
+        seen.add(p)
     count = d.get("count")
     # a JSON boolean is a Python int: true would read as 1
     if isinstance(count, bool) or count != len(pts):

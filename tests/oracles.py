@@ -195,6 +195,23 @@ def in_span(space: ProjSpace, rows, v: int) -> bool:
     return space.reduce(v, rows) == 0
 
 
+def subspace_points(space: ProjSpace, rows) -> list:
+    """Normalized points of the span of echelon rows, every one listed."""
+    r = len(rows)
+    if r == 0:
+        return []
+    coeff_space = ProjSpace(r - 1, space.field)
+    out = []
+    for cv in coeff_space.points(budget=None):
+        v = 0
+        for j in range(r):
+            c = coeff_space.chunk(cv, j)
+            if c:
+                v ^= space.smul(c, rows[j])
+        out.append(v)
+    return out
+
+
 def apply_columns(columns, v: int) -> int:
     """The GF(2)-linear map with these unit-vector images, applied to v."""
     out = 0
@@ -552,7 +569,7 @@ def partition_index(elements, space: ProjSpace) -> dict:
     element; raises InvalidSpread unless the elements partition `space`."""
     index: dict = {}
     for idx, el in enumerate(elements):
-        for p in space.subspace_points(el):
+        for p in subspace_points(space, el):
             if p in index:
                 raise InvalidSpread(f"point 0x{p:x} lies in elements {index[p]} and {idx}")
             index[p] = idx

@@ -39,6 +39,7 @@ from oracles import (
     pair_scan,
     plane_lines,
     sampled_check,
+    subspace_points,
 )
 
 
@@ -470,7 +471,7 @@ def _forged(plane):
     forged.elements = tuple(elements)
     forged.space = good.space
     forged.index = {p: idx for idx, el in enumerate(elements)
-                    for p in good.space.subspace_points(el)}
+                    for p in subspace_points(good.space, el)}
     return build_plane(plane.maps, forged)
 
 

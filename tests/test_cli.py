@@ -417,6 +417,21 @@ def test_bool_for_an_int_or_non_bool_strict_in_file_exit_2(tmp_path, capsys, key
     assert captured.out == ""
 
 
+def test_repeated_point_in_file_exit_2(tmp_path, capsys):
+    # 64 entries, one of the 63 directions twice: "count" agrees with the
+    # list, but the set it names has 63 points
+    path = _directions_file(tmp_path, None, None)
+    doc = json.loads(path.read_text())
+    doc["points"].append(doc["points"][5])
+    doc["count"] = 64
+    path.write_text(serialize.dumps(doc))
+    code = main(["spectrum", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: points[63]: {doc['points'][5]} is listed twice")
+    assert captured.out == ""
+
+
 # --- the stage subcommands are views over verify-all ---------------------------
 
 _VIEWS = ("detect-pseudoregulus", "build-spread", "bruck-bose-verify", "bj-axioms")

@@ -10,6 +10,7 @@ from hoval.gf2 import (
     TABLE_LIMIT,
     Field,
     LinearMap,
+    Tower,
     _byte_tables,
     default_modulus,
     field_create,
@@ -203,6 +204,31 @@ def test_frob_full_cycle_is_identity():
 
 
 # --- tower --------------------------------------------------------------------
+
+@pytest.mark.parametrize("h, k", [(2, 2), (3, 2), (2, 3)])
+def test_tower_with_a_forged_root_is_refused(monkeypatch, h, k):
+    # every element of the big field is forged in as the root: the h roots
+    # of the small modulus (its conjugates) make towers, and every other
+    # element, 0 and 1 among them, is refused before vec/unvec are built
+    real = tower_create(h, k)
+    small, big = real.small, real.big
+
+    def value_at(r):
+        acc = 0
+        for d in range(h, -1, -1):
+            acc = big.mul(acc, r) ^ (small.modulus >> d & 1)
+        return acc
+
+    accepted = []
+    for r in range(big.q):
+        monkeypatch.setattr(Tower, "_find_root", lambda self, r=r: r)
+        if value_at(r) == 0:
+            accepted.append(Tower(h, k, small, big).root)
+            continue
+        with pytest.raises(IrreducibleCheckFailed, match="not multiplicative"):
+            Tower(h, k, small, big)
+    assert len(accepted) == h and real.root == min(accepted)
+
 
 def test_tower_embedding_is_ring_hom_exhaustive():
     t = tower_create(3, 2)

@@ -8,7 +8,7 @@ SRC = TESTS.parent / "src" / "hoval"
 
 # members of package classes that only tests read, now plain functions in
 # oracles.py (all_lines, in_span, tower_vec, tower_unvec, to_subfield,
-# hinf2, replace) or gone
+# hinf2, replace, subspace_points) or gone
 MOVED_MEMBERS = {
     "ProjSpace.lines", "ProjSpace.contains",
     "Tower.vec", "Tower.unvec", "Tower.frob", "Tower.to_subfield", "Tower._unembed",
@@ -17,6 +17,7 @@ MOVED_MEMBERS = {
     "Record.replace",
     "HyperovalSpec.is_strict_case", "F2Witness.k_points",
     "Spread.reduced", "Spread.sources", "CyclicSymmetry.dirs",
+    "ProjSpace.subspace_points",
 }
 
 

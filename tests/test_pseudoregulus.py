@@ -34,6 +34,7 @@ from oracles import (
     partition_index,
     replace,
     s_prime,
+    subspace_points,
 )
 
 
@@ -94,8 +95,8 @@ def test_transversals_321(case321):
     t = extract_transversals(s, d.space)
     assert len(t.t0) == 2 and len(t.t_inf) == 2
     assert len(set(t.side0)) == 9 and len(set(t.side_inf)) == 9
-    assert set(d.space.subspace_points(t.t0)) == set(t.side0)
-    assert set(d.space.subspace_points(t.t_inf)) == set(t.side_inf)
+    assert set(subspace_points(d.space, t.t0)) == set(t.side0)
+    assert set(subspace_points(d.space, t.t_inf)) == set(t.side_inf)
     assert not (set(t.side0) & d.points)
     fmap = transversal_map(t)
     assert sorted(fmap) == sorted(t.side0)
@@ -112,6 +113,84 @@ def test_transversals_anchor_independent(case321):
         assert {alt.t0, alt.t_inf} == expected
     with pytest.raises(TransversalExtractionFailed):
         extract_transversals(s, d.space, anchor=d.ordered[0])
+
+
+def test_each_refusal_of_extract_transversals(case321):
+    # forged structures: each reaches one refusal, the anchor's aside
+    hov, d = case321
+    space = d.space
+    s = find_long_secants(d)
+    t = extract_transversals(s, space)
+    anchor = s.zero_points[0]
+    # a secant's pair replaced by two points of the anchor's side
+    idx = next(n for n, p in enumerate(t.side0) if p != anchor)
+    other = next(p for p in t.side0 if p not in (anchor, t.side0[idx]))
+    pairs = list(s.zero_pairs)
+    pairs[idx] = tuple(sorted((t.side0[idx], other)))
+    with pytest.raises(TransversalExtractionFailed,
+                       match=rf"secant {idx}: off points classify as \(True, True\)"):
+        extract_transversals(replace(s, zero_pairs=tuple(pairs)), space)
+    # one secant: each side is a point, not a line
+    with pytest.raises(TransversalExtractionFailed, match="T0 has rank 1, expected 2"):
+        extract_transversals(replace(s, zero_pairs=s.zero_pairs[:1]), space)
+    # one secant dropped: 8 points that span a line of 9
+    with pytest.raises(TransversalExtractionFailed,
+                       match="T0 span has points beyond the off points"):
+        extract_transversals(replace(s, zero_pairs=s.zero_pairs[1:]), space)
+    # two lines through a common point P: T0 as the off points, and a
+    # line through P and a point of T_inf, whose points off T0 classify
+    # as the other side; each side is a full line, but they span a plane
+    p, line0 = t.side0[0], set(t.side0)
+    line1 = set(space.line_points(*space.pair_line_key(p, t.side_inf[0])))
+    pairs = [(p, p)] + list(zip(sorted(line0 - {p}), sorted(line1 - {p})))
+    meeting = replace(s, zero_pairs=tuple(pairs), zero_points=tuple(sorted(line0)))
+    with pytest.raises(TransversalExtractionFailed,
+                       match="transversals do not span the space"):
+        extract_transversals(meeting, space, anchor=p)
+
+
+def _scales_by_search(space, z, v0, v1):
+    """Every c in GF(q)* with v0 + c v1 on the point <z> or zero."""
+    return [c for c in range(1, space.q)
+            if (w := v0 ^ space.smul(c, v1)) == 0 or space.normalize(w) == z]
+
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (3, 3, 1), (4, 2, 1)])
+def test_span_scale_matches_a_search_over_the_scalars(monkeypatch, hki):
+    hov, d = _directions_for(*hki)
+    maps, space, k = hov.maps, d.space, hki[1]
+    fmap = transversal_map(extract_transversals(find_long_secants(d), space))
+    calls = []
+    real = pseudoregulus._span_scale
+
+    def recorded(space, z, v0, v1):
+        got = real(space, z, v0, v1)
+        calls.append((z, v0, v1, got))
+        return got
+
+    monkeypatch.setattr(pseudoregulus, "_span_scale", recorded)
+    fit_semilinear(d, fmap, maps)
+    # the fit's own inputs: k - 1 scales per labeling, each the one there is
+    assert len(calls) == 2 * (k - 1)
+    for z, v0, v1, got in calls:
+        assert _scales_by_search(space, z, v0, v1) == [got]
+    # forged: v0 = v1, v1 on <z>, v0 on <z>
+    z, v0, v1, _ = calls[0]
+    forged = [(z, v1, v1), (z, v0, z), (z, v0, space.smul(3, z)),
+              (z, z, v1), (z, space.smul(5, z), v1)]
+    # and random triples, most with v0 off <z, v1>
+    rng = random.Random(sum(hki))
+    points = [space.normalize(rng.randrange(1, 1 << space.bits)) for _ in range(300)]
+    forged += [tuple(points[n:n + 3]) for n in range(0, 300, 3)]
+    for z, v0, v1 in forged:
+        want = _scales_by_search(space, z, v0, v1)
+        assert real(space, z, v0, v1) == (want[0] if want else None)
+    # z missing: cut down to a basis of each side, the bijection knows no
+    # f(u_0 + u_l), so neither labeling yields a candidate
+    cut = {u: fmap[u] for u in pseudoregulus._greedy_basis(space, sorted(fmap), k)}
+    calls.clear()
+    assert list(pseudoregulus._fit_candidates(d, cut, maps)) == []
+    assert calls == []
 
 
 def test_fit_exponents_321(report321):

@@ -10,7 +10,9 @@ from hoval.gf2 import Tower, field_create, tower_create
 from hoval.projective import ProjSpace
 from hoval.gf2 import LinearMap
 from hoval.reduction import Spread, field_reduction_spread, maps_for, reduction_rows
-from oracles import generator_reduction_rows, hinf2, in_span, partition_index, s_prime
+from oracles import (
+    generator_reduction_rows, hinf2, in_span, partition_index, s_prime, subspace_points,
+)
 
 
 # --- independent oracles for the maps and spreads ------------------------------
@@ -127,7 +129,8 @@ def test_reduced_spread_refuses_a_singular_coordinate_change(t32):
     identity = LinearMap.from_columns([1 << j * h for j in range(4)], s.space)
     again = Spread(t32, s.space, identity)
     assert again.elements == s.elements
-    assert [again.element_of(p) for p in s.space.subspace_points(s.elements[7])] == [7] * 9
+    points = subspace_points(s.space, s.elements[7])
+    assert [again.element_of(p) for p in points] == [7] * 9
 
 
 @pytest.mark.parametrize("hk", [(2, 2), (3, 2), (2, 3)])
@@ -174,7 +177,7 @@ def test_reduction_index_refuses_unnormalized_points(t32):
     # normalized one is no key, though it spans the same point
     s = field_reduction_spread(t32, 2)
     space = s.space
-    for p in space.subspace_points(s.elements[7]):
+    for p in subspace_points(space, s.elements[7]):
         assert s.element_of(p) == 7
         for c in range(2, space.q):
             off = space.smul(c, p)
@@ -266,7 +269,7 @@ def test_s_prime_matches_bc_spread_elements(maps32):
         assert bc_spread_of(maps32, sources[idx]) == sp.elements[idx]
     # renormalizing any GF(2) vector of an element recovers its source
     for idx in (3, 100):
-        for p in sp.space.subspace_points(sp.elements[idx]):
+        for p in subspace_points(sp.space, sp.elements[idx]):
             assert maps32.hinf.normalize(p) == sources[idx]
 
 
@@ -278,7 +281,7 @@ def test_s_tilde_is_refined_by_s_prime(maps32):
     st = s_tilde(maps32)
     assert len(st) == 65
     for el in st:
-        fibers = Counter(sp.index[p] for p in hinf2(maps32).subspace_points(el))
+        fibers = Counter(sp.index[p] for p in subspace_points(hinf2(maps32), el))
         assert len(fibers) == 9
         assert all(c == 7 for c in fibers.values())
 

@@ -120,6 +120,17 @@ def test_parse_point_set_guards(hov):
         parse_point_set(bad)
 
 
+def test_parse_point_set_refuses_a_repeated_point(hov):
+    # the first repeat is named, by its index and its point
+    pts = sorted(directions(hov.affine, hov.maps).points)[:4]
+    doc = point_set_dict("directions", pts, hov.spec, hov.maps)
+    listed = doc["points"]
+    bad = {**doc, "points": [*listed, listed[2], listed[0]], "count": 6}
+    with pytest.raises(ParseError) as exc:
+        parse_point_set(bad)
+    assert str(exc.value) == f"points[4]: {listed[2]} is listed twice"
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("h", True, "params.h missing or not an int"),
     ("k", False, "params.k missing or not an int"),
