@@ -10,7 +10,8 @@ The family is held as its coset record.  C must be a verified coset
 c0 + W and every lifted secant space L_s must meet W in exactly q vectors;
 then the planes of secant s are the n/q cosets c + (W ∩ L_s), so the family
 has n m / q planes, is carried onto itself by the translations of C, and
-gives each plane one key, all by construction.  No plane is built:
+gives each plane one key, all by construction.  The meets W ∩ L_s are
+binned from the directions of C's differences, and no plane is built:
 
 * A1 tests the m meets c0 + (W ∩ L_s) through the base point c0; every
   other meet is a translate of one of them.
@@ -18,8 +19,9 @@ gives each plane one key, all by construction.  No plane is built:
   images of the L_s in V/W, checked by GF(2) linear algebra.
 * A4 bins the C(n-1, 2) pairs through c0 by the plane they span with c0:
   the lines with two or more points of the direction set D.  The family
-  planes there are the m secants themselves, and the line counts N_j of a
-  spectrum of D decide every other bin.
+  planes there are the m secants themselves, each with its points of D
+  counted off its meet, and the line counts N_j of a spectrum of D decide
+  every other bin.
 
 A failing axiom reports the witness its check already holds.  The explicit
 scans over every plane, pair and triple are the tests' oracles.
@@ -74,8 +76,12 @@ def build_c_planes(
 ) -> CPlaneFamily:
     """The coset record of the C-plane family.
 
-    W ∩ L_s is read off the q^2 vectors x of L_s as those with
-    c0 ^ (x << h) in C.  Raises CPlaneConstructionFailed for a C that is no
+    C is verified to be a coset c0 + W first, so the nonzero vectors of W
+    are the differences w = (p ^ c0) >> h, and w lies in L_s exactly when
+    its direction lies on s.  Each w joins the meet of every secant whose
+    line holds its direction (projected_differences, memoized on C): that
+    is W ∩ L_s for any lines, overlapping ones included, and no vector of
+    L_s is visited.  Raises CPlaneConstructionFailed for a C that is no
     coset (witness ("closure", ...)) and for a secant whose meet does not
     hold exactly q vectors (witness ("secant", index, meet size)).
     """
@@ -84,25 +90,25 @@ def build_c_planes(
         raise CPlaneConstructionFailed(
             f"C is not translation-closed: {witness!r}", ("closure", witness)
         )
-    hinf = maps.hinf
-    h = maps.tower.h
-    q = hinf.q
+    hinf, h, q = maps.hinf, maps.tower.h, maps.hinf.q
     c0 = c_points.ordered[0]
-    points = c_points.points
-    secants = []
-    for sidx, s in enumerate(structure.secants):
-        m0, m1 = ([hinf.smul(c, r) for c in range(q)] for r in s)
-        meet = tuple(sorted(
-            x for x in (a ^ b for a in m0 for b in m1)
-            if c0 ^ (x << h) in points
-        ))
+    through: dict = {}  # point of H_inf -> the secants whose line holds it
+    for sidx, rows in enumerate(structure.secants):
+        for p in hinf.line_points(*rows):
+            through.setdefault(p, []).append(sidx)
+    meets = [[0] for _ in structure.secants]
+    for p, u in zip(c_points.ordered[1:], projected_differences(c_points, hinf)):
+        for sidx in through.get(u, ()):
+            meets[sidx].append((p ^ c0) >> h)
+    for sidx, meet in enumerate(meets):
         if len(meet) != q:
             raise CPlaneConstructionFailed(
                 f"secant {sidx} meets W in {len(meet)} vectors, expected {q}",
                 ("secant", sidx, len(meet)),
             )
-        secants.append((s, meet))
-    return CPlaneFamily(c_points, translation_basis(c_points), tuple(secants), q)
+    # sorted: c0 = min C is 0 at the top bit of each w << h, so p ^ c0 keeps C's order
+    secants = tuple(zip(structure.secants, map(tuple, meets)))
+    return CPlaneFamily(c_points, translation_basis(c_points), secants, q)
 
 
 class AxiomReport(Record):
@@ -230,8 +236,10 @@ def _a4_base_point(family: CPlaneFamily, space, hist=None, budget=None) -> Axiom
     and any other C(3, 2) = 3, so A4 holds iff each family line carries
     q - 1 points of D and every other line with two or more carries 3: the
     line counts N_j of `hist`, a spectrum of D, and |L ∩ D| for the m family
-    lines L decide it.  A histogram of another set is not read, and without
-    one of D the pair scan spectrum(D, budget=budget) is run and charged.
+    lines L decide it; |L ∩ D| = len(W ∩ L) - 1, as w -> its direction is
+    one to one on the n - 1 nonzero w of W once the directions are distinct.
+    A histogram of another set is not read, and without one of D the pair
+    scan spectrum(D, budget=budget) is run and charged.
     The full-set totals follow from transitivity: n/q times the family
     planes through a, n/4 times the four-point planes through a.
     """
@@ -256,8 +264,8 @@ def _a4_base_point(family: CPlaneFamily, space, hist=None, budget=None) -> Axiom
     a = ordered[0] >> space.h
     others = {j: c for j, c in hist.counts.items() if j >= 2}
     seen = 0
-    for rows, _ in family.secants:
-        j = sum(p in dset for p in space.line_points(*rows))
+    for rows, meet in family.secants:
+        j = len(meet) - 1
         if j < 2:
             continue
         if j != q - 1:

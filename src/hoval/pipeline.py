@@ -217,7 +217,7 @@ def _stage_pseudoregulus(run: _Run) -> tuple[bool, dict]:
     found = sorted(set(run.fit.exponents))
     expected = sorted({spec.i % hk, (hk - spec.i) % hk})
     data = {
-        "long_secants": run.structure.count,
+        "long_secants": len(run.structure.secants),
         "exponents": found,
         "expected_exponents": expected,
         "labeling": run.fit.labeling,

@@ -34,10 +34,7 @@ from .reduction import CorrespondenceMaps, Spread, reduction_rows, unvec_blocks
 class SecantStructure(Record):
     """The long secants of D, each as its ProjSpace.pair_line_key row pair."""
 
-    secants: tuple  # one per long secant, sorted
-    count: int  # m = (q^k - 1)/(q - 1)
-    d_on: dict  # D point -> index of its unique long secant
-    zero_points: tuple  # sorted points of the secants that avoid D
+    secants: tuple  # one per long secant, sorted; m = (q^k - 1)/(q - 1)
     zero_pairs: tuple  # per secant, its two off-D points (sorted)
 
 
@@ -106,7 +103,6 @@ def find_long_secants(
     dset = dirs.points
     d_on: dict = {}
     zero_pairs = []
-    zero_all: list = []
     for idx, key in enumerate(keys):
         line_pts = space.line_points(*key)
         off = []
@@ -124,19 +120,12 @@ def find_long_secants(
                 f"secant {idx} has {q + 1 - len(off)} points of D"
             )
         zero_pairs.append(tuple(sorted(off)))
-        zero_all.extend(off)
     if len(d_on) != len(pts):
         missing = min(dset - d_on.keys())
         raise NotPseudoregulusCandidate(f"0x{missing:x} is on no long secant")
-    if len(set(zero_all)) != 2 * m:
+    if len({p for pair in zero_pairs for p in pair}) != 2 * m:
         raise NotPseudoregulusCandidate("long secants are not pairwise disjoint")
-    return SecantStructure(
-        secants=tuple(keys),
-        count=m,
-        d_on=d_on,
-        zero_points=tuple(sorted(zero_all)),
-        zero_pairs=tuple(zero_pairs),
-    )
+    return SecantStructure(secants=tuple(keys), zero_pairs=tuple(zero_pairs))
 
 
 def _orbit_secants(symmetry: CyclicSymmetry, dirs: DirectionSet, m: int) -> list:
@@ -183,9 +172,9 @@ def extract_transversals(
     have rank width // 2; its span holds the side, so the two are equal
     exactly when the side has as many points as the span.
     """
-    zset = set(structure.zero_points)
+    zset = {p for pair in structure.zero_pairs for p in pair}
     if anchor is None:
-        anchor = structure.zero_points[0]
+        anchor = min(zset)
     elif anchor not in zset:
         raise TransversalExtractionFailed(f"anchor 0x{anchor:x} is not an off point")
     key = space.pair_line_key

@@ -326,6 +326,21 @@ def _lifted(secant_rows, maps) -> list:
     return [tuple(r << maps.tower.h for r in rows) for rows in secant_rows]
 
 
+def meets_by_scan(c_points, keys, maps) -> tuple:
+    """(rows, W ∩ L) for each line of H_inf in `keys`, in order, whatever
+    the meet's size: the vectors x among the q^2 of the lifted line with
+    c0 ^ (x << h) in C, for a coset C = c0 + W."""
+    hinf, h = maps.hinf, maps.tower.h
+    c0, points = c_points.ordered[0], c_points.points
+    out = []
+    for rows in keys:
+        m0, m1 = ([hinf.smul(c, r) for c in range(hinf.q)] for r in rows)
+        meet = sorted(x for x in {a ^ b for a in m0 for b in m1}
+                      if c0 ^ (x << h) in points)
+        out.append((rows, tuple(meet)))
+    return tuple(out)
+
+
 def planes_by_reduce(c_points, structure, maps) -> list:
     """Every plane, by grouping each point of C by its reduction against
     each lifted long secant; any class of other than q points raises."""

@@ -131,16 +131,17 @@ def test_criterion_04_pseudoregulus_structure():
         rep = _chain(h, k, i)
         s, t = rep.structure, rep.transversals
         disjoint = set(t.side0).isdisjoint(t.side_inf)
-        zeros_covered = set(t.side0) | set(t.side_inf) == set(s.zero_points)
+        zeros = {p for pair in s.zero_pairs for p in pair}
+        zeros_covered = set(t.side0) | set(t.side_inf) == zeros
         case_ok = (
-            s.count == m
-            and len(s.zero_points) == 2 * m
+            len(s.secants) == m
+            and len(zeros) == 2 * m
             and len(t.t0) == k
             and len(t.t_inf) == k
             and disjoint
             and zeros_covered
         )
-        notes.append(f"({h},{k},{i}) m={s.count} zeros={len(s.zero_points)}")
+        notes.append(f"({h},{k},{i}) m={len(s.secants)} zeros={len(zeros)}")
         ok = ok and case_ok
     _verdict(4, ok, "; ".join(notes))
     assert ok, notes
@@ -318,8 +319,8 @@ def test_criterion_09_mutation_sensitivity():
             extract_transversals(s, dirs.space)
         except HovalError as exc:
             return f"{type(exc).__name__}"
-        if s.count != 9:
-            return f"secant count {s.count}"
+        if len(s.secants) != 9:
+            return f"secant count {len(s.secants)}"
         return None
 
     def detect_c5(qset, dirs):

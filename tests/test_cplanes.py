@@ -7,7 +7,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hoval import cplanes, pipeline
@@ -24,6 +24,7 @@ from hoval.hyperoval import (
 )
 from hoval.linearsets import cyclic_candidate, spectrum
 from hoval.pipeline import run_verify_all
+from hoval.projective import ProjSpace
 from hoval.pseudoregulus import SecantStructure, find_long_secants
 from oracles import (
     a1_all_planes,
@@ -32,6 +33,7 @@ from oracles import (
     a4_triple_scan,
     all_lines,
     in_span,
+    meets_by_scan,
     planes_by_reduce,
     planes_of,
     replace,
@@ -61,7 +63,7 @@ def test_family_size_321(case321, family321):
     hov, d, s = case321
     assert len(family321) == 72
     assert family321.q == 8 and family321.m == 9
-    assert len(family321) == len(hov.affine) * s.count // 8
+    assert len(family321) == len(hov.affine) * len(s.secants) // 8
     planes = planes_of(family321, hov.maps)
     assert len(planes) == 72
     for pl in planes:
@@ -329,10 +331,7 @@ def test_a1_base_point_matches_all_planes(hki, monkeypatch):
 
 def _secant_structure(keys, maps):
     """A hand-made SecantStructure over the given lines of H_inf."""
-    return SecantStructure(
-        secants=tuple(sorted(keys)),
-        count=len(keys), d_on={}, zero_points=(), zero_pairs=(),
-    )
+    return SecantStructure(secants=tuple(sorted(keys)), zero_pairs=())
 
 
 def _coset_secants(c_points, maps):
@@ -451,9 +450,12 @@ def case331():
 
 @pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1), (3, 3, 2)])
 def test_planes_from_w_match_reduce(hki):
+    # the meets binned from C's directions are the q^2 scan's, and their
+    # cosets are the planes grouped by reduce
     hov, d, s = _setup(*hki)
     fam = build_c_planes(hov.affine, s, hov.maps)
     assert fam.c_points is hov.affine
+    assert fam.secants == meets_by_scan(hov.affine, s.secants, hov.maps)
     assert planes_of(fam, hov.maps) == planes_by_reduce(hov.affine, s, hov.maps)
 
 
@@ -596,6 +598,89 @@ def test_w_axioms_match_explicit_on_every_partition_221():
         assert _assert_w_matches_explicit(fam, structure, hov.maps)["A2"].ok
 
 
+# -- the meets W ∩ L_s binned from C's directions, against the q^2 scan --------
+
+@pytest.mark.parametrize("k", [2, 3])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_meets_match_the_scan_on_overlapping_lines(k, data):
+    # m lines from the 3-secants, which overlap, up to two of them swapped
+    # for lines through a point of D and a random point: mostly tangents,
+    # which meet W in 2 vectors, not q = 4.  On C or a translate of it,
+    # whose differences from its least point come in another order, the
+    # build gives the scan's sorted meets, or names its first short secant
+    hov, d, three = _h2_case(k)
+    space = d.space
+    shift = data.draw(st.integers(0, (1 << space.bits) - 1)) << hov.maps.tower.h
+    c_points = AffinePointSet((p ^ shift for p in hov.affine), hov.maps.ambient)
+    m = (4 ** k - 1) // 3
+    shorts = data.draw(st.integers(0, 2))
+    picks = data.draw(st.lists(st.sampled_from(three), min_size=m - shorts,
+                               max_size=m - shorts, unique=True))
+    for _ in range(shorts):
+        u = data.draw(st.sampled_from(d.ordered))
+        v = space.normalize(data.draw(st.integers(1, (1 << space.bits) - 1)))
+        assume(v != u)
+        picks.append(space.pair_line_key(u, v))
+    structure = _secant_structure(picks, hov.maps)
+    want = meets_by_scan(c_points, structure.secants, hov.maps)
+    short = [("secant", sidx, len(meet))
+             for sidx, (_, meet) in enumerate(want) if len(meet) != 4]
+    if short:
+        with pytest.raises(CPlaneConstructionFailed) as got:
+            build_c_planes(c_points, structure, hov.maps)
+        assert got.value.witness == short[0]
+    else:
+        assert build_c_planes(c_points, structure, hov.maps).secants == want
+
+
+def test_meets_and_a4_do_not_scan_the_secant_spaces(monkeypatch):
+    # at (4,2,1) the build walks the m = 17 secant lines once, 289 points,
+    # and the 255 differences once; it makes no membership test in C, and
+    # its only scalar products are the lines' 17 * 16, not the m q^2 = 4,352
+    # vectors of the L_s.  A4 reads each family line's count off its meet
+    hov, d, s = _setup(4, 2, 1)
+    maps, c_points = hov.maps, hov.affine
+    hist = spectrum(d)
+    cplanes.projected_differences(c_points, maps.hinf)  # memoized on C
+    walked, smuls, lookups = [], [], []
+    real_line, real_smul = ProjSpace.line_points, ProjSpace.smul
+    real_diffs = cplanes.projected_differences
+
+    def line_points(self, r0, r1):
+        pts = real_line(self, r0, r1)
+        walked.extend(pts)
+        return pts
+
+    def smul(self, c, v):
+        smuls.append(1)
+        return real_smul(self, c, v)
+
+    def differences(q_points, space):
+        for u in real_diffs(q_points, space):
+            lookups.append(u)
+            yield u
+
+    class Points(frozenset):
+        def __contains__(self, p):
+            lookups.append(None)
+            return super().__contains__(p)
+
+    monkeypatch.setattr(ProjSpace, "line_points", line_points)
+    monkeypatch.setattr(ProjSpace, "smul", smul)
+    monkeypatch.setattr(cplanes, "projected_differences", differences)
+    monkeypatch.setattr(c_points, "points", Points(c_points.points))
+    fam = build_c_planes(c_points, s, maps)
+    assert (fam.m, fam.q) == (17, 16)
+    assert len(walked) == len(set(walked)) == 17 * 17 == 289
+    assert lookups == list(real_diffs(c_points, maps.hinf)) and len(lookups) == 255
+    assert len(smuls) == 17 * 16 < 17 * 16 ** 2
+    monkeypatch.setattr(cplanes, "projected_differences", real_diffs)
+    walked.clear()
+    rep = check_axioms(fam, maps, axioms=("A4",), hist=hist)["A4"]
+    assert rep.ok and not walked
+
+
 def test_w_axioms_need_the_family_built_from_this_set(case321, family321):
     # the axioms take no point set: they read the C the record was built
     # from, so an equal but distinct set gets its own, equal record, and a
@@ -691,15 +776,7 @@ def _family_over(family, keys, maps):
     """The record of C's planes over the given lines of H_inf, each with its
     meet W ∩ L whatever its size (build_c_planes refuses a size other than
     q), so that the oracle scans the same planes A4 is handed."""
-    hinf, h = maps.hinf, maps.tower.h
-    c0, points = family.c_points.ordered[0], family.c_points.points
-    secants = []
-    for rows in sorted(keys):
-        m0, m1 = ([hinf.smul(c, r) for c in range(hinf.q)] for r in rows)
-        meet = sorted(x for x in {a ^ b for a in m0 for b in m1}
-                      if c0 ^ (x << h) in points)
-        secants.append((rows, tuple(meet)))
-    return replace(family, secants=tuple(secants))
+    return replace(family, secants=meets_by_scan(family.c_points, sorted(keys), maps))
 
 
 def test_a4_group_verdict_agrees_with_the_map_on_altered_bins(case321, family321):

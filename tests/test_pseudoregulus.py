@@ -57,10 +57,8 @@ def report321(case321):
 def test_long_secant_structure_321(case321):
     hov, d = case321
     s = find_long_secants(d)
-    assert s.count == 9
-    assert len(s.zero_points) == 18
-    assert len(s.d_on) == 63
-    assert set(s.d_on.values()) == set(range(9))
+    assert len(s.secants) == len(s.zero_pairs) == 9
+    assert len({p for pair in s.zero_pairs for p in pair}) == 18
     for a, b in s.zero_pairs:
         assert a not in d.points and b not in d.points
     # secants pairwise disjoint on all q+1 points
@@ -103,12 +101,31 @@ def test_transversals_321(case321):
     assert sorted(fmap.values()) == sorted(t.side_inf)
 
 
+def test_long_secants_sharing_an_off_point_are_refused(case321):
+    # secant 1's seven points of D moved onto a line through an off point x
+    # of secant 0 that meets no other secant: nine lines still carry seven
+    # points each and partition D, but two of them share x
+    hov, d = case321
+    space = d.space
+    s = find_long_secants(d)
+    x = s.zero_pairs[0][0]
+    kept = {p for key in s.secants[:1] + s.secants[2:] for p in space.line_points(*key)}
+    for y in sorted({space.normalize(v) for v in range(1, 1 << space.bits)} - kept):
+        line = [p for p in space.line_points(*space.pair_line_key(x, y)) if p != x]
+        if not kept.intersection(line):
+            break
+    forged = DirectionSet((d.points & kept) | set(line[:7]), space)
+    with pytest.raises(NotPseudoregulusCandidate,
+                       match="long secants are not pairwise disjoint"):
+        find_long_secants(forged)
+
+
 def test_transversals_anchor_independent(case321):
     hov, d = case321
     s = find_long_secants(d)
     base = extract_transversals(s, d.space)
     expected = {base.t0, base.t_inf}
-    for anchor in s.zero_points[1:6]:
+    for anchor in sorted({p for pair in s.zero_pairs for p in pair})[1:6]:
         alt = extract_transversals(s, d.space, anchor=anchor)
         assert {alt.t0, alt.t_inf} == expected
     with pytest.raises(TransversalExtractionFailed):
@@ -121,7 +138,7 @@ def test_each_refusal_of_extract_transversals(case321):
     space = d.space
     s = find_long_secants(d)
     t = extract_transversals(s, space)
-    anchor = s.zero_points[0]
+    anchor = min(p for pair in s.zero_pairs for p in pair)
     # a secant's pair replaced by two points of the anchor's side
     idx = next(n for n, p in enumerate(t.side0) if p != anchor)
     other = next(p for p in t.side0 if p not in (anchor, t.side0[idx]))
@@ -133,20 +150,27 @@ def test_each_refusal_of_extract_transversals(case321):
     # one secant: each side is a point, not a line
     with pytest.raises(TransversalExtractionFailed, match="T0 has rank 1, expected 2"):
         extract_transversals(replace(s, zero_pairs=s.zero_pairs[:1]), space)
-    # one secant dropped: 8 points that span a line of 9
+    # the anchor's partner swapped for the T0 point of another secant, whose
+    # pair is dropped: that point stays an off point, on the far side, and
+    # T0 keeps 8 points that span a line of 9
+    b = next(p for p in t.side0 if p != anchor)
+    pairs = [(anchor, b) if anchor in pair else pair
+             for pair in s.zero_pairs if b not in pair]
     with pytest.raises(TransversalExtractionFailed,
                        match="T0 span has points beyond the off points"):
-        extract_transversals(replace(s, zero_pairs=s.zero_pairs[1:]), space)
-    # two lines through a common point P: T0 as the off points, and a
-    # line through P and a point of T_inf, whose points off T0 classify
-    # as the other side; each side is a full line, but they span a plane
+        extract_transversals(replace(s, zero_pairs=tuple(pairs)), space)
+    # two lines through a common point P, with the anchor on the first and
+    # P paired with it: the points of the first line classify as T0 and
+    # those of the second as T_inf; each side is a full line, but they span
+    # a plane
     p, line0 = t.side0[0], set(t.side0)
     line1 = set(space.line_points(*space.pair_line_key(p, t.side_inf[0])))
-    pairs = [(p, p)] + list(zip(sorted(line0 - {p}), sorted(line1 - {p})))
-    meeting = replace(s, zero_pairs=tuple(pairs), zero_points=tuple(sorted(line0)))
+    start, *rest0 = sorted(line0 - {p})
+    first, *rest1 = sorted(line1 - {p})
+    pairs = [(start, p), (p, first)] + list(zip(rest0, rest1))
     with pytest.raises(TransversalExtractionFailed,
                        match="transversals do not span the space"):
-        extract_transversals(meeting, space, anchor=p)
+        extract_transversals(replace(s, zero_pairs=tuple(pairs)), space, anchor=start)
 
 
 def _scales_by_search(space, z, v0, v1):
@@ -282,12 +306,8 @@ def test_secants_are_their_pair_line_keys(spread_runs):
     # a long secant is the pair_line_key of any two of its points of D
     for run in spread_runs.values():
         space = run.dirs.space
-        on: dict = {}
-        for p, idx in run.structure.d_on.items():
-            on.setdefault(idx, []).append(p)
-        assert len(on) == len(run.structure.secants)
-        for idx, secant in enumerate(run.structure.secants):
-            a, b = on[idx][:2]
+        for secant in run.structure.secants:
+            a, b = [p for p in space.line_points(*secant) if p in run.dirs.points][:2]
             assert space.pair_line_key(a, b) == secant
 
 
@@ -642,7 +662,7 @@ def test_fit_standard_labeling_preferred(report321):
 def test_detect_full_chain_331():
     hov, d = _directions_for(3, 3, 1)
     rep = detect_pseudoregulus(d, hov.maps)
-    assert rep.structure.count == 73
+    assert len(rep.structure.secants) == 73
     assert len(rep.transversals.t0) == 3
     assert len(rep.spread_result.spread) == 513
     assert rep.one_point_detail["hit_once"] == 511
@@ -674,7 +694,9 @@ def test_h2_needs_the_verified_group(k):
     with pytest.raises(NotPseudoregulusCandidate, match="q = 4"):
         find_long_secants(d, hist=spectrum(d))
     s = find_long_secants(d, hist=_grouped(hov, d))
-    assert s.count == len(s.secants) == m and len(s.d_on) == len(d)
+    assert len(s.secants) == m
+    assert sorted(p for key in s.secants for p in d.space.line_points(*key)
+                  if p in d.points) == list(d.ordered)
     t = extract_transversals(s, d.space)
     fit = fit_semilinear(d, transversal_map(t), hov.maps)
     assert fit.exponents == frozenset({1, 2 * k - 1})
