@@ -11,6 +11,8 @@ certify in k (q^k + 1) lookups (plane_axioms_check).  The same partition
 puts every nonzero difference of a coset c0 + W in exactly one element, so
 the spread stage's count of D per element, or one element_of per point of
 the coset, gives every |W ∩ E| and the line histogram (hyperoval_in_plane).
+The plane holds no per-element structure: base_of and line_at read the
+rows from Spread.elements, whose distinct pivots the certificate checks.
 
 Integer point ids inside reports: affine points are their packed
 coordinates, the point of element idx is -1 - idx.
@@ -29,40 +31,25 @@ from .reduction import CorrespondenceMaps, ReductionIndex, Spread
 
 
 class BruckBosePlane:
-    __slots__ = ("maps", "spread", "rows", "mask", "order", "n_points", "n_lines")
+    __slots__ = ("maps", "spread", "order", "n_points", "n_lines")
 
     def __init__(self, maps: CorrespondenceMaps, spread: Spread):
-        amb = maps.ambient
-        h = maps.tower.h
         self.maps = maps
         self.spread = spread
-        rank = len(spread.elements[0])
-        self.order = amb.q**rank
-        self.mask = amb.chunk_mask
-        rows = []
-        for el in spread.elements:
-            # (shift of its pivot chunk, r << h), the pivot read inline
-            lifted = tuple((((r & -r).bit_length() - 1) // h * h + h, r << h) for r in el)
-            if len({s for s, _ in lifted if s}) != rank:
-                raise InvalidSpread("element pivots collide with the affine chunk")
-            rows.append(lifted)
-        self.rows = tuple(rows)
+        self.order = maps.ambient.q ** len(spread.elements[0])
         self.n_points = self.order**2 + len(spread.elements)
         self.n_lines = self.order * len(spread.elements) + 1
 
     def base_of(self, eidx: int, p: int) -> int:
         """Coset representative of affine point p along element eidx.
 
-        ProjSpace.reduce over the element's lifted rows, with their pivots
-        found when the plane was built: one ambient smul per pivot chunk.
+        ProjSpace.reduce over the element's rows shifted up past the affine
+        chunk, read from the spread on each call; it is the coset's one
+        representative with zero pivot chunks when the pivots are distinct,
+        which plane_axioms_check certifies.
         """
-        mask = self.mask
-        smul = self.maps.ambient.smul
-        for shift, row in self.rows[eidx]:
-            c = (p >> shift) & mask
-            if c:
-                p ^= smul(c, row)
-        return p
+        h = self.maps.tower.h
+        return self.maps.ambient.reduce(p, [r << h for r in self.spread.elements[eidx]])
 
     def line_through(self, p: int, r: int):
         """Line id (eidx, base) through two distinct affine points."""
@@ -76,14 +63,15 @@ class BruckBosePlane:
 
         Line j of element eidx has chunk 0 equal to 1, zero pivot chunks and
         the base-q digits of j in the free chunks, lowest digit lowest (so
-        the bases ascend): a zero chunk is pushed in at each pivot of j << h.
+        the bases ascend): a zero chunk is pushed in at each pivot of j << h,
+        the element's pivots read from the spread on each call.
         """
         if idx == self.n_lines - 1:
             return "inf"
         eidx, j = divmod(idx, self.order)
-        h = self.maps.tower.h
+        h, pivot = self.maps.tower.h, self.maps.hinf.pivot
         base = j << h
-        for shift in sorted(s for s, _ in self.rows[eidx]):
+        for shift in sorted((pivot(r) + 1) * h for r in self.spread.elements[eidx]):
             low = base & ((1 << shift) - 1)
             base = low | (base ^ low) << h
         return eidx, base | 1
@@ -106,7 +94,7 @@ class PlaneAxiomsReport(Record):
     points_per_line: int
     lines_per_point: int
     pairs_checked: int
-    collisions: int  # element rows off their fibre, elements of the wrong rank
+    collisions: int  # element rows off their fibre, elements of the wrong rank or pivots
     quadrangle_ok: bool
     witness: tuple | None
     # how the verdict was reached, not part of it
@@ -139,11 +127,10 @@ def plane_axioms_check(
     Lines are cosets b + <E>, so every translation of V(2k, q) is a
     collineation and the lines through two affine points depend only on
     their difference d: one per element whose span holds d.  Each parallel
-    class tiles the affine points (distinct pivots, checked when the plane
-    is built, give one coset representative per coset), and two element
-    points share only the line at infinity.  So every point pair lies on
-    exactly one line iff the element spans partition the nonzero vectors
-    of H_inf.
+    class tiles the affine points (distinct pivots give base_of one coset
+    representative per coset), and two element points share only the line
+    at infinity.  So every point pair lies on exactly one line iff the
+    element spans partition the nonzero vectors of H_inf.
 
     The partition is certified from the fibres of the spread's
     ReductionIndex (path "fibres") in k (q^k + 1) element_of calls, with no
@@ -151,17 +138,18 @@ def plane_axioms_check(
     preimage of GF(q^k) s under "M, then unvec each block": a GF(q)-subspace,
     since the map is GF(q)-linear, and the fibres of distinct sources meet
     only in 0, since the Spread refused a map that is not injective.  The
-    certificate asks that every element has k rows (independent, as their
-    pivots are distinct) and that every row of element idx lies in the
-    fibre of idx.  Then each span lies in its own fibre, the spans are
+    certificate asks that every element has k rows with distinct pivots
+    (so independent) and that every row of element idx lies in the fibre
+    of idx.  Then each span lies in its own fibre, the spans are
     pairwise disjoint, and q^k + 1 of them cover the q^2k - 1 nonzero
     vectors.  pairs_checked, the sum of C(|line|, 2) over the lines, equals
-    C(points, 2) exactly when there are q^k + 1 elements.  A row in a wrong
-    fibre is ("element row in another fibre", idx, row, other_idx), with
-    other_idx None when the row is no normalized point.  A spread whose
-    index is no ReductionIndex raises InvalidSpread; the budget charges the
-    element_of calls.  Four points in general position must also span six
-    lines.  Nothing is sampled: the certificate decides the axioms, and
+    C(points, 2) exactly when there are q^k + 1 elements.  A repeated pivot
+    is ("element pivots repeat", idx, pivots), and a row in a wrong fibre
+    ("element row in another fibre", idx, row, other_idx), with other_idx
+    None when the row is no normalized point.  A spread whose index is no
+    ReductionIndex raises InvalidSpread; the budget charges the element_of
+    calls.  Four points in general position must also span six lines.
+    Nothing is sampled: the certificate decides the axioms, and
     every forged plane of the tests fails it with its own witness
     (test_forged_planes_fail_by_the_certificate_alone).
     """
@@ -170,6 +158,7 @@ def plane_axioms_check(
     if not isinstance(index, ReductionIndex):
         raise InvalidSpread("the plane axioms are certified for a field reduction index only")
     k = plane.maps.tower.k
+    pivot = plane.maps.hinf.pivot
     m = len(spread.elements)
     if budget is not None and k * m > budget:
         raise EnumerationTooLarge(k * m, budget, "fibre certificate")
@@ -180,6 +169,9 @@ def plane_axioms_check(
             collisions += 1
             witness = witness or ("element rank", idx, len(el), k)
             continue
+        if len(set(map(pivot, el))) != k:
+            collisions += 1
+            witness = witness or ("element pivots repeat", idx, tuple(map(pivot, el)))
         for row in el:
             other = index.get(row)
             if other != idx:
@@ -219,12 +211,13 @@ class HyperovalPlaneReport(Record):
 
 def hyperoval_in_plane(
     q_points: AffinePointSet,
-    t0_rows: tuple,
-    tinf_rows: tuple,
+    t0_index: int,
+    tinf_index: int,
     plane: BruckBosePlane,
     dir_hits: dict | None = None,
 ) -> HyperovalPlaneReport:
-    """Q plus the two transversal points is a hyperoval of the plane.
+    """Q plus the points of elements t0_index and tinf_index (the spread
+    stage's transversals) is a hyperoval of the plane.
 
     The meet histogram over every line of the plane must be supported on
     {0, 2} (hyperovals have no tangents).  Q must be a verified coset
@@ -243,10 +236,9 @@ def hyperoval_in_plane(
     count the lines of its span cannot hold fails with the witness
     ("element span is no fibre", element) and no histogram.
     """
-    keyed = {el: idx for idx, el in enumerate(plane.spread.elements)}
-    if t0_rows not in keyed or tinf_rows not in keyed:
-        raise InvalidSpread("transversal rows are not spread elements")
-    extra = {keyed[t0_rows], keyed[tinf_rows]}
+    extra = {t0_index, tinf_index}
+    if not all(0 <= idx < len(plane.spread) for idx in extra):
+        raise InvalidSpread("transversal indices are not spread elements")
     order = plane.order
     size_ok = len(q_points) == order
     closure_ok, closure_witness = translation_closure_check(q_points)

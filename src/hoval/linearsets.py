@@ -41,7 +41,13 @@ from itertools import combinations
 
 from .errors import EnumerationTooLarge, NotF2Linear, TooFewPoints
 from .gf2 import LinearMap, f2_echelon, field_create
-from .hyperoval import AffinePointSet, DirectionSet, projected_differences, translation_basis
+from .hyperoval import (
+    AffinePointSet,
+    DirectionSet,
+    projected_differences,
+    translation_basis,
+    translation_closure_check,
+)
 from .projective import DEFAULT_BUDGET, ProjSpace, projective_points_count
 from .record import Record
 from .reduction import CorrespondenceMaps
@@ -416,8 +422,10 @@ def f2_witness(
     difference vectors, so their span is the translation basis W of C
     (translation_basis, memoized on the set) and they are closed iff
     |C| = 2^rank W, the rank test of translation_closure_check.  Raises
-    NotF2Linear when the difference set is not a subspace or when its
-    renormalization does not reproduce the direction set.
+    NotF2Linear when the difference set is not a subspace, naming the
+    vector (v ^ c0) >> h of closure's memoized witness (a, b, c0, v): a sum
+    of two differences, so in the span, whose point v is not in C; or when
+    its renormalization does not reproduce the direction set.
     """
     if len(q_points) < 2:
         raise TooFewPoints("need at least 2 affine points")
@@ -425,15 +433,10 @@ def f2_witness(
     rank = len(rows)
     ordered = q_points.ordered
     if len(ordered) != 1 << rank:
-        h = q_points.space.h
-        diffs = [(p ^ ordered[0]) >> h for p in ordered]
-        span = {0}
-        for r in rows:
-            span |= {s ^ r for s in span}
-        missing = min(span.difference(diffs))
+        _, c0, v = translation_closure_check(q_points)[1][1:]
         raise NotF2Linear(
-            f"difference set of size {len(diffs)} spans {len(span)} vectors; "
-            f"0x{missing:x} is in the span but not the set"
+            f"difference set of size {len(ordered)} spans {1 << rank} vectors; "
+            f"0x{(v ^ c0) >> q_points.space.h:x} is in the span but not the set"
         )
     projected = projected_differences(q_points, maps.hinf)
     if dirs.points.symmetric_difference(projected):

@@ -253,10 +253,8 @@ def _stage_plane(run: _Run) -> tuple[bool, dict]:
     res = run.spread_result
     plane = build_plane(maps, res.spread)
     axioms = plane_axioms_check(plane, budget=run.budget)
-    elements = res.spread.elements
     hrep = hyperoval_in_plane(
-        run.hov.affine, elements[res.t0_index], elements[res.tinf_index], plane,
-        run.dir_hits,
+        run.hov.affine, res.t0_index, res.tinf_index, plane, run.dir_hits
     )
     data = {
         "order": plane.order,

@@ -166,27 +166,27 @@ def extract_transversals(
     """Split the off-D points into the two transversal subspaces.
 
     The anchor (least off point by default) names one side; a point X of
-    another secant joins it iff the line anchor-X avoids D entirely.  The
-    result is anchor-independent up to swapping the two sides.  T0 and
-    T_inf are complementary (k-1)-spaces of PG(2k-1, q), so each side must
-    have rank width // 2; its span holds the side, so the two are equal
-    exactly when the side has as many points as the span.
+    another secant joins it iff the point anchor + X is an off point: in
+    T0 exactly when X is, else off T0 ∪ T_inf.  The result is
+    anchor-independent up to swapping the two sides.  T0 and T_inf are
+    complementary (k-1)-spaces of PG(2k-1, q), so each side must have rank
+    width // 2; its span holds the side, so the two are equal exactly when
+    the side has as many points as the span.
     """
     zset = {p for pair in structure.zero_pairs for p in pair}
     if anchor is None:
         anchor = min(zset)
     elif anchor not in zset:
         raise TransversalExtractionFailed(f"anchor 0x{anchor:x} is not an off point")
-    key = space.pair_line_key
-    line_pts = space.line_points
+    normalize = space.normalize
     side0, side_inf = [], []
     for idx, (a, b) in enumerate(structure.zero_pairs):
         if anchor in (a, b):
             side0.append(anchor)
             side_inf.append(b if anchor == a else a)
             continue
-        za = all(p in zset for p in line_pts(*key(anchor, a)))
-        zb = all(p in zset for p in line_pts(*key(anchor, b)))
+        za = normalize(anchor ^ a) in zset
+        zb = normalize(anchor ^ b) in zset
         if za == zb:
             raise TransversalExtractionFailed(
                 f"secant {idx}: off points classify as ({za}, {zb})"
@@ -505,18 +505,21 @@ def build_spread(
     through M(p).  No element is row-reduced.  matches_canonical runs the
     fit's spread test (_preserves_spread) again on M, and
     plane_axioms_check re-verifies it, as a row lies in fibre idx only if
-    M carries the element onto canonical element idx.
+    M carries the element onto canonical element idx.  The transversals
+    are returned as their indices among the elements, with no copy.
     """
     m = fit.matrix
     spread = Spread(maps.tower, maps.hinf, m)
-    keyset = {el: idx for idx, el in enumerate(spread.elements)}
-    if transversals.t0 not in keyset or transversals.t_inf not in keyset:
-        raise SpreadConstructionFailed("transversals are not spread elements")
+    try:
+        t0_index = spread.elements.index(transversals.t0)
+        tinf_index = spread.elements.index(transversals.t_inf)
+    except ValueError:
+        raise SpreadConstructionFailed("transversals are not spread elements") from None
     return SpreadResult(
         spread=spread,
         matches_canonical=_preserves_spread(m, maps, unvec_blocks(maps.tower, 2)),
-        t0_index=keyset[transversals.t0],
-        tinf_index=keyset[transversals.t_inf],
+        t0_index=t0_index,
+        tinf_index=tinf_index,
         exponent=fit.exponent,
     )
 

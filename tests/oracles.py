@@ -755,12 +755,14 @@ def meet(plane, l1, l2) -> int:
     if e1 == e2:
         return 1
     amb = plane.maps.ambient
+    h = plane.maps.tower.h
+    rows = plane.spread.elements[e2]
     rest: list = []
-    for _, row in plane.rows[e2]:
-        v = amb.reduce(plane.base_of(e1, row), rest)
+    for row in rows:
+        v = amb.reduce(plane.base_of(e1, row << h), rest)
         if v:
             rest.append(amb.normalize(v))
-    if len(rest) < len(plane.rows[e2]) and amb.reduce(plane.base_of(e1, b1 ^ b2), rest):
+    if len(rest) < len(rows) and amb.reduce(plane.base_of(e1, b1 ^ b2), rest):
         return 0
     return plane.order // amb.q ** len(rest)
 

@@ -1,15 +1,20 @@
-"""Write the timing-free verify-all report of every small triple to OUTDIR.
+"""The timing-free verify-all report of every small triple, and its digests.
 
-    python tests/report_corpus.py OUTDIR
+    python tests/report_corpus.py --check     # compare with DIGESTS
+    python tests/report_corpus.py --write     # record the current reports
+    python tests/report_corpus.py OUTDIR      # write the reports themselves
 
-One file per triple and mode, for every h, k >= 2 and 1 <= i < hk, strict
-iff gcd(i, hk) = 1: the 97 triples with hk <= 12 in pairs mode and the 27
-with hk <= 8 in exhaustive mode.  A change that should move no verdict and
-no figure is checked by running this in both trees and comparing the two
-directories with `diff -r`.  The reports come from the `src/` beside this
-file, one triple at a time in one process.  pytest does not collect it.
+One report per triple and mode, for every h, k >= 2 and 1 <= i < hk,
+strict iff gcd(i, hk) = 1: the 97 triples with hk <= 12 in pairs mode and
+the 27 with hk <= 8 in exhaustive mode.  DIGESTS holds one SHA-256 per
+report, in `sha256sum` format, so a change that should move no verdict and
+no figure is checked by `--check` (and by test_report_corpus.py in
+tier-1); a change that means to move a report re-records the file with
+`--write` and names the reports that moved.  The reports come from the
+`src/` beside this file, one triple at a time in one process.
 """
 
+import hashlib
 import sys
 from math import gcd
 from pathlib import Path
@@ -20,6 +25,7 @@ from hoval.pipeline import run_verify_all  # noqa: E402
 from hoval.serialize import dumps  # noqa: E402
 
 RUNS = (("pairs", 12), ("exhaustive", 8))  # mode, largest hk
+DIGESTS = Path(__file__).resolve().parent / "data" / "report_corpus.sha256"
 
 
 def triples(limit: int):
@@ -30,19 +36,52 @@ def triples(limit: int):
                 yield h, k, i
 
 
-def main(argv) -> int:
-    if len(argv) != 1:
-        print("usage: python tests/report_corpus.py OUTDIR", file=sys.stderr)
-        return 2
-    out = Path(argv[0])
-    out.mkdir(parents=True, exist_ok=True)
-    written = 0
+def reports():
+    """(file name, report text) for every triple and mode, in order."""
     for mode, limit in RUNS:
         for h, k, i in triples(limit):
             report = run_verify_all(h, k, i, strict=gcd(i, h * k) == 1, mode=mode)
             text = dumps(report.to_json_dict(include_timings=False))
-            (out / f"report_{h}_{k}_{i}_{mode}.json").write_text(text, encoding="ascii")
-            written += 1
+            yield f"report_{h}_{k}_{i}_{mode}.json", text
+
+
+def digests() -> dict:
+    """File name -> SHA-256 hex digest of its report text."""
+    return {name: hashlib.sha256(text.encode("ascii")).hexdigest() for name, text in reports()}
+
+
+def recorded() -> dict:
+    """The digests DIGESTS records, as digests() returns them."""
+    pairs = (line.split("  ", 1) for line in DIGESTS.read_text(encoding="ascii").splitlines())
+    return {name: digest for digest, name in pairs}
+
+
+def mismatches(now: dict, then: dict) -> list:
+    """Sorted names whose digest differs, or that one of the two lacks."""
+    return sorted(name for name in now.keys() | then.keys() if now.get(name) != then.get(name))
+
+
+def main(argv) -> int:
+    if argv == ["--write"]:
+        now = digests()
+        DIGESTS.write_text("".join(f"{d}  {n}\n" for n, d in now.items()), encoding="ascii")
+        print(f"{len(now)} digests in {DIGESTS}")
+        return 0
+    if argv == ["--check"]:
+        moved = mismatches(digests(), recorded())
+        for name in moved:
+            print(f"moved: {name}")
+        print(f"{len(moved)} of the recorded reports moved")
+        return 1 if moved else 0
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print("usage: python tests/report_corpus.py --check | --write | OUTDIR", file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    written = 0
+    for name, text in reports():
+        (out / name).write_text(text, encoding="ascii")
+        written += 1
     print(f"{written} reports in {out}")
     return 0
 

@@ -197,12 +197,7 @@ def test_criterion_07_hyperoval_reconstruction():
     t0 = time.perf_counter()
     plane = build_plane(hov.maps, res.spread)
     axioms = plane_axioms_check(plane)
-    hrep = hyperoval_in_plane(
-        hov.affine,
-        res.spread.elements[res.t0_index],
-        res.spread.elements[res.tinf_index],
-        plane,
-    )
+    hrep = hyperoval_in_plane(hov.affine, res.t0_index, res.tinf_index, plane)
     closure_321 = translation_closure_check(hov.affine)[0]
     dt321 = time.perf_counter() - t0
     ok1 = (
@@ -222,12 +217,7 @@ def test_criterion_07_hyperoval_reconstruction():
     rep4 = _chain(4, 2, 1)
     res4 = rep4.spread_result
     plane4 = build_plane(hov4.maps, res4.spread)
-    hrep4 = hyperoval_in_plane(
-        hov4.affine,
-        res4.spread.elements[res4.t0_index],
-        res4.spread.elements[res4.tinf_index],
-        plane4,
-    )
+    hrep4 = hyperoval_in_plane(hov4.affine, res4.t0_index, res4.tinf_index, plane4)
     closure_421 = translation_closure_check(hov4.affine)[0]
     ok2 = (
         hrep4.ok
@@ -297,8 +287,6 @@ def test_criterion_09_mutation_sensitivity():
     rep = _chain(3, 2, 1)
     res = rep.spread_result
     plane = build_plane(maps, res.spread)
-    t0_rows = res.spread.elements[res.t0_index]
-    tinf_rows = res.spread.elements[res.tinf_index]
     good_structure = rep.structure
 
     def detect_c3(qset, dirs):
@@ -334,7 +322,7 @@ def test_criterion_09_mutation_sensitivity():
 
     def detect_c7(qset, dirs):
         try:
-            hrep = hyperoval_in_plane(qset, t0_rows, tinf_rows, plane)
+            hrep = hyperoval_in_plane(qset, res.t0_index, res.tinf_index, plane)
         except HovalError as exc:
             return f"{type(exc).__name__}"
         if not hrep.ok:

@@ -62,18 +62,18 @@ def test_plane_counts_321(setup321):
     assert len(set(pts)) == 64
 
 
-def test_plane_keeps_only_the_lifted_rows():
-    # the plane over the (6,2,1) run's spread: 4,097 elements of 2 rows, and
-    # nothing with q entries per row (their multiples took about 21 MiB)
-    run = run_verify_all(6, 2, 1, stages=("spread",)).run
+def test_plane_holds_no_per_element_structure():
+    # the plane over the (4,2,1) run's spread reads its 257 elements' rows
+    # from the spread: a lifted copy of them took about 64 KiB
+    run = run_verify_all(4, 2, 1, stages=("spread",)).run
     tracemalloc.start()
     try:
         plane = build_plane(run.hov.maps, run.spread_result.spread)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert plane.n_lines == 4096 * 4097 + 1
-    assert peak < 2 * 2**20
+    assert plane.n_lines == 256 * 257 + 1
+    assert peak < 4096
 
 
 def test_line_through_membership(setup321):
@@ -134,8 +134,8 @@ def test_axioms_exhaustive_small_case():
 
 def test_hyperoval_in_plane_321(setup321):
     hov, d, rep, plane = setup321
-    t = rep.transversals
-    hrep = hyperoval_in_plane(hov.affine, t.t0, t.t_inf, plane)
+    res = rep.spread_result
+    hrep = hyperoval_in_plane(hov.affine, res.t0_index, res.tinf_index, plane)
     assert hrep.ok
     assert hrep.size_ok and hrep.closure_ok
     assert hrep.histogram == {0: 2016, 2: 2145}
@@ -148,9 +148,9 @@ def test_hyperoval_in_plane_421():
     hov = build_hyperoval(HyperovalSpec(4, 2, 1))
     d = directions(hov.affine, hov.maps)
     rep = detect_pseudoregulus(d, hov.maps)
-    plane = build_plane(hov.maps, rep.spread_result.spread)
-    t = rep.transversals
-    hrep = hyperoval_in_plane(hov.affine, t.t0, t.t_inf, plane)
+    res = rep.spread_result
+    plane = build_plane(hov.maps, res.spread)
+    hrep = hyperoval_in_plane(hov.affine, res.t0_index, res.tinf_index, plane)
     assert hrep.ok
     # no tangents, C(258, 2) secants, the rest external
     assert hrep.histogram.get(1, 0) == 0
@@ -161,8 +161,7 @@ def test_hyperoval_in_plane_421():
 
 def test_mutated_set_caught_by_line_scan(setup321):
     hov, d, rep, plane = setup321
-    t = rep.transversals
-    trans = (t.t0, t.t_inf)
+    trans = (rep.spread_result.t0_index, rep.spread_result.tinf_index)
     rng = random.Random(11)
     h = hov.maps.tower.h
     bits = hov.maps.ambient.bits - h
@@ -185,19 +184,13 @@ def _plane_case(hki):
     hov = build_hyperoval(HyperovalSpec(*hki))
     d = directions(hov.affine, hov.maps)
     rep = detect_pseudoregulus(d, hov.maps)
-    plane = build_plane(hov.maps, rep.spread_result.spread)
-    t = rep.transversals
-    return hov, plane, (t.t0, t.t_inf)
-
-
-def _extra(plane, transversals):
-    """Indices of the two transversal elements."""
-    return {plane.spread.elements.index(rows) for rows in transversals}
+    res = rep.spread_result
+    return hov, build_plane(hov.maps, res.spread), (res.t0_index, res.tinf_index)
 
 
 def _scanned(q_points, plane, transversals):
     """(histogram with the line at infinity, witness) of the full line scan."""
-    hist, witness = histogram_by_scan(q_points, plane, _extra(plane, transversals))
+    hist, witness = histogram_by_scan(q_points, plane, set(transversals))
     hist[2] = hist.get(2, 0) + 1
     return {j: hist[j] for j in sorted(hist)}, witness
 
@@ -212,7 +205,7 @@ def test_hyperoval_in_plane_by_basis_matches_scan(hki):
 
 def test_hyperoval_in_plane_refuses_an_unclosed_set(setup321):
     hov, d, rep, plane = setup321
-    trans = (rep.transversals.t0, rep.transversals.t_inf)
+    trans = (rep.spread_result.t0_index, rep.spread_result.tinf_index)
     pts = list(hov.affine.ordered)
     h = hov.maps.tower.h
     outside = next(1 | (v << h) for v in range(1, 1 << 12)
@@ -239,13 +232,13 @@ def test_failing_histogram_names_its_line():
     tag, eidx, base, count = hrep.witness
     assert tag == "line" and count not in (0, 2)
     on_line = sum(plane.base_of(eidx, p) == base for p in bad.ordered)
-    assert on_line + (eidx in _extra(plane, trans)) == count
+    assert on_line + (eidx in trans) == count
     assert plane.base_of(eidx, bad.ordered[0]) == base != coset_bases(plane, eidx)[0]
 
 
 def _by_rank(q_points, plane, transversals):
     """(histogram with the line at infinity, witness) of the rank oracle."""
-    hist, witness = histogram_by_rank(q_points, plane, _extra(plane, transversals))
+    hist, witness = histogram_by_rank(q_points, plane, set(transversals))
     hist[2] = hist.get(2, 0) + 1
     return {j: hist[j] for j in sorted(hist)}, witness
 
@@ -254,7 +247,7 @@ def _by_rank(q_points, plane, transversals):
                                  (3, 3, 2), (5, 2, 1)])
 def test_fibre_counts_match_the_rank_oracle(hki):
     hov, plane, trans = _plane_case(hki)
-    extra = _extra(plane, trans)
+    extra = set(trans)
     by_fibres = _histogram_by_fibres(hov.affine, plane, extra)
     assert by_fibres == histogram_by_rank(hov.affine, plane, extra)
     assert set(by_fibres[0]) == {0, 2} and by_fibres[1] is None
@@ -275,8 +268,7 @@ def _off_hyperoval(which):
     hov, plane, _ = _plane_case((3, 2, 1))
     c0 = hov.affine.ordered[0]
     p = next(p for p in hov.affine.ordered if plane.base_of(0, p) != plane.base_of(0, c0))
-    elements = plane.spread.elements
-    return AffinePointSet([c0, p], hov.maps.ambient), plane, (elements[0], elements[1]), False
+    return AffinePointSet([c0, p], hov.maps.ambient), plane, (0, 1), False
 
 
 @pytest.mark.parametrize("which", ["through c0", "missed line"])
@@ -325,8 +317,7 @@ def test_direction_on_no_element_is_a_witness(setup321, forged321):
     h = hov.maps.tower.h
     d = plane.maps.hinf.normalize(plane.spread.elements[1][0])
     pair = AffinePointSet([1, 1 ^ (d << h)], hov.maps.ambient)
-    elements = forged321.spread.elements
-    hrep = hyperoval_in_plane(pair, elements[0], elements[2], forged321)
+    hrep = hyperoval_in_plane(pair, 0, 2, forged321)
     assert hrep.closure_ok and not hrep.ok
     assert hrep.witness == ("direction on no element", d)
     assert hrep.histogram == {} and hrep.lines_checked == 0
@@ -334,8 +325,9 @@ def test_direction_on_no_element_is_a_witness(setup321, forged321):
 
 def test_wrong_transversal_rows_rejected(setup321):
     hov, d, rep, plane = setup321
-    with pytest.raises(InvalidSpread):
-        hyperoval_in_plane(hov.affine, (1, 2), (3, 4), plane)
+    for t0, t_inf in ((0, 65), (-1, 0)):
+        with pytest.raises(InvalidSpread, match="not spread elements"):
+            hyperoval_in_plane(hov.affine, t0, t_inf, plane)
 
 
 # -- table-driven kernels against their oracles -------------------------------
@@ -647,14 +639,33 @@ def test_fibre_certificate_names_an_element_of_the_wrong_rank():
     assert rep.collisions == 65
 
 
+def test_repeated_pivot_is_a_witness_of_the_certificate():
+    # element 5's rows (r0, r0 + r1) span element 5 and lie in its fibre,
+    # but share r0's pivot, so base_of would give no coset representative
+    maps = maps_for(tower_create(3, 2))
+    good = maps.abb_spread
+    elements = list(good.elements)
+    r0, r1 = elements[5]
+    elements[5] = (r0, r0 ^ r1)
+    plane = build_plane(maps, forged_spread(good, elements))
+    assert good.element_of(r0 ^ r1) == 5
+    rep = plane_axioms_check(plane)
+    pivot = maps.hinf.pivot(r0)
+    assert not rep.ok and rep.path == "fibres"
+    assert rep.witness == ("element pivots repeat", 5, (pivot, pivot))
+    assert rep.collisions == 1
+
+
 def test_hyperoval_in_plane_assumes_the_certificate():
     # the fibres of the cut spread are still the (3,2) spread, so they
     # count W ∩ E for 2-dimensional elements on a plane of order q: a class
     # would hold more lines than the plane has, and no verdict is given
-    hov, _, (t0, t_inf) = _plane_case((3, 2, 1))
+    hov, run_plane, trans = _plane_case((3, 2, 1))
     plane = _wrong_rank()
     assert not plane_axioms_check(plane).ok
-    hrep = hyperoval_in_plane(hov.affine, t0[:1], t_inf[:1], plane)
+    cut = plane.spread.elements
+    t0, t_inf = (cut.index(run_plane.spread.elements[t][:1]) for t in trans)
+    hrep = hyperoval_in_plane(hov.affine, t0, t_inf, plane)
     assert hrep.closure_ok and not hrep.size_ok and not hrep.ok
     assert hrep.witness == ("element span is no fibre", 0)
     assert hrep.histogram == {} and hrep.lines_checked == 0

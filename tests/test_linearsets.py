@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hoval import linearsets
 from hoval.cplanes import build_c_planes, check_axioms
 from hoval.errors import EnumerationTooLarge, NotF2Linear
-from hoval.gf2 import field_create
+from hoval.gf2 import f2_echelon, field_create
 from hoval.hyperoval import (
     AffinePointSet,
     DirectionSet,
@@ -18,6 +18,7 @@ from hoval.hyperoval import (
     build_hyperoval,
     directions,
     translation_basis,
+    translation_closure_check,
 )
 from hoval.linearsets import (
     cyclic_candidate,
@@ -274,10 +275,17 @@ def test_f2_witness_rejects_damaged_set(case321):
     damaged = AffinePointSet(pts[1:] + [outside], hov.maps.ambient)
     with pytest.raises(NotF2Linear) as exc:
         f2_witness(damaged, directions(damaged, hov.maps), hov.maps)
+    # the vector of translation_closure_check's witness, with no span listed
     assert str(exc.value) == (
         "difference set of size 64 spans 128 vectors; "
-        "0x1 is in the span but not the set"
+        "0xc7 is in the span but not the set"
     )
+    _, _, c0, v = translation_closure_check(damaged)[1]
+    diffs = {(p ^ c0) >> h for p in damaged.ordered}
+    span = {0}
+    for r in f2_echelon(diffs):
+        span |= {s ^ r for s in span}
+    assert (v ^ c0) >> h == 0xC7 and 0xC7 in span - diffs and len(span) == 128
 
 
 def test_f2_witness_rejects_wrong_directions(case321):

@@ -19,6 +19,7 @@ MOVED_MEMBERS = {
     "Spread.reduced", "Spread.sources", "CyclicSymmetry.dirs",
     "ProjSpace.subspace_points",
     "SecantStructure.count", "SecantStructure.d_on", "SecantStructure.zero_points",
+    "BruckBosePlane.rows", "BruckBosePlane.mask",
 }
 
 

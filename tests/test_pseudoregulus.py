@@ -173,6 +173,19 @@ def test_each_refusal_of_extract_transversals(case321):
         extract_transversals(replace(s, zero_pairs=tuple(pairs)), space, anchor=start)
 
 
+def test_extract_transversals_walks_no_lines(case321, monkeypatch, line_key_calls):
+    # each off point is split by one normalize of anchor + X, not by the
+    # line anchor-X: no line is keyed or walked
+    hov, d = case321
+    s = find_long_secants(d)
+    line_key_calls.clear()
+    walked = []
+    monkeypatch.setattr(ProjSpace, "line_points", lambda *args: walked.append(args))
+    t = extract_transversals(s, d.space)
+    assert (len(line_key_calls), walked) == (0, [])
+    assert len(t.side0) == len(s.zero_pairs) == 9
+
+
 def _scales_by_search(space, z, v0, v1):
     """Every c in GF(q)* with v0 + c v1 on the point <z> or zero."""
     return [c for c in range(1, space.q)
