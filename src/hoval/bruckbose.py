@@ -7,8 +7,8 @@ Desarguesian spread this is PG(2, q^k) again; the axioms are checked here
 against the incidence structure, not assumed.  Every translation of
 V(2k, q) is a collineation, so the axioms come down to the element spans
 partitioning H_inf, which the fibres of the spread's field reduction
-certify in k (q^k + 1) lookups (plane_axioms_check).  The same partition
-puts every nonzero difference of a coset c0 + W in exactly one element, so
+certify with two products per element row (plane_axioms_check).  The same
+partition puts every nonzero difference of a coset c0 + W in exactly one element, so
 the spread stage's count of D per element, or one element_of per point of
 the coset, gives every |W ∩ E| and the line histogram (hyperoval_in_plane).
 The plane holds no per-element structure: base_of and line_at read the
@@ -20,7 +20,7 @@ coordinates, the point of element idx is -1 - idx.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import comb
 
 from .errors import DimensionMismatch, EnumerationTooLarge, InvalidSpread
@@ -133,50 +133,61 @@ def plane_axioms_check(
     element spans partition the nonzero vectors of H_inf.
 
     The partition is certified from the fibres of the spread's
-    ReductionIndex (path "fibres") in k (q^k + 1) element_of calls, with no
-    array over the q^2k vectors.  The fibre of a source s, plus 0, is the
-    preimage of GF(q^k) s under "M, then unvec each block": a GF(q)-subspace,
-    since the map is GF(q)-linear, and the fibres of distinct sources meet
-    only in 0, since the Spread refused a map that is not injective.  The
-    certificate asks that every element has k rows with distinct pivots
-    (so independent) and that every row of element idx lies in the fibre
-    of idx.  Then each span lies in its own fibre, the spans are
-    pairwise disjoint, and q^k + 1 of them cover the q^2k - 1 nonzero
-    vectors.  pairs_checked, the sum of C(|line|, 2) over the lines, equals
-    C(points, 2) exactly when there are q^k + 1 elements.  A repeated pivot
-    is ("element pivots repeat", idx, pivots), and a row in a wrong fibre
-    ("element row in another fibre", idx, row, other_idx), with other_idx
-    None when the row is no normalized point.  A spread whose index is no
-    ReductionIndex raises InvalidSpread; the budget charges the element_of
-    calls.  Four points in general position must also span six lines.
-    Nothing is sampled: the certificate decides the axioms, and
-    every forged plane of the tests fails it with its own witness
-    (test_forged_planes_fail_by_the_certificate_alone).
+    ReductionIndex (path "fibres"), with no array over the q^2k vectors.
+    The fibre of a source s, plus 0, is the preimage of GF(q^k) s under
+    "M, then unvec each block" (to_source): a GF(q)-subspace, since the map
+    is GF(q)-linear, and the fibres of distinct sources meet only in 0,
+    since the Spread refused a map that is not injective.  The certificate
+    asks that every element has k rows with distinct pivots (so
+    independent) and that every row of element idx lies in the fibre of
+    idx: the row is a normalized point and x = to_source(row) spans the
+    source s = (s0, s1) of idx, x0 s1 = x1 s0 with x != 0, two products
+    over GF(q^k) and no inverse.  Only a row that fails is looked up
+    (element_of), to name the fibre it is in.  Then each span lies in its
+    own fibre, the spans are pairwise disjoint, and q^k + 1 of them cover
+    the q^2k - 1 nonzero vectors.  pairs_checked, the sum of C(|line|, 2)
+    over the lines, equals C(points, 2) exactly when there are q^k + 1
+    elements.  A repeated pivot is ("element pivots repeat", idx, pivots),
+    and a row in a wrong fibre ("element row in another fibre", idx, row,
+    other_idx), with other_idx None when the row is no normalized point.
+    A spread whose index is no ReductionIndex raises InvalidSpread; the
+    budget charges the k (q^k + 1) rows.  Four points in general position
+    must also span six lines.  Nothing is sampled: the certificate decides
+    the axioms, and every forged plane of the tests fails it with its own
+    witness (test_forged_planes_fail_by_the_certificate_alone).
     """
     spread = plane.spread
     index = spread.index
     if not isinstance(index, ReductionIndex):
         raise InvalidSpread("the plane axioms are certified for a field reduction index only")
-    k = plane.maps.tower.k
-    pivot = plane.maps.hinf.pivot
+    tower, hinf = plane.maps.tower, plane.maps.hinf
+    k, hk, mul = tower.k, tower.hk, tower.big.mul
+    pivot, h, top, lead = hinf.pivot, hinf.h, 1 << hinf.bits, hinf.chunk_mask
+    to_source, mask = index.to_source.apply, (1 << hk) - 1
     m = len(spread.elements)
     if budget is not None and k * m > budget:
         raise EnumerationTooLarge(k * m, budget, "fibre certificate")
+    # element idx reduces the idx-th source point; past them there is none
+    sources = chain(index.source.points(budget=None), repeat(None))
     collisions = 0
     witness = None
-    for idx, el in enumerate(spread.elements):
+    for idx, (el, s) in enumerate(zip(spread.elements, sources)):
         if len(el) != k:
             collisions += 1
             witness = witness or ("element rank", idx, len(el), k)
             continue
-        if len(set(map(pivot, el))) != k:
+        pivots = tuple(map(pivot, el))
+        if len(set(pivots)) != k:
             collisions += 1
-            witness = witness or ("element pivots repeat", idx, tuple(map(pivot, el)))
-        for row in el:
+            witness = witness or ("element pivots repeat", idx, pivots)
+        for row, p in zip(el, pivots):
+            if s is not None and 0 < row < top and row >> p * h & lead == 1:
+                x = to_source(row)
+                if x and mul(x & mask, s >> hk) == mul(x >> hk, s & mask):
+                    continue
             other = index.get(row)
-            if other != idx:
-                collisions += 1
-                witness = witness or ("element row in another fibre", idx, row, other)
+            collisions += 1
+            witness = witness or ("element row in another fibre", idx, row, other)
     n = plane.n_points
     order = plane.order
     pairs = m * order * comb(order + 1, 2) + comb(m, 2)

@@ -14,7 +14,8 @@ gives each plane one key, all by construction.  The meets W ∩ L_s are
 binned from the directions of C's differences, and no plane is built:
 
 * A1 tests the m meets c0 + (W ∩ L_s) through the base point c0; every
-  other meet is a translate of one of them.
+  other meet is a translate of one of them, and each is a coset, so its
+  lines through c0 decide it.
 * A2 and A3 are partition statements about the meets W ∩ L_s and about the
   images of the L_s in V/W, checked by GF(2) linear algebra.
 * A4 bins the C(n-1, 2) pairs through c0 by the plane they span with c0:
@@ -79,11 +80,12 @@ def build_c_planes(
     C is verified to be a coset c0 + W first, so the nonzero vectors of W
     are the differences w = (p ^ c0) >> h, and w lies in L_s exactly when
     its direction lies on s.  Each w joins the meet of every secant whose
-    line holds its direction (projected_differences, memoized on C): that
-    is W ∩ L_s for any lines, overlapping ones included, and no vector of
-    L_s is visited.  Raises CPlaneConstructionFailed for a C that is no
-    coset (witness ("closure", ...)) and for a secant whose meet does not
-    hold exactly q vectors (witness ("secant", index, meet size)).
+    line holds its direction (projected_differences, memoized on C, against
+    the line points the secant search walked): that is W ∩ L_s for any
+    lines, overlapping ones included, and no vector of L_s is visited.
+    Raises CPlaneConstructionFailed for a C that is no coset (witness
+    ("closure", ...)) and for a secant whose meet does not hold exactly q
+    vectors (witness ("secant", index, meet size)).
     """
     closed, witness = translation_closure_check(c_points)
     if not closed:
@@ -93,8 +95,8 @@ def build_c_planes(
     hinf, h, q = maps.hinf, maps.tower.h, maps.hinf.q
     c0 = c_points.ordered[0]
     through: dict = {}  # point of H_inf -> the secants whose line holds it
-    for sidx, rows in enumerate(structure.secants):
-        for p in hinf.line_points(*rows):
+    for sidx, line in enumerate(structure.points):
+        for p in line:
             through.setdefault(p, []).append(sidx)
     meets = [[0] for _ in structure.secants]
     for p, u in zip(c_points.ordered[1:], projected_differences(c_points, hinf)):
@@ -129,13 +131,18 @@ def _check_a1(family: CPlaneFamily, maps: CorrespondenceMaps) -> AxiomReport:
 
     Every meet is a translate of one of the m meets c0 + (W ∩ L_s) through
     the base point, and a translation keeps collinearity, so only those are
-    tested.  A failure names the secant and a collinear triple.
+    tested.  Such a meet is a coset, so it is an arc iff its q - 1 lines
+    through c0 are distinct: iff the directions hinf.normalize(x) of its
+    nonzero x are.  A meet whose directions repeat is handed to is_arc,
+    and the failure names the secant and is_arc's collinear triple.
     """
-    amb = maps.ambient
+    amb, normalize = maps.ambient, maps.hinf.normalize
     h = maps.tower.h
     c0 = family.c_points.ordered[0]
     pairs = comb(family.q, 2)
     for sidx, (_, meet) in enumerate(family.secants):
+        if len({normalize(x) for x in meet if x}) == len(meet) - 1:
+            continue
         ok, witness = is_arc([c0 ^ (x << h) for x in meet], amb)
         if not ok:
             return AxiomReport(

@@ -5,16 +5,19 @@ of x^i in the polynomial representative, so the constant term is the least
 significant bit.  A :class:`Field` carries the modulus and lookup tables and
 never wraps elements; hot loops therefore stay allocation-free.
 
-Degrees 1..24 are supported.  Fields of degree <= 16 multiply through
-exp/log tables over a primitive element; larger degrees fall back to
-shift-and-reduce polynomial multiplication.
+Degrees 1..24 are supported.  Fields of degree <= 16 multiply, invert and
+raise to Frobenius powers through exp/log tables over a primitive element.
+Larger degrees hold no table: they multiply by shift-and-reduce, invert by
+the extended Euclidean algorithm over GF(2)[x] and apply each Frobenius
+power as a LinearMap (it is GF(2)-linear), built once per exponent.
 
 Linear algebra over GF(2) works on the same packed ints.  Every linear map
 of the package is a LinearMap, given by the images of the unit vectors and
-applied one byte at a time: the tower's embedding and vec/unvec, the
-coordinate changes of the pseudoregulus fit and the collineation of the
-cyclic-group path.  LinearMap.inverse is the one matrix inversion:
-Gauss-Jordan over GF(2).
+applied one byte at a time: the tower's embedding and vec/unvec, scalar
+multiplication on the spaces over GF(q), the Frobenius powers past the
+table limit, the field reduction of a point, the coordinate changes of the
+pseudoregulus fit and the collineation of the cyclic-group path.
+LinearMap.inverse is the one matrix inversion: Gauss-Jordan over GF(2).
 """
 
 from __future__ import annotations
@@ -66,6 +69,24 @@ def _poly_mulmod(a: int, b: int, modulus: int) -> int:
         if a >> dm:
             a ^= modulus
     return r
+
+
+def _poly_inv(a: int, modulus: int) -> int:
+    """Inverse of a nonzero reduced a modulo an irreducible modulus.
+
+    Extended Euclid over GF(2)[x] (Menezes, van Oorschot and Vanstone,
+    Handbook of Applied Cryptography, 2.227): u = g1 a and v = g2 a modulo
+    the modulus throughout, and u reaches 1 since gcd(a, modulus) = 1.
+    """
+    u, v, g1, g2 = a, modulus, 1, 0
+    while u != 1:
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v, g1, g2 = v, u, g2, g1
+            j = -j
+        u ^= v << j
+        g1 ^= g2 << j
+    return g1
 
 
 def _x_pow2_mod(j: int, modulus: int) -> int:
@@ -138,16 +159,31 @@ def f2_echelon(vectors) -> tuple:
     """Reduced echelon basis over GF(2) of packed bit vectors.
 
     A row's pivot is its lowest set bit, clear in every other row; rows are
-    sorted by pivot, so the basis of a subspace is unique.
+    sorted by pivot, so the basis of a subspace is unique.  Each vector is
+    reduced through the index of the pivots, clearing its lowest bit while
+    that is one; the rows are then cleared of each other's pivots from the
+    highest pivot down.
     """
-    rows: list = []
+    rows: dict = {}  # pivot bit -> the row whose lowest set bit it is
     for v in vectors:
-        v = f2_reduce(v, rows)
-        if v:
+        while v:
             low = v & -v
-            rows = [r ^ v if r & low else r for r in rows]
-            rows.append(v)
-    return tuple(sorted(rows, key=lambda r: r & -r))
+            r = rows.get(low)
+            if r is None:
+                rows[low] = v
+                break
+            v ^= r
+    above = 0  # the pivots already cleared, all above the current one
+    for low in sorted(rows, reverse=True):
+        r = rows[low]
+        hits = r & above
+        while hits:
+            b = hits & -hits
+            r ^= rows[b]
+            hits ^= b
+        rows[low] = r
+        above |= low
+    return tuple(rows[b] for b in sorted(rows))
 
 
 def _byte_tables(columns) -> tuple[list[int], ...]:
@@ -167,17 +203,20 @@ class LinearMap:
 
     ``columns[b]`` is the image of the unit vector 1 << b.  Table t holds the
     XOR of every subset of columns 8t .. 8t + 7, so a vector is mapped with
-    one lookup per byte instead of one GF(q) product per matrix entry.  A
+    one lookup per byte instead of one GF(q) product per matrix entry, in
+    straight-line code up to three bytes and by a loop past them.  `apply`
+    is that code as a plain function, for the hot loops.  A
     GF(q)-linear map is GF(2)-linear too (from_columns); so is "the map,
     then any GF(2)-linear relabelling of its output" (then).  Inputs must
     have no bit at or above len(columns).
     """
 
-    __slots__ = ("columns", "_tables")
+    __slots__ = ("columns", "_tables", "apply")
 
     def __init__(self, columns: Iterable[int]):
         self.columns = tuple(columns)
         self._tables = _byte_tables(self.columns)
+        self.apply = _applier(self._tables)
 
     @classmethod
     def from_columns(cls, cols, space) -> LinearMap:
@@ -211,11 +250,31 @@ class LinearMap:
         return LinearMap(r >> n for r in rows)
 
     def __call__(self, v: int) -> int:
+        return self.apply(v)
+
+
+def _applier(tables):
+    """v -> the XOR of tables[t][byte t of v]: straight-line code up to three
+    tables, a loop past them.  A plain function, as a call to it is cheaper
+    than a call to an instance."""
+    n = len(tables)
+    if n == 1:
+        return tables[0].__getitem__
+    if n == 2:
+        t0, t1 = tables
+        return lambda v: t0[v & 0xFF] ^ t1[v >> 8]
+    if n == 3:
+        t0, t1, t2 = tables
+        return lambda v: t0[v & 0xFF] ^ t1[v >> 8 & 0xFF] ^ t2[v >> 16]
+
+    def loop(v: int) -> int:
         out = 0
-        for tab in self._tables:
+        for tab in tables:
             out ^= tab[v & 0xFF]
             v >>= 8
         return out
+
+    return loop
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +293,7 @@ class Field:
         lowest-lexicographic irreducible with nonzero constant term.
     """
 
-    __slots__ = ("m", "modulus", "q", "_exp", "_log", "_generator")
+    __slots__ = ("m", "modulus", "q", "_exp", "_log", "_generator", "_frob_maps")
 
     def __init__(self, m: int, modulus: int | None = None):
         if not 1 <= m <= MAX_DEGREE:
@@ -251,6 +310,7 @@ class Field:
         self._generator: int | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._frob_maps: dict[int, LinearMap] = {}
         if m <= TABLE_LIMIT:
             self._build_tables()
 
@@ -265,6 +325,7 @@ class Field:
         return order
 
     def _pow_raw(self, a: int, e: int) -> int:
+        """a^e by square-and-multiply, table-free; the tests' oracle too."""
         r = 1
         while e:
             if e & 1:
@@ -300,6 +361,14 @@ class Field:
         self._exp = exp
         self._log = log
 
+    def _frob_map(self, i: int) -> LinearMap:
+        """a -> a^(2^i) as a LinearMap, 0 < i < m; built on first use."""
+        fm = self._frob_maps.get(i)
+        if fm is None:
+            fm = LinearMap(self._pow_raw(1 << b, 1 << i) for b in range(self.m))
+            self._frob_maps[i] = fm
+        return fm
+
     # -- arithmetic ------------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
@@ -314,7 +383,7 @@ class Field:
             raise DivisionByZero("inverse of 0")
         if self._exp is not None:
             return self._exp[self.q - 1 - self._log[a]]
-        return self._pow_raw(a, self.q - 2)
+        return _poly_inv(a, self.modulus)
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -335,9 +404,7 @@ class Field:
             return a
         if self._exp is not None:
             return self._exp[(self._log[a] << i) % (self.q - 1)]
-        for _ in range(i):
-            a = _poly_mulmod(a, a, self.modulus)
-        return a
+        return self._frob_map(i).apply(a)
 
     # -- identity --------------------------------------------------------
 
@@ -385,12 +452,13 @@ class Tower:
     and unvec_packed undoes it.  Both are GF(2)-linear: unvec_packed is the
     LinearMap whose column j h + b is the embedded 2^b times basis[j], and
     vec_packed is its inverse, read from a list while the big field has
-    exp/log tables.
+    exp/log tables.  reduction_maps holds reduction.reduction_map's maps,
+    one per source width, built on first use.
     """
 
     __slots__ = (
         "h", "k", "hk", "small", "big", "root",
-        "_embed_table", "basis", "vec_packed", "unvec_packed", "_row_map",
+        "_embed_table", "basis", "vec_packed", "unvec_packed", "reduction_maps",
     )
 
     def __init__(self, h: int, k: int, small: Field, big: Field):
@@ -414,9 +482,9 @@ class Tower:
         vec = self.unvec_packed.inverse()
         # below the table limit a list lookup beats the byte tables
         self.vec_packed = (
-            [vec(t) for t in range(big.q)].__getitem__ if big.m <= TABLE_LIMIT else vec
+            [vec(t) for t in range(big.q)].__getitem__ if big.m <= TABLE_LIMIT else vec.apply
         )
-        self._row_map = None
+        self.reduction_maps: dict = {}
 
     # -- construction ----------------------------------------------------
 
@@ -467,16 +535,6 @@ class Tower:
     def embed(self, a: int) -> int:
         """Image of a small-field element in the big field."""
         return self._embed_table[a]
-
-    @property
-    def row_map(self) -> LinearMap:
-        """t -> vec(beta^j t) at bit j hk for j < k; built on first use."""
-        if self._row_map is None:
-            vec, mul, hk = self.vec_packed, self.big.mul, self.hk
-            self._row_map = LinearMap(
-                sum(vec(mul(bj, 1 << b)) << j * hk for j, bj in enumerate(self.basis))
-                for b in range(hk))
-        return self._row_map
 
     def in_subfield(self, t: int) -> bool:
         return self.big.frob(t, self.h) == t

@@ -139,8 +139,10 @@ def is_arc(points: Sequence[int], space: ProjSpace):
     group and at most two points lie at infinity, the translations of that
     coset fix the points at infinity and carry any collinear triple onto
     one through the smallest affine point, so only the lines from that
-    point are tested.  A collision there, or any other input, runs the full
-    pair scan, which also picks the reported triple.
+    point are tested.  Each is named by its point at infinity:
+    normalize(p ^ base) for an affine p, and p itself for a point at
+    infinity.  A collision there, or any other input, runs the full pair
+    scan, which also picks the reported triple.
     """
     pts = sorted(set(points))
     if len(pts) != len(points):
@@ -150,9 +152,9 @@ def is_arc(points: Sequence[int], space: ProjSpace):
     mask = space.chunk_mask
     affine = [p for p in pts if p & mask == 1]
     if len(pts) - len(affine) <= 2 and _is_coset(affine):
-        base = affine[0]
-        key = space.pair_line_key
-        if len({key(base, p) for p in pts if p != base}) == len(pts) - 1:
+        base, normalize = affine[0], space.normalize
+        at_infinity = {normalize(p ^ base) if p & mask == 1 else p for p in pts if p != base}
+        if len(at_infinity) == len(pts) - 1:
             return True, None
     return _arc_scan(pts, space)
 

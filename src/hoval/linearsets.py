@@ -200,13 +200,15 @@ def cyclic_symmetry(dirs: DirectionSet, columns) -> CyclicSymmetry | None:
     apply-and-normalize that stay in D and visit no point twice, then back
     to d0.  <M> is then a group of collineations acting transitively on D,
     so every point of D lies on the same number c_j of j-secants, and the
-    |D| - 1 lines from d0 give N_j = |D| c_j / j.
+    |D| - 1 lines from d0 give N_j = |D| c_j / j.  The line through d0 and
+    p is named by its one point with a zero chunk at d0's pivot,
+    normalize(p ^ c d0), c being p's chunk there.
     """
     space = dirs.space
     pts = dirs.points
     if len(columns) != space.bits or len(f2_echelon(columns)) != space.bits:
         return None
-    apply = LinearMap(columns)
+    apply = LinearMap(columns).apply
     w = 2 if space.q > 2 else 1  # x generates GF(q) over GF(2)
     for b, col in enumerate(columns):
         if apply(space.smul(w, 1 << b)) != space.smul(w, col):
@@ -222,10 +224,10 @@ def cyclic_symmetry(dirs: DirectionSet, columns) -> CyclicSymmetry | None:
         orbit.append(p)
     if len(set(orbit)) != len(pts) or normalize(apply(p)) != d0:
         return None
-    key = space.pair_line_key
+    smul, shift, mask = space.smul, space.pivot(d0) * space.h, space.chunk_mask
     others: dict = {}  # line through d0 -> the other points of D on it
     for p in orbit[1:]:
-        k = key(d0, p)
+        k = normalize(p ^ smul(p >> shift & mask, d0))
         others[k] = others.get(k, 0) + 1
     c: dict = {}
     for n in others.values():
@@ -255,17 +257,21 @@ def _tally_pattern(space: ProjSpace, dset, classes, task) -> Counter:
     pivot p0 lies on exactly one of them, the one with r0 = d ^ d_p1 r1,
     and r1 is the only point of these lines with another pivot.  So a line
     counts int(r1 in D) plus the points of its bin, and the lines no point
-    binned to count int(r1 in D).
+    binned to count int(r1 in D).  The multiples c r1 are XORs of the h
+    multiples 2^b r1, doubled up as gf2._byte_tables builds a table.
     """
     p0, p1, pencil, base, free = task
     shift = p1 * space.h
     smul = space.smul
     keyed = [(d, (d >> shift) & space.chunk_mask) for d in classes.get(p0, ())]
-    scalars = range(1, space.q)
+    units = [1 << b for b in range(space.h)]
     counts: Counter = Counter()
     for r1 in space.completions(base, free):
         hit = int(r1 in dset)
-        mults = [0] + [smul(c, r1) for c in scalars]
+        mults = [0]  # mults[c] = c r1
+        for u in units:
+            x = smul(u, r1)
+            mults += [m ^ x for m in mults]
         bins = Counter([d ^ mults[c] for d, c in keyed])
         for size, n in Counter(bins.values()).items():
             counts[hit + size] += n

@@ -8,17 +8,17 @@ Subspaces are tuples of packed rows in reduced echelon form with strictly
 increasing pivot chunks, so subspace equality is tuple equality.
 
 Multiplying by a fixed scalar s is a GF(2)-linear map of packed vectors.  A
-table-backed space applies it as gf2.LinearMap does, one lookup per byte
-into ceil(bits/8) tables of 256 entries, built on s's first use.  The
-spaces over the tower's base field GF(q) are table-backed: a run multiplies
-by each of their q - 1 scalars hundreds to thousands of times.  The spaces
-over GF(q^k) meet each scalar about once and multiply chunk by chunk, with
-Field.mul (normalize adds logs).  Which kind a space is gets fixed where
-it is created.
+table-backed space holds it as a gf2.LinearMap, one lookup per byte into
+ceil(bits/8) tables of 256 entries, built on s's first use: the package
+has one byte-table kernel.  The spaces over the tower's base field GF(q)
+are table-backed: a run multiplies by each of their q - 1 scalars hundreds
+to thousands of times.  The spaces over GF(q^k) meet each scalar about
+once and multiply chunk by chunk, with Field.mul (normalize adds logs).
+Which kind a space is gets fixed where it is created.
 
-No other linear map is defined here: vec/unvec and the coordinate changes
-are gf2.LinearMaps, and LinearMap.from_columns builds a GF(q)-linear one
-of this module's packed vectors from its columns.
+vec/unvec and the coordinate changes are gf2.LinearMaps too, and
+LinearMap.from_columns builds a GF(q)-linear one of this module's packed
+vectors from its columns.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     EnumerationTooLarge,
     ZeroVector,
 )
-from .gf2 import TABLE_LIMIT, Field, _byte_tables
+from .gf2 import TABLE_LIMIT, Field, LinearMap
 
 DEFAULT_BUDGET = 10**8
 
@@ -49,12 +49,12 @@ def projective_points_count(width: int, q: int) -> int:
 class ProjSpace:
     """Coordinate helper for PG(n, q); all vectors are packed ints.
 
-    With tables=True, smul reads per-scalar byte tables (see the module
+    With tables=True, smul applies one LinearMap per scalar (see the module
     docstring); a field above gf2's exp/log table limit keeps the chunk
     loop, so no space holds more than 2^16 scalar slots.
     """
 
-    __slots__ = ("n", "field", "width", "h", "q", "chunk_mask", "bits", "_smul_tabs")
+    __slots__ = ("n", "field", "width", "h", "q", "chunk_mask", "bits", "_scalar_maps")
 
     def __init__(self, n: int, field: Field, tables: bool = False):
         self.n = n
@@ -64,8 +64,8 @@ class ProjSpace:
         self.q = field.q
         self.chunk_mask = field.q - 1
         self.bits = self.width * self.h
-        # slot s holds scalar s's byte tables once built; None: chunk loop
-        self._smul_tabs: list | None = (
+        # slot s holds v -> s v once built; None: chunk loop
+        self._scalar_maps: list | None = (
             [None] * self.q if tables and field.m <= TABLE_LIMIT else None
         )
 
@@ -93,42 +93,37 @@ class ProjSpace:
 
     @property
     def table_backed(self) -> bool:
-        """True when smul reads byte tables, False for the chunk loop."""
-        return self._smul_tabs is not None
+        """True when smul applies LinearMaps, False for the chunk loop."""
+        return self._scalar_maps is not None
 
     def ensure_tables(self) -> bool:
-        """Build every scalar's byte tables now; True if the space has them."""
-        tabs = self._smul_tabs
-        if tabs is not None:
+        """Build every scalar's map now; True if the space has them."""
+        maps = self._scalar_maps
+        if maps is not None:
             for s in range(2, self.q):
-                if tabs[s] is None:
-                    self._scalar_tables(s)
-        return tabs is not None
+                if maps[s] is None:
+                    self._scalar_map(s)
+        return maps is not None
 
-    def _scalar_tables(self, s: int) -> tuple:
-        """Byte tables of v -> s v, from the images of the unit vectors."""
+    def _scalar_map(self, s: int):
+        """v -> s v, the LinearMap of the images of the unit vectors, kept
+        as its `apply` function."""
         h = self.h
         single = [self.field.mul(s, 1 << b) for b in range(h)]
-        tabs = _byte_tables(
-            [single[b % h] << (b // h * h) for b in range(self.bits)]
-        )
-        self._smul_tabs[s] = tabs
-        return tabs
+        apply = LinearMap(single[b % h] << (b // h * h) for b in range(self.bits)).apply
+        self._scalar_maps[s] = apply
+        return apply
 
     def smul(self, s: int, v: int) -> int:
-        """Scalar multiple of a packed vector: one lookup per byte on a
+        """Scalar multiple of a packed vector: s's LinearMap on a
         table-backed space, else one Field.mul per nonzero chunk."""
         if s == 0:
             return 0
         if s == 1 or v == 0:
             return v
-        tabs = self._smul_tabs
-        if tabs is not None:
-            out = 0
-            for tab in tabs[s] or self._scalar_tables(s):
-                out ^= tab[v & 0xFF]
-                v >>= 8
-            return out
+        maps = self._scalar_maps
+        if maps is not None:
+            return (maps[s] or self._scalar_map(s))(v)
         h = self.h
         mask = self.chunk_mask
         mul = self.field.mul
@@ -157,8 +152,10 @@ class ProjSpace:
         if exp is None:
             return self.smul(self.field.inv(lead), v)
         s = self.q - 1 - log[lead]  # the log of 1 / lead
-        if self._smul_tabs is not None:
-            return self.smul(exp[s], v)
+        maps = self._scalar_maps
+        if maps is not None:
+            inv = exp[s]
+            return (maps[inv] or self._scalar_map(inv))(v)
         out = 1 << shift
         v >>= shift + h
         while v:

@@ -25,17 +25,21 @@ from .errors import (
 )
 from .gf2 import LinearMap, f2_echelon
 from .hyperoval import DirectionSet
-from .linearsets import CyclicSymmetry, SpectrumHistogram, spectrum
+from . import linearsets
+from .linearsets import CyclicSymmetry, SpectrumHistogram
 from .projective import DEFAULT_BUDGET, ProjSpace, projective_points_count
 from .record import Record
-from .reduction import CorrespondenceMaps, Spread, reduction_rows, unvec_blocks
+from .reduction import CorrespondenceMaps, Spread, reduction_map, unvec_blocks
 
 
 class SecantStructure(Record):
-    """The long secants of D, each as its ProjSpace.pair_line_key row pair."""
+    """The long secants of D, each as its ProjSpace.pair_line_key row pair,
+    with the q + 1 points of each line (ProjSpace.line_points), walked once
+    here and read again by the C-plane stage."""
 
     secants: tuple  # one per long secant, sorted; m = (q^k - 1)/(q - 1)
     zero_pairs: tuple  # per secant, its two off-D points (sorted)
+    points: tuple  # per secant, the points of its line
 
 
 def require_long_secants(h: int) -> None:
@@ -61,9 +65,10 @@ def find_long_secants(
     `hist` is a spectrum of D (a histogram of another set is not read).
     When it holds a verified cyclic group, the secants are the orbit of the
     one through min D (_orbit_secants); otherwise they are the lines of its
-    pair map with C(q-1, 2) pairs.  A histogram with neither, or none, is
-    replaced by spectrum(dirs, budget=budget), which charges the C(|D|, 2)
-    pair scan; reading a histogram charges nothing.
+    pair map with C(q-1, 2) pairs.  With neither, or no histogram, the
+    pairs are scanned for that map alone (linearsets._pair_multiplicities),
+    which charges the C(|D|, 2) pairs to the budget; reading a histogram
+    charges nothing.
 
     At q = 4 a long secant and a 3-secant both carry 3 points of D, so only
     the group can tell them apart: without a verified group h = 2 is
@@ -80,7 +85,8 @@ def find_long_secants(
     m = len(pts) // (q - 1)
     if hist is not None and hist.dirs.points != dirs.points:
         hist = None
-    if hist is not None and hist.symmetry is not None:
+    symmetry = None if hist is None else hist.symmetry
+    if symmetry is not None:
         # at q = 4 the 3-secants outnumber the long secants; the orbit decides
         found = m if q == 4 else hist.counts.get(q - 1, 0)
     elif q == 4:
@@ -89,22 +95,24 @@ def find_long_secants(
             "without a verified cyclic symmetry of D they cannot be told apart"
         )
     else:
-        if hist is None or hist.multiplicities is None:
-            hist = spectrum(dirs, budget=budget)
+        mult = None if hist is None else hist.multiplicities
+        if mult is None:
+            mult = linearsets._pair_multiplicities(pts, space, budget)
         target = (q - 1) * (q - 2) // 2
-        keys = sorted(k for k, c in hist.multiplicities.items() if c == target)
+        keys = sorted(k for k, c in mult.items() if c == target)
         found = len(keys)
     if found != m:
         raise NotPseudoregulusCandidate(
             f"found {found} long secants, expected {m}"
         )
-    if hist.symmetry is not None:
-        keys = _orbit_secants(hist.symmetry, dirs, m)
+    if symmetry is not None:
+        keys = _orbit_secants(symmetry, dirs, m)
     dset = dirs.points
     d_on: dict = {}
-    zero_pairs = []
+    zero_pairs, points = [], []
     for idx, key in enumerate(keys):
         line_pts = space.line_points(*key)
+        points.append(tuple(line_pts))
         off = []
         for p in line_pts:
             if p in dset:
@@ -125,7 +133,9 @@ def find_long_secants(
         raise NotPseudoregulusCandidate(f"0x{missing:x} is on no long secant")
     if len({p for pair in zero_pairs for p in pair}) != 2 * m:
         raise NotPseudoregulusCandidate("long secants are not pairwise disjoint")
-    return SecantStructure(secants=tuple(keys), zero_pairs=tuple(zero_pairs))
+    return SecantStructure(
+        secants=tuple(keys), zero_pairs=tuple(zero_pairs), points=tuple(points)
+    )
 
 
 def _orbit_secants(symmetry: CyclicSymmetry, dirs: DirectionSet, m: int) -> list:
@@ -309,26 +319,26 @@ def _maps_elements_to_elements(lmap: LinearMap, maps, spell: LinearMap) -> bool:
     """Does the invertible map carry each spread element into one element?
 
     The elements, reductions of the points of PG(1, q^k) in the order of
-    ProjSpace.points, are written one at a time (reduction_rows), so a
+    ProjSpace.points, are written one at a time (reduction_map), so a
     wrong map costs the elements up to its first bad one.  M carries each element E onto a
     subspace of E's rank, so M(E) is an element exactly when the images of
     E's k rows spell one point of PG(1, q^k), and then M permutes them.
     """
     tower = maps.tower
     source = ProjSpace(1, tower.big)
-    normalize = source.normalize
+    normalize, rows_of = source.normalize, reduction_map(tower, source.width)
     for src in source.points(budget=None):
-        hit = {normalize(spell(lmap(r))) for r in reduction_rows(tower, src)}
+        hit = {normalize(spell(lmap(r))) for r in rows_of(src)}
         if len(hit) != 1:
             return False
     return True
 
 
-def _canonical_image(to_field: LinearMap, dirs: DirectionSet, tower, j: int) -> bool:
+def _canonical_image(to_field, dirs: DirectionSet, tower, j: int) -> bool:
     """Does the map carry D onto {<(u, u^(2^j))> : u in GF(q^k)*}?
 
-    `to_field` is the coordinate change followed by unvec of each block, so
-    it sends a point to x | y << hk with x, y in GF(q^k).  <(x, y)> is
+    `to_field` applies the coordinate change followed by unvec of each
+    block, so it sends a point to x | y << hk with x, y in GF(q^k).  <(x, y)> is
     canonical iff x != 0 and y x^(-2^j) = mu^(1 - 2^j) for a mu in GF(q)*;
     it is then <(u, u^(2^j))> for u = x / mu.  gcd(j, hk) = 1 leaves 1 the
     only scalar of GF(q) fixed by x -> x^(2^j), so distinct u give distinct
@@ -469,7 +479,7 @@ def fit_semilinear(
     accepted = []
     for label, j, m in _fit_candidates(dirs, fmap, maps):
         if _preserves_spread(m, maps, spell) and _canonical_image(
-            m.then(spell), dirs, tower, j
+            m.then(spell).apply, dirs, tower, j
         ):
             accepted.append((label, j, m))
     if not accepted:

@@ -15,7 +15,7 @@ point is the reduction of the source point its blocks spell, so the
 spread's index finds it with one unvec per block and one normalize over
 the big field and never enumerates the points.  An element is written
 down, not row-reduced: the reduction of a normalized source point is
-already in ProjSpace.rref form (reduction_rows).
+already in ProjSpace.rref form (reduction_map).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class Spread:
 
     ``Spread(tower, space)`` reduces PG(r-1, q^k) over `tower` into
     `space`, r = space.width / k: element idx is the reduction
-    (reduction_rows) of the idx-th point of ProjSpace(r - 1, q^k).points().
+    (reduction_map) of the idx-th point of ProjSpace(r - 1, q^k).points().
     With a `matrix` M, a LinearMap of `space`'s vectors, element idx is the
     reduction of the point that M^-1 of source idx spells: M^-1 of the
     reduction of source idx when M permutes the spread, and otherwise an
@@ -62,8 +62,8 @@ class Spread:
                 back = lmap.inverse().then(to_source)  # source -> source under M^-1
             except SingularMatrix:
                 raise InvalidSpread("the coordinate change is singular") from None
-            spelled = map(source.normalize, map(back, points))
-        self.elements = tuple(reduction_rows(tower, p) for p in spelled)
+            spelled = map(source.normalize, map(back.apply, points))
+        self.elements = tuple(map(reduction_map(tower, source.width), spelled))
         self.space = space
         self.index = ReductionIndex(
             space, source, {s: idx for idx, s in enumerate(points)}, lmap
@@ -114,7 +114,7 @@ class ReductionIndex(Mapping):
         if not 0 < point < 1 << space.bits or (
                 point >> ((point & -point).bit_length() - 1) // h * h & space.chunk_mask != 1):
             raise KeyError(point)
-        return self.source_index[self.source.normalize(self.to_source(point))]
+        return self.source_index[self.source.normalize(self.to_source.apply(point))]
 
     def __len__(self) -> int:
         return self.space.npoints()
@@ -123,23 +123,35 @@ class ReductionIndex(Mapping):
         return self.space.points()
 
 
-def reduction_rows(tower: Tower, point: int) -> tuple[int, ...]:
-    """The field reduction of a normalized point, as its ProjSpace.rref rows.
+def reduction_map(tower: Tower, r: int):
+    """point -> its field reduction as ProjSpace.rref rows, for the
+    normalized points of PG(r-1, q^k).
 
-    Row j of point (x_0, ..., x_{r-1}) of PG(r-1, q^k) is (beta^j x_0, ...,
-    beta^j x_{r-1}), each coordinate vec'd into a block of k chunks.  The
-    tower basis is 1, beta, ..., beta^(k-1), so where the leading x_p is 1
-    row j has block p = e_j and zero blocks before it: pivot p k + j, value
-    1, zero in every other row's pivot, rows sorted by pivot.  Each x_c
-    takes one lookup of Tower.row_map, whose block j is vec(beta^j x_c).
+    Row j of point (x_0, ..., x_{r-1}) is (beta^j x_0, ..., beta^j
+    x_{r-1}), each coordinate vec'd into a block of k chunks.  The tower
+    basis is 1, beta, ..., beta^(k-1), so where the leading x_p is 1 row j
+    has block p = e_j and zero blocks before it: pivot p k + j, value 1,
+    zero in every other row's pivot, rows sorted by pivot.  The k rows are
+    one GF(2)-linear image of the point, row j at bit j r hk: one LinearMap
+    per tower and r, built on first use and kept in tower.reduction_maps.
     """
-    hk, mask, row_map = tower.hk, tower.big.q - 1, tower.row_map
-    rows = [0] * tower.k
-    for c in range(0, point.bit_length(), hk):
-        blocks = row_map(point >> c & mask)
-        for j in range(tower.k):
-            rows[j] |= (blocks >> j * hk & mask) << c
-    return tuple(rows)
+    rows_of = tower.reduction_maps.get(r)
+    if rows_of is None:
+        hk, vec, mul = tower.hk, tower.vec_packed, tower.big.mul
+        width = r * hk
+        lmap = LinearMap(
+            sum(vec(mul(bj, 1 << b % hk)) << (j * width + b // hk * hk)
+                for j, bj in enumerate(tower.basis))
+            for b in range(width))
+        apply, mask = lmap.apply, (1 << width) - 1
+        shifts = range(0, tower.k * width, width)
+
+        def rows_of(point: int) -> tuple[int, ...]:
+            rows = apply(point)
+            return tuple(rows >> s & mask for s in shifts)
+
+        tower.reduction_maps[r] = rows_of
+    return rows_of
 
 
 def field_reduction_spread(
@@ -149,7 +161,7 @@ def field_reduction_spread(
 
     Element idx comes from the idx-th point (x_0, ..., x_{r-1}) of the source
     space and is the GF(q)-span of the vectors (a*x_0, ..., a*x_{r-1}) for
-    a running over the big field; reduction_rows writes it down from the
+    a running over the big field; reduction_map writes it down from the
     basis a = beta^j, already in reduced echelon form.  The budget counts
     the k rows written per source point; no target point is visited.
     """

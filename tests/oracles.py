@@ -570,7 +570,7 @@ def histogram_by_rank(q_points, plane, extra):
 # -- spreads, point by point --------------------------------------------------
 
 def generator_reduction_rows(tower, point: int) -> tuple:
-    """reduction_rows from the tower basis: row j is the coordinates of
+    """reduction_map from the tower basis: row j is the coordinates of
     point times beta^j, one Field.mul and one vec per coordinate."""
     hk, mask, vec, mul = tower.hk, tower.big.q - 1, tower.vec_packed, tower.big.mul
     coords = [point >> c & mask for c in range(0, point.bit_length(), hk)]

@@ -344,16 +344,37 @@ def _random_affine(plane, rng):
     return 1 | (rng.getrandbits(bits) << h)
 
 
+def _span_by_pivot_chunks(plane, eidx):
+    """{the pivot chunks of v: v} over the span of element eidx's lifted
+    rows, the span enumerated by ambient smul; p ^ v has zero pivot chunks
+    exactly when v's pivot chunks are p's."""
+    amb = plane.maps.ambient
+    rows = _lifted(plane, eidx)
+    vecs = {0}
+    for row in rows:
+        vecs = {v ^ amb.smul(c, row) for v in vecs for c in range(amb.q)}
+    pivots = [amb.pivot(row) for row in rows]
+    table = {tuple(amb.chunk(v, j) for j in pivots): v for v in vecs}
+    assert len(table) == len(vecs) == amb.q ** len(rows)  # one member per coset
+    return pivots, table
+
+
 @pytest.mark.parametrize("hk", [(3, 2), (3, 3)])
 def test_base_of_matches_reduce(hk):
+    # base_of(eidx, p) is the one member of p + span(rows) with zero pivot
+    # chunks, found here from the enumerated span and not by reduce
     plane = build_plane(maps_for(tower_create(*hk)))
     amb = plane.maps.ambient
     rng = random.Random(17)
     n_el = len(plane.spread.elements)
+    spans: dict = {}
     for _ in range(3000):
         eidx = rng.randrange(n_el)
         p = _random_affine(plane, rng)
-        assert plane.base_of(eidx, p) == amb.reduce(p, _lifted(plane, eidx))
+        if eidx not in spans:
+            spans[eidx] = _span_by_pivot_chunks(plane, eidx)
+        pivots, table = spans[eidx]
+        assert plane.base_of(eidx, p) == p ^ table[tuple(amb.chunk(p, j) for j in pivots)]
 
 
 def test_spans_and_bases_match_smul_construction(setup321):
@@ -653,6 +674,23 @@ def test_repeated_pivot_is_a_witness_of_the_certificate():
     pivot = maps.hinf.pivot(r0)
     assert not rep.ok and rep.path == "fibres"
     assert rep.witness == ("element pivots repeat", 5, (pivot, pivot))
+    assert rep.collisions == 1
+
+
+def test_unnormalized_row_is_named_with_no_fibre():
+    # element 5's rows (3 r0, r1) span element 5, and 3 r0 spans r0's
+    # source, but it is no normalized point: the cross product is not tried,
+    # and the lookup that names the row's fibre refuses it
+    maps = maps_for(tower_create(3, 2))
+    good = maps.abb_spread
+    elements = list(good.elements)
+    r0, r1 = elements[5]
+    scaled = maps.hinf.smul(3, r0)
+    elements[5] = (scaled, r1)
+    assert maps.hinf.normalize(scaled) == r0
+    rep = plane_axioms_check(build_plane(maps, forged_spread(good, elements)))
+    assert not rep.ok
+    assert rep.witness == ("element row in another fibre", 5, scaled, None)
     assert rep.collisions == 1
 
 

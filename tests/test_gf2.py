@@ -12,6 +12,7 @@ from hoval.gf2 import (
     LinearMap,
     Tower,
     _byte_tables,
+    _poly_inv,
     default_modulus,
     field_create,
     is_irreducible,
@@ -197,6 +198,45 @@ def test_frobenius_fixed_field_sizes():
             assert fixed == 1 << math.gcd(i, m)
 
 
+def oracle_squarings(a, i, modulus, m):
+    """a^(2^i) by i bit-serial squarings (oracle_mul)."""
+    for _ in range(i):
+        a = oracle_mul(a, a, modulus, m)
+    return a
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9])
+def test_table_free_inverse_and_frobenius_match_the_tables(m):
+    # every element of a tabled field: the extended Euclidean inverse and
+    # the Frobenius LinearMaps that the fields past the table limit use
+    f = field_create(m)
+    assert f._exp is not None
+    for a in nonzero_elements(f):
+        assert _poly_inv(a, f.modulus) == f.inv(a)
+    for i in range(1, m):
+        frob = f._frob_map(i)
+        assert f._frob_map(i) is frob  # built once per exponent
+        for a in range(f.q):
+            assert frob(a) == f.frob(a, i)
+
+
+@pytest.mark.parametrize("m", [17, 18, 20])
+def test_table_free_arithmetic_past_the_table_limit(m):
+    # seeded samples against square-and-multiply and bit-serial squaring
+    f = field_create(m)
+    assert m > TABLE_LIMIT and f._exp is None
+    rng = random.Random(m)
+    for _ in range(300):
+        a = rng.randrange(1, f.q)
+        assert f.inv(a) == f._pow_raw(a, f.q - 2)
+        assert oracle_mul(a, f.inv(a), f.modulus, m) == 1
+        i = rng.randrange(1, m)
+        assert f.frob(a, i) == oracle_squarings(a, i, f.modulus, m)
+    assert f.frob(0, 3) == 0 and f.frob(5, m) == 5
+    with pytest.raises(DivisionByZero):
+        f.inv(0)
+
+
 def test_frob_full_cycle_is_identity():
     f = field_create(3)
     for a in range(f.q):
@@ -258,9 +298,10 @@ def test_tower_embedded_generator_has_subfield_order():
     assert order == t.small.q - 1
 
 
-@pytest.mark.parametrize("ncols", [1, 5, 8, 13, 18, 24])
+@pytest.mark.parametrize("ncols", [1, 5, 8, 13, 16, 18, 24, 48])
 def test_byte_tables_match_the_entry_by_entry_oracle(ncols):
-    # the last table covers fewer than 8 columns unless 8 divides ncols
+    # the last table covers fewer than 8 columns unless 8 divides ncols; one
+    # to three tables are applied in straight-line code, six by the loop
     rng = random.Random(ncols)
     cols = [rng.randrange(1 << 20) for _ in range(ncols)]
     assert _byte_tables(cols) == byte_tables_entry_by_entry(cols)

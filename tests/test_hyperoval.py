@@ -21,6 +21,7 @@ from hoval.hyperoval import (
     translation_basis,
     translation_closure_check,
 )
+from hoval.projective import ProjSpace
 from hoval.reduction import maps_for
 from oracles import hinf2
 
@@ -99,21 +100,26 @@ def test_is_arc_guards():
     (3, 2, 1, True), (3, 2, 5, True), (4, 2, 1, True), (2, 3, 1, True),
     (4, 2, 2, False),
 ])
-def test_fast_arc_matches_full_scan(h, k, i, strict, line_key_calls):
+def test_fast_arc_matches_full_scan(h, k, i, strict, line_key_calls, monkeypatch):
     # the affine plane points are closed and two points lie at infinity, so
-    # a hyperoval needs only the n - 1 lines from the smallest affine point;
-    # the (4, 2, 2) control falls back to the full scan and its witness
+    # a hyperoval needs only the n - 1 lines from the smallest affine point,
+    # each named by its point at infinity: n - 3 normalize calls and no line
+    # key; the (4, 2, 2) control falls back to the full scan and its witness
     hov = build_hyperoval(HyperovalSpec(h, k, i, strict=strict))
     space = hov.maps.plane_big
     n = len(hov.plane_points)
     full = _arc_scan(sorted(hov.plane_points), space)
+    scan_keys = len(line_key_calls)
     line_key_calls.clear()
+    normalized = []
+    real = ProjSpace.normalize
+    monkeypatch.setattr(ProjSpace, "normalize",
+                        lambda self, v: normalized.append(v) or real(self, v))
     assert is_arc(hov.plane_points, space) == full
     assert full[0] == strict
+    assert len(line_key_calls) == (0 if strict else scan_keys)
     if strict:
-        assert len(line_key_calls) == n - 1
-    else:
-        assert len(line_key_calls) > n - 1
+        assert len(normalized) == n - 3
 
 
 def test_fast_arc_fallback_on_non_closed_set(hov321):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hoval import bruckbose, linearsets, pipeline, reduction, serialize
+from hoval import bruckbose, gf2, linearsets, pipeline, reduction, serialize
 from hoval import hyperoval
 from hoval.errors import NoLongSecants
 from hoval.pipeline import STAGE_ORDER, run_verify_all
@@ -150,7 +150,7 @@ def test_verify_all_enumerates_no_spread(monkeypatch):
 @pytest.mark.parametrize("hki", [(3, 3, 1), (4, 2, 1)])
 def test_verify_all_enumerates_no_canonical_spread(monkeypatch, hki):
     # the fit and the spread stage write each Desarguesian element from its
-    # source point (reduction_rows): abb_spread is never built, and the
+    # source point (reduction_map): abb_spread is never built, and the
     # whole run row-reduces fewer than 30 subspaces (1,562 at (3,3,1) when
     # every element was reduced)
     def refuse(*args, **kwargs):
@@ -172,10 +172,12 @@ def test_verify_all_enumerates_no_canonical_spread(monkeypatch, hki):
 
 
 def test_plane_stage_element_lookups(monkeypatch):
-    # element_of lookups on the run's spread, plane stage only: k rows of
-    # each of the q^k + 1 elements (fibre certificate) and six line_through
-    # (quadrangle); |W ∩ E| is read off the spread stage's hits, as |D| =
-    # |Q| - 1, with no lookup (it took one per point of Q but c0, 775 in all)
+    # element_of lookups on the run's spread, plane stage only: the six
+    # line_through of the quadrangle.  The fibre certificate tests each of
+    # the k (q^k + 1) element rows by a cross product against its source,
+    # and looks a row up only when it fails (it looked up all 514 rows); |W
+    # ∩ E| is read off the spread stage's hits, as |D| = |Q| - 1, with no
+    # lookup (it took one per point of Q but c0, 775 in all)
     lookups = []
     real_get = reduction.ReductionIndex.__getitem__
     real_stage = pipeline._STAGE_FUNCS["plane"]
@@ -197,10 +199,71 @@ def test_plane_stage_element_lookups(monkeypatch):
     monkeypatch.setitem(pipeline._STAGE_FUNCS, "plane", plane_stage)
     rep = run_verify_all(4, 2, 1)
     assert rep.verdict == "pass"
-    q, k = 16, 2
-    assert len(lookups) == k * (q**k + 1) + 6 == 520
+    assert len(lookups) == 6
     assert "random" not in vars(bruckbose)
     assert not hasattr(bruckbose.BruckBosePlane, "meet")
+
+
+def test_kernel_calls_per_stage_421(monkeypatch):
+    # the kernel calls of a cold (4,2,1) run, stage by stage; |C| = 256.
+    # Every field, tower, map and scalar map is built in the run, the tower
+    # in construct, so that each LinearMap application counts.  Counts
+    # nest: a lookup normalizes its source, and smul on the GF(q) spaces is
+    # a LinearMap.  In parentheses, what a stage made when it keyed lines by
+    # row pairs and looked up every certificate row: 2,399 normalize, 784
+    # pair_line_key and 775 lookups in all
+    for module, cache in ((gf2, "_FIELD_CACHE"), (gf2, "_TOWER_CACHE"),
+                          (reduction, "_MAPS_CACHE")):
+        monkeypatch.setattr(module, cache, {})
+    counts: dict = {}
+    stage = [None]
+
+    def tally(tag):
+        counts.setdefault(stage[0], {}).setdefault(tag, 0)
+        counts[stage[0]][tag] += 1
+
+    def count(cls, name, tag):
+        real = getattr(cls, name)
+
+        def counted(*args):
+            tally(tag)
+            return real(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    def counted_applier(tables):
+        apply = real_applier(tables)
+        return lambda v: tally("LinearMap") or apply(v)
+
+    real_applier = gf2._applier
+    monkeypatch.setattr(gf2, "_applier", counted_applier)
+    count(ProjSpace, "normalize", "normalize")
+    count(ProjSpace, "pair_line_key", "pair_line_key")
+    count(reduction.ReductionIndex, "__getitem__", "lookup")
+    for name, real_stage in pipeline._STAGE_FUNCS.items():
+        def staged(run, name=name, real_stage=real_stage):
+            stage[0] = name
+            return real_stage(run)
+
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, name, staged)
+    assert run_verify_all(4, 2, 1).verdict == "pass"
+    assert counts == {
+        # the tower's embedding and vec tables (16 + 256 LinearMap calls);
+        # the arc test names each line from the base point by its point at
+        # infinity (it keyed 257 lines)
+        "construct": {"LinearMap": 272, "normalize": 255},
+        # D, the orbit of d0 and the line from d0 to each orbit point, named
+        # by its point off d0's pivot (254 line keys)
+        "spectrum": {"normalize": 764, "LinearMap": 1037},
+        "pseudoregulus": {"normalize": 102, "LinearMap": 1273, "pair_line_key": 18},
+        # one reduction LinearMap per element (two row-map lookups each)
+        "spread": {"LinearMap": 885, "normalize": 512, "lookup": 255},
+        # the fibre certificate's 514 rows by cross product, the quadrangle's
+        # six lookups (514 + 6 lookups, 526 normalize)
+        "plane": {"LinearMap": 520, "normalize": 12, "lookup": 6},
+        # A1's directions, with no is_arc (17 calls, 255 line keys)
+        "cplanes": {"normalize": 255, "LinearMap": 340},
+    }
 
 
 def test_spread_stage_memory(monkeypatch):

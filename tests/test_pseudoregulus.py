@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from hoval import pseudoregulus
+from hoval import linearsets, pseudoregulus
 from hoval.bruckbose import build_plane, plane_axioms_check
 from hoval.errors import (
     EnumerationTooLarge,
@@ -79,7 +79,7 @@ def test_long_secants_from_spectrum_map(case321, monkeypatch):
     assert hist.multiplicities is not None and tally.multiplicities is None
     want = find_long_secants(d)
     with monkeypatch.context() as m:
-        m.setattr(pseudoregulus, "spectrum", None)
+        m.setattr(linearsets, "_pair_multiplicities", None)
         assert find_long_secants(d, budget=0, hist=hist) == want
     assert find_long_secants(d, hist=tally) == want
     for hist in (None, tally):

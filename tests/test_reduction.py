@@ -9,7 +9,7 @@ from hoval.errors import EnumerationTooLarge, InvalidSpread, NotAffine
 from hoval.gf2 import Tower, field_create, tower_create
 from hoval.projective import ProjSpace
 from hoval.gf2 import LinearMap
-from hoval.reduction import Spread, field_reduction_spread, maps_for, reduction_rows
+from hoval.reduction import Spread, field_reduction_spread, maps_for, reduction_map
 from oracles import (
     generator_reduction_rows, hinf2, in_span, partition_index, s_prime, subspace_points,
 )
@@ -103,7 +103,7 @@ def test_line_spread_of_pg3_8(t32):
     assert all(len(el) == 2 for el in s.elements)
     assert len(s.index) == 585
     # element idx reduces the idx-th point of PG(1, 64)
-    assert [reduction_rows(t32, p) for p in s.index.source.points()] == list(s.elements)
+    assert [reduction_map(t32, 2)(p) for p in s.index.source.points()] == list(s.elements)
 
 
 def test_spread_partition_guard(t32):
@@ -135,7 +135,7 @@ def test_reduced_spread_refuses_a_singular_coordinate_change(t32):
 
 @pytest.mark.parametrize("hk", [(2, 2), (3, 2), (2, 3)])
 def test_field_reduction_rows_are_already_reduced(hk):
-    # reduction_rows writes each element without row reduction; rref of
+    # reduction_map writes each element without row reduction; rref of
     # its rows, over r = 2 (abb_spread) and r = 2k (s_prime), is the oracle
     maps = maps_for(tower_create(*hk))
     for spread in (field_reduction_spread(maps.tower, 2), s_prime(maps)):
@@ -151,25 +151,29 @@ def test_reduction_rows_match_the_generator_oracle(hk):
     tower = tower_create(*hk)
     spaces = [ProjSpace(1, tower.big)] + ([ProjSpace(2, tower.big)] if hk == (2, 2) else [])
     for source in spaces:
+        rows_of = reduction_map(tower, source.width)
         for p in source.points():
-            assert reduction_rows(tower, p) == generator_reduction_rows(tower, p)
+            assert rows_of(p) == generator_reduction_rows(tower, p)
 
 
 def test_reduction_rows_past_the_table_limit():
     tower = tower_create(6, 3)
     source = ProjSpace(1, tower.big)
     rng = random.Random(63)
+    rows_of = reduction_map(tower, 2)
     for _ in range(2000):
         p = source.normalize(rng.randrange(1, 1 << source.bits))
-        assert reduction_rows(tower, p) == generator_reduction_rows(tower, p)
+        assert rows_of(p) == generator_reduction_rows(tower, p)
 
 
-def test_row_map_is_built_on_first_use():
+def test_reduction_map_is_built_on_first_use():
+    # one map per tower and source width, shared by every later caller
     tower = Tower(3, 2, field_create(3), field_create(6))
-    assert tower._row_map is None
-    rows = reduction_rows(tower, 1)  # the point (1, 0): e_j in block 0
-    assert tower._row_map is not None
-    assert rows == tuple(1 << j * 3 for j in range(2))
+    assert tower.reduction_maps == {}
+    rows_of = reduction_map(tower, 2)
+    assert rows_of(1) == tuple(1 << j * 3 for j in range(2))  # (1, 0): e_j in block 0
+    assert reduction_map(tower, 2) is rows_of
+    assert list(tower.reduction_maps) == [2]
 
 
 def test_reduction_index_refuses_unnormalized_points(t32):
