@@ -132,18 +132,26 @@ def _check_a1(family: CPlaneFamily, maps: CorrespondenceMaps) -> AxiomReport:
     Every meet is a translate of one of the m meets c0 + (W ∩ L_s) through
     the base point, and a translation keeps collinearity, so only those are
     tested.  Such a meet is a coset, so it is an arc iff its q - 1 lines
-    through c0 are distinct: iff the directions hinf.normalize(x) of its
-    nonzero x are.  A meet whose directions repeat is handed to is_arc,
-    and the failure names the secant and is_arc's collinear triple.
+    through c0 are distinct: iff the directions of its nonzero x are.  x is
+    the difference of the point c0 ^ (x << h) of C, so its direction is
+    read off projected_differences, memoized on C, at that point's place
+    in C's order, and none is normalized again.  A meet whose directions
+    repeat is handed to is_arc, and the failure names the secant and
+    is_arc's collinear triple.
     """
-    amb, normalize = maps.ambient, maps.hinf.normalize
-    h = maps.tower.h
-    c0 = family.c_points.ordered[0]
+    from bisect import bisect_left  # here, so that `import hoval` loads no bisect
+
+    amb, h = maps.ambient, maps.tower.h
+    ordered = family.c_points.ordered
+    c0 = ordered[0]
+    projected = projected_differences(family.c_points, maps.hinf)
     pairs = comb(family.q, 2)
     for sidx, (_, meet) in enumerate(family.secants):
-        if len({normalize(x) for x in meet if x}) == len(meet) - 1:
+        points = [c0 ^ (x << h) for x in meet]
+        seen = {projected[bisect_left(ordered, p) - 1] for p in points if p != c0}
+        if len(seen) == len(meet) - 1:
             continue
-        ok, witness = is_arc([c0 ^ (x << h) for x in meet], amb)
+        ok, witness = is_arc(points, amb)
         if not ok:
             return AxiomReport(
                 "A1", False, (sidx + 1) * pairs, ("secant", sidx) + witness,

@@ -452,13 +452,15 @@ class Tower:
     and unvec_packed undoes it.  Both are GF(2)-linear: unvec_packed is the
     LinearMap whose column j h + b is the embedded 2^b times basis[j], and
     vec_packed is its inverse, read from a list while the big field has
-    exp/log tables.  reduction_maps holds reduction.reduction_map's maps,
-    one per source width, built on first use.
+    exp/log tables.  reduction_maps and unvec_maps hold
+    reduction.reduction_map's and reduction.unvec_blocks's maps, one per
+    source width, built on first use.
     """
 
     __slots__ = (
         "h", "k", "hk", "small", "big", "root",
         "_embed_table", "basis", "vec_packed", "unvec_packed", "reduction_maps",
+        "unvec_maps",
     )
 
     def __init__(self, h: int, k: int, small: Field, big: Field):
@@ -485,6 +487,7 @@ class Tower:
             [vec(t) for t in range(big.q)].__getitem__ if big.m <= TABLE_LIMIT else vec.apply
         )
         self.reduction_maps: dict = {}
+        self.unvec_maps: dict = {}
 
     # -- construction ----------------------------------------------------
 

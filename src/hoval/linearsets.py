@@ -9,7 +9,8 @@ The spectrum has three paths.  The line tally counts every line of H_inf
 and is the independent cross-check: for each second row r1 of a canonical
 line it bins the points of D of the first row's pivot by the line of the
 pencil through r1 they lie on, so the lines no point reaches are counted
-in bulk, from the q - 1 scalar multiples of each r1.  The pair scan bins
+in bulk.  A pencil's line keys are one XOR of packed columns, built once
+per pivot pattern, and one Counter bins them.  The pair scan bins
 the C(|D|, 2) pairs of D by the line they span.  The cyclic-group path
 needs a candidate collineation M (cyclic_candidate builds
 M(x, y) = (g x, g^(2^i) y) for g primitive in GF(q^k), which acts
@@ -29,15 +30,17 @@ group's orbit, the pair map or the line counts N_j from it.  Only
 Only the line tally runs in worker processes, at most one per CPU; the pair
 scan and the cyclic-group path run in the calling process.  The worker pool
 (concurrent.futures.process and multiprocessing) is imported only when a
-tally starts more than one worker, so a serial run never loads it.
+tally starts more than one worker, so a serial run never loads it, and
+`array` only when a tally packs its columns.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import EnumerationTooLarge, NotF2Linear, TooFewPoints
 from .gf2 import LinearMap, f2_echelon, field_create
@@ -250,34 +253,87 @@ def _pivot_classes(pts, space: ProjSpace) -> dict:
     return classes
 
 
-def _tally_pattern(space: ProjSpace, dset, classes, task) -> Counter:
+def _pattern_columns(space: ProjSpace, pts, p0: int, p1: int) -> tuple:
+    """The packed columns of the points pts of pivot p0 against the
+    second-row pivot p1: (typecode, byte length, start, shifted).
+
+    A key d ^ c r1 has chunk p0 equal to 1, chunk p1 zero and nothing
+    below p0, so it is held by its other chunks alone, those of the first
+    row's free shifts, packed down: (n - 1 - p0) h bits.  Slot t of each
+    column is an array slot in native byte order and belongs to pts[t],
+    whose p1 chunk is c_t.  `start` holds pts[t] packed so, and
+    shifted[f][v] holds c_t v at the packed place of shift f, for each free
+    shift f of the second row and each v in GF(q).  Multiplying by v is
+    GF(2)-linear in v, so the q columns of a shift are XORs of the h
+    columns of c_t 2^b, and no slot carries into the next.
+    """
+    from array import array
+
+    h = space.h
+    low = (p1 - p0 - 1) * h  # the packed bits of the chunks between the pivots
+    bits = (space.width - p0 - 2) * h
+    # the narrowest native unsigned slot
+    code = next((c for c in "BHIQ" if array(c).itemsize * 8 >= bits), None)
+    if code is None:
+        raise ValueError(f"the line tally packs a key in at most 64 bits, not {bits}")
+    order = sys.byteorder
+
+    def pack(values) -> int:
+        return int.from_bytes(array(code, values).tobytes(), order)
+
+    mask, mul = space.chunk_mask, space.field.mul
+    chunks = [d >> p1 * h & mask for d in pts]
+    start = pack([d >> (p0 + 1) * h & (1 << low) - 1 | d >> (p1 + 1) * h << low
+                  for d in pts])
+    by_value = [0]  # by_value[v] holds c_t v
+    for b in range(h if p1 < space.n else 0):  # p1 = n leaves r1 no free shift
+        x = pack([mul(c, 1 << b) for c in chunks])
+        by_value += [y ^ x for y in by_value]
+    shifted = {
+        j * h: [y << low + (j - p1 - 1) * h for y in by_value]
+        for j in range(p1 + 1, space.width)
+    }
+    return code, len(pts) * array(code).itemsize, start, shifted
+
+
+def _tally_pattern(space: ProjSpace, dset, classes, columns, task) -> Counter:
     """Line counts of one pivot pattern, one pencil per second row r1.
 
     The lines <r0, r1> with r1 fixed form a pencil.  A point d of D with
     pivot p0 lies on exactly one of them, the one with r0 = d ^ d_p1 r1,
     and r1 is the only point of these lines with another pivot.  So a line
     counts int(r1 in D) plus the points of its bin, and the lines no point
-    binned to count int(r1 in D).  The multiples c r1 are XORs of the h
-    multiples 2^b r1, doubled up as gf2._byte_tables builds a table.
+    binned to count int(r1 in D).  The keys d ^ d_p1 r1 of a pencil are one
+    packed column, the pattern's start column XOR the shifted columns of
+    r1's free coordinates (_pattern_columns, built once per pattern into
+    the `columns` cache), binned by a Counter over its slots.
     """
     p0, p1, pencil, base, free = task
-    shift = p1 * space.h
-    smul = space.smul
-    keyed = [(d, (d >> shift) & space.chunk_mask) for d in classes.get(p0, ())]
-    units = [1 << b for b in range(space.h)]
+    cols = columns.get((p0, p1))
+    if cols is None:
+        cols = columns[p0, p1] = _pattern_columns(space, classes.get(p0, ()), p0, p1)
+    code, nbytes, start, shifted = cols
+    for f, by_value in shifted.items():
+        if f not in free:  # fixed by the task's base
+            start ^= by_value[base >> f & space.chunk_mask]
+    order = sys.byteorder
+    # bin sizes, r1 off D and r1 in D; size 0 counts the lines no point binned to
+    sizes = (Counter(), Counter())
+    pencils = product(*(shifted[f] for f in free))
+    for r1, xs in zip(space.completions(base, free), pencils):
+        col = start
+        for x in xs:
+            col ^= x
+        # a list is counted faster than the memoryview's own iterator
+        bins = Counter(memoryview(col.to_bytes(nbytes, order)).cast(code).tolist())
+        hit = r1 in dset
+        sizes[hit].update(bins.values())
+        sizes[hit][0] += pencil - len(bins)
     counts: Counter = Counter()
-    for r1 in space.completions(base, free):
-        hit = int(r1 in dset)
-        mults = [0]  # mults[c] = c r1
-        for u in units:
-            x = smul(u, r1)
-            mults += [m ^ x for m in mults]
-        bins = Counter([d ^ mults[c] for d, c in keyed])
-        for size, n in Counter(bins.values()).items():
+    for hit in (0, 1):
+        for size, n in sizes[hit].items():
             counts[hit + size] += n
-        if pencil > len(bins):
-            counts[hit] += pencil - len(bins)
-    return counts
+    return +counts
 
 
 def _tally_tasks(space: ProjSpace) -> list:
@@ -304,10 +360,13 @@ def _worker_init(m, modulus, n, pts, tables):
     _W["space"] = space
     _W["dset"] = frozenset(pts)
     _W["classes"] = _pivot_classes(pts, space)
+    _W["columns"] = {}
 
 
 def _worker_tally(task) -> Counter:
-    return _tally_pattern(_W["space"], _W["dset"], _W["classes"], task)
+    return _tally_pattern(
+        _W["space"], _W["dset"], _W["classes"], _W["columns"], task
+    )
 
 
 def _verified_group(dirs: DirectionSet, candidate, budget):
@@ -335,7 +394,9 @@ def spectrum(
     counts the points on every line of the space, one pencil of lines per
     second row r1 (_tally_pattern), and checks the line total and the
     incidence total |D| (q^n - 1)/(q - 1).  Both give the same histogram;
-    exhaustive is the independent cross-check.
+    exhaustive is the independent cross-check.  The tally's packed columns
+    are built once per pivot pattern: into one cache per call here, and
+    into one per worker process.
 
     A `candidate` collineation (cyclic_candidate) is verified on the set in
     either mode.  In pairs mode the group gives the multi-point lines from
@@ -343,7 +404,9 @@ def spectrum(
     tally counts every line and only hands the group on.
     The budget charges each path what it computes, before it runs: |D| - 1
     line keys for the group, C(|D|, 2) for the pair scan, and for the tally
-    #r1 (q - 1 + |D_p0|) summed over the pivot patterns (p0, p1).
+    #r1 (q - 1 + |D_p0|) summed over the pivot patterns (p0, p1): each
+    pencil's |D_p0| keys, and q - 1 for the scalar multiples of r1 the
+    tally once computed per pencil, kept so that its refusals stay put.
 
     `processes` only applies to the exhaustive line tally, which runs in
     min(processes, os.cpu_count()) worker processes, or in this one when
@@ -389,8 +452,8 @@ def spectrum(
         ) as pool:
             counts = sum(pool.map(_worker_tally, tasks), Counter())
     else:
-        dset = frozenset(pts)
-        parts = (_tally_pattern(space, dset, classes, t) for t in tasks)
+        dset, columns = frozenset(pts), {}
+        parts = (_tally_pattern(space, dset, classes, columns, t) for t in tasks)
         counts = sum(parts, Counter())
     counts = {j: counts[j] for j in sorted(counts)}
     total = sum(counts.values())

@@ -280,7 +280,7 @@ def _preserves_spread(m, maps: CorrespondenceMaps, spell: LinearMap) -> bool:
     (_maps_elements_to_elements): a refusal never rests on the stabiliser
     theorem, and a wrong map still exits at its first element.  A singular
     m shrinks an element through a kernel vector, so it permutes none.
-    `spell` is unvec_blocks(tower, 2), built once per fit.
+    `spell` is unvec_blocks(tower, 2), kept on the tower.
     """
     if len(f2_echelon(m.columns)) != maps.hinf.bits:
         return False

@@ -82,10 +82,16 @@ def unvec_blocks(tower: Tower, blocks: int) -> LinearMap:
 
     Block c of v (bits [c hk, (c + 1) hk)) unvecs to an element of GF(q^k)
     packed at the same bits, so the result is a packed vector of
-    PG(blocks - 1, q^k).
+    PG(blocks - 1, q^k).  One map per tower and number of blocks, built on
+    first use and kept in tower.unvec_maps.
     """
-    hk, unvec = tower.hk, tower.unvec_packed
-    return LinearMap(unvec(1 << b % hk) << b // hk * hk for b in range(blocks * hk))
+    lmap = tower.unvec_maps.get(blocks)
+    if lmap is None:
+        hk, unvec = tower.hk, tower.unvec_packed
+        lmap = tower.unvec_maps[blocks] = LinearMap(
+            unvec(1 << b % hk) << b // hk * hk for b in range(blocks * hk)
+        )
+    return lmap
 
 
 class ReductionIndex(Mapping):

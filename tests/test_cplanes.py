@@ -392,6 +392,24 @@ def test_a1_failure_under_symmetry_reports_all_planes_witness():
     assert rep.checked == full.checked == comb(8, 2)
 
 
+def test_a1_reads_each_difference_s_own_direction():
+    # a 16-point coset of AG(4, 8) with three q-point planes, one of them
+    # no arc; found by a search where A1 reading the direction of the
+    # difference before each meet vector in C's order passed it
+    maps = build_hyperoval(HyperovalSpec(3, 2, 1)).maps
+    span = {0}
+    for g in (3579, 3477, 2434, 605):
+        span |= {x ^ g for x in span}
+    c_points = AffinePointSet((1 | (2989 ^ x) << 3 for x in span), maps.ambient)
+    family = build_c_planes(c_points, _coset_secants(c_points, maps), maps)
+    assert (len(c_points), family.m) == (16, 3)
+    rep = check_axioms(family, maps, axioms=("A1",))["A1"]
+    full = a1_all_planes(planes_of(family, maps), maps.ambient)
+    assert not rep.ok and not full.ok
+    assert rep.witness[0] == "secant"
+    assert not is_arc(rep.witness[2:], maps.ambient)[0]
+
+
 def _random_coset(h, data):
     """An additive coset of AG(4, q), q = 2^h, of GF(2)-dimension 2 to 6.
 

@@ -1,6 +1,8 @@
 """Spectrum histograms against frozen counts, mode cross-checks, F2 structure."""
 
 import math
+import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -220,9 +222,9 @@ def test_pairs_equals_exhaustive_on_random_sets(case):
 
 
 def test_exhaustive_spectrum_builds_no_scalar_tables(case321, monkeypatch):
-    # the tally multiplies each second row by the q - 1 scalars through
-    # smul, which builds a scalar's byte tables on its first use; nothing
-    # asks for all of them up front, in this process or in the pool's workers
+    # the tally packs its columns from Field.mul and multiplies no vector;
+    # nothing asks for every scalar's byte tables up front, in this process
+    # or in the pool's workers
     calls = []
     real = ProjSpace.ensure_tables
 
@@ -241,6 +243,110 @@ def test_exhaustive_spectrum_builds_no_scalar_tables(case321, monkeypatch):
     assert _FakePool.sizes == [2]
     assert linearsets._W["space"].table_backed  # the worker's H_inf too
     assert not calls
+
+
+# -- the line tally's packed columns, in each slot width ------------------------
+
+def _lines_through_pencils(space, r1s, seed):
+    """Points of PG(n, q): three on a line through each r1, the first r1
+    itself, random points of pivot 0, and one of pivot 2 or the last."""
+    rng = random.Random(seed)
+    h, mask = space.h, space.chunk_mask
+    pts = {r1s[0]}
+    for r1 in r1s:
+        r0 = 1 | rng.randrange(space.q ** (space.n - 1)) << 2 * h
+        for lam in rng.sample(range(space.q), 3):
+            pts.add(r0 ^ space.smul(lam, r1))
+    for _ in range(6):
+        pts.add(1 | rng.randrange(1, 1 << space.bits - h) << h)
+    pts.add(1 << 2 * h | rng.randrange(mask + 1) << 3 * h & (1 << space.bits) - 1)
+    return frozenset(pts)
+
+
+def _pencils_by_line_keys(space, pts, task):
+    """One tally task's line counts, each point of pivot p0 named by the
+    pair_line_key of its line with r1."""
+    p0, _, pencil, base, free = task
+    counts: Counter = Counter()
+    for r1 in space.completions(base, free):
+        hit = int(r1 in pts)
+        bins = Counter(space.pair_line_key(d, r1) for d in pts
+                       if space.pivot(d) == p0)
+        for size in bins.values():
+            counts[hit + size] += 1
+        if pencil > len(bins):
+            counts[hit] += pencil - len(bins)
+    return counts
+
+
+@pytest.mark.parametrize("h, n, code", [
+    (4, 3, "B"), (9, 2, "H"), (11, 2, "H"), (9, 3, "I"), (17, 3, "Q"),
+])
+def test_tally_task_in_each_slot_width(h, n, code):
+    # a key of pattern (0, 1) is (n - 1) h bits: 8, 9, 11, 18 and 34 here.
+    # The task fixes every second-row coordinate but the last below 2^17
+    # and all of them at 2^17; pencils hold bins of 3 and a second row in
+    # the set
+    space = ProjSpace(n, field_create(h))
+    free = (n * h,) if h < 17 else ()
+    base = 1 << h
+    for f in range(2 * h, space.bits, h):
+        if f not in free:
+            base |= 5 << f
+    r1s = list(space.completions(base, free))[:3]
+    pts = _lines_through_pencils(space, r1s, h)
+    classes = linearsets._pivot_classes(pts, space)
+    assert linearsets._pattern_columns(space, classes[0], 0, 1)[0] == code
+    task = (0, 1, space.q ** (n - 1), base, free)
+    got = linearsets._tally_pattern(space, pts, classes, {}, task)
+    want = _pencils_by_line_keys(space, pts, task)
+    assert got == want and max(want) >= 4  # r1 in D on a bin of 3
+
+
+def test_tally_refuses_keys_past_64_bits():
+    # PG(5, 2^17) keys of pattern (0, 1) need 68 bits: no native slot
+    space = ProjSpace(5, field_create(17))
+    with pytest.raises(ValueError, match="64 bits"):
+        linearsets._pattern_columns(space, [1], 0, 1)
+    assert linearsets._pattern_columns(space, [1], 1, 2)[0] == "Q"  # 51 bits
+
+
+@pytest.mark.parametrize("h, empty", [(6, None), (11, None), (11, 0), (11, 1)])
+def test_wide_tally_matches_pairs(h, empty):
+    # PG(2, 2^6) keys fit one byte, PG(2, 2^11) keys two; a pivot class
+    # emptied leaves its patterns' columns empty
+    space = ProjSpace(2, field_create(h))
+    base = 1 << h
+    pts = _lines_through_pencils(space, [base | v << 2 * h for v in (0, 1, 7)], h)
+    if empty is not None:
+        pts = frozenset(d for d in pts if space.pivot(d) != empty)
+    d = DirectionSet(pts, space)
+    assert spectrum(d, mode="exhaustive").counts == spectrum(d, mode="pairs").counts
+
+
+def test_worker_builds_each_pattern_columns_once(case421, monkeypatch):
+    # the pool's worker keeps one column cache for all its tasks: six
+    # patterns, built once each, for the 51 tasks of PG(3, 16)
+    built = []
+    real = linearsets._pattern_columns
+
+    def counted(space, pts, p0, p1):
+        built.append((p0, p1))
+        return real(space, pts, p0, p1)
+
+    monkeypatch.setattr(linearsets, "_pattern_columns", counted)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(linearsets.os, "cpu_count", lambda: 2)
+    _, d = case421
+    _FakePool.sizes = []
+    assert spectrum(d, mode="exhaustive", processes=2).counts == SPEC_421
+    assert _FakePool.sizes == [2]
+    patterns = [(p0, p1) for p0, p1, _, _ in d.space.line_chunks()]
+    assert len(linearsets._tally_tasks(d.space)) == 51
+    assert sorted(built) == sorted(linearsets._W["columns"]) == sorted(patterns)
+    built.clear()
+    assert spectrum(d, mode="exhaustive").counts == SPEC_421  # serial
+    assert sorted(built) == sorted(patterns)
 
 
 def test_f2_witness_321(case321):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hoval import bruckbose, gf2, linearsets, pipeline, reduction, serialize
+from hoval import bruckbose, gf2, linearsets, pipeline, pseudoregulus, reduction, serialize
 from hoval import hyperoval
 from hoval.errors import NoLongSecants
 from hoval.pipeline import STAGE_ORDER, run_verify_all
@@ -256,14 +256,40 @@ def test_kernel_calls_per_stage_421(monkeypatch):
         # by its point off d0's pivot (254 line keys)
         "spectrum": {"normalize": 764, "LinearMap": 1037},
         "pseudoregulus": {"normalize": 102, "LinearMap": 1273, "pair_line_key": 18},
-        # one reduction LinearMap per element (two row-map lookups each)
-        "spread": {"LinearMap": 885, "normalize": 512, "lookup": 255},
+        # one reduction LinearMap per element (two row-map lookups each);
+        # unvec_blocks(tower, 2) is the fit's, kept on the tower (885 when
+        # this stage built it twice more, 16 unvec calls each)
+        "spread": {"LinearMap": 853, "normalize": 512, "lookup": 255},
         # the fibre certificate's 514 rows by cross product, the quadrangle's
         # six lookups (514 + 6 lookups, 526 normalize)
         "plane": {"LinearMap": 520, "normalize": 12, "lookup": 6},
-        # A1's directions, with no is_arc (17 calls, 255 line keys)
-        "cplanes": {"normalize": 255, "LinearMap": 340},
+        # A1's directions are read off C's projected differences, with no
+        # is_arc (255 normalize when A1 normalized them again; 17 is_arc
+        # calls and 255 line keys before that)
+        "cplanes": {"LinearMap": 102},
     }
+
+
+def test_unvec_blocks_is_built_once_per_tower(monkeypatch):
+    # the fit's spell, build_spread's spread test and the Spread's source
+    # map are one unvec_blocks(tower, 2), kept on the tower
+    for module, cache in ((gf2, "_FIELD_CACHE"), (gf2, "_TOWER_CACHE"),
+                          (reduction, "_MAPS_CACHE")):
+        monkeypatch.setattr(module, cache, {})
+    handed = []
+    real = reduction.unvec_blocks
+
+    def recorded(tower, blocks):
+        handed.append((tower, blocks, real(tower, blocks)))
+        return handed[-1][2]
+
+    monkeypatch.setattr(reduction, "unvec_blocks", recorded)
+    monkeypatch.setattr(pseudoregulus, "unvec_blocks", recorded)
+    assert run_verify_all(4, 2, 1, stages=("spread",)).verdict == "pass"
+    (tower,) = {t for t, _, _ in handed}
+    assert len(handed) == 3  # fit_semilinear, Spread.__init__, build_spread
+    assert {b for _, b, _ in handed} == {2} and list(tower.unvec_maps) == [2]
+    assert all(lmap is tower.unvec_maps[2] for _, _, lmap in handed)
 
 
 def test_spread_stage_memory(monkeypatch):

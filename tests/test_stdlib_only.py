@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "hoval"
 
 
@@ -33,35 +35,55 @@ def test_every_import_is_relative_or_stdlib():
     assert not outside
 
 
-# runs in a fresh interpreter: sys.argv[1] is a scratch directory for --out
+# runs in a fresh interpreter: sys.argv[1] is a scratch directory for --out;
+# prints whether `array` is loaded after the import and after each run, then
+# every loaded module
 _SERIAL_RUNS = """
 import json, sys
 import hoval, hoval.cli
+loaded = {"import": "array" in sys.modules}
 out = sys.argv[1] + "/report.json"
-for argv in (["verify-all", "--h", "3", "--k", "2", "--i", "1"],
-             ["spectrum", "--h", "3", "--k", "2", "--i", "1",
-              "--mode", "exhaustive"]):
+for name, argv in (
+        ("pairs", ["verify-all", "--h", "3", "--k", "2", "--i", "1"]),
+        ("exhaustive", ["spectrum", "--h", "3", "--k", "2", "--i", "1",
+                        "--mode", "exhaustive"])):
     rc = hoval.cli.main(argv + ["--parallel", "1", "--out", out])
     assert rc == 0, (argv, rc)
+    loaded[name] = "array" in sys.modules
+print(json.dumps(loaded))
 print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_a_serial_run_loads_no_process_pool(tmp_path):
-    # the pool is imported where a tally starts more than one worker, so
-    # neither the import nor a --parallel 1 run may pull it in
+@pytest.fixture(scope="module")
+def serial_run(tmp_path_factory):
+    """(array loaded after each step, modules loaded at the end) of the
+    serial runs above."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _SERIAL_RUNS, str(tmp_path)],
+        [sys.executable, "-c", _SERIAL_RUNS, str(tmp_path_factory.mktemp("out"))],
         env=env, capture_output=True, text=True, check=True,
     )
-    modules = json.loads(proc.stdout.splitlines()[-1])
+    *_, loaded, modules = proc.stdout.splitlines()
+    return json.loads(loaded), json.loads(modules)
+
+
+def test_a_serial_run_loads_no_process_pool(serial_run):
+    # the pool is imported where a tally starts more than one worker, so
+    # neither the import nor a --parallel 1 run may pull it in
+    modules = serial_run[1]
     assert "hoval.linearsets" in modules
     pool = [m for m in modules
             if m.startswith("multiprocessing") or m == "concurrent.futures.process"]
     assert not pool
     # the records are no dataclasses, so start-up skips inspect and its chain
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(modules)
+
+
+def test_only_the_line_tally_loads_array(serial_run):
+    # the tally packs its columns with `array`, imported where it builds
+    # them, so `import hoval` and a pairs-mode verify-all never load it
+    assert serial_run[0] == {"import": False, "pairs": False, "exhaustive": True}
