@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 
 from . import serialize
@@ -73,28 +74,27 @@ def _spec(args) -> HyperovalSpec:
     return _checked_spec(args.h, args.k, args.i, not args.allow_nonstrict)
 
 
-def _check_writable(path: str) -> None:
-    """Refuse an --out path that cannot be written, before any stage runs."""
-    existed = os.path.lexists(path)
+def _open_out(path: str):
+    """Open --out, truncating nothing: the file, and whether this created it."""
+    created = not os.path.lexists(path)
     try:
-        with open(path, "a", encoding="ascii"):
-            pass
+        return open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb"), created
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
-    if not existed:
-        os.remove(path)
 
 
 def _emit(args, doc: dict) -> None:
     text = serialize.dumps(doc)
-    if getattr(args, "out", None):
-        try:
-            with open(args.out, "w", encoding="ascii") as f:
-                f.write(text)
-        except OSError as exc:
-            raise ParseError(f"cannot write {args.out}: {exc}") from exc
-    else:
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        with args.sink as f:
+            f.write(text.encode("ascii"))
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # no pipe or device
+                f.truncate()  # drop the tail of a longer earlier file
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.out}: {exc}") from exc
 
 
 def _cmd_construct(args) -> int:
@@ -342,44 +342,47 @@ def _add_arguments(p, command: str) -> None:
         p.add_argument("--stages", help="comma separated stage subset")
 
 
-def _build_parser(argv: list) -> argparse.ArgumentParser:
-    """The parser, with only the subcommand `argv` names and its arguments.
-
-    The top level takes no option but -h, so argv[0] names a subcommand.
-    If it names none, all are added, without arguments, for the top-level
-    help and the invalid-choice error; if it does, usage still lists all.
-    """
+def _build_parser() -> argparse.ArgumentParser:
+    """The top level and every subcommand with its arguments, built only
+    for its help, a missing or unknown subcommand and unrecognized arguments."""
     parser = argparse.ArgumentParser(
         prog="hoval",
         description="translation hyperovals: construction and verification",
     )
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
-    every = "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=every if named else None)
-    for command in _COMMANDS if named is None else (named,):
-        p = sub.add_parser(command, help=_COMMANDS[command][1])
-        if command == named:
-            _add_arguments(p, command)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_text) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=help_text), command)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    if argv and argv[0] in _COMMANDS:  # parsed by its own parser alone
+        command = argv[0]
+        parser = argparse.ArgumentParser(prog=f"hoval {command}")
+        _add_arguments(parser, command)
+        args, extras = parser.parse_known_args(argv[1:])
+        if extras:  # the one usage error the top level reports
+            _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    else:  # help and usage errors exit here
+        args = _build_parser().parse_args(argv)
+        command = args.command
+    args.sink = created = None
     try:
         if args.out:
-            _check_writable(args.out)
-        return _COMMANDS[args.command][0](args)
-    except (ParseError, NoLongSecants) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EnumerationTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+            args.sink, created = _open_out(args.out)
+        return _COMMANDS[command][0](args)
     except HovalError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, (ParseError, NoLongSecants)):
+            return 2
+        return 3 if isinstance(exc, EnumerationTooLarge) else 1
+    finally:
+        if args.sink and not args.sink.closed:  # nothing was written
+            args.sink.close()
+            if created:
+                os.remove(args.out)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ vectors from its columns.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import product
+from itertools import chain
 
 from .errors import (
     DegenerateSpan,
@@ -177,12 +177,13 @@ class ProjSpace:
     # -- enumeration ---------------------------------------------------------
 
     def completions(self, base: int, free: Sequence[int]) -> Iterator[int]:
-        """base plus every choice of coordinates at the free shift positions."""
-        for vals in product(range(self.q), repeat=len(free)):
-            v = base
-            for sh, c in zip(free, vals):
-                v |= c << sh
-            yield v
+        """base plus every choice of coordinates at the free shifts, the last
+        fastest; lazy, so the first point costs O(len(free)), not O(q)."""
+        if not free:
+            return iter((base,))
+        step = 1 << free[-1]  # c << free[-1] for c < q, as one range
+        return chain.from_iterable(map(v.__or__, range(0, self.q * step, step))
+                                   for v in self.completions(base, free[:-1]))
 
     def points(self, budget: int | None = DEFAULT_BUDGET) -> Iterator[int]:
         """All normalized points, lexicographic on coordinate tuples."""

@@ -1,6 +1,11 @@
 """Exit codes, JSON output, and file round trips of the command line."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -544,6 +549,43 @@ def test_writable_out_leaves_only_the_report(tmp_path, capsys):
     assert code == 1 and not other.exists()
 
 
+def test_out_replaces_a_longer_file_whole(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"x" * 100_000)
+    code = main(["construct", "--h", "3", "--k", "2", "--i", "1", "--out", str(path)])
+    assert code == 0 and capsys.readouterr().out == ""
+    text = path.read_text(encoding="ascii")
+    assert text.endswith("}\n") and json.loads(text)["kind"] == "hyperoval"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify-all", "--h", "3", "--k", "2", "--i", "2"], 1),  # refused construction
+    (["verify-all", "--h", "3", "--k", "2", "--i", "1", "--parallel", "0"], 2),
+    (["bj-axioms", "--h", "3", "--k", "2", "--i", "1", "--budget", "10"], 3),
+])
+def test_a_run_that_emits_nothing_keeps_out_as_it_was(tmp_path, capsys, argv, code):
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    kept.write_bytes(b"an earlier report\n")
+    assert main(argv + ["--out", str(kept)]) == code
+    assert main(argv + ["--out", str(fresh)]) == code
+    assert kept.read_bytes() == b"an earlier report\n"
+    assert sorted(tmp_path.iterdir()) == [kept]
+    assert capsys.readouterr().out == ""
+
+
+def test_out_writes_the_whole_document_into_a_pipe(tmp_path):
+    # /dev/stdout into a pipe cannot be truncated; it still gets the document
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hoval.cli", "construct", "--h", "3", "--k", "2",
+         "--i", "1", "--out", "/dev/stdout"],
+        env=env, cwd=tmp_path, capture_output=True, check=False,
+    )
+    assert proc.returncode == 0 and proc.stderr == b""
+    doc = json.loads(proc.stdout)
+    assert doc["kind"] == "hyperoval" and doc["count"] == 66
+
+
 def test_stage_out_of_memory_exits_3(capsys, monkeypatch):
     from hoval import pipeline
 
@@ -571,19 +613,35 @@ def test_stage_out_of_memory_exits_3(capsys, monkeypatch):
 ])
 def test_parser_prints_what_the_parser_of_every_subcommand_printed(argv, capsys):
     # help, an unknown command and subcommand usage errors read the same
-    # whether or not the other subcommands' parsers are built
-    def printed(parser):
+    # as they did when main parsed with every subcommand's parser built;
+    # "--bogus" is the top level's error, not the lone subcommand parser's
+    def printed(parse):
         with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv)
+            parse(argv)
         out = capsys.readouterr()
         return exc.value.code, out.out, out.err
 
-    assert printed(cli._build_parser(argv)) == printed(parser_with_every_subcommand(argv))
+    assert printed(main) == printed(parser_with_every_subcommand(argv).parse_args)
 
 
-def test_parser_builds_only_the_named_subcommand():
-    def commands(argv):
-        return list(cli._build_parser(argv)._subparsers._group_actions[0].choices)
+def test_parser_builds_only_the_named_subcommand(monkeypatch, capsys):
+    # every parser main builds, the subcommand parsers included, by prog
+    built, init = [], argparse.ArgumentParser.__init__
 
-    assert commands(["verify-all", "--h", "3"]) == ["verify-all"]
-    assert commands(["-h", "verify-all"]) == commands(["nope"]) == list(cli._COMMANDS)
+    def counted(self, *a, **kw):
+        built.append(kw["prog"])
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["construct", "--h", "3", "--k", "2", "--i", "1"]) == 0
+    assert built == ["hoval construct"]
+    every = ["hoval"] + [f"hoval {c}" for c in cli._COMMANDS]
+    # the full parser only for what the top level prints
+    for argv, lone in ((["-h", "verify-all"], []), (["nope"], []),
+                       (["construct", "--h", "3", "--k", "2", "--i", "1", "--bogus"],
+                        ["hoval construct"])):
+        built.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert built == lone + every
+    capsys.readouterr()

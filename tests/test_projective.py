@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, product
 
 import pytest
 
@@ -108,6 +109,29 @@ def test_normalize_scale_invariant():
         n = s.normalize(v)
         for lam in range(1, s.q):
             assert s.normalize(s.smul(lam, v)) == n
+
+
+def test_points_are_drawn_lazily():
+    # three points of PG(1, 2^20) read by a refused fit cost no copy of
+    # the 2^20 coordinate values
+    s = ProjSpace(1, field_create(20))
+    tracemalloc.start()
+    try:
+        it = s.points(budget=None)
+        first = [next(it) for _ in range(3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [1 << 20, 1, 1 | 1 << 20]
+    assert peak < 1 << 20
+
+
+def test_completions_run_the_last_free_coordinate_fastest():
+    s = space(4, 2)
+    base, free = 1 << 2, (4, 8, 6)  # free shifts in no particular order
+    want = [base | a << 4 | b << 8 | c << 6 for a, b, c in product(range(4), repeat=3)]
+    assert list(s.completions(base, free)) == want
+    assert list(s.completions(base, ())) == [base]
 
 
 def test_normalize_zero_vector():

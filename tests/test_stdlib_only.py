@@ -36,12 +36,13 @@ def test_every_import_is_relative_or_stdlib():
 
 
 # runs in a fresh interpreter: sys.argv[1] is a scratch directory for --out;
-# prints whether `array` is loaded after the import and after each run, then
-# every loaded module
+# prints whether `array` is loaded after the import and after each run, the
+# modules the runs loaded, then every loaded module
 _SERIAL_RUNS = """
 import json, sys
 import hoval, hoval.cli
 loaded = {"import": "array" in sys.modules}
+before = set(sys.modules)
 out = sys.argv[1] + "/report.json"
 for name, argv in (
         ("pairs", ["verify-all", "--h", "3", "--k", "2", "--i", "1"]),
@@ -51,14 +52,15 @@ for name, argv in (
     assert rc == 0, (argv, rc)
     loaded[name] = "array" in sys.modules
 print(json.dumps(loaded))
+print(json.dumps(sorted(set(sys.modules) - before)))
 print(json.dumps(sorted(sys.modules)))
 """
 
 
 @pytest.fixture(scope="module")
 def serial_run(tmp_path_factory):
-    """(array loaded after each step, modules loaded at the end) of the
-    serial runs above."""
+    """(array loaded after each step, modules loaded at the end, modules
+    the runs loaded) of the serial runs above."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p
@@ -67,8 +69,8 @@ def serial_run(tmp_path_factory):
         [sys.executable, "-c", _SERIAL_RUNS, str(tmp_path_factory.mktemp("out"))],
         env=env, capture_output=True, text=True, check=True,
     )
-    *_, loaded, modules = proc.stdout.splitlines()
-    return json.loads(loaded), json.loads(modules)
+    *_, loaded, by_runs, modules = proc.stdout.splitlines()
+    return json.loads(loaded), json.loads(modules), json.loads(by_runs)
 
 
 def test_a_serial_run_loads_no_process_pool(serial_run):
@@ -87,3 +89,10 @@ def test_only_the_line_tally_loads_array(serial_run):
     # the tally packs its columns with `array`, imported where it builds
     # them, so `import hoval` and a pairs-mode verify-all never load it
     assert serial_run[0] == {"import": False, "pairs": False, "exhaustive": True}
+
+
+def test_out_runs_load_no_codec(serial_run):
+    # --out is written as bytes, so no text-mode open looks up a codec
+    by_runs = serial_run[2]
+    assert "array" in by_runs  # the exhaustive run's tally, so the diff is live
+    assert not [m for m in by_runs if m.split(".")[0] == "encodings"]
