@@ -129,7 +129,7 @@ def build_hyperoval(spec: HyperovalSpec, maps: CorrespondenceMaps | None = None)
     )
 
 
-def is_arc(points: Sequence[int], space: ProjSpace):
+def is_arc(points: Sequence[int], space: ProjSpace, coset: bool | None = None):
     """No three of the points collinear.
 
     Returns (True, None) or (False, (p1, p2, p3)) with a collinear triple.
@@ -143,6 +143,12 @@ def is_arc(points: Sequence[int], space: ProjSpace):
     normalize(p ^ base) for an affine p, and p itself for a point at
     infinity.  A collision there, or any other input, runs the full pair
     scan, which also picks the reported triple.
+
+    `coset` is the caller's proved verdict on whether the affine points
+    form a coset; None proves it here (_is_coset).  The construct stage
+    passes its translation closure of the points' abb_affine images: that
+    map is injective and GF(2)-affine, so one set is a coset exactly when
+    the other is, and C is echelon-reduced once.
     """
     pts = sorted(set(points))
     if len(pts) != len(points):
@@ -151,7 +157,7 @@ def is_arc(points: Sequence[int], space: ProjSpace):
         raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
     mask = space.chunk_mask
     affine = [p for p in pts if p & mask == 1]
-    if len(pts) - len(affine) <= 2 and _is_coset(affine):
+    if len(pts) - len(affine) <= 2 and (_is_coset(affine) if coset is None else coset):
         base, normalize = affine[0], space.normalize
         at_infinity = {normalize(p ^ base) if p & mask == 1 else p for p in pts if p != base}
         if len(at_infinity) == len(pts) - 1:

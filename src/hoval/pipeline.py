@@ -140,7 +140,8 @@ def _stage_construct(run: _Run) -> tuple[bool, dict]:
     hov = run.hov
     q, k = 1 << spec.h, spec.k
     closure_ok, closure_witness = translation_closure_check(hov.affine)
-    arc_ok, arc_witness = is_arc(hov.plane_points, hov.maps.plane_big)
+    # the plane's affine points are a coset exactly when their images are
+    arc_ok, arc_witness = is_arc(hov.plane_points, hov.maps.plane_big, closure_ok)
     sizes_ok = (
         hov.size == q ** k + 2
         and len(hov.affine) == q ** k

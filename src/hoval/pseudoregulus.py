@@ -7,7 +7,9 @@ T_inf, the secants induce a bijection T0 -> T_inf, and that bijection
 extends to a semilinear map whose Frobenius exponent recovers i up to the
 inversion i <-> hk - i.  Fitting the map yields the coordinate change that
 puts D into the shape {(t, t^(2^i))} and rebuilds the Desarguesian spread
-around it.
+around it.  The fit walks D once: the walk that proves D's image canonical
+also finds each point's source in PG(1, q^k), which is all the spread and
+its one-point test read of D.
 """
 
 from __future__ import annotations
@@ -252,19 +254,34 @@ def _greedy_basis(space: ProjSpace, pts, rank: int):
     return basis
 
 
+class ImageWalk(Record):
+    """D under a fit's matrix, as _canonical_image walked it: the sources
+    are of this D and this matrix only."""
+
+    dirs: DirectionSet
+    matrix: LinearMap
+    to_source: LinearMap  # matrix, then unvec each block
+    sources: memoryview  # per point of dirs.ordered, its normalized source
+    _uncompared = ("sources",)  # a function of dirs and to_source
+
+
 class SemilinearFit(Record):
     """The accepted exponents and the coordinate change of the primary fit.
 
     `matrix` is a LinearMap of H_inf's packed vectors: the GF(q)-linear
     map taking detected coordinates to the canonical frame, where
-    D = {(t, t^(2^exponent))}.
+    D = {(t, t^(2^exponent))}.  `fits` lists the standard labeling's
+    accepted j, then the swapped hk - j, derived (fit_semilinear).  `walk`
+    is the primary fit's image walk of D.
     """
 
     exponent: int  # Frobenius exponent of the primary fit
     exponents: frozenset  # all exponents accepted over both labelings
-    labeling: str  # "standard" or "swapped" for the primary fit
+    labeling: str  # "standard": the primary fit's labeling
     matrix: LinearMap  # coordinate change, detected -> canonical
     fits: tuple  # every accepted (labeling, exponent) pair
+    walk: ImageWalk
+    _uncompared = ("walk",)
 
 
 def _preserves_spread(m, maps: CorrespondenceMaps, spell: LinearMap) -> bool:
@@ -334,7 +351,7 @@ def _maps_elements_to_elements(lmap: LinearMap, maps, spell: LinearMap) -> bool:
     return True
 
 
-def _canonical_image(to_field, dirs: DirectionSet, tower, j: int) -> bool:
+def _canonical_image(to_field, dirs: DirectionSet, tower, j: int) -> memoryview | None:
     """Does the map carry D onto {<(u, u^(2^j))> : u in GF(q^k)*}?
 
     `to_field` applies the coordinate change followed by unvec of each
@@ -347,10 +364,15 @@ def _canonical_image(to_field, dirs: DirectionSet, tower, j: int) -> bool:
     distinct.  Tested point by point; the first point that fails ends it.
     With exp/log tables a point costs one to_field and log arithmetic, u
     compared by its log mod q^k - 1; above gf2.TABLE_LIMIT, Field calls.
+
+    Returns None if not, else each point's source in the order of
+    dirs.ordered: <(x, y)> normalized in PG(1, q^k), 1 | (y / x) << hk, as
+    ReductionIndex finds it under the same map; 8 bytes a point, in a
+    read-only memoryview (2hk <= 48 bits), as the fit keeps them.
     """
     big = tower.big
     if len(dirs.ordered) != big.q - 1:
-        return False
+        return None
     mul, inv, frob = big.mul, big.inv, big.frob
     # mu^(1 - 2^j) -> 1 / mu; one-to-one, as gcd(2^j - 1, q - 1) = 1
     unscale = {}
@@ -360,30 +382,36 @@ def _canonical_image(to_field, dirs: DirectionSet, tower, j: int) -> bool:
     shift = tower.hk
     mask = (1 << shift) - 1
     seen = set()
-    log, n = big._log, big.q - 1
+    exp, log, n = big._exp, big._log, big.q - 1
+    sources = memoryview(bytearray(8 * n)).cast("Q")
     if log is not None:
         unscale = {log[r]: log[m] for r, m in unscale.items()}
-    for p in dirs.ordered:
+    for idx, p in enumerate(dirs.ordered):
         y = to_field(p)
         x, z = y & mask, y >> shift
         if not x or not z:
-            return False
+            return None
         if log is None:
-            mu_inv = unscale.get(mul(z, inv(frob(x, j))))
+            x_inv = inv(x)
+            mu_inv = unscale.get(mul(z, frob(x_inv, j)))
             u = None if mu_inv is None else mul(x, mu_inv)
+            ratio = mul(z, x_inv)
         else:
-            mu_inv = unscale.get((log[z] - (log[x] << j)) % n)
-            u = None if mu_inv is None else (log[x] + mu_inv) % n
+            lx, lz = log[x], log[z]
+            mu_inv = unscale.get((lz - (lx << j)) % n)
+            u = None if mu_inv is None else (lx + mu_inv) % n
+            ratio = exp[lz - lx + n]
         if u is None or u in seen:
-            return False
+            return None
         seen.add(u)
-    return True
+        sources[idx] = 1 | ratio << shift
+    return sources.toreadonly()
 
 
 def _fit_candidates(dirs: DirectionSet, fmap: dict, maps: CorrespondenceMaps):
     """Every candidate coordinate change the fit tests, in order.
 
-    Yields (labeling, j, matrix) for each transversal labeling and each
+    Yields (j, matrix) for the labeling fmap gives, T0 -> T_inf, and each
     exponent j prime to hk whose fitted matrix sends d0 = min D to
     (t, rho t^(2^j)), read as big-field blocks, with t != 0 and rho in
     GF(q).  The matrix is the LinearMap that takes the basis u + w of the
@@ -391,8 +419,9 @@ def _fit_candidates(dirs: DirectionSet, fmap: dict, maps: CorrespondenceMaps):
     the tower basis b, with its second block then divided by rho; its
     columns are written from to_basis's, one table build per candidate.
     w_l is f(u_l) scaled so that f(u_0 + u_l) = <w_0 + w_l>: w_0 = v_0 and
-    w_l = c v_l, where c is _span_scale's for z = f(u_0 + u_l).  A labeling
-    with no such z or no such c yields nothing.
+    w_l = c v_l, where c is _span_scale's for z = f(u_0 + u_l).  A map with
+    no such z or no such c yields nothing.  The swapped labeling is fmap
+    inverted; fit_semilinear derives its fits instead of searching it.
     """
     tower = maps.tower
     space = maps.hinf
@@ -412,46 +441,42 @@ def _fit_candidates(dirs: DirectionSet, fmap: dict, maps: CorrespondenceMaps):
             out ^= mul(x, y)
         return out
 
-    candidates = [j for j in range(1, hk) if math.gcd(j, hk) == 1]
-    inv_map = {v: u for u, v in fmap.items()}
-    for label, use_map in (("standard", fmap), ("swapped", inv_map)):
-        u = _greedy_basis(space, sorted(use_map.keys()), k)
-        if len(u) != k:
+    u = _greedy_basis(space, sorted(fmap.keys()), k)
+    if len(u) != k:
+        return
+    v = [fmap[x] for x in u]
+    scalars = [1]
+    for ell in range(1, k):
+        z = fmap.get(space.normalize(u[0] ^ u[ell]))
+        c = None if z is None else _span_scale(space, z, v[0], v[ell])
+        if c is None:
+            return
+        scalars.append(c)
+    w = [space.smul(c, x) for c, x in zip(scalars, v)]
+    try:
+        to_basis = LinearMap.from_columns(u + w, space).inverse()
+    except SingularMatrix:
+        return
+    # the canonical basis keeps the first block (t of d0 for every j) and
+    # sends the GF(q) coordinates a_l of the second to sum a_l b_l^(2^j) / rho
+    y0 = to_basis(dirs.ordered[0])
+    t, s0 = unvec(y0 & mask), second(y0)
+    if t == 0:
+        return
+    firsts = [c & mask for c in to_basis.columns]
+    seconds = [second(c) for c in to_basis.columns]
+    for j in range(1, hk):
+        if math.gcd(j, hk) != 1:
             continue
-        v = [use_map[x] for x in u]
-        scalars = [1]
-        for ell in range(1, k):
-            z = use_map.get(space.normalize(u[0] ^ u[ell]))
-            c = None if z is None else _span_scale(space, z, v[0], v[ell])
-            if c is None:
-                break
-            scalars.append(c)
-        if len(scalars) != k:
+        images = [big.frob(b, j) for b in tower.basis]
+        rho = mul(dot(s0, images), big.inv(big.frob(t, j)))
+        if rho == 0 or not tower.in_subfield(rho):
             continue
-        w = [space.smul(c, x) for c, x in zip(scalars, v)]
-        try:
-            to_basis = LinearMap.from_columns(u + w, space).inverse()
-        except SingularMatrix:
-            continue
-        # the canonical basis keeps the first block (t of d0 for every j) and
-        # sends the GF(q) coordinates a_l of the second to sum a_l b_l^(2^j) / rho
-        y0 = to_basis(dirs.ordered[0])
-        t, s0 = unvec(y0 & mask), second(y0)
-        if t == 0:
-            continue
-        firsts = [c & mask for c in to_basis.columns]
-        seconds = [second(c) for c in to_basis.columns]
-        for j in candidates:
-            images = [big.frob(b, j) for b in tower.basis]
-            rho = mul(dot(s0, images), big.inv(big.frob(t, j)))
-            if rho == 0 or not tower.in_subfield(rho):
-                continue
-            rinv = big.inv(rho)
-            images = [mul(rinv, c) for c in images]
-            m = LinearMap(
-                f | vec(dot(a, images)) << hk_bits for f, a in zip(firsts, seconds)
-            )
-            yield label, j, m
+        rinv = big.inv(rho)
+        images = [mul(rinv, c) for c in images]
+        yield j, LinearMap(
+            f | vec(dot(a, images)) << hk_bits for f, a in zip(firsts, seconds)
+        )
 
 
 def fit_semilinear(
@@ -459,39 +484,52 @@ def fit_semilinear(
 ) -> SemilinearFit:
     """Fit x -> A x^(2^j) to the secant bijection and normalize D.
 
-    Tries both transversal labelings (_fit_candidates).  A candidate
-    exponent is accepted when the fitted coordinate change permutes the
-    spread of the hyperplane at infinity (_preserves_spread: a conjugation
-    test on 2hk vectors, element by element when it fails) and carries D
-    onto {(t, t^(2^j))}, tested point by point (_canonical_image).  The
-    spread test runs first, so a wrong exponent skips the image walk and
-    the map it reads.
+    Searches the standard labeling, fmap: T0 -> T_inf (_fit_candidates),
+    at every exponent prime to hk.  A candidate exponent is accepted when
+    the fitted coordinate change permutes the spread of the hyperplane at
+    infinity (_preserves_spread: a conjugation test on 2hk vectors, element
+    by element when it fails) and carries D onto {(t, t^(2^j))}, tested
+    point by point (_canonical_image).  The spread test runs first, so a
+    wrong exponent skips the image walk and the map it reads.
     The second demand matters: twisting one block by the GF(q)-linear map
     x -> x^(2^h) shifts the apparent exponent by h while fixing both
     transversals and D's shape, so without it every exponent in
     {+-i + s*h} would pass.  Respecting the spread pins the answer to one
     exponent per labeling, {i, hk - i} in total.  The returned matrix is
     the LinearMap that carries detected coordinates to the canonical frame
-    where D = {(t, t^(2^i))}.
+    where D = {(t, t^(2^i))}, and its walk holds D's sources under it.
+
+    The swapped labeling, fmap inverted, is derived, not searched: each
+    accepted (standard, j, M) gives (swapped, hk - j).  The block swap
+    P: (x, y) -> (y, x) commutes with every S_c, so P M permutes the
+    spread exactly when M does; P M carries D onto {(s^(2^j), s)} =
+    {(s, s^(2^(hk - j)))} and sends T0 to the second block, so it is a
+    swapped fit at hk - j.  Conversely P N is a standard fit for every
+    swapped fit N.  So the swapped exponents are exactly {hk - j}, and no
+    standard fit means no swapped one: the fit then fails.
     """
     tower = maps.tower
     spell = unvec_blocks(tower, 2)
     accepted = []
-    for label, j, m in _fit_candidates(dirs, fmap, maps):
-        if _preserves_spread(m, maps, spell) and _canonical_image(
-            m.then(spell).apply, dirs, tower, j
-        ):
-            accepted.append((label, j, m))
+    for j, m in _fit_candidates(dirs, fmap, maps):
+        if _preserves_spread(m, maps, spell):
+            to_source = m.then(spell)
+            sources = _canonical_image(to_source.apply, dirs, tower, j)
+            if sources is not None:
+                accepted.append((j, ImageWalk(dirs, m, to_source, sources)))
     if not accepted:
         raise SemilinearFitFailed("no exponent fits the secant bijection")
-    accepted.sort(key=lambda a: (a[0] != "standard", a[1]))
-    label, j, m = accepted[0]
+    hk = tower.hk
+    j, walk = accepted[0]
+    exponents = [a[0] for a in accepted]
     return SemilinearFit(
         exponent=j,
-        exponents=frozenset(a[1] for a in accepted),
-        labeling=label,
-        matrix=m,
-        fits=tuple((a[0], a[1]) for a in accepted),
+        exponents=frozenset(exponents + [hk - e for e in exponents]),
+        labeling="standard",
+        matrix=walk.matrix,
+        fits=tuple(("standard", e) for e in exponents)
+        + tuple(("swapped", hk - e) for e in reversed(exponents)),
+        walk=walk,
     )
 
 
@@ -501,6 +539,8 @@ class SpreadResult(Record):
     t0_index: int
     tinf_index: int
     exponent: int
+    walk: ImageWalk | None  # the fit's walk of D, when of this spread's matrix
+    _uncompared = ("walk",)
 
 
 def build_spread(
@@ -508,18 +548,22 @@ def build_spread(
 ) -> SpreadResult:
     """Rebuild the Desarguesian spread through the fitted pseudoregulus.
 
-    The spread is Spread(tower, H_inf, M), M = fit.matrix: element idx is
-    the reduction of the point that M^-1 of source idx of PG(1, q^k)
-    spells, which is M^-1 of abb_spread's element idx, as M permutes the
-    Desarguesian spread; so the element through p is the canonical one
-    through M(p).  No element is row-reduced.  matches_canonical runs the
-    fit's spread test (_preserves_spread) again on M, and
-    plane_axioms_check re-verifies it, as a row lies in fibre idx only if
-    M carries the element onto canonical element idx.  The transversals
-    are returned as their indices among the elements, with no copy.
+    The spread is Spread(tower, H_inf, "M, then unvec each block"),
+    M = fit.matrix: element idx is the reduction of the point that M^-1
+    of source idx of PG(1, q^k) spells, which is M^-1 of abb_spread's
+    element idx, as M permutes the Desarguesian spread; so the element
+    through p is the canonical one through M(p).  No element is
+    row-reduced.  matches_canonical runs the
+    fit's spread test (_preserves_spread) again on M, as a spread may be
+    built from a matrix the fit never tested, and plane_axioms_check
+    re-verifies it, as a row lies in fibre idx only if M carries the
+    element onto canonical element idx.  The transversals are returned as
+    their indices among the elements, with no copy.  The fit's walk, and
+    its "M, then unvec", are reused only while fit.matrix is the walked M.
     """
-    m = fit.matrix
-    spread = Spread(maps.tower, maps.hinf, m)
+    m, spell = fit.matrix, unvec_blocks(maps.tower, 2)
+    walk = fit.walk if fit.walk.matrix is m else None
+    spread = Spread(maps.tower, maps.hinf, m.then(spell) if walk is None else walk.to_source)
     try:
         t0_index = spread.elements.index(transversals.t0)
         tinf_index = spread.elements.index(transversals.t_inf)
@@ -527,10 +571,11 @@ def build_spread(
         raise SpreadConstructionFailed("transversals are not spread elements") from None
     return SpreadResult(
         spread=spread,
-        matches_canonical=_preserves_spread(m, maps, unvec_blocks(maps.tower, 2)),
+        matches_canonical=_preserves_spread(m, maps, spell),
         t0_index=t0_index,
         tinf_index=tinf_index,
         exponent=fit.exponent,
+        walk=walk,
     )
 
 
@@ -541,10 +586,16 @@ def one_point_property(
 
     Returns (ok, detail dict with the hit histogram and a witness index).
     detail["hits"] counts the points of D on each element, for the plane
-    stage (hyperoval_in_plane's dir_hits).
+    stage (hyperoval_in_plane's dir_hits).  Given the fit's walk of this
+    D, a point's element is its walked source's index, so no point is
+    mapped or normalized again; else each is looked up in spread.index.
     """
     spread = result.spread
-    hits = Counter(map(spread.index.__getitem__, dirs.ordered))
+    walk = result.walk
+    if walk is not None and walk.dirs is dirs:
+        hits = Counter(map(spread.index.source_index.__getitem__, walk.sources))
+    else:
+        hits = Counter(map(spread.index.__getitem__, dirs.ordered))
     ok = True
     witness = None
     for idx in (result.t0_index, result.tinf_index):

@@ -33,40 +33,41 @@ class Spread:
     ``Spread(tower, space)`` reduces PG(r-1, q^k) over `tower` into
     `space`, r = space.width / k: element idx is the reduction
     (reduction_map) of the idx-th point of ProjSpace(r - 1, q^k).points().
-    With a `matrix` M, a LinearMap of `space`'s vectors, element idx is the
-    reduction of the point that M^-1 of source idx spells: M^-1 of the
-    reduction of source idx when M permutes the spread, and otherwise an
-    element off its fibre, which plane_axioms_check names.  Each element
-    is its reduced-echelon row tuple (ProjSpace.rref), so two elements are
-    equal iff their tuples are.  ``index`` is a ReductionIndex that finds
-    the element through a normalized point from the point's source, so no
-    point of `space` is visited.  The tests keep a point-by-point partition
-    check as their oracle.
+    With `to_source`, the LinearMap "M, then unvec each block" of a
+    coordinate change M of `space`'s vectors (the fit's, as its image walk
+    built it), element idx is the reduction of the point that M^-1 of
+    source idx spells: M^-1 of the reduction of source idx when M permutes
+    the spread, and otherwise an element off its fibre, which
+    plane_axioms_check names.  Each element is its reduced-echelon row
+    tuple (ProjSpace.rref), so two elements are equal iff their tuples
+    are.  ``index`` is a ReductionIndex that finds the element through a
+    normalized point from the point's source, so no point of `space` is
+    visited.  The tests keep a point-by-point partition check as their
+    oracle.
     """
 
     __slots__ = ("elements", "index", "space")
 
-    def __init__(self, tower: Tower, space: ProjSpace, matrix: LinearMap | None = None):
+    def __init__(self, tower: Tower, space: ProjSpace, to_source: LinearMap | None = None):
         """Every source point once, so the fibres of the index partition
-        `space`.  M is refused unless "M, then unvec each block" is
-        invertible: else the fibres of distinct sources share its kernel.
+        `space`.  `to_source` is refused unless invertible: else the
+        fibres of distinct sources share its kernel.
         """
         source = ProjSpace(space.width // tower.k - 1, tower.big)
-        to_source = unvec_blocks(tower, source.width)
+        spell = unvec_blocks(tower, source.width)
         points = tuple(source.points(budget=None))
-        if matrix is None:
-            lmap, spelled = to_source, points
+        if to_source is None:
+            to_source, spelled = spell, points
         else:
-            lmap = matrix.then(to_source)
             try:
-                back = lmap.inverse().then(to_source)  # source -> source under M^-1
+                back = to_source.inverse().then(spell)  # source -> source under M^-1
             except SingularMatrix:
                 raise InvalidSpread("the coordinate change is singular") from None
             spelled = map(source.normalize, map(back.apply, points))
         self.elements = tuple(map(reduction_map(tower, source.width), spelled))
         self.space = space
         self.index = ReductionIndex(
-            space, source, {s: idx for idx, s in enumerate(points)}, lmap
+            space, source, {s: idx for idx, s in enumerate(points)}, to_source
         )
 
     def __len__(self) -> int:

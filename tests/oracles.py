@@ -15,7 +15,7 @@ from functools import cache
 from itertools import chain, combinations, product, repeat
 from math import comb
 
-from hoval import cli
+from hoval import cli, pseudoregulus
 from hoval.bruckbose import PlaneAxiomsReport
 from hoval.cplanes import AxiomReport
 from hoval.errors import (
@@ -23,6 +23,7 @@ from hoval.errors import (
     DegenerateSpan,
     EnumerationTooLarge,
     InvalidSpread,
+    SemilinearFitFailed,
     SingularMatrix,
     ZeroVector,
 )
@@ -42,7 +43,7 @@ from hoval.pseudoregulus import (
     one_point_property,
     transversal_map,
 )
-from hoval.reduction import Spread, field_reduction_spread
+from hoval.reduction import Spread, field_reduction_spread, unvec_blocks
 from hoval.serialize import dumps
 
 
@@ -843,14 +844,15 @@ def sampled_check(plane, quadrangle: bool, seed: int = 0, samples: int = 2000):
     )
 
 
-# -- the semilinear fit's image test by Field calls -----------------------------
+# -- the semilinear fit by Field calls and over both labelings ----------------
 
-def canonical_image_by_field(to_field, dirs, tower, j: int) -> bool:
+def canonical_image_by_field(to_field, dirs, tower, j: int):
     """_canonical_image with Field.mul, inv and frob on every point: is
-    D's image {<(u, u^(2^j))> : u in GF(q^k)*}, each u once?"""
+    D's image {<(u, u^(2^j))> : u in GF(q^k)*}, each u once?  None if not,
+    else each point's image normalized in PG(1, q^k), in order."""
     big = tower.big
     if len(dirs.ordered) != big.q - 1:
-        return False
+        return None
     mul, inv, frob = big.mul, big.inv, big.frob
     unscale = {}
     for a in range(1, tower.small.q):
@@ -863,15 +865,44 @@ def canonical_image_by_field(to_field, dirs, tower, j: int) -> bool:
         y = to_field(p)
         x = y & mask
         if not x:
-            return False
+            return None
         mu_inv = unscale.get(mul(y >> shift, inv(frob(x, j))))
         if mu_inv is None:
-            return False
+            return None
         u = mul(x, mu_inv)
         if u in seen:
-            return False
+            return None
         seen.add(u)
-    return True
+    return tuple(map(ProjSpace(1, big).normalize, map(to_field, dirs.ordered)))
+
+
+def fit_candidates_by_labeling(dirs, fmap, maps):
+    """(labeling, j, matrix) for every candidate of both transversal
+    labelings, as fit_semilinear once searched them: fmap's ("standard"),
+    then its inverse's ("swapped")."""
+    inverse = {v: u for u, v in fmap.items()}
+    for label, use_map in (("standard", fmap), ("swapped", inverse)):
+        for j, m in pseudoregulus._fit_candidates(dirs, use_map, maps):
+            yield label, j, m
+
+
+def fit_by_both_labelings(dirs, fmap, maps):
+    """The fit's search over both labelings, each candidate tested:
+    (verdicts, fits, exponents, labeling).  verdicts maps each candidate's
+    (labeling, j) to its spread-and-image verdict; fits lists the accepted
+    pairs, the standard labeling's first, each by exponent; labeling is the
+    first fit's.  Raises SemilinearFitFailed when nothing is accepted."""
+    spell = unvec_blocks(maps.tower, 2)
+    verdicts = {
+        (label, j): pseudoregulus._preserves_spread(m, maps, spell)
+        and canonical_image_by_field(m.then(spell), dirs, maps.tower, j) is not None
+        for label, j, m in fit_candidates_by_labeling(dirs, fmap, maps)
+    }
+    fits = sorted((a for a, ok in verdicts.items() if ok),
+                  key=lambda a: (a[0] != "standard", a[1]))
+    if not fits:
+        raise SemilinearFitFailed("no exponent fits the secant bijection")
+    return verdicts, tuple(fits), frozenset(j for _, j in fits), fits[0][0]
 
 
 # -- records and the command line ------------------------------------------------

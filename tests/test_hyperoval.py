@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hoval import hyperoval
 from hoval.errors import GcdHypothesisViolated, TooFewPoints
 from hoval.gf2 import tower_create
 from hoval.hyperoval import (
@@ -120,6 +121,24 @@ def test_fast_arc_matches_full_scan(h, k, i, strict, line_key_calls, monkeypatch
     assert len(line_key_calls) == (0 if strict else scan_keys)
     if strict:
         assert len(normalized) == n - 3
+
+
+@pytest.mark.parametrize("h,k,i,strict", [(3, 2, 1, True), (2, 3, 1, True), (4, 2, 2, False)])
+def test_arc_takes_a_proved_coset_verdict(h, k, i, strict, monkeypatch):
+    # C is the abb_affine image of the plane's affine points, an injective
+    # GF(2)-affine map, so translation closure of C is _is_coset's verdict
+    # on them; given either verdict, is_arc runs no _is_coset and returns
+    # the full scan's answer (the control is closed, and no arc)
+    hov = build_hyperoval(HyperovalSpec(h, k, i, strict=strict))
+    space = hov.maps.plane_big
+    affine = sorted(p for p in hov.plane_points if p & space.chunk_mask == 1)
+    proved = translation_closure_check(hov.affine)[0]
+    assert _is_coset(affine) is proved is True
+    full = _arc_scan(sorted(hov.plane_points), space)
+    monkeypatch.setattr(hyperoval, "_is_coset", None)
+    assert is_arc(hov.plane_points, space, proved) == full
+    assert is_arc(hov.plane_points, space, False) == full
+    assert full[0] == strict
 
 
 def test_fast_arc_fallback_on_non_closed_set(hov321):

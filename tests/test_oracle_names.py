@@ -61,7 +61,7 @@ def test_no_oracle_is_defined_in_the_package():
     oracles = _defined(TESTS / "oracles.py")
     assert {"planes_by_reduce", "histogram_by_scan", "mat_inv", "tower_columns",
             "detect_pseudoregulus", "PseudoregulusReport", "save",
-            "meets_by_scan"} <= oracles
+            "meets_by_scan", "fit_by_both_labelings"} <= oracles
     shared = [f"{path.name}: {name}"
               for path in sorted(SRC.glob("*.py"))
               for name in sorted(_defined(path) & oracles)]

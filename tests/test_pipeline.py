@@ -255,11 +255,14 @@ def test_kernel_calls_per_stage_421(monkeypatch):
         # D, the orbit of d0 and the line from d0 to each orbit point, named
         # by its point off d0's pivot (254 line keys)
         "spectrum": {"normalize": 764, "LinearMap": 1037},
-        "pseudoregulus": {"normalize": 102, "LinearMap": 1273, "pair_line_key": 18},
-        # one reduction LinearMap per element (two row-map lookups each);
-        # unvec_blocks(tower, 2) is the fit's, kept on the tower (885 when
-        # this stage built it twice more, 16 unvec calls each)
-        "spread": {"LinearMap": 853, "normalize": 512, "lookup": 255},
+        # the standard labeling's candidates only, the swapped fits derived
+        # (102 normalize and 1,273 LinearMap when both labelings were searched)
+        "pseudoregulus": {"normalize": 80, "LinearMap": 820, "pair_line_key": 18},
+        # one reduction LinearMap per element (two row-map lookups each), one
+        # normalize per source point; D's points are counted from the fit's
+        # walk, its "M, then unvec" reused (853 LinearMap, 512 normalize and
+        # 255 lookups when each point of D was looked up again)
+        "spread": {"LinearMap": 582, "normalize": 257},
         # the fibre certificate's 514 rows by cross product, the quadrangle's
         # six lookups (514 + 6 lookups, 526 normalize)
         "plane": {"LinearMap": 520, "normalize": 12, "lookup": 6},
@@ -268,6 +271,60 @@ def test_kernel_calls_per_stage_421(monkeypatch):
         # calls and 255 line keys before that)
         "cplanes": {"LinearMap": 102},
     }
+
+
+@pytest.mark.parametrize(
+    "hki", [(3, 2, 1), (4, 2, 1), (4, 2, 3), (3, 3, 1), (3, 3, 2), (2, 3, 1), (2, 2, 1)]
+)
+def test_the_fit_walks_d_once(monkeypatch, hki):
+    # one image walk per run: the standard labeling accepts one exponent
+    # and the swapped fit is derived.  The spread stage normalizes over
+    # PG(1, q^k) only the q^k + 1 source points of the spread, and looks
+    # up no point of D: one_point_property counts the walk's sources
+    stage = [None]
+    walks, normalized, lookups = [], [], []
+    real_walk = pseudoregulus._canonical_image
+
+    def walked(*args):
+        walks.append(stage[0])
+        return real_walk(*args)
+
+    monkeypatch.setattr(pseudoregulus, "_canonical_image", walked)
+    real_normalize, real_lookup = ProjSpace.normalize, reduction.ReductionIndex.__getitem__
+    hk = hki[0] * hki[1]
+
+    def counted_normalize(self, v):
+        if stage[0] == "spread" and self.n == 1 and self.field.m == hk:
+            normalized.append(v)
+        return real_normalize(self, v)
+
+    def counted_lookup(self, p):
+        if stage[0] == "spread":
+            lookups.append(p)
+        return real_lookup(self, p)
+
+    monkeypatch.setattr(ProjSpace, "normalize", counted_normalize)
+    monkeypatch.setattr(reduction.ReductionIndex, "__getitem__", counted_lookup)
+    for name, real_stage in pipeline._STAGE_FUNCS.items():
+        def staged(run, name=name, real_stage=real_stage):
+            stage[0] = name
+            return real_stage(run)
+
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, name, staged)
+    assert run_verify_all(*hki).verdict == "pass"
+    assert walks == ["pseudoregulus"]
+    assert len(normalized) == (1 << hk) + 1 and lookups == []
+
+
+def test_construct_proves_the_coset_once(monkeypatch):
+    # translation closure echelon-reduces C in the H_inf layout, and is_arc
+    # takes its verdict (two f2_echelon passes over C when is_arc proved the
+    # coset again in the plane layout)
+    passes = []
+    real = hyperoval.f2_echelon
+    monkeypatch.setattr(hyperoval, "f2_echelon", lambda rows: passes.append(1) or real(rows))
+    rep = run_verify_all(4, 2, 1, stages=("construct",))
+    assert rep.verdict == "pass" and len(passes) == 1
 
 
 def test_unvec_blocks_is_built_once_per_tower(monkeypatch):

@@ -10,6 +10,7 @@ from hoval.bruckbose import build_plane, plane_axioms_check
 from hoval.errors import (
     EnumerationTooLarge,
     NotPseudoregulusCandidate,
+    SemilinearFitFailed,
     SingularMatrix,
     TransversalExtractionFailed,
 )
@@ -30,6 +31,8 @@ from hoval.reduction import ReductionIndex, unvec_blocks
 from oracles import (
     canonical_image_by_field,
     detect_pseudoregulus,
+    fit_by_both_labelings,
+    fit_candidates_by_labeling,
     matrix_columns,
     partition_index,
     replace,
@@ -207,8 +210,9 @@ def test_span_scale_matches_a_search_over_the_scalars(monkeypatch, hki):
 
     monkeypatch.setattr(pseudoregulus, "_span_scale", recorded)
     fit_semilinear(d, fmap, maps)
-    # the fit's own inputs: k - 1 scales per labeling, each the one there is
-    assert len(calls) == 2 * (k - 1)
+    # the fit's own inputs: k - 1 scales, of the standard labeling only,
+    # each the one there is
+    assert len(calls) == k - 1
     for z, v0, v1, got in calls:
         assert _scales_by_search(space, z, v0, v1) == [got]
     # forged: v0 = v1, v1 on <z>, v0 on <z>
@@ -226,8 +230,59 @@ def test_span_scale_matches_a_search_over_the_scalars(monkeypatch, hki):
     # f(u_0 + u_l), so neither labeling yields a candidate
     cut = {u: fmap[u] for u in pseudoregulus._greedy_basis(space, sorted(fmap), k)}
     calls.clear()
-    assert list(pseudoregulus._fit_candidates(d, cut, maps)) == []
+    assert list(fit_candidates_by_labeling(d, cut, maps)) == []
     assert calls == []
+
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1), (2, 3, 1), (3, 3, 1), (3, 3, 2)])
+def test_derived_swapped_fits_match_the_search_over_both_labelings(hki):
+    # on D and on its image under (x, y) -> (g x, g y), a map of
+    # GL(2, q^k) that keeps the spread: the fit searches the standard
+    # labeling and derives (swapped, hk - j); the search over both
+    # labelings accepts the same pairs, and gives the swapped candidate
+    # hk - j the spread-and-image verdict of the standard candidate j
+    run = run_verify_all(*hki, stages=("pseudoregulus",)).run
+    d, maps = run.dirs, run.hov.maps
+    fmap = transversal_map(run.transversals)
+    scale = _off_fit_matrices(maps, run.fit, sum(hki))["scale"][0]
+    normalize = d.space.normalize
+    image = DirectionSet(map(normalize, map(scale, d.ordered)), d.space)
+    assert image.points != d.points
+    image_map = {normalize(scale(u)): normalize(scale(v)) for u, v in fmap.items()}
+    hk = hki[0] * hki[1]
+    coprime = [j for j in range(1, hk) if math.gcd(j, hk) == 1]
+    for dirs, bijection in ((d, fmap), (image, image_map)):
+        verdicts, fits, exponents, labeling = fit_by_both_labelings(dirs, bijection, maps)
+        fit = fit_semilinear(dirs, bijection, maps)
+        assert (fit.fits, fit.exponents, fit.labeling) == (fits, exponents, labeling)
+        assert fit.exponents == {hki[2], hk - hki[2]}
+        standard = [verdicts.get(("standard", j), False) for j in coprime]
+        swapped = [verdicts.get(("swapped", hk - j), False) for j in coprime]
+        assert standard == swapped and standard.count(True) == 1
+
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
+def test_no_standard_fit_is_no_fit(hki):
+    # the bijection without f(u_0 + u_1) for the standard basis: the
+    # standard labeling yields no candidate, while the inverse still spells
+    # the swapped one and the search over both labelings accepts hk - i
+    # there alone.  The fit derives from the standard labeling only
+    hov, d = _directions_for(*hki)
+    maps, space = hov.maps, d.space
+    fmap = transversal_map(extract_transversals(find_long_secants(d), space))
+    u = pseudoregulus._greedy_basis(space, sorted(fmap), hki[1])
+    cut = dict(fmap)
+    del cut[space.normalize(u[0] ^ u[1])]
+    assert list(pseudoregulus._fit_candidates(d, cut, maps)) == []
+    assert fit_by_both_labelings(d, cut, maps)[1] == (("swapped", hki[0] * hki[1] - 1),)
+    with pytest.raises(SemilinearFitFailed):
+        fit_semilinear(d, cut, maps)
+    # D one point off: candidates, and none accepted in either labeling
+    outside = next(p for p in space.points() if p not in d.points)
+    moved = DirectionSet(d.ordered[1:] + (outside,), space)
+    for search in (fit_semilinear, fit_by_both_labelings):
+        with pytest.raises(SemilinearFitFailed):
+            search(moved, fmap, maps)
 
 
 def test_fit_exponents_321(report321):
@@ -384,11 +439,12 @@ def test_preserves_spread_matches_rref_on_fitted_matrices(monkeypatch, hki):
     assert rep.spread_result.matches_canonical
     assert all(got == want for got, want in seen)
     # the spread check comes first, so it sees every exponent prime to hk
-    # in both labelings and passes i and hk - i, one per labeling; then
-    # build_spread runs it once more on the chosen matrix
+    # in the standard labeling and passes one of i and hk - i (the swapped
+    # labeling is derived); then build_spread runs it once more on the
+    # chosen matrix
     *fit, rebuilt = [got for got, _ in seen]
-    assert fit.count(True) == 2 and rebuilt
-    assert len(fit) == {6: 4, 9: 12}[hki[0] * hki[1]]
+    assert fit.count(True) == 1 and rebuilt
+    assert len(fit) == {6: 2, 9: 6}[hki[0] * hki[1]]
 
 
 def _off_fit_matrices(maps, fit, seed):
@@ -478,7 +534,7 @@ def test_elements_made_on_demand_match_the_abb_spread_walk(hki):
     identity = LinearMap(1 << b for b in range(maps.hinf.bits))
     assert pseudoregulus._maps_elements_to_elements(identity, maps, spell)
     verdicts = []
-    for label, j, m in pseudoregulus._fit_candidates(d, fmap, maps):
+    for label, j, m in fit_candidates_by_labeling(d, fmap, maps):
         got = pseudoregulus._maps_elements_to_elements(m, maps, spell)
         assert got is _maps_elements_by_abb_spread(m, maps) is ((label, j) in fits)
         verdicts.append(got)
@@ -550,6 +606,48 @@ def test_build_spread_normalizes_each_source_point_once(monkeypatch, report321, 
     assert len(calls) == len(res.spread) == 65
 
 
+def test_walked_sources_are_the_index_lookups(spread_runs):
+    # the fit's walk reads each point's source, in order, as the spread's
+    # index finds it: its image under "M, then unvec", normalized over
+    # PG(1, q^k); the Spread reuses that map, and the spread stage the walk
+    for run in spread_runs.values():
+        walk, res = run.fit.walk, run.spread_result
+        tower, d = run.hov.maps.tower, run.dirs
+        assert walk.dirs is d and walk.matrix is run.fit.matrix and res.walk is walk
+        assert walk.to_source.columns == run.fit.matrix.then(unvec_blocks(tower, 2)).columns
+        index = res.spread.index
+        assert index.to_source is walk.to_source
+        source = ProjSpace(1, tower.big)
+        assert list(walk.sources) == [source.normalize(walk.to_source(p)) for p in d.ordered]
+        assert [index.source_index[s] for s in walk.sources] == [index[p] for p in d.ordered]
+
+
+def test_one_point_property_reads_only_a_walk_of_its_d_and_matrix(
+    monkeypatch, report321, case321
+):
+    hov, d = case321
+    maps, fit, res = hov.maps, report321.fit, report321.spread_result
+    lookups = []
+    real = ReductionIndex.__getitem__
+
+    def counted(self, p):
+        lookups.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(ReductionIndex, "__getitem__", counted)
+    ok, detail = one_point_property(res, d)
+    assert ok and lookups == []
+    # another D object, equal or not, is looked up point by point
+    again = one_point_property(res, DirectionSet(d.ordered, d.space))
+    assert again == (ok, detail) and lookups == list(d.ordered)
+    # a fit whose matrix is replaced keeps no walk, even the same matrix rebuilt
+    rebuilt = LinearMap(fit.matrix.columns)
+    res2 = build_spread(replace(fit, matrix=rebuilt), report321.transversals, maps)
+    assert res2.walk is None and res2.spread.index.to_source is not fit.walk.to_source
+    lookups.clear()
+    assert one_point_property(res2, d) == (ok, detail) and lookups == list(d.ordered)
+
+
 def test_spread_through_a_wrong_matrix_fails_the_plane_certificate(report321, case321):
     # twisting the fit's second block by y -> y^(2^h) keeps both transversals
     # but not the spread: the elements written from the detected sources no
@@ -558,7 +656,7 @@ def test_spread_through_a_wrong_matrix_fails_the_plane_certificate(report321, ca
     maps, fit = hov.maps, report321.fit
     twisted = _off_fit_matrices(maps, fit, 5)["twisted fit"][0]
     res = build_spread(replace(fit, matrix=twisted), report321.transversals, maps)
-    assert not res.matches_canonical
+    assert not res.matches_canonical and res.walk is None
     axioms = plane_axioms_check(build_plane(maps, res.spread))
     assert not axioms.ok and axioms.collisions > 0
     assert axioms.witness[0] == "element row in another fibre"
@@ -582,11 +680,12 @@ def test_point_by_point_image_test_matches_the_canonical_set(hki):
     fmap = transversal_map(transversals)
     verdicts = []
     spell = unvec_blocks(maps.tower, 2)
-    for label, j, m in pseudoregulus._fit_candidates(d, fmap, maps):
+    for label, j, m in fit_candidates_by_labeling(d, fmap, maps):
         to_field = m.then(spell)
         image = {space.normalize(m(p)) for p in d.ordered}
         want = image == _canonical_set_oracle(maps, j)
-        assert pseudoregulus._canonical_image(to_field, d, maps.tower, j) is want
+        got = pseudoregulus._canonical_image(to_field, d, maps.tower, j)
+        assert (got is not None) is want
         verdicts.append(want)
     # every exponent prime to hk, under both labelings; (3,3,1) also has
     # the exponents shifted by h = 3 fit D's shape
@@ -597,8 +696,7 @@ def test_point_by_point_image_test_matches_the_canonical_set(hki):
     # carried onto one point
     j = detect_pseudoregulus(d, maps).fit.exponent
     to_field = next(
-        m.then(spell) for label, jj, m in pseudoregulus._fit_candidates(d, fmap, maps)
-        if label == "standard" and jj == j
+        m.then(spell) for jj, m in pseudoregulus._fit_candidates(d, fmap, maps) if jj == j
     )
     assert pseudoregulus._canonical_image(to_field, d, maps.tower, j)
     short = DirectionSet(d.ordered[1:], space)
@@ -629,10 +727,12 @@ def test_log_image_test_matches_the_field_oracle(hki, tables, monkeypatch):
     spell = unvec_blocks(tower, 2)
     fmap = transversal_map(run.transversals)
     verdicts = []
-    for _, j, m in pseudoregulus._fit_candidates(d, fmap, maps):
+    for _, j, m in fit_candidates_by_labeling(d, fmap, maps):
+        # the sources too: each point's image normalized in PG(1, q^k)
         want = canonical_image_by_field(m.then(spell), d, tower, j)
-        assert pseudoregulus._canonical_image(m.then(spell), d, tower, j) is want
-        verdicts.append(want)
+        got = pseudoregulus._canonical_image(m.then(spell), d, tower, j)
+        assert (None if got is None else tuple(got)) == want
+        verdicts.append(want is not None)
     assert True in verdicts and False in verdicts
     to_field, j = run.fit.matrix.then(spell), run.fit.exponent
     assert pseudoregulus._canonical_image(to_field, d, tower, j)

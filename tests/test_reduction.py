@@ -9,7 +9,9 @@ from hoval.errors import EnumerationTooLarge, InvalidSpread, NotAffine
 from hoval.gf2 import Tower, field_create, tower_create
 from hoval.projective import ProjSpace
 from hoval.gf2 import LinearMap
-from hoval.reduction import Spread, field_reduction_spread, maps_for, reduction_map
+from hoval.reduction import (
+    Spread, field_reduction_spread, maps_for, reduction_map, unvec_blocks,
+)
 from oracles import (
     generator_reduction_rows, hinf2, in_span, partition_index, s_prime, subspace_points,
 )
@@ -125,9 +127,9 @@ def test_reduced_spread_refuses_a_singular_coordinate_change(t32):
     # coordinate 2 goes to coordinates 2 and 3, coordinate 3 to zero
     singular = LinearMap.from_columns([1, 1 << h, 5 << 2 * h, 0], s.space)
     with pytest.raises(InvalidSpread, match="singular"):
-        Spread(t32, s.space, singular)
+        Spread(t32, s.space, singular.then(unvec_blocks(t32, 2)))
     identity = LinearMap.from_columns([1 << j * h for j in range(4)], s.space)
-    again = Spread(t32, s.space, identity)
+    again = Spread(t32, s.space, identity.then(unvec_blocks(t32, 2)))
     assert again.elements == s.elements
     points = subspace_points(s.space, s.elements[7])
     assert [again.element_of(p) for p in points] == [7] * 9
