@@ -221,7 +221,6 @@ def _cmd_detect(args) -> int:
         doc.update(
             long_secants=ps["long_secants"],
             exponents=ps["exponents"],
-            labeling=ps["labeling"],
             chosen_exponent=ps["chosen_exponent"],
             spread_elements=sp["elements"],
             matches_canonical=sp["matches_canonical"],

@@ -215,13 +215,12 @@ def _stage_pseudoregulus(run: _Run) -> tuple[bool, dict]:
     fmap = transversal_map(run.transversals)
     run.fit = fit_semilinear(run.dirs, fmap, maps)
     hk = spec.hk
-    found = sorted(set(run.fit.exponents))
+    found = sorted(run.fit.exponents)
     expected = sorted({spec.i % hk, (hk - spec.i) % hk})
     data = {
         "long_secants": len(run.structure.secants),
         "exponents": found,
         "expected_exponents": expected,
-        "labeling": run.fit.labeling,
         "chosen_exponent": run.fit.exponent,
     }
     return found == expected, data
@@ -232,7 +231,7 @@ def _stage_spread(run: _Run) -> tuple[bool, dict]:
     maps = run.hov.maps
     run.spread_result = build_spread(run.fit, run.transversals, maps)
     res = run.spread_result
-    ok1, detail = one_point_property(res, run.dirs)
+    ok1, detail = one_point_property(res)
     run.dir_hits = detail["hits"]
     q, k = 1 << spec.h, spec.k
     size_ok = len(res.spread.elements) == q ** k + 1
@@ -240,7 +239,7 @@ def _stage_spread(run: _Run) -> tuple[bool, dict]:
         "elements": len(res.spread.elements),
         "expected_elements": q ** k + 1,
         "matches_canonical": res.matches_canonical,
-        "exponent": res.exponent,
+        "exponent": res.fit.exponent,
         "one_point": ok1,
         "hit_once": detail.get("hit_once"),
     }

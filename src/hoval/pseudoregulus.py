@@ -8,8 +8,8 @@ extends to a semilinear map whose Frobenius exponent recovers i up to the
 inversion i <-> hk - i.  Fitting the map yields the coordinate change that
 puts D into the shape {(t, t^(2^i))} and rebuilds the Desarguesian spread
 around it.  The fit walks D once: the walk that proves D's image canonical
-also finds each point's source in PG(1, q^k), which is all the spread and
-its one-point test read of D.
+also finds each point's source in PG(1, q^k).  The fit keeps them beside
+its matrix, and the spread and its one-point test read D from there.
 """
 
 from __future__ import annotations
@@ -254,34 +254,23 @@ def _greedy_basis(space: ProjSpace, pts, rank: int):
     return basis
 
 
-class ImageWalk(Record):
-    """D under a fit's matrix, as _canonical_image walked it: the sources
-    are of this D and this matrix only."""
-
-    dirs: DirectionSet
-    matrix: LinearMap
-    to_source: LinearMap  # matrix, then unvec each block
-    sources: memoryview  # per point of dirs.ordered, its normalized source
-    _uncompared = ("sources",)  # a function of dirs and to_source
-
-
 class SemilinearFit(Record):
-    """The accepted exponents and the coordinate change of the primary fit.
+    """The accepted exponents, the primary fit's coordinate change and its
+    walk of D.
 
     `matrix` is a LinearMap of H_inf's packed vectors: the GF(q)-linear
     map taking detected coordinates to the canonical frame, where
-    D = {(t, t^(2^exponent))}.  `fits` lists the standard labeling's
-    accepted j, then the swapped hk - j, derived (fit_semilinear).  `walk`
-    is the primary fit's image walk of D.
+    D = {(t, t^(2^exponent))}.  `to_source` is matrix, then unvec each
+    block, and `sources` holds each point of the fitted D's source under
+    it, as _canonical_image walked them.
     """
 
     exponent: int  # Frobenius exponent of the primary fit
     exponents: frozenset  # all exponents accepted over both labelings
-    labeling: str  # "standard": the primary fit's labeling
     matrix: LinearMap  # coordinate change, detected -> canonical
-    fits: tuple  # every accepted (labeling, exponent) pair
-    walk: ImageWalk
-    _uncompared = ("walk",)
+    to_source: LinearMap  # matrix, then unvec each block
+    sources: memoryview  # per point of D.ordered, its normalized source
+    _uncompared = ("to_source", "sources")  # functions of matrix and D
 
 
 def _preserves_spread(m, maps: CorrespondenceMaps, spell: LinearMap) -> bool:
@@ -497,7 +486,7 @@ def fit_semilinear(
     {+-i + s*h} would pass.  Respecting the spread pins the answer to one
     exponent per labeling, {i, hk - i} in total.  The returned matrix is
     the LinearMap that carries detected coordinates to the canonical frame
-    where D = {(t, t^(2^i))}, and its walk holds D's sources under it.
+    where D = {(t, t^(2^i))}, and the fit keeps D's sources under it.
 
     The swapped labeling, fmap inverted, is derived, not searched: each
     accepted (standard, j, M) gives (swapped, hk - j).  The block swap
@@ -516,20 +505,17 @@ def fit_semilinear(
             to_source = m.then(spell)
             sources = _canonical_image(to_source.apply, dirs, tower, j)
             if sources is not None:
-                accepted.append((j, ImageWalk(dirs, m, to_source, sources)))
+                accepted.append((j, m, to_source, sources))
     if not accepted:
         raise SemilinearFitFailed("no exponent fits the secant bijection")
-    hk = tower.hk
-    j, walk = accepted[0]
-    exponents = [a[0] for a in accepted]
+    found = {a[0] for a in accepted}
+    j, m, to_source, sources = accepted[0]
     return SemilinearFit(
         exponent=j,
-        exponents=frozenset(exponents + [hk - e for e in exponents]),
-        labeling="standard",
-        matrix=walk.matrix,
-        fits=tuple(("standard", e) for e in exponents)
-        + tuple(("swapped", hk - e) for e in reversed(exponents)),
-        walk=walk,
+        exponents=frozenset(found | {tower.hk - e for e in found}),
+        matrix=m,
+        to_source=to_source,
+        sources=sources,
     )
 
 
@@ -538,9 +524,7 @@ class SpreadResult(Record):
     matches_canonical: bool
     t0_index: int
     tinf_index: int
-    exponent: int
-    walk: ImageWalk | None  # the fit's walk of D, when of this spread's matrix
-    _uncompared = ("walk",)
+    fit: SemilinearFit  # the fit the spread was built from
 
 
 def build_spread(
@@ -548,22 +532,18 @@ def build_spread(
 ) -> SpreadResult:
     """Rebuild the Desarguesian spread through the fitted pseudoregulus.
 
-    The spread is Spread(tower, H_inf, "M, then unvec each block"),
-    M = fit.matrix: element idx is the reduction of the point that M^-1
-    of source idx of PG(1, q^k) spells, which is M^-1 of abb_spread's
-    element idx, as M permutes the Desarguesian spread; so the element
-    through p is the canonical one through M(p).  No element is
-    row-reduced.  matches_canonical runs the
-    fit's spread test (_preserves_spread) again on M, as a spread may be
-    built from a matrix the fit never tested, and plane_axioms_check
-    re-verifies it, as a row lies in fibre idx only if M carries the
-    element onto canonical element idx.  The transversals are returned as
-    their indices among the elements, with no copy.  The fit's walk, and
-    its "M, then unvec", are reused only while fit.matrix is the walked M.
+    The spread is Spread(tower, H_inf, fit.to_source), "M, then unvec each
+    block" for M = fit.matrix: element idx is the reduction of the point
+    that M^-1 of source idx of PG(1, q^k) spells, which is M^-1 of
+    abb_spread's element idx, as M permutes the Desarguesian spread; so
+    the element through p is the canonical one through M(p).  No element
+    is row-reduced.  matches_canonical runs the fit's spread test
+    (_preserves_spread) again on M, and plane_axioms_check re-verifies the
+    spread, as a row lies in fibre idx only if M carries the element onto
+    canonical element idx.  The transversals are returned as their indices
+    among the elements, with no copy.
     """
-    m, spell = fit.matrix, unvec_blocks(maps.tower, 2)
-    walk = fit.walk if fit.walk.matrix is m else None
-    spread = Spread(maps.tower, maps.hinf, m.then(spell) if walk is None else walk.to_source)
+    spread = Spread(maps.tower, maps.hinf, fit.to_source)
     try:
         t0_index = spread.elements.index(transversals.t0)
         tinf_index = spread.elements.index(transversals.t_inf)
@@ -571,31 +551,25 @@ def build_spread(
         raise SpreadConstructionFailed("transversals are not spread elements") from None
     return SpreadResult(
         spread=spread,
-        matches_canonical=_preserves_spread(m, maps, spell),
+        matches_canonical=_preserves_spread(fit.matrix, maps, unvec_blocks(maps.tower, 2)),
         t0_index=t0_index,
         tinf_index=tinf_index,
-        exponent=fit.exponent,
-        walk=walk,
+        fit=fit,
     )
 
 
-def one_point_property(
-    result: SpreadResult, dirs: DirectionSet
-):
+def one_point_property(result: SpreadResult):
     """Each non-transversal element carries exactly one point of D.
 
     Returns (ok, detail dict with the hit histogram and a witness index).
     detail["hits"] counts the points of D on each element, for the plane
-    stage (hyperoval_in_plane's dir_hits).  Given the fit's walk of this
-    D, a point's element is its walked source's index, so no point is
-    mapped or normalized again; else each is looked up in spread.index.
+    stage (hyperoval_in_plane's dir_hits).  A point's element is its
+    source's index, read from the fit's walk, so no point of D is mapped
+    or normalized again.  The witness is a transversal carrying a point,
+    else the least element hit more than once.
     """
     spread = result.spread
-    walk = result.walk
-    if walk is not None and walk.dirs is dirs:
-        hits = Counter(map(spread.index.source_index.__getitem__, walk.sources))
-    else:
-        hits = Counter(map(spread.index.__getitem__, dirs.ordered))
+    hits = Counter(map(spread.index.source_index.__getitem__, result.fit.sources))
     ok = True
     witness = None
     for idx in (result.t0_index, result.tinf_index):
@@ -617,4 +591,3 @@ def one_point_property(
         "hits": hits,
     }
     return ok, detail
-

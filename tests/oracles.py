@@ -905,6 +905,16 @@ def fit_by_both_labelings(dirs, fmap, maps):
     return verdicts, tuple(fits), frozenset(j for _, j in fits), fits[0][0]
 
 
+def forged_fit(fit, matrix, dirs, maps):
+    """`fit` with its coordinate change replaced by `matrix`, set together
+    with "matrix, then unvec each block" and the sources of D under it, as
+    the fit's walk would read them: a fit the fit never accepted."""
+    to_source = matrix.then(unvec_blocks(maps.tower, 2))
+    normalize = ProjSpace(1, maps.tower.big).normalize
+    return replace(fit, matrix=matrix, to_source=to_source,
+                   sources=tuple(normalize(to_source(p)) for p in dirs.ordered))
+
+
 # -- records and the command line ------------------------------------------------
 
 def replace(record, **changes):
@@ -1015,5 +1025,5 @@ def detect_pseudoregulus(dirs, maps, budget=DEFAULT_BUDGET) -> PseudoregulusRepo
     transversals = extract_transversals(structure, dirs.space)
     fit = fit_semilinear(dirs, transversal_map(transversals), maps)
     result = build_spread(fit, transversals, maps)
-    ok, detail = one_point_property(result, dirs)
+    ok, detail = one_point_property(result)
     return PseudoregulusReport(structure, transversals, fit, result, ok, detail)

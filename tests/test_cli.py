@@ -478,7 +478,7 @@ def test_views_repeat_the_stage_data(capsys, full321):
     sp = full321.stage("spread").data
     doc = _doc(capsys, "detect-pseudoregulus")
     assert doc["kind"] == "pseudoregulus_report" and doc["ok"] is True
-    for key in ("long_secants", "exponents", "labeling", "chosen_exponent"):
+    for key in ("long_secants", "exponents", "chosen_exponent"):
         assert doc[key] == ps[key], key
     assert doc["spread_elements"] == sp["elements"]
     assert doc["matches_canonical"] == sp["matches_canonical"]

@@ -20,6 +20,8 @@ MOVED_MEMBERS = {
     "ProjSpace.subspace_points",
     "SecantStructure.count", "SecantStructure.d_on", "SecantStructure.zero_points",
     "BruckBosePlane.rows", "BruckBosePlane.mask",
+    "SemilinearFit.labeling", "SemilinearFit.fits", "SemilinearFit.walk",
+    "SpreadResult.walk", "SpreadResult.exponent",
 }
 
 

@@ -260,7 +260,7 @@ def test_kernel_calls_per_stage_421(monkeypatch):
         "pseudoregulus": {"normalize": 80, "LinearMap": 820, "pair_line_key": 18},
         # one reduction LinearMap per element (two row-map lookups each), one
         # normalize per source point; D's points are counted from the fit's
-        # walk, its "M, then unvec" reused (853 LinearMap, 512 normalize and
+        # sources, its "M, then unvec" reused (853 LinearMap, 512 normalize and
         # 255 lookups when each point of D was looked up again)
         "spread": {"LinearMap": 582, "normalize": 257},
         # the fibre certificate's 514 rows by cross product, the quadrangle's
@@ -280,7 +280,7 @@ def test_the_fit_walks_d_once(monkeypatch, hki):
     # one image walk per run: the standard labeling accepts one exponent
     # and the swapped fit is derived.  The spread stage normalizes over
     # PG(1, q^k) only the q^k + 1 source points of the spread, and looks
-    # up no point of D: one_point_property counts the walk's sources
+    # up no point of D: one_point_property counts the fit's sources
     stage = [None]
     walks, normalized, lookups = [], [], []
     real_walk = pseudoregulus._canonical_image

@@ -33,6 +33,7 @@ from oracles import (
     detect_pseudoregulus,
     fit_by_both_labelings,
     fit_candidates_by_labeling,
+    forged_fit,
     matrix_columns,
     partition_index,
     replace,
@@ -254,7 +255,8 @@ def test_derived_swapped_fits_match_the_search_over_both_labelings(hki):
     for dirs, bijection in ((d, fmap), (image, image_map)):
         verdicts, fits, exponents, labeling = fit_by_both_labelings(dirs, bijection, maps)
         fit = fit_semilinear(dirs, bijection, maps)
-        assert (fit.fits, fit.exponents, fit.labeling) == (fits, exponents, labeling)
+        assert labeling == "standard" and fits[0] == (labeling, fit.exponent)
+        assert fit.exponents == exponents
         assert fit.exponents == {hki[2], hk - hki[2]}
         standard = [verdicts.get(("standard", j), False) for j in coprime]
         swapped = [verdicts.get(("swapped", hk - j), False) for j in coprime]
@@ -285,12 +287,16 @@ def test_no_standard_fit_is_no_fit(hki):
             search(moved, fmap, maps)
 
 
-def test_fit_exponents_321(report321):
+def test_fit_exponents_321(report321, case321):
+    hov, d = case321
     fit = report321.fit
     assert fit.exponents == frozenset({1, 5})
     assert fit.exponent in (1, 5)
-    assert len(fit.fits) == 2
-    assert {lab for lab, _ in fit.fits} == {"standard", "swapped"}
+    fmap = transversal_map(report321.transversals)
+    _, fits, exponents, _ = fit_by_both_labelings(d, fmap, hov.maps)
+    assert fits[0] == ("standard", fit.exponent) and exponents == fit.exponents
+    assert len(fits) == 2
+    assert {lab for lab, _ in fits} == {"standard", "swapped"}
 
 
 def test_fit_image_is_canonical(case321, report321):
@@ -328,14 +334,13 @@ def test_exponent_pairs_all_cases(h, k, i, expected):
     assert rep.one_point_ok
 
 
-def test_spread_321(report321, case321):
-    hov, d = case321
+def test_spread_321(report321):
     res = report321.spread_result
     assert len(res.spread) == 65
     assert res.matches_canonical
     assert res.t0_index != res.tinf_index
     assert res.spread.elements[res.t0_index] == report321.transversals.t0
-    ok, detail = one_point_property(res, d)
+    ok, detail = one_point_property(res)
     assert ok
     assert detail["hit_once"] == 63
     assert detail["elements"] == 65
@@ -391,7 +396,7 @@ def test_spread_is_a_partition_by_construction(spread_runs):
         hk, mask = maps.tower.hk, (1 << maps.tower.hk) - 1
         swap = _block_map(maps, lambda x: big.mul(big.generator, x), lambda y: y)
         swap = swap.then(lambda v: v >> hk | (v & mask) << hk)
-        moved = replace(run.fit, matrix=swap.then(run.fit.matrix))
+        moved = forged_fit(run.fit, swap.then(run.fit.matrix), run.dirs, maps)
         rebuilt = build_spread(moved, run.transversals, maps)
         assert rebuilt.matches_canonical
         spreads = (
@@ -530,7 +535,7 @@ def test_elements_made_on_demand_match_the_abb_spread_walk(hki):
     maps = hov.maps
     spell = unvec_blocks(maps.tower, 2)
     fmap = transversal_map(extract_transversals(find_long_secants(d), d.space))
-    fits = fit_semilinear(d, fmap, maps).fits
+    fits = fit_by_both_labelings(d, fmap, maps)[1]
     identity = LinearMap(1 << b for b in range(maps.hinf.bits))
     assert pseudoregulus._maps_elements_to_elements(identity, maps, spell)
     verdicts = []
@@ -572,7 +577,7 @@ def test_rebuilt_spread_matches_the_rref_oracle(hki):
     maps = run.hov.maps
     big = maps.tower.big
     scale = _block_map(maps, lambda x: big.mul(big.generator, x), lambda y: y)
-    moved = replace(run.fit, matrix=scale.then(run.fit.matrix))
+    moved = forged_fit(run.fit, scale.then(run.fit.matrix), run.dirs, maps)
     for fit, res in (
         (run.fit, run.spread_result),
         (moved, build_spread(moved, run.transversals, maps)),
@@ -609,24 +614,31 @@ def test_build_spread_normalizes_each_source_point_once(monkeypatch, report321, 
 def test_walked_sources_are_the_index_lookups(spread_runs):
     # the fit's walk reads each point's source, in order, as the spread's
     # index finds it: its image under "M, then unvec", normalized over
-    # PG(1, q^k); the Spread reuses that map, and the spread stage the walk
+    # PG(1, q^k); the Spread reuses that map.  A fit forged through a
+    # matrix that moves the elements reads them so too
     for run in spread_runs.values():
-        walk, res = run.fit.walk, run.spread_result
-        tower, d = run.hov.maps.tower, run.dirs
-        assert walk.dirs is d and walk.matrix is run.fit.matrix and res.walk is walk
-        assert walk.to_source.columns == run.fit.matrix.then(unvec_blocks(tower, 2)).columns
-        index = res.spread.index
-        assert index.to_source is walk.to_source
-        source = ProjSpace(1, tower.big)
-        assert list(walk.sources) == [source.normalize(walk.to_source(p)) for p in d.ordered]
-        assert [index.source_index[s] for s in walk.sources] == [index[p] for p in d.ordered]
+        maps, d = run.hov.maps, run.dirs
+        tower, big = maps.tower, maps.tower.big
+        scale = _block_map(maps, lambda x: big.mul(big.generator, x), lambda y: y)
+        moved = forged_fit(run.fit, scale.then(run.fit.matrix), d, maps)
+        for fit, res in (
+            (run.fit, run.spread_result),
+            (moved, build_spread(moved, run.transversals, maps)),
+        ):
+            assert res.fit is fit
+            assert fit.to_source.columns == fit.matrix.then(unvec_blocks(tower, 2)).columns
+            index = res.spread.index
+            assert index.to_source is fit.to_source
+            source = ProjSpace(1, big)
+            assert list(fit.sources) == [source.normalize(fit.to_source(p)) for p in d.ordered]
+            assert [index.source_index[s] for s in fit.sources] == [index[p] for p in d.ordered]
+            ok, detail = one_point_property(res)
+            assert ok and detail["hits"] == run.dir_hits
 
 
 def test_one_point_property_reads_only_a_walk_of_its_d_and_matrix(
-    monkeypatch, report321, case321
+    monkeypatch, report321
 ):
-    hov, d = case321
-    maps, fit, res = hov.maps, report321.fit, report321.spread_result
     lookups = []
     real = ReductionIndex.__getitem__
 
@@ -635,28 +647,48 @@ def test_one_point_property_reads_only_a_walk_of_its_d_and_matrix(
         return real(self, p)
 
     monkeypatch.setattr(ReductionIndex, "__getitem__", counted)
-    ok, detail = one_point_property(res, d)
+    ok, detail = one_point_property(report321.spread_result)
     assert ok and lookups == []
-    # another D object, equal or not, is looked up point by point
-    again = one_point_property(res, DirectionSet(d.ordered, d.space))
-    assert again == (ok, detail) and lookups == list(d.ordered)
-    # a fit whose matrix is replaced keeps no walk, even the same matrix rebuilt
-    rebuilt = LinearMap(fit.matrix.columns)
-    res2 = build_spread(replace(fit, matrix=rebuilt), report321.transversals, maps)
-    assert res2.walk is None and res2.spread.index.to_source is not fit.walk.to_source
-    lookups.clear()
-    assert one_point_property(res2, d) == (ok, detail) and lookups == list(d.ordered)
+
+
+def _forged_sources(result, moves):
+    """result with the fit's source of point n of D replaced, for each n in
+    moves, by the source of element moves[n]."""
+    index = result.spread.index
+    source_of = {idx: s for s, idx in index.source_index.items()}
+    sources = list(result.fit.sources)
+    for n, idx in moves.items():
+        sources[n] = source_of[idx]
+    return replace(result, fit=replace(result.fit, sources=sources))
+
+
+def test_one_point_property_names_its_witness(report321):
+    res = report321.spread_result
+    index = res.spread.index
+    element = [index.source_index[s] for s in res.fit.sources]
+    # one point moved onto T0's element: every other element still once
+    ok, detail = one_point_property(_forged_sources(res, {5: res.t0_index}))
+    assert not ok and detail["witness"] == res.t0_index
+    assert detail["hit_once"] == 63 and detail["hit_other"] == []
+    # two points onto one element and three onto another: the least of
+    # the two is the witness
+    b, c = element[10], element[3]
+    ok, detail = one_point_property(_forged_sources(res, {20: b, 30: c, 40: c}))
+    assert not ok and detail["witness"] == min(b, c)
+    assert detail["hit_other"] == [2, 3]
+    assert detail["hit_once"] == 63 - 3 - 2
+    assert detail["hits"][b] == 2 and detail["hits"][c] == 3
 
 
 def test_spread_through_a_wrong_matrix_fails_the_plane_certificate(report321, case321):
     # twisting the fit's second block by y -> y^(2^h) keeps both transversals
     # but not the spread: the elements written from the detected sources no
     # longer lie in their fibres
-    hov, _ = case321
+    hov, d = case321
     maps, fit = hov.maps, report321.fit
     twisted = _off_fit_matrices(maps, fit, 5)["twisted fit"][0]
-    res = build_spread(replace(fit, matrix=twisted), report321.transversals, maps)
-    assert not res.matches_canonical and res.walk is None
+    res = build_spread(forged_fit(fit, twisted, d, maps), report321.transversals, maps)
+    assert not res.matches_canonical
     axioms = plane_axioms_check(build_plane(maps, res.spread))
     assert not axioms.ok and axioms.collisions > 0
     assert axioms.witness[0] == "element row in another fibre"
@@ -766,10 +798,6 @@ def test_control_case_rejected_early():
     # 85 is not a multiple of q - 1 = 15
     with pytest.raises(NotPseudoregulusCandidate):
         find_long_secants(d)
-
-
-def test_fit_standard_labeling_preferred(report321):
-    assert report321.fit.labeling == "standard"
 
 
 def test_detect_full_chain_331():
