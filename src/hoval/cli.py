@@ -14,7 +14,8 @@ views: each runs its stages through run_verify_all and projects the stage
 data, so a view checks exactly what verify-all checks.
 
 Only spectrum and verify-all take --parallel (default 1).  construct and
-directions enumerate nothing, so take no --budget.
+directions take no --budget; verify-all and the views charge the q^k
+points of the construction to it.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _cmd_spectrum(args) -> int:
         d, mode=args.mode, budget=budget, processes=processes,
         candidate=cyclic_candidate(maps, spec.i),
     )
-    conforms, offender = spectrum_conforms(hist, 1 << spec.h)
+    conforms, offender = spectrum_conforms(hist)
     doc = serialize.spectrum_dict(hist, spec, maps)
     doc["conforms"] = conforms
     if offender is not None:

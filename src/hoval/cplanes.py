@@ -21,8 +21,8 @@ binned from the directions of C's differences, and no plane is built:
 * A4 bins the C(n-1, 2) pairs through c0 by the plane they span with c0:
   the lines with two or more points of the direction set D.  The family
   planes there are the m secants themselves, each with its points of D
-  counted off its meet, and the line counts N_j of a spectrum of D decide
-  every other bin.
+  counted off its meet, and the line counts N_j of the spectrum of D that
+  check_axioms is handed decide every other bin; A4 computes no spectrum.
 
 A failing axiom reports the witness its check already holds.  The explicit
 scans over every plane, pair and triple are the tests' oracles.
@@ -37,14 +37,12 @@ from .errors import CPlaneConstructionFailed
 from .gf2 import f2_echelon, f2_reduce
 from .hyperoval import (
     AffinePointSet,
-    DirectionSet,
     is_arc,
     projected_differences,
     translation_basis,
     translation_closure_check,
 )
-from .linearsets import SpectrumHistogram, spectrum
-from .projective import DEFAULT_BUDGET
+from .linearsets import SpectrumHistogram
 from .pseudoregulus import SecantStructure
 from .record import Record
 from .reduction import CorrespondenceMaps
@@ -236,7 +234,7 @@ def _partition_clash(sets) -> tuple:
     return len(owner), None
 
 
-def _a4_base_point(family: CPlaneFamily, space, hist=None, budget=None) -> AxiomReport:
+def _a4_base_point(family: CPlaneFamily, space, hist: SpectrumHistogram | None) -> AxiomReport:
     """Triples of C points span family planes or 4-point planes only.
 
     The translations of C act transitively on C and keep the family and
@@ -253,8 +251,8 @@ def _a4_base_point(family: CPlaneFamily, space, hist=None, budget=None) -> Axiom
     line counts N_j of `hist`, a spectrum of D, and |L ∩ D| for the m family
     lines L decide it; |L ∩ D| = len(W ∩ L) - 1, as w -> its direction is
     one to one on the n - 1 nonzero w of W once the directions are distinct.
-    A histogram of another set is not read, and without one of D the pair
-    scan spectrum(D, budget=budget) is run and charged.
+    Raises ValueError when `hist` is missing or counts a set other than the
+    distinct directions from a; reading it charges nothing.
     The full-set totals follow from transitivity: n/q times the family
     planes through a, n/4 times the four-point planes through a.
     """
@@ -264,6 +262,9 @@ def _a4_base_point(family: CPlaneFamily, space, hist=None, budget=None) -> Axiom
     total = (n - 1) * (n - 2) // 2
     dirs = projected_differences(family.c_points, space)
     dset = frozenset(dirs)
+    if hist is None or hist.dirs.points != dset:
+        raise ValueError("A4 reads hist, the spectrum of C's directions; "
+                         "it was missing or counts another set")
     if len(dset) != n - 1:
         # the first pair (b, c) in scan order with equal directions
         times = Counter(dirs)
@@ -273,8 +274,6 @@ def _a4_base_point(family: CPlaneFamily, space, hist=None, budget=None) -> Axiom
             "A4", False, 0, ("collinear", ordered[0], ordered[ib + 1], ordered[ic + 1]),
             {"mode": "base-point"},
         )
-    if hist is None or hist.dirs.points != dset:
-        hist = spectrum(DirectionSet(dset, space), budget=budget)
     bins = "cyclic-group" if hist.symmetry is not None else hist.path
     a = ordered[0] >> space.h
     others = {j: c for j, c in hist.counts.items() if j >= 2}
@@ -317,15 +316,14 @@ def check_axioms(
     family: CPlaneFamily,
     maps: CorrespondenceMaps,
     axioms=("A1", "A2", "A3", "A4"),
-    budget: int | None = DEFAULT_BUDGET,
     hist: SpectrumHistogram | None = None,
 ) -> dict:
     """Run the requested axiom checks on the family's own C; returns
     {name: AxiomReport}.
 
-    `hist` is optionally a spectrum of the direction set of C, whose line
-    counts A4 reads (see _a4_base_point); reading it charges nothing, and
-    without it A4 runs the pair scan under `budget`.
+    `hist` is the spectrum of the direction set of C, whose line counts A4
+    reads (see _a4_base_point), charging nothing; A4 raises ValueError
+    without it.  A1 to A3 do not read it.
     """
     out: dict = {}
     for name in axioms:
@@ -336,7 +334,7 @@ def check_axioms(
         elif name == "A3":
             out[name] = _check_a3(family, maps)
         elif name == "A4":
-            out[name] = _a4_base_point(family, maps.hinf, hist, budget)
+            out[name] = _a4_base_point(family, maps.hinf, hist)
         else:
             raise ValueError(f"unknown axiom {name!r}")
     return out

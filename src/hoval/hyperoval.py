@@ -13,7 +13,7 @@ from collections.abc import Iterator, Sequence
 from itertools import combinations
 
 from .errors import GcdHypothesisViolated, TooFewPoints
-from .gf2 import f2_echelon, tower_create
+from .gf2 import MAX_DEGREE, f2_echelon, tower_create
 from .projective import ProjSpace
 from .record import Record
 from .reduction import CorrespondenceMaps, maps_for
@@ -32,6 +32,8 @@ class HyperovalSpec(Record):
         if self.h < 1 or self.k < 1:
             raise ValueError("h and k must be positive")
         hk = self.h * self.k
+        if hk > MAX_DEGREE:
+            raise ValueError(f"hk = {hk} exceeds the field degree cap {MAX_DEGREE}")
         if not 1 <= self.i <= hk - 1:
             raise ValueError(f"exponent must lie in 1..{hk - 1}")
         if self.strict and math.gcd(self.i, hk) != 1:

@@ -76,8 +76,8 @@ class SpectrumHistogram(Record):
     When the pair scan ran, `multiplicities` keeps its map from each line
     through two or more points to its pair count; when a candidate was
     verified, in either mode, `symmetry` keeps the group.  find_long_secants
-    and A4 read them, and the counts, instead of a second pass over the
-    pairs, once `dirs` shows the histogram is of their set.
+    reads D from `dirs` and them, and the counts, instead of a second pass
+    over the pairs; A4 refuses a histogram whose `dirs` is not its set.
     """
 
     counts: dict
@@ -115,11 +115,12 @@ class SpectrumHistogram(Record):
         }
 
 
-def spectrum_conforms(hist: SpectrumHistogram, q: int):
-    """Support must be contained in {0, 1, 3, q-1}.
+def spectrum_conforms(hist: SpectrumHistogram):
+    """Support must be contained in {0, 1, 3, q-1}, q that of the set's space.
 
     Returns (ok, offending_j or None).
     """
+    q = hist.dirs.space.q
     allowed = {0, 1, 3, q - 1}
     for j in hist.support:
         if j not in allowed:
@@ -200,10 +201,12 @@ def cyclic_symmetry(dirs: DirectionSet, columns) -> CyclicSymmetry | None:
     The candidate must be a GF(q)-linear bijection of the H_inf vectors: its
     GF(2) columns have full rank and it commutes with the GF(q) generator on
     every unit vector.  The orbit of d0 = min D must be D: |D| - 1 steps of
-    apply-and-normalize that stay in D and visit no point twice, then back
-    to d0.  <M> is then a group of collineations acting transitively on D,
-    so every point of D lies on the same number c_j of j-secants, and the
-    |D| - 1 lines from d0 give N_j = |D| c_j / j.  The line through d0 and
+    apply-and-normalize that stay in D and do not meet d0, then back to d0.
+    M permutes the points of H_inf, so its walk from d0 is a cycle whose
+    first repeat can only be d0, and no other revisit needs a test.  <M> is
+    then a group of collineations acting transitively on D, so every point
+    of D lies on the same number c_j of j-secants, and the |D| - 1 lines
+    from d0 give N_j = |D| c_j / j.  The line through d0 and
     p is named by its one point with a zero chunk at d0's pivot,
     normalize(p ^ c d0), c being p's chunk there.
     """
@@ -222,10 +225,10 @@ def cyclic_symmetry(dirs: DirectionSet, columns) -> CyclicSymmetry | None:
     p = d0
     for _ in range(len(pts) - 1):
         p = normalize(apply(p))
-        if p not in pts:
+        if p == d0 or p not in pts:
             return None
         orbit.append(p)
-    if len(set(orbit)) != len(pts) or normalize(apply(p)) != d0:
+    if normalize(apply(p)) != d0:
         return None
     smul, shift, mask = space.smul, space.pivot(d0) * space.h, space.chunk_mask
     others: dict = {}  # line through d0 -> the other points of D on it
@@ -482,9 +485,7 @@ class F2Witness(Record):
     _uncompared = ("projected",)
 
 
-def f2_witness(
-    q_points: AffinePointSet, dirs: DirectionSet, maps: CorrespondenceMaps
-) -> F2Witness:
+def f2_witness(q_points: AffinePointSet, maps: CorrespondenceMaps) -> F2Witness:
     """Check that the GF(2) images differ by an F2-closed vector set.
 
     The differences (p ^ c0) >> h, c0 = min C, are the Barlotti-Cofman
@@ -493,8 +494,9 @@ def f2_witness(
     |C| = 2^rank W, the rank test of translation_closure_check.  Raises
     NotF2Linear when the difference set is not a subspace, naming the
     vector (v ^ c0) >> h of closure's memoized witness (a, b, c0, v): a sum
-    of two differences, so in the span, whose point v is not in C; or when
-    its renormalization does not reproduce the direction set.
+    of two differences, so in the span, whose point v is not in C.
+    `projected` is C's memoized projected differences, which is the
+    direction set of a closed C by construction (directions).
     """
     if len(q_points) < 2:
         raise TooFewPoints("need at least 2 affine points")
@@ -508,12 +510,6 @@ def f2_witness(
             f"0x{(v ^ c0) >> q_points.space.h:x} is in the span but not the set"
         )
     projected = projected_differences(q_points, maps.hinf)
-    if dirs.points.symmetric_difference(projected):
-        off = min(dirs.points.symmetric_difference(projected))
-        raise NotF2Linear(
-            f"projection of the rank-{rank} span differs from the "
-            f"direction set near 0x{off:x}"
-        )
     return F2Witness(maps.bc_affine(ordered[0]), rows, rank, projected)
 
 

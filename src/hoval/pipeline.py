@@ -24,7 +24,7 @@ import time
 
 from .bruckbose import build_plane, hyperoval_in_plane, plane_axioms_check
 from .cplanes import build_c_planes, check_axioms
-from .errors import HovalError
+from .errors import EnumerationTooLarge, HovalError
 from .hyperoval import (
     HyperovalSpec,
     build_hyperoval,
@@ -136,9 +136,11 @@ class _Run:
 
 def _stage_construct(run: _Run) -> tuple[bool, dict]:
     spec = run.spec
+    q, k = 1 << spec.h, spec.k
+    if run.budget is not None and q ** k > run.budget:
+        raise EnumerationTooLarge(q ** k, run.budget, "point set construction")
     run.hov = build_hyperoval(spec)
     hov = run.hov
-    q, k = 1 << spec.h, spec.k
     closure_ok, closure_witness = translation_closure_check(hov.affine)
     # the plane's affine points are a coset exactly when their images are
     arc_ok, arc_witness = is_arc(hov.plane_points, hov.maps.plane_big, closure_ok)
@@ -174,10 +176,9 @@ def _stage_spectrum(run: _Run) -> tuple[bool, dict]:
         candidate=cyclic_candidate(run.hov.maps, spec.i),
     )
     run.hist = hist
-    q = 1 << spec.h
-    conforms, offender = spectrum_conforms(hist, q)
+    conforms, offender = spectrum_conforms(hist)
     ndirs = len(run.dirs.points)
-    expected = q ** spec.k - 1
+    expected = (1 << spec.hk) - 1
     data = {
         "directions": ndirs,
         "expected_directions": expected,
@@ -192,7 +193,7 @@ def _stage_spectrum(run: _Run) -> tuple[bool, dict]:
 
 def _stage_linearity(run: _Run) -> tuple[bool, dict]:
     maps = run.hov.maps
-    wit = f2_witness(run.hov.affine, run.dirs, maps)
+    wit = f2_witness(run.hov.affine, maps)
     rep = scattered_check(wit, maps.hinf)
     data = {
         "rank": rep.rank,
@@ -210,7 +211,7 @@ def _stage_linearity(run: _Run) -> tuple[bool, dict]:
 def _stage_pseudoregulus(run: _Run) -> tuple[bool, dict]:
     spec = run.spec
     maps = run.hov.maps
-    run.structure = find_long_secants(run.dirs, run.budget, hist=run.hist)
+    run.structure = find_long_secants(run.hist, run.budget)
     run.transversals = extract_transversals(run.structure, run.dirs.space)
     fmap = transversal_map(run.transversals)
     run.fit = fit_semilinear(run.dirs, fmap, maps)
@@ -285,10 +286,8 @@ def _stage_cplanes(run: _Run) -> tuple[bool, dict]:
     reports = check_axioms(family, maps, axioms=("A1", "A2", "A3"))
     # A4 gets a call of its own so a trace (bench/spans.py) times it apart
     # from A1-A3.  It reads the line counts of the spectrum stage, which
-    # charged them under this budget, and charges nothing itself.
-    reports.update(
-        check_axioms(family, maps, axioms=("A4",), budget=run.budget, hist=run.hist)
-    )
+    # charged them under the budget, and computes no spectrum itself.
+    reports.update(check_axioms(family, maps, axioms=("A4",), hist=run.hist))
     data = {
         "planes": len(family),
         "expected_planes": n * family.m // q,

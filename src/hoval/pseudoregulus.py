@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import islice
 
 from .errors import (
     NoLongSecants,
@@ -58,25 +59,23 @@ def require_long_secants(h: int) -> None:
 
 
 def find_long_secants(
-    dirs: DirectionSet,
-    budget: int | None = DEFAULT_BUDGET,
-    hist: SpectrumHistogram | None = None,
+    hist: SpectrumHistogram, budget: int | None = DEFAULT_BUDGET
 ) -> SecantStructure:
-    """Locate the (q-1)-secants and check they partition D.
+    """Locate the (q-1)-secants of D = hist.dirs and check they partition D.
 
-    `hist` is a spectrum of D (a histogram of another set is not read).
-    When it holds a verified cyclic group, the secants are the orbit of the
-    one through min D (_orbit_secants); otherwise they are the lines of its
-    pair map with C(q-1, 2) pairs.  With neither, or no histogram, the
-    pairs are scanned for that map alone (linearsets._pair_multiplicities),
-    which charges the C(|D|, 2) pairs to the budget; reading a histogram
-    charges nothing.
+    When the histogram holds a verified cyclic group, the secants are the
+    orbit of the one through min D (_orbit_secants); otherwise they are the
+    lines of its pair map with C(q-1, 2) pairs.  A line tally without a
+    group has no pair map, so its pairs are scanned for that map alone
+    (linearsets._pair_multiplicities), which charges the C(|D|, 2) pairs
+    to the budget; reading the histogram charges nothing.
 
     At q = 4 a long secant and a 3-secant both carry 3 points of D, so only
     the group can tell them apart: without a verified group h = 2 is
     refused.  Raises NotPseudoregulusCandidate when the counts or the cover
     are off.
     """
+    dirs = hist.dirs
     space = dirs.space
     q = space.q
     pts = dirs.ordered
@@ -85,9 +84,7 @@ def find_long_secants(
             f"|D| = {len(pts)} is not a multiple of q - 1 = {q - 1}"
         )
     m = len(pts) // (q - 1)
-    if hist is not None and hist.dirs.points != dirs.points:
-        hist = None
-    symmetry = None if hist is None else hist.symmetry
+    symmetry = hist.symmetry
     if symmetry is not None:
         # at q = 4 the 3-secants outnumber the long secants; the orbit decides
         found = m if q == 4 else hist.counts.get(q - 1, 0)
@@ -97,7 +94,7 @@ def find_long_secants(
             "without a verified cyclic symmetry of D they cannot be told apart"
         )
     else:
-        mult = None if hist is None else hist.multiplicities
+        mult = hist.multiplicities
         if mult is None:
             mult = linearsets._pair_multiplicities(pts, space, budget)
         target = (q - 1) * (q - 2) // 2
@@ -172,24 +169,19 @@ class Transversals(Record):
     side_inf: tuple  # per secant, its point on t_inf
 
 
-def extract_transversals(
-    structure: SecantStructure, space: ProjSpace, anchor: int | None = None
-) -> Transversals:
+def extract_transversals(structure: SecantStructure, space: ProjSpace) -> Transversals:
     """Split the off-D points into the two transversal subspaces.
 
-    The anchor (least off point by default) names one side; a point X of
-    another secant joins it iff the point anchor + X is an off point: in
-    T0 exactly when X is, else off T0 ∪ T_inf.  The result is
-    anchor-independent up to swapping the two sides.  T0 and T_inf are
+    The anchor, the least off point, names one side; a point X of another
+    secant joins it iff the point anchor + X is an off point: in T0
+    exactly when X is, else off T0 ∪ T_inf.  Any other anchor gives the
+    same two sides, possibly swapped.  T0 and T_inf are
     complementary (k-1)-spaces of PG(2k-1, q), so each side must have rank
     width // 2; its span holds the side, so the two are equal exactly when
     the side has as many points as the span.
     """
     zset = {p for pair in structure.zero_pairs for p in pair}
-    if anchor is None:
-        anchor = min(zset)
-    elif anchor not in zset:
-        raise TransversalExtractionFailed(f"anchor 0x{anchor:x} is not an off point")
+    anchor = min(zset)
     normalize = space.normalize
     side0, side_inf = [], []
     for idx, (a, b) in enumerate(structure.zero_pairs):
@@ -329,11 +321,14 @@ def _maps_elements_to_elements(lmap: LinearMap, maps, spell: LinearMap) -> bool:
     wrong map costs the elements up to its first bad one.  M carries each element E onto a
     subspace of E's rank, so M(E) is an element exactly when the images of
     E's k rows spell one point of PG(1, q^k), and then M permutes them.
+    The last of the q^k + 1 elements is not walked: the invertible M
+    carries the other q^k onto q^k distinct elements, and the last one,
+    disjoint from them, onto the rest of the space, the one element left.
     """
     tower = maps.tower
     source = ProjSpace(1, tower.big)
     normalize, rows_of = source.normalize, reduction_map(tower, source.width)
-    for src in source.points(budget=None):
+    for src in islice(source.points(budget=None), tower.big.q):
         hit = {normalize(spell(lmap(r))) for r in rows_of(src)}
         if len(hit) != 1:
             return False

@@ -1,10 +1,12 @@
 """Deterministic JSON files for point sets, spreads, and reports.
 
 Every document carries "schema" and "kind" fields plus a params header
-naming the parameter triple and the field moduli, so a file is
-self-describing.  Coordinates are lowercase hex strings of the packed
-point integers (bit 0 is the constant coefficient of chunk 0); keys are
-sorted and separators fixed, so equal content gives equal bytes.
+naming the parameter triple.  The header of every document but the
+verification report (pipeline.py, whose params record the run's options
+instead) also names the field moduli, so such a file is self-describing.
+Coordinates are lowercase hex strings of the packed point integers (bit 0
+is the constant coefficient of chunk 0); keys are sorted and separators
+fixed, so equal content gives equal bytes.
 """
 
 from __future__ import annotations

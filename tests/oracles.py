@@ -29,7 +29,7 @@ from hoval.errors import (
 )
 from hoval.gf2 import f2_echelon, f2_reduce, field_create, tower_create
 from hoval.hyperoval import is_arc, translation_basis
-from hoval.linearsets import ScatterednessReport
+from hoval.linearsets import ScatterednessReport, spectrum
 from hoval.projective import DEFAULT_BUDGET, ProjSpace
 from hoval.pseudoregulus import (
     SecantStructure,
@@ -1018,10 +1018,10 @@ class PseudoregulusReport:
 
 def detect_pseudoregulus(dirs, maps, budget=DEFAULT_BUDGET) -> PseudoregulusReport:
     """Secants, transversals, semilinear fit, spread and 1-point property of
-    any direction set, canonical or not.  The secants come from a pair scan,
-    as no cyclic symmetry is given, so h = 2 is refused (find_long_secants);
-    run_verify_all is the chain the package runs."""
-    structure = find_long_secants(dirs, budget)
+    any direction set, canonical or not.  The secants come from the pair
+    scan spectrum, as no cyclic symmetry is given, so h = 2 is refused
+    (find_long_secants); run_verify_all is the chain the package runs."""
+    structure = find_long_secants(spectrum(dirs, budget=budget), budget)
     transversals = extract_transversals(structure, dirs.space)
     fit = fit_semilinear(dirs, transversal_map(transversals), maps)
     result = build_spread(fit, transversals, maps)

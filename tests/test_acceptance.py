@@ -60,12 +60,11 @@ def test_criterion_01_spectrum_law():
     ok = True
     for h, k, i in STRICT_CASES:
         hov, d = _case(h, k, i)
-        q = 1 << h
         mode = "exhaustive" if (h, k, i) in frozen else "pairs"
         t0 = time.perf_counter()
         hist = spectrum(d, mode=mode)
         dt = time.perf_counter() - t0
-        conforms, offender = spectrum_conforms(hist, q)
+        conforms, offender = spectrum_conforms(hist)
         case_ok = conforms
         if (h, k, i) in frozen:
             counts, nlines, bound = frozen[(h, k, i)]
@@ -83,7 +82,7 @@ def test_criterion_02_negative_control():
     h, k, i = CONTROL
     hov, d = _case(h, k, i, strict=False)
     hist = spectrum(d)
-    conforms, offender = spectrum_conforms(hist, 1 << h)
+    conforms, offender = spectrum_conforms(hist)
     rep = run_verify_all(h, k, i, strict=False)
     stage = rep.stage("spectrum")
     ok = (
@@ -106,7 +105,7 @@ def test_criterion_03_linearity_and_scatteredness():
         hov, d = _case(h, k, i)
         hk = h * k
         size_ok = len(d.points) == (1 << hk) - 1
-        wit = f2_witness(hov.affine, d, hov.maps)
+        wit = f2_witness(hov.affine, hov.maps)
         rep = scattered_check(wit, hov.maps.hinf)
         case_ok = (
             size_ok and wit.rank == hk and rep.scattered and rep.is_maximum
@@ -243,7 +242,7 @@ def test_criterion_08_cplane_axioms():
         n = len(hov.affine)
         rep = _chain(h, k, i)
         family = build_c_planes(hov.affine, rep.structure, hov.maps)
-        reports = check_axioms(family, hov.maps, budget=max(10 ** 8, comb(n, 3)))
+        reports = check_axioms(family, hov.maps, hist=spectrum(d))
         all_ok = all(r.ok for r in reports.values())
         pair_identity = len(family) * comb(q, 2) == comb(n, 2)
         a4 = reports["A4"].detail
@@ -293,7 +292,7 @@ def test_criterion_09_mutation_sensitivity():
         if len(dirs.points) != (1 << spec.hk) - 1:
             return f"|D|={len(dirs.points)}"
         try:
-            wit = f2_witness(qset, dirs, maps)
+            wit = f2_witness(qset, maps)
         except NotF2Linear as exc:
             return f"NotF2Linear: {exc}"
         srep = scattered_by_elements(qset, wit, s_prime(maps))
@@ -303,7 +302,7 @@ def test_criterion_09_mutation_sensitivity():
 
     def detect_c4(qset, dirs):
         try:
-            s = find_long_secants(dirs)
+            s = find_long_secants(spectrum(dirs))
             extract_transversals(s, dirs.space)
         except HovalError as exc:
             return f"{type(exc).__name__}"
@@ -336,7 +335,7 @@ def test_criterion_09_mutation_sensitivity():
             family = build_c_planes(qset, good_structure, maps)
         except HovalError as exc:
             return f"{type(exc).__name__}"
-        reports = check_axioms(family, maps)
+        reports = check_axioms(family, maps, hist=spectrum(dirs))
         bad = [name for name, r in sorted(reports.items()) if not r.ok]
         return f"axioms {bad} failed" if bad else None
 

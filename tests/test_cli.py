@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hoval import cli, serialize
+from hoval import cli, pipeline, serialize
 from hoval.cli import main
 from hoval.gf2 import tower_create
 from hoval.hyperoval import HyperovalSpec, build_hyperoval, directions
@@ -334,6 +334,16 @@ def test_bad_parameters_exit_2(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_field_degree_above_24_is_a_usage_error(capsys, command):
+    # hk = 27: no field GF(2^27) is built, and every subcommand says why
+    code = main([command, "--h", "3", "--k", "9", "--i", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: bad parameters (h=3, k=9, i=1): "
+                            "hk = 27 exceeds the field degree cap 24\n")
+
+
 def test_unknown_stage_exit_2(capsys):
     code = main(["verify-all", "--h", "3", "--k", "2", "--i", "1",
                  "--stages", "construct,nonsense"])
@@ -518,9 +528,26 @@ def test_verify_all_budget_exit_3(capsys):
     assert code == 3
     doc = json.loads(out)
     assert doc["verdict"] == "fail"
-    spectrum = next(s for s in doc["stages"] if s["name"] == "spectrum")
-    assert spectrum["status"] == "error"
-    assert spectrum["error"].startswith("EnumerationTooLarge")
+    # the q^k = 64 points are charged before the construction
+    construct = doc["stages"][0]
+    assert construct["name"] == "construct" and construct["status"] == "error"
+    assert construct["error"] == ("EnumerationTooLarge: point set construction "
+                                  "needs ~64 operations, budget is 10")
+    assert [s["status"] for s in doc["stages"][1:]] == ["skipped"] * 6
+
+
+def test_verify_all_refuses_a_construction_over_budget_unbuilt(capsys, monkeypatch):
+    # the 2^24 points of (12,2,1) are refused before one is built
+    def build(spec):
+        raise AssertionError("the construction ran")
+
+    monkeypatch.setattr(pipeline, "build_hyperoval", build)
+    code, out = _run(capsys, "verify-all", "--h", "12", "--k", "2", "--i", "1",
+                     "--budget", "1000")
+    assert code == 3
+    assert json.loads(out)["stages"][0]["error"] == (
+        "EnumerationTooLarge: point set construction needs ~16777216 operations, "
+        "budget is 1000")
 
 
 @pytest.mark.parametrize("target", ["directory", "missing parent"])

@@ -44,7 +44,7 @@ from oracles import (
 def _setup(h, k, i):
     hov = build_hyperoval(HyperovalSpec(h, k, i))
     d = directions(hov.affine, hov.maps)
-    s = find_long_secants(d)
+    s = find_long_secants(spectrum(d))
     return hov, d, s
 
 
@@ -102,7 +102,7 @@ def test_axiom_a3_321(case321, family321):
 
 def test_axiom_a4_321(case321, family321):
     hov, d, s = case321
-    rep = check_axioms(family321, hov.maps, axioms=("A4",))["A4"]
+    rep = check_axioms(family321, hov.maps, axioms=("A4",), hist=spectrum(d))["A4"]
     assert rep.ok, rep.witness
     assert rep.detail["triples"] == comb(64, 3) == 41664
     assert rep.detail["family_planes"] == 72
@@ -110,9 +110,12 @@ def test_axiom_a4_321(case321, family321):
 
 
 def test_a4_budget_guard(case321, family321):
+    # A4 charges nothing and takes no budget: its bins are read off the
+    # spectrum, whose pair scan the budget guards
     hov, d, s = case321
+    assert "budget" not in inspect.signature(check_axioms).parameters
     with pytest.raises(EnumerationTooLarge):
-        check_axioms(family321, hov.maps, axioms=("A4",), budget=100)
+        spectrum(d, budget=100)
 
 
 def test_unknown_axiom_rejected(case321, family321):
@@ -228,7 +231,8 @@ def test_damaged_family_fails_a2(case321, family321):
 
 def _a4_both(family, maps):
     """(public A4 report, oracle triple-scan report) for one family."""
-    fast = check_axioms(family, maps, axioms=("A4",), budget=None)["A4"]
+    hist = spectrum(directions(family.c_points, maps), budget=None)
+    fast = check_axioms(family, maps, axioms=("A4",), hist=hist)["A4"]
     full = a4_triple_scan(planes_of(family, maps), family.c_points, maps)
     return fast, full
 
@@ -239,7 +243,7 @@ _TOTALS = ("triples", "family_planes", "four_point_planes")
 def _histograms(d, maps, i):
     """Spectra of D by the cyclic group (when the candidate of exponent i
     verifies on D), by the pair scan and by the line tally, and one of D
-    minus its least point, which A4 must not read."""
+    minus its least point, which A4 refuses."""
     out = {
         "group": spectrum(d, candidate=cyclic_candidate(maps, i)),
         "pair-scan": spectrum(d),
@@ -276,27 +280,30 @@ def test_a4_base_point_matches_triple_scan(hki):
 @pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
 def test_a4_from_each_spectrum_matches_triple_scan(hki, path, line_key_calls):
     # A4 reads the line counts of the group, the pair map or the line tally
-    # of D without a line key; a spectrum of another set is not read, and
-    # A4 runs the pair scan of D instead
+    # of D without a line key; a spectrum of another set is refused
     hov, fam, _, full, hists = _a4_case(hki)
     line_key_calls.clear()
-    rep = check_axioms(fam, hov.maps, axioms=("A4",), budget=None,
-                       hist=hists[path])["A4"]
-    n = len(hov.affine)
-    assert len(line_key_calls) == (comb(n - 1, 2) if path == "other-set" else 0)
+    if path == "other-set":
+        with pytest.raises(ValueError, match="another set"):
+            check_axioms(fam, hov.maps, axioms=("A4",), hist=hists[path])
+        assert not line_key_calls
+        return
+    rep = check_axioms(fam, hov.maps, axioms=("A4",), hist=hists[path])["A4"]
+    assert not line_key_calls
     assert rep.ok and full.ok
     assert {k: rep.detail[k] for k in _TOTALS} == {k: full.detail[k] for k in _TOTALS}
-    assert rep.bins == {"group": "cyclic-group", "other-set": "pair-scan"}.get(path, path)
+    assert rep.bins == {"group": "cyclic-group"}.get(path, path)
 
 
 def test_a4_base_point_budget_counts_pairs(case321, family321):
     hov, d, s = case321
-    # 1953 pairs through the base point fit, the 41664 triples would not
-    rep = check_axioms(family321, hov.maps, axioms=("A4",),
-                       budget=comb(63, 2))["A4"]
+    # the spectrum A4 reads charges the 1953 pairs through the base point;
+    # the 41664 triples are never charged
+    hist = spectrum(d, budget=comb(63, 2))
+    rep = check_axioms(family321, hov.maps, axioms=("A4",), hist=hist)["A4"]
     assert rep.ok and rep.detail["mode"] == "base-point"
     with pytest.raises(EnumerationTooLarge) as exc:
-        check_axioms(family321, hov.maps, axioms=("A4",), budget=comb(63, 2) - 1)
+        spectrum(d, budget=comb(63, 2) - 1)
     assert exc.value.estimate == comb(63, 2)
 
 
@@ -449,9 +456,11 @@ def test_a4_paths_agree_on_random_cosets(h, data):
         assert {k: fast.detail[k] for k in _TOTALS} == {k: full.detail[k] for k in _TOTALS}
     d = directions(c_points, maps)
     for path, hist in _histograms(d, maps, 1).items():
-        read = check_axioms(family, maps, axioms=("A4",), budget=None,
-                            hist=hist)["A4"]
-        assert read == fast, path
+        if path == "other-set":
+            with pytest.raises(ValueError, match="another set"):
+                check_axioms(family, maps, axioms=("A4",), hist=hist)
+        else:
+            assert check_axioms(family, maps, axioms=("A4",), hist=hist)["A4"] == fast, path
     a1 = check_axioms(family, maps, axioms=("A1",))["A1"]
     a1_full = a1_all_planes(planes_of(family, maps), maps.ambient)
     assert a1.ok == a1_full.ok and a1.detail["mode"] == "base-point"
@@ -715,8 +724,9 @@ def test_w_axioms_need_the_family_built_from_this_set(case321, family321):
     twin_family = build_c_planes(twin, s, maps)
     assert twin_family.c_points is twin
     assert twin_family.secants == family321.secants
-    axioms = ("A1", "A2", "A3", "A4")
-    assert check_axioms(twin_family, maps, axioms) == check_axioms(family321, maps, axioms)
+    axioms, hist = ("A1", "A2", "A3", "A4"), spectrum(d)
+    assert (check_axioms(twin_family, maps, axioms, hist)
+            == check_axioms(family321, maps, axioms, hist))
     with pytest.raises(CPlaneConstructionFailed):
         build_c_planes(_damaged(hov), s, maps)
 
@@ -745,18 +755,19 @@ def _grouped(hov, d):
 
 @pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
 def test_a4_from_pair_map_matches_scan(hki, line_key_calls):
-    # the N_j of the pair scan's histogram give the bins without a line key
-    # and without a charge; the verdict is that of A4's own scan
+    # the N_j of the pair scan's histogram give the bins without a line key;
+    # the pair scan of C's directions, made afresh, keys C(n - 1, 2) pairs
+    # and gives the same verdict
     hov, d, s = _setup(*hki)
     fam = build_c_planes(hov.affine, s, hov.maps)
     hist = spectrum(d)
     line_key_calls.clear()
-    from_map = check_axioms(fam, hov.maps, axioms=("A4",), budget=0,
-                            hist=hist)["A4"]
+    from_map = check_axioms(fam, hov.maps, axioms=("A4",), hist=hist)["A4"]
     assert not line_key_calls
-    scanned = check_axioms(fam, hov.maps, axioms=("A4",))["A4"]
+    rescan = spectrum(directions(hov.affine, hov.maps))
     n = len(hov.affine)
     assert len(line_key_calls) == comb(n - 1, 2)
+    scanned = check_axioms(fam, hov.maps, axioms=("A4",), hist=rescan)["A4"]
     assert from_map == scanned and from_map.ok
     assert from_map.detail["mode"] == "base-point"
     assert from_map.bins == scanned.bins == "pair-scan"
@@ -764,20 +775,19 @@ def test_a4_from_pair_map_matches_scan(hki, line_key_calls):
 
 def test_a4_ignores_pair_map_of_another_set(case321, family321, line_key_calls):
     hov, d, s = case321
-    n = len(hov.affine)
-    scanned = check_axioms(family321, hov.maps, axioms=("A4",))["A4"]
     # a spectrum of a set other than the n - 1 base-point directions is
     # refused before its counts are read, even when the counts would pass:
-    # D minus a point, D's counts relabelled, the verified group of (3,2,5)
+    # D minus a point, D's counts relabelled, the verified group of (3,2,5);
+    # so is no spectrum, and A4 computes none
     other = DirectionSet(d.ordered[1:], d.space)
     hov5 = build_hyperoval(HyperovalSpec(3, 2, 5))
     grouped5 = _grouped(hov5, directions(hov5.affine, hov5.maps))
     assert grouped5.dirs.points != d.points
     for hist in (spectrum(other), replace(spectrum(d), dirs=other), grouped5, None):
         line_key_calls.clear()
-        rep = check_axioms(family321, hov.maps, axioms=("A4",), hist=hist)["A4"]
-        assert len(line_key_calls) == comb(n - 1, 2)
-        assert rep == scanned and rep.bins == "pair-scan"
+        with pytest.raises(ValueError, match="missing or counts another set"):
+            check_axioms(family321, hov.maps, axioms=("A4",), hist=hist)
+        assert not line_key_calls
 
 
 @pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
@@ -786,10 +796,9 @@ def test_a4_from_the_group_matches_scan(hki, line_key_calls):
     fam = build_c_planes(hov.affine, s, hov.maps)
     hist = _grouped(hov, d)
     line_key_calls.clear()
-    grouped = check_axioms(fam, hov.maps, axioms=("A4",), budget=0,
-                           hist=hist)["A4"]
+    grouped = check_axioms(fam, hov.maps, axioms=("A4",), hist=hist)["A4"]
     assert not line_key_calls
-    scanned = check_axioms(fam, hov.maps, axioms=("A4",))["A4"]
+    scanned = check_axioms(fam, hov.maps, axioms=("A4",), hist=spectrum(d))["A4"]
     assert grouped == scanned and grouped.ok
     assert (grouped.bins, scanned.bins) == ("cyclic-group", "pair-scan")
 

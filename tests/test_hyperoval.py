@@ -51,6 +51,8 @@ def test_spec_validation():
         HyperovalSpec(3, 2, 0)
     with pytest.raises(ValueError):
         HyperovalSpec(3, 2, 6)
+    with pytest.raises(ValueError, match="cap 24"):
+        HyperovalSpec(5, 5, 1)
     assert HyperovalSpec(3, 2, 5).hk == 6
     assert not HyperovalSpec(4, 2, 2, strict=False).strict
 

@@ -60,7 +60,7 @@ def test_spectrum_321_pairs(case321):
     hist = spectrum(d, mode="pairs")
     assert hist.counts == SPEC_321
     assert hist.nlines == 4745
-    ok, off = spectrum_conforms(hist, 8)
+    ok, off = spectrum_conforms(hist)
     assert ok and off is None
 
 
@@ -74,7 +74,7 @@ def test_spectrum_421_both_modes(case421):
     pairs = spectrum(d, mode="pairs")
     assert pairs.counts == SPEC_421
     assert spectrum(d, mode="exhaustive").counts == SPEC_421
-    ok, _ = spectrum_conforms(pairs, 16)
+    ok, _ = spectrum_conforms(pairs)
     assert ok
 
 
@@ -84,7 +84,7 @@ def test_spectrum_331_pairs():
     hist = spectrum(d, mode="pairs")
     assert hist.counts == SPEC_331
     assert hist.nlines == 19477641
-    ok, _ = spectrum_conforms(hist, 8)
+    ok, _ = spectrum_conforms(hist)
     assert ok
 
 
@@ -102,7 +102,7 @@ def test_control_case_fails_conformance():
     d = directions(hov.affine, hov.maps)
     assert len(d) == 85
     hist = spectrum(d, mode="pairs")
-    ok, offender = spectrum_conforms(hist, 16)
+    ok, offender = spectrum_conforms(hist)
     assert not ok
     assert offender not in (0, 1, 3, 15)
     # identities still hold for the malformed set
@@ -115,7 +115,7 @@ def test_h2_smoke_support():
     d = directions(hov.affine, hov.maps)
     hist = spectrum(d, mode="exhaustive")
     assert set(hist.support) <= {0, 1, 3}
-    ok, _ = spectrum_conforms(hist, 4)
+    ok, _ = spectrum_conforms(hist)
     assert ok
 
 
@@ -351,7 +351,7 @@ def test_worker_builds_each_pattern_columns_once(case421, monkeypatch):
 
 def test_f2_witness_321(case321):
     hov, d = case321
-    w = f2_witness(hov.affine, d, hov.maps)
+    w = f2_witness(hov.affine, hov.maps)
     assert w.rank == 6
     assert 2 ** w.rank == 64
     assert w.rows == translation_basis(hov.affine)
@@ -380,7 +380,7 @@ def test_f2_witness_rejects_damaged_set(case321):
     )
     damaged = AffinePointSet(pts[1:] + [outside], hov.maps.ambient)
     with pytest.raises(NotF2Linear) as exc:
-        f2_witness(damaged, directions(damaged, hov.maps), hov.maps)
+        f2_witness(damaged, hov.maps)
     # the vector of translation_closure_check's witness, with no span listed
     assert str(exc.value) == (
         "difference set of size 64 spans 128 vectors; "
@@ -394,24 +394,12 @@ def test_f2_witness_rejects_damaged_set(case321):
     assert (v ^ c0) >> h == 0xC7 and 0xC7 in span - diffs and len(span) == 128
 
 
-def test_f2_witness_rejects_wrong_directions(case321):
-    hov, d = case321
-    from hoval.hyperoval import DirectionSet
-
-    wrong = DirectionSet(list(d.ordered[:-1]), d.space)
-    with pytest.raises(NotF2Linear) as exc:
-        f2_witness(hov.affine, wrong, hov.maps)
-    assert str(exc.value) == (
-        "projection of the rank-6 span differs from the direction set near 0xff1"
-    )
-
-
 def test_control_is_linear_but_not_scattered():
     # x -> x^4 over GF(256) is still additive, so K exists with full rank,
     # but scalar fibers of size 3 pile onto single spread elements
     hov = build_hyperoval(HyperovalSpec(4, 2, 2, strict=False))
     d = directions(hov.affine, hov.maps)
-    w = f2_witness(hov.affine, d, hov.maps)
+    w = f2_witness(hov.affine, hov.maps)
     assert w.rank == 8
     rep = scattered_by_elements(hov.affine, w, s_prime(hov.maps))
     assert not rep.scattered
@@ -422,7 +410,7 @@ def test_control_is_linear_but_not_scattered():
 
 def test_scattered_421(case421):
     hov, d = case421
-    w = f2_witness(hov.affine, d, hov.maps)
+    w = f2_witness(hov.affine, hov.maps)
     rep = scattered_by_elements(hov.affine, w, s_prime(hov.maps))
     assert rep.scattered and rep.is_maximum and rep.rank == 8
     assert rep.meet_histogram == {0: 4369 - 255, 1: 255}
@@ -437,7 +425,7 @@ def test_fibre_scatteredness_matches_s_prime(h, k, i, strict):
     # normalize over K must give the report the built spread gives
     hov = build_hyperoval(HyperovalSpec(h, k, i, strict=strict))
     maps = hov.maps
-    w = f2_witness(hov.affine, directions(hov.affine, maps), maps)
+    w = f2_witness(hov.affine, maps)
     fibres = scattered_check(w, maps.hinf)
     spread = scattered_by_elements(hov.affine, w, s_prime(maps))
     same = ("scattered", "rank", "max_rank", "is_maximum", "max_meet", "meet_histogram")
@@ -532,8 +520,8 @@ def test_cyclic_symmetry_refuses_non_collineations():
 
 
 def test_cyclic_symmetry_needs_a_transitive_orbit(case321):
-    # M^3 keeps D but its orbits have 21 of the 63 points; its 63rd power
-    # still returns to d0, so only the count of distinct points refuses it
+    # M^3 keeps D but its orbits have 21 of the 63 points: the walk from d0
+    # meets d0 again at step 21, before it has seen all of D, and stops
     hov, d = case321
     m = cyclic_candidate(hov.maps, 1)
     cube = tuple(apply_columns(m, apply_columns(m, col)) for col in m)
@@ -611,9 +599,9 @@ def test_cyclic_group_equals_the_pair_scan_oracle(hki):
     scan = spectrum(d)
     assert fast.path == "cyclic-group" and fast.counts == scan.counts
     q, m = 1 << h, len(d) // ((1 << h) - 1)
-    grouped = find_long_secants(d, hist=fast)
+    grouped = find_long_secants(fast)
     if h > 2:
-        assert grouped == find_long_secants(d, hist=scan)
+        assert grouped == find_long_secants(scan)
     else:
         # the oracle at q = 4: the 3-secants through d0 whose orbit under M,
         # walked line by line, has m members partitioning D

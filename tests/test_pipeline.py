@@ -402,10 +402,12 @@ def test_h1_refused_only_when_long_secants_are_needed():
     assert rep.verdict == "pass"
 
 
-@pytest.mark.parametrize("budget, ran", [(510, True), (509, False)])
+@pytest.mark.parametrize("budget, ran", [(512, True), (511, False)])
 def test_a4_obeys_the_run_budget(budget, ran):
-    # the spectrum stage charges the |D| - 1 = 510 line keys of the verified
-    # cyclic group; A4 reads its line counts and charges nothing
+    # construct charges the q^k = 512 points, the spectrum stage the
+    # |D| - 1 = 510 line keys of the verified cyclic group, and A4 reads its
+    # line counts and charges nothing: the construction is the run's largest
+    # charge up to the cplanes stage
     rep = run_verify_all(3, 3, 1, stages=("cplanes",), budget=budget)
     if ran:
         a4 = rep.stage("cplanes").data["axioms"]["A4"]
@@ -413,9 +415,10 @@ def test_a4_obeys_the_run_budget(budget, ran):
         assert a4["detail"]["bins"] == "cyclic-group"
         assert rep.verdict == "pass"
     else:
-        spectrum = rep.stage("spectrum")
-        assert spectrum.status == "error"
-        assert spectrum.error.startswith("EnumerationTooLarge")
+        construct = rep.stage("construct")
+        assert construct.status == "error"
+        assert construct.error == ("EnumerationTooLarge: point set construction "
+                                   "needs ~512 operations, budget is 511")
         assert rep.stage("cplanes").status == "skipped"
 
 

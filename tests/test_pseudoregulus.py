@@ -60,7 +60,7 @@ def report321(case321):
 
 def test_long_secant_structure_321(case321):
     hov, d = case321
-    s = find_long_secants(d)
+    s = find_long_secants(spectrum(d))
     assert len(s.secants) == len(s.zero_pairs) == 9
     assert len({p for pair in s.zero_pairs for p in pair}) == 18
     for a, b in s.zero_pairs:
@@ -76,24 +76,22 @@ def test_long_secant_structure_321(case321):
 def test_long_secants_from_spectrum_map(case321, monkeypatch):
     # the pipeline hands the spectrum over instead of rescanning: its pair
     # map is read and charged nothing, and the structure is the same.  A
-    # line tally has no pair map, so it is replaced by the charged pair scan
+    # line tally has no pair map, so its pairs are scanned and charged
     hov, d = case321
     hist = spectrum(d, mode="pairs")
     tally = spectrum(d, mode="exhaustive")
     assert hist.multiplicities is not None and tally.multiplicities is None
-    want = find_long_secants(d)
+    want = find_long_secants(tally)
     with monkeypatch.context() as m:
         m.setattr(linearsets, "_pair_multiplicities", None)
-        assert find_long_secants(d, budget=0, hist=hist) == want
-    assert find_long_secants(d, hist=tally) == want
-    for hist in (None, tally):
-        with pytest.raises(EnumerationTooLarge):
-            find_long_secants(d, budget=100, hist=hist)
+        assert find_long_secants(hist, budget=0) == want
+    with pytest.raises(EnumerationTooLarge):
+        find_long_secants(tally, budget=100)
 
 
 def test_transversals_321(case321):
     hov, d = case321
-    s = find_long_secants(d)
+    s = find_long_secants(spectrum(d))
     t = extract_transversals(s, d.space)
     assert len(t.t0) == 2 and len(t.t_inf) == 2
     assert len(set(t.side0)) == 9 and len(set(t.side_inf)) == 9
@@ -111,7 +109,7 @@ def test_long_secants_sharing_an_off_point_are_refused(case321):
     # points each and partition D, but two of them share x
     hov, d = case321
     space = d.space
-    s = find_long_secants(d)
+    s = find_long_secants(spectrum(d))
     x = s.zero_pairs[0][0]
     kept = {p for key in s.secants[:1] + s.secants[2:] for p in space.line_points(*key)}
     for y in sorted({space.normalize(v) for v in range(1, 1 << space.bits)} - kept):
@@ -121,26 +119,38 @@ def test_long_secants_sharing_an_off_point_are_refused(case321):
     forged = DirectionSet((d.points & kept) | set(line[:7]), space)
     with pytest.raises(NotPseudoregulusCandidate,
                        match="long secants are not pairwise disjoint"):
-        find_long_secants(forged)
+        find_long_secants(spectrum(forged))
 
 
 def test_transversals_anchor_independent(case321):
+    # a collineation A carries D's off points onto those of A(D); the least
+    # of those, the anchor, is the image of another off point of D for each
+    # A, and the two sides are always the images of D's, possibly swapped
     hov, d = case321
-    s = find_long_secants(d)
-    base = extract_transversals(s, d.space)
-    expected = {base.t0, base.t_inf}
-    for anchor in sorted({p for pair in s.zero_pairs for p in pair})[1:6]:
-        alt = extract_transversals(s, d.space, anchor=anchor)
-        assert {alt.t0, alt.t_inf} == expected
-    with pytest.raises(TransversalExtractionFailed):
-        extract_transversals(s, d.space, anchor=d.ordered[0])
+    space = d.space
+    s = find_long_secants(spectrum(d))
+    base = extract_transversals(s, space)
+    rng = random.Random(7)
+    anchors = set()
+    for _ in range(200):
+        cols = [rng.randrange(1, 1 << space.bits) for _ in range(space.width)]
+        if len(space.rref(cols)) < space.width:
+            continue
+        a = LinearMap.from_columns(cols, space)
+        image = {p: space.normalize(a(p)) for pair in s.zero_pairs for p in pair}
+        pairs = tuple(tuple(sorted(map(image.get, pair))) for pair in s.zero_pairs)
+        moved = extract_transversals(replace(s, zero_pairs=pairs), space)
+        anchors.add(min(image, key=image.get))
+        want = {space.rref([image[p] for p in side]) for side in (base.side0, base.side_inf)}
+        assert {moved.t0, moved.t_inf} == want
+    assert len(anchors) >= 5
 
 
 def test_each_refusal_of_extract_transversals(case321):
     # forged structures: each reaches one refusal, the anchor's aside
     hov, d = case321
     space = d.space
-    s = find_long_secants(d)
+    s = find_long_secants(spectrum(d))
     t = extract_transversals(s, space)
     anchor = min(p for pair in s.zero_pairs for p in pair)
     # a secant's pair replaced by two points of the anchor's side
@@ -166,22 +176,25 @@ def test_each_refusal_of_extract_transversals(case321):
     # two lines through a common point P, with the anchor on the first and
     # P paired with it: the points of the first line classify as T0 and
     # those of the second as T_inf; each side is a full line, but they span
-    # a plane
-    p, line0 = t.side0[0], set(t.side0)
+    # a plane.  P is no line's least point, so the least off point, the
+    # anchor, starts whichever line holds it
+    p = max(t.side0)
     line1 = set(space.line_points(*space.pair_line_key(p, t.side_inf[0])))
-    start, *rest0 = sorted(line0 - {p})
-    first, *rest1 = sorted(line1 - {p})
+    line0, line1 = sorted((set(t.side0) - {p}, line1 - {p}), key=min)
+    start, *rest0 = sorted(line0)
+    first, *rest1 = sorted(line1)
     pairs = [(start, p), (p, first)] + list(zip(rest0, rest1))
+    assert start == min(x for pair in pairs for x in pair)
     with pytest.raises(TransversalExtractionFailed,
                        match="transversals do not span the space"):
-        extract_transversals(replace(s, zero_pairs=tuple(pairs)), space, anchor=start)
+        extract_transversals(replace(s, zero_pairs=tuple(pairs)), space)
 
 
 def test_extract_transversals_walks_no_lines(case321, monkeypatch, line_key_calls):
     # each off point is split by one normalize of anchor + X, not by the
     # line anchor-X: no line is keyed or walked
     hov, d = case321
-    s = find_long_secants(d)
+    s = find_long_secants(spectrum(d))
     line_key_calls.clear()
     walked = []
     monkeypatch.setattr(ProjSpace, "line_points", lambda *args: walked.append(args))
@@ -200,7 +213,7 @@ def _scales_by_search(space, z, v0, v1):
 def test_span_scale_matches_a_search_over_the_scalars(monkeypatch, hki):
     hov, d = _directions_for(*hki)
     maps, space, k = hov.maps, d.space, hki[1]
-    fmap = transversal_map(extract_transversals(find_long_secants(d), space))
+    fmap = transversal_map(extract_transversals(find_long_secants(spectrum(d)), space))
     calls = []
     real = pseudoregulus._span_scale
 
@@ -271,7 +284,7 @@ def test_no_standard_fit_is_no_fit(hki):
     # there alone.  The fit derives from the standard labeling only
     hov, d = _directions_for(*hki)
     maps, space = hov.maps, d.space
-    fmap = transversal_map(extract_transversals(find_long_secants(d), space))
+    fmap = transversal_map(extract_transversals(find_long_secants(spectrum(d)), space))
     u = pseudoregulus._greedy_basis(space, sorted(fmap), hki[1])
     cut = dict(fmap)
     del cut[space.normalize(u[0] ^ u[1])]
@@ -534,7 +547,7 @@ def test_elements_made_on_demand_match_the_abb_spread_walk(hki):
     hov, d = _directions_for(*hki)
     maps = hov.maps
     spell = unvec_blocks(maps.tower, 2)
-    fmap = transversal_map(extract_transversals(find_long_secants(d), d.space))
+    fmap = transversal_map(extract_transversals(find_long_secants(spectrum(d)), d.space))
     fits = fit_by_both_labelings(d, fmap, maps)[1]
     identity = LinearMap(1 << b for b in range(maps.hinf.bits))
     assert pseudoregulus._maps_elements_to_elements(identity, maps, spell)
@@ -544,6 +557,28 @@ def test_elements_made_on_demand_match_the_abb_spread_walk(hki):
         assert got is _maps_elements_by_abb_spread(m, maps) is ((label, j) in fits)
         verdicts.append(got)
     assert verdicts.count(True) == 2 and verdicts.count(False) >= 2
+
+
+@pytest.mark.parametrize("hki", [(3, 2, 1), (4, 2, 1)])
+def test_an_accepting_element_walk_maps_q_to_the_k_elements(hki, monkeypatch):
+    # an invertible map that carries q^k elements onto elements carries the
+    # last of the q^k + 1 onto the one left, so that one is not written
+    run = run_verify_all(*hki, stages=("pseudoregulus",)).run
+    maps = run.hov.maps
+    written = []
+    real = pseudoregulus.reduction_map
+
+    def counted(tower, width):
+        rows_of = real(tower, width)
+        return lambda src: written.append(src) or rows_of(src)
+
+    monkeypatch.setattr(pseudoregulus, "reduction_map", counted)
+    spell = unvec_blocks(maps.tower, 2)
+    identity = LinearMap(1 << b for b in range(maps.hinf.bits))
+    for m in (identity, run.fit.matrix):
+        written.clear()
+        assert pseudoregulus._maps_elements_to_elements(m, maps, spell)
+        assert len(written) == len(set(written)) == maps.tower.big.q
 
 
 def _spread_by_rref(fit, maps):
@@ -708,7 +743,7 @@ def _canonical_set_oracle(maps, j):
 def test_point_by_point_image_test_matches_the_canonical_set(hki):
     hov, d = _directions_for(*hki)
     maps, space = hov.maps, d.space
-    transversals = extract_transversals(find_long_secants(d), space)
+    transversals = extract_transversals(find_long_secants(spectrum(d)), space)
     fmap = transversal_map(transversals)
     verdicts = []
     spell = unvec_blocks(maps.tower, 2)
@@ -779,7 +814,7 @@ def test_secant_count_mismatch_rejected(case321):
     hov, d = case321
     smaller = DirectionSet(d.ordered[:-7], d.space)
     with pytest.raises(NotPseudoregulusCandidate):
-        find_long_secants(smaller)
+        find_long_secants(spectrum(smaller))
 
 
 def test_damaged_direction_set_rejected(case321):
@@ -790,14 +825,14 @@ def test_damaged_direction_set_rejected(case321):
     outside = next(p for p in space.points() if p not in d.points)
     damaged = DirectionSet(d.ordered[1:] + (outside,), space)
     with pytest.raises(NotPseudoregulusCandidate):
-        find_long_secants(damaged)
+        find_long_secants(spectrum(damaged))
 
 
 def test_control_case_rejected_early():
     hov, d = _directions_for(4, 2, 2, strict=False)
     # 85 is not a multiple of q - 1 = 15
     with pytest.raises(NotPseudoregulusCandidate):
-        find_long_secants(d)
+        find_long_secants(spectrum(d))
 
 
 def test_detect_full_chain_331():
@@ -820,9 +855,9 @@ def _grouped(hov, d):
 def test_long_secants_from_the_group_321(case321):
     hov, d = case321
     hist = _grouped(hov, d)
-    assert find_long_secants(d, hist=hist) == find_long_secants(d)
+    assert find_long_secants(hist) == find_long_secants(spectrum(d))
     # the spectrum charged the group's |D| - 1 line keys; reading it is free
-    assert find_long_secants(d, budget=0, hist=hist) == find_long_secants(d)
+    assert find_long_secants(hist, budget=0) == find_long_secants(spectrum(d))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -830,11 +865,10 @@ def test_h2_needs_the_verified_group(k):
     # at q = 4 the pair counts of long secants and 3-secants coincide
     hov, d = _directions_for(2, k, 1)
     m = (4 ** k - 1) // 3
-    with pytest.raises(NotPseudoregulusCandidate, match="q = 4"):
-        find_long_secants(d)
-    with pytest.raises(NotPseudoregulusCandidate, match="q = 4"):
-        find_long_secants(d, hist=spectrum(d))
-    s = find_long_secants(d, hist=_grouped(hov, d))
+    for mode in ("pairs", "exhaustive"):
+        with pytest.raises(NotPseudoregulusCandidate, match="q = 4"):
+            find_long_secants(spectrum(d, mode=mode))
+    s = find_long_secants(_grouped(hov, d))
     assert len(s.secants) == m
     assert sorted(p for key in s.secants for p in d.space.line_points(*key)
                   if p in d.points) == list(d.ordered)
@@ -855,18 +889,6 @@ def test_h2_passes_the_one_chain_the_package_runs(hki):
         detect_pseudoregulus(rep.run.dirs, rep.run.hov.maps)
 
 
-def test_symmetry_of_another_set_is_not_read(case321):
-    hov, d = case321
-    hist = _grouped(hov, d)
-    damaged = DirectionSet(d.ordered[1:] + (next(
-        p for p in d.space.points() if p not in d.points),), d.space)
-    with pytest.raises(NotPseudoregulusCandidate) as want:
-        find_long_secants(damaged)
-    with pytest.raises(NotPseudoregulusCandidate) as got:
-        find_long_secants(damaged, hist=hist)
-    assert str(got.value) == str(want.value)
-
-
 def test_orbit_that_is_no_group_orbit_is_refused(case321):
     # the orbit list is scrambled: the line through orbit[0] and orbit[m]
     # is then a 3-secant, not a long secant
@@ -877,8 +899,8 @@ def test_orbit_that_is_no_group_orbit_is_refused(case321):
     random.Random(5).shuffle(rest)
     scrambled = replace(sym, orbit=sym.orbit[:1] + tuple(rest))
     with pytest.raises(NotPseudoregulusCandidate, match="no orbit of 9 lines"):
-        find_long_secants(d, hist=replace(hist, symmetry=scrambled))
+        find_long_secants(replace(hist, symmetry=scrambled))
     # a wrong secant count from the histogram is the pair scan's error
     fewer = replace(hist, counts={**hist.counts, 7: 8})
     with pytest.raises(NotPseudoregulusCandidate, match="found 8 long secants, expected 9"):
-        find_long_secants(d, hist=fewer)
+        find_long_secants(fewer)
